@@ -17,8 +17,8 @@ from .groups import (
     close_automorphisms,
     identity_automorphism,
     monoid_balls,
+    layers,
     orbit,
-    semidirect_mul,
 )
 from .mvalued import (
     CosetElement,

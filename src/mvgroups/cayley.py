@@ -1,21 +1,26 @@
 """Cayley-graph exploration of an n-valued group.
 
-Balls are computed by layered BFS over supports: the frontier at step i+1
-is the union of support(mul(u, s)) over frontier elements u and generators
-s, minus everything already reached.  The empty product is admitted, so x
+Balls and lengths are the ``layers`` of support expansion: layer i+1 is
+the union of support(mul(u, s)) over layer-i elements u and generators s,
+minus everything already reached.  The empty product is admitted, so x
 itself is in B(x, r) for every r (this is what makes the closed form
 |B(x, r)| = 1 + r + min(x, r) of the builtin 2-valued group come out
 right at small radii).
+
+Power supports are the iterates of T_x from x (``dynamic_supports``), which
+are not pruned: Set(x^{*r}) may contain elements of earlier powers.
+Every enumeration here raises BudgetExceeded once more than `budget`
+distinct elements have been reached.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
-from .groups import DEFAULT_BUDGET
+from .groups import DEFAULT_BUDGET, layers
 from .mvalued import MvGroup
 
 
@@ -56,6 +61,11 @@ class PowerTable:
         return [len(s) for s in self.sstar_sets]
 
 
+def _spheres(X: MvGroup, gens: Sequence[Any], x, budget: int) -> Iterator[List[Any]]:
+    """S(x, 0), S(x, 1), ...: the layers of support expansion from x."""
+    return layers([x], lambda u: (v for s in gens for v in X.mul(u, s).support()), budget)
+
+
 def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
          budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """B(x, 0..radius) via support BFS; S(x, 0) = {x}."""
@@ -63,24 +73,9 @@ def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
         raise ValidationError("ball BFS needs a nonempty generating set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    seen = {x}
-    sphere_sets = [(x,)]
-    ball_sizes = [1]
-    frontier = [x]
-    for _ in range(radius):
-        fresh = set()
-        for u in frontier:
-            for s in gens:
-                for v in X.mul(u, s).support():
-                    if v not in seen:
-                        fresh.add(v)
-        if len(seen) + len(fresh) > budget:
-            raise BudgetExceeded(
-                f"ball BFS exceeded node budget {budget} at radius {len(ball_sizes)}")
-        seen |= fresh
-        frontier = sorted(fresh)
-        sphere_sets.append(tuple(frontier))
-        ball_sizes.append(len(seen))
+    sphere_sets = [tuple(sorted(layer))
+                   for layer in itertools.islice(_spheres(X, gens, x, budget), radius + 1)]
+    ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(x, radius, sphere_sets, ball_sizes)
 
 
@@ -91,50 +86,43 @@ def length(X: MvGroup, gens: Sequence[Any], x, cap: int = 64,
     The unit has length 0 (empty product).  Raises NotReachedWithinCap if
     x does not appear within the radius cap.
     """
-    if x == X.unit:
-        return 0
-    seen = {X.unit}
-    frontier = [X.unit]
-    for r in range(1, cap + 1):
-        fresh = set()
-        for u in frontier:
-            for s in gens:
-                for v in X.mul(u, s).support():
-                    if v not in seen:
-                        fresh.add(v)
-        if x in fresh:
+    for r, layer in enumerate(itertools.islice(_spheres(X, gens, X.unit, budget), cap + 1)):
+        if x in layer:
             return r
-        if not fresh:
+        if not layer:
             break
-        if len(seen) + len(fresh) > budget:
-            raise BudgetExceeded(f"length BFS exceeded node budget {budget}")
-        seen |= fresh
-        frontier = sorted(fresh)
     raise NotReachedWithinCap(
         f"element {X.render(x)} not reached within radius cap {cap}")
+
+
+def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[Any, ...]]:
+    """Set(T_z^r(y)) for r = 0, 1, ..., each sorted: T_z sends u to u * z.
+
+    Unlike ``layers`` nothing is pruned, because xi counts elements that
+    recur.  Raises BudgetExceeded once more than `budget` distinct elements
+    have been reached.
+    """
+    support, reached, r = (y,), set(), 0
+    while True:
+        reached.update(support)
+        if len(reached) > budget:
+            raise BudgetExceeded(budget, r)
+        yield support
+        support = tuple(sorted({v for u in support for v in X.mul(u, z).support()}))
+        r += 1
 
 
 def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> PowerTable:
     """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    sstar_sets: List[Tuple[Any, ...]] = [()]
-    set_powers: List[Tuple[Any, ...]] = [()]
-    bstar_sizes = [0]
+    set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget), radius))
+    sstar_sets: List[Tuple[Any, ...]] = []
     cumulative = set()
-    current = {x}
-    for r in range(1, radius + 1):
-        set_powers.append(tuple(sorted(current)))
-        fresh = current - cumulative
-        cumulative |= current
-        if len(cumulative) > budget:
-            raise BudgetExceeded(f"power table exceeded node budget {budget}")
-        sstar_sets.append(tuple(sorted(fresh)))
-        bstar_sizes.append(len(cumulative))
-        nxt = set()
-        for u in current:
-            nxt.update(X.mul(u, x).support())
-        current = nxt
+    for support in set_powers:
+        sstar_sets.append(tuple(v for v in support if v not in cumulative))
+        cumulative.update(support)
+    bstar_sizes = list(itertools.accumulate(len(s) for s in sstar_sets))
     return PowerTable(x, radius, sstar_sets, bstar_sizes, set_powers)
 
 

@@ -1,22 +1,25 @@
 """n-valued dynamics T_z and their growth functions.
 
 T_z sends y to the multiset y * z; the growth function xi_y(r) is the
-number of distinct elements in T_z^r(y).  For coset groups the sandwich
-(1/n)|S+(e, r)| <= xi_y(r) <= |B+(e, r)| relates xi to BFS balls in the
-submonoid of G generated by the A-orbit of g, and that is exactly what
-``bounds_check`` computes on both sides.
+number of distinct elements in T_z^r(y).  The supports come from
+``cayley.dynamic_supports``, the un-pruned iteration that ``power_table``
+shares, under the same budget rule as every enumeration.  For coset groups
+the sandwich (1/n)|S+(e, r)| <= xi_y(r) <= |B+(e, r)| relates xi to BFS
+balls in the submonoid of G generated by the A-orbit of g, and that is
+exactly what ``bounds_check`` computes on both sides.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, InsufficientData, PreconditionViolated, ValidationError
+from .errors import InsufficientData, PreconditionViolated, ValidationError
 from .groups import DEFAULT_BUDGET, MonoidBallTable, monoid_balls, orbit
-from .cayley import PowerTable, power_table
+from .cayley import PowerTable, dynamic_supports, power_table
 from .mvalued import CosetGroup, MvGroup
 
 
@@ -35,19 +38,8 @@ def iterate_dynamic(X: MvGroup, z, y, radius: int,
                     budget: int = DEFAULT_BUDGET) -> DynamicsTable:
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    supports = [(y,)]
-    xi = [1]
-    current = {y}
-    for _ in range(radius):
-        nxt = set()
-        for u in current:
-            nxt.update(X.mul(u, z).support())
-        if len(nxt) > budget:
-            raise BudgetExceeded(f"dynamics iteration exceeded node budget {budget}")
-        current = nxt
-        supports.append(tuple(sorted(current)))
-        xi.append(len(current))
-    return DynamicsTable(z, y, radius, supports, xi)
+    supports = list(itertools.islice(dynamic_supports(X, z, y, budget), radius + 1))
+    return DynamicsTable(z, y, radius, supports, [len(s) for s in supports])
 
 
 @dataclass

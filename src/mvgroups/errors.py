@@ -30,7 +30,12 @@ class ClosureBudgetExceeded(MvGroupsError):
 
 
 class BudgetExceeded(MvGroupsError):
-    """A BFS enumeration exceeded its node budget."""
+    """An enumeration reached more than `budget` distinct elements."""
+
+    def __init__(self, budget, radius):
+        super().__init__(f"more than {budget} distinct elements reached by radius {radius}")
+        self.budget = budget
+        self.radius = radius
 
 
 class NotReachedWithinCap(MvGroupsError):

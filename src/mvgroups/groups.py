@@ -11,8 +11,13 @@ every defining relator maps to the identity, finite kinds check the
 homomorphism property exhaustively.  ``close_automorphisms`` builds the
 finite subgroup of Aut(G) generated by verified seeds.
 
+``layers`` is the one breadth-first enumeration of the package: balls,
+lengths, monoid balls and every finite closure (group elements, subgroups,
+automorphism groups) are layers of it, and all of them share its budget
+rule.
+
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
-(g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` does plain BFS over
+(g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
 right multiplication by a fixed generator set, producing the monoid
 spheres S+(e, r) and balls B+(e, r).
 """
@@ -20,8 +25,8 @@ spheres S+(e, r) and balls B+(e, r).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BackendMismatch,
@@ -32,11 +37,39 @@ from .errors import (
     UnverifiedAutomorphism,
     ValidationError,
 )
-from .keys import int_key, seq_key, str_key
+from .keys import int_key, seq_key
 
 Word = Tuple[Tuple[int, int], ...]  # ((generator index, nonzero exponent), ...)
 
 DEFAULT_BUDGET = 10**6
+
+
+def layers(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
+           budget: int = DEFAULT_BUDGET) -> Iterator[List[Any]]:
+    """Breadth-first layers: layer 0 is `start`, layer i+1 holds, in the
+    order they are discovered, the elements of expand(u) for u in layer i
+    that no earlier layer holds.  Once a layer is empty every later one is.
+
+    The budget rule of every enumeration: BudgetExceeded is raised as soon
+    as more than `budget` distinct elements have been reached.
+    """
+    layer = list(dict.fromkeys(start))
+    seen = set(layer)
+    if len(seen) > budget:
+        raise BudgetExceeded(budget, 0)
+    radius = 0
+    while True:
+        yield layer
+        radius += 1
+        fresh = []
+        for u in layer:
+            for v in expand(u):
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+                    if len(seen) > budget:
+                        raise BudgetExceeded(budget, radius)
+        layer = fresh
 
 
 class GroupBackend:
@@ -107,6 +140,27 @@ class GroupBackend:
 
     def elements(self) -> List[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
+
+    _words: Optional[Dict[Any, Word]] = None
+
+    def _close(self) -> Dict[Any, Word]:
+        """Each element of the generated group with the word that first
+        reaches it, by BFS over the generators and their inverses."""
+        if self._words is None:
+            steps = [((i, e), self.gen(i) if e == 1 else self.inv(self.gen(i)))
+                     for i in range(len(self.gen_names)) for e in (1, -1)]
+            words = {self.identity: ()}
+
+            def expand(g):
+                for step, s in steps:
+                    h = self.mul(g, s)
+                    words.setdefault(h, words[g] + (step,))
+                    yield h
+
+            for _ in itertools.takewhile(len, layers([self.identity], expand)):
+                pass
+            self._words = words
+        return self._words
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +385,6 @@ class PermutationGroup(GroupBackend):
                 raise ValidationError(f"not a permutation of 0..{degree-1}: {perm}")
             self._gens.append(perm)
         self._elements: Optional[List[Tuple[int, ...]]] = None
-        self._words: Optional[Dict[Tuple[int, ...], Word]] = None
 
     @property
     def identity(self):
@@ -368,29 +421,9 @@ class PermutationGroup(GroupBackend):
             cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
         return "".join(cycles) if cycles else "e"
 
-    def _close(self):
-        if self._elements is not None:
-            return
-        words: Dict[Tuple[int, ...], Word] = {self.identity: ()}
-        frontier = [self.identity]
-        steps = [(i, e) for i in range(len(self._gens)) for e in (1, -1)]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for i, e in steps:
-                    s = self._gens[i] if e == 1 else self.inv(self._gens[i])
-                    h = self.mul(g, s)
-                    if h not in words:
-                        words[h] = words[g] + ((i, e),)
-                        nxt.append(h)
-            frontier = nxt
-        self._words = words
-        self._elements = sorted(words, key=self.canonical_key)
-
     def factor(self, g):
-        self._close()
         try:
-            return self._words[g]
+            return self._close()[g]
         except KeyError:
             raise ValidationError(f"element {g} not in the generated subgroup")
 
@@ -398,7 +431,8 @@ class PermutationGroup(GroupBackend):
         return True
 
     def elements(self):
-        self._close()
+        if self._elements is None:
+            self._elements = sorted(self._close(), key=self.canonical_key)
         return list(self._elements)
 
 
@@ -419,9 +453,7 @@ class FiniteTableGroup(GroupBackend):
         self._gen_indices = tuple(gen_indices)
         if len(self.gen_names) != len(self._gen_indices):
             raise ValidationError("one index per generator name required")
-        self._words: Optional[Dict[int, Word]] = None
-        self._close()
-        if len(self._words) != n:
+        if len(self._close()) != n:
             raise ValidationError("declared generators do not generate the table group")
 
     @property
@@ -445,22 +477,6 @@ class FiniteTableGroup(GroupBackend):
 
     def render(self, g):
         return f"#{g}"
-
-    def _close(self):
-        words: Dict[int, Word] = {self.identity_index: ()}
-        frontier = [self.identity_index]
-        steps = [(i, e) for i in range(len(self._gen_indices)) for e in (1, -1)]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for i, e in steps:
-                    s = self._gen_indices[i] if e == 1 else self.inv(self._gen_indices[i])
-                    h = self.mul(g, s)
-                    if h not in words:
-                        words[h] = words[g] + ((i, e),)
-                        nxt.append(h)
-            frontier = nxt
-        self._words = words
 
     def factor(self, g):
         return self._words[g]
@@ -701,24 +717,15 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
             raise BackendMismatch("all seeds must act on the same backend")
         if not seed.verified:
             seed.verify()
-    found: Dict[bytes, Automorphism] = {}
-    ident = identity_automorphism(backend)
-    for aut in [ident, *seeds, *(s.inverse() for s in seeds)]:
-        found.setdefault(aut.signature, aut)
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(found.values()):
-                for c in (compose(a, b), compose(b, a)):
-                    if c.signature not in found:
-                        found[c.signature] = c
-                        nxt.append(c)
-                        if len(found) > bound:
-                            raise ClosureBudgetExceeded(
-                                f"automorphism closure exceeded {bound} elements")
-        frontier = nxt
-    return AutomorphismGroup(backend, list(found.values()))
+    steps = [*seeds, *(s.inverse() for s in seeds)]
+    # the identity and the seeds start the first layer, so they keep their names
+    closure = layers([identity_automorphism(backend), *steps],
+                     lambda a: (compose(a, s) for s in steps), budget=bound)
+    try:
+        found = [a for layer in itertools.takewhile(len, closure) for a in layer]
+    except BudgetExceeded:
+        raise ClosureBudgetExceeded(f"automorphism closure exceeded {bound} elements")
+    return AutomorphismGroup(backend, found)
 
 
 def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:
@@ -785,11 +792,6 @@ class SemidirectProduct(GroupBackend):
         return [(g, i) for g in self.group.elements() for i in range(self.auts.order)]
 
 
-def semidirect_mul(backend: SemidirectProduct, p, q):
-    """The displayed product (g, a)(h, b) = (g * a^{-1}(h), a b)."""
-    return backend.mul(p, q)
-
-
 # ---------------------------------------------------------------------------
 # monoid balls
 
@@ -808,28 +810,16 @@ class MonoidBallTable:
 
 def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
                  budget: int = DEFAULT_BUDGET) -> MonoidBallTable:
-    """BFS over right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball."""
+    """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball.
+
+    Spheres are sorted by canonical key.
+    """
     if not gens:
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    seen = {backend.canonical_key(backend.identity): backend.identity}
-    sphere_sets = [(backend.identity,)]
-    ball_sizes = [1]
-    frontier = [backend.identity]
-    for _ in range(radius):
-        fresh: Dict[bytes, Any] = {}
-        for u in frontier:
-            for s in gens:
-                v = backend.mul(u, s)
-                key = backend.canonical_key(v)
-                if key not in seen and key not in fresh:
-                    fresh[key] = v
-        if len(seen) + len(fresh) > budget:
-            raise BudgetExceeded(
-                f"monoid BFS exceeded node budget {budget} at radius {len(ball_sizes)}")
-        seen.update(fresh)
-        frontier = [fresh[k] for k in sorted(fresh)]
-        sphere_sets.append(tuple(frontier))
-        ball_sizes.append(len(seen))
+    spheres = layers([backend.identity], lambda u: (backend.mul(u, s) for s in gens), budget)
+    sphere_sets = [tuple(sorted(layer, key=backend.canonical_key))
+                   for layer in itertools.islice(spheres, radius + 1)]
+    ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return MonoidBallTable(radius, sphere_sets, ball_sizes)

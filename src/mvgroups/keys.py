@@ -1,9 +1,9 @@
 """Canonical byte keys.
 
 Every group element gets an injective, total-orderable byte key that is
-stable across runs and platforms.  Keys are built from two prefix-free
-atoms (integers and strings) and a prefix-free sequence combinator, so
-lexicographic comparison of concatenations is well defined.
+stable across runs and platforms.  Keys are built from a prefix-free
+integer atom and a prefix-free sequence combinator, so lexicographic
+comparison of concatenations is well defined.
 
 Integer keys order as 0 < 1 < -1 < 2 < -2 < ...; in particular the
 canonical representative of a {k, -k} orbit is the non-negative member.
@@ -19,11 +19,6 @@ def int_key(x: int) -> bytes:
     nbytes = (mag.bit_length() + 7) // 8
     sign = b"\x00" if x >= 0 else b"\x01"
     return struct.pack(">I", nbytes) + mag.to_bytes(nbytes, "big") + sign
-
-
-def str_key(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
 
 
 def seq_key(parts) -> bytes:

@@ -9,11 +9,12 @@ representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
-from .groups import AutomorphismGroup, GroupBackend, orbit
+from .groups import AutomorphismGroup, GroupBackend, layers, orbit
 from .multiset import MultiSet, flatten
 
 
@@ -160,20 +161,10 @@ class DoubleCosetGroup(MvGroup):
 
     def _close_subgroup(self, seed):
         backend = self.backend
-        seen = {backend.canonical_key(backend.identity): backend.identity}
-        frontier = [backend.identity]
-        gens = list(seed)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    for h in (backend.mul(g, s), backend.mul(g, backend.inv(s))):
-                        key = backend.canonical_key(h)
-                        if key not in seen:
-                            seen[key] = h
-                            nxt.append(h)
-            frontier = nxt
-        return [seen[k] for k in sorted(seen)]
+        steps = [t for s in seed for t in (s, backend.inv(s))]
+        closure = layers([backend.identity], lambda g: (backend.mul(g, t) for t in steps))
+        elements = [h for layer in itertools.takewhile(len, closure) for h in layer]
+        return sorted(elements, key=backend.canonical_key)
 
     def project(self, g) -> DoubleCosetElement:
         backend = self.backend

@@ -19,12 +19,9 @@ from .dynamics import (
     quadratic_bound_check,
 )
 from .errors import ValidationError
-from .groups import SemidirectProduct, monoid_balls, orbit
-from .mvalued import CosetGroup, MvGroup, NatGroup
+from .groups import SemidirectProduct, monoid_balls
+from .mvalued import CosetGroup, NatGroup
 from .wordspec import Instance
-
-SUITES = ("example32", "thm43", "thm48", "lemma47", "example46", "proof34")
-
 
 @dataclass
 class SuiteResult:
@@ -251,18 +248,21 @@ def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
     return result
 
 
+# suite name -> (suite function, the criterion's stated default radius)
+_SUITE_TABLE = {
+    "example32": (example32, 50),
+    "thm43": (thm43, 8),
+    "thm48": (thm48, 12),
+    "lemma47": (lemma47, 12),
+    "example46": (example46, 20),
+    "proof34": (proof34, 5),
+}
+SUITES = tuple(_SUITE_TABLE)
+
+
 def run_suite(name: str, instance: Instance, r_max: Optional[int] = None) -> SuiteResult:
     """Dispatch by suite name with each criterion's stated default radius."""
-    if name == "example32":
-        return example32(instance)
-    if name == "thm43":
-        return thm43(instance, r_max=r_max if r_max is not None else 8)
-    if name == "thm48":
-        return thm48(instance, r_max=r_max if r_max is not None else 12)
-    if name == "lemma47":
-        return lemma47(instance, r_max=r_max if r_max is not None else 12)
-    if name == "example46":
-        return example46(instance, r_max=r_max if r_max is not None else 20)
-    if name == "proof34":
-        return proof34(instance, r_max=r_max if r_max is not None else 5)
-    raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name not in _SUITE_TABLE:
+        raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suite, default_radius = _SUITE_TABLE[name]
+    return suite(instance, r_max=default_radius if r_max is None else r_max)

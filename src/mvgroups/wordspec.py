@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,7 +38,6 @@ from .groups import (
     GroupBackend,
     HeisenbergGroup,
     PermutationGroup,
-    SemidirectProduct,
     close_automorphisms,
 )
 from .mvalued import CosetGroup, DoubleCosetGroup, MutatedNatGroup, MvGroup, NatGroup
@@ -159,7 +158,9 @@ class InstanceConfig:
 _TOP_KEYS = {"schema", "group", "automorphisms", "mv", "X_generators", "defaults"}
 _MV_KINDS = {"coset", "double_coset", "builtin_nat", "builtin_nat_mutated"}
 _GROUP_KINDS = {"free", "free_abelian", "heisenberg", "cyclic", "finite_table",
-                "permutation", "direct_product", "semidirect"}
+                "permutation", "direct_product"}
+_REQUIRED_GROUP_FIELDS = {"permutation": ("degree", "gens", "gen_images"),
+                          "finite_table": ("table", "gens", "gen_elements")}
 
 
 def _require(doc: dict, key: str, path: str):
@@ -265,6 +266,9 @@ def _validate_group(desc: dict, path: str):
     kind = desc.get("kind")
     if kind not in _GROUP_KINDS:
         raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
+    for key in _REQUIRED_GROUP_FIELDS.get(kind, ()):
+        if key not in desc:
+            raise SchemaError(f"{kind} group needs {key!r}", f"{path}.{key}")
     if kind == "direct_product":
         factors = desc.get("factors")
         if not isinstance(factors, list) or not factors:
@@ -274,11 +278,6 @@ def _validate_group(desc: dict, path: str):
                 raise SchemaError("factor must be a group descriptor",
                                   f"{path}.factors[{i}]")
             _validate_group(sub, f"{path}.factors[{i}]")
-    if kind == "semidirect":
-        sub = desc.get("group")
-        if not isinstance(sub, dict):
-            raise SchemaError("semidirect needs an inner group", f"{path}.group")
-        _validate_group(sub, f"{path}.group")
 
 
 def _declared_gen_names(desc: dict) -> List[str]:
@@ -290,8 +289,6 @@ def _declared_gen_names(desc: dict) -> List[str]:
         for sub in desc["factors"]:
             names.extend(_declared_gen_names(sub))
         return names
-    if kind == "semidirect":
-        return _declared_gen_names(desc["group"])
     gens = desc.get("gens")
     if gens is not None:
         return list(gens)
@@ -335,17 +332,6 @@ def build_backend(desc: dict) -> GroupBackend:
                                 desc["gens"], desc["gen_elements"])
     if kind == "direct_product":
         return DirectProduct([build_backend(sub) for sub in desc["factors"]])
-    if kind == "semidirect":
-        inner = build_backend(desc["group"])
-        seeds = _build_seeds(inner, [
-            AutomorphismSeed(
-                entry.get("name", f"a{i}"),
-                {g: parse_word(w) for g, w in entry["images"].items()},
-                {g: parse_word(w) for g, w in entry["inverse_images"].items()},
-            )
-            for i, entry in enumerate(desc.get("automorphisms", []))
-        ])
-        return SemidirectProduct(inner, close_automorphisms(seeds))
     raise SchemaError(f"unknown group kind {kind!r}", "group.kind")
 
 

@@ -217,3 +217,25 @@ def test_missing_required_argument(config_dir, capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = invoke(capsys, ["frobnicate"])
     assert code == 2
+
+
+def test_verify_radius_reaches_example32(config_dir, capsys):
+    code, out, _ = invoke(capsys, ["verify", "-c", cfg(config_dir, "nat"),
+                                   "--suite", "example32", "--radius", "3"])
+    assert code == 0
+    assert out == "PASS example32 r=3 closed form holds for all x<=50\n"
+
+
+def test_semidirect_group_kind_rejected(tmp_path, capsys):
+    bad = tmp_path / "semidirect.json"
+    bad.write_text(json.dumps({
+        "schema": 1,
+        "group": {"kind": "semidirect",
+                  "group": {"kind": "free_abelian", "rank": 1, "gens": ["g1"]}},
+        "automorphisms": [{"name": "neg", "images": {"g1": "g1^-1"},
+                           "inverse_images": {"g1": "g1^-1"}}],
+        "mv": {"kind": "coset"},
+    }))
+    code, _, err = invoke(capsys, ["axioms", "-c", str(bad)])
+    assert code == 2
+    assert "group.kind" in err

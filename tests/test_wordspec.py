@@ -194,6 +194,33 @@ def test_double_coset_requires_subgroup():
                       "mv": {"kind": "double_coset"}})
 
 
+PERMUTATION = {"kind": "permutation", "degree": 3, "gens": ["t"], "gen_images": [[1, 0, 2]]}
+TABLE = {"kind": "finite_table", "table": [[0, 1], [1, 0]], "gens": ["t"], "gen_elements": [1]}
+
+
+MISSING_FIELD_CASES = [
+    (PERMUTATION, "group.degree"),
+    (PERMUTATION, "group.gens"),
+    (PERMUTATION, "group.gen_images"),
+    (TABLE, "group.table"),
+    (TABLE, "group.gens"),
+    (TABLE, "group.gen_elements"),
+    ({"kind": "direct_product", "factors": [PERMUTATION]}, "group.factors[0].degree"),
+]
+
+
+@pytest.mark.parametrize("group,path", MISSING_FIELD_CASES,
+                         ids=[path for _, path in MISSING_FIELD_CASES])
+def test_missing_group_field_names_path(group, path):
+    group = json.loads(json.dumps(group))
+    target = group["factors"][0] if "factors" in group else group
+    del target[path.rsplit(".", 1)[1]]
+    with pytest.raises(SchemaError) as exc:
+        parse_config({"schema": 1, "group": group,
+                      "mv": {"kind": "double_coset", "subgroup": ["t"]}})
+    assert exc.value.path == path
+
+
 def test_double_coset_on_infinite_backend_fails():
     config = parse_config({
         "schema": 1,
