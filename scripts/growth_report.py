@@ -13,7 +13,8 @@ import pathlib
 import sys
 
 from mvgroups import load_instance
-from mvgroups.cayley import ball, growth_csv
+from mvgroups.cayley import ball
+from mvgroups.cli import emit_table, growth_rows
 from mvgroups.dynamics import classify_growth
 from mvgroups.errors import InsufficientData, MvGroupsError
 
@@ -33,7 +34,7 @@ def main() -> int:
         except MvGroupsError as exc:
             print(f"skipped: {exc}\n")
             continue
-        sys.stdout.write(growth_csv(table))
+        emit_table("csv", growth_rows(table))
         try:
             record = classify_growth(table.ball_sizes)
             extra = (f" degree~{record.degree:.2f}" if record.degree is not None

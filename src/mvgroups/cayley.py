@@ -180,51 +180,3 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
             violations.append(r)
     return CompareReport(l, rows, violations)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def growth_csv(table: GrowthTable) -> str:
-    lines = ["r,ball,sphere"]
-    sizes = table.sphere_sizes()
-    for r in range(table.radius + 1):
-        lines.append(f"{r},{table.ball_sizes[r]},{sizes[r]}")
-    return "\n".join(lines) + "\n"
-
-
-def power_csv(table: PowerTable) -> str:
-    lines = ["r,bstar,sstar_size"]
-    sizes = table.sstar_sizes()
-    for r in range(table.radius + 1):
-        lines.append(f"{r},{table.bstar_sizes[r]},{sizes[r]}")
-    return "\n".join(lines) + "\n"
-
-
-def growth_record(table: GrowthTable, X: MvGroup, emit_elements: bool = False) -> dict:
-    record = {
-        "schema": 1,
-        "center": X.render(table.center),
-        "rows": [
-            {"r": r, "ball": table.ball_sizes[r], "sphere": len(table.sphere_sets[r])}
-            for r in range(table.radius + 1)
-        ],
-    }
-    if emit_elements:
-        record["spheres"] = [[X.render(e) for e in sphere]
-                             for sphere in table.sphere_sets]
-    return record
-
-
-def power_record(table: PowerTable, X: MvGroup, emit_elements: bool = False) -> dict:
-    record = {
-        "schema": 1,
-        "base": X.render(table.base),
-        "rows": [
-            {"r": r, "bstar": table.bstar_sizes[r], "sstar_size": len(table.sstar_sets[r])}
-            for r in range(table.radius + 1)
-        ],
-    }
-    if emit_elements:
-        record["sstar"] = [[X.render(e) for e in s] for s in table.sstar_sets]
-    return record

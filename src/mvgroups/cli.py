@@ -8,35 +8,17 @@ deterministic for fixed config and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+from fractions import Fraction
+from typing import Any, List, Optional, Sequence
 
-from .cayley import (
-    ball,
-    compare_generating_sets,
-    growth_csv,
-    growth_record,
-    power_csv,
-    power_record,
-    power_table,
-)
-from .dynamics import (
-    bounds_check,
-    classify_growth,
-    dynamics_csv,
-    dynamics_record,
-    iterate_dynamic,
-)
-from .errors import (
-    BudgetExceeded,
-    ClosureBudgetExceeded,
-    InsufficientData,
-    MvGroupsError,
-    NotReachedWithinCap,
-)
-from .mvalued import CosetGroup, check_axioms
-from .verify import SUITES, run_suite
+from .cayley import GrowthTable, ball, compare_generating_sets, power_table
+from .dynamics import bounds_check, classify_growth, iterate_dynamic
+from .errors import BudgetExceeded, MvGroupsError
+from .mvalued import CosetGroup, MvGroup, check_axioms
+from .verify import SUITES, run_suite, sample_elements
 from .wordspec import Instance, load_instance
 
 
@@ -108,16 +90,51 @@ def _emit(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "pass" if value else "fail"
+    if isinstance(value, Fraction):
+        return f"{float(value):.6g}"
+    return str(value)
+
+
+def emit_table(fmt: str, rows: List[dict], head: Optional[dict] = None,
+               extra: Optional[dict] = None):
+    """Print a per-radius table: the one output path of growth, powers and dynamics.
+
+    csv: a header made of the row keys, then one line per row; a bool prints
+    as pass/fail, a Fraction as %.6g, anything else as str.  json:
+    {"schema": 1, **head, "rows": rows, **extra} with every Fraction in a row
+    as a float; `head` and `extra` (element sets, classification) are JSON only.
+    """
+    if fmt == "json":
+        json_rows = [{k: float(v) if isinstance(v, Fraction) else v for k, v in row.items()}
+                     for row in rows]
+        _emit(json.dumps({"schema": 1, **(head or {}), "rows": json_rows, **(extra or {})},
+                         indent=2))
+    else:
+        _emit("\n".join([",".join(rows[0]),
+                         *(",".join(map(_csv_cell, row.values())) for row in rows)]))
+
+
+def growth_rows(table: GrowthTable) -> List[dict]:
+    """One row per radius: r, |B(x, r)| and |S(x, r)|."""
+    return [{"r": r, "ball": size, "sphere": len(sphere)}
+            for r, (size, sphere) in enumerate(zip(table.ball_sizes, table.sphere_sets))]
+
+
+def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict:
+    """The rendered element sets under `key` when --emit-elements is given."""
+    return {key: [[X.render(e) for e in s] for s in sets]} if args.emit_elements else {}
+
+
 def _cmd_axioms(args) -> int:
     instance = load_instance(args.config)
     X = instance.X
-    if instance.backend is not None and instance.backend.is_finite():
-        sample = X.carrier()
-    elif instance.backend is None:
+    if instance.backend is None:
         sample = list(range(args.sample + 1))
     else:
-        from .verify import _sample_elements
-        sample = _sample_elements(instance, radius=2, limit=args.sample)
+        sample = sample_elements(instance, radius=2, limit=args.sample)
     report = check_axioms(X, sample)
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))
@@ -132,10 +149,8 @@ def _cmd_growth(args) -> int:
     center = instance.element(args.center) if args.center is not None else X.unit
     table = ball(X, instance.x_generators, center, _radius(instance, args.radius),
                  budget=_budget(instance, args))
-    if args.format == "json":
-        _emit(json.dumps(growth_record(table, X, args.emit_elements), indent=2))
-    else:
-        _emit(growth_csv(table))
+    emit_table(args.format, growth_rows(table), {"center": X.render(table.center)},
+               _elements(args, X, "spheres", table.sphere_sets))
     return 0
 
 
@@ -157,26 +172,24 @@ def _cmd_dynamics(args) -> int:
     else:
         table = iterate_dynamic(X, z, y, steps, budget=budget)
 
-    if args.format == "json":
-        record = dynamics_record(table, X, bounds, args.emit_elements)
-        if args.classify:
-            c = classify_growth(table.xi)
-            record["classification"] = {
-                "kind": c.kind, "degree": c.degree, "base": c.base,
-                "heuristic": c.heuristic, "detail": c.detail,
-            }
-        _emit(json.dumps(record, indent=2))
+    if bounds is None:
+        rows = [{"r": r, "xi": xi} for r, xi in enumerate(table.xi)]
     else:
-        _emit(dynamics_csv(table, bounds))
-        if args.classify:
-            c = classify_growth(table.xi)
-            extras = []
-            if c.degree is not None:
-                extras.append(f"degree={c.degree:.3f}")
-            if c.base is not None:
-                extras.append(f"base={c.base:.3f}")
-            extras.append("heuristic")
-            _emit(f"classification: {c.kind} ({', '.join(extras)})")
+        rows = [{"r": r, "xi": xi, "lower_bound": lower, "upper_bound": upper, "verdict": ok}
+                for (r, lower, xi, upper), ok in zip(bounds.rows, bounds.verdicts)]
+    extra = _elements(args, X, "supports", table.supports)
+    if args.classify and args.format == "json":
+        extra["classification"] = dataclasses.asdict(classify_growth(table.xi))
+    emit_table(args.format, rows, {"z": X.render(table.z), "y": X.render(table.y)}, extra)
+    if args.classify and args.format == "csv":
+        c = classify_growth(table.xi)
+        notes = []
+        if c.degree is not None:
+            notes.append(f"degree={c.degree:.3f}")
+        if c.base is not None:
+            notes.append(f"base={c.base:.3f}")
+        notes.append("heuristic")
+        _emit(f"classification: {c.kind} ({', '.join(notes)})")
     return 0 if bounds is None or bounds.ok else 1
 
 
@@ -186,10 +199,10 @@ def _cmd_powers(args) -> int:
     x = instance.element(args.x)
     table = power_table(X, x, _radius(instance, args.radius),
                         budget=_budget(instance, args))
-    if args.format == "json":
-        _emit(json.dumps(power_record(table, X, args.emit_elements), indent=2))
-    else:
-        _emit(power_csv(table))
+    rows = [{"r": r, "bstar": size, "sstar_size": len(sphere)}
+            for r, (size, sphere) in enumerate(zip(table.bstar_sizes, table.sstar_sets))]
+    emit_table(args.format, rows, {"base": X.render(table.base)},
+               _elements(args, X, "sstar", table.sstar_sets))
     return 0
 
 
@@ -237,16 +250,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except (BudgetExceeded, ClosureBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (NotReachedWithinCap, InsufficientData) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MvGroupsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (MvGroupsError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

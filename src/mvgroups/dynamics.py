@@ -172,38 +172,3 @@ def classify_growth(values: Sequence[int]) -> ClassificationRecord:
         "empirically-polynomial", degree=slope,
         detail=f"log-log fit over radii {start}..{len(values) - 1}")
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def dynamics_csv(table: DynamicsTable, bounds: Optional[BoundsReport] = None) -> str:
-    if bounds is None:
-        lines = ["r,xi"]
-        for r in range(table.radius + 1):
-            lines.append(f"{r},{table.xi[r]}")
-        return "\n".join(lines) + "\n"
-    lines = ["r,xi,lower_bound,upper_bound,verdict"]
-    for (r, lower, xi, upper), verdict in zip(bounds.rows, bounds.verdicts):
-        lines.append(f"{r},{xi},{float(lower):.6g},{upper},{'pass' if verdict else 'fail'}")
-    return "\n".join(lines) + "\n"
-
-
-def dynamics_record(table: DynamicsTable, X: MvGroup,
-                    bounds: Optional[BoundsReport] = None,
-                    emit_elements: bool = False) -> dict:
-    record = {
-        "schema": 1,
-        "z": X.render(table.z),
-        "y": X.render(table.y),
-        "rows": [{"r": r, "xi": table.xi[r]} for r in range(table.radius + 1)],
-    }
-    if bounds is not None:
-        for row, (_, lower, _, upper), verdict in zip(record["rows"], bounds.rows,
-                                                      bounds.verdicts):
-            row["lower_bound"] = float(lower)
-            row["upper_bound"] = upper
-            row["verdict"] = verdict
-    if emit_elements:
-        record["supports"] = [[X.render(e) for e in s] for s in table.supports]
-    return record

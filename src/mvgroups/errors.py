@@ -25,10 +25,6 @@ class UnverifiedAutomorphism(MvGroupsError):
     """An automorphism was applied before verification, or to a foreign backend."""
 
 
-class ClosureBudgetExceeded(MvGroupsError):
-    """Automorphism closure did not terminate within the configured bound."""
-
-
 class BudgetExceeded(MvGroupsError):
     """An enumeration reached more than `budget` distinct elements."""
 

@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from .errors import (
     BackendMismatch,
     BudgetExceeded,
-    ClosureBudgetExceeded,
     InverseMissing,
     NotAnAutomorphism,
     UnverifiedAutomorphism,
@@ -437,22 +436,42 @@ class PermutationGroup(GroupBackend):
 
 
 class FiniteTableGroup(GroupBackend):
-    """Finite group given by its full multiplication table of indices."""
+    """Finite group given by its full multiplication table of indices.
+
+    The table is checked to be a group: a Latin square with a two-sided
+    identity, then associative by Light's test.  The elements a with
+    (x a) y = x (a y) for all x, y are closed under products, so testing
+    the declared generators and their inverses (|gens| n^2 lookups) and
+    then that they generate every index proves associativity.
+    """
 
     kind = "finite_table"
 
     def __init__(self, table: Sequence[Sequence[int]], identity_index: int,
                  gen_names: Sequence[str], gen_indices: Sequence[int]):
         n = len(table)
-        for row in table:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValidationError("table must be square over indices 0..n-1")
+        indices = list(range(n))
         self.table = tuple(tuple(row) for row in table)
+        if any(sorted(row) != indices for row in self.table) or any(
+                sorted(column) != indices for column in zip(*self.table)):
+            raise ValidationError("table must be a Latin square over indices 0..n-1")
+        if identity_index not in indices or any(
+                self.table[identity_index][g] != g or self.table[g][identity_index] != g
+                for g in indices):
+            raise ValidationError(f"#{identity_index} is not a two-sided identity of the table")
         self.identity_index = identity_index
         self.gen_names = tuple(gen_names)
         self._gen_indices = tuple(gen_indices)
         if len(self.gen_names) != len(self._gen_indices):
             raise ValidationError("one index per generator name required")
+        if any(g not in indices for g in self._gen_indices):
+            raise ValidationError(f"generator indices must lie in 0..{n - 1}")
+        t = self.table
+        for a in sorted({*self._gen_indices, *map(self.inv, self._gen_indices)}):
+            for x, y in itertools.product(indices, indices):
+                if t[t[x][a]][y] != t[x][t[a][y]]:
+                    raise ValidationError(f"table is not associative: "
+                                          f"(#{x} #{a}) #{y} != #{x} (#{a} #{y})")
         if len(self._close()) != n:
             raise ValidationError("declared generators do not generate the table group")
 
@@ -467,10 +486,7 @@ class FiniteTableGroup(GroupBackend):
         return self.table[g][h]
 
     def inv(self, g):
-        for h in range(len(self.table)):
-            if self.table[g][h] == self.identity_index:
-                return h
-        raise ValidationError(f"table row {g} has no inverse; not a group table")
+        return self.table[g].index(self.identity_index)
 
     def canonical_key(self, g):
         return int_key(g)
@@ -708,7 +724,10 @@ class AutomorphismGroup:
 
 
 def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> AutomorphismGroup:
-    """Subgroup of Aut(G) generated by the seeds, as a finite closed set."""
+    """Subgroup of Aut(G) generated by the seeds, as a finite closed set.
+
+    Raises BudgetExceeded once the closure reaches more than `bound` elements.
+    """
     if not seeds:
         raise ValidationError("need at least one seed automorphism")
     backend = seeds[0].backend
@@ -721,10 +740,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
     # the identity and the seeds start the first layer, so they keep their names
     closure = layers([identity_automorphism(backend), *steps],
                      lambda a: (compose(a, s) for s in steps), budget=bound)
-    try:
-        found = [a for layer in itertools.takewhile(len, closure) for a in layer]
-    except BudgetExceeded:
-        raise ClosureBudgetExceeded(f"automorphism closure exceeded {bound} elements")
+    found = [a for layer in itertools.takewhile(len, closure) for a in layer]
     return AutomorphismGroup(backend, found)
 
 

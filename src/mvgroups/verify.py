@@ -40,13 +40,14 @@ class SuiteResult:
                          for ok, detail in self.lines)
 
 
-def _sample_elements(instance: Instance, radius: int = 2, limit: int = 32) -> List[Any]:
-    """Deterministic element sample: full carrier if finite, else a small ball."""
+def sample_elements(instance: Instance, radius: int = 2, limit: int = 32) -> List[Any]:
+    """Deterministic element sample: the full carrier if finite, 0..limit-1
+    for builtin-nat, else the first `limit` elements of B(e, radius)."""
     X = instance.X
-    if hasattr(X, "carrier") and instance.backend is not None and instance.backend.is_finite():
-        return list(X.carrier())
-    if isinstance(X, NatGroup) or instance.backend is None:
+    if instance.backend is None:
         return list(range(limit))
+    if instance.backend.is_finite():
+        return list(X.carrier())
     gens = instance.x_generators
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")
@@ -97,7 +98,7 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
         g = evaluate_word(instance.backend, instance.config.x_generators[0])
 
     ys = [X.unit]
-    pool = [y for y in _sample_elements(instance, radius=2) if y != X.unit]
+    pool = [y for y in sample_elements(instance, radius=2) if y != X.unit]
     rng = random.Random(seed)
     if pool:
         ys.extend(rng.sample(pool, min(extra_y, len(pool))))
@@ -151,7 +152,7 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
     """Power-sphere lemma: (a) vanishing persists; (b) sphere addition."""
     result = SuiteResult("lemma47")
     X = instance.X
-    xs = _sample_elements(instance)
+    xs = sample_elements(instance)
     tables = {}
     bad_a = 0
     for x in xs:

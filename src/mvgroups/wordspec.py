@@ -211,7 +211,7 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     gen_names = _declared_gen_names(group) if group else []
 
     seeds = []
-    for i, entry in enumerate(document.get("automorphisms", [])):
+    for i, entry in enumerate(_list(document.get("automorphisms", []), "automorphisms")):
         path = f"automorphisms[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError("automorphism entry must be an object", path)
@@ -239,37 +239,78 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
         ))
 
     subgroup = [_parse_word_field(w, f"mv.subgroup[{i}]")
-                for i, w in enumerate(mv.get("subgroup", []))]
+                for i, w in enumerate(_list(mv.get("subgroup", []), "mv.subgroup"))]
     if mv_kind == "double_coset" and not subgroup:
         raise SchemaError("double_coset requires a nonempty subgroup", "mv.subgroup")
     if mv_kind == "coset" and not seeds:
         raise SchemaError("coset requires at least one automorphism seed", "automorphisms")
 
     x_generators = [_parse_word_field(w, f"X_generators[{i}]")
-                    for i, w in enumerate(document.get("X_generators", []))]
+                    for i, w in enumerate(_list(document.get("X_generators", []),
+                                                  "X_generators"))]
 
     defaults = document.get("defaults", {})
     if not isinstance(defaults, dict):
         raise SchemaError("defaults must be an object", "defaults")
-    radius = defaults.get("radius", 8)
-    budget = defaults.get("budget", 10**6)
-    if not isinstance(radius, int) or radius < 0:
-        raise SchemaError("radius must be a non-negative integer", "defaults.radius")
-    if not isinstance(budget, int) or budget < 1:
-        raise SchemaError("budget must be a positive integer", "defaults.budget")
+    radius = _int(defaults.get("radius", 8), "defaults.radius")
+    budget = _int(defaults.get("budget", 10**6), "defaults.budget", 1)
 
     return InstanceConfig(1, group, seeds, mv_kind, subgroup, x_generators,
                           radius, budget)
 
 
+def _int(value: Any, path: str, low: int = 0, high: Optional[int] = None) -> int:
+    """`value` itself if it is an int (not a bool) in low..high."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or (high is not None and value > high)):
+        bounds = f"in {low}..{high}" if high is not None else f">= {low}"
+        raise SchemaError(f"must be an integer {bounds}, got {value!r}", path)
+    return value
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"must be a list, got {value!r}", path)
+    return value
+
+
+def _int_rows(value: Any, path: str, high: Optional[int] = None):
+    """A list of lists of ints in 0..high."""
+    for i, row in enumerate(_list(value, path)):
+        for j, cell in enumerate(_list(row, f"{path}[{i}]")):
+            _int(cell, f"{path}[{i}][{j}]", 0, high)
+
+
 def _validate_group(desc: dict, path: str):
+    """Kind, presence, type and range of every field, each failure at its path."""
     kind = desc.get("kind")
     if kind not in _GROUP_KINDS:
         raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
     for key in _REQUIRED_GROUP_FIELDS.get(kind, ()):
         if key not in desc:
             raise SchemaError(f"{kind} group needs {key!r}", f"{path}.{key}")
-    if kind == "direct_product":
+    if "gens" in desc:
+        for i, name in enumerate(_list(desc["gens"], f"{path}.gens")):
+            if not isinstance(name, str):
+                raise SchemaError(f"generator name must be a string, got {name!r}",
+                                  f"{path}.gens[{i}]")
+    if kind in ("free", "free_abelian"):
+        if "rank" in desc:
+            _int(desc["rank"], f"{path}.rank", 1)
+        elif not desc.get("gens"):
+            raise SchemaError(f"{kind} group needs a rank or gens list", path)
+    elif kind == "cyclic":
+        _int(desc.get("order"), f"{path}.order", 1)
+    elif kind == "permutation":
+        _int(desc["degree"], f"{path}.degree", 1)
+        _int_rows(desc["gen_images"], f"{path}.gen_images")
+    elif kind == "finite_table":
+        top = len(_list(desc["table"], f"{path}.table")) - 1
+        _int_rows(desc["table"], f"{path}.table", top)
+        _int(desc.get("identity", 0), f"{path}.identity", 0, top)
+        for i, g in enumerate(_list(desc["gen_elements"], f"{path}.gen_elements")):
+            _int(g, f"{path}.gen_elements[{i}]", 0, top)
+    elif kind == "direct_product":
         factors = desc.get("factors")
         if not isinstance(factors, list) or not factors:
             raise SchemaError("direct_product needs a factors list", f"{path}.factors")
@@ -305,34 +346,21 @@ def _declared_gen_names(desc: dict) -> List[str]:
 
 
 def build_backend(desc: dict) -> GroupBackend:
-    kind = desc["kind"]
-    if kind == "free":
-        gens = desc.get("gens")
-        rank = desc.get("rank", len(gens) if gens else None)
-        if rank is None:
-            raise SchemaError("free group needs a rank or gens list", "group")
-        return FreeGroup(rank, gens)
-    if kind == "free_abelian":
-        gens = desc.get("gens")
-        rank = desc.get("rank", len(gens) if gens else None)
-        if rank is None:
-            raise SchemaError("free_abelian needs a rank or gens list", "group")
-        return FreeAbelianGroup(rank, gens)
+    """The backend of a group descriptor that ``parse_config`` validated."""
+    kind, gens = desc["kind"], desc.get("gens")
+    if kind in ("free", "free_abelian"):
+        backend = FreeGroup if kind == "free" else FreeAbelianGroup
+        return backend(desc.get("rank", len(gens or ())), gens)
     if kind == "heisenberg":
         return HeisenbergGroup()
     if kind == "cyclic":
-        order = desc.get("order")
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError("cyclic needs a positive order", "group.order")
-        return CyclicGroup(order, desc.get("gens"))
+        return CyclicGroup(desc["order"], gens)
     if kind == "permutation":
-        return PermutationGroup(desc["degree"], desc["gens"], desc["gen_images"])
+        return PermutationGroup(desc["degree"], gens, desc["gen_images"])
     if kind == "finite_table":
         return FiniteTableGroup(desc["table"], desc.get("identity", 0),
-                                desc["gens"], desc["gen_elements"])
-    if kind == "direct_product":
-        return DirectProduct([build_backend(sub) for sub in desc["factors"]])
-    raise SchemaError(f"unknown group kind {kind!r}", "group.kind")
+                                gens, desc["gen_elements"])
+    return DirectProduct([build_backend(sub) for sub in desc["factors"]])
 
 
 def _build_seeds(backend: GroupBackend, seeds: Sequence[AutomorphismSeed]) -> List[Automorphism]:

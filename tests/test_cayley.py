@@ -8,9 +8,7 @@ from mvgroups.errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from mvgroups.cayley import (
     ball,
     compare_generating_sets,
-    growth_csv,
     length,
-    power_csv,
     power_table,
     set_product,
 )
@@ -197,20 +195,6 @@ def test_compare_rows_cover_all_radii():
     report = compare_generating_sets(NAT, [1], [2, 3], 0, 0, 8)
     assert [row[0] for row in report.rows] == list(range(9))
     assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# csv rendering
-
-
-def test_growth_csv():
-    table = ball(NAT, GENS, 3, 2)
-    assert growth_csv(table) == "r,ball,sphere\n0,1,1\n1,3,2\n2,5,2\n"
-
-
-def test_power_csv():
-    table = power_table(NAT, 1, 3)
-    assert power_csv(table) == "r,bstar,sstar_size\n0,0,0\n1,1,1\n2,3,2\n3,4,1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def test_dynamics_bounds(config_dir, capsys):
     assert all(line.endswith(",pass") for line in lines[1:])
 
 
+def test_dynamics_bounds_csv_rows(config_dir, capsys):
+    code, out, _ = invoke(capsys, ["dynamics", "-c", cfg(config_dir, "z_pm1"),
+                                   "--z", "g1", "--steps", "2", "--bounds"])
+    assert code == 0
+    assert out.splitlines() == ["r,xi,lower_bound,upper_bound,verdict",
+                                "0,1,0.5,1,pass", "1,1,1,3,pass", "2,2,1,5,pass"]
+
+
 def test_dynamics_bounds_needs_coset(config_dir, capsys):
     code, _, err = invoke(capsys, ["dynamics", "-c", cfg(config_dir, "nat"),
                                    "--z", "1", "--steps", "4", "--bounds"])
@@ -239,3 +247,40 @@ def test_semidirect_group_kind_rejected(tmp_path, capsys):
     code, _, err = invoke(capsys, ["axioms", "-c", str(bad)])
     assert code == 2
     assert "group.kind" in err
+
+
+PERMUTATION = {"kind": "permutation", "degree": 3, "gens": ["t"], "gen_images": [[1, 0, 2]]}
+BAD_CONFIGS = [
+    ({**PERMUTATION, "degree": "3"}, "group.degree"),
+    ({"kind": "direct_product", "factors": [{"kind": "cyclic", "order": 0, "gens": ["t"]}]},
+     "group.factors[0].order"),
+    ({"kind": "finite_table", "table": [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+      "gens": ["t", "b"], "gen_elements": [1, 2]}, "Latin square"),
+]
+
+
+@pytest.mark.parametrize("group,message", BAD_CONFIGS, ids=[m for _, m in BAD_CONFIGS])
+def test_bad_group_config_exits_2_naming_it(tmp_path, capsys, group, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": 1, "group": group,
+                               "mv": {"kind": "double_coset", "subgroup": ["t"]},
+                               "X_generators": ["t"]}))
+    code, out, err = invoke(capsys, ["axioms", "-c", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
+    shear = tmp_path / "shear.json"
+    shear.write_text(json.dumps({
+        "schema": 1,
+        "group": {"kind": "free_abelian", "rank": 2},
+        "automorphisms": [{"name": "shear", "images": {"g1": "g1", "g2": "g1*g2"},
+                           "inverse_images": {"g1": "g1", "g2": "g1^-1*g2"}}],
+        "mv": {"kind": "coset"},
+    }))
+    code, _, err = invoke(capsys, ["axioms", "-c", str(shear)])
+    assert code == 3
+    assert "more than 10000 distinct elements" in err

@@ -11,7 +11,6 @@ from mvgroups.errors import (
 from mvgroups.dynamics import (
     bounds_check,
     classify_growth,
-    dynamics_csv,
     iterate_dynamic,
     quadratic_bound_check,
 )
@@ -181,22 +180,3 @@ def test_classify_ball_growth_of_builtin_is_linear():
     record = classify_growth(table.ball_sizes)
     assert record.kind == "empirically-polynomial"
     assert abs(record.degree - 1.0) < 0.2
-
-
-# ---------------------------------------------------------------------------
-# csv rendering
-
-
-def test_dynamics_csv_plain():
-    table = iterate_dynamic(NAT, 1, 0, 3)
-    assert dynamics_csv(table) == "r,xi\n0,1\n1,1\n2,2\n3,2\n"
-
-
-def test_dynamics_csv_with_bounds(instances):
-    X = instances["z_pm1"].X
-    report = bounds_check(X, (1,), X.unit, 2)
-    text = dynamics_csv(report.dynamics_table, report)
-    lines = text.strip().split("\n")
-    assert lines[0] == "r,xi,lower_bound,upper_bound,verdict"
-    assert lines[1] == "0,1,0.5,1,pass"
-    assert lines[3] == "2,2,1,5,pass"

@@ -4,15 +4,16 @@ import pytest
 
 from mvgroups.errors import (
     BudgetExceeded,
-    ClosureBudgetExceeded,
     InverseMissing,
     NotAnAutomorphism,
+    ValidationError,
 )
 from mvgroups.groups import (
     Automorphism,
     CyclicGroup,
     DirectProduct,
     FreeAbelianGroup,
+    FiniteTableGroup,
     FreeGroup,
     HeisenbergGroup,
     PermutationGroup,
@@ -216,7 +217,7 @@ def test_doubling_is_rejected():
 def test_shear_closure_exceeds_bound():
     z2 = FreeAbelianGroup(2)
     shear = Automorphism(z2, "shear", [(1, 0), (1, 1)], [(1, 0), (-1, 1)]).verify()
-    with pytest.raises(ClosureBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         close_automorphisms([shear], bound=10)
 
 
@@ -324,3 +325,29 @@ def test_monoid_budget_enforced():
     f = FreeGroup(2)
     with pytest.raises(BudgetExceeded):
         monoid_balls(f, [f.gen(0), f.gen(1)], 10, budget=20)
+
+
+# a Latin square with identity 0 that is not associative: the smallest
+# loop that is not a group has order 5
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("table,gens,message", [
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], [1, 2], "Latin square"),
+    ([[1, 0], [0, 1]], [1], "two-sided identity"),
+    (LOOP5, [1, 2], "not associative"),
+    ([[0, 1], [1, 0]], [2], "generator indices"),
+], ids=["not-latin", "no-identity", "loop5", "gen-range"])
+def test_finite_table_rejects_non_groups(table, gens, message):
+    with pytest.raises(ValidationError, match=message):
+        FiniteTableGroup(table, 0, [f"g{i}" for i in range(len(gens))], gens)
+
+
+def test_finite_table_accepts_cyclic_group():
+    z3 = FiniteTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, ["g"], [1])
+    assert z3.elements() == [0, 1, 2]
+    assert z3.inv(1) == 2

@@ -1,0 +1,124 @@
+"""Stdout of the table subcommands and the report scripts, pinned by SHA-256.
+
+Every case runs `growth`, `powers` or `dynamics` (plain, `--bounds`,
+`--classify`) in CSV, JSON and JSON with `--emit-elements` on three shipped
+configs, plus the two survey scripts over `configs/`, and compares the exit
+code and the digest of stdout with the recorded ones.  A change to anything
+these commands print shows here first.
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from mvgroups.cli import run
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# config -> the element word used as --x / --z
+ELEMENT = {"nat": "1", "z_pm1": "g1", "heis_swap": "a"}
+FORMATS = {
+    "csv": [],
+    "json": ["--format", "json"],
+    "json-elements": ["--format", "json", "--emit-elements"],
+}
+COMMANDS = {
+    "growth": ["growth", "--radius", "4"],
+    "powers": ["powers", "--x", "{w}", "--radius", "4"],
+    "dynamics": ["dynamics", "--z", "{w}", "--steps", "6"],
+    "dynamics-bounds": ["dynamics", "--z", "{w}", "--steps", "6", "--bounds"],
+    "dynamics-classify": ["dynamics", "--z", "{w}", "--steps", "6", "--classify"],
+}
+
+# case id -> (exit code, SHA-256 of stdout)
+CLI_DIGESTS = {
+    "growth/nat/csv": (0, "5d302be88b36c6ae71a9ca1d0c3b74536d14e0702311d777753095be541e1007"),
+    "growth/nat/json": (0, "f099cd00c2e1169a74a868b6f98c060240da09211e519f7cc82244615cec6559"),
+    "growth/nat/json-elements": (0, "21f1602fe65dd7e99a9ef0d14c3b88768d8bed64a0030b8ec8c7c62493963e40"),
+    "growth/z_pm1/csv": (0, "5d302be88b36c6ae71a9ca1d0c3b74536d14e0702311d777753095be541e1007"),
+    "growth/z_pm1/json": (0, "f099cd00c2e1169a74a868b6f98c060240da09211e519f7cc82244615cec6559"),
+    "growth/z_pm1/json-elements": (0, "21f1602fe65dd7e99a9ef0d14c3b88768d8bed64a0030b8ec8c7c62493963e40"),
+    "growth/heis_swap/csv": (0, "9d73b6ec93cc6ef29fe5b034766bf325e021a48bce54a0d605698b3403bc980a"),
+    "growth/heis_swap/json": (0, "3f7c3db9431e205b8f66e050ec4bcf7e6e5cc84c9a19ffc7d788f886ca5a247c"),
+    "growth/heis_swap/json-elements": (0, "7fc5f528a9a81e901af439b4c528c0403ca677748794886aba7d1ffddf411e49"),
+    "powers/nat/csv": (0, "68ee98387383a2b8a57970c6223104c6ccb81a7cc1e24ffed35051edf6e8a59e"),
+    "powers/nat/json": (0, "bcc57cd5af3bbbc0122ea7551210ae12cd840d8407bbe1659b892c7d03c1aab6"),
+    "powers/nat/json-elements": (0, "2d10c3a003da19225d479b209817cd7b2456c1362517097936be7780af10a950"),
+    "powers/z_pm1/csv": (0, "68ee98387383a2b8a57970c6223104c6ccb81a7cc1e24ffed35051edf6e8a59e"),
+    "powers/z_pm1/json": (0, "bcc57cd5af3bbbc0122ea7551210ae12cd840d8407bbe1659b892c7d03c1aab6"),
+    "powers/z_pm1/json-elements": (0, "2d10c3a003da19225d479b209817cd7b2456c1362517097936be7780af10a950"),
+    "powers/heis_swap/csv": (0, "c2b7199f5c5aed70c0936832a0b7317737c69f63288cd727532bf429b7436eab"),
+    "powers/heis_swap/json": (0, "5bb01669d85e730ac2860666e45859fcc7769424cde5d0e422994ea07d6cdc62"),
+    "powers/heis_swap/json-elements": (0, "434c2b873ad37adde842a45e792276ba7d0e746f232a09f45128a125499f8736"),
+    "dynamics/nat/csv": (0, "82cf394bd61eceffe4a32db6c9c6d5120c9914c7eba9a65267f834589e8c773b"),
+    "dynamics/nat/json": (0, "d28eda6578cbfd88d67c729cad966629aceb3ae915a4acfe31ff49310d1f38bf"),
+    "dynamics/nat/json-elements": (0, "2b614abdcef361bbbe4b08ca8e4ff23d00abd5bc68d2afa1635223334e8e028b"),
+    "dynamics/z_pm1/csv": (0, "82cf394bd61eceffe4a32db6c9c6d5120c9914c7eba9a65267f834589e8c773b"),
+    "dynamics/z_pm1/json": (0, "d28eda6578cbfd88d67c729cad966629aceb3ae915a4acfe31ff49310d1f38bf"),
+    "dynamics/z_pm1/json-elements": (0, "2b614abdcef361bbbe4b08ca8e4ff23d00abd5bc68d2afa1635223334e8e028b"),
+    "dynamics/heis_swap/csv": (0, "2a355c925c1776614636f1eedbbf523a4c6d3ad1a4cb38b406a9cf74a37dc6c0"),
+    "dynamics/heis_swap/json": (0, "43dfc05ac94fcb8bc440e314b1ad861de01ff8bb64b66680bfb33d213ae376f6"),
+    "dynamics/heis_swap/json-elements": (0, "3069510c8486ac7b04c2203edeeef3a4dce0a8103c8656a82ed3a4b197fec156"),
+    "dynamics-bounds/nat/csv": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dynamics-bounds/nat/json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dynamics-bounds/nat/json-elements": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dynamics-bounds/z_pm1/csv": (0, "6bddaef31b434d0b621bf6b1b5ac85c8161386f4249c9a0e255e0cd369378c25"),
+    "dynamics-bounds/z_pm1/json": (0, "f416181fd40382e6c306e60466550b06c8d1ea47667cb9f1f7894442094895bf"),
+    "dynamics-bounds/z_pm1/json-elements": (0, "195e2d589eba4aaae73a700180576a0ab76a5d5b89f1886f2af9290125c5e450"),
+    "dynamics-bounds/heis_swap/csv": (0, "3719541ac2aba90ea87408abef937fbb6a3ecb2333d5a39330d8b3848c85821c"),
+    "dynamics-bounds/heis_swap/json": (0, "7987a0df7e7260882475d45589613c414b6df382c91ee006e1a3d3c4603106f4"),
+    "dynamics-bounds/heis_swap/json-elements": (0, "13795a9ef822e7a81e404674c38f7e92f6d4abca5447162de7a362cc0875b899"),
+    "dynamics-classify/nat/csv": (0, "128c6ce08e065f1089c89e21164f8f7e6e025e8e18b382e8a4f0a0b8ac970299"),
+    "dynamics-classify/nat/json": (0, "489a1e824f316b46b90d10a6eeb09e4d6eac696826a3a9637ca3c73125a05e7d"),
+    "dynamics-classify/nat/json-elements": (0, "2db296ee595979d622ae3149cbcaa0d6b9d3f1e41586b9cab689bda2ee6ef726"),
+    "dynamics-classify/z_pm1/csv": (0, "128c6ce08e065f1089c89e21164f8f7e6e025e8e18b382e8a4f0a0b8ac970299"),
+    "dynamics-classify/z_pm1/json": (0, "489a1e824f316b46b90d10a6eeb09e4d6eac696826a3a9637ca3c73125a05e7d"),
+    "dynamics-classify/z_pm1/json-elements": (0, "2db296ee595979d622ae3149cbcaa0d6b9d3f1e41586b9cab689bda2ee6ef726"),
+    "dynamics-classify/heis_swap/csv": (0, "0196ae45b5f455e02d7be089d6d345e10c3fc6a1ae74d8b549a1110e90d1299c"),
+    "dynamics-classify/heis_swap/json": (0, "c3742de6ae2534a92a65ce5abdd2fa8c3e699895dfb96171240aec91ad4c755d"),
+    "dynamics-classify/heis_swap/json-elements": (0, "e3206dbba49eff138a8d3e18572355fce250ee23f8173646d13218a0cd2bec15"),
+}
+
+SCRIPT_DIGESTS = {
+    "growth_report": (["scripts/growth_report.py", "configs/", "--radius", "4"],
+                      "1bba4d0e99813a7b93962e6b28c7ae09350a7f745fb0271500118be37487953e"),
+    "dynamics_report": (["scripts/dynamics_report.py", "configs/", "--steps", "6"],
+                        "35ccd5ba733f197c1ccab7c3e2bfcd9f6e4fff9acebc0529f89ea86845b5eba7"),
+}
+
+
+def cli_cases():
+    for command, template in COMMANDS.items():
+        for config, word in ELEMENT.items():
+            subcommand, *args = [a.format(w=word) for a in template]
+            for fmt, flags in FORMATS.items():
+                argv = [subcommand, "-c", str(ROOT / "configs" / f"{config}.json"),
+                        *args, *flags]
+                yield f"{command}/{config}/{fmt}", argv
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case,argv", list(cli_cases()), ids=[c for c, _ in cli_cases()])
+def test_cli_stdout_digest(case, argv, capsys):
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert (code, digest(out)) == CLI_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_DIGESTS))
+def test_script_stdout_digest(name):
+    argv, expected = SCRIPT_DIGESTS[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert digest(proc.stdout) == expected

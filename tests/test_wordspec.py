@@ -221,6 +221,40 @@ def test_missing_group_field_names_path(group, path):
     assert exc.value.path == path
 
 
+BAD_FIELD_CASES = [
+    ({**PERMUTATION, "degree": "3"}, "group.degree"),
+    ({**PERMUTATION, "degree": True}, "group.degree"),
+    ({**PERMUTATION, "degree": 0}, "group.degree"),
+    ({**PERMUTATION, "gens": "t"}, "group.gens"),
+    ({**PERMUTATION, "gens": [1]}, "group.gens[0]"),
+    ({**PERMUTATION, "gen_images": [1, 0, 2]}, "group.gen_images[0]"),
+    ({**PERMUTATION, "gen_images": [[1, "0", 2]]}, "group.gen_images[0][1]"),
+    ({**TABLE, "table": [[0, 1], [1, 0.0]]}, "group.table[1][1]"),
+    ({**TABLE, "table": [[0, 2], [1, 0]]}, "group.table[0][1]"),
+    ({**TABLE, "table": {"0": [0, 1]}}, "group.table"),
+    ({**TABLE, "identity": True}, "group.identity"),
+    ({**TABLE, "identity": 2}, "group.identity"),
+    ({**TABLE, "gen_elements": [2]}, "group.gen_elements[0]"),
+    ({**TABLE, "gen_elements": 1}, "group.gen_elements"),
+    ({"kind": "free", "rank": "2"}, "group.rank"),
+    ({"kind": "free_abelian", "gens": []}, "group"),
+    ({"kind": "cyclic", "order": 0}, "group.order"),
+    ({"kind": "direct_product", "factors": [{"kind": "cyclic", "order": 0}]},
+     "group.factors[0].order"),
+    ({"kind": "direct_product", "factors": [{**PERMUTATION, "degree": "3"}]},
+     "group.factors[0].degree"),
+]
+
+
+@pytest.mark.parametrize("group,path", BAD_FIELD_CASES,
+                         ids=[f"{i}-{path}" for i, (_, path) in enumerate(BAD_FIELD_CASES)])
+def test_bad_group_field_names_path(group, path):
+    with pytest.raises(SchemaError) as exc:
+        parse_config({"schema": 1, "group": group,
+                      "mv": {"kind": "double_coset", "subgroup": ["t"]}})
+    assert exc.value.path == path
+
+
 def test_double_coset_on_infinite_backend_fails():
     config = parse_config({
         "schema": 1,
@@ -239,6 +273,20 @@ def test_bad_defaults_rejected():
     doc["defaults"] = {"radius": 4, "budget": 0}
     with pytest.raises(SchemaError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("X_generators", "1", "X_generators"),
+    ("automorphisms", {}, "automorphisms"),
+    ("defaults", {"budget": "10"}, "defaults.budget"),
+    ("defaults", {"radius": True}, "defaults.radius"),
+])
+def test_bad_top_level_field_names_path(key, value, path):
+    doc = minimal_nat_config()
+    doc[key] = value
+    with pytest.raises(SchemaError) as exc:
+        parse_config(doc)
+    assert exc.value.path == path
 
 
 def test_bad_word_in_config_names_path():
