@@ -22,9 +22,19 @@ from .verify import SUITES, run_suite, sample_elements
 from .wordspec import Instance, load_instance
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-c", "--config", required=True, help="instance config JSON file")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_positive_int, default=None,
                         help="node budget override (default from config, else 10^6)")
 
 
@@ -177,12 +187,13 @@ def _cmd_dynamics(args) -> int:
     else:
         rows = [{"r": r, "xi": xi, "lower_bound": lower, "upper_bound": upper, "verdict": ok}
                 for (r, lower, xi, upper), ok in zip(bounds.rows, bounds.verdicts)]
+    # classified before anything is printed, so a failure leaves stdout empty
+    c = classify_growth(table.xi) if args.classify else None
     extra = _elements(args, X, "supports", table.supports)
-    if args.classify and args.format == "json":
-        extra["classification"] = dataclasses.asdict(classify_growth(table.xi))
+    if c is not None and args.format == "json":
+        extra["classification"] = dataclasses.asdict(c)
     emit_table(args.format, rows, {"z": X.render(table.z), "y": X.render(table.y)}, extra)
-    if args.classify and args.format == "csv":
-        c = classify_growth(table.xi)
+    if c is not None and args.format == "csv":
         notes = []
         if c.degree is not None:
             notes.append(f"degree={c.degree:.3f}")

@@ -87,9 +87,6 @@ class QuadraticBoundReport:
     def ok(self) -> bool:
         return all(xi <= bound for _, xi, bound in self.rows)
 
-    def xi_values(self) -> List[int]:
-        return [xi for _, xi, _ in self.rows]
-
 
 def quadratic_bound_check(X: MvGroup, x, r_max: int,
                           budget: int = DEFAULT_BUDGET) -> QuadraticBoundReport:

@@ -1,9 +1,12 @@
 """Concrete group backends and finite automorphism groups acting on them.
 
 A backend is a finitely generated group with computable multiplication,
-inverse, identity and an injective canonical byte key per element.  Element
+inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples); the backend object
-carries the operations.
+carries the operations.  A canonical key is an int or a tuple whose native
+order is the canonical order: integers rank 0 < 1 < -1 < 2 < -2 < ...,
+vectors compare componentwise in that rank, and free words compare shorter
+first, then letter by letter.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are verified before use: relator-bearing kinds check that
@@ -36,7 +39,7 @@ from .errors import (
     UnverifiedAutomorphism,
     ValidationError,
 )
-from .keys import int_key, seq_key
+from .keys import int_key
 
 Word = Tuple[Tuple[int, int], ...]  # ((generator index, nonzero exponent), ...)
 
@@ -89,8 +92,10 @@ class GroupBackend:
     def inv(self, g):
         raise NotImplementedError
 
-    def canonical_key(self, g) -> bytes:
-        raise NotImplementedError
+    def canonical_key(self, g):
+        """The element itself: non-negative ints and equal-length tuples of
+        them already sort canonically."""
+        return g
 
     def render(self, g) -> str:
         raise NotImplementedError
@@ -100,9 +105,6 @@ class GroupBackend:
     def gen(self, index: int):
         """The element of the `index`-th declared generator."""
         raise NotImplementedError
-
-    def generators(self) -> Dict[str, Any]:
-        return {name: self.gen(i) for i, name in enumerate(self.gen_names)}
 
     def power(self, g, k: int):
         if k < 0:
@@ -202,7 +204,11 @@ class FreeGroup(GroupBackend):
         return tuple((letter, -exp) for letter, exp in reversed(g))
 
     def canonical_key(self, g):
-        return seq_key(seq_key((int_key(i), int_key(e))) for i, e in g)
+        """Flat (length, letter, exponent rank, letter, exponent rank, ...)."""
+        key = [len(g)]
+        for letter, exp in g:
+            key += (letter, int_key(exp))
+        return tuple(key)
 
     def render(self, g):
         if not g:
@@ -250,7 +256,7 @@ class FreeAbelianGroup(GroupBackend):
         return tuple(a * k for a in g)
 
     def canonical_key(self, g):
-        return seq_key(int_key(a) for a in g)
+        return tuple(map(int_key, g))
 
     def render(self, g):
         if self.rank == 1:
@@ -293,9 +299,6 @@ class CyclicGroup(GroupBackend):
 
     def inv(self, g):
         return (-g) % self.order
-
-    def canonical_key(self, g):
-        return int_key(g)
 
     def render(self, g):
         name = self.gen_names[0]
@@ -342,7 +345,7 @@ class HeisenbergGroup(GroupBackend):
         return (-p, -q, p * q - r)
 
     def canonical_key(self, g):
-        return seq_key(int_key(a) for a in g)
+        return tuple(map(int_key, g))
 
     def render(self, g):
         return "(" + ",".join(str(a) for a in g) + ")"
@@ -401,9 +404,6 @@ class PermutationGroup(GroupBackend):
             out[image] = i
         return tuple(out)
 
-    def canonical_key(self, g):
-        return seq_key(int_key(a) for a in g)
-
     def render(self, g):
         cycles = []
         seen = set()
@@ -431,7 +431,7 @@ class PermutationGroup(GroupBackend):
 
     def elements(self):
         if self._elements is None:
-            self._elements = sorted(self._close(), key=self.canonical_key)
+            self._elements = sorted(self._close())
         return list(self._elements)
 
 
@@ -488,9 +488,6 @@ class FiniteTableGroup(GroupBackend):
     def inv(self, g):
         return self.table[g].index(self.identity_index)
 
-    def canonical_key(self, g):
-        return int_key(g)
-
     def render(self, g):
         return f"#{g}"
 
@@ -539,7 +536,7 @@ class DirectProduct(GroupBackend):
         return tuple(b.inv(a) for b, a in zip(self.factors, g))
 
     def canonical_key(self, g):
-        return seq_key(b.canonical_key(a) for b, a in zip(self.factors, g))
+        return tuple(b.canonical_key(a) for b, a in zip(self.factors, g))
 
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
@@ -598,10 +595,10 @@ class Automorphism:
         self.images = tuple(images)
         self.inverse_images = tuple(inverse_images) if inverse_images is not None else None
         self.verified = False
-        self._signature = seq_key(backend.canonical_key(img) for img in self.images)
+        self._signature = tuple(map(backend.canonical_key, self.images))
 
     @property
-    def signature(self) -> bytes:
+    def signature(self) -> Tuple[Any, ...]:
         return self._signature
 
     def __eq__(self, other):
@@ -664,12 +661,11 @@ class Automorphism:
             return backend.evaluate(backend.factor(g), images)
 
         elems = backend.elements()
-        cache = {backend.canonical_key(g): image_of(g) for g in elems}
+        cache = {g: image_of(g) for g in elems}
         for g in elems:
             for h in elems:
-                lhs = cache[backend.canonical_key(backend.mul(g, h))]
-                rhs = backend.mul(cache[backend.canonical_key(g)],
-                                  cache[backend.canonical_key(h)])
+                lhs = cache[backend.mul(g, h)]
+                rhs = backend.mul(cache[g], cache[h])
                 if lhs != rhs:
                     raise NotAnAutomorphism(
                         f"{self.name!r}: {label} break multiplicativity at "
@@ -713,14 +709,8 @@ class AutomorphismGroup:
     def compose_index(self, i: int, j: int) -> int:
         return self._compose_table[i][j]
 
-    def index_of(self, a: Automorphism) -> int:
-        return self._index[a.signature]
-
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return self.order
 
 
 def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> AutomorphismGroup:
@@ -746,9 +736,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
 
 def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:
     """The A-orbit of g, deduplicated and sorted by canonical key."""
-    backend = A.backend
-    seen = {backend.canonical_key(h): h for h in (a.apply(g) for a in A)}
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(sorted({a.apply(g) for a in A}, key=A.backend.canonical_key))
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +783,7 @@ class SemidirectProduct(GroupBackend):
 
     def canonical_key(self, p):
         g, i = p
-        return seq_key((self.group.canonical_key(g), int_key(i)))
+        return (self.group.canonical_key(g), i)
 
     def render(self, p):
         g, i = p

@@ -53,12 +53,6 @@ class MultiSet:
         """The Set map: distinct elements, in ascending order."""
         return tuple(elem for elem, _ in self.entries)
 
-    def scaled(self, factor: int) -> "MultiSet":
-        if factor < 1:
-            raise ValueError(f"scale factor must be >= 1, got {factor}")
-        entries = tuple((elem, mult * factor) for elem, mult in self.entries)
-        return MultiSet(entries, self.total_size * factor)
-
     def render(self, render_elem=str) -> str:
         body = ", ".join(f"{render_elem(e)}:{m}" for e, m in self.entries)
         return "{" + body + "}"

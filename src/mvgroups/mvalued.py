@@ -23,7 +23,7 @@ class ClassElement:
 
     __slots__ = ("rep", "key", "text")
 
-    def __init__(self, rep, key: bytes, text: str):
+    def __init__(self, rep, key, text: str):
         self.rep = rep
         self.key = key
         self.text = text
@@ -67,9 +67,6 @@ class MvGroup:
     def render(self, x) -> str:
         return str(x)
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class NatGroup(MvGroup):
     """The 2-valued group on N u {0} with x*y = [x+y, |x-y|]."""
@@ -83,9 +80,6 @@ class NatGroup(MvGroup):
     def inv(self, x):
         return x
 
-    def describe(self):
-        return "builtin-nat"
-
 
 class MutatedNatGroup(MvGroup):
     """Negative control: x*y = [x+y, x+y+1] is not associative."""
@@ -98,9 +92,6 @@ class MutatedNatGroup(MvGroup):
 
     def inv(self, x):
         return x
-
-    def describe(self):
-        return "builtin-nat-mutated"
 
 
 class CosetGroup(MvGroup):
@@ -137,14 +128,7 @@ class CosetGroup(MvGroup):
         """All classes; finite backends only."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        seen = {}
-        for g in self.backend.elements():
-            x = self.project(g)
-            seen.setdefault(x.key, x)
-        return [seen[k] for k in sorted(seen)]
-
-    def describe(self):
-        return f"coset({self.backend.kind}, |A|={self.n})"
+        return sorted(set(map(self.project, self.backend.elements())))
 
 
 class DoubleCosetGroup(MvGroup):
@@ -168,15 +152,10 @@ class DoubleCosetGroup(MvGroup):
 
     def project(self, g) -> DoubleCosetElement:
         backend = self.backend
-        best_key, best = None, None
-        for h1 in self.subgroup:
-            left = backend.mul(h1, g)
-            for h2 in self.subgroup:
-                cand = backend.mul(left, h2)
-                key = backend.canonical_key(cand)
-                if best_key is None or key < best_key:
-                    best_key, best = key, cand
-        return DoubleCosetElement(best, best_key, backend.render(best))
+        lefts = [backend.mul(h1, g) for h1 in self.subgroup]
+        best = min((backend.mul(left, h2) for left in lefts for h2 in self.subgroup),
+                   key=backend.canonical_key)
+        return DoubleCosetElement(best, backend.canonical_key(best), backend.render(best))
 
     def mul(self, x, y):
         backend = self.backend
@@ -188,14 +167,7 @@ class DoubleCosetGroup(MvGroup):
         return self.project(self.backend.inv(x.rep))
 
     def carrier(self) -> List[DoubleCosetElement]:
-        seen = {}
-        for g in self.backend.elements():
-            x = self.project(g)
-            seen.setdefault(x.key, x)
-        return [seen[k] for k in sorted(seen)]
-
-    def describe(self):
-        return f"double-coset({self.backend.kind}, |H|={self.n})"
+        return sorted(set(map(self.project, self.backend.elements())))
 
 
 # ---------------------------------------------------------------------------

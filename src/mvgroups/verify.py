@@ -228,13 +228,7 @@ def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
     ga_gens = [(s, i) for s in S for i in range(auts.order)]
     ga_table = monoid_balls(ga, ga_gens, r_max)
 
-    x_gens = []
-    seen = set()
-    for s in S:
-        x = X.project(s)
-        if x.key not in seen:
-            seen.add(x.key)
-            x_gens.append(x)
+    x_gens = list(dict.fromkeys(X.project(s) for s in S))
     x_table = ball(X, x_gens, X.unit, r_max)
 
     ok = True

@@ -345,22 +345,31 @@ def _declared_gen_names(desc: dict) -> List[str]:
 # construction
 
 
-def build_backend(desc: dict) -> GroupBackend:
-    """The backend of a group descriptor that ``parse_config`` validated."""
+def build_backend(desc: dict, path: str = "group") -> GroupBackend:
+    """The backend of a group descriptor that ``parse_config`` validated.
+
+    A backend that rejects its descriptor (a table that is not a group, an
+    image row that is not a permutation, ...) fails with a SchemaError at
+    the descriptor's `path`.
+    """
     kind, gens = desc["kind"], desc.get("gens")
-    if kind in ("free", "free_abelian"):
-        backend = FreeGroup if kind == "free" else FreeAbelianGroup
-        return backend(desc.get("rank", len(gens or ())), gens)
-    if kind == "heisenberg":
-        return HeisenbergGroup()
-    if kind == "cyclic":
-        return CyclicGroup(desc["order"], gens)
-    if kind == "permutation":
-        return PermutationGroup(desc["degree"], gens, desc["gen_images"])
-    if kind == "finite_table":
-        return FiniteTableGroup(desc["table"], desc.get("identity", 0),
-                                gens, desc["gen_elements"])
-    return DirectProduct([build_backend(sub) for sub in desc["factors"]])
+    try:
+        if kind in ("free", "free_abelian"):
+            backend = FreeGroup if kind == "free" else FreeAbelianGroup
+            return backend(desc.get("rank", len(gens or ())), gens)
+        if kind == "heisenberg":
+            return HeisenbergGroup()
+        if kind == "cyclic":
+            return CyclicGroup(desc["order"], gens)
+        if kind == "permutation":
+            return PermutationGroup(desc["degree"], gens, desc["gen_images"])
+        if kind == "finite_table":
+            return FiniteTableGroup(desc["table"], desc.get("identity", 0),
+                                    gens, desc["gen_elements"])
+        return DirectProduct([build_backend(sub, f"{path}.factors[{i}]")
+                              for i, sub in enumerate(desc["factors"])])
+    except ValidationError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def _build_seeds(backend: GroupBackend, seeds: Sequence[AutomorphismSeed]) -> List[Automorphism]:

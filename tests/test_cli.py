@@ -130,6 +130,15 @@ def test_dynamics_classify(config_dir, capsys):
     assert "heuristic" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dynamics_classify_too_few_rows_prints_nothing(config_dir, capsys, fmt):
+    code, out, err = invoke(capsys, ["dynamics", "-c", cfg(config_dir, "nat"), "--z", "1",
+                                     "--steps", "3", "--classify", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert "at least 6 rows" in err
+
+
 # ---------------------------------------------------------------------------
 # powers
 
@@ -216,6 +225,15 @@ def test_budget_exceeded_exit_code(config_dir, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(config_dir, capsys, budget):
+    code, out, err = invoke(capsys, ["growth", "-c", cfg(config_dir, "nat"),
+                                     "--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
 def test_missing_required_argument(config_dir, capsys):
     code, _, _ = invoke(capsys, ["dynamics", "-c", cfg(config_dir, "nat"),
                                  "--steps", "3"])
@@ -256,6 +274,9 @@ BAD_CONFIGS = [
      "group.factors[0].order"),
     ({"kind": "finite_table", "table": [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
       "gens": ["t", "b"], "gen_elements": [1, 2]}, "Latin square"),
+    ({"kind": "direct_product",
+      "factors": [{"kind": "cyclic", "order": 2, "gens": ["h"]},
+                  {**PERMUTATION, "gen_images": [[0, 0, 2]]}]}, "group.factors[1]"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -23,6 +24,7 @@ from mvgroups.groups import (
     monoid_balls,
     orbit,
 )
+from mvgroups.keys import int_key
 
 
 def random_element(backend, rng, steps=6):
@@ -280,6 +282,83 @@ def test_semidirect_embeds_base_group():
         b = rng.randint(-50, 50)
         assert ga.mul(((a,), i_id), ((b,), i_id)) == ((a + b,), i_id)
         assert ga.canonical_key(((a,), i_id)) != ga.canonical_key(((b,), i_id)) or a == b
+
+
+# ---------------------------------------------------------------------------
+# canonical order: the byte keys the order was first defined by are the oracle
+
+
+def byte_int_key(x):
+    n = (abs(x).bit_length() + 7) // 8
+    return struct.pack(">I", n) + abs(x).to_bytes(n, "big") + (b"\x01" if x < 0 else b"\x00")
+
+
+def byte_seq_key(parts):
+    parts = list(parts)
+    return struct.pack(">I", len(parts)) + b"".join(parts)
+
+
+def byte_key(backend, g):
+    if backend.kind == "free":
+        return byte_seq_key(byte_seq_key((byte_int_key(i), byte_int_key(e))) for i, e in g)
+    if backend.kind in ("cyclic", "finite_table"):
+        return byte_int_key(g)
+    if backend.kind == "direct_product":
+        return byte_seq_key(byte_key(b, a) for b, a in zip(backend.factors, g))
+    if backend.kind == "semidirect":
+        return byte_seq_key((byte_key(backend.group, g[0]), byte_int_key(g[1])))
+    return byte_seq_key(map(byte_int_key, g))
+
+
+def assert_same_order(items, key, oracle):
+    """key orders `items` exactly as the oracle does, equal keys included."""
+    for a in items:
+        for b in items:
+            assert (key(a) < key(b), key(a) == key(b)) == (oracle(a) < oracle(b),
+                                                           oracle(a) == oracle(b))
+    assert sorted(items, key=key) == sorted(items, key=oracle)
+
+
+def order_backends():
+    z3 = FiniteTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, ["g"], [1])
+    return [*all_backends(), z3, z_pm1_semidirect()[0],
+            DirectProduct([s3(), FreeAbelianGroup(1, ["z"])])]
+
+
+@pytest.mark.parametrize("backend", order_backends(), ids=lambda b: b.kind)
+def test_canonical_key_matches_byte_order(backend):
+    rng = random.Random(2024)
+    items = list({random_element(backend, rng, steps=14): None for _ in range(120)})
+    assert_same_order(items, backend.canonical_key, lambda g: byte_key(backend, g))
+    assert len({backend.canonical_key(g) for g in items}) == len(items)
+
+
+def test_int_key_matches_byte_order():
+    items = [*range(-300, 301), 2**40, -2**40, 2**40 + 1, -(2**64), 2**64]
+    assert sorted(items, key=int_key) == sorted(items, key=byte_int_key)
+    assert sorted(range(-2, 3), key=int_key) == [0, 1, -1, 2, -2]
+
+
+def test_signature_matches_byte_order():
+    z2 = FreeAbelianGroup(2)
+    swap = Automorphism(z2, "swap", [(0, 1), (1, 0)], [(0, 1), (1, 0)])
+    neg = Automorphism(z2, "neg", [(-1, 0), (0, -1)], [(-1, 0), (0, -1)])
+    f = FreeGroup(2)
+    groups = [close_automorphisms([swap, neg]), close_automorphisms([swap_automorphism(f)]),
+              close_automorphisms([Automorphism(s3(), "conj", [(1, 0, 2), (2, 0, 1)],
+                                                [(1, 0, 2), (2, 0, 1)])])]
+    for auts in groups:
+        backend = auts.backend
+        assert_same_order(list(auts), lambda a: a.signature,
+                          lambda a: byte_seq_key(byte_key(backend, g) for g in a.images))
+
+
+def test_free_words_order_shorter_first_then_letterwise():
+    f = FreeGroup(2)
+    g1, g2 = f.gen(0), f.gen(1)
+    words = [f.mul(g1, g2), g2, f.identity, f.inv(g1), g1]
+    assert sorted(words, key=f.canonical_key) == [f.identity, g1, f.inv(g1), g2,
+                                                  f.mul(g1, g2)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ Every case runs `growth`, `powers` or `dynamics` (plain, `--bounds`,
 configs, plus the two survey scripts over `configs/`, and compares the exit
 code and the digest of stdout with the recorded ones.  A change to anything
 these commands print shows here first.
+
+The representative cases print the chosen class representatives of free,
+free-abelian, direct-product, permutation and double-coset instances, so a
+change to the canonical order shows there.
 """
 
 import hashlib
@@ -83,6 +87,39 @@ CLI_DIGESTS = {
     "dynamics-classify/heis_swap/json-elements": (0, "e3206dbba49eff138a8d3e18572355fce250ee23f8173646d13218a0cd2bec15"),
 }
 
+# case id -> (argv, exit code, SHA-256 of stdout)
+REPRESENTATIVE_DIGESTS = {
+    "growth-elements/free2_swap": (
+        ["growth", "-c", "free2_swap", "--radius", "3", "--format", "json", "--emit-elements"],
+        0, "d2a8c61707126865cc2f51430cfff61fb8f2f83cb95f2634d17feeab9ff518ad"),
+    "growth-elements/z3xF2_example46": (
+        ["growth", "-c", "z3xF2_example46", "--radius", "3", "--format", "json",
+         "--emit-elements"],
+        0, "d1fb5616fc72dadbc088fc8d80b77a872fc6ea9e0487d410710b2718198b4b54"),
+    "growth-elements/s3_conj": (
+        ["growth", "-c", "s3_conj", "--radius", "3", "--format", "json", "--emit-elements"],
+        0, "f9ea9a2041f4f41a1d625c50f0a8715430d66ae2c5e3890e294faab1f3cf61b0"),
+    "growth-elements/s3_doublecoset": (
+        ["growth", "-c", "s3_doublecoset", "--radius", "3", "--format", "json",
+         "--emit-elements"],
+        0, "b7c87f8a3917ff585abbe8cc95c11bb4f559fa3c0476907ef5661f820f8e4757"),
+    "growth-elements/z2_swap": (
+        ["growth", "-c", "z2_swap", "--radius", "3", "--format", "json", "--emit-elements"],
+        0, "92504230043f5681c4c4bdc124056cf0e47b59299b79976e5d74713e0147b4b2"),
+    "growth-elements/z2_pm1": (
+        ["growth", "-c", "z2_pm1", "--radius", "3", "--format", "json", "--emit-elements"],
+        0, "4c88031ce8f01f13bf768fdfcfc03f35003f7026cea5c87eac6b47af414e8301"),
+    "verify-thm43/free2_swap": (
+        ["verify", "-c", "free2_swap", "--suite", "thm43", "--radius", "3"],
+        0, "b00b0599d5f9d663f66053b40b0f17fd1f609500ff5fc1575dd53f86ac8ef846"),
+    "verify-lemma47/s3_conj": (
+        ["verify", "-c", "s3_conj", "--suite", "lemma47", "--radius", "3"],
+        0, "1c802d94e7609dc7ee764a8aba0cb693d2443d91edfc9a8d4ae29f4b15e57176"),
+    "axioms-json/nat_mutated": (
+        ["axioms", "-c", "nat_mutated", "--format", "json"],
+        1, "344241703665db02042c2ce471339b57bf81a685961c5fb9c3ba4e8f3c9bf527"),
+}
+
 SCRIPT_DIGESTS = {
     "growth_report": (["scripts/growth_report.py", "configs/", "--radius", "4"],
                       "1bba4d0e99813a7b93962e6b28c7ae09350a7f745fb0271500118be37487953e"),
@@ -110,6 +147,15 @@ def test_cli_stdout_digest(case, argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     assert (code, digest(out)) == CLI_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(REPRESENTATIVE_DIGESTS))
+def test_representative_stdout_digest(case, capsys):
+    argv, code, expected = REPRESENTATIVE_DIGESTS[case]
+    argv = [str(ROOT / "configs" / f"{a}.json") if prev == "-c" else a
+            for prev, a in zip([None, *argv], argv)]
+    assert run(argv) == code
+    assert digest(capsys.readouterr().out) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPT_DIGESTS))

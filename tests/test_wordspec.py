@@ -243,6 +243,14 @@ BAD_FIELD_CASES = [
      "group.factors[0].order"),
     ({"kind": "direct_product", "factors": [{**PERMUTATION, "degree": "3"}]},
      "group.factors[0].degree"),
+    # well-typed fields that the backend constructor rejects
+    ({**TABLE, "table": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}, "group"),
+    ({**PERMUTATION, "gen_images": [[0, 0, 2]]}, "group"),
+    ({"kind": "free", "rank": 3, "gens": ["a", "b"]}, "group"),
+    ({"kind": "direct_product",
+      "factors": [{"kind": "cyclic", "order": 2, "gens": ["h"]},
+                  {**PERMUTATION, "gen_images": [[0, 0, 2]]}]},
+     "group.factors[1]"),
 ]
 
 
@@ -250,8 +258,8 @@ BAD_FIELD_CASES = [
                          ids=[f"{i}-{path}" for i, (_, path) in enumerate(BAD_FIELD_CASES)])
 def test_bad_group_field_names_path(group, path):
     with pytest.raises(SchemaError) as exc:
-        parse_config({"schema": 1, "group": group,
-                      "mv": {"kind": "double_coset", "subgroup": ["t"]}})
+        build_instance(parse_config({"schema": 1, "group": group,
+                                     "mv": {"kind": "double_coset", "subgroup": ["t"]}}))
     assert exc.value.path == path
 
 
