@@ -11,7 +11,6 @@ from .groups import (
     FreeGroup,
     GroupBackend,
     HeisenbergGroup,
-    MonoidBallTable,
     PermutationGroup,
     SemidirectProduct,
     close_automorphisms,
@@ -21,13 +20,12 @@ from .groups import (
     orbit,
 )
 from .mvalued import (
-    CosetElement,
     CosetGroup,
-    DoubleCosetElement,
     DoubleCosetGroup,
     MvGroup,
     MutatedNatGroup,
     NatGroup,
+    OrbitGroup,
     check_axioms,
 )
 from .cayley import (

@@ -20,27 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
-from .groups import DEFAULT_BUDGET, layers
+from .groups import DEFAULT_BUDGET, GrowthTable, layers
 from .mvalued import MvGroup
-
-
-@dataclass
-class GrowthTable:
-    """Per-radius |B(x, r)| and |S(x, r)|, with the sphere element sets."""
-
-    center: Any
-    radius: int
-    sphere_sets: List[Tuple[Any, ...]]
-    ball_sizes: List[int]
-
-    def sphere_sizes(self) -> List[int]:
-        return [len(s) for s in self.sphere_sets]
-
-    def ball_elements(self) -> List[Any]:
-        out = []
-        for sphere in self.sphere_sets:
-            out.extend(sphere)
-        return sorted(out)
 
 
 @dataclass

@@ -22,19 +22,22 @@ from .verify import SUITES, run_suite, sample_elements
 from .wordspec import Instance, load_instance
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int that is at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-c", "--config", required=True, help="instance config JSON file")
-    parser.add_argument("--budget", type=_positive_int, default=None,
+    parser.add_argument("--budget", type=_int_at_least(1), default=None,
                         help="node budget override (default from config, else 10^6)")
 
 
@@ -45,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="check the n-valued group axioms")
     _add_common(p)
-    p.add_argument("--sample", type=int, default=10,
+    p.add_argument("--sample", type=_int_at_least(0), default=10,
                    help="sample size / range bound for infinite carriers")
     p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import InsufficientData, PreconditionViolated, ValidationError
-from .groups import DEFAULT_BUDGET, MonoidBallTable, monoid_balls, orbit
+from .groups import DEFAULT_BUDGET, GrowthTable, monoid_balls, orbit
 from .cayley import PowerTable, dynamic_supports, power_table
 from .mvalued import CosetGroup, MvGroup
 
@@ -49,7 +49,7 @@ class BoundsReport:
     n: int
     rows: List[Tuple[int, Fraction, int, int]]  # (r, lower, xi, upper)
     verdicts: List[bool]
-    monoid_table: MonoidBallTable
+    monoid_table: GrowthTable
     dynamics_table: DynamicsTable
 
     @property

@@ -74,6 +74,25 @@ def layers(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
         layer = fresh
 
 
+@dataclass
+class GrowthTable:
+    """Per-radius |B(x, r)| and |S(x, r)|, with the sphere element sets."""
+
+    center: Any
+    radius: int
+    sphere_sets: List[Tuple[Any, ...]]
+    ball_sizes: List[int]
+
+    def sphere_sizes(self) -> List[int]:
+        return [len(s) for s in self.sphere_sets]
+
+    def ball_elements(self) -> List[Any]:
+        out = []
+        for sphere in self.sphere_sets:
+            out.extend(sphere)
+        return sorted(out)
+
+
 class GroupBackend:
     """Base class for group backends.  Subclasses set `kind` and `gen_names`."""
 
@@ -800,23 +819,11 @@ class SemidirectProduct(GroupBackend):
 # monoid balls
 
 
-@dataclass
-class MonoidBallTable:
-    """Spheres S+(e, 0..r) and ball sizes |B+(e, 0..r)| in a submonoid."""
-
-    radius: int
-    sphere_sets: List[Tuple[Any, ...]]
-    ball_sizes: List[int]
-
-    def sphere_sizes(self) -> List[int]:
-        return [len(s) for s in self.sphere_sets]
-
-
 def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
-                 budget: int = DEFAULT_BUDGET) -> MonoidBallTable:
+                 budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball.
 
-    Spheres are sorted by canonical key.
+    The table is centred at the identity; spheres are sorted by canonical key.
     """
     if not gens:
         raise ValidationError("monoid BFS needs a nonempty generator set")
@@ -826,4 +833,4 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
     sphere_sets = [tuple(sorted(layer, key=backend.canonical_key))
                    for layer in itertools.islice(spheres, radius + 1)]
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
-    return MonoidBallTable(radius, sphere_sets, ball_sizes)
+    return GrowthTable(backend.identity, radius, sphere_sets, ball_sizes)

@@ -2,9 +2,9 @@
 
 Multisets are the carrier of n-valued products: ``mul(x, y)`` on an
 n-valued group always lands in a total-size-n multiset.  Elements must be
-hashable and mutually orderable (plain ints, or element wrappers that
-compare by canonical byte key).  Multiplicities are Python ints, so they
-are arbitrary precision by construction.
+hashable and mutually orderable (plain ints, or coset and double-coset
+classes, which are (canonical key, least member) tuples).  Multiplicities
+are Python ints, so they are arbitrary precision by construction.
 """
 
 from __future__ import annotations

@@ -3,53 +3,21 @@
 
 An MvGroup has a unit, an involution-style inverse map, and mul(x, y)
 returning a MultiSet of total size exactly n.  Elements are orderable and
-hashable; coset classes compare by the canonical key of their minimal
-representative.
+hashable.  Coset and double-coset groups share one OrbitGroup product; a
+class there is the plain tuple (canonical key, least member), so classes
+sort in the canonical order of their least members.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
-from .groups import AutomorphismGroup, GroupBackend, layers, orbit
+from .groups import AutomorphismGroup, GroupBackend, layers
 from .multiset import MultiSet, flatten
-
-
-class ClassElement:
-    """An orbit or double-coset class, identified by its minimal representative."""
-
-    __slots__ = ("rep", "key", "text")
-
-    def __init__(self, rep, key, text: str):
-        self.rep = rep
-        self.key = key
-        self.text = text
-
-    def __eq__(self, other):
-        return isinstance(other, ClassElement) and self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __str__(self):
-        return self.text
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.text}>"
-
-
-class CosetElement(ClassElement):
-    pass
-
-
-class DoubleCosetElement(ClassElement):
-    pass
 
 
 class MvGroup:
@@ -94,14 +62,37 @@ class MutatedNatGroup(MvGroup):
         return x
 
 
-class CosetGroup(MvGroup):
-    """Coset group of (G, A): orbits of G under a finite A <= Aut(G).
+class OrbitGroup(MvGroup):
+    """Classes of G, each the plain pair (canonical key, least member).
 
     mul(x, y) is the fixed-representative n-family
-    [project(x.rep * a(y.rep)) for a in A], so total_size is exactly n
-    even on orbits with stabilizers; independence of the representative
-    choice is a tested property, not an assumption.
+    [project(x_rep * t(y_rep)) for t in twists], so total_size is exactly n
+    even on classes with stabilizers; independence of the representative
+    choice is a tested property, not an assumption.  Classes compare and
+    hash as tuples, so they sort in the canonical order of their least
+    members; a representative is rendered only when printed.  Subclasses
+    set n, twists and unit, and define project and carrier.
     """
+
+    backend: GroupBackend
+    twists: List[Callable[[Any], Any]]
+
+    def project(self, g) -> Tuple[Any, Any]:
+        raise NotImplementedError
+
+    def mul(self, x, y):
+        backend, project = self.backend, self.project
+        return MultiSet.of([project(backend.mul(x[1], t(y[1]))) for t in self.twists])
+
+    def inv(self, x):
+        return self.project(self.backend.inv(x[1]))
+
+    def render(self, x) -> str:
+        return self.backend.render(x[1])
+
+
+class CosetGroup(OrbitGroup):
+    """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
         if auts.backend is not backend:
@@ -109,29 +100,21 @@ class CosetGroup(MvGroup):
         self.backend = backend
         self.auts = auts
         self.n = auts.order
+        self.twists = [a.apply for a in auts]
         self.unit = self.project(backend.identity)
 
-    def project(self, g) -> CosetElement:
-        orb = orbit(self.auts, g)
-        rep = orb[0]
-        return CosetElement(rep, self.backend.canonical_key(rep), self.backend.render(rep))
+    def project(self, g) -> Tuple[Any, Any]:
+        key = self.backend.canonical_key
+        return min((key(h), h) for h in {a.apply(g) for a in self.auts})
 
-    def mul(self, x, y):
-        products = [self.project(self.backend.mul(x.rep, a.apply(y.rep)))
-                    for a in self.auts]
-        return MultiSet.of(products)
-
-    def inv(self, x):
-        return self.project(self.backend.inv(x.rep))
-
-    def carrier(self) -> List[CosetElement]:
+    def carrier(self) -> List[Tuple[Any, Any]]:
         """All classes; finite backends only."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
         return sorted(set(map(self.project, self.backend.elements())))
 
 
-class DoubleCosetGroup(MvGroup):
+class DoubleCosetGroup(OrbitGroup):
     """Double coset group of (G, H) for finite G, with n = |H|."""
 
     def __init__(self, backend: GroupBackend, subgroup: Sequence[Any]):
@@ -141,6 +124,7 @@ class DoubleCosetGroup(MvGroup):
         self.backend = backend
         self.subgroup = self._close_subgroup(subgroup)
         self.n = len(self.subgroup)
+        self.twists = [functools.partial(backend.mul, h) for h in self.subgroup]
         self.unit = self.project(backend.identity)
 
     def _close_subgroup(self, seed):
@@ -150,23 +134,13 @@ class DoubleCosetGroup(MvGroup):
         elements = [h for layer in itertools.takewhile(len, closure) for h in layer]
         return sorted(elements, key=backend.canonical_key)
 
-    def project(self, g) -> DoubleCosetElement:
-        backend = self.backend
+    def project(self, g) -> Tuple[Any, Any]:
+        backend, key = self.backend, self.backend.canonical_key
         lefts = [backend.mul(h1, g) for h1 in self.subgroup]
-        best = min((backend.mul(left, h2) for left in lefts for h2 in self.subgroup),
-                   key=backend.canonical_key)
-        return DoubleCosetElement(best, backend.canonical_key(best), backend.render(best))
+        return min((key(p), p) for p in
+                   (backend.mul(left, h2) for left in lefts for h2 in self.subgroup))
 
-    def mul(self, x, y):
-        backend = self.backend
-        products = [self.project(backend.mul(backend.mul(x.rep, h), y.rep))
-                    for h in self.subgroup]
-        return MultiSet.of(products)
-
-    def inv(self, x):
-        return self.project(self.backend.inv(x.rep))
-
-    def carrier(self) -> List[DoubleCosetElement]:
+    def carrier(self) -> List[Tuple[Any, Any]]:
         return sorted(set(map(self.project, self.backend.elements())))
 
 

@@ -21,7 +21,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .groups import SemidirectProduct, monoid_balls
 from .mvalued import CosetGroup, NatGroup
-from .wordspec import Instance
+from .wordspec import Instance, evaluate_word
 
 @dataclass
 class SuiteResult:
@@ -94,7 +94,6 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
     else:
         if not instance.config.x_generators:
             raise ValidationError("thm43 needs X_generators or an explicit element")
-        from .wordspec import evaluate_word
         g = evaluate_word(instance.backend, instance.config.x_generators[0])
 
     ys = [X.unit]
@@ -218,7 +217,6 @@ def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
     if not isinstance(X, CosetGroup):
         raise ValidationError("proof34 requires a coset instance")
     backend, auts = X.backend, X.auts
-    from .wordspec import evaluate_word
     words = instance.config.x_generators
     if not words:
         raise ValidationError("proof34 needs X_generators")

@@ -43,7 +43,7 @@ def test_criterion_02_coset_equals_builtin(instances, capsys):
     for x in range(101):
         cx = X.project((x,))
         for y in range(101):
-            lhs = sorted(e.rep[0] for e, m in X.mul(cx, X.project((y,)))
+            lhs = sorted(e[1][0] for e, m in X.mul(cx, X.project((y,)))
                          for _ in range(m))
             rhs = sorted(w for w, m in nat.mul(x, y) for _ in range(m))
             if lhs != rhs:

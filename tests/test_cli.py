@@ -46,6 +46,13 @@ def test_growth_json_with_elements(config_dir, capsys):
     assert record["spheres"] == [["3"], ["2", "4"]]
 
 
+def test_growth_default_radius_z3xF2(config_dir, capsys):
+    code, out, _ = invoke(capsys, ["growth", "-c", cfg(config_dir, "z3xF2_example46")])
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(r) for r in range(11)]
+
+
 def test_output_is_deterministic(config_dir, capsys):
     argv = ["growth", "-c", cfg(config_dir, "z2_swap"), "--radius", "4",
             "--format", "json", "--emit-elements"]
@@ -74,6 +81,25 @@ def test_axioms_mutated_fails_with_witness(config_dir, capsys):
     lines = out.splitlines()
     assert lines[1] == "FAIL unit elements=11 witness=0"
     assert lines[2] == "FAIL inverse elements=11 witness=1"
+
+
+def test_axioms_sample_zero_on_nat(config_dir, capsys):
+    code, out, _ = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"), "--sample", "0"])
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS associativity triples=1",
+        "PASS unit elements=1",
+        "PASS inverse elements=1",
+    ]
+
+
+@pytest.mark.parametrize("sample", ["-1", "-3"])
+def test_axioms_negative_sample_is_a_usage_error(config_dir, capsys, sample):
+    code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "z2_pm1"),
+                                     f"--sample={sample}"])
+    assert code == 2
+    assert out == ""
+    assert "--sample" in err
 
 
 def test_axioms_json(config_dir, capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every import is a top-level statement of its module."""
 
 import ast
 import pathlib
@@ -32,3 +33,20 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source: str):
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+def test_detector_flags_a_nested_import():
+    source = "import json\n\ndef f():\n    from typing import List\n    return json\n"
+    assert nested_imports(source) == [4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []

@@ -116,16 +116,16 @@ def z_pm1():
 
 def test_coset_projection_picks_nonnegative_rep():
     X = z_pm1()
-    assert X.project((-5,)).rep == (5,)
+    assert X.project((-5,))[1] == (5,)
     assert X.project((5,)) == X.project((-5,))
-    assert X.unit.rep == (0,)
+    assert X.unit[1] == (0,)
 
 
 def test_coset_product_matches_nat():
     X = z_pm1()
     out = X.mul(X.project((3,)), X.project((5,)))
-    assert [e.rep for e, _ in out] == [(2,), (8,)]
-    assert X.inv(X.project((7,))).rep == (7,)
+    assert [e[1] for e, _ in out] == [(2,), (8,)]
+    assert X.inv(X.project((7,)))[1] == (7,)
 
 
 def test_coset_transports_builtin_nat():
@@ -133,7 +133,7 @@ def test_coset_transports_builtin_nat():
     nat = NatGroup()
     for x in range(20):
         for y in range(20):
-            lhs = sorted(e.rep[0] for e, m in X.mul(X.project((x,)), X.project((y,)))
+            lhs = sorted(e[1][0] for e, m in X.mul(X.project((x,)), X.project((y,)))
                          for _ in range(m))
             rhs = sorted(w for w, m in nat.mul(x, y) for _ in range(m))
             assert lhs == rhs
@@ -206,7 +206,7 @@ def test_double_coset_s3_transposition_subgroup(instances):
     carrier = X.carrier()
     oracle = brute_double_cosets([(0, 1, 2), (1, 0, 2)])
     assert len(carrier) == len(oracle) == 2
-    reps = {x.rep for x in carrier}
+    reps = {x[1] for x in carrier}
     for cls in oracle:
         assert len(reps & cls) == 1  # exactly one representative per class
 
@@ -223,10 +223,34 @@ def test_double_coset_products_match_oracle(instances):
     for x in X.carrier():
         for y in X.carrier():
             expected = MultiSet.of([
-                project_oracle(backend.mul(backend.mul(x.rep, h), y.rep))
+                project_oracle(backend.mul(backend.mul(x[1], h), y[1]))
                 for h in X.subgroup])
-            got = MultiSet.of([e.rep for e, m in X.mul(x, y) for _ in range(m)])
+            got = MultiSet.of([e[1] for e, m in X.mul(x, y) for _ in range(m)])
             assert got == expected
+
+
+@pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap"])
+def test_coset_products_match_oracle(instances, name):
+    X = instances[name].X
+    backend = X.backend
+    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    steps = gens + [backend.inv(g) for g in gens]
+
+    def project_oracle(g):
+        return sorted({a.apply(g) for a in X.auts}, key=backend.canonical_key)[0]
+
+    def random_element():
+        g = backend.identity
+        for _ in range(rng.randint(0, 6)):
+            g = backend.mul(g, rng.choice(steps))
+        return g
+
+    rng = random.Random(7)
+    for _ in range(100):
+        x, y = project_oracle(random_element()), project_oracle(random_element())
+        expected = MultiSet.of([project_oracle(backend.mul(x, a.apply(y))) for a in X.auts])
+        product = X.mul(X.project(x), X.project(y))
+        assert MultiSet.of([e[1] for e, m in product for _ in range(m)]) == expected
 
 
 def test_double_coset_axioms_full_carrier(instances):
@@ -251,5 +275,6 @@ def test_class_elements_order_and_hash():
     X = z_pm1()
     a, b = X.project((2,)), X.project((-2,))
     assert a == b and hash(a) == hash(b)
+    assert a == (X.backend.canonical_key((2,)), (2,))  # (key, least member)
     assert X.project((1,)) < X.project((2,))  # key order: 1 before 2
     assert len({X.project((k,)) for k in (-3, 3, -3)}) == 1

@@ -7,8 +7,9 @@ code and the digest of stdout with the recorded ones.  A change to anything
 these commands print shows here first.
 
 The representative cases print the chosen class representatives of free,
-free-abelian, direct-product, permutation and double-coset instances, so a
-change to the canonical order shows there.
+free-abelian, direct-product, permutation and double-coset instances (in
+growth, dynamics, axiom and suite output), so a change to the canonical
+order or to how classes are represented shows there.
 """
 
 import hashlib
@@ -118,6 +119,26 @@ REPRESENTATIVE_DIGESTS = {
     "axioms-json/nat_mutated": (
         ["axioms", "-c", "nat_mutated", "--format", "json"],
         1, "344241703665db02042c2ce471339b57bf81a685961c5fb9c3ba4e8f3c9bf527"),
+    "axioms/s3_conj": (
+        ["axioms", "-c", "s3_conj"],
+        0, "0efc5a3dbc0e9d2c928f212ac3458fb1280f5e87893c712f89d32b304ce229f7"),
+    "axioms/s3_doublecoset": (
+        ["axioms", "-c", "s3_doublecoset"],
+        0, "1fd4dcf77b9707be242698149821efd3965611f957ed5fb63d0a7f5c98bdc279"),
+    "dynamics-elements/s3_conj": (
+        ["dynamics", "-c", "s3_conj", "--z", "t*c", "--steps", "6", "--bounds",
+         "--format", "json", "--emit-elements"],
+        0, "15cf6d24ebf4585d461738cc2adcd822889ee8fbd37692fecbabc4f2b3bd080f"),
+    "dynamics-elements/s3_doublecoset": (
+        ["dynamics", "-c", "s3_doublecoset", "--z", "c", "--steps", "6",
+         "--format", "json", "--emit-elements"],
+        0, "0ec140bddab8e01537c698eb7f9c912bc455a6e7f2185452c9f26ad5146bb58c"),
+    "verify-proof34/heis_swap": (
+        ["verify", "-c", "heis_swap", "--suite", "proof34", "--radius", "3"],
+        0, "17e6e89c21ccbd8f183c72ab67e2dafffc1e57779b547e8bede3c99028f24b6b"),
+    "verify-lemma47/free2_swap": (
+        ["verify", "-c", "free2_swap", "--suite", "lemma47", "--radius", "3"],
+        0, "1c802d94e7609dc7ee764a8aba0cb693d2443d91edfc9a8d4ae29f4b15e57176"),
 }
 
 SCRIPT_DIGESTS = {
