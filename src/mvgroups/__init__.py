@@ -34,6 +34,7 @@ from .cayley import (
     ball,
     compare_generating_sets,
     length,
+    lengths,
     power_table,
 )
 from .dynamics import (

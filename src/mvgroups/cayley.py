@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, layers
@@ -60,20 +60,31 @@ def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
     return GrowthTable(x, radius, sphere_sets, ball_sizes)
 
 
+def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 64,
+            budget: int = DEFAULT_BUDGET) -> List[int]:
+    """The length of each target, from one BFS: the least m with the target
+    in the support of some m-fold generator product.
+
+    The unit has length 0 (empty product).  Raises NotReachedWithinCap
+    naming the first target not reached within the radius cap.
+    """
+    found, wanted = {}, set(targets)
+    for r, layer in enumerate(itertools.islice(_spheres(X, gens, X.unit, budget), cap + 1)):
+        found.update(dict.fromkeys(wanted.intersection(layer), r))
+        wanted.difference_update(found)
+        if not wanted or not layer:
+            break
+    for x in targets:
+        if x not in found:
+            raise NotReachedWithinCap(
+                f"element {X.render(x)} not reached within radius cap {cap}")
+    return [found[x] for x in targets]
+
+
 def length(X: MvGroup, gens: Sequence[Any], x, cap: int = 64,
            budget: int = DEFAULT_BUDGET) -> int:
-    """Least m with x in the support of some m-fold generator product.
-
-    The unit has length 0 (empty product).  Raises NotReachedWithinCap if
-    x does not appear within the radius cap.
-    """
-    for r, layer in enumerate(itertools.islice(_spheres(X, gens, X.unit, budget), cap + 1)):
-        if x in layer:
-            return r
-        if not layer:
-            break
-    raise NotReachedWithinCap(
-        f"element {X.render(x)} not reached within radius cap {cap}")
+    """The length of one element; see ``lengths``."""
+    return lengths(X, gens, [x], cap, budget)[0]
 
 
 def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[Any, ...]]:
@@ -132,7 +143,7 @@ class CompareReport:
 
 
 def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any],
-                            y, y2, r_max: int, cap: int = 64,
+                            y, y2, r_max: int, cap: Optional[int] = None,
                             budget: int = DEFAULT_BUDGET) -> CompareReport:
     """Check the growth-equivalence sandwich between (S, y) and (S', y') data.
 
@@ -140,13 +151,12 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
     with respect to S, the S'-elements with respect to S, and the
     S-elements with respect to S'); the check asserts
     |B(y, floor(r/l))| <= |B'(y', r)| <= |B(y, l*r)| for every r <= r_max.
+    The cross-lengths are searched to radius `cap`, by default r_max (at
+    least 1): a longer one would leave only y in every lower ball.
     """
-    cross = [
-        length(X, gens, y2, cap=cap, budget=budget),
-        length(X, gens, X.inv(y2), cap=cap, budget=budget),
-        max(length(X, gens, s, cap=cap, budget=budget) for s in gens2),
-        max(length(X, gens2, s, cap=cap, budget=budget) for s in gens),
-    ]
+    cap = max(r_max, 1) if cap is None else cap
+    cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], cap, budget)
+             + lengths(X, gens2, gens, cap, budget))
     l = 1 + max(cross)
     wide = ball(X, gens, y, l * r_max, budget=budget)
     other = ball(X, gens2, y2, r_max, budget=budget)

@@ -92,7 +92,7 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
                           budget: int = DEFAULT_BUDGET) -> QuadraticBoundReport:
     """Check xi_x(r) = |Set(x^{*r})| <= r(r+1) for 1 <= r <= r_max.
 
-    Requires n = 2 and inv = id; the involution condition is verified on
+    Requires n = 2 and inv = id; the involution condition is checked on
     every element the power iteration visits.
     """
     if r_max < 1:

@@ -21,10 +21,6 @@ class InverseMissing(MvGroupsError):
     """An automorphism was supplied without usable inverse images."""
 
 
-class UnverifiedAutomorphism(MvGroupsError):
-    """An automorphism was applied before verification, or to a foreign backend."""
-
-
 class BudgetExceeded(MvGroupsError):
     """An enumeration reached more than `budget` distinct elements."""
 

@@ -9,10 +9,13 @@ vectors compare componentwise in that rank, and free words compare shorter
 first, then letter by letter.
 
 Automorphisms are given by generator images (plus mandatory inverse
-images) and are verified before use: relator-bearing kinds check that
+images) and are checked before use: relator-bearing kinds check that
 every defining relator maps to the identity, finite kinds check the
-homomorphism property exhaustively.  ``close_automorphisms`` builds the
-finite subgroup of Aut(G) generated by verified seeds.
+homomorphism property exhaustively and keep its image tables as the
+compiled maps.  Z^k compiles to a linear map, free groups to letter
+substitution; evaluate(factor(g), images) stays the generic fallback and
+the test oracle.  ``close_automorphisms`` builds the finite subgroup of
+Aut(G) generated by checked seeds.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and every finite closure (group elements, subgroups,
@@ -28,6 +31,7 @@ spheres S+(e, r) and balls B+(e, r).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,7 +40,6 @@ from .errors import (
     BudgetExceeded,
     InverseMissing,
     NotAnAutomorphism,
-    UnverifiedAutomorphism,
     ValidationError,
 )
 from .keys import int_key
@@ -153,6 +156,10 @@ class GroupBackend:
         """Defining relators, or None when the kind is checked exhaustively."""
         return None
 
+    def homomorphism(self, images: Sequence[Any]) -> Callable[[Any], Any]:
+        """g -> evaluate(factor(g), images); kinds with more structure compile it."""
+        return lambda g: self.evaluate(self.factor(g), images)
+
     # -- finiteness -------------------------------------------------------
 
     def is_finite(self) -> bool:
@@ -187,6 +194,19 @@ class GroupBackend:
 # backends
 
 
+def _reduce(out: List[Tuple[int, int]], syllables: Iterable[Tuple[int, int]]) -> Any:
+    """Append syllables to the reduced word `out`, merging equal letters."""
+    for letter, exp in syllables:
+        if out and out[-1][0] == letter:
+            merged = out[-1][1] + exp
+            out.pop()
+            if merged:
+                out.append((letter, merged))
+        else:
+            out.append((letter, exp))
+    return tuple(out)
+
+
 class FreeGroup(GroupBackend):
     """Free group of rank k; elements are reduced words ((letter, exp), ...)."""
 
@@ -208,19 +228,16 @@ class FreeGroup(GroupBackend):
         return ((index, 1),)
 
     def mul(self, g, h):
-        out = list(g)
-        for letter, exp in h:
-            if out and out[-1][0] == letter:
-                merged = out[-1][1] + exp
-                out.pop()
-                if merged:
-                    out.append((letter, merged))
-            else:
-                out.append((letter, exp))
-        return tuple(out)
+        return _reduce(list(g), h)
 
     def inv(self, g):
         return tuple((letter, -exp) for letter, exp in reversed(g))
+
+    def homomorphism(self, images):
+        """Letter substitution, then one free-reduction pass."""
+        powers = [(image, self.inv(image)) for image in images]
+        return lambda g: _reduce([], itertools.chain.from_iterable(
+            powers[letter][exp < 0] * abs(exp) for letter, exp in g))
 
     def canonical_key(self, g):
         """Flat (length, letter, exponent rank, letter, exponent rank, ...)."""
@@ -273,6 +290,11 @@ class FreeAbelianGroup(GroupBackend):
 
     def power(self, g, k):
         return tuple(a * k for a in g)
+
+    def homomorphism(self, images):
+        """The linear map whose columns are the images."""
+        rows = tuple(zip(*images))
+        return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
 
     def canonical_key(self, g):
         return tuple(map(int_key, g))
@@ -602,8 +624,16 @@ class DirectProduct(GroupBackend):
 # automorphisms
 
 
+def _identity(g):
+    return g
+
+
 class Automorphism:
-    """An automorphism of a backend, given by generator images."""
+    """An automorphism of a backend, given by generator images.
+
+    verify() checks it and compiles its two maps; until it has passed there
+    is no map to apply.  compose, inverse and identity_automorphism return
+    compiled automorphisms."""
 
     def __init__(self, backend: GroupBackend, name: str,
                  images: Sequence[Any], inverse_images: Optional[Sequence[Any]]):
@@ -613,7 +643,6 @@ class Automorphism:
         self.name = name
         self.images = tuple(images)
         self.inverse_images = tuple(inverse_images) if inverse_images is not None else None
-        self.verified = False
         self._signature = tuple(map(backend.canonical_key, self.images))
 
     @property
@@ -629,30 +658,41 @@ class Automorphism:
         return hash((id(self.backend), self._signature))
 
     def apply(self, g):
-        if not self.verified:
-            raise UnverifiedAutomorphism(f"automorphism {self.name!r} is not verified")
-        return self.backend.evaluate(self.backend.factor(g), self.images)
+        return self._forward(g)
 
     def apply_inverse(self, g):
-        if not self.verified:
-            raise UnverifiedAutomorphism(f"automorphism {self.name!r} is not verified")
-        return self.backend.evaluate(self.backend.factor(g), self.inverse_images)
+        return self._backward(g)
 
     def inverse(self) -> "Automorphism":
         inv = Automorphism(self.backend, f"{self.name}^-1", self.inverse_images, self.images)
-        inv.verified = self.verified
+        inv._forward, inv._backward = self._backward, self._forward
         return inv
 
+    def _compile(self, tables=(None, None)) -> "Automorphism":
+        """Set both maps: the identity function for the generators' own
+        images, else the given image table, else the backend's homomorphism."""
+        backend = self.backend
+        gens = tuple(map(backend.gen, range(len(backend.gen_names))))
+        self._forward, self._backward = (
+            _identity if images == gens
+            else table.__getitem__ if table is not None
+            else backend.homomorphism(images)
+            for images, table in zip((self.images, self.inverse_images), tables))
+        return self
+
     def verify(self) -> "Automorphism":
-        """Check the homomorphism property and two-sided invertibility."""
+        """Check the homomorphism property and two-sided invertibility, then
+        compile the maps."""
         backend = self.backend
         if self.inverse_images is None:
             raise InverseMissing(f"automorphism {self.name!r} has no inverse images")
         rels = backend.relators()
+        tables = []
         for images, label in ((self.images, "images"), (self.inverse_images, "inverse images")):
             if rels is None:
-                self._verify_exhaustive(images, label)
+                tables.append(self._verify_exhaustive(images, label))
             else:
+                tables.append(None)
                 for rel in rels:
                     value = backend.evaluate(rel, images)
                     if value != backend.identity:
@@ -666,21 +706,17 @@ class Automorphism:
             if forward != backend.gen(i) or backward != backend.gen(i):
                 raise NotAnAutomorphism(
                     f"{self.name!r}: inverse images do not invert on generator {name}")
-        self.verified = True
-        return self
+        return self._compile(tables)
 
-    def _verify_exhaustive(self, images, label):
+    def _verify_exhaustive(self, images, label) -> Dict[Any, Any]:
+        """The image of every element, once the map is checked multiplicative."""
         backend = self.backend
         if not backend.is_finite():
             raise NotAnAutomorphism(
                 f"{self.name!r}: backend kind {backend.kind} has no relator list "
                 "and is not finite; cannot verify")
-
-        def image_of(g):
-            return backend.evaluate(backend.factor(g), images)
-
         elems = backend.elements()
-        cache = {g: image_of(g) for g in elems}
+        cache = {g: backend.evaluate(backend.factor(g), images) for g in elems}
         for g in elems:
             for h in elems:
                 lhs = cache[backend.mul(g, h)]
@@ -689,28 +725,31 @@ class Automorphism:
                     raise NotAnAutomorphism(
                         f"{self.name!r}: {label} break multiplicativity at "
                         f"({backend.render(g)}, {backend.render(h)})")
+        return cache
 
 
 def identity_automorphism(backend: GroupBackend) -> Automorphism:
     gens = [backend.gen(i) for i in range(len(backend.gen_names))]
-    aut = Automorphism(backend, "id", gens, gens)
-    aut.verified = True
-    return aut
+    return Automorphism(backend, "id", gens, gens)._compile()
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     """a after b: (a . b)(g) = a(b(g))."""
-    if a.backend is not b.backend:
+    backend = a.backend
+    if backend is not b.backend:
         raise BackendMismatch("cannot compose automorphisms of different backends")
     images = [a.apply(img) for img in b.images]
     inverse_images = [b.apply_inverse(img) for img in a.inverse_images]
-    out = Automorphism(a.backend, f"{a.name}*{b.name}", images, inverse_images)
-    out.verified = True
-    return out
+    tables = (None, None)
+    if backend.relators() is None:  # checked exhaustively: compose the tables
+        elements = backend.elements()
+        tables = ({g: a._forward(b._forward(g)) for g in elements},
+                  {g: b._backward(a._backward(g)) for g in elements})
+    return Automorphism(backend, f"{a.name}*{b.name}", images, inverse_images)._compile(tables)
 
 
 class AutomorphismGroup:
-    """A finite, composition-closed set of verified automorphisms."""
+    """A finite, composition-closed set of compiled automorphisms."""
 
     def __init__(self, backend: GroupBackend, elements: Sequence[Automorphism]):
         self.backend = backend
@@ -743,8 +782,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
     for seed in seeds:
         if seed.backend is not backend:
             raise BackendMismatch("all seeds must act on the same backend")
-        if not seed.verified:
-            seed.verify()
+        seed.verify()
     steps = [*seeds, *(s.inverse() for s in seeds)]
     # the identity and the seeds start the first layer, so they keep their names
     closure = layers([identity_automorphism(backend), *steps],

@@ -202,14 +202,16 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def triple_product_left(X: MvGroup, x, y, z) -> MultiSet:
-    """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened."""
-    return flatten((X.mul(x, w), m) for w, m in X.mul(y, z))
+def triple_product_left(X: MvGroup, x, y, z, mul=None) -> MultiSet:
+    """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened; mul defaults to X.mul."""
+    mul = mul or X.mul
+    return flatten((mul(x, w), m) for w, m in mul(y, z))
 
 
-def triple_product_right(X: MvGroup, x, y, z) -> MultiSet:
-    """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened."""
-    return flatten((X.mul(w, z), m) for w, m in X.mul(x, y))
+def triple_product_right(X: MvGroup, x, y, z, mul=None) -> MultiSet:
+    """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened; mul defaults to X.mul."""
+    mul = mul or X.mul
+    return flatten((mul(w, z), m) for w, m in mul(x, y))
 
 
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
@@ -219,20 +221,25 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
         raise ValidationError("axiom check needs a nonempty sample")
     if X.unit not in sample:
         sample = [X.unit] + sample
+    products = {}  # X.mul once per ordered pair, kept for this call only
+
+    def mul(x, y):
+        if (x, y) not in products:
+            products[x, y] = X.mul(x, y)
+        return products[x, y]
 
     report = AxiomReport(True, True, True)
-    n = X.n
+    unit, n = X.unit, X.n
     for x in sample:
         report.elements_checked += 1
         if report.unit_ok:
             expected = MultiSet.of([x] * n)
-            if X.mul(X.unit, x) != expected or X.mul(x, X.unit) != expected:
+            if mul(unit, x) != expected or mul(x, unit) != expected:
                 report.unit_ok = False
                 report.unit_witness = x
         if report.inverse_ok:
             xb = X.inv(x)
-            if (X.unit not in X.mul(xb, x).support()
-                    or X.unit not in X.mul(x, xb).support()):
+            if unit not in mul(xb, x).support() or unit not in mul(x, xb).support():
                 report.inverse_ok = False
                 report.inverse_witness = x
 
@@ -240,7 +247,8 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
         for y in sample:
             for z in sample:
                 report.triples_checked += 1
-                if triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z):
+                if (triple_product_left(X, x, y, z, mul)
+                        != triple_product_right(X, x, y, z, mul)):
                     report.associativity_ok = False
                     report.associativity_witness = (x, y, z)
                     return report

@@ -196,7 +196,7 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     if not isinstance(mv, dict) or "kind" not in mv:
         raise SchemaError("mv must be an object with a 'kind'", "mv")
     mv_kind = mv["kind"]
-    if mv_kind not in _MV_KINDS:
+    if not isinstance(mv_kind, str) or mv_kind not in _MV_KINDS:
         raise SchemaError(f"unknown mv kind {mv_kind!r}", "mv.kind")
 
     group = document.get("group")
@@ -284,7 +284,7 @@ def _int_rows(value: Any, path: str, high: Optional[int] = None):
 def _validate_group(desc: dict, path: str):
     """Kind, presence, type and range of every field, each failure at its path."""
     kind = desc.get("kind")
-    if kind not in _GROUP_KINDS:
+    if not isinstance(kind, str) or kind not in _GROUP_KINDS:
         raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
     for key in _REQUIRED_GROUP_FIELDS.get(kind, ()):
         if key not in desc:

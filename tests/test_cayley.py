@@ -9,6 +9,7 @@ from mvgroups.cayley import (
     ball,
     compare_generating_sets,
     length,
+    lengths,
     power_table,
     set_product,
 )
@@ -120,6 +121,18 @@ def test_length_consistent_with_ball_spheres():
             assert length(NAT, [1, 4], v) == r
 
 
+def test_lengths_one_search_matches_length():
+    targets = [7, 0, 3, 12, 3]
+    assert lengths(NAT, [2, 5], targets) == [length(NAT, [2, 5], v) for v in targets]
+    # the search stops at the last target: B(0, 3) has 4 elements, B(0, 4) has 5
+    assert lengths(NAT, [1], [3, 2], budget=4) == [3, 2]
+
+
+def test_lengths_names_the_first_unreached_target():
+    with pytest.raises(NotReachedWithinCap, match="element 3 not reached within radius cap 9"):
+        lengths(NAT, [2], [4, 3, 1], cap=9)
+
+
 # ---------------------------------------------------------------------------
 # power tables
 
@@ -189,6 +202,14 @@ def test_compare_spec_example():
     assert report.ok
     for r, lower, middle, upper in report.rows:
         assert lower <= middle <= upper
+
+
+def test_compare_caps_cross_lengths_at_the_radius():
+    # l_S(5) = 5: found within r_max = 5, not within r_max = 4
+    assert compare_generating_sets(NAT, [1], [1, 2], 0, 5, 5).constant == 6
+    with pytest.raises(NotReachedWithinCap, match="element 5 not reached within radius cap 4"):
+        compare_generating_sets(NAT, [1], [1, 2], 0, 5, 4)
+    assert compare_generating_sets(NAT, [1], [1, 2], 0, 5, 4, cap=64).constant == 6
 
 
 def test_compare_rows_cover_all_radii():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,16 @@ def test_compare_example(config_dir, capsys):
     lines = out.splitlines()
     assert lines[0] == "constant l=6"
     assert lines[-1] == "PASS compare r=10 l=6"
+
+
+def test_compare_unreachable_generator_fails_fast(config_dir, capsys):
+    # a and b generate a monoid of X that never reaches the class of a^-1
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "heis_swap"),
+                                     "--gens2", "a,b", "--radius", "4"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == "error: element (0,-1,0) not reached within radius cap 4\n"
 
 
 # ---------------------------------------------------------------------------

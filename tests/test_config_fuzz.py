@@ -1,0 +1,83 @@
+"""Mutated shipped configs never crash the CLI.
+
+Each example takes one shipped config and changes one field: a value of
+another type or an out-of-range int, a deleted key, or an automorphism
+image that is not an automorphism.  `axioms` and `growth` on the result
+must exit 0-3 without a traceback, and exit 1 only with a FAIL verdict.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import pathlib
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvgroups.cli import run
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+COMMANDS = (["axioms", "--sample", "3", "--budget", "2000"],
+            ["growth", "--radius", "2", "--budget", "2000"])
+
+# values of another type than the field holds, and ints out of every range
+# (small enough that an accepted one stays cheap: a cyclic order of 40 is fine)
+JUNK = st.sampled_from([None, True, 1.5, "x", "", "g1^-1", [], [[]], {}, {"kind": "free"}])
+INTS = st.integers(min_value=-3, max_value=40)
+
+
+def paths(node, prefix=()):
+    """The path of every value inside a JSON document, the root excepted."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def words(gens):
+    """Short words over the generator names, most of them no automorphism image."""
+    syllable = st.tuples(st.sampled_from(gens), st.sampled_from([-2, -1, 1, 2, 3]))
+    return st.lists(syllable, max_size=3).map(
+        lambda w: "*".join(f"{g}^{e}" for g, e in w) or "e")
+
+
+def mutate(data, config):
+    kind = data.draw(st.sampled_from(["replace", "delete", "image"]))
+    autos = config.get("automorphisms")
+    if kind == "image" and autos:
+        auto = data.draw(st.sampled_from(autos))
+        field = data.draw(st.sampled_from(["images", "inverse_images"]))
+        gens = sorted(auto[field])
+        auto[field][data.draw(st.sampled_from(gens))] = data.draw(words(gens))
+        return
+    path = data.draw(st.sampled_from(list(paths(config))))
+    *parents, last = path
+    parent = config
+    for key in parents:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[last]
+    else:
+        parent[last] = data.draw(st.one_of(JUNK, INTS))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_config_never_crashes(data):
+    config = copy.deepcopy(CONFIGS[data.draw(st.sampled_from(sorted(CONFIGS)))])
+    mutate(data, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        for command, *flags in COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run([command, "-c", str(path), *flags])
+            assert code in (0, 1, 2, 3), (command, config)
+            if code == 1:
+                assert command == "axioms" and "FAIL" in out.getvalue(), config

@@ -1,5 +1,9 @@
+import itertools
+import json
+import pathlib
 import random
 import struct
+from collections import Counter
 
 import pytest
 
@@ -223,6 +227,16 @@ def test_shear_closure_exceeds_bound():
         close_automorphisms([shear], bound=10)
 
 
+def test_unverified_automorphism_cannot_be_applied():
+    f = FreeGroup(2)
+    swap = Automorphism(f, "swap", [f.gen(1), f.gen(0)], [f.gen(1), f.gen(0)])
+    with pytest.raises(AttributeError):
+        swap.apply(f.gen(0))
+    with pytest.raises(AttributeError):
+        swap.apply_inverse(f.gen(0))
+    assert swap.verify().apply(f.gen(0)) == f.gen(1)
+
+
 def test_orbit_examples():
     z = FreeAbelianGroup(1)
     neg = Automorphism(z, "neg", [(-1,)], [(-1,)]).verify()
@@ -430,3 +444,148 @@ def test_finite_table_accepts_cyclic_group():
     z3 = FiniteTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, ["g"], [1])
     assert z3.elements() == [0, 1, 2]
     assert z3.inv(1) == 2
+
+
+# ---------------------------------------------------------------------------
+# compiled automorphisms against the generic factor + evaluate oracle
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED_COSETS = sorted(p.stem for p in (ROOT / "configs").glob("*.json")
+                        if json.loads(p.read_text())["mv"]["kind"] == "coset")
+N3_INSTANCES = ["f3_shift", "z2_dihedral", "z3_shift"]
+
+
+def s4_table(cls=FiniteTableGroup):
+    """Sym(4) as a finite_table backend, with t = (1 2) and c = (1 2 3 4)."""
+    perms = sorted(itertools.permutations(range(4)))
+    index = {g: i for i, g in enumerate(perms)}
+    table = [[index[tuple(h[i] for i in g)] for h in perms] for g in perms]
+    return cls(table, index[(0, 1, 2, 3)], ["t", "c"], [index[(1, 0, 2, 3)], index[(1, 2, 3, 0)]])
+
+
+def conjugation(backend, x):
+    """g -> x^-1 g x, as generator images and inverse images."""
+    def conj(y, z):
+        return [backend.mul(backend.mul(backend.inv(y), backend.gen(i)), z)
+                for i in range(len(backend.gen_names))]
+    return Automorphism(backend, "conj", conj(x, x), conj(backend.inv(x), backend.inv(x)))
+
+
+FINITE_BACKENDS = {"s4_table": s4_table, "s3_inner": s3,
+                   "s3_x_z2": lambda: DirectProduct([s3(), CyclicGroup(2, ["z"])])}
+
+
+def conjugations(name):
+    """The group of conjugations by the first generator, by every generator for s3_inner."""
+    backend = FINITE_BACKENDS[name]()
+    count = len(backend.gen_names) if name == "s3_inner" else 1
+    return close_automorphisms([conjugation(backend, backend.gen(i)) for i in range(count)])
+
+
+def sample_elements(backend, seed=2025, count=200):
+    """Every element of a finite backend, else `count` seeded random ones."""
+    if backend.is_finite():
+        return backend.elements()
+    rng = random.Random(seed)
+    return [random_element(backend, rng, steps=10) for _ in range(count)]
+
+
+def assert_compiled_matches_oracle(backend, auts):
+    for a in auts:
+        for g in sample_elements(backend):
+            word = backend.factor(g)
+            assert a.apply(g) == backend.evaluate(word, a.images), (a.name, g)
+            assert a.apply_inverse(g) == backend.evaluate(word, a.inverse_images), (a.name, g)
+
+
+@pytest.mark.parametrize("name", SHIPPED_COSETS + N3_INSTANCES)
+def test_compiled_automorphisms_match_oracle(every_instance, name):
+    auts = every_instance[name].auts
+    if name in N3_INSTANCES:
+        assert auts.order == (8 if name == "z2_dihedral" else 3)
+    assert_compiled_matches_oracle(auts.backend, auts)
+
+
+@pytest.mark.parametrize("name", ["s4_table", "s3_x_z2", "s3_inner"])
+def test_compiled_finite_automorphisms_match_oracle(name):
+    auts = conjugations(name)
+    assert auts.order == (6 if name == "s3_inner" else 2)
+    assert_compiled_matches_oracle(auts.backend, auts)
+
+
+def test_oracle_catches_a_mutated_table_entry(monkeypatch):
+    exhaustive = Automorphism._verify_exhaustive
+
+    def mutated(self, images, label):
+        table = exhaustive(self, images, label)
+        g, h = sorted(table)[5:7]
+        table[g], table[h] = table[h], table[g]
+        return table
+
+    monkeypatch.setattr(Automorphism, "_verify_exhaustive", mutated)
+    s4 = s4_table()
+    conj = conjugation(s4, s4.gen(0)).verify()
+    with pytest.raises(AssertionError):
+        assert_compiled_matches_oracle(s4, [conj])
+
+
+def test_oracle_catches_a_wrong_substitution_letter(monkeypatch):
+    substitution = FreeGroup.homomorphism
+    monkeypatch.setattr(FreeGroup, "homomorphism", lambda self, images: substitution(
+        self, [images[0], images[0], *images[2:]]))
+    f = FreeGroup(3)
+    shift = Automorphism(f, "shift", [f.gen(1), f.gen(2), f.gen(0)],
+                         [f.gen(2), f.gen(0), f.gen(1)]).verify()
+    with pytest.raises(AssertionError):
+        assert_compiled_matches_oracle(f, [shift])
+
+
+def counting(cls):
+    """`cls` with its evaluate and factor calls counted in `self.counts`."""
+    class Counting(cls):
+        counts = Counter()
+
+        def evaluate(self, word, images=None):
+            self.counts["evaluate"] += 1
+            return super().evaluate(word, images)
+
+        def factor(self, g):
+            self.counts["factor"] += 1
+            return super().factor(g)
+
+    return Counting
+
+
+def test_compiled_apply_makes_no_evaluate_or_factor_calls():
+    perm = counting(PermutationGroup)(4, ["t", "c"], [[1, 0, 2, 3], [1, 2, 3, 0]])
+    table = s4_table(counting(FiniteTableGroup))
+    z2 = counting(FreeAbelianGroup)(2)
+    f3 = counting(FreeGroup)(3)
+    seeds = [
+        conjugation(perm, perm.gen(0)),
+        conjugation(table, table.gen(0)),
+        Automorphism(z2, "quarter_turn", [(0, 1), (-1, 0)], [(0, -1), (1, 0)]),
+        Automorphism(z2, "swap", [(0, 1), (1, 0)], [(0, 1), (1, 0)]),
+        Automorphism(f3, "shift", [f3.gen(1), f3.gen(2), f3.gen(0)],
+                     [f3.gen(2), f3.gen(0), f3.gen(1)]),
+    ]
+    groups = [close_automorphisms([seeds[0]]), close_automorphisms([seeds[1]]),
+              close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]])]
+    assert [auts.order for auts in groups] == [2, 2, 8, 3]
+    for auts in groups:
+        backend = auts.backend
+        elements = sample_elements(backend)
+        backend.counts = Counter()
+        for a in auts:
+            for g in elements:
+                a.inverse().apply(a.apply(g))
+        assert backend.counts == Counter(), backend.kind
+
+
+def test_generic_apply_counts_as_factor_and_evaluate():
+    h = counting(HeisenbergGroup)()
+    images = [h.gen(1), h.gen(0), h.inv(h.gen(2))]
+    swap = Automorphism(h, "swap", images, images).verify()
+    h.counts = Counter()
+    swap.apply((1, 2, 3))
+    assert h.counts == Counter(evaluate=1, factor=1)

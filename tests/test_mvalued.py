@@ -1,5 +1,7 @@
 import itertools
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from mvgroups.groups import (
 )
 from mvgroups.multiset import MultiSet
 from mvgroups.mvalued import (
+    AxiomReport,
     CosetGroup,
     DoubleCosetGroup,
     MutatedNatGroup,
@@ -24,6 +27,7 @@ from mvgroups.mvalued import (
     triple_product_left,
     triple_product_right,
 )
+from mvgroups.verify import sample_elements
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +233,10 @@ def test_double_coset_products_match_oracle(instances):
             assert got == expected
 
 
-@pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap"])
-def test_coset_products_match_oracle(instances, name):
-    X = instances[name].X
+@pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap",
+                                  "f3_shift", "z2_dihedral", "z3_shift"])
+def test_coset_products_match_oracle(every_instance, name):
+    X = every_instance[name].X
     backend = X.backend
     gens = [backend.gen(i) for i in range(len(backend.gen_names))]
     steps = gens + [backend.inv(g) for g in gens]
@@ -278,3 +283,83 @@ def test_class_elements_order_and_hash():
     assert a == (X.backend.canonical_key((2,)), (2,))  # (key, least member)
     assert X.project((1,)) < X.project((2,))  # key order: 1 before 2
     assert len({X.project((k,)) for k in (-3, 3, -3)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# memoized axiom check against the unmemoized reference loop
+
+SHIPPED = sorted(p.stem for p in
+                 (pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+class CountingMv(MvGroup):
+    """Wraps an n-valued group and counts mul calls per ordered pair."""
+
+    def __init__(self, X):
+        self.X, self.n, self.unit = X, X.n, X.unit
+        self.calls = Counter()
+
+    def mul(self, x, y):
+        self.calls[x, y] += 1
+        return self.X.mul(x, y)
+
+    def inv(self, x):
+        return self.X.inv(x)
+
+
+def reference_check_axioms(X, sample):
+    """The axiom check with every product recomputed through X.mul."""
+    sample = list(sample)
+    if X.unit not in sample:
+        sample = [X.unit] + sample
+    report = AxiomReport(True, True, True)
+    for x in sample:
+        report.elements_checked += 1
+        expected = MultiSet.of([x] * X.n)
+        if report.unit_ok and (X.mul(X.unit, x) != expected or X.mul(x, X.unit) != expected):
+            report.unit_ok, report.unit_witness = False, x
+        xb = X.inv(x)
+        if report.inverse_ok and (X.unit not in X.mul(xb, x).support()
+                                  or X.unit not in X.mul(x, xb).support()):
+            report.inverse_ok, report.inverse_witness = False, x
+    for x, y, z in itertools.product(sample, repeat=3):
+        report.triples_checked += 1
+        if triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z):
+            report.associativity_ok, report.associativity_witness = False, (x, y, z)
+            break
+    return report
+
+
+def cli_sample(instance):
+    """The sample `mvgroups axioms` checks by default."""
+    if instance.backend is None:
+        return list(range(11))
+    return sample_elements(instance, radius=2, limit=10)
+
+
+def test_check_axioms_multiplies_each_pair_once(instances):
+    X = instances["s3_conj"].X
+    counting = CountingMv(X)
+    report = check_axioms(counting, X.carrier())
+    assert report.all_ok and report.triples_checked == 4 ** 3
+    assert set(counting.calls.values()) == {1}
+    assert len(counting.calls) <= len(X.carrier()) ** 2
+    assert report == check_axioms(X, X.carrier())
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["f3_shift", "z2_dihedral", "z3_shift"])
+def test_check_axioms_matches_unmemoized_reference(every_instance, name):
+    X, sample = every_instance[name].X, cli_sample(every_instance[name])
+    report = check_axioms(X, sample)
+    assert report == reference_check_axioms(X, sample)
+    if name == "nat_mutated":
+        assert (report.unit_witness, report.inverse_witness) == (0, 1)
+
+
+def test_check_axioms_matches_reference_on_associativity_failure():
+    X = _BrokenAt22()
+    counting = CountingMv(X)
+    report = check_axioms(counting, range(4))
+    assert not report.associativity_ok
+    assert report == reference_check_axioms(X, range(4))
+    assert set(counting.calls.values()) == {1}

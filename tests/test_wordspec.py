@@ -251,6 +251,9 @@ BAD_FIELD_CASES = [
       "factors": [{"kind": "cyclic", "order": 2, "gens": ["h"]},
                   {**PERMUTATION, "gen_images": [[0, 0, 2]]}]},
      "group.factors[1]"),
+    # a kind that is not a string is an unknown kind, not a TypeError
+    ({"kind": ["free"], "rank": 2}, "group.kind"),
+    ({"kind": {"free": 2}}, "group.kind"),
 ]
 
 
@@ -288,6 +291,7 @@ def test_bad_defaults_rejected():
     ("automorphisms", {}, "automorphisms"),
     ("defaults", {"budget": "10"}, "defaults.budget"),
     ("defaults", {"radius": True}, "defaults.radius"),
+    ("mv", {"kind": ["builtin_nat"]}, "mv.kind"),
 ])
 def test_bad_top_level_field_names_path(key, value, path):
     doc = minimal_nat_config()
