@@ -16,7 +16,7 @@ from mvgroups import load_instance
 from mvgroups.dynamics import bounds_check, iterate_dynamic
 from mvgroups.errors import MvGroupsError
 from mvgroups.mvalued import CosetGroup
-from mvgroups.wordspec import evaluate_word, render_word
+from mvgroups.wordspec import render_word
 
 
 def main() -> int:
@@ -33,18 +33,17 @@ def main() -> int:
             print(f"skipped: {exc}\n")
             continue
         X = inst.X
-        for word in inst.config.x_generators or []:
+        for word, g, z in zip(inst.config.x_words, inst.config.x_generators,
+                              inst.x_generators):
             label = render_word(word)
             try:
                 if isinstance(X, CosetGroup):
-                    g = evaluate_word(inst.backend, word)
                     report = bounds_check(X, g, X.unit, args.steps,
                                           budget=inst.config.default_budget)
                     status = "sandwich ok" if report.ok else "SANDWICH VIOLATED"
                     xi = report.dynamics_table.xi
                     print(f"z={label}: xi={xi} ({status})")
                 else:
-                    z = inst.element(label)
                     table = iterate_dynamic(X, z, X.unit, args.steps,
                                             budget=inst.config.default_budget)
                     print(f"z={label}: xi={table.xi}")

@@ -38,9 +38,6 @@ class PowerTable:
     bstar_sizes: List[int]
     set_powers: List[Tuple[Any, ...]]
 
-    def sstar_sizes(self) -> List[int]:
-        return [len(s) for s in self.sstar_sets]
-
 
 def _spheres(X: MvGroup, gens: Sequence[Any], x, budget: int) -> Iterator[List[Any]]:
     """S(x, 0), S(x, 1), ...: the layers of support expansion from x."""

@@ -147,7 +147,8 @@ def _cmd_axioms(args) -> int:
     if instance.backend is None:
         sample = list(range(args.sample + 1))
     else:
-        sample = sample_elements(instance, radius=2, limit=args.sample)
+        sample = sample_elements(instance, radius=2, limit=args.sample,
+                                 budget=_budget(instance, args))
     report = check_axioms(X, sample)
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))

@@ -24,8 +24,9 @@ class InverseMissing(MvGroupsError):
 class BudgetExceeded(MvGroupsError):
     """An enumeration reached more than `budget` distinct elements."""
 
-    def __init__(self, budget, radius):
-        super().__init__(f"more than {budget} distinct elements reached by radius {radius}")
+    def __init__(self, budget, radius=None):
+        where = "" if radius is None else f" reached by radius {radius}"
+        super().__init__(f"more than {budget} distinct elements{where}")
         self.budget = budget
         self.radius = radius
 

@@ -53,10 +53,6 @@ class MultiSet:
         """The Set map: distinct elements, in ascending order."""
         return tuple(elem for elem, _ in self.entries)
 
-    def render(self, render_elem=str) -> str:
-        body = ", ".join(f"{render_elem(e)}:{m}" for e, m in self.entries)
-        return "{" + body + "}"
-
     def __iter__(self):
         return iter(self.entries)
 

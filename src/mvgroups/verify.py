@@ -18,10 +18,10 @@ from .dynamics import (
     iterate_dynamic,
     quadratic_bound_check,
 )
-from .errors import ValidationError
-from .groups import SemidirectProduct, monoid_balls
+from .errors import BudgetExceeded, ValidationError
+from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls
 from .mvalued import CosetGroup, NatGroup
-from .wordspec import Instance, evaluate_word
+from .wordspec import Instance
 
 @dataclass
 class SuiteResult:
@@ -40,18 +40,25 @@ class SuiteResult:
                          for ok, detail in self.lines)
 
 
-def sample_elements(instance: Instance, radius: int = 2, limit: int = 32) -> List[Any]:
+def sample_elements(instance: Instance, radius: int = 2, limit: int = 32,
+                    budget: int = DEFAULT_BUDGET) -> List[Any]:
     """Deterministic element sample: the full carrier if finite, 0..limit-1
-    for builtin-nat, else the first `limit` elements of B(e, radius)."""
+    for builtin-nat, else the first `limit` elements of B(e, radius).
+
+    Raises BudgetExceeded when the carrier or the ball has more than
+    `budget` elements."""
     X = instance.X
     if instance.backend is None:
         return list(range(limit))
     if instance.backend.is_finite():
-        return list(X.carrier())
+        carrier = X.carrier()
+        if len(carrier) > budget:
+            raise BudgetExceeded(budget)
+        return carrier
     gens = instance.x_generators
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")
-    table = ball(X, gens, X.unit, radius)
+    table = ball(X, gens, X.unit, radius, budget=budget)
     return table.ball_elements()[:limit]
 
 
@@ -94,7 +101,7 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
     else:
         if not instance.config.x_generators:
             raise ValidationError("thm43 needs X_generators or an explicit element")
-        g = evaluate_word(instance.backend, instance.config.x_generators[0])
+        g = instance.config.x_generators[0]
 
     ys = [X.unit]
     pool = [y for y in sample_elements(instance, radius=2) if y != X.unit]
@@ -217,10 +224,9 @@ def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
     if not isinstance(X, CosetGroup):
         raise ValidationError("proof34 requires a coset instance")
     backend, auts = X.backend, X.auts
-    words = instance.config.x_generators
-    if not words:
+    S = instance.config.x_generators
+    if not S:
         raise ValidationError("proof34 needs X_generators")
-    S = [evaluate_word(backend, w) for w in words]
 
     ga = SemidirectProduct(backend, auts)
     ga_gens = [(s, i) for s in S for i in range(auts.order)]

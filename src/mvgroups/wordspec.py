@@ -9,8 +9,12 @@ NAME is an ASCII identifier [A-Za-z][A-Za-z0-9_]*; 'e' is reserved for the
 identity and parses to the empty word.  Bare INT terms are element
 literals for the builtin-nat carrier, which has no generator alphabet.
 
-Config documents are JSON objects with a versioned "schema": 1 field; see
-``parse_config`` for validation and ``build_instance`` for construction.
+Config documents are JSON objects with a versioned "schema": 1 field.
+``parse_config`` checks a document and builds its parts in one walk: the
+group backend (which names its generators), the unverified automorphisms
+and the element of every config word; each failure names its path.
+``build_instance`` then closes the automorphisms or the subgroup and
+constructs the n-valued group.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from .errors import (
     SchemaError,
@@ -137,39 +141,40 @@ def nat_element(word: Word) -> int:
 
 
 @dataclass
-class AutomorphismSeed:
-    name: str
-    images: Dict[str, Word]
-    inverse_images: Dict[str, Word]
-
-
-@dataclass
 class InstanceConfig:
+    """A checked config document with its parts built.
+
+    `backend` is None for the builtin-nat kinds, whose elements are ints.
+    The automorphisms are not yet verified; `subgroup` and `x_generators`
+    hold the elements of the config words, `x_words` the words themselves.
+    """
+
     schema: int
-    group: Optional[dict]
-    automorphism_seeds: List[AutomorphismSeed]
     mv_kind: str
-    subgroup: List[Word]
-    x_generators: List[Word]
+    backend: Optional[GroupBackend]
+    automorphisms: List[Automorphism]
+    subgroup: List[Any]
+    x_words: List[Word]
+    x_generators: List[Any]
     default_radius: int
     default_budget: int
 
 
 _TOP_KEYS = {"schema", "group", "automorphisms", "mv", "X_generators", "defaults"}
-_MV_KINDS = {"coset", "double_coset", "builtin_nat", "builtin_nat_mutated"}
+_NAT_KINDS = ("builtin_nat", "builtin_nat_mutated")
+_MV_KINDS = {"coset", "double_coset", *_NAT_KINDS}
 _GROUP_KINDS = {"free", "free_abelian", "heisenberg", "cyclic", "finite_table",
                 "permutation", "direct_product"}
-_REQUIRED_GROUP_FIELDS = {"permutation": ("degree", "gens", "gen_images"),
-                          "finite_table": ("table", "gens", "gen_elements")}
 
 
 def _require(doc: dict, key: str, path: str):
+    """doc[key]; a missing key fails at path.key."""
     if key not in doc:
-        raise SchemaError(f"missing required field {key!r}", path)
+        raise SchemaError(f"missing required field {key!r}", f"{path}.{key}" if path else key)
     return doc[key]
 
 
-def _parse_word_field(text: Any, path: str) -> Word:
+def _word(text: Any, path: str) -> Word:
     if not isinstance(text, str):
         raise SchemaError("word must be a string", path)
     try:
@@ -178,8 +183,24 @@ def _parse_word_field(text: Any, path: str) -> Word:
         raise SchemaError(f"bad word {text!r}: {exc}", path)
 
 
+def _value(backend: Optional[GroupBackend], word: Word, path: str):
+    """The element a config word denotes: a backend element, else a nat literal."""
+    try:
+        return nat_element(word) if backend is None else evaluate_word(backend, word)
+    except (UnknownGenerator, ValidationError) as exc:
+        raise SchemaError(str(exc), path) from None
+
+
+def _element(backend: Optional[GroupBackend], text: Any, path: str):
+    return _value(backend, _word(text, path), path)
+
+
 def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
-    """Validate a config document; every failure names the offending path."""
+    """Check a config document and build its parts in one walk.
+
+    Each field is checked for presence, type and range as its part is
+    built, and every failure is a SchemaError naming the offending path.
+    """
     if isinstance(document, (str, Path)):
         with open(document, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -199,55 +220,28 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     if not isinstance(mv_kind, str) or mv_kind not in _MV_KINDS:
         raise SchemaError(f"unknown mv kind {mv_kind!r}", "mv.kind")
 
-    group = document.get("group")
-    if mv_kind in ("builtin_nat", "builtin_nat_mutated"):
-        if group is not None:
-            raise SchemaError("builtin-nat instances take no group", "group")
+    entries = _list(document.get("automorphisms", []), "automorphisms")
+    words = _list(mv.get("subgroup", []), "mv.subgroup")
+    if mv_kind in _NAT_KINDS:
+        backend = None
+        for path, value in (("group", document.get("group")), ("automorphisms", entries),
+                            ("mv.subgroup", words)):
+            if value not in (None, []):
+                raise SchemaError(f"builtin-nat instances take no {path.split('.')[-1]}", path)
     else:
-        if not isinstance(group, dict):
-            raise SchemaError("group descriptor required for this mv kind", "group")
-        _validate_group(group, "group")
+        backend = build_backend(document.get("group"), "group")
 
-    gen_names = _declared_gen_names(group) if group else []
-
-    seeds = []
-    for i, entry in enumerate(_list(document.get("automorphisms", []), "automorphisms")):
-        path = f"automorphisms[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError("automorphism entry must be an object", path)
-        name = entry.get("name", f"a{i}")
-        images = entry.get("images")
-        inverse_images = entry.get("inverse_images")
-        if not isinstance(images, dict):
-            raise SchemaError("images map required", f"{path}.images")
-        if not isinstance(inverse_images, dict):
-            raise SchemaError("inverse_images map required", f"{path}.inverse_images")
-        for label, mapping in (("images", images), ("inverse_images", inverse_images)):
-            for gen in gen_names:
-                if gen not in mapping:
-                    raise SchemaError(f"no image for generator {gen!r}",
-                                      f"{path}.{label}")
-            for gen in mapping:
-                if gen not in gen_names:
-                    raise SchemaError(f"image for undeclared generator {gen!r}",
-                                      f"{path}.{label}")
-        seeds.append(AutomorphismSeed(
-            name,
-            {g: _parse_word_field(w, f"{path}.images.{g}") for g, w in images.items()},
-            {g: _parse_word_field(w, f"{path}.inverse_images.{g}")
-             for g, w in inverse_images.items()},
-        ))
-
-    subgroup = [_parse_word_field(w, f"mv.subgroup[{i}]")
-                for i, w in enumerate(_list(mv.get("subgroup", []), "mv.subgroup"))]
+    automorphisms = [_automorphism(backend, entry, f"automorphisms[{i}]", i)
+                     for i, entry in enumerate(entries)]
+    subgroup = [_element(backend, w, f"mv.subgroup[{i}]") for i, w in enumerate(words)]
     if mv_kind == "double_coset" and not subgroup:
         raise SchemaError("double_coset requires a nonempty subgroup", "mv.subgroup")
-    if mv_kind == "coset" and not seeds:
+    if mv_kind == "coset" and not automorphisms:
         raise SchemaError("coset requires at least one automorphism seed", "automorphisms")
 
-    x_generators = [_parse_word_field(w, f"X_generators[{i}]")
-                    for i, w in enumerate(_list(document.get("X_generators", []),
-                                                  "X_generators"))]
+    x_words = [_word(w, f"X_generators[{i}]")
+               for i, w in enumerate(_list(document.get("X_generators", []), "X_generators"))]
+    x_generators = [_value(backend, w, f"X_generators[{i}]") for i, w in enumerate(x_words)]
 
     defaults = document.get("defaults", {})
     if not isinstance(defaults, dict):
@@ -255,8 +249,8 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     radius = _int(defaults.get("radius", 8), "defaults.radius")
     budget = _int(defaults.get("budget", 10**6), "defaults.budget", 1)
 
-    return InstanceConfig(1, group, seeds, mv_kind, subgroup, x_generators,
-                          radius, budget)
+    return InstanceConfig(1, mv_kind, backend, automorphisms, subgroup, x_words,
+                          x_generators, radius, budget)
 
 
 def _int(value: Any, path: str, low: int = 0, high: Optional[int] = None) -> int:
@@ -274,112 +268,97 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
-def _int_rows(value: Any, path: str, high: Optional[int] = None):
-    """A list of lists of ints in 0..high."""
+def _int_rows(value: Any, path: str, high: Optional[int] = None) -> list:
+    """`value` itself if it is a list of lists of ints in 0..high."""
     for i, row in enumerate(_list(value, path)):
         for j, cell in enumerate(_list(row, f"{path}[{i}]")):
             _int(cell, f"{path}[{i}][{j}]", 0, high)
+    return value
 
 
-def _validate_group(desc: dict, path: str):
-    """Kind, presence, type and range of every field, each failure at its path."""
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _GROUP_KINDS:
-        raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
-    for key in _REQUIRED_GROUP_FIELDS.get(kind, ()):
-        if key not in desc:
-            raise SchemaError(f"{kind} group needs {key!r}", f"{path}.{key}")
-    if "gens" in desc:
-        for i, name in enumerate(_list(desc["gens"], f"{path}.gens")):
-            if not isinstance(name, str):
-                raise SchemaError(f"generator name must be a string, got {name!r}",
-                                  f"{path}.gens[{i}]")
-    if kind in ("free", "free_abelian"):
-        if "rank" in desc:
-            _int(desc["rank"], f"{path}.rank", 1)
-        elif not desc.get("gens"):
-            raise SchemaError(f"{kind} group needs a rank or gens list", path)
-    elif kind == "cyclic":
-        _int(desc.get("order"), f"{path}.order", 1)
-    elif kind == "permutation":
-        _int(desc["degree"], f"{path}.degree", 1)
-        _int_rows(desc["gen_images"], f"{path}.gen_images")
-    elif kind == "finite_table":
-        top = len(_list(desc["table"], f"{path}.table")) - 1
-        _int_rows(desc["table"], f"{path}.table", top)
-        _int(desc.get("identity", 0), f"{path}.identity", 0, top)
-        for i, g in enumerate(_list(desc["gen_elements"], f"{path}.gen_elements")):
-            _int(g, f"{path}.gen_elements[{i}]", 0, top)
-    elif kind == "direct_product":
-        factors = desc.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise SchemaError("direct_product needs a factors list", f"{path}.factors")
-        for i, sub in enumerate(factors):
-            if not isinstance(sub, dict):
-                raise SchemaError("factor must be a group descriptor",
-                                  f"{path}.factors[{i}]")
-            _validate_group(sub, f"{path}.factors[{i}]")
-
-
-def _declared_gen_names(desc: dict) -> List[str]:
-    kind = desc.get("kind")
-    if kind == "heisenberg":
-        return ["a", "b", "c"]
-    if kind == "direct_product":
-        names: List[str] = []
-        for sub in desc["factors"]:
-            names.extend(_declared_gen_names(sub))
-        return names
-    gens = desc.get("gens")
-    if gens is not None:
-        return list(gens)
-    if kind in ("free", "free_abelian"):
-        rank = desc.get("rank", 1)
-        return [f"g{i+1}" for i in range(rank)]
-    if kind == "cyclic":
-        return ["g"]
-    return []
+def _names(value: Any, path: str) -> List[str]:
+    for i, name in enumerate(_list(value, path)):
+        if not isinstance(name, str):
+            raise SchemaError(f"generator name must be a string, got {name!r}", f"{path}[{i}]")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_backend(desc: dict, path: str = "group") -> GroupBackend:
-    """The backend of a group descriptor that ``parse_config`` validated.
+def build_backend(desc: Any, path: str = "group") -> GroupBackend:
+    """The backend of a group descriptor, each field checked as it is used.
 
-    A backend that rejects its descriptor (a table that is not a group, an
-    image row that is not a permutation, ...) fails with a SchemaError at
-    the descriptor's `path`.
+    A missing, mistyped or out-of-range field fails at its own path.  A
+    backend that rejects well-typed fields (a table that is not a group, an
+    image row that is not a permutation, ...) fails at the descriptor's
+    `path`.  The backend names its generators: from `gens` where the kind
+    takes it, else by the kind's own rule.
     """
-    kind, gens = desc["kind"], desc.get("gens")
+    if not isinstance(desc, dict):
+        raise SchemaError(f"must be a group descriptor object, got {desc!r}", path)
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _GROUP_KINDS:
+        raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
+    if kind in ("permutation", "finite_table"):
+        gens = _names(_require(desc, "gens", path), f"{path}.gens")
+    elif "gens" not in desc:
+        gens = None
+    elif kind in ("heisenberg", "direct_product"):
+        raise SchemaError(f"{kind} takes no gens: it names its generators", f"{path}.gens")
+    else:
+        gens = _names(desc["gens"], f"{path}.gens")
     try:
         if kind in ("free", "free_abelian"):
-            backend = FreeGroup if kind == "free" else FreeAbelianGroup
-            return backend(desc.get("rank", len(gens or ())), gens)
+            if "rank" not in desc and not gens:
+                raise SchemaError(f"{kind} group needs a rank or gens list", path)
+            rank = _int(desc.get("rank", len(gens or ())), f"{path}.rank", 1)
+            return (FreeGroup if kind == "free" else FreeAbelianGroup)(rank, gens)
+        if kind == "cyclic":
+            return CyclicGroup(_int(desc.get("order"), f"{path}.order", 1), gens)
         if kind == "heisenberg":
             return HeisenbergGroup()
-        if kind == "cyclic":
-            return CyclicGroup(desc["order"], gens)
         if kind == "permutation":
-            return PermutationGroup(desc["degree"], gens, desc["gen_images"])
+            degree = _int(_require(desc, "degree", path), f"{path}.degree", 1)
+            images = _int_rows(_require(desc, "gen_images", path), f"{path}.gen_images")
+            return PermutationGroup(degree, gens, images)
         if kind == "finite_table":
-            return FiniteTableGroup(desc["table"], desc.get("identity", 0),
-                                    gens, desc["gen_elements"])
+            table = _list(_require(desc, "table", path), f"{path}.table")
+            top = len(table) - 1
+            _int_rows(table, f"{path}.table", top)
+            identity = _int(desc.get("identity", 0), f"{path}.identity", 0, top)
+            elements = [_int(g, f"{path}.gen_elements[{i}]", 0, top) for i, g in enumerate(
+                _list(_require(desc, "gen_elements", path), f"{path}.gen_elements"))]
+            return FiniteTableGroup(table, identity, gens, elements)
+        factors = desc.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise SchemaError("direct_product needs a factors list", f"{path}.factors")
         return DirectProduct([build_backend(sub, f"{path}.factors[{i}]")
-                              for i, sub in enumerate(desc["factors"])])
+                              for i, sub in enumerate(factors)])
     except ValidationError as exc:
         raise SchemaError(str(exc), path) from None
 
 
-def _build_seeds(backend: GroupBackend, seeds: Sequence[AutomorphismSeed]) -> List[Automorphism]:
-    out = []
-    for seed in seeds:
-        images = [evaluate_word(backend, seed.images[name]) for name in backend.gen_names]
-        inverse_images = [evaluate_word(backend, seed.inverse_images[name])
-                          for name in backend.gen_names]
-        out.append(Automorphism(backend, seed.name, images, inverse_images))
-    return out
+def _automorphism(backend: GroupBackend, entry: Any, path: str, index: int) -> Automorphism:
+    """An unverified automorphism from an entry whose two image maps each
+    name every generator of the backend and no other."""
+    if not isinstance(entry, dict):
+        raise SchemaError("automorphism entry must be an object", path)
+    maps = []
+    for label in ("images", "inverse_images"):
+        mapping = entry.get(label)
+        if not isinstance(mapping, dict):
+            raise SchemaError(f"{label} map required", f"{path}.{label}")
+        for gen in backend.gen_names:
+            if gen not in mapping:
+                raise SchemaError(f"no image for generator {gen!r}", f"{path}.{label}")
+        for gen in mapping:
+            if gen not in backend.gen_names:
+                raise SchemaError(f"image for undeclared generator {gen!r}", f"{path}.{label}")
+        maps.append([_element(backend, mapping[gen], f"{path}.{label}.{gen}")
+                     for gen in backend.gen_names])
+    return Automorphism(backend, entry.get("name", f"a{index}"), *maps)
 
 
 @dataclass
@@ -394,39 +373,29 @@ class Instance:
 
     def element(self, text: str):
         """An X-element from a word expression (projected for coset kinds)."""
-        word = parse_word(text)
-        if self.backend is None:
-            return nat_element(word)
-        g = evaluate_word(self.backend, word)
-        return self.X.project(g)
+        g = self.backend_element(text)
+        return g if self.backend is None else self.X.project(g)
 
     def backend_element(self, text: str):
         """The underlying G-element of a word; nat literals pass through."""
         word = parse_word(text)
-        if self.backend is None:
-            return nat_element(word)
-        return evaluate_word(self.backend, word)
+        return nat_element(word) if self.backend is None else evaluate_word(self.backend, word)
 
 
 def build_instance(config: InstanceConfig) -> Instance:
-    if config.mv_kind in ("builtin_nat", "builtin_nat_mutated"):
+    """Close the automorphisms (coset) or the subgroup (double coset) and
+    construct the n-valued group over the config's built parts."""
+    backend = config.backend
+    if backend is None:
         X = NatGroup() if config.mv_kind == "builtin_nat" else MutatedNatGroup()
-        words = config.x_generators or [(("1", 1),)]
-        gens = [nat_element(w) for w in words]
-        return Instance(config, X, None, None, gens)
-
-    backend = build_backend(config.group)
+        return Instance(config, X, None, None, list(config.x_generators or [1]))
+    auts = None
     if config.mv_kind == "coset":
-        auts = close_automorphisms(_build_seeds(backend, config.automorphism_seeds))
+        auts = close_automorphisms(config.automorphisms)
         X = CosetGroup(backend, auts)
-        gens = [X.project(evaluate_word(backend, w)) for w in config.x_generators]
-        return Instance(config, X, backend, auts, gens)
-
-    # double_coset
-    subgroup = [evaluate_word(backend, w) for w in config.subgroup]
-    X = DoubleCosetGroup(backend, subgroup)
-    gens = [X.project(evaluate_word(backend, w)) for w in config.x_generators]
-    return Instance(config, X, backend, None, gens)
+    else:
+        X = DoubleCosetGroup(backend, config.subgroup)
+    return Instance(config, X, backend, auts, [X.project(g) for g in config.x_generators])
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -145,7 +145,7 @@ def test_power_table_of_one():
     assert table.set_powers[3] == (1, 3)
     assert table.set_powers[4] == (0, 2, 4)
     assert table.bstar_sizes == [0, 1, 3, 4, 5, 6]
-    assert table.sstar_sizes() == [0, 1, 2, 1, 1, 1]
+    assert [len(s) for s in table.sstar_sets] == [0, 1, 2, 1, 1, 1]
 
 
 def test_power_table_row_zero_empty():

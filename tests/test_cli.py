@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -314,6 +318,10 @@ BAD_CONFIGS = [
     ({"kind": "direct_product",
       "factors": [{"kind": "cyclic", "order": 2, "gens": ["h"]},
                   {**PERMUTATION, "gen_images": [[0, 0, 2]]}]}, "group.factors[1]"),
+    # heisenberg and direct_product name their own generators
+    ({"kind": "heisenberg", "gens": ["a", "b", "c"]}, "group.gens: heisenberg"),
+    ({"kind": "direct_product", "gens": ["h"],
+      "factors": [{"kind": "cyclic", "order": 3, "gens": ["h"]}]}, "group.gens: direct_product"),
 ]
 
 
@@ -328,6 +336,76 @@ def test_bad_group_config_exits_2_naming_it(tmp_path, capsys, group, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def one_automorphism(group, images, **fields):
+    """A coset config whose one automorphism is `images` both ways."""
+    return {"schema": 1, "group": group,
+            "automorphisms": [{"name": "s", "images": images, "inverse_images": images}],
+            "mv": {"kind": "coset"}, **fields}
+
+
+FREE2 = {"kind": "free", "rank": 2}
+NAT = {"schema": 1, "mv": {"kind": "builtin_nat"}}
+CONFIG_PATH_CASES = [
+    # an empty gens list keeps the backend's names g1, g2, which the images must cover
+    (one_automorphism({**FREE2, "gens": []}, {}), "automorphisms[0].images"),
+    # an unknown generator in a config word
+    (one_automorphism(FREE2, {"g1": "g3", "g2": "g1"}), "automorphisms[0].images.g1"),
+    ({"schema": 1, "group": PERMUTATION, "mv": {"kind": "double_coset", "subgroup": ["g3"]}},
+     "mv.subgroup[0]"),
+    (one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}, X_generators=["g3"]), "X_generators[0]"),
+    # builtin-nat takes no automorphisms, no subgroup and only numeric literals
+    ({**NAT, "automorphisms": [{"images": {}, "inverse_images": {}}]}, "automorphisms"),
+    ({**NAT, "mv": {"kind": "builtin_nat", "subgroup": ["1"]}}, "mv.subgroup"),
+    ({**NAT, "X_generators": ["g1"]}, "X_generators[0]"),
+]
+
+
+@pytest.mark.parametrize("config,path", CONFIG_PATH_CASES,
+                         ids=[f"{i}-{path}" for i, (_, path) in enumerate(CONFIG_PATH_CASES)])
+def test_config_error_exits_2_naming_its_path(tmp_path, capsys, config, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, out, err = invoke(capsys, ["axioms", "-c", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [
+    one_automorphism({"kind": "cyclic", "order": 5, "gens": []}, {"g": "g^-1"}),
+    {**NAT, "automorphisms": [], "mv": {"kind": "builtin_nat", "subgroup": []}},
+], ids=["cyclic-empty-gens", "nat-empty-lists"])
+def test_config_builds_and_axioms_pass(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = invoke(capsys, ["axioms", "-c", str(path)])
+    assert code == 0
+    assert "FAIL" not in out
+    assert err == ""
+
+
+def test_axioms_on_a_finite_carrier_obeys_the_budget(tmp_path):
+    # 1,501 classes, so --sample 3 alone would still check 3.4e9 triples
+    path = tmp_path / "c3000.json"
+    path.write_text(json.dumps(one_automorphism({"kind": "cyclic", "order": 3000},
+                                                {"g": "g^-1"})))
+    # a subprocess, so a run that ignores the budget fails at the timeout
+    # instead of hanging the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "mvgroups.cli", "axioms", "-c", str(path),
+                           "--sample", "3", "--budget", "100"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: more than 100 distinct elements\n"
 
 
 def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Mutated shipped configs never crash the CLI.
 
-Each example takes one shipped config and changes one field: a value of
-another type or an out-of-range int, a deleted key, or an automorphism
-image that is not an automorphism.  `axioms` and `growth` on the result
-must exit 0-3 without a traceback, and exit 1 only with a FAIL verdict.
+Each example takes one shipped config and changes one or two fields: a
+value of another type or an out-of-range int, a deleted key, or an
+automorphism image that is not an automorphism.  Two changes can make
+fields disagree, such as an emptied `gens` list and an emptied image map.
+`axioms` and `growth` on the result must exit 0-3 without a traceback, and
+exit 1 only with a FAIL verdict.
 """
 
 import contextlib
@@ -48,11 +50,14 @@ def words(gens):
 def mutate(data, config):
     kind = data.draw(st.sampled_from(["replace", "delete", "image"]))
     autos = config.get("automorphisms")
-    if kind == "image" and autos:
-        auto = data.draw(st.sampled_from(autos))
-        field = data.draw(st.sampled_from(["images", "inverse_images"]))
-        gens = sorted(auto[field])
-        auto[field][data.draw(st.sampled_from(gens))] = data.draw(words(gens))
+    # the image maps still intact after an earlier change
+    maps = [auto[field] for auto in (autos if isinstance(autos, list) else [])
+            if isinstance(auto, dict) for field in ("images", "inverse_images")
+            if isinstance(auto.get(field), dict) and auto[field]]
+    if kind == "image" and maps:
+        mapping = data.draw(st.sampled_from(maps))
+        gens = sorted(mapping)
+        mapping[data.draw(st.sampled_from(gens))] = data.draw(words(gens))
         return
     path = data.draw(st.sampled_from(list(paths(config))))
     *parents, last = path
@@ -62,7 +67,7 @@ def mutate(data, config):
     if kind == "delete":
         del parent[last]
     else:
-        parent[last] = data.draw(st.one_of(JUNK, INTS))
+        parent[last] = copy.deepcopy(data.draw(st.one_of(JUNK, INTS)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -70,7 +75,8 @@ def mutate(data, config):
 @given(st.data())
 def test_mutated_config_never_crashes(data):
     config = copy.deepcopy(CONFIGS[data.draw(st.sampled_from(sorted(CONFIGS)))])
-    mutate(data, config)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        mutate(data, config)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp, "config.json")
         path.write_text(json.dumps(config))

@@ -1,12 +1,14 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every import is a top-level statement of its module."""
+"""Source hygiene: every name a module imports is used in that module,
+every import is a top-level statement of its module, and every function
+or method the package defines is referenced outside its own definition."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mvgroups"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mvgroups"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -50,3 +52,42 @@ def test_detector_flags_a_nested_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_functions(tree):
+    """The non-dunder function and method names defined in `tree`."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(node, enclosing=()):
+    """Every name, attribute and imported name used in `node`, except a
+    use inside the definition of a function of that same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing + (node.name,)
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    if name is not None and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, enclosing)
+
+
+def test_detector_flags_an_unreferenced_function():
+    source = ("def f(n):\n    return f(n - 1)\n\n"
+              "def g():\n    return 1\n\n"
+              "class C:\n    def m(self):\n        return self.m\n\n"
+              "    def h(self):\n        return g()\n")
+    tree = ast.parse(source)
+    assert sorted(defined_functions(tree) - set(references(tree))) == ["f", "h", "m"]
+
+
+def test_every_function_is_referenced():
+    sources = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+    used = {name for path in sources
+            for name in references(ast.parse(path.read_text(encoding="utf-8")))}
+    defined = {name for path in SRC.glob("*.py")
+               for name in defined_functions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(defined - used) == []

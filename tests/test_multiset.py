@@ -63,10 +63,6 @@ def test_flatten_outer_scaling():
     assert out.total_size == 6
 
 
-def test_render():
-    assert MultiSet.of([2, 8]).render() == "{2:1, 8:1}"
-
-
 @given(st.lists(st.integers(), min_size=1, max_size=30))
 def test_make_permutation_invariant(items):
     assert MultiSet.of(items) == MultiSet.of(list(reversed(items)))

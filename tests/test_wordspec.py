@@ -254,6 +254,10 @@ BAD_FIELD_CASES = [
     # a kind that is not a string is an unknown kind, not a TypeError
     ({"kind": ["free"], "rank": 2}, "group.kind"),
     ({"kind": {"free": 2}}, "group.kind"),
+    # heisenberg and direct_product name their own generators
+    ({"kind": "heisenberg", "gens": ["a", "b", "c"]}, "group.gens"),
+    ({"kind": "direct_product", "gens": ["h"],
+      "factors": [{"kind": "cyclic", "order": 3, "gens": ["h"]}]}, "group.gens"),
 ]
 
 
@@ -292,6 +296,10 @@ def test_bad_defaults_rejected():
     ("defaults", {"budget": "10"}, "defaults.budget"),
     ("defaults", {"radius": True}, "defaults.radius"),
     ("mv", {"kind": ["builtin_nat"]}, "mv.kind"),
+    # builtin-nat takes no automorphisms, no subgroup and only numeric literals
+    ("automorphisms", [{"images": {}, "inverse_images": {}}], "automorphisms"),
+    ("mv", {"kind": "builtin_nat", "subgroup": ["1"]}, "mv.subgroup"),
+    ("X_generators", ["g1"], "X_generators[0]"),
 ])
 def test_bad_top_level_field_names_path(key, value, path):
     doc = minimal_nat_config()
@@ -306,6 +314,39 @@ def test_bad_word_in_config_names_path():
     with pytest.raises(SchemaError) as exc:
         parse_config(doc)
     assert "images.g2" in (exc.value.path or "")
+
+
+def one_automorphism(group, images, **fields):
+    """A coset document whose one automorphism is `images` both ways."""
+    return {"schema": 1, "group": group,
+            "automorphisms": [{"name": "s", "images": images, "inverse_images": images}],
+            "mv": {"kind": "coset"}, **fields}
+
+
+FREE2 = {"kind": "free", "rank": 2}
+# an image map that misses a generator of the backend, or a word naming an unknown one
+CONFIG_PATH_CASES = [
+    (one_automorphism({**FREE2, "gens": []}, {}), "automorphisms[0].images"),
+    (one_automorphism(FREE2, {"g1": "g3", "g2": "g1"}), "automorphisms[0].images.g1"),
+    ({"schema": 1, "group": PERMUTATION, "mv": {"kind": "double_coset", "subgroup": ["g3"]}},
+     "mv.subgroup[0]"),
+    (one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}, X_generators=["g3"]), "X_generators[0]"),
+]
+
+
+@pytest.mark.parametrize("doc,path", CONFIG_PATH_CASES,
+                         ids=[f"{i}-{path}" for i, (_, path) in enumerate(CONFIG_PATH_CASES)])
+def test_config_error_names_path(doc, path):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(doc)
+    assert exc.value.path == path
+
+
+def test_empty_gens_keep_the_backend_names():
+    config = parse_config(one_automorphism({"kind": "cyclic", "order": 5, "gens": []},
+                                           {"g": "g^-1"}))
+    assert config.backend.gen_names == ("g",)
+    assert build_instance(config).X.n == 2
 
 
 def test_load_instance_from_file(tmp_path):
