@@ -7,6 +7,12 @@ itself is in B(x, r) for every r (this is what makes the closed form
 |B(x, r)| = 1 + r + min(x, r) of the builtin 2-valued group come out
 right at small radii).
 
+Every walk here (balls, lengths, dynamics supports, set products)
+expands through ``X.step(gens)``.  A coset or double-coset group twists
+its generators once per walk and then makes one backend product and one
+projection per (element, twisted generator) pair, without building a
+MultiSet; the budget still counts classes.
+
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
 Every enumeration here raises BudgetExceeded once more than `budget`
@@ -41,7 +47,7 @@ class PowerTable:
 
 def _spheres(X: MvGroup, gens: Sequence[Any], x, budget: int) -> Iterator[List[Any]]:
     """S(x, 0), S(x, 1), ...: the layers of support expansion from x."""
-    return layers([x], lambda u: (v for s in gens for v in X.mul(u, s).support()), budget)
+    return layers([x], X.step(gens), budget)
 
 
 def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
@@ -92,12 +98,13 @@ def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator
     have been reached.
     """
     support, reached, r = (y,), set(), 0
+    step = X.step([z])
     while True:
         reached.update(support)
         if len(reached) > budget:
             raise BudgetExceeded(budget, r)
         yield support
-        support = tuple(sorted({v for u in support for v in X.mul(u, z).support()}))
+        support = tuple(sorted({v for u in support for v in step(u)}))
         r += 1
 
 
@@ -117,11 +124,8 @@ def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> Pow
 
 def set_product(X: MvGroup, left: Sequence[Any], right: Sequence[Any]) -> Tuple[Any, ...]:
     """Support of the product of two subsets viewed as multisets."""
-    out = set()
-    for u in left:
-        for v in right:
-            out.update(X.mul(u, v).support())
-    return tuple(sorted(out))
+    step = X.step(right)
+    return tuple(sorted({v for u in left for v in step(u)}))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ images) and are checked before use: relator-bearing kinds check that
 every defining relator maps to the identity, finite kinds check the
 homomorphism property exhaustively and keep its image tables as the
 compiled maps.  Z^k compiles to a linear map, free groups to letter
-substitution; evaluate(factor(g), images) stays the generic fallback and
-the test oracle.  ``close_automorphisms`` builds the finite subgroup of
-Aut(G) generated by checked seeds.
+substitution, and a direct product whose generators map into their own
+factors to one map per factor; evaluate(factor(g), images) stays the
+generic fallback and the test oracle.  ``close_automorphisms`` builds the
+finite subgroup of Aut(G) generated by checked seeds.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and every finite closure (group elements, subgroups,
@@ -385,6 +386,11 @@ class HeisenbergGroup(GroupBackend):
         p, q, r = g
         return (-p, -q, p * q - r)
 
+    def power(self, g, k):
+        """(kp, kq, kr + C(k, 2)pq), for negative k too."""
+        p, q, r = g
+        return (k * p, k * q, k * r + k * (k - 1) // 2 * p * q)
+
     def canonical_key(self, g):
         return tuple(map(int_key, g))
 
@@ -584,6 +590,20 @@ class DirectProduct(GroupBackend):
 
     def _offset(self, fi: int) -> int:
         return sum(len(b.gen_names) for b in self.factors[:fi])
+
+    def homomorphism(self, images):
+        """Factor by factor when every generator's image lies in its own
+        factor, else the generic map."""
+        maps = []
+        for fi, backend in enumerate(self.factors):
+            local = []
+            for image in images[self._offset(fi):self._offset(fi + 1)]:
+                if any(c != b.identity for i, (b, c) in enumerate(zip(self.factors, image))
+                       if i != fi):
+                    return super().homomorphism(images)
+                local.append(image[fi])
+            maps.append(backend.homomorphism(local))
+        return lambda g: tuple(m(c) for m, c in zip(maps, g))
 
     def factor(self, g):
         word: List[Tuple[int, int]] = []

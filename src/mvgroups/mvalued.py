@@ -6,6 +6,11 @@ returning a MultiSet of total size exactly n.  Elements are orderable and
 hashable.  Coset and double-coset groups share one OrbitGroup product; a
 class there is the plain tuple (canonical key, least member), so classes
 sort in the canonical order of their least members.
+
+``step(gens)`` is the one expansion every Cayley-graph walk takes: it maps
+u to the support elements of u*s over s in gens.  The base class builds
+each product; an OrbitGroup twists the generators once and then makes one
+backend product and one projection per step.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
 from .groups import AutomorphismGroup, GroupBackend, layers
@@ -34,6 +39,14 @@ class MvGroup:
 
     def render(self, x) -> str:
         return str(x)
+
+    def step(self, gens: Sequence[Any]) -> Callable[[Any], Iterable[Any]]:
+        """u -> the support elements of u*s over s in gens, repeats allowed.
+
+        This generic expansion builds every product; it is the oracle for
+        the overrides.
+        """
+        return lambda u: (v for s in gens for v in self.mul(u, s).support())
 
 
 class NatGroup(MvGroup):
@@ -86,6 +99,17 @@ class OrbitGroup(MvGroup):
 
     def inv(self, x):
         return self.project(self.backend.inv(x[1]))
+
+    def step(self, gens):
+        """u -> project(u_rep * t) over the distinct twisted generators t.
+
+        By the definition of mul this yields the union of the supports of
+        u*s over s in gens, each twist applied once per generator instead
+        of once per product.
+        """
+        backend, project = self.backend, self.project
+        steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in self.twists))
+        return lambda u: (project(backend.mul(u[1], t)) for t in steps)
 
     def render(self, x) -> str:
         return self.backend.render(x[1])

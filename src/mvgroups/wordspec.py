@@ -162,9 +162,19 @@ class InstanceConfig:
 
 _TOP_KEYS = {"schema", "group", "automorphisms", "mv", "X_generators", "defaults"}
 _NAT_KINDS = ("builtin_nat", "builtin_nat_mutated")
-_MV_KINDS = {"coset", "double_coset", *_NAT_KINDS}
-_GROUP_KINDS = {"free", "free_abelian", "heisenberg", "cyclic", "finite_table",
-                "permutation", "direct_product"}
+# mv kind -> the fields it does not use, which must be absent or empty
+_UNUSED = {"coset": ("mv.subgroup",), "double_coset": ("automorphisms",),
+           **dict.fromkeys(_NAT_KINDS, ("group", "automorphisms", "mv.subgroup"))}
+# group kind -> the fields its descriptor may hold
+_GROUP_KEYS = {
+    "free": {"kind", "rank", "gens"},
+    "free_abelian": {"kind", "rank", "gens"},
+    "cyclic": {"kind", "order", "gens"},
+    "heisenberg": {"kind"},
+    "permutation": {"kind", "degree", "gens", "gen_images"},
+    "finite_table": {"kind", "table", "identity", "gens", "gen_elements"},
+    "direct_product": {"kind", "factors"},
+}
 
 
 def _require(doc: dict, key: str, path: str):
@@ -172,6 +182,13 @@ def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", f"{path}.{key}" if path else key)
     return doc[key]
+
+
+def _known(doc: dict, keys, path: str) -> None:
+    """The first key of doc outside `keys` fails at path.key."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown field {key!r}", f"{path}.{key}" if path else key)
 
 
 def _word(text: Any, path: str) -> Word:
@@ -200,6 +217,8 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
 
     Each field is checked for presence, type and range as its part is
     built, and every failure is a SchemaError naming the offending path.
+    Every object takes only the keys of its kind, and a field the mv kind
+    does not use must be absent or empty.
     """
     if isinstance(document, (str, Path)):
         with open(document, "r", encoding="utf-8") as fh:
@@ -207,9 +226,7 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     if not isinstance(document, dict):
         raise SchemaError("config document must be a JSON object")
 
-    extra = set(document) - _TOP_KEYS
-    if extra:
-        raise SchemaError(f"unknown fields: {sorted(extra)}")
+    _known(document, _TOP_KEYS, "")
     if document.get("schema") != 1:
         raise SchemaError("schema must be the integer 1", "schema")
 
@@ -217,19 +234,17 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     if not isinstance(mv, dict) or "kind" not in mv:
         raise SchemaError("mv must be an object with a 'kind'", "mv")
     mv_kind = mv["kind"]
-    if not isinstance(mv_kind, str) or mv_kind not in _MV_KINDS:
+    if not isinstance(mv_kind, str) or mv_kind not in _UNUSED:
         raise SchemaError(f"unknown mv kind {mv_kind!r}", "mv.kind")
+    _known(mv, {"kind", "subgroup"}, "mv")
 
     entries = _list(document.get("automorphisms", []), "automorphisms")
     words = _list(mv.get("subgroup", []), "mv.subgroup")
-    if mv_kind in _NAT_KINDS:
-        backend = None
-        for path, value in (("group", document.get("group")), ("automorphisms", entries),
-                            ("mv.subgroup", words)):
-            if value not in (None, []):
-                raise SchemaError(f"builtin-nat instances take no {path.split('.')[-1]}", path)
-    else:
-        backend = build_backend(document.get("group"), "group")
+    fields = {"group": document.get("group"), "automorphisms": entries, "mv.subgroup": words}
+    for path in _UNUSED[mv_kind]:
+        if fields[path] not in (None, []):
+            raise SchemaError(f"{mv_kind} instances take no {path.split('.')[-1]}", path)
+    backend = None if mv_kind in _NAT_KINDS else build_backend(document.get("group"), "group")
 
     automorphisms = [_automorphism(backend, entry, f"automorphisms[{i}]", i)
                      for i, entry in enumerate(entries)]
@@ -246,6 +261,7 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     defaults = document.get("defaults", {})
     if not isinstance(defaults, dict):
         raise SchemaError("defaults must be an object", "defaults")
+    _known(defaults, {"radius", "budget"}, "defaults")
     radius = _int(defaults.get("radius", 8), "defaults.radius")
     budget = _int(defaults.get("budget", 10**6), "defaults.budget", 1)
 
@@ -299,7 +315,7 @@ def build_backend(desc: Any, path: str = "group") -> GroupBackend:
     if not isinstance(desc, dict):
         raise SchemaError(f"must be a group descriptor object, got {desc!r}", path)
     kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _GROUP_KINDS:
+    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
         raise SchemaError(f"unknown group kind {kind!r}", f"{path}.kind")
     if kind in ("permutation", "finite_table"):
         gens = _names(_require(desc, "gens", path), f"{path}.gens")
@@ -309,6 +325,7 @@ def build_backend(desc: Any, path: str = "group") -> GroupBackend:
         raise SchemaError(f"{kind} takes no gens: it names its generators", f"{path}.gens")
     else:
         gens = _names(desc["gens"], f"{path}.gens")
+    _known(desc, _GROUP_KEYS[kind], path)
     try:
         if kind in ("free", "free_abelian"):
             if "rank" not in desc and not gens:
@@ -345,6 +362,7 @@ def _automorphism(backend: GroupBackend, entry: Any, path: str, index: int) -> A
     name every generator of the backend and no other."""
     if not isinstance(entry, dict):
         raise SchemaError("automorphism entry must be an object", path)
+    _known(entry, {"name", "images", "inverse_images"}, path)
     maps = []
     for label in ("images", "inverse_images"):
         mapping = entry.get(label)

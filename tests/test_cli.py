@@ -322,6 +322,11 @@ BAD_CONFIGS = [
     ({"kind": "heisenberg", "gens": ["a", "b", "c"]}, "group.gens: heisenberg"),
     ({"kind": "direct_product", "gens": ["h"],
       "factors": [{"kind": "cyclic", "order": 3, "gens": ["h"]}]}, "group.gens: direct_product"),
+    # a key the kind does not take, in the descriptor or in a factor
+    ({**PERMUTATION, "degre": 3}, "group.degre: unknown field 'degre'"),
+    ({"kind": "heisenberg", "order": 3}, "group.order: unknown field 'order'"),
+    ({"kind": "direct_product", "factors": [{**PERMUTATION, "rank": 2}]},
+     "group.factors[0].rank: unknown field 'rank'"),
 ]
 
 
@@ -359,6 +364,18 @@ CONFIG_PATH_CASES = [
     ({**NAT, "automorphisms": [{"images": {}, "inverse_images": {}}]}, "automorphisms"),
     ({**NAT, "mv": {"kind": "builtin_nat", "subgroup": ["1"]}}, "mv.subgroup"),
     ({**NAT, "X_generators": ["g1"]}, "X_generators[0]"),
+    # a coset takes no subgroup, a double coset no automorphisms
+    (one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}, mv={"kind": "coset", "subgroup": ["g1"]}),
+     "mv.subgroup"),
+    ({"schema": 1, "group": PERMUTATION, "mv": {"kind": "double_coset", "subgroup": ["t"]},
+      "automorphisms": [{"images": {"t": "t"}, "inverse_images": {"t": "t"}}]}, "automorphisms"),
+    # a misspelled key below the top level
+    (one_automorphism({"kind": "cyclic", "order": 5, "ordre": 7}, {"g": "g^-1"}), "group.ordre"),
+    ({**one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}),
+      "automorphisms": [{"imgaes": {}, "images": {"g1": "g2", "g2": "g1"},
+                         "inverse_images": {"g1": "g2", "g2": "g1"}}]}, "automorphisms[0].imgaes"),
+    ({**NAT, "mv": {"kind": "builtin_nat", "subgroop": []}}, "mv.subgroop"),
+    ({**NAT, "defaults": {"radus": 2}}, "defaults.radus"),
 ]
 
 
@@ -377,7 +394,12 @@ def test_config_error_exits_2_naming_its_path(tmp_path, capsys, config, path):
 @pytest.mark.parametrize("config", [
     one_automorphism({"kind": "cyclic", "order": 5, "gens": []}, {"g": "g^-1"}),
     {**NAT, "automorphisms": [], "mv": {"kind": "builtin_nat", "subgroup": []}},
-], ids=["cyclic-empty-gens", "nat-empty-lists"])
+    one_automorphism({"kind": "cyclic", "order": 5}, {"g": "g^-1"},
+                     mv={"kind": "coset", "subgroup": []}),
+    {"schema": 1, "group": PERMUTATION, "automorphisms": [],
+     "mv": {"kind": "double_coset", "subgroup": ["t"]}},
+], ids=["cyclic-empty-gens", "nat-empty-lists", "coset-empty-subgroup",
+        "double-coset-empty-automorphisms"])
 def test_config_builds_and_axioms_pass(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -20,6 +20,7 @@ from mvgroups.groups import (
     FreeAbelianGroup,
     FiniteTableGroup,
     FreeGroup,
+    GroupBackend,
     HeisenbergGroup,
     PermutationGroup,
     SemidirectProduct,
@@ -589,3 +590,49 @@ def test_generic_apply_counts_as_factor_and_evaluate():
     h.counts = Counter()
     swap.apply((1, 2, 3))
     assert h.counts == Counter(evaluate=1, factor=1)
+
+
+def test_heisenberg_closed_form_power_matches_square_and_multiply():
+    h = HeisenbergGroup()
+    rng = random.Random(7)
+    for _ in range(50):
+        g = tuple(rng.randint(-9, 9) for _ in range(3))
+        for k in range(-7, 8):
+            assert h.power(g, k) == GroupBackend.power(h, g, k), (g, k)
+        assert h.power(g, -1) == h.inv(g)
+
+
+def product_automorphisms():
+    """Automorphisms of direct products: factor-preserving ones, then ones
+    that mix factors and so take the generic map."""
+    zf = counting(DirectProduct)([CyclicGroup(3, ["h"]), FreeGroup(2)])
+    zz = counting(DirectProduct)([FreeAbelianGroup(1, ["x"]), FreeAbelianGroup(1, ["y"])])
+    hz = counting(DirectProduct)([HeisenbergGroup(), FreeAbelianGroup(2, ["u", "v"])])
+    h, g1, g2 = map(zf.gen, range(3))
+    x, y = zz.gen(0), zz.gen(1)
+    a, b, c, u, v = map(hz.gen, range(5))
+    preserving = [
+        Automorphism(zf, "invert_h", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
+        Automorphism(zf, "swap_g", [h, g2, g1], [h, g2, g1]),
+        Automorphism(hz, "swap_both", [b, a, hz.inv(c), v, u], [b, a, hz.inv(c), v, u]),
+    ]
+    mixing = [
+        Automorphism(zz, "swap", [y, x], [y, x]),
+        Automorphism(zz, "shear", [x, zz.mul(x, y)], [x, zz.mul(zz.inv(x), y)]),
+        Automorphism(zf, "twist", [h, zf.mul(g1, h), g2], [h, zf.mul(g1, zf.inv(h)), g2]),
+    ]
+    return [a.verify() for a in preserving], [a.verify() for a in mixing]
+
+
+def test_direct_product_automorphisms_compile_factor_by_factor():
+    preserving, mixing = product_automorphisms()
+    for auts, factors_the_product in ((preserving, False), (mixing, True)):
+        for a in auts:
+            assert_compiled_matches_oracle(a.backend, [a])
+            a.backend.counts = Counter()
+            for g in sample_elements(a.backend):
+                a.apply(g)
+                a.apply_inverse(g)
+            # the generic map factors the product's elements; the compiled
+            # one only hands each component to its own factor
+            assert (a.backend.counts["factor"] > 0) == factors_the_product, a.name

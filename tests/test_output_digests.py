@@ -9,7 +9,10 @@ these commands print shows here first.
 The representative cases print the chosen class representatives of free,
 free-abelian, direct-product, permutation and double-coset instances (in
 growth, dynamics, axiom and suite output), so a change to the canonical
-order or to how classes are represented shows there.
+order or to how classes are represented shows there.  They also pin the
+growth tables of the n >= 3 coset instances in `tests/instances/`; a `-c`
+argument ending in `.json` is a path from the repository root, any other
+names a shipped config.
 """
 
 import hashlib
@@ -139,6 +142,27 @@ REPRESENTATIVE_DIGESTS = {
     "verify-lemma47/free2_swap": (
         ["verify", "-c", "free2_swap", "--suite", "lemma47", "--radius", "3"],
         0, "1c802d94e7609dc7ee764a8aba0cb693d2443d91edfc9a8d4ae29f4b15e57176"),
+    "growth-elements/z3_shift": (
+        ["growth", "-c", "tests/instances/z3_shift.json", "--radius", "3", "--format", "json",
+         "--emit-elements"],
+        0, "6c30ca8736642198309209cd5b5d8e4fa0bf90531d35f8539826f86cb1679bd1"),
+    "growth-elements/f3_shift": (
+        ["growth", "-c", "tests/instances/f3_shift.json", "--radius", "3", "--format", "json",
+         "--emit-elements"],
+        0, "bfac647f1577a70fc97ad7ae76a052443448f2e4c5be8ff51b16f62def78ea6f"),
+    "growth-elements/z2_dihedral": (
+        ["growth", "-c", "tests/instances/z2_dihedral.json", "--radius", "3", "--format", "json",
+         "--emit-elements"],
+        0, "4edbed2270b9211a86012c0c53198fb3e3955e5c39c9871b8285cb304c30af96"),
+    "growth/z3_shift": (
+        ["growth", "-c", "tests/instances/z3_shift.json", "--radius", "5"],
+        0, "f0915330c6d3855829f8c66ced929b1050cab18767abb4846871afc73e53e1f9"),
+    "growth/f3_shift": (
+        ["growth", "-c", "tests/instances/f3_shift.json", "--radius", "5"],
+        0, "fafb28cc859612b2beda4a785a2d826c33b24d1a8acc1014f37b3b82e60a5fb2"),
+    "growth/z2_dihedral": (
+        ["growth", "-c", "tests/instances/z2_dihedral.json", "--radius", "5"],
+        0, "ed7f3c093c1448018f569e7b95d279c7a0c6b34b4accf8a279d8f95ab3dcff0b"),
 }
 
 SCRIPT_DIGESTS = {
@@ -173,8 +197,8 @@ def test_cli_stdout_digest(case, argv, capsys):
 @pytest.mark.parametrize("case", sorted(REPRESENTATIVE_DIGESTS))
 def test_representative_stdout_digest(case, capsys):
     argv, code, expected = REPRESENTATIVE_DIGESTS[case]
-    argv = [str(ROOT / "configs" / f"{a}.json") if prev == "-c" else a
-            for prev, a in zip([None, *argv], argv)]
+    argv = [str(ROOT / a if a.endswith(".json") else ROOT / "configs" / f"{a}.json")
+            if prev == "-c" else a for prev, a in zip([None, *argv], argv)]
     assert run(argv) == code
     assert digest(capsys.readouterr().out) == expected
 

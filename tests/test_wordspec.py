@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import json
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -331,6 +334,11 @@ CONFIG_PATH_CASES = [
     ({"schema": 1, "group": PERMUTATION, "mv": {"kind": "double_coset", "subgroup": ["g3"]}},
      "mv.subgroup[0]"),
     (one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}, X_generators=["g3"]), "X_generators[0]"),
+    # a coset takes no subgroup, a double coset no automorphisms
+    (one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}, mv={"kind": "coset", "subgroup": ["g1"]}),
+     "mv.subgroup"),
+    ({"schema": 1, "group": PERMUTATION, "mv": {"kind": "double_coset", "subgroup": ["t"]},
+      "automorphisms": [{"images": {"t": "t"}, "inverse_images": {"t": "t"}}]}, "automorphisms"),
 ]
 
 
@@ -365,3 +373,56 @@ def test_instance_element_lookup(instances):
     nat = instances["nat"]
     assert nat.element("7") == 7
     assert nat.backend_element("7") == 7
+
+
+# ---------------------------------------------------------------------------
+# unknown and unused fields
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED = sorted([*(ROOT / "configs").glob("*.json"),
+                  *(ROOT / "tests" / "instances").glob("*.json")])
+
+
+def objects(doc):
+    """(path, object) for the document and every object a config may nest."""
+    yield "", doc
+    for key in ("mv", "defaults"):
+        if key in doc:
+            yield key, doc[key]
+    for i, entry in enumerate(doc.get("automorphisms", [])):
+        yield f"automorphisms[{i}]", entry
+    stack = [("group", doc["group"])] if "group" in doc else []
+    while stack:
+        path, group = stack.pop()
+        yield path, group
+        stack.extend((f"{path}.factors[{i}]", sub)
+                     for i, sub in enumerate(group.get("factors", [])))
+
+
+MISSPELLED = [(p.stem, path) for p in SHIPPED for path, _ in objects(json.loads(p.read_text()))]
+
+
+@pytest.mark.parametrize("name,level", MISSPELLED,
+                         ids=[f"{name}:{level or 'top'}" for name, level in MISSPELLED])
+def test_misspelled_key_at_every_level_names_its_path(name, level):
+    path = next(p for p in SHIPPED if p.stem == name)
+    doc = json.loads(path.read_text())
+    target = dict(objects(doc))[level]
+    target["radus"] = 3
+    with pytest.raises(SchemaError) as exc:
+        parse_config(doc)
+    assert exc.value.path == (f"{level}.radus" if level else "radus")
+    assert "unknown field 'radus'" in str(exc.value)
+
+
+def test_shipped_and_bench_configs_build(tmp_path):
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    generated = []
+    for workload, seed in itertools.product(workloads.WORKLOADS, (1, 2)):
+        configs = workloads.build(workload, seed, tmp_path)["configs"]
+        generated += [tmp_path / c for c in configs if c.startswith("bench")]
+    assert len(generated) == 8
+    for path in [*SHIPPED, *generated]:
+        assert load_instance(path).X.n >= 2, path
