@@ -1,6 +1,6 @@
 """Exact computation with finitely generated n-valued groups."""
 
-from .multiset import MultiSet, flatten
+from .multiset import flatten
 from .groups import (
     Automorphism,
     AutomorphismGroup,

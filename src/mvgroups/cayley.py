@@ -1,7 +1,7 @@
 """Cayley-graph exploration of an n-valued group.
 
 Balls and lengths are the ``layers`` of support expansion: layer i+1 is
-the union of support(mul(u, s)) over layer-i elements u and generators s,
+the set of values of mul(u, s) over layer-i elements u and generators s,
 minus everything already reached.  The empty product is admitted, so x
 itself is in B(x, r) for every r (this is what makes the closed form
 |B(x, r)| = 1 + r + min(x, r) of the builtin 2-valued group come out
@@ -10,8 +10,8 @@ right at small radii).
 Every walk here (balls, lengths, dynamics supports, set products)
 expands through ``X.step(gens)``.  A coset or double-coset group twists
 its generators once per walk and then makes one backend product and one
-projection per (element, twisted generator) pair, without building a
-MultiSet; the budget still counts classes.
+projection per (element, twisted generator) pair, without building the
+sorted product; the budget still counts classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
@@ -155,6 +155,8 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
     The cross-lengths are searched to radius `cap`, by default r_max (at
     least 1): a longer one would leave only y in every lower ball.
     """
+    if r_max < 0:
+        raise ValidationError("radius must be >= 0")
     cap = max(r_max, 1) if cap is None else cap
     cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], cap, budget)
              + lengths(X, gens2, gens, cap, budget))

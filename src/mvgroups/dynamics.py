@@ -1,7 +1,7 @@
 """n-valued dynamics T_z and their growth functions.
 
-T_z sends y to the multiset y * z; the growth function xi_y(r) is the
-number of distinct elements in T_z^r(y).  The supports come from
+T_z sends y to the n-multiset y * z, a sorted n-tuple; the growth
+function xi_y(r) is the number of distinct elements in T_z^r(y).  The supports come from
 ``cayley.dynamic_supports``, the un-pruned iteration that ``power_table``
 shares, under the same budget rule as every enumeration.  For coset groups
 the sandwich (1/n)|S+(e, r)| <= xi_y(r) <= |B+(e, r)| relates xi to BFS

@@ -5,10 +5,6 @@ class MvGroupsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EmptyMultiSet(MvGroupsError):
-    """Raised when a multiset would be constructed from no elements."""
-
-
 class BackendMismatch(MvGroupsError):
     """Operands belong to different group backends."""
 

@@ -2,14 +2,15 @@
 2-valued group on the non-negative integers.
 
 An MvGroup has a unit, an involution-style inverse map, and mul(x, y)
-returning a MultiSet of total size exactly n.  Elements are orderable and
-hashable.  Coset and double-coset groups share one OrbitGroup product; a
-class there is the plain tuple (canonical key, least member), so classes
-sort in the canonical order of their least members.
+returning its n values as a sorted n-tuple, the canonical form of an
+n-multiset.  Elements are orderable and hashable.  Coset and double-coset
+groups share one OrbitGroup product; a class there is the plain tuple
+(canonical key, least member), so classes sort in the canonical order of
+their least members.
 
 ``step(gens)`` is the one expansion every Cayley-graph walk takes: it maps
-u to the support elements of u*s over s in gens.  The base class builds
-each product; an OrbitGroup twists the generators once and then makes one
+u to the values of u*s over s in gens.  The base class builds each
+product; an OrbitGroup twists the generators once and then makes one
 backend product and one projection per step.
 """
 
@@ -22,7 +23,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
 from .groups import AutomorphismGroup, GroupBackend, layers
-from .multiset import MultiSet, flatten
+from .multiset import flatten
 
 
 class MvGroup:
@@ -31,7 +32,7 @@ class MvGroup:
     n: int
     unit: Any
 
-    def mul(self, x, y) -> MultiSet:
+    def mul(self, x, y) -> Tuple[Any, ...]:
         raise NotImplementedError
 
     def inv(self, x):
@@ -41,12 +42,12 @@ class MvGroup:
         return str(x)
 
     def step(self, gens: Sequence[Any]) -> Callable[[Any], Iterable[Any]]:
-        """u -> the support elements of u*s over s in gens, repeats allowed.
+        """u -> the values of u*s over s in gens, repeats allowed.
 
         This generic expansion builds every product; it is the oracle for
         the overrides.
         """
-        return lambda u: (v for s in gens for v in self.mul(u, s).support())
+        return lambda u: (v for s in gens for v in self.mul(u, s))
 
 
 class NatGroup(MvGroup):
@@ -56,7 +57,7 @@ class NatGroup(MvGroup):
     unit = 0
 
     def mul(self, x, y):
-        return MultiSet.of([x + y, abs(x - y)])
+        return tuple(sorted((x + y, abs(x - y))))
 
     def inv(self, x):
         return x
@@ -69,7 +70,7 @@ class MutatedNatGroup(MvGroup):
     unit = 0
 
     def mul(self, x, y):
-        return MultiSet.of([x + y, x + y + 1])
+        return (x + y, x + y + 1)
 
     def inv(self, x):
         return x
@@ -79,7 +80,7 @@ class OrbitGroup(MvGroup):
     """Classes of G, each the plain pair (canonical key, least member).
 
     mul(x, y) is the fixed-representative n-family
-    [project(x_rep * t(y_rep)) for t in twists], so total_size is exactly n
+    [project(x_rep * t(y_rep)) for t in twists], so it has exactly n values
     even on classes with stabilizers; independence of the representative
     choice is a tested property, not an assumption.  Classes compare and
     hash as tuples, so they sort in the canonical order of their least
@@ -95,7 +96,7 @@ class OrbitGroup(MvGroup):
 
     def mul(self, x, y):
         backend, project = self.backend, self.project
-        return MultiSet.of([project(backend.mul(x[1], t(y[1]))) for t in self.twists])
+        return tuple(sorted(project(backend.mul(x[1], t(y[1]))) for t in self.twists))
 
     def inv(self, x):
         return self.project(self.backend.inv(x[1]))
@@ -226,16 +227,16 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def triple_product_left(X: MvGroup, x, y, z, mul=None) -> MultiSet:
+def triple_product_left(X: MvGroup, x, y, z, mul=None) -> Tuple[Any, ...]:
     """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened; mul defaults to X.mul."""
     mul = mul or X.mul
-    return flatten((mul(x, w), m) for w, m in mul(y, z))
+    return flatten(mul(x, w) for w in mul(y, z))
 
 
-def triple_product_right(X: MvGroup, x, y, z, mul=None) -> MultiSet:
+def triple_product_right(X: MvGroup, x, y, z, mul=None) -> Tuple[Any, ...]:
     """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened; mul defaults to X.mul."""
     mul = mul or X.mul
-    return flatten((mul(w, z), m) for w, m in mul(x, y))
+    return flatten(mul(w, z) for w in mul(x, y))
 
 
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
@@ -253,27 +254,19 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
         return products[x, y]
 
     report = AxiomReport(True, True, True)
-    unit, n = X.unit, X.n
+    unit = X.unit
     for x in sample:
         report.elements_checked += 1
-        if report.unit_ok:
-            expected = MultiSet.of([x] * n)
-            if mul(unit, x) != expected or mul(x, unit) != expected:
-                report.unit_ok = False
-                report.unit_witness = x
+        if report.unit_ok and not mul(unit, x) == mul(x, unit) == (x,) * X.n:
+            report.unit_ok, report.unit_witness = False, x
         if report.inverse_ok:
             xb = X.inv(x)
-            if unit not in mul(xb, x).support() or unit not in mul(x, xb).support():
-                report.inverse_ok = False
-                report.inverse_witness = x
+            if unit not in mul(xb, x) or unit not in mul(x, xb):
+                report.inverse_ok, report.inverse_witness = False, x
 
-    for x in sample:
-        for y in sample:
-            for z in sample:
-                report.triples_checked += 1
-                if (triple_product_left(X, x, y, z, mul)
-                        != triple_product_right(X, x, y, z, mul)):
-                    report.associativity_ok = False
-                    report.associativity_witness = (x, y, z)
-                    return report
+    for x, y, z in itertools.product(sample, repeat=3):
+        report.triples_checked += 1
+        if triple_product_left(X, x, y, z, mul) != triple_product_right(X, x, y, z, mul):
+            report.associativity_ok, report.associativity_witness = False, (x, y, z)
+            return report
     return report

@@ -156,6 +156,8 @@ def _sphere_vanishing_ok(pt) -> Optional[int]:
 def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
             pair_r_max: int = 10, seed: int = 0) -> SuiteResult:
     """Power-sphere lemma: (a) vanishing persists; (b) sphere addition."""
+    if r_max < 1:
+        raise ValidationError("r_max must be >= 1")
     result = SuiteResult("lemma47")
     X = instance.X
     xs = sample_elements(instance)

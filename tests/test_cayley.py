@@ -13,7 +13,7 @@ from mvgroups.cayley import (
     power_table,
     set_product,
 )
-from mvgroups.multiset import MultiSet, flatten
+from mvgroups.multiset import flatten
 from mvgroups.mvalued import NatGroup
 
 
@@ -80,7 +80,7 @@ def multiset_ball_oracle(X, gens, x, radius):
         for word in itertools.product(gens, repeat=r):
             supports = {x}
             for s in word:
-                supports = {v for u in supports for v in X.mul(u, s).support()}
+                supports = {v for u in supports for v in X.mul(u, s)}
             reached |= supports
     return reached
 
@@ -163,15 +163,17 @@ def test_power_table_of_unit():
 def test_power_table_matches_full_multiset_expansion():
     # oracle: expand x^{*r} as a genuine multiset by repeated flattening
     def multiset_power(X, x, r):
-        out = MultiSet.of([x])
+        out = (x,)
         for _ in range(r - 1):
-            out = flatten((X.mul(u, x), m) for u, m in out)
+            out = flatten(X.mul(u, x) for u in out)
         return out
 
     for x in (1, 2, 3):
         table = power_table(NAT, x, 5)
         for r in range(1, 6):
-            assert set(table.set_powers[r]) == set(multiset_power(NAT, x, r).support())
+            full = multiset_power(NAT, x, r)
+            assert len(full) == NAT.n ** (r - 1)
+            assert set(table.set_powers[r]) == set(full)
 
 
 def test_power_budget_enforced():

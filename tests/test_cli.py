@@ -205,6 +205,12 @@ def test_compare_unreachable_generator_fails_fast(config_dir, capsys):
     assert err == "error: element (0,-1,0) not reached within radius cap 4\n"
 
 
+def test_compare_negative_radius_is_a_usage_error(config_dir, capsys):
+    code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "nat"),
+                                     "--gens2", "1,2", "--radius", "-1"])
+    assert (code, out, err) == (2, "", "error: radius must be >= 0\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -221,6 +227,21 @@ def test_verify_sandwich_suite(config_dir, capsys):
                                    "--suite", "thm43"])
     assert code == 0
     assert "PASS thm43" in out
+
+
+@pytest.mark.parametrize("suite,config,radius,message", [
+    ("example32", "nat", "-1", "radius must be >= 0"),
+    ("thm43", "z_pm1", "-1", "radius must be >= 0"),
+    ("thm48", "z_pm1", "-1", "r_max must be >= 1"),
+    ("lemma47", "s3_conj", "-1", "r_max must be >= 1"),
+    ("lemma47", "s3_conj", "0", "r_max must be >= 1"),
+    ("example46", "z3xF2_example46", "-1", "radius must be >= 0"),
+    ("proof34", "z_pm1", "-1", "radius must be >= 0")])
+def test_verify_radius_below_range_exits_2(config_dir, capsys, suite, config, radius,
+                                           message):
+    code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, config),
+                                     "--suite", suite, "--radius", radius])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_unknown_suite(config_dir, capsys):
