@@ -152,15 +152,18 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
     with respect to S, the S'-elements with respect to S, and the
     S-elements with respect to S'); the check asserts
     |B(y, floor(r/l))| <= |B'(y', r)| <= |B(y, l*r)| for every r <= r_max.
-    The cross-lengths are searched to radius `cap`, by default r_max (at
-    least 1): a longer one would leave only y in every lower ball.
+    The cross-lengths are searched to radius `cap`, by default r_max: a
+    longer one would leave only y in every lower ball.  At r_max = 0 the
+    one row is 1 <= 1 <= 1 for any l, so none is searched and l = 1.
     """
     if r_max < 0:
         raise ValidationError("radius must be >= 0")
-    cap = max(r_max, 1) if cap is None else cap
-    cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], cap, budget)
-             + lengths(X, gens2, gens, cap, budget))
-    l = 1 + max(cross)
+    l = 1
+    if r_max > 0:
+        cap = r_max if cap is None else cap
+        cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], cap, budget)
+                 + lengths(X, gens2, gens, cap, budget))
+        l += max(cross)
     wide = ball(X, gens, y, l * r_max, budget=budget)
     other = ball(X, gens2, y2, r_max, budget=budget)
     rows = []

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--z", required=True, help="word defining z")
     p.add_argument("--y", default=None, help="starting point word (default: unit)")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_int_at_least(0), default=None)
     p.add_argument("--bounds", action="store_true",
                    help="check the monoid-ball sandwich (coset instances)")
     p.add_argument("--classify", action="store_true")

@@ -126,6 +126,8 @@ class ClassificationRecord:
     detail: str = ""
 
 
+# the least table length the classifier accepts
+CLASSIFY_MIN_ROWS = 6
 # exponential verdict needs every one of the last few successive ratios
 # to clear this factor; tuned for desk-scale radii
 EXPONENTIAL_RATIO_THRESHOLD = 1.3
@@ -135,8 +137,8 @@ RATIO_WINDOW = 5
 def classify_growth(values: Sequence[int]) -> ClassificationRecord:
     """Classify a table of sizes indexed by radius 0..len-1."""
     values = list(values)
-    if len(values) < 6:
-        raise InsufficientData(f"need at least 6 rows, got {len(values)}")
+    if len(values) < CLASSIFY_MIN_ROWS:
+        raise InsufficientData(f"need at least {CLASSIFY_MIN_ROWS} rows, got {len(values)}")
     if any(v < 1 for v in values):
         raise ValidationError("table sizes must be positive")
 

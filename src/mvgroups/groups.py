@@ -11,8 +11,9 @@ first, then letter by letter.
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
 every defining relator maps to the identity, finite kinds check the
-homomorphism property exhaustively and keep its image tables as the
-compiled maps.  Z^k compiles to a linear map, free groups to letter
+homomorphism property along every Cayley-graph edge and keep its image
+tables as the compiled maps.  Z^k compiles to a linear map, Z/m to
+multiplication by the generator's image, free groups to letter
 substitution, and a direct product whose generators map into their own
 factors to one map per factor; evaluate(factor(g), images) stays the
 generic fallback and the test oracle.  ``close_automorphisms`` builds the
@@ -154,7 +155,7 @@ class GroupBackend:
         raise NotImplementedError(f"{self.kind} backend does not support factoring")
 
     def relators(self) -> Optional[List[Word]]:
-        """Defining relators, or None when the kind is checked exhaustively."""
+        """Defining relators, or None when the kind is checked edge by edge."""
         return None
 
     def homomorphism(self, images: Sequence[Any]) -> Callable[[Any], Any]:
@@ -350,6 +351,11 @@ class CyclicGroup(GroupBackend):
 
     def factor(self, g):
         return ((0, g),) if g else ()
+
+    def homomorphism(self, images):
+        """g -> g*k mod m, for k the generator's image."""
+        k, m = images[0], self.order
+        return lambda g: g * k % m
 
     def relators(self):
         return [((0, self.order),)]
@@ -617,8 +623,8 @@ class DirectProduct(GroupBackend):
         for fi, backend in enumerate(self.factors):
             sub = backend.relators()
             if sub is None:
-                # finite factor without declared relators: fall back to its
-                # full multiplication constraints via exhaustive checking
+                # finite factor without declared relators: check the whole
+                # product along its Cayley-graph edges instead
                 return None
             off = self._offset(fi)
             rels.extend(tuple((off + i, e) for i, e in rel) for rel in sub)
@@ -729,23 +735,40 @@ class Automorphism:
         return self._compile(tables)
 
     def _verify_exhaustive(self, images, label) -> Dict[Any, Any]:
-        """The image of every element, once the map is checked multiplicative."""
+        """The image of every element, checked along every Cayley-graph edge.
+
+        A walk from the identity over the edges g -> g*s sets
+        image(g*s) = image(g)*image(s) and checks each edge whose target
+        already has an image: 2|G||S| products.  Agreement on every edge
+        gives image(g*w) = image(g)*image(w) for every positive word w, and
+        positive words reach all of a finite group, so the map is
+        multiplicative.
+        """
         backend = self.backend
         if not backend.is_finite():
             raise NotAnAutomorphism(
                 f"{self.name!r}: backend kind {backend.kind} has no relator list "
                 "and is not finite; cannot verify")
-        elems = backend.elements()
-        cache = {g: backend.evaluate(backend.factor(g), images) for g in elems}
-        for g in elems:
-            for h in elems:
-                lhs = cache[backend.mul(g, h)]
-                rhs = backend.mul(cache[g], cache[h])
-                if lhs != rhs:
+        edges = list(zip(map(backend.gen, range(len(images))), images, backend.gen_names))
+        table = {backend.identity: backend.identity}
+
+        def expand(g):
+            image = table[g]
+            for s, s_image, name in edges:
+                h, value = backend.mul(g, s), backend.mul(image, s_image)
+                if table.setdefault(h, value) != value:
                     raise NotAnAutomorphism(
                         f"{self.name!r}: {label} break multiplicativity at "
-                        f"({backend.render(g)}, {backend.render(h)})")
-        return cache
+                        f"({backend.render(g)}, {name})")
+                yield h
+
+        for _ in itertools.takewhile(len, layers([backend.identity], expand)):
+            pass
+        missed = next((g for g in backend.elements() if g not in table), None)
+        if missed is not None:
+            raise NotAnAutomorphism(
+                f"{self.name!r}: the generators do not reach {backend.render(missed)}")
+        return table
 
 
 def identity_automorphism(backend: GroupBackend) -> Automorphism:
@@ -761,7 +784,7 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     images = [a.apply(img) for img in b.images]
     inverse_images = [b.apply_inverse(img) for img in a.inverse_images]
     tables = (None, None)
-    if backend.relators() is None:  # checked exhaustively: compose the tables
+    if backend.relators() is None:  # checked edge by edge: compose the tables
         elements = backend.elements()
         tables = ({g: a._forward(b._forward(g)) for g in elements},
                   {g: b._backward(a._backward(g)) for g in elements})

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
 from .groups import AutomorphismGroup, GroupBackend, layers
@@ -140,7 +140,10 @@ class CosetGroup(OrbitGroup):
 
 
 class DoubleCosetGroup(OrbitGroup):
-    """Double coset group of (G, H) for finite G, with n = |H|."""
+    """Double coset group of (G, H) for finite G, with n = |H|.
+
+    G is partitioned into double cosets once, at construction, so project
+    is a lookup and the carrier is the set of classes."""
 
     def __init__(self, backend: GroupBackend, subgroup: Sequence[Any]):
         if not backend.is_finite():
@@ -150,6 +153,7 @@ class DoubleCosetGroup(OrbitGroup):
         self.subgroup = self._close_subgroup(subgroup)
         self.n = len(self.subgroup)
         self.twists = [functools.partial(backend.mul, h) for h in self.subgroup]
+        self._classes = self._partition()
         self.unit = self.project(backend.identity)
 
     def _close_subgroup(self, seed):
@@ -159,14 +163,25 @@ class DoubleCosetGroup(OrbitGroup):
         elements = [h for layer in itertools.takewhile(len, closure) for h in layer]
         return sorted(elements, key=backend.canonical_key)
 
+    def _partition(self) -> Dict[Any, Tuple[Any, Any]]:
+        """Each element of G with its class: HgH is formed once per double
+        coset (|H| + |H|^2 products) and every member gets its least
+        (key, member) pair."""
+        backend, key, subgroup = self.backend, self.backend.canonical_key, self.subgroup
+        classes: Dict[Any, Tuple[Any, Any]] = {}
+        for g in backend.elements():
+            if g not in classes:
+                lefts = [backend.mul(h1, g) for h1 in subgroup]
+                members = {backend.mul(left, h2) for left in lefts for h2 in subgroup}
+                least = min((key(p), p) for p in members)
+                classes.update(dict.fromkeys(members, least))
+        return classes
+
     def project(self, g) -> Tuple[Any, Any]:
-        backend, key = self.backend, self.backend.canonical_key
-        lefts = [backend.mul(h1, g) for h1 in self.subgroup]
-        return min((key(p), p) for p in
-                   (backend.mul(left, h2) for left in lefts for h2 in self.subgroup))
+        return self._classes[g]
 
     def carrier(self) -> List[Tuple[Any, Any]]:
-        return sorted(set(map(self.project, self.backend.elements())))
+        return sorted(set(self._classes.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .cayley import ball, power_table, set_product
 from .dynamics import (
+    CLASSIFY_MIN_ROWS,
     bounds_check,
     classify_growth,
     iterate_dynamic,
@@ -206,7 +207,12 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
 
 def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
               cap: int = 2) -> SuiteResult:
-    """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2."""
+    """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2.
+
+    The xi table is classified too, so it needs CLASSIFY_MIN_ROWS rows;
+    a negative radius is left to iterate_dynamic's own check."""
+    if 0 <= r_max < CLASSIFY_MIN_ROWS - 1:
+        raise ValidationError(f"r_max must be >= {CLASSIFY_MIN_ROWS - 1}")
     result = SuiteResult("example46")
     X = instance.X
     z = (instance.element(z_text) if z_text is not None

@@ -107,6 +107,14 @@ def test_axioms_negative_sample_is_a_usage_error(config_dir, capsys, sample):
     assert "--sample" in err
 
 
+def test_dynamics_negative_steps_is_a_usage_error(config_dir, capsys):
+    code, out, err = invoke(capsys, ["dynamics", "-c", cfg(config_dir, "nat"),
+                                     "--z", "1", "--steps", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "argument --steps: must be >= 0, got -1" in err
+
+
 def test_axioms_json(config_dir, capsys):
     code, out, _ = invoke(capsys, ["axioms", "-c", cfg(config_dir, "s3_conj"),
                                    "--format", "json"])
@@ -211,6 +219,14 @@ def test_compare_negative_radius_is_a_usage_error(config_dir, capsys):
     assert (code, out, err) == (2, "", "error: radius must be >= 0\n")
 
 
+def test_compare_radius_zero_needs_no_cross_lengths(config_dir, capsys):
+    # 2 is not reached within radius 1 of the unit, but at r = 0 any l works
+    code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "nat"),
+                                     "--gens2", "1,2", "--radius", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["constant l=1", "0,1,1,1,pass", "PASS compare r=0 l=1"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -236,6 +252,7 @@ def test_verify_sandwich_suite(config_dir, capsys):
     ("lemma47", "s3_conj", "-1", "r_max must be >= 1"),
     ("lemma47", "s3_conj", "0", "r_max must be >= 1"),
     ("example46", "z3xF2_example46", "-1", "radius must be >= 0"),
+    *(("example46", "z3xF2_example46", str(r), "r_max must be >= 5") for r in range(5)),
     ("proof34", "z_pm1", "-1", "radius must be >= 0")])
 def test_verify_radius_below_range_exits_2(config_dir, capsys, suite, config, radius,
                                            message):

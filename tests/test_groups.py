@@ -456,12 +456,19 @@ SHIPPED_COSETS = sorted(p.stem for p in (ROOT / "configs").glob("*.json")
 N3_INSTANCES = ["f3_shift", "z2_dihedral", "z3_shift"]
 
 
-def s4_table(cls=FiniteTableGroup):
-    """Sym(4) as a finite_table backend, with t = (1 2) and c = (1 2 3 4)."""
-    perms = sorted(itertools.permutations(range(4)))
+def sym_table(degree, cls=FiniteTableGroup):
+    """Sym(degree) as a finite_table backend, with t = (1 2) and c = (1 2 ... degree)."""
+    perms = sorted(itertools.permutations(range(degree)))
     index = {g: i for i, g in enumerate(perms)}
     table = [[index[tuple(h[i] for i in g)] for h in perms] for g in perms]
-    return cls(table, index[(0, 1, 2, 3)], ["t", "c"], [index[(1, 0, 2, 3)], index[(1, 2, 3, 0)]])
+    points = tuple(range(degree))
+    t = (1, 0) + points[2:]
+    c = points[1:] + (0,)
+    return cls(table, index[points], ["t", "c"], [index[t], index[c]])
+
+
+def s4_table(cls=FiniteTableGroup):
+    return sym_table(4, cls)
 
 
 def conjugation(backend, x):
@@ -514,6 +521,13 @@ def test_compiled_finite_automorphisms_match_oracle(name):
     assert_compiled_matches_oracle(auts.backend, auts)
 
 
+def test_compiled_cyclic_automorphisms_match_oracle():
+    z7 = CyclicGroup(7)
+    auts = close_automorphisms([Automorphism(z7, "times3", [3], [5])])
+    assert auts.order == 6  # 3 generates the units mod 7
+    assert_compiled_matches_oracle(z7, auts)
+
+
 def test_oracle_catches_a_mutated_table_entry(monkeypatch):
     exhaustive = Automorphism._verify_exhaustive
 
@@ -541,6 +555,103 @@ def test_oracle_catches_a_wrong_substitution_letter(monkeypatch):
         assert_compiled_matches_oracle(f, [shift])
 
 
+# ---------------------------------------------------------------------------
+# finite kinds: the Cayley-graph edge walk against the |G|^2 product oracle
+
+
+def product_table_oracle(backend, images):
+    """The image table by factor + evaluate, or None when one of the |G|^2
+    products breaks multiplicativity."""
+    elements = backend.elements()
+    table = {g: backend.evaluate(backend.factor(g), images) for g in elements}
+    if all(table[backend.mul(g, h)] == backend.mul(table[g], table[h])
+           for g in elements for h in elements):
+        return table
+    return None
+
+
+def edge_walk_table(backend, images):
+    """The table the edge walk of verify() builds, or None when it rejects."""
+    try:
+        return Automorphism(backend, "f", images, None)._verify_exhaustive(images, "images")
+    except NotAnAutomorphism:
+        return None
+
+
+@pytest.mark.parametrize("make", [s3, lambda: sym_table(3)], ids=["permutation", "finite_table"])
+def test_edge_walk_accepts_exactly_the_homomorphisms(make):
+    backend = make()
+    accepted = 0
+    for images in itertools.product(backend.elements(), repeat=2):
+        table = edge_walk_table(backend, images)
+        assert table == product_table_oracle(backend, images), images
+        accepted += table is not None
+    assert accepted == 10  # |End(S3)|: 6 automorphisms, 3 onto order 2, the trivial map
+
+
+def test_edge_walk_matches_oracle_on_a_finite_direct_product():
+    backend = DirectProduct([s3(), CyclicGroup(2, ["z"])])
+    assert backend.relators() is None  # so verify() walks the product's edges
+    t, c, z = map(backend.gen, range(3))
+    rng = random.Random(46)
+    candidates = [(t, c, z), (c, c, z), (t, c, t), (z, c, t)] + [
+        tuple(rng.choice(backend.elements()) for _ in range(3)) for _ in range(60)]
+    verdicts = set()
+    for images in candidates:
+        table = edge_walk_table(backend, images)
+        assert table == product_table_oracle(backend, images), images
+        verdicts.add(table is not None)
+    assert verdicts == {True, False}
+    with pytest.raises(NotAnAutomorphism, match="inverse images break multiplicativity"):
+        Automorphism(backend, "bad", [t, c, z], [c, c, z]).verify()
+
+
+def test_edge_walk_names_the_element_and_generator():
+    backend = s3()
+    c = backend.gen(1)
+    # t -> c breaks t*t = e first: image(e) = e but image(t)*c = c^2
+    with pytest.raises(NotAnAutomorphism,
+                       match=r"^'f': images break multiplicativity at \(\(1 2\), t\)$"):
+        Automorphism(backend, "f", [c, c], [c, c]).verify()
+
+
+def test_edge_walk_rejects_elements_the_generators_miss():
+    class Overstated(PermutationGroup):
+        def elements(self):
+            return sorted(itertools.permutations(range(self.degree)))
+
+    backend = Overstated(3, ["t"], [[1, 0, 2]])
+    t = backend.gen(0)
+    with pytest.raises(NotAnAutomorphism, match="the generators do not reach"):
+        Automorphism(backend, "id", [t], [t]).verify()
+
+
+def counting_mul(cls):
+    """`cls` with its mul calls counted in `self.muls`."""
+    class Counting(cls):
+        muls = 0
+
+        def mul(self, g, h):
+            self.muls += 1
+            return super().mul(g, h)
+
+    return Counting
+
+
+@pytest.mark.parametrize("make", [
+    lambda: counting_mul(PermutationGroup)(4, ["t", "c"], [[1, 0, 2, 3], [1, 2, 3, 0]]),
+    lambda: s4_table(counting_mul(FiniteTableGroup))], ids=["permutation", "finite_table"])
+def test_edge_walk_makes_two_products_per_edge(make):
+    backend = make()
+    conj = conjugation(backend, backend.gen(0))
+    edges = len(backend.elements()) * len(backend.gen_names)
+    assert edges == 48
+    for images, label in ((conj.images, "images"), (conj.inverse_images, "inverse images")):
+        backend.muls = 0
+        conj._verify_exhaustive(images, label)
+        assert backend.muls == 2 * edges, label
+
+
 def counting(cls):
     """`cls` with its evaluate and factor calls counted in `self.counts`."""
     class Counting(cls):
@@ -562,6 +673,10 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
     table = s4_table(counting(FiniteTableGroup))
     z2 = counting(FreeAbelianGroup)(2)
     f3 = counting(FreeGroup)(3)
+    z7 = counting(CyclicGroup)(7)
+    # the group of z3xF2_example46, with every factor counted
+    zf = counting(DirectProduct)([counting(CyclicGroup)(3, ["h"]), counting(FreeGroup)(2)])
+    h, g1, g2 = map(zf.gen, range(3))
     seeds = [
         conjugation(perm, perm.gen(0)),
         conjugation(table, table.gen(0)),
@@ -569,18 +684,24 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
         Automorphism(z2, "swap", [(0, 1), (1, 0)], [(0, 1), (1, 0)]),
         Automorphism(f3, "shift", [f3.gen(1), f3.gen(2), f3.gen(0)],
                      [f3.gen(2), f3.gen(0), f3.gen(1)]),
+        Automorphism(z7, "times3", [3], [5]),
+        Automorphism(zf, "a", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
     ]
     groups = [close_automorphisms([seeds[0]]), close_automorphisms([seeds[1]]),
-              close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]])]
-    assert [auts.order for auts in groups] == [2, 2, 8, 3]
+              close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]]),
+              close_automorphisms([seeds[5]]), close_automorphisms([seeds[6]])]
+    assert [auts.order for auts in groups] == [2, 2, 8, 3, 6, 2]
     for auts in groups:
         backend = auts.backend
+        counted = [backend, *getattr(backend, "factors", ())]
         elements = sample_elements(backend)
-        backend.counts = Counter()
+        for b in counted:
+            b.counts = Counter()
         for a in auts:
             for g in elements:
                 a.inverse().apply(a.apply(g))
-        assert backend.counts == Counter(), backend.kind
+        for b in counted:
+            assert b.counts == Counter(), b.kind
 
 
 def test_generic_apply_counts_as_factor_and_evaluate():

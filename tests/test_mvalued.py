@@ -210,6 +210,13 @@ def brute_double_cosets(subgroup):
     return set(classes)
 
 
+def double_coset_project_oracle(X, g):
+    """The class of g from its |H|^2 products h1*g*h2."""
+    backend = X.backend
+    return min((backend.canonical_key(p), p) for p in
+               (backend.mul(backend.mul(h1, g), h2) for h1 in X.subgroup for h2 in X.subgroup))
+
+
 def test_double_coset_s3_transposition_subgroup(instances):
     X = instances["s3_doublecoset"].X
     assert X.n == 2
@@ -224,20 +231,14 @@ def test_double_coset_s3_transposition_subgroup(instances):
 def test_double_coset_products_match_oracle(instances):
     X = instances["s3_doublecoset"].X
     backend = X.backend
-
-    def project_oracle(g):
-        cls = [backend.mul(backend.mul(h1, g), h2)
-               for h1 in X.subgroup for h2 in X.subgroup]
-        return min(cls, key=backend.canonical_key)
-
     for x in X.carrier():
         for y in X.carrier():
             expected = sorted(
-                (project_oracle(backend.mul(backend.mul(x[1], h), y[1]))
-                 for h in X.subgroup), key=backend.canonical_key)
+                double_coset_project_oracle(X, backend.mul(backend.mul(x[1], h), y[1]))
+                for h in X.subgroup)
             product = X.mul(x, y)
             assert_canonical(X, product)
-            assert [e[1] for e in product] == expected
+            assert list(product) == expected
 
 
 @pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap",
@@ -279,6 +280,44 @@ def test_double_coset_cyclic_subgroup_has_n_three():
     for x, y in itertools.product(X.carrier(), repeat=2):
         assert_canonical(X, X.mul(x, y))
     assert check_axioms(X, X.carrier()).all_ok
+
+
+def s4_backend(cls=PermutationGroup):
+    return cls(4, ["t", "c"], [[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+DOUBLE_COSETS = {
+    "s3_transposition": lambda: DoubleCosetGroup(s3_backend(), [(1, 0, 2)]),
+    "s3_cyclic": lambda: DoubleCosetGroup(s3_backend(), [(1, 2, 0)]),
+    "s4_by_s3": lambda: DoubleCosetGroup(s4_backend(), [(1, 0, 2, 3), (0, 2, 1, 3)]),
+    "s4_by_klein": lambda: DoubleCosetGroup(s4_backend(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLE_COSETS)
+def test_double_coset_partition_matches_project_oracle(name):
+    X = DOUBLE_COSETS[name]()
+    elements = X.backend.elements()
+    for g in elements:
+        assert X.project(g) == double_coset_project_oracle(X, g), g
+    assert X.carrier() == sorted({double_coset_project_oracle(X, g) for g in elements})
+
+
+def test_double_coset_project_makes_no_backend_mul_calls():
+    class Counting(PermutationGroup):
+        muls = 0
+
+        def mul(self, g, h):
+            self.muls += 1
+            return super().mul(g, h)
+
+    backend = s4_backend(Counting)
+    X = DoubleCosetGroup(backend, [(1, 0, 2, 3), (0, 2, 1, 3)])
+    backend.muls = 0
+    for g in backend.elements():
+        X.project(g)
+    assert len(X.carrier()) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix the point 3 or not
+    assert backend.muls == 0
 
 
 def test_double_coset_rejects_infinite_backend():
