@@ -224,6 +224,8 @@ def _cmd_powers(args) -> int:
 def _cmd_compare(args) -> int:
     instance = load_instance(args.config)
     X = instance.X
+    if not instance.x_generators:
+        raise MvGroupsError("compare needs X_generators")
     gens2 = [instance.element(w) for w in args.gens2.split(",") if w.strip()]
     if not gens2:
         raise MvGroupsError("--gens2 must list at least one word")
@@ -242,7 +244,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.config)
-    result = run_suite(args.suite, instance, r_max=args.radius)
+    result = run_suite(args.suite, instance, r_max=args.radius, budget=_budget(instance, args))
     _emit(result.render())
     return 0 if result.ok else 1
 

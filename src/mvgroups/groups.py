@@ -16,13 +16,15 @@ tables as the compiled maps.  Z^k compiles to a linear map, Z/m to
 multiplication by the generator's image, free groups to letter
 substitution, and a direct product whose generators map into their own
 factors to one map per factor; evaluate(factor(g), images) stays the
-generic fallback and the test oracle.  ``close_automorphisms`` builds the
-finite subgroup of Aut(G) generated by checked seeds.
+generic fallback and the oracle on infinite kinds (permutation and table
+groups have no factor).  The inverse images are checked on compiled maps.
+``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
+checked seeds.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
-lengths, monoid balls and every finite closure (group elements, subgroups,
-automorphism groups) are layers of it, and all of them share its budget
-rule.
+lengths, monoid balls and, through ``closure``, every finite closure (group
+elements, subgroups, automorphism groups) are layers of it, and all of them
+share its budget rule.
 
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
 (g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
@@ -77,6 +79,13 @@ def layers(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
                     if len(seen) > budget:
                         raise BudgetExceeded(budget, radius)
         layer = fresh
+
+
+def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
+            budget: int = DEFAULT_BUDGET) -> List[Any]:
+    """Every element the nonempty `layers` hold, in discovery order."""
+    return [x for layer in itertools.takewhile(len, layers(start, expand, budget))
+            for x in layer]
 
 
 @dataclass
@@ -151,7 +160,8 @@ class GroupBackend:
         return result
 
     def factor(self, g) -> Word:
-        """A word in the declared generators whose product is g."""
+        """A word in the declared generators whose product is g.  Permutation
+        and finite-table groups have none: their automorphisms are tables."""
         raise NotImplementedError(f"{self.kind} backend does not support factoring")
 
     def relators(self) -> Optional[List[Word]]:
@@ -159,7 +169,8 @@ class GroupBackend:
         return None
 
     def homomorphism(self, images: Sequence[Any]) -> Callable[[Any], Any]:
-        """g -> evaluate(factor(g), images); kinds with more structure compile it."""
+        """g -> evaluate(factor(g), images); kinds with more structure compile
+        it, and permutation and finite-table groups use tables instead."""
         return lambda g: self.evaluate(self.factor(g), images)
 
     # -- finiteness -------------------------------------------------------
@@ -170,26 +181,12 @@ class GroupBackend:
     def elements(self) -> List[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
-    _words: Optional[Dict[Any, Word]] = None
-
-    def _close(self) -> Dict[Any, Word]:
-        """Each element of the generated group with the word that first
-        reaches it, by BFS over the generators and their inverses."""
-        if self._words is None:
-            steps = [((i, e), self.gen(i) if e == 1 else self.inv(self.gen(i)))
-                     for i in range(len(self.gen_names)) for e in (1, -1)]
-            words = {self.identity: ()}
-
-            def expand(g):
-                for step, s in steps:
-                    h = self.mul(g, s)
-                    words.setdefault(h, words[g] + (step,))
-                    yield h
-
-            for _ in itertools.takewhile(len, layers([self.identity], expand)):
-                pass
-            self._words = words
-        return self._words
+    def _close(self) -> List[Any]:
+        """Every element of the generated group, by BFS over the generators
+        and their inverses."""
+        gens = [self.gen(i) for i in range(len(self.gen_names))]
+        steps = [*gens, *map(self.inv, gens)]
+        return closure([self.identity], lambda g: (self.mul(g, t) for t in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +470,6 @@ class PermutationGroup(GroupBackend):
             cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
         return "".join(cycles) if cycles else "e"
 
-    def factor(self, g):
-        try:
-            return self._close()[g]
-        except KeyError:
-            raise ValidationError(f"element {g} not in the generated subgroup")
-
     def is_finite(self):
         return True
 
@@ -543,9 +534,6 @@ class FiniteTableGroup(GroupBackend):
 
     def render(self, g):
         return f"#{g}"
-
-    def factor(self, g):
-        return self._words[g]
 
     def is_finite(self):
         return True
@@ -694,21 +682,23 @@ class Automorphism:
         inv._forward, inv._backward = self._backward, self._forward
         return inv
 
-    def _compile(self, tables=(None, None)) -> "Automorphism":
-        """Set both maps: the identity function for the generators' own
-        images, else the given image table, else the backend's homomorphism."""
+    def _maps(self, tables=(None, None)) -> Tuple[Callable[[Any], Any], ...]:
+        """Both maps: the identity function for the generators' own images,
+        else the given image table, else the backend's homomorphism."""
         backend = self.backend
         gens = tuple(map(backend.gen, range(len(backend.gen_names))))
-        self._forward, self._backward = (
-            _identity if images == gens
-            else table.__getitem__ if table is not None
-            else backend.homomorphism(images)
-            for images, table in zip((self.images, self.inverse_images), tables))
+        return tuple(_identity if images == gens
+                     else table.__getitem__ if table is not None
+                     else backend.homomorphism(images)
+                     for images, table in zip((self.images, self.inverse_images), tables))
+
+    def _compile(self, tables=(None, None)) -> "Automorphism":
+        self._forward, self._backward = self._maps(tables)
         return self
 
     def verify(self) -> "Automorphism":
-        """Check the homomorphism property and two-sided invertibility, then
-        compile the maps."""
+        """Check the homomorphism property, compile both maps, check on them
+        that they are mutually inverse, and only then keep them."""
         backend = self.backend
         if self.inverse_images is None:
             raise InverseMissing(f"automorphism {self.name!r} has no inverse images")
@@ -725,14 +715,19 @@ class Automorphism:
                         raise NotAnAutomorphism(
                             f"{self.name!r}: relator {rel} maps to {backend.render(value)} "
                             f"under {label}, not the identity")
-        # the two maps must be mutually inverse on every generator
+        forward, backward = self._maps(tables)
+        # both are homomorphisms, so inverting on every generator inverts everywhere
         for i, name in enumerate(backend.gen_names):
-            forward = backend.evaluate(backend.factor(self.inverse_images[i]), self.images)
-            backward = backend.evaluate(backend.factor(self.images[i]), self.inverse_images)
-            if forward != backend.gen(i) or backward != backend.gen(i):
+            try:
+                inverts = (forward(self.inverse_images[i]) == backend.gen(i)
+                           == backward(self.images[i]))
+            except KeyError:  # an image outside the group a table covers
+                inverts = False
+            if not inverts:
                 raise NotAnAutomorphism(
                     f"{self.name!r}: inverse images do not invert on generator {name}")
-        return self._compile(tables)
+        self._forward, self._backward = forward, backward
+        return self
 
     def _verify_exhaustive(self, images, label) -> Dict[Any, Any]:
         """The image of every element, checked along every Cayley-graph edge.
@@ -762,8 +757,7 @@ class Automorphism:
                         f"({backend.render(g)}, {name})")
                 yield h
 
-        for _ in itertools.takewhile(len, layers([backend.identity], expand)):
-            pass
+        closure([backend.identity], expand)
         missed = next((g for g in backend.elements() if g not in table), None)
         if missed is not None:
             raise NotAnAutomorphism(
@@ -828,10 +822,8 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
         seed.verify()
     steps = [*seeds, *(s.inverse() for s in seeds)]
     # the identity and the seeds start the first layer, so they keep their names
-    closure = layers([identity_automorphism(backend), *steps],
-                     lambda a: (compose(a, s) for s in steps), budget=bound)
-    found = [a for layer in itertools.takewhile(len, closure) for a in layer]
-    return AutomorphismGroup(backend, found)
+    return AutomorphismGroup(backend, closure([identity_automorphism(backend), *steps],
+                                              lambda a: (compose(a, s) for s in steps), bound))
 
 
 def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteBackendUnsupported, ValidationError
-from .groups import AutomorphismGroup, GroupBackend, layers
+from .groups import AutomorphismGroup, GroupBackend, closure
 from .multiset import flatten
 
 
@@ -159,8 +159,7 @@ class DoubleCosetGroup(OrbitGroup):
     def _close_subgroup(self, seed):
         backend = self.backend
         steps = [t for s in seed for t in (s, backend.inv(s))]
-        closure = layers([backend.identity], lambda g: (backend.mul(g, t) for t in steps))
-        elements = [h for layer in itertools.takewhile(len, closure) for h in layer]
+        elements = closure([backend.identity], lambda g: (backend.mul(g, t) for t in steps))
         return sorted(elements, key=backend.canonical_key)
 
     def _partition(self) -> Dict[Any, Tuple[Any, Any]]:

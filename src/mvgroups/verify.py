@@ -2,7 +2,7 @@
 
 Each suite runs an exact per-radius check and reports greppable one-line
 verdicts; the CLI `verify` subcommand and the acceptance tests both call
-these functions.
+these functions, and every suite caps its enumerations at `budget`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def sample_elements(instance: Instance, radius: int = 2, limit: int = 32,
 # suites
 
 
-def example32(instance: Instance, x_max: int = 50, r_max: int = 50) -> SuiteResult:
+def example32(instance: Instance, x_max: int = 50, r_max: int = 50,
+              budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Closed form |B(x, r)| = 1 + r + min(x, r) on the builtin 2-valued group."""
     result = SuiteResult("example32")
     X = instance.X
@@ -76,7 +77,7 @@ def example32(instance: Instance, x_max: int = 50, r_max: int = 50) -> SuiteResu
     gens = instance.x_generators or [1]
     failures = 0
     for x in range(x_max + 1):
-        table = ball(X, gens, x, r_max)
+        table = ball(X, gens, x, r_max, budget=budget)
         for r in range(r_max + 1):
             expected = 1 + r + min(x, r)
             if table.ball_sizes[r] != expected:
@@ -91,7 +92,7 @@ def example32(instance: Instance, x_max: int = 50, r_max: int = 50) -> SuiteResu
 
 
 def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
-          extra_y: int = 3, seed: int = 0) -> SuiteResult:
+          extra_y: int = 3, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Sandwich (1/n)|S+(e,r)| <= xi_y(r) <= |B+(e,r)| on a coset instance."""
     result = SuiteResult("thm43")
     X = instance.X
@@ -105,13 +106,13 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
         g = instance.config.x_generators[0]
 
     ys = [X.unit]
-    pool = [y for y in sample_elements(instance, radius=2) if y != X.unit]
+    pool = [y for y in sample_elements(instance, radius=2, budget=budget) if y != X.unit]
     rng = random.Random(seed)
     if pool:
         ys.extend(rng.sample(pool, min(extra_y, len(pool))))
 
     for y in ys:
-        report = bounds_check(X, g, y, r_max)
+        report = bounds_check(X, g, y, r_max, budget=budget)
         bad = [r for (r, *_), v in zip(report.rows, report.verdicts) if not v]
         if bad:
             result.add(False, f"r={bad[0]} y={X.render(y)} sandwich violated")
@@ -121,7 +122,7 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
 
 
 def thm48(instance: Instance, x_texts: Optional[Sequence[str]] = None,
-          r_max: int = 12) -> SuiteResult:
+          r_max: int = 12, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Quadratic bound xi_x(r) <= r(r+1) for involutive 2-valued groups."""
     result = SuiteResult("thm48")
     X = instance.X
@@ -132,7 +133,7 @@ def thm48(instance: Instance, x_texts: Optional[Sequence[str]] = None,
         if not xs:
             raise ValidationError("thm48 needs X_generators or explicit elements")
     for x in xs:
-        report = quadratic_bound_check(X, x, r_max)
+        report = quadratic_bound_check(X, x, r_max, budget=budget)
         if report.ok:
             margin = min(bound - xi for _, xi, bound in report.rows)
             result.add(True, f"r={r_max} x={X.render(x)} bound holds (min margin {margin})")
@@ -155,17 +156,17 @@ def _sphere_vanishing_ok(pt) -> Optional[int]:
 
 
 def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
-            pair_r_max: int = 10, seed: int = 0) -> SuiteResult:
+            pair_r_max: int = 10, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Power-sphere lemma: (a) vanishing persists; (b) sphere addition."""
     if r_max < 1:
         raise ValidationError("r_max must be >= 1")
     result = SuiteResult("lemma47")
     X = instance.X
-    xs = sample_elements(instance)
+    xs = sample_elements(instance, budget=budget)
     tables = {}
     bad_a = 0
     for x in xs:
-        pt = power_table(X, x, max(r_max, pair_r_max))
+        pt = power_table(X, x, max(r_max, pair_r_max), budget=budget)
         tables[x] = pt
         violation = _sphere_vanishing_ok(pt)
         if violation is not None:
@@ -206,7 +207,7 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
 
 
 def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
-              cap: int = 2) -> SuiteResult:
+              cap: int = 2, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2.
 
     The xi table is classified too, so it needs CLASSIFY_MIN_ROWS rows;
@@ -215,9 +216,10 @@ def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
         raise ValidationError(f"r_max must be >= {CLASSIFY_MIN_ROWS - 1}")
     result = SuiteResult("example46")
     X = instance.X
-    z = (instance.element(z_text) if z_text is not None
-         else instance.x_generators[0])
-    table = iterate_dynamic(X, z, X.unit, r_max)
+    if z_text is None and not instance.x_generators:
+        raise ValidationError("example46 needs X_generators or an explicit element")
+    z = instance.element(z_text) if z_text is not None else instance.x_generators[0]
+    table = iterate_dynamic(X, z, X.unit, r_max, budget=budget)
     worst = max(table.xi)
     result.add(worst <= cap, f"r={r_max} max xi={worst} (cap {cap})")
     record = classify_growth(table.xi)
@@ -225,7 +227,7 @@ def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
     return result
 
 
-def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
+def proof34(instance: Instance, r_max: int = 5, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Coset ball sizes are dominated by the semidirect-product ball sizes."""
     result = SuiteResult("proof34")
     X = instance.X
@@ -238,10 +240,10 @@ def proof34(instance: Instance, r_max: int = 5) -> SuiteResult:
 
     ga = SemidirectProduct(backend, auts)
     ga_gens = [(s, i) for s in S for i in range(auts.order)]
-    ga_table = monoid_balls(ga, ga_gens, r_max)
+    ga_table = monoid_balls(ga, ga_gens, r_max, budget=budget)
 
     x_gens = list(dict.fromkeys(X.project(s) for s in S))
-    x_table = ball(X, x_gens, X.unit, r_max)
+    x_table = ball(X, x_gens, X.unit, r_max, budget=budget)
 
     ok = True
     for r in range(r_max + 1):
@@ -267,9 +269,10 @@ _SUITE_TABLE = {
 SUITES = tuple(_SUITE_TABLE)
 
 
-def run_suite(name: str, instance: Instance, r_max: Optional[int] = None) -> SuiteResult:
+def run_suite(name: str, instance: Instance, r_max: Optional[int] = None,
+              budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Dispatch by suite name with each criterion's stated default radius."""
     if name not in _SUITE_TABLE:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suite, default_radius = _SUITE_TABLE[name]
-    return suite(instance, r_max=default_radius if r_max is None else r_max)
+    return suite(instance, r_max=default_radius if r_max is None else r_max, budget=budget)

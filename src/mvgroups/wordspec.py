@@ -296,6 +296,8 @@ def _names(value: Any, path: str) -> List[str]:
     for i, name in enumerate(_list(value, path)):
         if not isinstance(name, str):
             raise SchemaError(f"generator name must be a string, got {name!r}", f"{path}[{i}]")
+        if name in value[:i]:
+            raise SchemaError(f"repeated generator name {name!r}", f"{path}[{i}]")
     return value
 
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from mvgroups.cli import run
+from mvgroups.verify import SUITES
 
 
 def cfg(config_dir, name):
@@ -261,6 +262,47 @@ def test_verify_radius_below_range_exits_2(config_dir, capsys, suite, config, ra
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# every suite and compare on a config without X_generators, with the messages
+# of the two that raised a traceback or blamed the radius cap pinned
+NO_X_GENERATORS = {
+    **{suite: (["verify", "--suite", suite], None) for suite in SUITES},
+    "example46": (["verify", "--suite", "example46"],
+                  "example46 needs X_generators or an explicit element"),
+    "compare": (["compare", "--gens2", "g1"], "compare needs X_generators"),
+}
+
+
+@pytest.mark.parametrize("name", NO_X_GENERATORS)
+def test_no_x_generators_exits_2_without_a_traceback(config_dir, tmp_path, capsys, name):
+    (command, *flags), message = NO_X_GENERATORS[name]
+    config = json.loads((config_dir / "z2_swap.json").read_text())
+    del config["X_generators"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = invoke(capsys, [command, "-c", str(path), *flags])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n" if message else err.startswith("error: ")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_obeys_the_budget(config_dir, tmp_path, capsys, suite, source):
+    name = "nat" if suite == "example32" else "free2_swap"
+    argv = ["verify", "--suite", suite]
+    if source == "flag":
+        argv += ["-c", cfg(config_dir, name), "--budget", "5"]
+    else:
+        config = json.loads((config_dir / f"{name}.json").read_text())
+        config["defaults"] = {**config.get("defaults", {}), "budget": 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["-c", str(path)]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: more than 5 distinct elements")
+
+
 def test_verify_unknown_suite(config_dir, capsys):
     code, _, _ = invoke(capsys, ["verify", "-c", cfg(config_dir, "nat"),
                                  "--suite", "nonsense"])
@@ -414,6 +456,12 @@ CONFIG_PATH_CASES = [
                          "inverse_images": {"g1": "g2", "g2": "g1"}}]}, "automorphisms[0].imgaes"),
     ({**NAT, "mv": {"kind": "builtin_nat", "subgroop": []}}, "mv.subgroop"),
     ({**NAT, "defaults": {"radus": 2}}, "defaults.radus"),
+    # a repeated generator name would leave the word for it naming only the last one
+    ({"schema": 1, "group": {**PERMUTATION, "gens": ["t", "t"],
+                             "gen_images": [[1, 0, 2], [1, 2, 0]]},
+      "mv": {"kind": "double_coset", "subgroup": ["t"]}}, "group.gens[1]"),
+    (one_automorphism({**FREE2, "gens": ["g1", "g2", "g1"], "rank": 3}, {"g1": "g2", "g2": "g1"}),
+     "group.gens[2]"),
 ]
 
 

@@ -1,11 +1,13 @@
 """Mutated shipped configs never crash the CLI.
 
 Each example takes one shipped config and changes one or two fields: a
-value of another type or an out-of-range int, a deleted key, or an
-automorphism image that is not an automorphism.  Two changes can make
-fields disagree, such as an emptied `gens` list and an emptied image map.
-`axioms` and `growth` on the result must exit 0-3 without a traceback, and
-exit 1 only with a FAIL verdict.
+value of another type or an out-of-range int, a deleted key, an
+automorphism image that is not an automorphism, or a repeated entry in a
+`gens` list.  Two changes can make fields disagree, such as an emptied
+`gens` list and an emptied image map.  `axioms`, `growth` and
+`verify --suite example46` on the result must exit 0-3 without a
+traceback, exit 1 only with a FAIL verdict, and exit 2 whenever a `gens`
+list repeats a name.
 """
 
 import contextlib
@@ -23,7 +25,8 @@ from mvgroups.cli import run
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
 COMMANDS = (["axioms", "--sample", "3", "--budget", "2000"],
-            ["growth", "--radius", "2", "--budget", "2000"])
+            ["growth", "--radius", "2", "--budget", "2000"],
+            ["verify", "--suite", "example46", "--radius", "5", "--budget", "2000"])
 
 # values of another type than the field holds, and ints out of every range
 # (small enough that an accepted one stays cheap: a cyclic order of 40 is fine)
@@ -40,6 +43,25 @@ def paths(node, prefix=()):
         yield from paths(child, prefix + (key,))
 
 
+def at(node, path):
+    """The value at `path` inside a JSON document."""
+    for key in path:
+        node = node[key]
+    return node
+
+
+def group_descriptors(config):
+    """The objects holding a nonempty gens list: the group and its factors."""
+    return [node for node in (at(config, path[:-1]) for path in paths(config)
+                              if path[-1] == "gens")
+            if isinstance(node["gens"], list) and node["gens"]]
+
+
+def repeats_a_name(config):
+    return any(node["gens"].count(name) > 1
+               for node in group_descriptors(config) for name in node["gens"])
+
+
 def words(gens):
     """Short words over the generator names, most of them no automorphism image."""
     syllable = st.tuples(st.sampled_from(gens), st.sampled_from([-2, -1, 1, 2, 3]))
@@ -48,7 +70,7 @@ def words(gens):
 
 
 def mutate(data, config):
-    kind = data.draw(st.sampled_from(["replace", "delete", "image"]))
+    kind = data.draw(st.sampled_from(["replace", "delete", "image", "duplicate"]))
     autos = config.get("automorphisms")
     # the image maps still intact after an earlier change
     maps = [auto[field] for auto in (autos if isinstance(autos, list) else [])
@@ -59,11 +81,18 @@ def mutate(data, config):
         gens = sorted(mapping)
         mapping[data.draw(st.sampled_from(gens))] = data.draw(words(gens))
         return
-    path = data.draw(st.sampled_from(list(paths(config))))
-    *parents, last = path
-    parent = config
-    for key in parents:
-        parent = parent[key]
+    if kind == "duplicate" and group_descriptors(config):
+        # repeat one generator with its image row or element, and one more rank
+        desc = data.draw(st.sampled_from(group_descriptors(config)))
+        i = data.draw(st.integers(0, len(desc["gens"]) - 1))
+        for field in ("gens", "gen_images", "gen_elements"):
+            if isinstance(desc.get(field), list) and len(desc[field]) > i:
+                desc[field].append(copy.deepcopy(desc[field][i]))
+        if type(desc.get("rank")) is int:
+            desc["rank"] += 1
+        return
+    *parents, last = data.draw(st.sampled_from(list(paths(config))))
+    parent = at(config, parents)
     if kind == "delete":
         del parent[last]
     else:
@@ -77,6 +106,7 @@ def test_mutated_config_never_crashes(data):
     config = copy.deepcopy(CONFIGS[data.draw(st.sampled_from(sorted(CONFIGS)))])
     for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
         mutate(data, config)
+    repeated = repeats_a_name(config)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp, "config.json")
         path.write_text(json.dumps(config))
@@ -85,5 +115,7 @@ def test_mutated_config_never_crashes(data):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = run([command, "-c", str(path), *flags])
             assert code in (0, 1, 2, 3), (command, config)
+            if repeated:
+                assert code == 2, (command, config)
             if code == 1:
-                assert command == "axioms" and "FAIL" in out.getvalue(), config
+                assert command in ("axioms", "verify") and "FAIL" in out.getvalue(), config

@@ -448,7 +448,8 @@ def test_finite_table_accepts_cyclic_group():
 
 
 # ---------------------------------------------------------------------------
-# compiled automorphisms against the generic factor + evaluate oracle
+# compiled automorphisms against evaluating the images along a word: the
+# backend's factor on infinite kinds, BFS words on finite ones
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED_COSETS = sorted(p.stem for p in (ROOT / "configs").glob("*.json")
@@ -498,10 +499,30 @@ def sample_elements(backend, seed=2025, count=200):
     return [random_element(backend, rng, steps=10) for _ in range(count)]
 
 
+def bfs_words(backend):
+    """Each element of a finite backend with the word that first reaches it,
+    by BFS over the generators and their inverses."""
+    steps = [((i, e), backend.power(backend.gen(i), e))
+             for i in range(len(backend.gen_names)) for e in (1, -1)]
+    words = {backend.identity: ()}
+    frontier = [backend.identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for step, s in steps:
+                h = backend.mul(g, s)
+                if h not in words:
+                    words[h] = words[g] + (step,)
+                    fresh.append(h)
+        frontier = fresh
+    return words
+
+
 def assert_compiled_matches_oracle(backend, auts):
+    factor = bfs_words(backend).__getitem__ if backend.is_finite() else backend.factor
     for a in auts:
         for g in sample_elements(backend):
-            word = backend.factor(g)
+            word = factor(g)
             assert a.apply(g) == backend.evaluate(word, a.images), (a.name, g)
             assert a.apply_inverse(g) == backend.evaluate(word, a.inverse_images), (a.name, g)
 
@@ -528,31 +549,78 @@ def test_compiled_cyclic_automorphisms_match_oracle():
     assert_compiled_matches_oracle(z7, auts)
 
 
-def test_oracle_catches_a_mutated_table_entry(monkeypatch):
-    exhaustive = Automorphism._verify_exhaustive
+def swap_two_entries(table):
+    """The image table with the images of its 6th and 7th keys exchanged."""
+    g, h = sorted(table)[5:7]
+    return {**table, g: table[h], h: table[g]}
 
-    def mutated(self, images, label):
-        table = exhaustive(self, images, label)
-        g, h = sorted(table)[5:7]
-        table[g], table[h] = table[h], table[g]
-        return table
 
-    monkeypatch.setattr(Automorphism, "_verify_exhaustive", mutated)
+SUBSTITUTION = FreeGroup.homomorphism
+
+
+def wrong_letter(backend, images):
+    """Letter substitution that sends the second letter where the first goes."""
+    return SUBSTITUTION(backend, [images[0], images[0], *images[2:]])
+
+
+def shift3():
+    f = FreeGroup(3)
+    return Automorphism(f, "shift", [f.gen(1), f.gen(2), f.gen(0)],
+                        [f.gen(2), f.gen(0), f.gen(1)])
+
+
+def test_oracle_catches_a_mutated_table_entry():
     s4 = s4_table()
     conj = conjugation(s4, s4.gen(0)).verify()
+    conj._forward = swap_two_entries({g: conj.apply(g) for g in s4.elements()}).__getitem__
     with pytest.raises(AssertionError):
         assert_compiled_matches_oracle(s4, [conj])
 
 
-def test_oracle_catches_a_wrong_substitution_letter(monkeypatch):
-    substitution = FreeGroup.homomorphism
-    monkeypatch.setattr(FreeGroup, "homomorphism", lambda self, images: substitution(
-        self, [images[0], images[0], *images[2:]]))
-    f = FreeGroup(3)
-    shift = Automorphism(f, "shift", [f.gen(1), f.gen(2), f.gen(0)],
-                         [f.gen(2), f.gen(0), f.gen(1)]).verify()
+def test_oracle_catches_a_wrong_substitution_letter():
+    shift = shift3().verify()
+    shift._forward = wrong_letter(shift.backend, shift.images)
     with pytest.raises(AssertionError):
-        assert_compiled_matches_oracle(f, [shift])
+        assert_compiled_matches_oracle(shift.backend, [shift])
+
+
+def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch):
+    exhaustive = Automorphism._verify_exhaustive
+    monkeypatch.setattr(Automorphism, "_verify_exhaustive", lambda self, images, label:
+                        swap_two_entries(exhaustive(self, images, label)))
+    monkeypatch.setattr(FreeGroup, "homomorphism", wrong_letter)
+    s4 = s4_table()
+    for a, generator in ((conjugation(s4, s4.gen(0)), "t"), (shift3(), "g1")):
+        with pytest.raises(NotAnAutomorphism,
+                           match=f"inverse images do not invert on generator {generator}$"):
+            a.verify()
+        # a rejected automorphism keeps no map
+        with pytest.raises(AttributeError):
+            a.apply(a.backend.identity)
+
+
+def failing_inverse_checks():
+    f = FreeGroup(1)
+    s = s3()
+    t, c = s.gen(0), s.gen(1)
+    z2 = PermutationGroup(3, ["t"], [[1, 0, 2]])  # <(1 2)>, so (2 3) lies outside it
+    return [
+        Automorphism(f, "double", [f.mul(f.gen(0), f.gen(0))], [f.gen(0)]),
+        Automorphism(s, "half", [t, c], [t, s.inv(c)]),
+        Automorphism(z2, "outside", [(0, 2, 1)], [(0, 2, 1)]),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["free-not-onto", "s3-another-automorphism",
+                                                 "z2-image-outside-the-group"])
+def test_failed_inverse_check_leaves_apply_raising(index):
+    a = failing_inverse_checks()[index]
+    with pytest.raises(NotAnAutomorphism, match="inverse images do not invert"):
+        a.verify()
+    with pytest.raises(AttributeError):
+        a.apply(a.backend.identity)
+    with pytest.raises(AttributeError):
+        a.apply_inverse(a.backend.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +628,11 @@ def test_oracle_catches_a_wrong_substitution_letter(monkeypatch):
 
 
 def product_table_oracle(backend, images):
-    """The image table by factor + evaluate, or None when one of the |G|^2
-    products breaks multiplicativity."""
+    """The image table by evaluating the images along BFS words, or None when
+    one of the |G|^2 products breaks multiplicativity."""
     elements = backend.elements()
-    table = {g: backend.evaluate(backend.factor(g), images) for g in elements}
+    words = bfs_words(backend)
+    table = {g: backend.evaluate(words[g], images) for g in elements}
     if all(table[backend.mul(g, h)] == backend.mul(table[g], table[h])
            for g in elements for h in elements):
         return table
@@ -668,7 +737,9 @@ def counting(cls):
     return Counting
 
 
-def test_compiled_apply_makes_no_evaluate_or_factor_calls():
+def compiled_seeds():
+    """Unverified automorphisms of every kind whose maps are compiled, on
+    backends that count their evaluate and factor calls."""
     perm = counting(PermutationGroup)(4, ["t", "c"], [[1, 0, 2, 3], [1, 2, 3, 0]])
     table = s4_table(counting(FiniteTableGroup))
     z2 = counting(FreeAbelianGroup)(2)
@@ -677,7 +748,7 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
     # the group of z3xF2_example46, with every factor counted
     zf = counting(DirectProduct)([counting(CyclicGroup)(3, ["h"]), counting(FreeGroup)(2)])
     h, g1, g2 = map(zf.gen, range(3))
-    seeds = [
+    return [
         conjugation(perm, perm.gen(0)),
         conjugation(table, table.gen(0)),
         Automorphism(z2, "quarter_turn", [(0, 1), (-1, 0)], [(0, -1), (1, 0)]),
@@ -687,6 +758,27 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
         Automorphism(z7, "times3", [3], [5]),
         Automorphism(zf, "a", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
     ]
+
+
+def test_verify_makes_no_factor_calls_on_compiled_kinds():
+    seeds = compiled_seeds()
+    assert [a.backend.kind for a in seeds] == [
+        "permutation", "finite_table", "free_abelian", "free_abelian", "free", "cyclic",
+        "direct_product"]
+    for a in seeds:
+        counted = [a.backend, *getattr(a.backend, "factors", ())]
+        for b in counted:
+            b.counts = Counter()
+        a.verify()
+        # evaluate runs only on the defining relators, once per map
+        relators = a.backend.relators()
+        assert a.backend.counts == Counter(evaluate=2 * len(relators or ())), a.name
+        for b in counted[1:]:
+            assert b.counts == Counter(), (a.name, b.kind)
+
+
+def test_compiled_apply_makes_no_evaluate_or_factor_calls():
+    seeds = compiled_seeds()
     groups = [close_automorphisms([seeds[0]]), close_automorphisms([seeds[1]]),
               close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]]),
               close_automorphisms([seeds[5]]), close_automorphisms([seeds[6]])]
