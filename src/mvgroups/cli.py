@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Sequence
 
 from .cayley import GrowthTable, ball, compare_generating_sets, power_table
-from .dynamics import bounds_check, classify_growth, iterate_dynamic
+from .dynamics import CLASSIFY_MIN_ROWS, bounds_check, classify_growth, iterate_dynamic
 from .errors import BudgetExceeded, MvGroupsError
 from .mvalued import CosetGroup, MvGroup, check_axioms
 from .verify import SUITES, run_suite, sample_elements
@@ -172,6 +172,9 @@ def _cmd_dynamics(args) -> int:
     instance = load_instance(args.config)
     X = instance.X
     steps = _radius(instance, args.steps)
+    if args.classify and steps < CLASSIFY_MIN_ROWS - 1:
+        raise MvGroupsError(f"--classify needs --steps >= {CLASSIFY_MIN_ROWS - 1} "
+                            f"(at least {CLASSIFY_MIN_ROWS} rows)")
     budget = _budget(instance, args)
     z = instance.element(args.z)
     y = instance.element(args.y) if args.y is not None else X.unit

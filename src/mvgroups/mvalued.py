@@ -85,14 +85,24 @@ class OrbitGroup(MvGroup):
     choice is a tested property, not an assumption.  Classes compare and
     hash as tuples, so they sort in the canonical order of their least
     members; a representative is rendered only when printed.  Subclasses
-    set n, twists and unit, and define project and carrier.
+    set n, twists, unit and the table _classes, and define project and carrier.
     """
 
     backend: GroupBackend
     twists: List[Callable[[Any], Any]]
+    _classes: Dict[Any, Tuple[Any, Any]]
 
     def project(self, g) -> Tuple[Any, Any]:
         raise NotImplementedError
+
+    def _partition(self, members: Callable[[Any], Iterable[Any]]) -> Dict[Any, Tuple[Any, Any]]:
+        """Every element of finite G -> its class; members(g) is formed once per class."""
+        key, classes = self.backend.canonical_key, {}
+        for g in self.backend.elements():
+            if g not in classes:
+                group = set(members(g))
+                classes.update(dict.fromkeys(group, min((key(p), p) for p in group)))
+        return classes
 
     def mul(self, x, y):
         backend, project = self.backend, self.project
@@ -117,7 +127,11 @@ class OrbitGroup(MvGroup):
 
 
 class CosetGroup(OrbitGroup):
-    """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|."""
+    """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
+
+    A finite G is partitioned into A-orbits at construction.  On an infinite
+    G a missed class is the orbit minimum, filed under its least member only:
+    BFS mostly lands on that member, and the table holds no other G-element."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
         if auts.backend is not backend:
@@ -126,17 +140,23 @@ class CosetGroup(OrbitGroup):
         self.auts = auts
         self.n = auts.order
         self.twists = [a.apply for a in auts]
+        self._classes = (self._partition(lambda g: (a.apply(g) for a in auts))
+                         if backend.is_finite() else {})
         self.unit = self.project(backend.identity)
 
     def project(self, g) -> Tuple[Any, Any]:
-        key = self.backend.canonical_key
-        return min((key(h), h) for h in {a.apply(g) for a in self.auts})
+        least = self._classes.get(g)
+        if least is None:
+            key = self.backend.canonical_key
+            least = min((key(h), h) for h in {a.apply(g) for a in self.auts})
+            self._classes[least[1]] = least
+        return least
 
     def carrier(self) -> List[Tuple[Any, Any]]:
         """All classes; finite backends only."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        return sorted(set(map(self.project, self.backend.elements())))
+        return sorted(set(self._classes.values()))
 
 
 class DoubleCosetGroup(OrbitGroup):
@@ -153,7 +173,7 @@ class DoubleCosetGroup(OrbitGroup):
         self.subgroup = self._close_subgroup(subgroup)
         self.n = len(self.subgroup)
         self.twists = [functools.partial(backend.mul, h) for h in self.subgroup]
-        self._classes = self._partition()
+        self._classes = self._partition(self._double_coset)
         self.unit = self.project(backend.identity)
 
     def _close_subgroup(self, seed):
@@ -162,19 +182,11 @@ class DoubleCosetGroup(OrbitGroup):
         elements = closure([backend.identity], lambda g: (backend.mul(g, t) for t in steps))
         return sorted(elements, key=backend.canonical_key)
 
-    def _partition(self) -> Dict[Any, Tuple[Any, Any]]:
-        """Each element of G with its class: HgH is formed once per double
-        coset (|H| + |H|^2 products) and every member gets its least
-        (key, member) pair."""
-        backend, key, subgroup = self.backend, self.backend.canonical_key, self.subgroup
-        classes: Dict[Any, Tuple[Any, Any]] = {}
-        for g in backend.elements():
-            if g not in classes:
-                lefts = [backend.mul(h1, g) for h1 in subgroup]
-                members = {backend.mul(left, h2) for left in lefts for h2 in subgroup}
-                least = min((key(p), p) for p in members)
-                classes.update(dict.fromkeys(members, least))
-        return classes
+    def _double_coset(self, g):
+        """HgH: |H| + |H|^2 products."""
+        backend, subgroup = self.backend, self.subgroup
+        lefts = [backend.mul(h1, g) for h1 in subgroup]
+        return (backend.mul(left, h2) for left in lefts for h2 in subgroup)
 
     def project(self, g) -> Tuple[Any, Any]:
         return self._classes[g]

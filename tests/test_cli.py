@@ -177,6 +177,7 @@ def test_dynamics_classify_too_few_rows_prints_nothing(config_dir, capsys, fmt):
     assert code == 2
     assert out == ""
     assert "at least 6 rows" in err
+    assert "--steps" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import random
 from collections import Counter
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mvgroups import load_instance
+from mvgroups.cayley import ball
 from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
 from mvgroups.groups import (
     Automorphism,
@@ -14,6 +17,7 @@ from mvgroups.groups import (
     FreeGroup,
     PermutationGroup,
     close_automorphisms,
+    monoid_balls,
 )
 from mvgroups.mvalued import (
     AxiomReport,
@@ -217,6 +221,12 @@ def double_coset_project_oracle(X, g):
                (backend.mul(backend.mul(h1, g), h2) for h1 in X.subgroup for h2 in X.subgroup))
 
 
+def coset_project_oracle(X, g):
+    """The class of g as the least (key, member) over its A-orbit."""
+    key = X.backend.canonical_key
+    return min((key(h), h) for h in (a.apply(g) for a in X.auts))
+
+
 def test_double_coset_s3_transposition_subgroup(instances):
     X = instances["s3_doublecoset"].X
     assert X.n == 2
@@ -318,6 +328,83 @@ def test_double_coset_project_makes_no_backend_mul_calls():
         X.project(g)
     assert len(X.carrier()) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix the point 3 or not
     assert backend.muls == 0
+
+
+# ---------------------------------------------------------------------------
+# the coset class table against the orbit-min oracle
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COSET_PATHS = sorted(p for p in [*(ROOT / "configs").glob("*.json"),
+                                 *(ROOT / "tests" / "instances").glob("*.json")]
+                     if json.loads(p.read_text())["mv"]["kind"] == "coset")
+INFINITE_COSET_PATHS = [p for p in COSET_PATHS if not load_instance(p).backend.is_finite()]
+
+
+@pytest.mark.parametrize("path", COSET_PATHS, ids=lambda p: p.stem)
+def test_coset_project_matches_orbit_min_oracle(path):
+    X = load_instance(path).X  # fresh, so its class table is this test's own
+    backend = X.backend
+    if backend.is_finite():
+        elements = backend.elements()
+    else:
+        gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+        monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
+        elements = [a.apply(g) for g in monoid.ball_elements() for a in X.auts]
+    for g in elements:
+        expected = coset_project_oracle(X, g)
+        assert X.project(g) == expected, g  # a miss on infinite G unless seen before
+        assert expected[1] in X._classes
+        # g again, then the least member, which is filed by now and hits
+        assert X.project(g) == X.project(expected[1]) == expected, g
+    if backend.is_finite():
+        assert X.carrier() == sorted({coset_project_oracle(X, g) for g in elements})
+
+
+@pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
+def test_coset_class_table_files_each_class_under_its_least_member(path):
+    instance = load_instance(path)
+    X = instance.X
+    returned = {X.unit}  # construction projected the identity
+    project = X.project
+
+    def recording(g):
+        cls = project(g)
+        returned.add(cls)
+        return cls
+
+    X.project = recording
+    table = ball(X, instance.x_generators, X.unit, 6)
+    key = X.backend.canonical_key
+    assert all(cls == (key(g), g) for g, cls in X._classes.items())
+    assert len(X._classes) == len(returned) == table.ball_sizes[-1]
+
+
+def test_finite_coset_project_is_a_lookup(monkeypatch):
+    class Counting(PermutationGroup):
+        keys = 0
+
+        def canonical_key(self, g):
+            self.keys += 1
+            return super().canonical_key(g)
+
+    backend = s4_backend(Counting)
+    gens = [backend.gen(i) for i in range(2)]
+    t = gens[0]
+    images = [backend.mul(backend.mul(t, g), t) for g in gens]
+    X = CosetGroup(backend, close_automorphisms(
+        [Automorphism(backend, "conj", images, images).verify()]))
+    applies = []
+    apply = Automorphism.apply
+    monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
+    backend.keys = 0
+    for g in backend.elements():
+        X.project(g)
+    assert (backend.keys, len(applies)) == (0, 0)
+    monkeypatch.undo()
+    carrier = X.carrier()
+    # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
+    assert len(carrier) == 14
+    assert carrier == sorted({coset_project_oracle(X, g) for g in backend.elements()})
 
 
 def test_double_coset_rejects_infinite_backend():
