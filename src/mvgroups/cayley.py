@@ -45,11 +45,6 @@ class PowerTable:
     set_powers: List[Tuple[Any, ...]]
 
 
-def _spheres(X: MvGroup, gens: Sequence[Any], x, budget: int) -> Iterator[List[Any]]:
-    """S(x, 0), S(x, 1), ...: the layers of support expansion from x."""
-    return layers([x], X.step(gens), budget)
-
-
 def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
          budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """B(x, 0..radius) via support BFS; S(x, 0) = {x}."""
@@ -58,7 +53,7 @@ def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     sphere_sets = [tuple(sorted(layer))
-                   for layer in itertools.islice(_spheres(X, gens, x, budget), radius + 1)]
+                   for layer in itertools.islice(layers([x], X.step(gens), budget), radius + 1)]
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(x, radius, sphere_sets, ball_sizes)
 
@@ -72,7 +67,8 @@ def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 
     naming the first target not reached within the radius cap.
     """
     found, wanted = {}, set(targets)
-    for r, layer in enumerate(itertools.islice(_spheres(X, gens, X.unit, budget), cap + 1)):
+    spheres = layers([X.unit], X.step(gens), budget)
+    for r, layer in enumerate(itertools.islice(spheres, cap + 1)):
         found.update(dict.fromkeys(wanted.intersection(layer), r))
         wanted.difference_update(found)
         if not wanted or not layer:

@@ -142,7 +142,7 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
 
 
 def _cmd_axioms(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     X = instance.X
     if instance.backend is None:
         sample = list(range(args.sample + 1))
@@ -158,7 +158,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     X = instance.X
     center = instance.element(args.center) if args.center is not None else X.unit
     table = ball(X, instance.x_generators, center, _radius(instance, args.radius),
@@ -169,7 +169,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     X = instance.X
     steps = _radius(instance, args.steps)
     if args.classify and steps < CLASSIFY_MIN_ROWS - 1:
@@ -212,7 +212,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_powers(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     X = instance.X
     x = instance.element(args.x)
     table = power_table(X, x, _radius(instance, args.radius),
@@ -225,7 +225,7 @@ def _cmd_powers(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     X = instance.X
     if not instance.x_generators:
         raise MvGroupsError("compare needs X_generators")
@@ -246,7 +246,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = load_instance(args.config)
+    instance = load_instance(args.config, args.budget)
     result = run_suite(args.suite, instance, r_max=args.radius, budget=_budget(instance, args))
     _emit(result.render())
     return 0 if result.ok else 1

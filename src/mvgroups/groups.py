@@ -10,16 +10,20 @@ first, then letter by letter.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
-every defining relator maps to the identity, finite kinds check the
-homomorphism property along every Cayley-graph edge and keep its image
-tables as the compiled maps.  Z^k compiles to a linear map, Z/m to
-multiplication by the generator's image, free groups to letter
-substitution, and a direct product whose generators map into their own
-factors to one map per factor; evaluate(factor(g), images) stays the
-generic fallback and the oracle on infinite kinds (permutation and table
-groups have no factor).  The inverse images are checked on compiled maps.
+every defining relator maps to the identity, and a backend with neither
+relators nor finiteness is refused.  ``GroupBackend.homomorphism`` is the
+one place an image list becomes a map: finite kinds without relators walk
+their Cayley graph, checking the homomorphism property on every edge, and
+keep the image table; Z^k compiles to a linear map, Z/m to multiplication
+by the generator's image, free groups to letter substitution, and a direct
+product with relators whose generators map into their own factors to one
+map per factor; evaluate(factor(g), images) stays the generic fallback and
+the oracle on infinite kinds (permutation and table groups have no
+factor).  A verified automorphism keeps one map; its inverse images are
+checked on a second compiled map that is then dropped.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
-checked seeds.
+checked seeds, and ``AutomorphismGroup`` reads its composition and inverse
+tables off the generator images.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and, through ``closure``, every finite closure (group
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BackendMismatch,
@@ -161,7 +165,7 @@ class GroupBackend:
 
     def factor(self, g) -> Word:
         """A word in the declared generators whose product is g.  Permutation
-        and finite-table groups have none: their automorphisms are tables."""
+        and finite-table groups have none: their homomorphisms are tables."""
         raise NotImplementedError(f"{self.kind} backend does not support factoring")
 
     def relators(self) -> Optional[List[Word]]:
@@ -169,9 +173,39 @@ class GroupBackend:
         return None
 
     def homomorphism(self, images: Sequence[Any]) -> Callable[[Any], Any]:
-        """g -> evaluate(factor(g), images); kinds with more structure compile
-        it, and permutation and finite-table groups use tables instead."""
-        return lambda g: self.evaluate(self.factor(g), images)
+        """The map with the given generator images: the only place an image
+        list becomes a map.
+
+        A finite kind without relators gets its image table, checked along
+        every Cayley-graph edge: a walk from the identity over the edges
+        g -> g*s sets image(g*s) = image(g)*image(s) and checks each edge
+        whose target already has an image, 2|G||S| products.  Agreement on
+        every edge gives image(g*w) = image(g)*image(w) for every positive
+        word w, and positive words reach all of a finite group, so the map
+        is multiplicative; NotAnAutomorphism names the first broken edge.
+        Any other kind gets g -> evaluate(factor(g), images), which checks
+        nothing; kinds with more structure override it.
+        """
+        if self.relators() is not None or not self.is_finite():
+            return lambda g: self.evaluate(self.factor(g), images)
+        edges = list(zip(map(self.gen, range(len(images))), images, self.gen_names))
+        table = {self.identity: self.identity}
+
+        def expand(g):
+            image = table[g]
+            for s, s_image, name in edges:
+                h, value = self.mul(g, s), self.mul(image, s_image)
+                if table.setdefault(h, value) != value:
+                    raise NotAnAutomorphism(
+                        f"break multiplicativity at ({self.render(g)}, {name})")
+                yield h
+
+        closure([self.identity], expand)
+        missed = next((g for g in self.elements() if g not in table), None)
+        if missed is not None:
+            raise NotAnAutomorphism(f"leave {self.render(missed)} unmapped: "
+                                    "the generators do not reach it")
+        return table.__getitem__
 
     # -- finiteness -------------------------------------------------------
 
@@ -181,10 +215,9 @@ class GroupBackend:
     def elements(self) -> List[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
-    def _close(self) -> List[Any]:
-        """Every element of the generated group, by BFS over the generators
+    def _close(self, gens: Sequence[Any]) -> List[Any]:
+        """Every element of the subgroup `gens` generate, by BFS over them
         and their inverses."""
-        gens = [self.gen(i) for i in range(len(self.gen_names))]
         steps = [*gens, *map(self.inv, gens)]
         return closure([self.identity], lambda g: (self.mul(g, t) for t in steps))
 
@@ -475,7 +508,7 @@ class PermutationGroup(GroupBackend):
 
     def elements(self):
         if self._elements is None:
-            self._elements = sorted(self._close())
+            self._elements = sorted(self._close(self._gens))
         return list(self._elements)
 
 
@@ -516,7 +549,7 @@ class FiniteTableGroup(GroupBackend):
                 if t[t[x][a]][y] != t[x][t[a][y]]:
                     raise ValidationError(f"table is not associative: "
                                           f"(#{x} #{a}) #{y} != #{x} (#{a} #{y})")
-        if len(self._close()) != n:
+        if len(self._close(self._gen_indices)) != n:
             raise ValidationError("declared generators do not generate the table group")
 
     @property
@@ -586,8 +619,12 @@ class DirectProduct(GroupBackend):
         return sum(len(b.gen_names) for b in self.factors[:fi])
 
     def homomorphism(self, images):
-        """Factor by factor when every generator's image lies in its own
-        factor, else the generic map."""
+        """Factor by factor when the product has relators and every
+        generator's image lies in its own factor, else the base map: the
+        walked table on a finite product without relators, which a factor's
+        own map would leave unchecked, and the generic map otherwise."""
+        if self.relators() is None:
+            return super().homomorphism(images)
         maps = []
         for fi, backend in enumerate(self.factors):
             local = []
@@ -645,9 +682,10 @@ def _identity(g):
 class Automorphism:
     """An automorphism of a backend, given by generator images.
 
-    verify() checks it and compiles its two maps; until it has passed there
-    is no map to apply.  compose, inverse and identity_automorphism return
-    compiled automorphisms."""
+    verify() checks it and keeps one compiled map, the backend's
+    homomorphism for its images; until it has passed there is no map to
+    apply.  The inverse images are input to verify() only.  compose and
+    identity_automorphism return compiled automorphisms."""
 
     def __init__(self, backend: GroupBackend, name: str,
                  images: Sequence[Any], inverse_images: Optional[Sequence[Any]]):
@@ -674,132 +712,84 @@ class Automorphism:
     def apply(self, g):
         return self._forward(g)
 
-    def apply_inverse(self, g):
-        return self._backward(g)
-
-    def inverse(self) -> "Automorphism":
-        inv = Automorphism(self.backend, f"{self.name}^-1", self.inverse_images, self.images)
-        inv._forward, inv._backward = self._backward, self._forward
-        return inv
-
-    def _maps(self, tables=(None, None)) -> Tuple[Callable[[Any], Any], ...]:
-        """Both maps: the identity function for the generators' own images,
-        else the given image table, else the backend's homomorphism."""
-        backend = self.backend
-        gens = tuple(map(backend.gen, range(len(backend.gen_names))))
-        return tuple(_identity if images == gens
-                     else table.__getitem__ if table is not None
-                     else backend.homomorphism(images)
-                     for images, table in zip((self.images, self.inverse_images), tables))
-
-    def _compile(self, tables=(None, None)) -> "Automorphism":
-        self._forward, self._backward = self._maps(tables)
-        return self
-
     def verify(self) -> "Automorphism":
-        """Check the homomorphism property, compile both maps, check on them
-        that they are mutually inverse, and only then keep them."""
+        """Check the homomorphism property, compile both image lists, check
+        on the two maps that they are mutually inverse, and only then keep
+        the forward map."""
         backend = self.backend
         if self.inverse_images is None:
             raise InverseMissing(f"automorphism {self.name!r} has no inverse images")
         rels = backend.relators()
-        tables = []
+        if rels is None and not backend.is_finite():
+            # its homomorphism would be the generic map, which checks nothing
+            raise NotAnAutomorphism(
+                f"{self.name!r}: backend kind {backend.kind} has no relator list "
+                "and is not finite; cannot verify")
+        maps = []
         for images, label in ((self.images, "images"), (self.inverse_images, "inverse images")):
-            if rels is None:
-                tables.append(self._verify_exhaustive(images, label))
-            else:
-                tables.append(None)
-                for rel in rels:
-                    value = backend.evaluate(rel, images)
-                    if value != backend.identity:
-                        raise NotAnAutomorphism(
-                            f"{self.name!r}: relator {rel} maps to {backend.render(value)} "
-                            f"under {label}, not the identity")
-        forward, backward = self._maps(tables)
+            for rel in rels or ():
+                value = backend.evaluate(rel, images)
+                if value != backend.identity:
+                    raise NotAnAutomorphism(
+                        f"{self.name!r}: relator {rel} maps to {backend.render(value)} "
+                        f"under {label}, not the identity")
+            try:
+                maps.append(backend.homomorphism(images))
+            except NotAnAutomorphism as exc:  # the edge walk of a finite kind
+                raise NotAnAutomorphism(f"{self.name!r}: {label} {exc}") from None
+        forward, backward = maps
         # both are homomorphisms, so inverting on every generator inverts everywhere
+        gens = tuple(map(backend.gen, range(len(backend.gen_names))))
         for i, name in enumerate(backend.gen_names):
             try:
-                inverts = (forward(self.inverse_images[i]) == backend.gen(i)
-                           == backward(self.images[i]))
+                inverts = forward(self.inverse_images[i]) == gens[i] == backward(self.images[i])
             except KeyError:  # an image outside the group a table covers
                 inverts = False
             if not inverts:
                 raise NotAnAutomorphism(
                     f"{self.name!r}: inverse images do not invert on generator {name}")
-        self._forward, self._backward = forward, backward
+        # the shortcut comes after the walk, which also checks the generators reach G
+        self._forward = _identity if self.images == gens else forward
         return self
-
-    def _verify_exhaustive(self, images, label) -> Dict[Any, Any]:
-        """The image of every element, checked along every Cayley-graph edge.
-
-        A walk from the identity over the edges g -> g*s sets
-        image(g*s) = image(g)*image(s) and checks each edge whose target
-        already has an image: 2|G||S| products.  Agreement on every edge
-        gives image(g*w) = image(g)*image(w) for every positive word w, and
-        positive words reach all of a finite group, so the map is
-        multiplicative.
-        """
-        backend = self.backend
-        if not backend.is_finite():
-            raise NotAnAutomorphism(
-                f"{self.name!r}: backend kind {backend.kind} has no relator list "
-                "and is not finite; cannot verify")
-        edges = list(zip(map(backend.gen, range(len(images))), images, backend.gen_names))
-        table = {backend.identity: backend.identity}
-
-        def expand(g):
-            image = table[g]
-            for s, s_image, name in edges:
-                h, value = backend.mul(g, s), backend.mul(image, s_image)
-                if table.setdefault(h, value) != value:
-                    raise NotAnAutomorphism(
-                        f"{self.name!r}: {label} break multiplicativity at "
-                        f"({backend.render(g)}, {name})")
-                yield h
-
-        closure([backend.identity], expand)
-        missed = next((g for g in backend.elements() if g not in table), None)
-        if missed is not None:
-            raise NotAnAutomorphism(
-                f"{self.name!r}: the generators do not reach {backend.render(missed)}")
-        return table
 
 
 def identity_automorphism(backend: GroupBackend) -> Automorphism:
     gens = [backend.gen(i) for i in range(len(backend.gen_names))]
-    return Automorphism(backend, "id", gens, gens)._compile()
+    ident = Automorphism(backend, "id", gens, gens)
+    ident._forward = _identity
+    return ident
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b: (a . b)(g) = a(b(g))."""
+    """a after b: (a . b)(g) = a(b(g)), compiled from its generator images."""
     backend = a.backend
     if backend is not b.backend:
         raise BackendMismatch("cannot compose automorphisms of different backends")
     images = [a.apply(img) for img in b.images]
-    inverse_images = [b.apply_inverse(img) for img in a.inverse_images]
-    tables = (None, None)
-    if backend.relators() is None:  # checked edge by edge: compose the tables
-        elements = backend.elements()
-        tables = ({g: a._forward(b._forward(g)) for g in elements},
-                  {g: b._backward(a._backward(g)) for g in elements})
-    return Automorphism(backend, f"{a.name}*{b.name}", images, inverse_images)._compile(tables)
+    composite = Automorphism(backend, f"{a.name}*{b.name}", images, None)
+    composite._forward = backend.homomorphism(images)
+    return composite
 
 
 class AutomorphismGroup:
-    """A finite, composition-closed set of compiled automorphisms."""
+    """A finite, composition-closed set of compiled automorphisms that
+    holds the identity.
+
+    Its tables come from generator images alone: x after y has the images
+    x(y(s)) = x.apply(y's image of s), so compose_index costs |A|^2 |S|
+    applications and compiles nothing, and the inverse of x is the y with
+    x after y the identity."""
 
     def __init__(self, backend: GroupBackend, elements: Sequence[Automorphism]):
         self.backend = backend
         self.elements = tuple(sorted(elements, key=lambda a: a.signature))
         self.order = len(self.elements)
-        self._index = {a.signature: i for i, a in enumerate(self.elements)}
-        ident = identity_automorphism(backend)
-        if ident.signature not in self._index:
-            raise ValidationError("automorphism set does not contain the identity")
-        self.identity_index = self._index[ident.signature]
-        self._compose_table = [[self._index[compose(x, y).signature]
+        index = {a.signature: i for i, a in enumerate(self.elements)}
+        key = backend.canonical_key
+        self.identity_index = index[identity_automorphism(backend).signature]
+        self._compose_table = [[index[tuple(key(x.apply(img)) for img in y.images)]
                                 for y in self.elements] for x in self.elements]
-        self.inverse_index = tuple(self._index[a.inverse().signature] for a in self.elements)
+        self.inverse_index = tuple(row.index(self.identity_index) for row in self._compose_table)
 
     def compose_index(self, i: int, j: int) -> int:
         return self._compose_table[i][j]
@@ -811,7 +801,9 @@ class AutomorphismGroup:
 def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> AutomorphismGroup:
     """Subgroup of Aut(G) generated by the seeds, as a finite closed set.
 
-    Raises BudgetExceeded once the closure reaches more than `bound` elements.
+    The closure steps by the seeds alone: a finite set closed under
+    composition is a group.  Raises BudgetExceeded once the closure reaches
+    more than `bound` elements.
     """
     if not seeds:
         raise ValidationError("need at least one seed automorphism")
@@ -820,10 +812,9 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
         if seed.backend is not backend:
             raise BackendMismatch("all seeds must act on the same backend")
         seed.verify()
-    steps = [*seeds, *(s.inverse() for s in seeds)]
     # the identity and the seeds start the first layer, so they keep their names
-    return AutomorphismGroup(backend, closure([identity_automorphism(backend), *steps],
-                                              lambda a: (compose(a, s) for s in steps), bound))
+    return AutomorphismGroup(backend, closure([identity_automorphism(backend), *seeds],
+                                              lambda a: (compose(a, s) for s in seeds), bound))
 
 
 def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:

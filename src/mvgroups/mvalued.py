@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InfiniteBackendUnsupported, ValidationError
-from .groups import AutomorphismGroup, GroupBackend, closure
+from .errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
+from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend
 from .multiset import flatten
 
 
@@ -95,13 +95,18 @@ class OrbitGroup(MvGroup):
     def project(self, g) -> Tuple[Any, Any]:
         raise NotImplementedError
 
-    def _partition(self, members: Callable[[Any], Iterable[Any]]) -> Dict[Any, Tuple[Any, Any]]:
-        """Every element of finite G -> its class; members(g) is formed once per class."""
+    def _partition(self, members: Callable[[Any], Iterable[Any]],
+                   budget: int) -> Dict[Any, Tuple[Any, Any]]:
+        """Every element of finite G -> its class; members(g) is formed once
+        per class.  Raises BudgetExceeded once more than `budget` elements
+        of G are filed."""
         key, classes = self.backend.canonical_key, {}
         for g in self.backend.elements():
             if g not in classes:
                 group = set(members(g))
                 classes.update(dict.fromkeys(group, min((key(p), p) for p in group)))
+                if len(classes) > budget:
+                    raise BudgetExceeded(budget)
         return classes
 
     def mul(self, x, y):
@@ -129,18 +134,20 @@ class OrbitGroup(MvGroup):
 class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
-    A finite G is partitioned into A-orbits at construction.  On an infinite
-    G a missed class is the orbit minimum, filed under its least member only:
-    BFS mostly lands on that member, and the table holds no other G-element."""
+    A finite G is partitioned into A-orbits at construction, within the
+    budget.  On an infinite G a missed class is the orbit minimum, filed
+    under its least member only: BFS mostly lands on that member, and the
+    table holds no other G-element."""
 
-    def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
+    def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
+                 budget: int = DEFAULT_BUDGET):
         if auts.backend is not backend:
             raise ValidationError("automorphism group does not act on this backend")
         self.backend = backend
         self.auts = auts
         self.n = auts.order
         self.twists = [a.apply for a in auts]
-        self._classes = (self._partition(lambda g: (a.apply(g) for a in auts))
+        self._classes = (self._partition(lambda g: (a.apply(g) for a in auts), budget)
                          if backend.is_finite() else {})
         self.unit = self.project(backend.identity)
 
@@ -162,25 +169,21 @@ class CosetGroup(OrbitGroup):
 class DoubleCosetGroup(OrbitGroup):
     """Double coset group of (G, H) for finite G, with n = |H|.
 
-    G is partitioned into double cosets once, at construction, so project
-    is a lookup and the carrier is the set of classes."""
+    G is partitioned into double cosets once, at construction and within
+    the budget, so project is a lookup and the carrier is the set of
+    classes."""
 
-    def __init__(self, backend: GroupBackend, subgroup: Sequence[Any]):
+    def __init__(self, backend: GroupBackend, subgroup: Sequence[Any],
+                 budget: int = DEFAULT_BUDGET):
         if not backend.is_finite():
             raise InfiniteBackendUnsupported(
                 "double coset groups are implemented for finite backends only")
         self.backend = backend
-        self.subgroup = self._close_subgroup(subgroup)
+        self.subgroup = sorted(backend._close(subgroup), key=backend.canonical_key)
         self.n = len(self.subgroup)
         self.twists = [functools.partial(backend.mul, h) for h in self.subgroup]
-        self._classes = self._partition(self._double_coset)
+        self._classes = self._partition(self._double_coset, budget)
         self.unit = self.project(backend.identity)
-
-    def _close_subgroup(self, seed):
-        backend = self.backend
-        steps = [t for s in seed for t in (s, backend.inv(s))]
-        elements = closure([backend.identity], lambda g: (backend.mul(g, t) for t in steps))
-        return sorted(elements, key=backend.canonical_key)
 
     def _double_coset(self, g):
         """HgH: |H| + |H|^2 products."""

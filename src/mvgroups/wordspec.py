@@ -402,21 +402,23 @@ class Instance:
         return nat_element(word) if self.backend is None else evaluate_word(self.backend, word)
 
 
-def build_instance(config: InstanceConfig) -> Instance:
+def build_instance(config: InstanceConfig, budget: Optional[int] = None) -> Instance:
     """Close the automorphisms (coset) or the subgroup (double coset) and
-    construct the n-valued group over the config's built parts."""
+    construct the n-valued group over the config's built parts.  A finite G
+    is partitioned within `budget` elements, by default `defaults.budget`."""
     backend = config.backend
     if backend is None:
         X = NatGroup() if config.mv_kind == "builtin_nat" else MutatedNatGroup()
         return Instance(config, X, None, None, list(config.x_generators or [1]))
+    budget = config.default_budget if budget is None else budget
     auts = None
     if config.mv_kind == "coset":
         auts = close_automorphisms(config.automorphisms)
-        X = CosetGroup(backend, auts)
+        X = CosetGroup(backend, auts, budget)
     else:
-        X = DoubleCosetGroup(backend, config.subgroup)
+        X = DoubleCosetGroup(backend, config.subgroup, budget)
     return Instance(config, X, backend, auts, [X.project(g) for g in config.x_generators])
 
 
-def load_instance(path: Union[str, Path]) -> Instance:
-    return build_instance(parse_config(path))
+def load_instance(path: Union[str, Path], budget: Optional[int] = None) -> Instance:
+    return build_instance(parse_config(path), budget)

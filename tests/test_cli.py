@@ -501,20 +501,60 @@ def test_axioms_on_a_finite_carrier_obeys_the_budget(tmp_path):
     path = tmp_path / "c3000.json"
     path.write_text(json.dumps(one_automorphism({"kind": "cyclic", "order": 3000},
                                                 {"g": "g^-1"})))
-    # a subprocess, so a run that ignores the budget fails at the timeout
-    # instead of hanging the suite
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
-                    env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "mvgroups.cli", "axioms", "-c", str(path),
-                           "--sample", "3", "--budget", "100"],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_in_subprocess(["axioms", "-c", str(path), "--sample", "3", "--budget", "100"])
     assert time.perf_counter() - start < 1
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: more than 100 distinct elements\n"
+
+
+def run_in_subprocess(argv):
+    """`mvgroups.cli` with argv in a fresh interpreter, so a run that ignores
+    the budget fails at the timeout instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "mvgroups.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("command", ["growth", "axioms"])
+def test_finite_partition_obeys_the_budget(tmp_path, command, source):
+    # partitioning all 2,000,000 elements took 3-5 s and 280 MiB
+    config = one_automorphism({"kind": "cyclic", "order": 2_000_000}, {"g": "g^-1"},
+                              X_generators=["g"],
+                              defaults={"budget": 1000 if source == "config" else 10**6})
+    path = tmp_path / "c2000000.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "-c", str(path)] + (["--budget", "1000"] if source == "flag" else [])
+    start = time.perf_counter()
+    proc = run_in_subprocess(argv)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: more than 1000 distinct elements\n"
+
+
+S3_TU = {"kind": "permutation", "degree": 3, "gens": ["t", "u"],
+         "gen_images": [[1, 0, 2], [1, 2, 0]]}
+
+
+@pytest.mark.parametrize("factor,images", [
+    ({"kind": "heisenberg"}, {"t": "t", "u": "u", "a": "a", "b": "b", "c": "c^-1"}),
+    ({"kind": "free_abelian", "rank": 1, "gens": ["x"]}, {"t": "t", "u": "u", "x": "x^-1"}),
+], ids=["s3-x-heisenberg", "s3-x-z"])
+def test_infinite_product_without_relators_cannot_be_verified(tmp_path, capsys, factor, images):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(one_automorphism(
+        {"kind": "direct_product", "factors": [S3_TU, factor]}, images)))
+    code, out, err = invoke(capsys, ["axioms", "-c", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: 's': backend kind direct_product has no relator list "
+                   "and is not finite; cannot verify\n")
 
 
 def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):

@@ -25,6 +25,7 @@ from mvgroups.groups import (
     PermutationGroup,
     SemidirectProduct,
     close_automorphisms,
+    compose,
     identity_automorphism,
     monoid_balls,
     orbit,
@@ -233,8 +234,6 @@ def test_unverified_automorphism_cannot_be_applied():
     swap = Automorphism(f, "swap", [f.gen(1), f.gen(0)], [f.gen(1), f.gen(0)])
     with pytest.raises(AttributeError):
         swap.apply(f.gen(0))
-    with pytest.raises(AttributeError):
-        swap.apply_inverse(f.gen(0))
     assert swap.verify().apply(f.gen(0)) == f.gen(1)
 
 
@@ -524,7 +523,6 @@ def assert_compiled_matches_oracle(backend, auts):
         for g in sample_elements(backend):
             word = factor(g)
             assert a.apply(g) == backend.evaluate(word, a.images), (a.name, g)
-            assert a.apply_inverse(g) == backend.evaluate(word, a.inverse_images), (a.name, g)
 
 
 @pytest.mark.parametrize("name", SHIPPED_COSETS + N3_INSTANCES)
@@ -585,9 +583,13 @@ def test_oracle_catches_a_wrong_substitution_letter():
 
 
 def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch):
-    exhaustive = Automorphism._verify_exhaustive
-    monkeypatch.setattr(Automorphism, "_verify_exhaustive", lambda self, images, label:
-                        swap_two_entries(exhaustive(self, images, label)))
+    walk = FiniteTableGroup.homomorphism
+
+    def swapped_walk(self, images):
+        image = walk(self, images)
+        return swap_two_entries({g: image(g) for g in self.elements()}).__getitem__
+
+    monkeypatch.setattr(FiniteTableGroup, "homomorphism", swapped_walk)
     monkeypatch.setattr(FreeGroup, "homomorphism", wrong_letter)
     s4 = s4_table()
     for a, generator in ((conjugation(s4, s4.gen(0)), "t"), (shift3(), "g1")):
@@ -619,8 +621,6 @@ def test_failed_inverse_check_leaves_apply_raising(index):
         a.verify()
     with pytest.raises(AttributeError):
         a.apply(a.backend.identity)
-    with pytest.raises(AttributeError):
-        a.apply_inverse(a.backend.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +640,12 @@ def product_table_oracle(backend, images):
 
 
 def edge_walk_table(backend, images):
-    """The table the edge walk of verify() builds, or None when it rejects."""
+    """The table backend.homomorphism walks, or None when the walk rejects."""
     try:
-        return Automorphism(backend, "f", images, None)._verify_exhaustive(images, "images")
+        image = backend.homomorphism(images)
     except NotAnAutomorphism:
         return None
+    return {g: image(g) for g in backend.elements()}
 
 
 @pytest.mark.parametrize("make", [s3, lambda: sym_table(3)], ids=["permutation", "finite_table"])
@@ -717,7 +718,7 @@ def test_edge_walk_makes_two_products_per_edge(make):
     assert edges == 48
     for images, label in ((conj.images, "images"), (conj.inverse_images, "inverse images")):
         backend.muls = 0
-        conj._verify_exhaustive(images, label)
+        backend.homomorphism(images)
         assert backend.muls == 2 * edges, label
 
 
@@ -789,9 +790,10 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
         elements = sample_elements(backend)
         for b in counted:
             b.counts = Counter()
-        for a in auts:
+        for i, a in enumerate(auts):
+            inverse = auts.elements[auts.inverse_index[i]]
             for g in elements:
-                a.inverse().apply(a.apply(g))
+                inverse.apply(a.apply(g))
         for b in counted:
             assert b.counts == Counter(), b.kind
 
@@ -841,11 +843,123 @@ def test_direct_product_automorphisms_compile_factor_by_factor():
     preserving, mixing = product_automorphisms()
     for auts, factors_the_product in ((preserving, False), (mixing, True)):
         for a in auts:
-            assert_compiled_matches_oracle(a.backend, [a])
+            inverse = inverse_seed(a)
+            assert_compiled_matches_oracle(a.backend, [a, inverse])
             a.backend.counts = Counter()
             for g in sample_elements(a.backend):
                 a.apply(g)
-                a.apply_inverse(g)
+                inverse.apply(g)
             # the generic map factors the product's elements; the compiled
             # one only hands each component to its own factor
             assert (a.backend.counts["factor"] > 0) == factors_the_product, a.name
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups: tables read off generator images, closure by the seeds
+
+
+def inverse_seed(a):
+    """The verified automorphism whose images are a's inverse images."""
+    return Automorphism(a.backend, f"{a.name}^-1", a.inverse_images, a.images).verify()
+
+
+TABLE_CASES = SHIPPED_COSETS + N3_INSTANCES + [f"compiled{i}" for i in range(6)]
+COMPILED_SEED_SLICES = [slice(0, 1), slice(1, 2), slice(2, 4), slice(4, 5), slice(5, 6),
+                        slice(6, 7)]
+
+
+def table_case(every_instance, name):
+    """The automorphism group of a coset instance or of a compiled_seeds()
+    group, with its seeds."""
+    if name.startswith("compiled"):
+        seeds = compiled_seeds()[COMPILED_SEED_SLICES[int(name[len("compiled"):])]]
+        return close_automorphisms(seeds), seeds
+    instance = every_instance[name]
+    return instance.auts, instance.config.automorphisms
+
+
+def oracle_closure(seeds):
+    """Signatures of the closure stepping by the seeds and their verified
+    inverse seeds, by composing compiled automorphisms."""
+    steps = [*seeds, *map(inverse_seed, seeds)]
+    found = {identity_automorphism(seeds[0].backend), *steps}
+    frontier = list(found)
+    while frontier:
+        fresh = {compose(a, s) for a in frontier for s in steps} - found
+        found |= fresh
+        frontier = list(fresh)
+    return {a.signature for a in found}
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_compose_index_matches_compose(every_instance, name):
+    auts, _ = table_case(every_instance, name)
+    index = {a.signature: i for i, a in enumerate(auts)}
+    for i, x in enumerate(auts):
+        for j, y in enumerate(auts):
+            assert auts.compose_index(i, j) == index[compose(x, y).signature], (x.name, y.name)
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_inverse_index_inverts_on_both_sides(every_instance, name):
+    auts, seeds = table_case(every_instance, name)
+    ident = auts.identity_index
+    assert auts.elements[ident].signature == identity_automorphism(auts.backend).signature
+    elements = sample_elements(auts.backend)
+    for i, a in enumerate(auts):
+        inverse = auts.inverse_index[i]
+        assert auts.compose_index(i, inverse) == ident == auts.compose_index(inverse, i)
+        for g in elements:
+            assert auts.elements[inverse].apply(a.apply(g)) == g, (a.name, g)
+    for a in seeds:
+        inverse = inverse_seed(a)
+        for g in elements:
+            assert a.apply(inverse.apply(g)) == g == inverse.apply(a.apply(g)), (a.name, g)
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_closure_by_seeds_matches_closure_by_seeds_and_inverses(every_instance, name):
+    auts, seeds = table_case(every_instance, name)
+    signatures = [a.signature for a in auts]
+    assert len(set(signatures)) == auts.order
+    assert set(signatures) == oracle_closure(seeds)
+
+
+def guarded_products():
+    """Direct products with an infinite factor and a finite factor without
+    relators, each with an automorphism of every factor."""
+    s3_tu = PermutationGroup(3, ["t", "u"], [[1, 0, 2], [1, 2, 0]])
+    heis = DirectProduct([s3_tu, HeisenbergGroup()])
+    t, u, a, b, c = map(heis.gen, range(5))
+    sz = DirectProduct([s3_tu, FreeAbelianGroup(1, ["x"])])
+    t, u, x = map(sz.gen, range(3))
+    return [
+        # breaks [a, b] = c, so a factor-by-factor compilation would be wrong
+        Automorphism(heis, "f", [t, u, a, b, heis.inv(c)], [t, u, a, b, heis.inv(c)]),
+        Automorphism(sz, "f", [t, u, sz.inv(x)], [t, u, sz.inv(x)]),
+    ]
+
+
+@pytest.mark.parametrize("index", range(2), ids=["s3-x-heisenberg", "s3-x-z"])
+def test_verify_refuses_an_infinite_backend_without_relators(index):
+    a = guarded_products()[index]
+    assert a.backend.relators() is None and not a.backend.is_finite()
+    with pytest.raises(NotAnAutomorphism, match=r"^'f': backend kind direct_product has no "
+                       r"relator list and is not finite; cannot verify$"):
+        a.verify()
+    with pytest.raises(AttributeError):
+        a.apply(a.backend.identity)
+
+
+def test_finite_product_without_relators_walks_every_factor():
+    # y -> x*y breaks y^2 = e in Z/4 x Z/2, yet on the generators the inverse
+    # images x -> x, y -> x^-1*y pass the inverse check; the product has no
+    # relators (S3 has none), so only the walk over the whole product sees it
+    s3_tu = PermutationGroup(3, ["t", "u"], [[1, 0, 2], [1, 2, 0]])
+    backend = DirectProduct([s3_tu, DirectProduct([CyclicGroup(4, ["x"]),
+                                                   CyclicGroup(2, ["y"])])])
+    t, u, x, y = map(backend.gen, range(4))
+    a = Automorphism(backend, "f", [t, u, x, backend.mul(x, y)],
+                     [t, u, x, backend.mul(backend.inv(x), y)])
+    with pytest.raises(NotAnAutomorphism, match="^'f': images break multiplicativity at "):
+        a.verify()
