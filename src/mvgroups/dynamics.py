@@ -57,11 +57,11 @@ class BoundsReport:
         return all(self.verdicts)
 
 
-def bounds_check(X: CosetGroup, g, y, r_max: int,
-                 budget: int = DEFAULT_BUDGET) -> BoundsReport:
-    """Monoid-ball sandwich for z = pi(g): monoid of the A-orbit of g vs xi_y."""
-    gens = orbit(X.auts, g)
-    mb = monoid_balls(X.backend, gens, r_max, budget=budget)
+def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
+                 monoid: Optional[GrowthTable] = None) -> BoundsReport:
+    """Monoid-ball sandwich for z = pi(g): monoid of the A-orbit of g vs xi_y.
+    `monoid`, if given, is that monoid's table to radius r_max, which no y changes."""
+    mb = monoid or monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
     dt = iterate_dynamic(X, X.project(g), y, r_max, budget=budget)
     rows = []
     verdicts = []

@@ -15,7 +15,8 @@ relators nor finiteness is refused.  ``GroupBackend.homomorphism`` is the
 one place an image list becomes a map: finite kinds without relators walk
 their Cayley graph, checking the homomorphism property on every edge, and
 keep the image table; Z^k compiles to a linear map, Z/m to multiplication
-by the generator's image, free groups to letter substitution, and a direct
+by the generator's image, free groups to letter substitution or, for a
+signed permutation of the letters, syllable renaming, and a direct
 product with relators whose generators map into their own factors to one
 map per factor; evaluate(factor(g), images) stays the generic fallback and
 the oracle on infinite kinds (permutation and table groups have no
@@ -212,7 +213,7 @@ class GroupBackend:
     def is_finite(self) -> bool:
         return False
 
-    def elements(self) -> List[Any]:
+    def elements(self) -> Sequence[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
     def _close(self, gens: Sequence[Any]) -> List[Any]:
@@ -224,6 +225,21 @@ class GroupBackend:
 
 # ---------------------------------------------------------------------------
 # backends
+
+
+def _identity(g):
+    return g
+
+
+class _Memo(dict):
+    """x -> fn(x), each value formed on first use and shared after."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
 
 
 def _reduce(out: List[Tuple[int, int]], syllables: Iterable[Tuple[int, int]]) -> Any:
@@ -251,6 +267,7 @@ class FreeGroup(GroupBackend):
         self.gen_names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
         if len(self.gen_names) != rank:
             raise ValidationError("generator name count must equal the rank")
+        self._ranked = _Memo(lambda s: (s[0], int_key(s[1]))).__getitem__
 
     @property
     def identity(self):
@@ -266,17 +283,26 @@ class FreeGroup(GroupBackend):
         return tuple((letter, -exp) for letter, exp in reversed(g))
 
     def homomorphism(self, images):
-        """Letter substitution, then one free-reduction pass."""
+        """The identity on the generators' own images; syllable renaming
+        when the images are a signed permutation of the letters, each image
+        one letter to the power +-1 and no letter twice, since a renaming
+        injective on letters keeps reduced words reduced; else letter
+        substitution, then one free-reduction pass."""
+        images = tuple(images)
+        if images == tuple(map(self.gen, range(self.rank))):
+            return _identity
+        letters = {image[0][0] for image in images if len(image) == 1 and abs(image[0][1]) == 1}
+        if len(letters) == len(images):
+            rename = _Memo(lambda s: (images[s[0]][0][0], images[s[0]][0][1] * s[1])).__getitem__
+            return lambda g: tuple(map(rename, g))
         powers = [(image, self.inv(image)) for image in images]
         return lambda g: _reduce([], itertools.chain.from_iterable(
             powers[letter][exp < 0] * abs(exp) for letter, exp in g))
 
     def canonical_key(self, g):
-        """Flat (length, letter, exponent rank, letter, exponent rank, ...)."""
-        key = [len(g)]
-        for letter, exp in g:
-            key += (letter, int_key(exp))
-        return tuple(key)
+        """(length, (letter, exponent rank), ...): each pair is interned
+        per backend, and pairs compare as the flat sequence would."""
+        return (len(g), *map(self._ranked, g))
 
     def render(self, g):
         if not g:
@@ -394,7 +420,7 @@ class CyclicGroup(GroupBackend):
         return True
 
     def elements(self):
-        return list(range(self.order))
+        return range(self.order)
 
 
 class HeisenbergGroup(GroupBackend):
@@ -673,10 +699,6 @@ class DirectProduct(GroupBackend):
 
 # ---------------------------------------------------------------------------
 # automorphisms
-
-
-def _identity(g):
-    return g
 
 
 class Automorphism:

@@ -147,6 +147,8 @@ class CosetGroup(OrbitGroup):
         self.auts = auts
         self.n = auts.order
         self.twists = [a.apply for a in auts]
+        key = backend.canonical_key
+        self._keyed = lambda h: (key(h), h)
         self._classes = (self._partition(lambda g: (a.apply(g) for a in auts), budget)
                          if backend.is_finite() else {})
         self.unit = self.project(backend.identity)
@@ -154,8 +156,7 @@ class CosetGroup(OrbitGroup):
     def project(self, g) -> Tuple[Any, Any]:
         least = self._classes.get(g)
         if least is None:
-            key = self.backend.canonical_key
-            least = min((key(h), h) for h in {a.apply(g) for a in self.auts})
+            least = min(map(self._keyed, {t(g) for t in self.twists}))
             self._classes[least[1]] = least
         return least
 

@@ -20,7 +20,7 @@ from .dynamics import (
     quadratic_bound_check,
 )
 from .errors import BudgetExceeded, ValidationError
-from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls
+from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls, orbit
 from .mvalued import CosetGroup, NatGroup
 from .wordspec import Instance
 
@@ -111,8 +111,9 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
     if pool:
         ys.extend(rng.sample(pool, min(extra_y, len(pool))))
 
+    monoid = monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
     for y in ys:
-        report = bounds_check(X, g, y, r_max, budget=budget)
+        report = bounds_check(X, g, y, r_max, budget=budget, monoid=monoid)
         bad = [r for (r, *_), v in zip(report.rows, report.verdicts) if not v]
         if bad:
             result.add(False, f"r={bad[0]} y={X.render(y)} sandwich violated")

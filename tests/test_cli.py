@@ -509,14 +509,29 @@ def test_axioms_on_a_finite_carrier_obeys_the_budget(tmp_path):
     assert proc.stderr == "budget exceeded: more than 100 distinct elements\n"
 
 
-def run_in_subprocess(argv):
+# cli.run, then the peak RSS of the process's own memory (Linux VmHWM, KiB)
+# as the last line of stderr; getrusage's figure would not do, since Linux
+# carries the forking process's peak over fork and exec
+PEAK_RSS_RUN = """import re, sys
+from mvgroups.cli import run
+code = run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_in_subprocess(argv, peak_rss=False):
     """`mvgroups.cli` with argv in a fresh interpreter, so a run that ignores
-    the budget fails at the timeout instead of hanging the suite."""
+    the budget fails at the timeout instead of hanging the suite.  With
+    peak_rss the child appends its own peak RSS to stderr: RUSAGE_CHILDREN
+    here would be the maximum over the whole session."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "mvgroups.cli", *argv],
+    entry = ["-c", PEAK_RSS_RUN] if peak_rss else ["-m", "mvgroups.cli"]
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, timeout=10)
 
 
@@ -536,6 +551,22 @@ def test_finite_partition_obeys_the_budget(tmp_path, command, source):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: more than 1000 distinct elements\n"
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from Linux /proc")
+def test_cyclic_partition_does_not_list_the_carrier(tmp_path):
+    # a list of all 2,000,000 elements, built before the first class was
+    # filed, took the peak RSS to 92 MiB; the partition walks a range instead
+    path = tmp_path / "c2000000.json"
+    path.write_text(json.dumps(one_automorphism(
+        {"kind": "cyclic", "order": 2_000_000}, {"g": "g^-1"},
+        X_generators=["g"], defaults={"budget": 1000})))
+    proc = run_in_subprocess(["growth", "-c", str(path)], peak_rss=True)
+    message, peak_kib = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert message == "budget exceeded: more than 1000 distinct elements"
+    assert int(peak_kib) < 50 * 1024
 
 
 S3_TU = {"kind": "permutation", "degree": 3, "gens": ["t", "u"],

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvgroups import dynamics, verify
 from mvgroups.errors import (
     BudgetExceeded,
     InsufficientData,
@@ -14,7 +15,7 @@ from mvgroups.dynamics import (
     iterate_dynamic,
     quadratic_bound_check,
 )
-from mvgroups.groups import PermutationGroup
+from mvgroups.groups import PermutationGroup, monoid_balls
 from mvgroups.mvalued import DoubleCosetGroup, NatGroup
 
 
@@ -89,6 +90,30 @@ def test_bounds_check_nontrivial_start(instances):
     X = inst.X
     report = bounds_check(X, (1,), X.project((5,)), 10)
     assert report.ok
+
+
+def counting_monoid_balls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return monoid_balls(*args, **kwargs)
+    for module in (dynamics, verify):
+        monkeypatch.setattr(module, "monoid_balls", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["z2_swap", "free2_swap", "s3_conj"])
+def test_thm43_builds_one_monoid_ball_for_every_y(instances, monkeypatch, name):
+    calls = counting_monoid_balls(monkeypatch)
+    result = verify.thm43(instances[name], r_max=6)
+    assert len(calls) == 1
+    assert len(result.lines) == 4
+    # the oracle: every y's bounds_check builds the ball itself, as the CLI's does
+    monkeypatch.setattr(verify, "bounds_check", lambda X, g, y, r_max, budget, monoid:
+                        bounds_check(X, g, y, r_max, budget=budget))
+    assert verify.thm43(instances[name], r_max=6).lines == result.lines
+    assert len(calls) == 1 + 1 + 4
 
 
 # ---------------------------------------------------------------------------

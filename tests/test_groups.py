@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from mvgroups import groups
 from mvgroups.errors import (
     BudgetExceeded,
     InverseMissing,
@@ -963,3 +964,116 @@ def test_finite_product_without_relators_walks_every_factor():
                      [t, u, x, backend.mul(backend.inv(x), y)])
     with pytest.raises(NotAnAutomorphism, match="^'f': images break multiplicativity at "):
         a.verify()
+
+
+# ---------------------------------------------------------------------------
+# free groups: signed-permutation maps and interned syllable keys
+
+
+def signed_permutations(f):
+    """Every automorphism g_i -> g_p(i)^s_i of f, with its inverse images."""
+    k = f.rank
+    for perm in itertools.permutations(range(k)):
+        for signs in itertools.product((1, -1), repeat=k):
+            images = [((perm[i], signs[i]),) for i in range(k)]
+            inverse = [None] * k
+            for i in range(k):
+                inverse[perm[i]] = ((i, signs[i]),)
+            yield Automorphism(f, f"p{perm}s{signs}", images, inverse)
+
+
+def random_words(f, rng, count=150):
+    """Reduced words with exponents up to 4 in absolute value, and all their prefixes."""
+    words = set()
+    for _ in range(count):
+        g = f.identity
+        for _ in range(rng.randint(0, 8)):
+            g = f.mul(g, f.power(f.gen(rng.randrange(f.rank)), rng.choice((1, 2, 4, -1, -3))))
+        words.update(g[:i] for i in range(len(g) + 1))
+    return sorted(words)
+
+
+def assert_map_matches_oracle(f, images, words):
+    image = f.homomorphism(images)
+    for g in words:
+        assert image(g) == f.evaluate(f.factor(g), images), (images, g)
+
+
+@pytest.mark.parametrize("rank,count", [(2, 8), (3, 48)])
+def test_signed_permutation_maps_match_oracle(rank, count):
+    f = FreeGroup(rank)
+    words = random_words(f, random.Random(rank))
+    auts = [a.verify() for a in signed_permutations(f)]
+    assert len(set(auts)) == count
+    for a in auts:
+        assert_map_matches_oracle(f, a.images, words)
+    # the maps compose() compiles, and the group all of them make
+    rng = random.Random(7)
+    for a, b in (rng.sample(auts, 2) for _ in range(20)):
+        ab = compose(a, b)
+        assert [ab.apply(g) for g in words] == [a.apply(b.apply(g)) for g in words]
+    closed = close_automorphisms(auts)
+    assert closed.order == count
+    assert_compiled_matches_oracle(f, closed)
+
+
+def test_generator_images_compile_to_the_identity():
+    f = FreeGroup(2)
+    word = f.mul(f.gen(0), f.inv(f.gen(1)))
+    assert f.homomorphism([f.gen(0), f.gen(1)])(word) is word
+
+
+@pytest.mark.parametrize("images,generator", [
+    ([((0, 1),), ((0, 1),)], "g2"),
+    ([((0, 1),), ((0, -1),)], "g2"),
+    ([((0, 2),), ((1, 1),)], "g1"),
+    ([((1, 1), (0, 1)), ((1, 1),)], None),
+], ids=["letters-repeat", "letters-repeat-signed", "power", "transvection"])
+def test_other_images_take_the_reduction_path(images, generator):
+    f = FreeGroup(2)
+    # g2*g1^-1*g2^-1*g1 folds to a word that only reduction can cancel
+    words = random_words(f, random.Random(5)) + [((1, 1), (0, -1), (1, -1), (0, 1))]
+    assert_map_matches_oracle(f, images, words)
+    if generator is None:  # an automorphism that is no signed permutation
+        Automorphism(f, "a", images, [((1, -1), (0, 1)), ((1, 1),)]).verify()
+        return
+    with pytest.raises(NotAnAutomorphism) as exc:
+        Automorphism(f, "a", images, [f.gen(0), f.gen(1)]).verify()
+    assert str(exc.value) == f"'a': inverse images do not invert on generator {generator}"
+
+
+def flat_key(g):
+    """The free-word key as first written: (length, letter, exponent rank, ...)."""
+    key = [len(g)]
+    for letter, exp in g:
+        key += (letter, int_key(exp))
+    return tuple(key)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_key_matches_the_flat_key(rank):
+    f = FreeGroup(rank)
+    words = random_words(f, random.Random(rank), count=60)
+    assert_same_order(words, f.canonical_key, flat_key)
+    assert len(set(map(f.canonical_key, words))) == len(words)
+
+
+def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return int_key(x)
+    monkeypatch.setattr(groups, "int_key", counted)
+    f, rng = FreeGroup(3), random.Random(11)
+    words = random_words(f, rng)
+    for _ in range(3):
+        keys = list(map(f.canonical_key, words))
+    syllables = {s for g in words for s in g}
+    # one call per distinct syllable: an exponent is ranked once per letter it comes with
+    assert sum(calls.values()) == len(syllables)
+    assert calls == Counter(exp for _, exp in syllables)
+    # the cache is the backend's own
+    g = FreeGroup(3)
+    assert list(map(g.canonical_key, words)) == keys
+    assert sum(calls.values()) == 2 * len(syllables)
