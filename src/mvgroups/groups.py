@@ -15,13 +15,15 @@ relators nor finiteness is refused.  ``GroupBackend.homomorphism`` is the
 one place an image list becomes a map: finite kinds without relators walk
 their Cayley graph, checking the homomorphism property on every edge, and
 keep the image table; Z^k compiles to a linear map, Z/m to multiplication
-by the generator's image, free groups to letter substitution or, for a
-signed permutation of the letters, syllable renaming, and a direct
-product with relators whose generators map into their own factors to one
-map per factor; evaluate(factor(g), images) stays the generic fallback and
-the oracle on infinite kinds (permutation and table groups have no
-factor).  A verified automorphism keeps one map; its inverse images are
-checked on a second compiled map that is then dropped.
+by the generator's image, the Heisenberg group to one polynomial in
+(p, q, r), free groups to letter substitution or, for a signed
+permutation of the letters, syllable renaming, and a direct product with
+relators whose generators map into their own factors to one map per
+factor.  evaluate(factor(g), images) is left only to products that mix
+their factors, and stays the oracle on infinite kinds (permutation and
+table groups have no factor).  A verified automorphism keeps one map;
+its inverse images are checked on a second compiled map that is then
+dropped.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
 checked seeds, and ``AutomorphismGroup`` reads its composition and inverse
 tables off the generator images.
@@ -213,7 +215,7 @@ class GroupBackend:
     def is_finite(self) -> bool:
         return False
 
-    def elements(self) -> Sequence[Any]:
+    def elements(self) -> Iterable[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
     def _close(self, gens: Sequence[Any]) -> List[Any]:
@@ -341,10 +343,10 @@ class FreeAbelianGroup(GroupBackend):
         return tuple(1 if i == index else 0 for i in range(self.rank))
 
     def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inv(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(operator.neg, g))
 
     def power(self, g, k):
         return tuple(a * k for a in g)
@@ -453,6 +455,20 @@ class HeisenbergGroup(GroupBackend):
         p, q, r = g
         return (k * p, k * q, k * r + k * (k - 1) // 2 * p * q)
 
+    def homomorphism(self, images):
+        """g = a^p b^q c^s, s = r - pq, maps to A^p B^q C^s: the closed-form
+        powers multiplied out into one polynomial in (p, q, r)."""
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
+
+        def apply(g):
+            p, q, r = g
+            s = r - p * q
+            x = p * a1 + q * b1
+            return (x + s * c1, p * a2 + q * b2 + s * c2,
+                    p * a3 + p * (p - 1) // 2 * a1 * a2 + q * b3 + q * (q - 1) // 2 * b1 * b2
+                    + p * a1 * q * b2 + s * c3 + s * (s - 1) // 2 * c1 * c2 + x * s * c2)
+        return apply
+
     def canonical_key(self, g):
         return tuple(map(int_key, g))
 
@@ -505,7 +521,7 @@ class PermutationGroup(GroupBackend):
         return self._gens[index]
 
     def mul(self, g, h):
-        return tuple(h[g[i]] for i in range(self.degree))
+        return tuple(map(h.__getitem__, g))
 
     def inv(self, g):
         out = [0] * self.degree
@@ -693,8 +709,16 @@ class DirectProduct(GroupBackend):
         return all(b.is_finite() for b in self.factors)
 
     def elements(self):
-        pools = [b.elements() for b in self.factors]
-        return [tuple(combo) for combo in itertools.product(*pools)]
+        """Every element, the first factor varying slowest, formed one at a
+        time, so a partition's budget and not |G| bounds the memory."""
+        def tails(i):
+            if i == len(self.factors):
+                yield ()
+                return
+            for a in self.factors[i].elements():
+                for rest in tails(i + 1):
+                    yield (a, *rest)
+        return tails(0)
 
 
 # ---------------------------------------------------------------------------

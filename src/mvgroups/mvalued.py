@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
-from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend
+from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
 from .multiset import flatten
 
 
@@ -257,46 +257,38 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def triple_product_left(X: MvGroup, x, y, z, mul=None) -> Tuple[Any, ...]:
-    """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened; mul defaults to X.mul."""
-    mul = mul or X.mul
-    return flatten(mul(x, w) for w in mul(y, z))
-
-
-def triple_product_right(X: MvGroup, x, y, z, mul=None) -> Tuple[Any, ...]:
-    """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened; mul defaults to X.mul."""
-    mul = mul or X.mul
-    return flatten(mul(w, z) for w in mul(x, y))
-
-
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
-    """Verify associativity / unit / inverse on the sample; failures carry witnesses."""
+    """Verify associativity / unit / inverse on the sample; failures carry witnesses.
+
+    Three memos live for this call only.  X.mul runs once per ordered
+    pair.  As a multiset x*(y*z) is the union of x*w over w in y*z, so it
+    depends on x and the tuple P = y*z alone, and is flattened once per
+    (x, P); likewise (x*y)*z once per (Q, z) with Q = x*y.  With N sample
+    elements and D distinct products among their pairs, each triple memo
+    holds at most N*D entries.
+    """
     sample = list(sample)
     if not sample:
         raise ValidationError("axiom check needs a nonempty sample")
     if X.unit not in sample:
         sample = [X.unit] + sample
-    products = {}  # X.mul once per ordered pair, kept for this call only
-
-    def mul(x, y):
-        if (x, y) not in products:
-            products[x, y] = X.mul(x, y)
-        return products[x, y]
-
+    mul = _Memo(lambda pair: X.mul(*pair))
+    lefts = _Memo(lambda xp: flatten(mul[xp[0], w] for w in xp[1]))
+    rights = _Memo(lambda qz: flatten(mul[w, qz[1]] for w in qz[0]))
     report = AxiomReport(True, True, True)
     unit = X.unit
     for x in sample:
         report.elements_checked += 1
-        if report.unit_ok and not mul(unit, x) == mul(x, unit) == (x,) * X.n:
+        if report.unit_ok and not mul[unit, x] == mul[x, unit] == (x,) * X.n:
             report.unit_ok, report.unit_witness = False, x
         if report.inverse_ok:
             xb = X.inv(x)
-            if unit not in mul(xb, x) or unit not in mul(x, xb):
+            if unit not in mul[xb, x] or unit not in mul[x, xb]:
                 report.inverse_ok, report.inverse_witness = False, x
 
     for x, y, z in itertools.product(sample, repeat=3):
         report.triples_checked += 1
-        if triple_product_left(X, x, y, z, mul) != triple_product_right(X, x, y, z, mul):
+        if lefts[x, mul[y, z]] != rights[mul[x, y], z]:
             report.associativity_ok, report.associativity_witness = False, (x, y, z)
             return report
     return report

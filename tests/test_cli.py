@@ -553,20 +553,38 @@ def test_finite_partition_obeys_the_budget(tmp_path, command, source):
     assert proc.stderr == "budget exceeded: more than 1000 distinct elements\n"
 
 
-@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
-                    reason="reads the peak RSS from Linux /proc")
-def test_cyclic_partition_does_not_list_the_carrier(tmp_path):
-    # a list of all 2,000,000 elements, built before the first class was
-    # filed, took the peak RSS to 92 MiB; the partition walks a range instead
-    path = tmp_path / "c2000000.json"
+def assert_partition_stops_small(tmp_path, group, images):
+    """`growth` on the coset config exits 3 at budget 1000, peaking under 50 MiB."""
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(one_automorphism(
-        {"kind": "cyclic", "order": 2_000_000}, {"g": "g^-1"},
-        X_generators=["g"], defaults={"budget": 1000})))
+        group, images, X_generators=list(images), defaults={"budget": 1000})))
     proc = run_in_subprocess(["growth", "-c", str(path)], peak_rss=True)
     message, peak_kib = proc.stderr.splitlines()
     assert (proc.returncode, proc.stdout) == (3, "")
     assert message == "budget exceeded: more than 1000 distinct elements"
     assert int(peak_kib) < 50 * 1024
+
+
+NEEDS_PROC = pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                                reason="reads the peak RSS from Linux /proc")
+
+
+@NEEDS_PROC
+def test_cyclic_partition_does_not_list_the_carrier(tmp_path):
+    # a list of all 2,000,000 elements, built before the first class was
+    # filed, took the peak RSS to 92 MiB; the partition walks a range instead
+    assert_partition_stops_small(tmp_path, {"kind": "cyclic", "order": 2_000_000},
+                                 {"g": "g^-1"})
+
+
+@NEEDS_PROC
+def test_product_partition_does_not_list_the_carrier(tmp_path):
+    # a list of all 2,000 x 1,000 pairs took the peak RSS to 154 MiB; the
+    # product's elements are now formed one at a time
+    factors = [{"kind": "cyclic", "order": 2000, "gens": ["a"]},
+               {"kind": "cyclic", "order": 1000, "gens": ["b"]}]
+    assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
+                                 {"a": "a^-1", "b": "b^-1"})
 
 
 S3_TU = {"kind": "permutation", "degree": 3, "gens": ["t", "u"],

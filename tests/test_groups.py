@@ -494,7 +494,7 @@ def conjugations(name):
 def sample_elements(backend, seed=2025, count=200):
     """Every element of a finite backend, else `count` seeded random ones."""
     if backend.is_finite():
-        return backend.elements()
+        return list(backend.elements())
     rng = random.Random(seed)
     return [random_element(backend, rng, steps=10) for _ in range(count)]
 
@@ -631,7 +631,7 @@ def test_failed_inverse_check_leaves_apply_raising(index):
 def product_table_oracle(backend, images):
     """The image table by evaluating the images along BFS words, or None when
     one of the |G|^2 products breaks multiplicativity."""
-    elements = backend.elements()
+    elements = list(backend.elements())
     words = bfs_words(backend)
     table = {g: backend.evaluate(words[g], images) for g in elements}
     if all(table[backend.mul(g, h)] == backend.mul(table[g], table[h])
@@ -665,8 +665,9 @@ def test_edge_walk_matches_oracle_on_a_finite_direct_product():
     assert backend.relators() is None  # so verify() walks the product's edges
     t, c, z = map(backend.gen, range(3))
     rng = random.Random(46)
+    elements = list(backend.elements())
     candidates = [(t, c, z), (c, c, z), (t, c, t), (z, c, t)] + [
-        tuple(rng.choice(backend.elements()) for _ in range(3)) for _ in range(60)]
+        tuple(rng.choice(elements) for _ in range(3)) for _ in range(60)]
     verdicts = set()
     for images in candidates:
         table = edge_walk_table(backend, images)
@@ -750,6 +751,8 @@ def compiled_seeds():
     # the group of z3xF2_example46, with every factor counted
     zf = counting(DirectProduct)([counting(CyclicGroup)(3, ["h"]), counting(FreeGroup)(2)])
     h, g1, g2 = map(zf.gen, range(3))
+    heis = counting(HeisenbergGroup)()
+    a, b, c = map(heis.gen, range(3))
     return [
         conjugation(perm, perm.gen(0)),
         conjugation(table, table.gen(0)),
@@ -759,6 +762,7 @@ def compiled_seeds():
                      [f3.gen(2), f3.gen(0), f3.gen(1)]),
         Automorphism(z7, "times3", [3], [5]),
         Automorphism(zf, "a", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
+        Automorphism(heis, "swap", [b, a, heis.inv(c)], [b, a, heis.inv(c)]),
     ]
 
 
@@ -766,7 +770,7 @@ def test_verify_makes_no_factor_calls_on_compiled_kinds():
     seeds = compiled_seeds()
     assert [a.backend.kind for a in seeds] == [
         "permutation", "finite_table", "free_abelian", "free_abelian", "free", "cyclic",
-        "direct_product"]
+        "direct_product", "heisenberg"]
     for a in seeds:
         counted = [a.backend, *getattr(a.backend, "factors", ())]
         for b in counted:
@@ -783,8 +787,9 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
     seeds = compiled_seeds()
     groups = [close_automorphisms([seeds[0]]), close_automorphisms([seeds[1]]),
               close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]]),
-              close_automorphisms([seeds[5]]), close_automorphisms([seeds[6]])]
-    assert [auts.order for auts in groups] == [2, 2, 8, 3, 6, 2]
+              close_automorphisms([seeds[5]]), close_automorphisms([seeds[6]]),
+              close_automorphisms([seeds[7]])]
+    assert [auts.order for auts in groups] == [2, 2, 8, 3, 6, 2, 2]
     for auts in groups:
         backend = auts.backend
         counted = [backend, *getattr(backend, "factors", ())]
@@ -800,12 +805,24 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
 
 
 def test_generic_apply_counts_as_factor_and_evaluate():
-    h = counting(HeisenbergGroup)()
-    images = [h.gen(1), h.gen(0), h.inv(h.gen(2))]
-    swap = Automorphism(h, "swap", images, images).verify()
-    h.counts = Counter()
-    swap.apply((1, 2, 3))
-    assert h.counts == Counter(evaluate=1, factor=1)
+    _, mixing = product_automorphisms()
+    swap = mixing[0]  # x <-> y on Z x Z mixes the factors
+    swap.backend.counts = Counter()
+    assert swap.apply(((1,), (2,))) == ((2,), (1,))
+    assert swap.backend.counts == Counter(evaluate=1, factor=1)
+
+
+def test_heisenberg_closed_form_map_matches_the_generic_map():
+    # most random image triples are no homomorphism; the polynomial is
+    # A^p B^q C^(r-pq) all the same, as evaluate(factor(g), images) is
+    h = HeisenbergGroup()
+    rng = random.Random(15)
+    for _ in range(300):
+        images = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)]
+        closed, generic = h.homomorphism(images), GroupBackend.homomorphism(h, images)
+        for _ in range(10):
+            g = tuple(rng.randint(-30, 30) for _ in range(3))
+            assert closed(g) == generic(g), (images, g)
 
 
 def test_heisenberg_closed_form_power_matches_square_and_multiply():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvgroups import load_instance
+from mvgroups import load_instance, mvalued
 from mvgroups.cayley import ball
 from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
 from mvgroups.groups import (
@@ -27,10 +27,21 @@ from mvgroups.mvalued import (
     MvGroup,
     NatGroup,
     check_axioms,
-    triple_product_left,
-    triple_product_right,
 )
+from mvgroups.multiset import flatten
 from mvgroups.verify import sample_elements
+
+
+def triple_product_left(X, x, y, z):
+    """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened, every
+    product recomputed: the slow-path oracle of check_axioms."""
+    return flatten(X.mul(x, w) for w in X.mul(y, z))
+
+
+def triple_product_right(X, x, y, z):
+    """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened, every
+    product recomputed: the slow-path oracle of check_axioms."""
+    return flatten(X.mul(w, z) for w in X.mul(x, y))
 
 
 def assert_canonical(X, product):
@@ -307,7 +318,7 @@ DOUBLE_COSETS = {
 @pytest.mark.parametrize("name", DOUBLE_COSETS)
 def test_double_coset_partition_matches_project_oracle(name):
     X = DOUBLE_COSETS[name]()
-    elements = X.backend.elements()
+    elements = list(X.backend.elements())
     for g in elements:
         assert X.project(g) == double_coset_project_oracle(X, g), g
     assert X.carrier() == sorted({double_coset_project_oracle(X, g) for g in elements})
@@ -345,7 +356,7 @@ def test_coset_project_matches_orbit_min_oracle(path):
     X = load_instance(path).X  # fresh, so its class table is this test's own
     backend = X.backend
     if backend.is_finite():
-        elements = backend.elements()
+        elements = list(backend.elements())
     else:
         gens = [backend.gen(i) for i in range(len(backend.gen_names))]
         monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
@@ -379,6 +390,16 @@ def test_coset_class_table_files_each_class_under_its_least_member(path):
     assert len(X._classes) == len(returned) == table.ball_sizes[-1]
 
 
+def s4_transposition_coset(cls=PermutationGroup):
+    """The coset group of S4 under conjugation by the transposition t."""
+    backend = s4_backend(cls)
+    gens = [backend.gen(i) for i in range(2)]
+    t = gens[0]
+    images = [backend.mul(backend.mul(t, g), t) for g in gens]
+    return CosetGroup(backend, close_automorphisms(
+        [Automorphism(backend, "conj", images, images).verify()]))
+
+
 def test_finite_coset_project_is_a_lookup(monkeypatch):
     class Counting(PermutationGroup):
         keys = 0
@@ -387,12 +408,8 @@ def test_finite_coset_project_is_a_lookup(monkeypatch):
             self.keys += 1
             return super().canonical_key(g)
 
-    backend = s4_backend(Counting)
-    gens = [backend.gen(i) for i in range(2)]
-    t = gens[0]
-    images = [backend.mul(backend.mul(t, g), t) for g in gens]
-    X = CosetGroup(backend, close_automorphisms(
-        [Automorphism(backend, "conj", images, images).verify()]))
+    X = s4_transposition_coset(Counting)
+    backend = X.backend
     applies = []
     apply = Automorphism.apply
     monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
@@ -491,6 +508,22 @@ def test_check_axioms_matches_unmemoized_reference(every_instance, name):
     assert report == reference_check_axioms(X, sample)
     if name == "nat_mutated":
         assert (report.unit_witness, report.inverse_witness) == (0, 1)
+
+
+@pytest.mark.parametrize("name,distinct", [("s3_conj", 24), ("s4_transposition", 560)])
+def test_check_axioms_flattens_once_per_distinct_product(instances, monkeypatch, name, distinct):
+    X = instances[name].X if name in instances else s4_transposition_coset()
+    sample = X.carrier()
+    triples = list(itertools.product(sample, repeat=3))
+    lefts = {(x, X.mul(y, z)) for x, y, z in triples}
+    rights = {(X.mul(x, y), z) for x, y, z in triples}
+    assert (len(lefts), len(rights)) == (distinct, distinct)
+    calls = []
+    monkeypatch.setattr(mvalued, "flatten", lambda products: calls.append(1) or flatten(products))
+    report = check_axioms(X, sample)
+    assert report.all_ok and report.triples_checked == len(triples)
+    assert len(calls) == len(lefts) + len(rights)
+    assert report == reference_check_axioms(X, sample)
 
 
 def test_check_axioms_matches_reference_on_associativity_failure():
