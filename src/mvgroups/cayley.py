@@ -22,16 +22,14 @@ distinct elements have been reached.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, layers
 from .mvalued import MvGroup
 
 
-@dataclass
-class PowerTable:
+class PowerTable(NamedTuple):
     """Cumulative power supports B*(x, r) and their spheres S*(x, r).
 
     Row 0 is empty by convention; ``set_powers[r]`` is Set(x^{*r}) for
@@ -128,11 +126,10 @@ def set_product(X: MvGroup, left: Sequence[Any], right: Sequence[Any]) -> Tuple[
 # generating-set comparison
 
 
-@dataclass
-class CompareReport:
+class CompareReport(NamedTuple):
     constant: int
     rows: List[Tuple[int, int, int, int]]  # (r, lower, middle, upper)
-    violations: List[int] = field(default_factory=list)
+    violations: List[int]
 
     @property
     def ok(self) -> bool:

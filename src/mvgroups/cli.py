@@ -8,7 +8,6 @@ deterministic for fixed config and flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -41,26 +40,20 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="node budget override (default from config, else 10^6)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mvgroups",
-                                     description="Exact computation with n-valued groups")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("axioms", help="check the n-valued group axioms")
-    _add_common(p)
+def _axioms_args(p: argparse.ArgumentParser):
     p.add_argument("--sample", type=_int_at_least(0), default=10,
                    help="sample size / range bound for infinite carriers")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("growth", help="growth table of balls and spheres")
-    _add_common(p)
+
+def _growth_args(p: argparse.ArgumentParser):
     p.add_argument("--center", default=None, help="center element word (default: unit)")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-elements", action="store_true")
 
-    p = sub.add_parser("dynamics", help="iterate the dynamic T_z and report xi")
-    _add_common(p)
+
+def _dynamics_args(p: argparse.ArgumentParser):
     p.add_argument("--z", required=True, help="word defining z")
     p.add_argument("--y", default=None, help="starting point word (default: unit)")
     p.add_argument("--steps", type=_int_at_least(0), default=None)
@@ -70,24 +63,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-elements", action="store_true")
 
-    p = sub.add_parser("powers", help="power supports B*/S* of an element")
-    _add_common(p)
+
+def _powers_args(p: argparse.ArgumentParser):
     p.add_argument("--x", required=True, help="base element word")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-elements", action="store_true")
 
-    p = sub.add_parser("compare", help="generating-set growth equivalence sandwich")
-    _add_common(p)
+
+def _compare_args(p: argparse.ArgumentParser):
     p.add_argument("--gens2", required=True, help="comma-separated words for S'")
     p.add_argument("--center2", default=None, help="second center word (default: unit)")
     p.add_argument("--radius", type=int, default=None)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(p)
+
+def _verify_args(p: argparse.ArgumentParser):
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--radius", type=int, default=None)
 
+
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser with only the subparser of `command` when that names a
+    command, else with all of them.  Either way the usage line lists every
+    command, so top-level help and errors read the same."""
+    parser = argparse.ArgumentParser(prog="mvgroups",
+                                     description="Exact computation with n-valued groups")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        add_arguments(p)
     return parser
 
 
@@ -198,7 +206,7 @@ def _cmd_dynamics(args) -> int:
     c = classify_growth(table.xi) if args.classify else None
     extra = _elements(args, X, "supports", table.supports)
     if c is not None and args.format == "json":
-        extra["classification"] = dataclasses.asdict(c)
+        extra["classification"] = c._asdict()
     emit_table(args.format, rows, {"z": X.render(table.z), "y": X.render(table.y)}, extra)
     if c is not None and args.format == "csv":
         notes = []
@@ -252,24 +260,25 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
-_HANDLERS = {
-    "axioms": _cmd_axioms,
-    "growth": _cmd_growth,
-    "dynamics": _cmd_dynamics,
-    "powers": _cmd_powers,
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
+# command -> (help, its argument adder, its handler)
+_COMMANDS = {
+    "axioms": ("check the n-valued group axioms", _axioms_args, _cmd_axioms),
+    "growth": ("growth table of balls and spheres", _growth_args, _cmd_growth),
+    "dynamics": ("iterate the dynamic T_z and report xi", _dynamics_args, _cmd_dynamics),
+    "powers": ("power supports B*/S* of an element", _powers_args, _cmd_powers),
+    "compare": ("generating-set growth equivalence sandwich", _compare_args, _cmd_compare),
+    "verify": ("run a named verification suite", _verify_args, _cmd_verify),
 }
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientData, PreconditionViolated, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, monoid_balls, orbit
@@ -23,8 +22,7 @@ from .cayley import PowerTable, dynamic_supports, power_table
 from .mvalued import CosetGroup, MvGroup
 
 
-@dataclass
-class DynamicsTable:
+class DynamicsTable(NamedTuple):
     """Supports of T_z^r(y) and their sizes xi_y(r), rows 0..radius."""
 
     z: Any
@@ -42,8 +40,7 @@ def iterate_dynamic(X: MvGroup, z, y, radius: int,
     return DynamicsTable(z, y, radius, supports, [len(s) for s in supports])
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Per-radius sandwich (1/n)|S+| <= xi <= |B+| with verdicts."""
 
     n: int
@@ -75,8 +72,7 @@ def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
     return BoundsReport(X.n, rows, verdicts, mb, dt)
 
 
-@dataclass
-class QuadraticBoundReport:
+class QuadraticBoundReport(NamedTuple):
     """xi_x(r) <= r(r+1) for an involutive 2-valued group, with margins."""
 
     x: Any
@@ -115,8 +111,7 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
 # empirical classification
 
 
-@dataclass
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Heuristic growth verdict; never a proof (the caveat flag is always set)."""
 
     kind: str  # bounded | empirically-polynomial | empirically-exponential | inconclusive

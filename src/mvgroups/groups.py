@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BackendMismatch,
@@ -95,8 +94,7 @@ def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
             for x in layer]
 
 
-@dataclass
-class GrowthTable:
+class GrowthTable(NamedTuple):
     """Per-radius |B(x, r)| and |S(x, r)|, with the sphere element sets."""
 
     center: Any
@@ -352,8 +350,21 @@ class FreeAbelianGroup(GroupBackend):
         return tuple(a * k for a in g)
 
     def homomorphism(self, images):
-        """The linear map whose columns are the images."""
+        """The linear map whose columns are the images, unless they are a
+        signed permutation of the basis: then each row of the matrix holds
+        one entry +-1, in a column of its own, so each coordinate of the
+        image is one coordinate of g, picked by `itemgetter` and multiplied
+        by its sign unless every sign is +1."""
         rows = tuple(zip(*images))
+        entries = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
+        if sorted(e[0][0] for e in entries
+                  if len(e) == 1 and e[0][1] in (1, -1)) == list(range(self.rank)):
+            index, signs = zip(*(e[0] for e in entries))
+            # itemgetter of one index returns the coordinate, not a tuple
+            pick = operator.itemgetter(*index) if self.rank > 1 else tuple
+            if -1 not in signs:
+                return pick
+            return lambda g: tuple(map(operator.mul, signs, pick(g)))
         return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
 
     def canonical_key(self, g):
@@ -521,7 +532,7 @@ class PermutationGroup(GroupBackend):
         return self._gens[index]
 
     def mul(self, g, h):
-        return tuple(map(h.__getitem__, g))
+        return tuple([h[i] for i in g])
 
     def inv(self, g):
         out = [0] * self.degree
@@ -933,14 +944,13 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
                  budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball.
 
-    The table is centred at the identity; spheres are sorted by canonical key.
+    The table is centred at the identity; each sphere is in discovery order.
     """
     if not gens:
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     spheres = layers([backend.identity], lambda u: (backend.mul(u, s) for s in gens), budget)
-    sphere_sets = [tuple(sorted(layer, key=backend.canonical_key))
-                   for layer in itertools.islice(spheres, radius + 1)]
+    sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(backend.identity, radius, sphere_sets, ball_sizes)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
 from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
@@ -203,16 +202,15 @@ class DoubleCosetGroup(OrbitGroup):
 # axiom checking
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     associativity_ok: bool
     unit_ok: bool
     inverse_ok: bool
-    associativity_witness: Optional[Tuple[Any, Any, Any]] = None
-    unit_witness: Optional[Any] = None
-    inverse_witness: Optional[Any] = None
-    triples_checked: int = 0
-    elements_checked: int = 0
+    associativity_witness: Optional[Tuple[Any, Any, Any]]
+    unit_witness: Optional[Any]
+    inverse_witness: Optional[Any]
+    triples_checked: int
+    elements_checked: int
 
     @property
     def all_ok(self) -> bool:
@@ -275,20 +273,15 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     mul = _Memo(lambda pair: X.mul(*pair))
     lefts = _Memo(lambda xp: flatten(mul[xp[0], w] for w in xp[1]))
     rights = _Memo(lambda qz: flatten(mul[w, qz[1]] for w in qz[0]))
-    report = AxiomReport(True, True, True)
     unit = X.unit
-    for x in sample:
-        report.elements_checked += 1
-        if report.unit_ok and not mul[unit, x] == mul[x, unit] == (x,) * X.n:
-            report.unit_ok, report.unit_witness = False, x
-        if report.inverse_ok:
-            xb = X.inv(x)
-            if unit not in mul[xb, x] or unit not in mul[x, xb]:
-                report.inverse_ok, report.inverse_witness = False, x
-
-    for x, y, z in itertools.product(sample, repeat=3):
-        report.triples_checked += 1
+    unit_witness = next((x for x in sample
+                         if not mul[unit, x] == mul[x, unit] == (x,) * X.n), None)
+    inverse_witness = next((x for x, xb in zip(sample, map(X.inv, sample))
+                            if unit not in mul[xb, x] or unit not in mul[x, xb]), None)
+    witness = None
+    for triples, (x, y, z) in enumerate(itertools.product(sample, repeat=3), 1):
         if lefts[x, mul[y, z]] != rights[mul[x, y], z]:
-            report.associativity_ok, report.associativity_witness = False, (x, y, z)
-            return report
-    return report
+            witness = (x, y, z)
+            break
+    return AxiomReport(witness is None, unit_witness is None, inverse_witness is None,
+                       witness, unit_witness, inverse_witness, triples, len(sample))

@@ -8,7 +8,6 @@ these functions, and every suite caps its enumerations at `budget`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .cayley import ball, power_table, set_product
@@ -24,10 +23,14 @@ from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls, orbit
 from .mvalued import CosetGroup, NatGroup
 from .wordspec import Instance
 
-@dataclass
 class SuiteResult:
-    suite: str
-    lines: List[Tuple[bool, str]] = field(default_factory=list)
+    """A suite's (ok, detail) verdict lines, in the order they were added."""
+
+    __slots__ = ("suite", "lines")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.lines: List[Tuple[bool, str]] = []
 
     @property
     def ok(self) -> bool:

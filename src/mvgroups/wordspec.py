@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     SchemaError,
@@ -140,8 +139,7 @@ def nat_element(word: Word) -> int:
 # config documents
 
 
-@dataclass
-class InstanceConfig:
+class InstanceConfig(NamedTuple):
     """A checked config document with its parts built.
 
     `backend` is None for the builtin-nat kinds, whose elements are ints.
@@ -381,8 +379,7 @@ def _automorphism(backend: GroupBackend, entry: Any, path: str, index: int) -> A
     return Automorphism(backend, entry.get("name", f"a{index}"), *maps)
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     """A fully built n-valued group plus the config's generating data."""
 
     config: InstanceConfig

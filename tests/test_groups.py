@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import pathlib
 import random
 import struct
@@ -1094,3 +1095,53 @@ def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
     g = FreeGroup(3)
     assert list(map(g.canonical_key, words)) == keys
     assert sum(calls.values()) == 2 * len(syllables)
+
+
+# ---------------------------------------------------------------------------
+# free abelian groups: signed permutations of the basis compile to index maps
+
+
+def linear_map(images, g):
+    """sum_i g[i] * images[i]: the image of g under the linear map."""
+    return tuple(sum(c * image[j] for c, image in zip(g, images)) for j in range(len(g)))
+
+
+def random_vectors(rank, rng, count=200):
+    return [tuple(rng.randint(-50, 50) for _ in range(rank)) for _ in range(count)]
+
+
+def signed_permutation_images(z):
+    """The images g_i -> s_i g_p(i) of every signed permutation of the basis of z."""
+    k = z.rank
+    for perm in itertools.permutations(range(k)):
+        for signs in itertools.product((1, -1), repeat=k):
+            yield [z.power(z.gen(perm[i]), signs[i]) for i in range(k)]
+
+
+# matrices that are no signed permutation, so they keep the linear map
+OTHER_IMAGES = {
+    1: [[(2,)], [(0,)]],
+    2: [[(1, 1), (0, 1)], [(0, 1), (0, -1)], [(1, 0), (0, 2)], [(0, 0), (0, 1)]],
+    3: [[(0, 1, 0), (0, 0, 1), (1, 1, 0)], [(1, 0, 0), (1, 0, 0), (0, 0, 1)]],
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_abelian_maps_match_the_linear_map(rank):
+    z = FreeAbelianGroup(rank)
+    vectors = random_vectors(rank, random.Random(rank))
+    for images in [*signed_permutation_images(z), *OTHER_IMAGES[rank]]:
+        image = z.homomorphism(images)
+        assert [image(g) for g in vectors] == [linear_map(images, g) for g in vectors], images
+
+
+@pytest.mark.parametrize("name", ["z_pm1", "z2_swap", "z2_pm1", "z3_shift", "z2_dihedral"])
+def test_free_abelian_instances_apply_index_maps(every_instance, name):
+    auts = every_instance[name].auts
+    z = auts.backend
+    vectors = random_vectors(z.rank, random.Random(name))
+    for a in auts:
+        assert [a.apply(g) for g in vectors] == [linear_map(a.images, g) for g in vectors]
+        # these groups permute the basis with no sign change: a bare itemgetter
+        if name in ("z2_swap", "z3_shift"):
+            assert isinstance(z.homomorphism(a.images), operator.itemgetter), a.name

@@ -1,9 +1,13 @@
 """Source hygiene: every name a module imports is used in that module,
-every import is a top-level statement of its module, and every function
-or method the package defines is referenced outside its own definition."""
+every import is a top-level statement of its module, every function or
+method the package defines is referenced outside its own definition, and
+importing the CLI loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +95,13 @@ def test_every_function_is_referenced():
     defined = {name for path in SRC.glob("*.py")
                for name in defined_functions(ast.parse(path.read_text(encoding="utf-8")))}
     assert sorted(defined - used) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter: pytest itself has imported both modules here
+    probe = ("import sys, mvgroups.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -466,22 +466,25 @@ def reference_check_axioms(X, sample):
     sample = list(sample)
     if X.unit not in sample:
         sample = [X.unit] + sample
-    report = AxiomReport(True, True, True)
+    unit_witness = inverse_witness = associativity_witness = None
     for x in sample:
-        report.elements_checked += 1
         expected = (x,) * X.n
-        if report.unit_ok and (X.mul(X.unit, x) != expected or X.mul(x, X.unit) != expected):
-            report.unit_ok, report.unit_witness = False, x
+        if unit_witness is None and (X.mul(X.unit, x) != expected
+                                     or X.mul(x, X.unit) != expected):
+            unit_witness = x
         xb = X.inv(x)
-        if report.inverse_ok and (X.unit not in X.mul(xb, x)
-                                  or X.unit not in X.mul(x, xb)):
-            report.inverse_ok, report.inverse_witness = False, x
+        if inverse_witness is None and (X.unit not in X.mul(xb, x)
+                                        or X.unit not in X.mul(x, xb)):
+            inverse_witness = x
+    triples = 0
     for x, y, z in itertools.product(sample, repeat=3):
-        report.triples_checked += 1
+        triples += 1
         if triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z):
-            report.associativity_ok, report.associativity_witness = False, (x, y, z)
+            associativity_witness = (x, y, z)
             break
-    return report
+    return AxiomReport(associativity_witness is None, unit_witness is None,
+                       inverse_witness is None, associativity_witness, unit_witness,
+                       inverse_witness, triples, len(sample))
 
 
 def cli_sample(instance):
