@@ -925,16 +925,6 @@ class SemidirectProduct(GroupBackend):
         g, i = p
         return (self.group.canonical_key(g), i)
 
-    def render(self, p):
-        g, i = p
-        return f"({self.group.render(g)}; {self.auts.elements[i].name})"
-
-    def is_finite(self):
-        return self.group.is_finite()
-
-    def elements(self):
-        return [(g, i) for g in self.group.elements() for i in range(self.auts.order)]
-
 
 # ---------------------------------------------------------------------------
 # monoid balls

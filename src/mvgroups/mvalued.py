@@ -84,12 +84,18 @@ class OrbitGroup(MvGroup):
     choice is a tested property, not an assumption.  Classes compare and
     hash as tuples, so they sort in the canonical order of their least
     members; a representative is rendered only when printed.  Subclasses
-    set n, twists, unit and the table _classes, and define project and carrier.
+    call _twist_by, set n, unit and _classes, and define project and carrier.
     """
 
     backend: GroupBackend
     twists: List[Callable[[Any], Any]]
     _classes: Dict[Any, Tuple[Any, Any]]
+
+    def _twist_by(self, twists: List[Callable[[Any], Any]]) -> None:
+        """Set the twists and memoize each right factor's twisted images; the
+        lambda holds the list, not self, so no instance is a reference cycle."""
+        self.twists = twists
+        self._twisted = _Memo(lambda h: [t(h) for t in twists])
 
     def project(self, g) -> Tuple[Any, Any]:
         raise NotImplementedError
@@ -109,8 +115,9 @@ class OrbitGroup(MvGroup):
         return classes
 
     def mul(self, x, y):
-        backend, project = self.backend, self.project
-        return tuple(sorted(project(backend.mul(x[1], t(y[1]))) for t in self.twists))
+        """The n values; y's twisted images are formed once per right factor."""
+        backend, project, g = self.backend, self.project, x[1]
+        return tuple(sorted(project(backend.mul(g, h)) for h in self._twisted[y[1]]))
 
     def inv(self, x):
         return self.project(self.backend.inv(x[1]))
@@ -145,7 +152,7 @@ class CosetGroup(OrbitGroup):
         self.backend = backend
         self.auts = auts
         self.n = auts.order
-        self.twists = [a.apply for a in auts]
+        self._twist_by([a.apply for a in auts])
         key = backend.canonical_key
         self._keyed = lambda h: (key(h), h)
         self._classes = (self._partition(lambda g: (a.apply(g) for a in auts), budget)
@@ -181,7 +188,7 @@ class DoubleCosetGroup(OrbitGroup):
         self.backend = backend
         self.subgroup = sorted(backend._close(subgroup), key=backend.canonical_key)
         self.n = len(self.subgroup)
-        self.twists = [functools.partial(backend.mul, h) for h in self.subgroup]
+        self._twist_by([functools.partial(backend.mul, h) for h in self.subgroup])
         self._classes = self._partition(self._double_coset, budget)
         self.unit = self.project(backend.identity)
 
@@ -258,30 +265,38 @@ class AxiomReport(NamedTuple):
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     """Verify associativity / unit / inverse on the sample; failures carry witnesses.
 
-    Three memos live for this call only.  X.mul runs once per ordered
-    pair.  As a multiset x*(y*z) is the union of x*w over w in y*z, so it
-    depends on x and the tuple P = y*z alone, and is flattened once per
-    (x, P); likewise (x*y)*z once per (Q, z) with Q = x*y.  With N sample
-    elements and D distinct products among their pairs, each triple memo
-    holds at most N*D entries.
+    Each class met gets a small int id; X.mul runs once per ordered id pair,
+    kept as the sorted tuple of value ids, and the N x N table of sample
+    products is built once.  As a multiset x*(y*z) is the union of x*w over
+    w in y*z, so it is flattened once per (x, P = y*z), in x's memo; (x*y)*z
+    is flattened for all z at once, one row per Q = x*y.  Each (x, y)
+    compares the two rows as lists, and only a row that differs is scanned
+    for its first z: witness and triples_checked are the plain loop's.
     """
     sample = list(sample)
     if not sample:
         raise ValidationError("axiom check needs a nonempty sample")
     if X.unit not in sample:
         sample = [X.unit] + sample
-    mul = _Memo(lambda pair: X.mul(*pair))
-    lefts = _Memo(lambda xp: flatten(mul[xp[0], w] for w in xp[1]))
-    rights = _Memo(lambda qz: flatten(mul[w, qz[1]] for w in qz[0]))
-    unit = X.unit
-    unit_witness = next((x for x in sample
-                         if not mul[unit, x] == mul[x, unit] == (x,) * X.n), None)
-    inverse_witness = next((x for x, xb in zip(sample, map(X.inv, sample))
-                            if unit not in mul[xb, x] or unit not in mul[x, xb]), None)
-    witness = None
-    for triples, (x, y, z) in enumerate(itertools.product(sample, repeat=3), 1):
-        if lefts[x, mul[y, z]] != rights[mul[x, y], z]:
-            witness = (x, y, z)
+    classes: List[Any] = []
+    ids = _Memo(lambda c: classes.append(c) or len(classes) - 1).__getitem__
+    mul = _Memo(lambda ij: tuple(sorted(map(ids, X.mul(classes[ij[0]], classes[ij[1]])))))
+    row = list(map(ids, sample))
+    unit = ids(X.unit)
+    unit_witness = next((x for x, i in zip(sample, row)
+                         if not mul[unit, i] == mul[i, unit] == (i,) * X.n), None)
+    inverse_witness = next((x for x, i, ib in zip(sample, row, map(ids, map(X.inv, sample)))
+                            if unit not in mul[ib, i] or unit not in mul[i, ib]), None)
+    table = [[mul[i, j] for j in row] for i in row]
+    lefts = _Memo(lambda i: _Memo(lambda p: flatten([mul[i, w] for w in p])).__getitem__)
+    rights = _Memo(lambda q: [flatten([mul[w, k] for w in q]) for k in row])
+    size = len(row)
+    witness, triples = None, size ** 3
+    for a, b in itertools.product(range(size), repeat=2):
+        left, right = list(map(lefts[row[a]], table[b])), rights[table[a][b]]
+        if left != right:
+            c = next(c for c in range(size) if left[c] != right[c])
+            witness, triples = (sample[a], sample[b], sample[c]), (a * size + b) * size + c + 1
             break
     return AxiomReport(witness is None, unit_witness is None, inverse_witness is None,
                        witness, unit_witness, inverse_witness, triples, len(sample))

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import pathlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -89,27 +91,22 @@ def test_mutated_nat_fails_unit_and_inverse():
     assert not report.all_ok
 
 
-class _BrokenAt22(MvGroup):
+class _BrokenAt(NatGroup):
     """Ad-hoc control: one corrupted product value breaks associativity."""
 
-    n = 2
-    unit = 0
+    def __init__(self, pair=(2, 2), product=(1, 4)):
+        self.pair, self.product = pair, product
 
     def mul(self, x, y):
-        if x == 2 and y == 2:
-            return (1, 4)
-        return tuple(sorted((x + y, abs(x - y))))
-
-    def inv(self, x):
-        return x
+        return self.product if (x, y) == self.pair else super().mul(x, y)
 
 
 def test_associativity_failure_produces_witness():
-    report = check_axioms(_BrokenAt22(), range(4))
+    report = check_axioms(_BrokenAt(), range(4))
     assert not report.associativity_ok
     assert report.associativity_witness is not None
     x, y, z = report.associativity_witness
-    X = _BrokenAt22()
+    X = _BrokenAt()
     assert triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z)
 
 
@@ -312,6 +309,10 @@ DOUBLE_COSETS = {
     "s3_cyclic": lambda: DoubleCosetGroup(s3_backend(), [(1, 2, 0)]),
     "s4_by_s3": lambda: DoubleCosetGroup(s4_backend(), [(1, 0, 2, 3), (0, 2, 1, 3)]),
     "s4_by_klein": lambda: DoubleCosetGroup(s4_backend(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
+    # the bench's S5 shape: H = Sym({0, 1, 2}), so n = 6 over 7 classes
+    "s5_by_s3": lambda: DoubleCosetGroup(
+        PermutationGroup(5, ["t", "c"], [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+        [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4)]),
 }
 
 
@@ -442,8 +443,8 @@ def test_class_elements_order_and_hash():
 # ---------------------------------------------------------------------------
 # memoized axiom check against the unmemoized reference loop
 
-SHIPPED = sorted(p.stem for p in
-                 (pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+TESTS = pathlib.Path(__file__).resolve().parent
+SHIPPED = sorted(p.stem for p in (TESTS.parent / "configs").glob("*.json"))
 
 
 class CountingMv(MvGroup):
@@ -504,9 +505,14 @@ def test_check_axioms_multiplies_each_pair_once(instances):
     assert report == check_axioms(X, X.carrier())
 
 
-@pytest.mark.parametrize("name", SHIPPED + ["f3_shift", "z2_dihedral", "z3_shift"])
+@pytest.mark.parametrize("name", SHIPPED + ["f3_shift", "z2_dihedral", "z3_shift", "s5_by_s3"])
 def test_check_axioms_matches_unmemoized_reference(every_instance, name):
-    X, sample = every_instance[name].X, cli_sample(every_instance[name])
+    if name in DOUBLE_COSETS:
+        X = DOUBLE_COSETS[name]()
+        sample = X.carrier()
+        assert (X.n, len(sample)) == (6, 7)
+    else:
+        X, sample = every_instance[name].X, cli_sample(every_instance[name])
     report = check_axioms(X, sample)
     assert report == reference_check_axioms(X, sample)
     if name == "nat_mutated":
@@ -530,9 +536,55 @@ def test_check_axioms_flattens_once_per_distinct_product(instances, monkeypatch,
 
 
 def test_check_axioms_matches_reference_on_associativity_failure():
-    X = _BrokenAt22()
+    X = _BrokenAt()
     counting = CountingMv(X)
     report = check_axioms(counting, range(4))
     assert not report.associativity_ok
     assert report == reference_check_axioms(X, range(4))
     assert set(counting.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("pair,product,witness,triples", [
+    ((3, 2), (5, 5), (1, 2, 2), 38),  # mid-row: x, y past the first, z at neither end
+    ((2, 4), (6, 6), (1, 1, 4), 35),  # the last z of its row
+], ids=["mid_row", "row_end"])
+def test_check_axioms_witness_is_the_first_failing_triple(pair, product, witness, triples):
+    X = _BrokenAt(pair, product)
+    counting = CountingMv(X)
+    report = check_axioms(counting, range(5))
+    assert (report.associativity_witness, report.triples_checked) == (witness, triples)
+    assert report == reference_check_axioms(X, range(5))
+    assert set(counting.calls.values()) == {1}
+
+
+def test_check_axioms_twists_each_right_factor_once(monkeypatch):
+    applies = []
+    apply = Automorphism.apply
+    monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append((a, g)) or apply(a, g))
+    X = s4_transposition_coset()
+    applies.clear()
+    counting = CountingMv(X)
+    assert check_axioms(counting, X.carrier()).all_ok
+    rights = {y[1] for _, y in counting.calls}
+    assert Counter(applies) == Counter(itertools.product(X.auts, rights))
+
+
+@pytest.mark.parametrize("path", sorted((TESTS.parent / "configs").glob("*.json"))
+                         + sorted((TESTS / "instances").glob("*.json")), ids=lambda p: p.stem)
+def test_instances_are_freed_without_the_cycle_collector(path):
+    """An instance and its backend die with their last reference: no memo
+    or closure may tie either into a reference cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        instance = load_instance(path)
+        ball(instance.X, instance.x_generators, instance.X.unit, 3)
+        check_axioms(instance.X, cli_sample(instance))
+        refs = [weakref.ref(instance.X)]
+        if instance.backend is not None:
+            refs.append(weakref.ref(instance.backend))
+        del instance
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
