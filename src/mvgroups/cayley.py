@@ -22,7 +22,7 @@ distinct elements have been reached.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, layers
@@ -137,25 +137,23 @@ class CompareReport(NamedTuple):
 
 
 def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any],
-                            y, y2, r_max: int, cap: Optional[int] = None,
-                            budget: int = DEFAULT_BUDGET) -> CompareReport:
+                            y, y2, r_max: int, budget: int = DEFAULT_BUDGET) -> CompareReport:
     """Check the growth-equivalence sandwich between (S, y) and (S', y') data.
 
     The constant is l = 1 + max of the four cross-lengths (y' and inv(y')
     with respect to S, the S'-elements with respect to S, and the
     S-elements with respect to S'); the check asserts
     |B(y, floor(r/l))| <= |B'(y', r)| <= |B(y, l*r)| for every r <= r_max.
-    The cross-lengths are searched to radius `cap`, by default r_max: a
-    longer one would leave only y in every lower ball.  At r_max = 0 the
-    one row is 1 <= 1 <= 1 for any l, so none is searched and l = 1.
+    The cross-lengths are searched to radius r_max: a longer one would
+    leave only y in every lower ball.  At r_max = 0 the one row is
+    1 <= 1 <= 1 for any l, so none is searched and l = 1.
     """
     if r_max < 0:
         raise ValidationError("radius must be >= 0")
     l = 1
     if r_max > 0:
-        cap = r_max if cap is None else cap
-        cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], cap, budget)
-                 + lengths(X, gens2, gens, cap, budget))
+        cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], r_max, budget)
+                 + lengths(X, gens2, gens, r_max, budget))
         l += max(cross)
     wide = ball(X, gens, y, l * r_max, budget=budget)
     other = ball(X, gens2, y2, r_max, budget=budget)

@@ -99,10 +99,6 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(instance: Instance, args) -> int:
-    return args.budget if args.budget is not None else instance.config.default_budget
-
-
 def _radius(instance: Instance, value: Optional[int]) -> int:
     return value if value is not None else instance.config.default_radius
 
@@ -149,14 +145,12 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
     return {key: [[X.render(e) for e in s] for s in sets]} if args.emit_elements else {}
 
 
-def _cmd_axioms(args) -> int:
-    instance = load_instance(args.config, args.budget)
+def _cmd_axioms(args, instance: Instance, budget: int) -> int:
     X = instance.X
     if instance.backend is None:
         sample = list(range(args.sample + 1))
     else:
-        sample = sample_elements(instance, radius=2, limit=args.sample,
-                                 budget=_budget(instance, args))
+        sample = sample_elements(instance, limit=args.sample, budget=budget)
     report = check_axioms(X, sample)
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))
@@ -165,25 +159,22 @@ def _cmd_axioms(args) -> int:
     return 0 if report.all_ok else 1
 
 
-def _cmd_growth(args) -> int:
-    instance = load_instance(args.config, args.budget)
+def _cmd_growth(args, instance: Instance, budget: int) -> int:
     X = instance.X
     center = instance.element(args.center) if args.center is not None else X.unit
     table = ball(X, instance.x_generators, center, _radius(instance, args.radius),
-                 budget=_budget(instance, args))
+                 budget=budget)
     emit_table(args.format, growth_rows(table), {"center": X.render(table.center)},
                _elements(args, X, "spheres", table.sphere_sets))
     return 0
 
 
-def _cmd_dynamics(args) -> int:
-    instance = load_instance(args.config, args.budget)
+def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
     X = instance.X
     steps = _radius(instance, args.steps)
     if args.classify and steps < CLASSIFY_MIN_ROWS - 1:
         raise MvGroupsError(f"--classify needs --steps >= {CLASSIFY_MIN_ROWS - 1} "
                             f"(at least {CLASSIFY_MIN_ROWS} rows)")
-    budget = _budget(instance, args)
     z = instance.element(args.z)
     y = instance.element(args.y) if args.y is not None else X.unit
 
@@ -219,12 +210,10 @@ def _cmd_dynamics(args) -> int:
     return 0 if bounds is None or bounds.ok else 1
 
 
-def _cmd_powers(args) -> int:
-    instance = load_instance(args.config, args.budget)
+def _cmd_powers(args, instance: Instance, budget: int) -> int:
     X = instance.X
     x = instance.element(args.x)
-    table = power_table(X, x, _radius(instance, args.radius),
-                        budget=_budget(instance, args))
+    table = power_table(X, x, _radius(instance, args.radius), budget=budget)
     rows = [{"r": r, "bstar": size, "sstar_size": len(sphere)}
             for r, (size, sphere) in enumerate(zip(table.bstar_sizes, table.sstar_sets))]
     emit_table(args.format, rows, {"base": X.render(table.base)},
@@ -232,8 +221,7 @@ def _cmd_powers(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    instance = load_instance(args.config, args.budget)
+def _cmd_compare(args, instance: Instance, budget: int) -> int:
     X = instance.X
     if not instance.x_generators:
         raise MvGroupsError("compare needs X_generators")
@@ -243,7 +231,7 @@ def _cmd_compare(args) -> int:
     y2 = instance.element(args.center2) if args.center2 is not None else X.unit
     report = compare_generating_sets(
         X, instance.x_generators, gens2, X.unit, y2,
-        _radius(instance, args.radius), budget=_budget(instance, args))
+        _radius(instance, args.radius), budget=budget)
     _emit(f"constant l={report.constant}")
     for r, lower, middle, upper in report.rows:
         verdict = "pass" if r not in report.violations else "fail"
@@ -253,9 +241,8 @@ def _cmd_compare(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_verify(args) -> int:
-    instance = load_instance(args.config, args.budget)
-    result = run_suite(args.suite, instance, r_max=args.radius, budget=_budget(instance, args))
+def _cmd_verify(args, instance: Instance, budget: int) -> int:
+    result = run_suite(args.suite, instance, r_max=args.radius, budget=budget)
     _emit(result.render())
     return 0 if result.ok else 1
 
@@ -278,7 +265,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[args.command][2](args)
+        instance = load_instance(args.config, args.budget)
+        budget = instance.config.default_budget if args.budget is None else args.budget
+        return _COMMANDS[args.command][2](args, instance, budget)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

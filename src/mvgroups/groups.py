@@ -346,9 +346,6 @@ class FreeAbelianGroup(GroupBackend):
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
-    def power(self, g, k):
-        return tuple(a * k for a in g)
-
     def homomorphism(self, images):
         """The linear map whose columns are the images, unless they are a
         signed permutation of the basis: then each row of the matrix holds
@@ -460,11 +457,6 @@ class HeisenbergGroup(GroupBackend):
     def inv(self, g):
         p, q, r = g
         return (-p, -q, p * q - r)
-
-    def power(self, g, k):
-        """(kp, kq, kr + C(k, 2)pq), for negative k too."""
-        p, q, r = g
-        return (k * p, k * q, k * r + k * (k - 1) // 2 * p * q)
 
     def homomorphism(self, images):
         """g = a^p b^q c^s, s = r - pq, maps to A^p B^q C^s: the closed-form

@@ -223,42 +223,32 @@ class AxiomReport(NamedTuple):
     def all_ok(self) -> bool:
         return self.associativity_ok and self.unit_ok and self.inverse_ok
 
+    def _axioms(self, render):
+        """(name, ok, rendered witness or None, count label, count) per
+        axiom; the associativity witness renders as a list of three."""
+        unit, inverse = self.unit_witness, self.inverse_witness
+        triple = self.associativity_witness
+        return (("associativity", self.associativity_ok,
+                 None if triple is None else [render(w) for w in triple],
+                 "triples", self.triples_checked),
+                ("unit", self.unit_ok, None if unit is None else render(unit),
+                 "elements", self.elements_checked),
+                ("inverse", self.inverse_ok, None if inverse is None else render(inverse),
+                 "elements", self.elements_checked))
+
     def to_record(self, render=str) -> dict:
-        return {
-            "associativity": {
-                "ok": self.associativity_ok,
-                "witness": [render(w) for w in self.associativity_witness]
-                if self.associativity_witness else None,
-            },
-            "unit": {
-                "ok": self.unit_ok,
-                "witness": render(self.unit_witness)
-                if self.unit_witness is not None else None,
-            },
-            "inverse": {
-                "ok": self.inverse_ok,
-                "witness": render(self.inverse_witness)
-                if self.inverse_witness is not None else None,
-            },
-            "triples_checked": self.triples_checked,
-            "elements_checked": self.elements_checked,
-        }
+        return {**{name: {"ok": ok, "witness": witness}
+                   for name, ok, witness, _, _ in self._axioms(render)},
+                "triples_checked": self.triples_checked,
+                "elements_checked": self.elements_checked}
 
     def to_text(self, render=str) -> str:
         lines = []
-        status = "PASS" if self.associativity_ok else "FAIL"
-        detail = ""
-        if self.associativity_witness:
-            x, y, z = self.associativity_witness
-            detail = f" witness=({render(x)}, {render(y)}, {render(z)})"
-        lines.append(f"{status} associativity triples={self.triples_checked}{detail}")
-        status = "PASS" if self.unit_ok else "FAIL"
-        detail = f" witness={render(self.unit_witness)}" if self.unit_witness is not None else ""
-        lines.append(f"{status} unit elements={self.elements_checked}{detail}")
-        status = "PASS" if self.inverse_ok else "FAIL"
-        detail = (f" witness={render(self.inverse_witness)}"
-                  if self.inverse_witness is not None else "")
-        lines.append(f"{status} inverse elements={self.elements_checked}{detail}")
+        for name, ok, witness, label, count in self._axioms(render):
+            if isinstance(witness, list):
+                witness = f"({', '.join(witness)})"
+            detail = "" if witness is None else f" witness={witness}"
+            lines.append(f"{'PASS' if ok else 'FAIL'} {name} {label}={count}{detail}")
         return "\n".join(lines)
 
 

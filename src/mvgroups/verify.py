@@ -2,13 +2,16 @@
 
 Each suite runs an exact per-radius check and reports greppable one-line
 verdicts; the CLI `verify` subcommand and the acceptance tests both call
-these functions, and every suite caps its enumerations at `budget`.
+these functions.  Every suite takes only (instance, r_max, budget): it reads
+its elements from the instance's X generators, or samples them with a
+fixed seed, and caps its enumerations at `budget`.  Each suite's default
+radius is written once, in `_SUITE_TABLE`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .cayley import ball, power_table, set_product
 from .dynamics import (
@@ -22,6 +25,15 @@ from .errors import BudgetExceeded, ValidationError
 from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls, orbit
 from .mvalued import CosetGroup, NatGroup
 from .wordspec import Instance
+
+# fixed suite settings: a suite takes only (instance, r_max, budget)
+_EXAMPLE32_X_MAX = 50
+_THM43_EXTRA_Y = 3
+_LEMMA47_PAIRS = 50
+_LEMMA47_PAIR_R_MAX = 10
+_EXAMPLE46_CAP = 2
+_SEED = 0
+
 
 class SuiteResult:
     """A suite's (ok, detail) verdict lines, in the order they were added."""
@@ -44,10 +56,10 @@ class SuiteResult:
                          for ok, detail in self.lines)
 
 
-def sample_elements(instance: Instance, radius: int = 2, limit: int = 32,
+def sample_elements(instance: Instance, limit: int = 32,
                     budget: int = DEFAULT_BUDGET) -> List[Any]:
     """Deterministic element sample: the full carrier if finite, 0..limit-1
-    for builtin-nat, else the first `limit` elements of B(e, radius).
+    for builtin-nat, else the first `limit` elements of B(e, 2).
 
     Raises BudgetExceeded when the carrier or the ball has more than
     `budget` elements."""
@@ -62,7 +74,7 @@ def sample_elements(instance: Instance, radius: int = 2, limit: int = 32,
     gens = instance.x_generators
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")
-    table = ball(X, gens, X.unit, radius, budget=budget)
+    table = ball(X, gens, X.unit, 2, budget=budget)
     return table.ball_elements()[:limit]
 
 
@@ -70,17 +82,15 @@ def sample_elements(instance: Instance, radius: int = 2, limit: int = 32,
 # suites
 
 
-def example32(instance: Instance, x_max: int = 50, r_max: int = 50,
-              budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def example32(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Closed form |B(x, r)| = 1 + r + min(x, r) on the builtin 2-valued group."""
     result = SuiteResult("example32")
     X = instance.X
     if not isinstance(X, NatGroup):
         raise ValidationError("example32 requires a builtin_nat instance")
-    gens = instance.x_generators or [1]
     failures = 0
-    for x in range(x_max + 1):
-        table = ball(X, gens, x, r_max, budget=budget)
+    for x in range(_EXAMPLE32_X_MAX + 1):
+        table = ball(X, instance.x_generators, x, r_max, budget=budget)
         for r in range(r_max + 1):
             expected = 1 + r + min(x, r)
             if table.ball_sizes[r] != expected:
@@ -88,31 +98,28 @@ def example32(instance: Instance, x_max: int = 50, r_max: int = 50,
                 if failures <= 5:
                     result.add(False, f"r={r} x={x} |B|={table.ball_sizes[r]} expected={expected}")
     if failures == 0:
-        result.add(True, f"r={r_max} closed form holds for all x<={x_max}")
+        result.add(True, f"r={r_max} closed form holds for all x<={_EXAMPLE32_X_MAX}")
     elif failures > 5:
         result.add(False, f"r={r_max} {failures} violations total")
     return result
 
 
-def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
-          extra_y: int = 3, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteResult:
-    """Sandwich (1/n)|S+(e,r)| <= xi_y(r) <= |B+(e,r)| on a coset instance."""
+def thm43(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+    """Sandwich (1/n)|S+(e,r)| <= xi_y(r) <= |B+(e,r)| on a coset instance,
+    for g the first X generator, at the unit and _THM43_EXTRA_Y sampled y."""
     result = SuiteResult("thm43")
     X = instance.X
     if not isinstance(X, CosetGroup):
         raise ValidationError("thm43 requires a coset instance")
-    if g_text is not None:
-        g = instance.backend_element(g_text)
-    else:
-        if not instance.config.x_generators:
-            raise ValidationError("thm43 needs X_generators or an explicit element")
-        g = instance.config.x_generators[0]
+    if not instance.config.x_generators:
+        raise ValidationError("thm43 needs X_generators or an explicit element")
+    g = instance.config.x_generators[0]
 
     ys = [X.unit]
-    pool = [y for y in sample_elements(instance, radius=2, budget=budget) if y != X.unit]
-    rng = random.Random(seed)
+    pool = [y for y in sample_elements(instance, budget=budget) if y != X.unit]
+    rng = random.Random(_SEED)
     if pool:
-        ys.extend(rng.sample(pool, min(extra_y, len(pool))))
+        ys.extend(rng.sample(pool, min(_THM43_EXTRA_Y, len(pool))))
 
     monoid = monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
     for y in ys:
@@ -125,18 +132,14 @@ def thm43(instance: Instance, g_text: Optional[str] = None, r_max: int = 8,
     return result
 
 
-def thm48(instance: Instance, x_texts: Optional[Sequence[str]] = None,
-          r_max: int = 12, budget: int = DEFAULT_BUDGET) -> SuiteResult:
-    """Quadratic bound xi_x(r) <= r(r+1) for involutive 2-valued groups."""
+def thm48(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+    """Quadratic bound xi_x(r) <= r(r+1) for involutive 2-valued groups,
+    for every X generator x."""
     result = SuiteResult("thm48")
     X = instance.X
-    if x_texts is not None:
-        xs = [instance.element(t) for t in x_texts]
-    else:
-        xs = instance.x_generators
-        if not xs:
-            raise ValidationError("thm48 needs X_generators or explicit elements")
-    for x in xs:
+    if not instance.x_generators:
+        raise ValidationError("thm48 needs X_generators or explicit elements")
+    for x in instance.x_generators:
         report = quadratic_bound_check(X, x, r_max, budget=budget)
         if report.ok:
             margin = min(bound - xi for _, xi, bound in report.rows)
@@ -159,9 +162,9 @@ def _sphere_vanishing_ok(pt) -> Optional[int]:
     return None
 
 
-def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
-            pair_r_max: int = 10, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteResult:
-    """Power-sphere lemma: (a) vanishing persists; (b) sphere addition."""
+def lemma47(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+    """Power-sphere lemma: (a) vanishing persists; (b) sphere addition, on
+    _LEMMA47_PAIRS random decompositions of a radius <= _LEMMA47_PAIR_R_MAX."""
     if r_max < 1:
         raise ValidationError("r_max must be >= 1")
     result = SuiteResult("lemma47")
@@ -170,7 +173,7 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
     tables = {}
     bad_a = 0
     for x in xs:
-        pt = power_table(X, x, max(r_max, pair_r_max), budget=budget)
+        pt = power_table(X, x, max(r_max, _LEMMA47_PAIR_R_MAX), budget=budget)
         tables[x] = pt
         violation = _sphere_vanishing_ok(pt)
         if violation is not None:
@@ -179,21 +182,21 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
     if bad_a == 0:
         result.add(True, f"r={r_max} vanishing persists for {len(xs)} base points")
 
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     checked = 0
     bad_b = 0
     attempts = 0
-    while checked < pairs and attempts < pairs * 20:
+    while checked < _LEMMA47_PAIRS and attempts < _LEMMA47_PAIRS * 20:
         attempts += 1
         x = rng.choice(xs)
         pt = tables[x]
-        nonempty = [r for r in range(1, pair_r_max + 1) if pt.sstar_sets[r]]
+        nonempty = [r for r in range(1, _LEMMA47_PAIR_R_MAX + 1) if pt.sstar_sets[r]]
         if not nonempty:
             continue
         k = rng.randint(1, 3)
         decomposition = [rng.choice(nonempty) for _ in range(k)]
         total = sum(decomposition)
-        if total > pair_r_max:
+        if total > _LEMMA47_PAIR_R_MAX:
             continue
         checked += 1
         lhs = set(pt.sstar_sets[total])
@@ -206,13 +209,14 @@ def lemma47(instance: Instance, r_max: int = 12, pairs: int = 50,
                        f"r={total} x={X.render(x)} decomposition={decomposition} "
                        "sphere not inside the product support")
     if bad_b == 0:
-        result.add(True, f"r={pair_r_max} sphere addition holds on {checked} decompositions")
+        result.add(True, f"r={_LEMMA47_PAIR_R_MAX} sphere addition holds "
+                         f"on {checked} decompositions")
     return result
 
 
-def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
-              cap: int = 2, budget: int = DEFAULT_BUDGET) -> SuiteResult:
-    """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2.
+def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+    """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2
+    for z the first X generator.
 
     The xi table is classified too, so it needs CLASSIFY_MIN_ROWS rows;
     a negative radius is left to iterate_dynamic's own check."""
@@ -220,18 +224,17 @@ def example46(instance: Instance, z_text: Optional[str] = None, r_max: int = 20,
         raise ValidationError(f"r_max must be >= {CLASSIFY_MIN_ROWS - 1}")
     result = SuiteResult("example46")
     X = instance.X
-    if z_text is None and not instance.x_generators:
+    if not instance.x_generators:
         raise ValidationError("example46 needs X_generators or an explicit element")
-    z = instance.element(z_text) if z_text is not None else instance.x_generators[0]
-    table = iterate_dynamic(X, z, X.unit, r_max, budget=budget)
+    table = iterate_dynamic(X, instance.x_generators[0], X.unit, r_max, budget=budget)
     worst = max(table.xi)
-    result.add(worst <= cap, f"r={r_max} max xi={worst} (cap {cap})")
+    result.add(worst <= _EXAMPLE46_CAP, f"r={r_max} max xi={worst} (cap {_EXAMPLE46_CAP})")
     record = classify_growth(table.xi)
     result.add(record.kind == "bounded", f"r={r_max} classified {record.kind}")
     return result
 
 
-def proof34(instance: Instance, r_max: int = 5, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def proof34(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
     """Coset ball sizes are dominated by the semidirect-product ball sizes."""
     result = SuiteResult("proof34")
     X = instance.X
@@ -279,4 +282,4 @@ def run_suite(name: str, instance: Instance, r_max: Optional[int] = None,
     if name not in _SUITE_TABLE:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suite, default_radius = _SUITE_TABLE[name]
-    return suite(instance, r_max=default_radius if r_max is None else r_max, budget=budget)
+    return suite(instance, default_radius if r_max is None else r_max, budget)

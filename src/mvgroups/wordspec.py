@@ -8,6 +8,8 @@ Word grammar (whitespace insignificant):
 NAME is an ASCII identifier [A-Za-z][A-Za-z0-9_]*; 'e' is reserved for the
 identity and parses to the empty word.  Bare INT terms are element
 literals for the builtin-nat carrier, which has no generator alphabet.
+``parse_word`` reads one term, with the whitespace around it, per match
+of a single regular expression.
 
 Config documents are JSON objects with a versioned "schema": 1 field.
 ``parse_config`` checks a document and builds its parts in one walk: the
@@ -47,64 +49,42 @@ from .mvalued import CosetGroup, DoubleCosetGroup, MutatedNatGroup, MvGroup, Nat
 
 Word = Tuple[Tuple[str, int], ...]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?[0-9]+")
+# one term and the whitespace around it; every part is optional, so the
+# match always succeeds and the groups that took part say what was found
+_TERM_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)\s*"
+                      r"(?P<caret>\^\s*(?P<exp>-?[0-9]+)?)?|(?P<num>[0-9]+))?\s*")
 
 
 def parse_word(text: str) -> Word:
-    """Parse a word expression into ((symbol, exponent), ...)."""
-    pos = 0
-    n = len(text)
+    """Parse a word expression into ((symbol, exponent), ...).
+
+    Each '*'-separated term is one match of _TERM_RE; a WordSyntaxError
+    gives the offset of the first character that does not fit the grammar.
+    """
     terms: List[Tuple[str, int]] = []
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_term():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise WordSyntaxError("expected a term", pos)
-        m = _NAME_RE.match(text, pos)
-        if m:
-            name = m.group()
-            pos = m.end()
-            skip_ws()
-            if name == "e":
-                if pos < n and text[pos] == "^":
-                    raise WordSyntaxError("the identity 'e' takes no exponent", pos)
-                return
-            exp = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                mi = _INT_RE.match(text, pos)
-                if not mi:
-                    raise WordSyntaxError("expected an integer exponent", pos)
-                exp = int(mi.group())
-                pos = mi.end()
-                if exp == 0:
-                    return
-            terms.append((name, exp))
-            return
-        mi = _INT_RE.match(text, pos)
-        if mi and not mi.group().startswith("-"):
-            terms.append((mi.group(), 1))
-            pos = mi.end()
-            return
-        raise WordSyntaxError("expected a term", pos)
-
-    parse_term()
-    skip_ws()
-    while pos < n:
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        name, caret, exp, num = m.group("name", "caret", "exp", "num")
+        if name == "e":
+            if caret is not None:
+                raise WordSyntaxError("the identity 'e' takes no exponent", m.start("caret"))
+        elif name is not None:
+            if caret is not None and exp is None:
+                raise WordSyntaxError("expected an integer exponent", m.end("caret"))
+            k = 1 if exp is None else int(exp)
+            if k:
+                terms.append((name, k))
+        elif num is not None:
+            terms.append((num, 1))
+        else:
+            raise WordSyntaxError("expected a term", m.end())
+        pos = m.end()
+        if pos == len(text):
+            return tuple(terms)
         if text[pos] != "*":
             raise WordSyntaxError("expected '*' between terms", pos)
         pos += 1
-        parse_term()
-        skip_ws()
-    return tuple(terms)
 
 
 def render_word(word: Word) -> str:

@@ -11,7 +11,12 @@ import time
 import pytest
 
 from mvgroups.cayley import ball, compare_generating_sets, power_table
-from mvgroups.dynamics import classify_growth, iterate_dynamic, quadratic_bound_check
+from mvgroups.dynamics import (
+    bounds_check,
+    classify_growth,
+    iterate_dynamic,
+    quadratic_bound_check,
+)
 from mvgroups.groups import monoid_balls, orbit
 from mvgroups.multiset import flatten
 from mvgroups.mvalued import NatGroup, check_axioms
@@ -30,7 +35,7 @@ def verdict(capsys, num, ok, started, limit, detail):
 
 def test_criterion_01_ball_closed_form(instances, capsys):
     t0 = time.perf_counter()
-    result = example32(instances["nat"], x_max=50, r_max=50)
+    result = example32(instances["nat"], r_max=50)
     verdict(capsys, 1, result.ok, t0, 5,
             "|B(x,r)| = 1 + r + min(x,r) for all x,r <= 50")
 
@@ -74,20 +79,15 @@ def test_criterion_03_axiom_suites(instances, capsys):
 
 def test_criterion_04_sandwich_matrix(instances, capsys):
     t0 = time.perf_counter()
-    matrix = [
-        ("z_pm1", "g1", 8),
-        ("z2_swap", "g1", 8),
-        ("free2_swap", "g1", 10),
-        ("heis_swap", "a", 8),
-        ("s3_conj", "c", 8),
-    ]
-    ok = True
-    for name, g, r_max in matrix:
-        result = thm43(instances[name], g_text=g, r_max=r_max)
-        if not result.ok:
-            ok = False
+    # thm43 takes g = the first X generator: g1 or a on these four
+    matrix = [("z_pm1", 8), ("z2_swap", 8), ("free2_swap", 10), ("heis_swap", 8)]
+    ok = all(thm43(instances[name], r_max=r_max).ok for name, r_max in matrix)
+    # g = c on s3_conj (whose first X generator is t), from every class
+    s3 = instances["s3_conj"]
+    c = s3.backend_element("c")
+    ok = ok and all(bounds_check(s3.X, c, y, 8).ok for y in s3.X.carrier())
     verdict(capsys, 4, ok, t0, 60,
-            "(1/n)|S+| <= xi_y <= |B+| on 5 instances x 4 start points")
+            "(1/n)|S+| <= xi_y <= |B+| on 5 instances; every start point on s3_conj")
 
 
 def test_criterion_05_quadratic_bound(instances, capsys):
@@ -108,7 +108,7 @@ def test_criterion_05_quadratic_bound(instances, capsys):
 
 def test_criterion_06_bounded_dynamics(instances, capsys):
     t0 = time.perf_counter()
-    result = example46(instances["z3xF2_example46"], z_text="h", r_max=20, cap=2)
+    result = example46(instances["z3xF2_example46"], r_max=20)
     verdict(capsys, 6, result.ok, t0, 5,
             "torsion-direction dynamic stays bounded (max xi <= 2, classified bounded)")
 
@@ -131,7 +131,7 @@ def test_criterion_08_power_sphere_lemma(instances, capsys):
     ok = True
     total_pairs = 0
     for name in ("nat", "s3_conj", "s3_doublecoset", "z2_pm1"):
-        result = lemma47(instances[name], r_max=12, pairs=50, pair_r_max=10)
+        result = lemma47(instances[name], r_max=12)
         if not result.ok:
             ok = False
         total_pairs += 50

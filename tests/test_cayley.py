@@ -211,7 +211,6 @@ def test_compare_caps_cross_lengths_at_the_radius():
     assert compare_generating_sets(NAT, [1], [1, 2], 0, 5, 5).constant == 6
     with pytest.raises(NotReachedWithinCap, match="element 5 not reached within radius cap 4"):
         compare_generating_sets(NAT, [1], [1, 2], 0, 5, 4)
-    assert compare_generating_sets(NAT, [1], [1, 2], 0, 5, 4, cap=64).constant == 6
 
 
 def test_compare_rows_cover_all_radii():

@@ -826,16 +826,6 @@ def test_heisenberg_closed_form_map_matches_the_generic_map():
             assert closed(g) == generic(g), (images, g)
 
 
-def test_heisenberg_closed_form_power_matches_square_and_multiply():
-    h = HeisenbergGroup()
-    rng = random.Random(7)
-    for _ in range(50):
-        g = tuple(rng.randint(-9, 9) for _ in range(3))
-        for k in range(-7, 8):
-            assert h.power(g, k) == GroupBackend.power(h, g, k), (g, k)
-        assert h.power(g, -1) == h.inv(g)
-
-
 def product_automorphisms():
     """Automorphisms of direct products: factor-preserving ones, then ones
     that mix factors and so take the generic map."""

@@ -1,15 +1,19 @@
 """Source hygiene: every name a module imports is used in that module,
 every import is a top-level statement of its module, every function or
-method the package defines is referenced outside its own definition, and
-importing the CLI loads neither `dataclasses` nor `inspect`."""
+method the package defines is referenced outside its own definition,
+importing the CLI loads neither `dataclasses` nor `inspect`, and every
+verification suite takes only (instance, r_max, budget)."""
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from mvgroups import verify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mvgroups"
@@ -105,3 +109,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", verify.SUITES)
+def test_suites_take_only_instance_radius_and_budget(name):
+    suite, _ = verify._SUITE_TABLE[name]
+    assert list(inspect.signature(suite).parameters) == ["instance", "r_max", "budget"]

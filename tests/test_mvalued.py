@@ -492,7 +492,7 @@ def cli_sample(instance):
     """The sample `mvgroups axioms` checks by default."""
     if instance.backend is None:
         return list(range(11))
-    return sample_elements(instance, radius=2, limit=10)
+    return sample_elements(instance, limit=10)
 
 
 def test_check_axioms_multiplies_each_pair_once(instances):

@@ -2,9 +2,10 @@ import importlib.util
 import itertools
 import json
 import pathlib
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgroups.errors import (
@@ -83,6 +84,87 @@ def test_render_word():
     max_size=8))
 def test_parse_render_round_trip(word):
     assert parse_word(render_word(tuple(word))) == tuple(word)
+
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def scanner_parse_word(text):
+    """The character scanner parse_word replaced, kept as its oracle."""
+    pos = 0
+    n = len(text)
+    terms = []
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_term():
+        nonlocal pos
+        skip_ws()
+        if pos >= n:
+            raise WordSyntaxError("expected a term", pos)
+        m = _NAME_RE.match(text, pos)
+        if m:
+            name = m.group()
+            pos = m.end()
+            skip_ws()
+            if name == "e":
+                if pos < n and text[pos] == "^":
+                    raise WordSyntaxError("the identity 'e' takes no exponent", pos)
+                return
+            exp = 1
+            if pos < n and text[pos] == "^":
+                pos += 1
+                skip_ws()
+                mi = _INT_RE.match(text, pos)
+                if not mi:
+                    raise WordSyntaxError("expected an integer exponent", pos)
+                exp = int(mi.group())
+                pos = mi.end()
+                if exp == 0:
+                    return
+            terms.append((name, exp))
+            return
+        mi = _INT_RE.match(text, pos)
+        if mi and not mi.group().startswith("-"):
+            terms.append((mi.group(), 1))
+            pos = mi.end()
+            return
+        raise WordSyntaxError("expected a term", pos)
+
+    parse_term()
+    skip_ws()
+    while pos < n:
+        if text[pos] != "*":
+            raise WordSyntaxError("expected '*' between terms", pos)
+        pos += 1
+        parse_term()
+        skip_ws()
+    return tuple(terms)
+
+
+def parse_outcome(parse, text):
+    """The word, or the text of the WordSyntaxError with its offset."""
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
+# name letters, the identity, the word syntax, ASCII whitespace and two
+# Unicode spaces (no-break space, file separator) that str.isspace accepts
+WORD_ALPHABET = "abgxe_^-0123*" + " \t\n\r\x0b\x0c\xa0\x1c"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.text(WORD_ALPHABET, max_size=16), min_size=25, max_size=25))
+def test_parse_word_matches_the_scanner(texts):
+    # 400 examples of 25 strings: 10,000 strings per run
+    for text in texts:
+        assert parse_outcome(parse_word, text) == parse_outcome(scanner_parse_word, text), text
 
 
 def test_evaluate_word():
