@@ -8,10 +8,12 @@ itself is in B(x, r) for every r (this is what makes the closed form
 right at small radii).
 
 Every walk here (balls, lengths, dynamics supports, set products)
-expands through ``X.step(gens)``.  A coset or double-coset group twists
-its generators once per walk and then makes one backend product and one
-projection per (element, twisted generator) pair, without building the
-sorted product; the budget still counts classes.
+expands through ``X.step(gens)``, a whole layer at a time.  A coset or
+double-coset group twists its generators once per walk, makes one backend
+product per (element, twisted generator) pair, without building the sorted
+product, and projects each layer's products in one batch that takes one
+orbit minimum per distinct G-element its class table misses; the budget
+still counts classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
@@ -98,7 +100,7 @@ def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator
         if len(reached) > budget:
             raise BudgetExceeded(budget, r)
         yield support
-        support = tuple(sorted({v for u in support for v in step(u)}))
+        support = tuple(sorted(set(step(support))))
         r += 1
 
 
@@ -118,8 +120,7 @@ def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> Pow
 
 def set_product(X: MvGroup, left: Sequence[Any], right: Sequence[Any]) -> Tuple[Any, ...]:
     """Support of the product of two subsets viewed as multisets."""
-    step = X.step(right)
-    return tuple(sorted({v for u in left for v in step(u)}))
+    return tuple(sorted(set(X.step(right)(left))))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ tables off the generator images.
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and, through ``closure``, every finite closure (group
 elements, subgroups, automorphism groups) are layers of it, and all of them
-share its budget rule.
+share its budget rule.  It expands a whole layer at a time; ``closure``
+wraps a per-element expansion lazily.
 
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
 (g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
@@ -59,14 +60,19 @@ Word = Tuple[Tuple[int, int], ...]  # ((generator index, nonzero exponent), ...)
 DEFAULT_BUDGET = 10**6
 
 
-def layers(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
+def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
            budget: int = DEFAULT_BUDGET) -> Iterator[List[Any]]:
     """Breadth-first layers: layer 0 is `start`, layer i+1 holds, in the
-    order they are discovered, the elements of expand(u) for u in layer i
-    that no earlier layer holds.  Once a layer is empty every later one is.
+    order they are discovered, the elements of expand(layer i) that no
+    earlier layer holds.  `expand` is a layer map: it returns every
+    candidate of the next layer, repeats allowed, element by element of the
+    layer it is given.  Once a layer is empty every later one is.
 
     The budget rule of every enumeration: BudgetExceeded is raised as soon
-    as more than `budget` distinct elements have been reached.
+    as more than `budget` distinct elements have been reached.  Candidates
+    are drawn one at a time, so a lazy `expand` is stopped at the first
+    element over the budget; a batched one has formed one layer's
+    candidates by then.
     """
     layer = list(dict.fromkeys(start))
     seen = set(layer)
@@ -77,20 +83,24 @@ def layers(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
         yield layer
         radius += 1
         fresh = []
-        for u in layer:
-            for v in expand(u):
-                if v not in seen:
-                    seen.add(v)
-                    fresh.append(v)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(budget, radius)
+        for v in expand(layer):
+            if v not in seen:
+                seen.add(v)
+                fresh.append(v)
+                if len(seen) > budget:
+                    raise BudgetExceeded(budget, radius)
         layer = fresh
 
 
 def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
             budget: int = DEFAULT_BUDGET) -> List[Any]:
-    """Every element the nonempty `layers` hold, in discovery order."""
-    return [x for layer in itertools.takewhile(len, layers(start, expand, budget))
+    """Every element the nonempty `layers` hold, in discovery order, for a
+    per-element `expand`: each layer is expanded lazily, element by element,
+    so an `expand` that raises does so on the first bad element in discovery
+    order, and the budget stops the walk at its first element over."""
+    def expand_layer(layer):
+        return itertools.chain.from_iterable(map(expand, layer))
+    return [x for layer in itertools.takewhile(len, layers(start, expand_layer, budget))
             for x in layer]
 
 
@@ -332,6 +342,7 @@ class FreeAbelianGroup(GroupBackend):
         self.gen_names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
         if len(self.gen_names) != rank:
             raise ValidationError("generator name count must equal the rank")
+        self._rank = _Memo(int_key).__getitem__
 
     @property
     def identity(self):
@@ -365,7 +376,8 @@ class FreeAbelianGroup(GroupBackend):
         return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
 
     def canonical_key(self, g):
-        return tuple(map(int_key, g))
+        """The coordinates' ranks, each interned per backend."""
+        return tuple(map(self._rank, g))
 
     def render(self, g):
         if self.rank == 1:
@@ -444,6 +456,9 @@ class HeisenbergGroup(GroupBackend):
     kind = "heisenberg"
     gen_names = ("a", "b", "c")
 
+    def __init__(self):
+        self._rank = _Memo(int_key).__getitem__
+
     @property
     def identity(self):
         return (0, 0, 0)
@@ -473,7 +488,8 @@ class HeisenbergGroup(GroupBackend):
         return apply
 
     def canonical_key(self, g):
-        return tuple(map(int_key, g))
+        """The coordinates' ranks, each interned per backend."""
+        return tuple(map(self._rank, g))
 
     def render(self, g):
         return "(" + ",".join(str(a) for a in g) + ")"
@@ -638,6 +654,10 @@ class DirectProduct(GroupBackend):
                 names.append(name)
                 self._owner.append((fi, li))
         self.gen_names = tuple(names)
+        # per-factor bound methods, so each operation is one list display
+        self._muls = [b.mul for b in self.factors]
+        self._invs = [b.inv for b in self.factors]
+        self._keys = [b.canonical_key for b in self.factors]
 
     @property
     def identity(self):
@@ -649,13 +669,13 @@ class DirectProduct(GroupBackend):
                      for i, b in enumerate(self.factors))
 
     def mul(self, g, h):
-        return tuple(b.mul(a, c) for b, a, c in zip(self.factors, g, h))
+        return tuple([mul(a, c) for mul, a, c in zip(self._muls, g, h)])
 
     def inv(self, g):
-        return tuple(b.inv(a) for b, a in zip(self.factors, g))
+        return tuple([inv(a) for inv, a in zip(self._invs, g)])
 
     def canonical_key(self, g):
-        return tuple(b.canonical_key(a) for b, a in zip(self.factors, g))
+        return tuple([key(a) for key, a in zip(self._keys, g)])
 
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
@@ -679,7 +699,7 @@ class DirectProduct(GroupBackend):
                     return super().homomorphism(images)
                 local.append(image[fi])
             maps.append(backend.homomorphism(local))
-        return lambda g: tuple(m(c) for m, c in zip(maps, g))
+        return lambda g: tuple([m(c) for m, c in zip(maps, g)])
 
     def factor(self, g):
         word: List[Tuple[int, int]] = []
@@ -932,7 +952,8 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    spheres = layers([backend.identity], lambda u: (backend.mul(u, s) for s in gens), budget)
+    spheres = layers([backend.identity], lambda layer: itertools.starmap(
+        backend.mul, itertools.product(layer, gens)), budget)
     sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(backend.identity, radius, sphere_sets, ball_sizes)

@@ -8,16 +8,19 @@ groups share one OrbitGroup product; a class there is the plain tuple
 (canonical key, least member), so classes sort in the canonical order of
 their least members.
 
-``step(gens)`` is the one expansion every Cayley-graph walk takes: it maps
-u to the values of u*s over s in gens.  The base class builds each
-product; an OrbitGroup twists the generators once and then makes one
-backend product and one projection per step.
+``step(gens)`` is the one expansion every Cayley-graph walk takes: a
+layer map, sending a layer to the values of u*s over its elements u, then
+s in gens.  The base class builds each product; an OrbitGroup twists the
+generators once, forms the backend products of the whole layer, and
+projects them in one ``project_all`` batch: one class-table pass, and one
+orbit minimum per distinct G-element the table misses.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
@@ -40,13 +43,15 @@ class MvGroup:
     def render(self, x) -> str:
         return str(x)
 
-    def step(self, gens: Sequence[Any]) -> Callable[[Any], Iterable[Any]]:
-        """u -> the values of u*s over s in gens, repeats allowed.
+    def step(self, gens: Sequence[Any]) -> Callable[[Iterable[Any]], List[Any]]:
+        """layer -> the values of u*s over u in the layer, then s in gens,
+        repeats allowed.
 
         This generic expansion builds every product; it is the oracle for
         the overrides.
         """
-        return lambda u: (v for s in gens for v in self.mul(u, s))
+        mul = self.mul
+        return lambda layer: [v for u in layer for s in gens for v in mul(u, s)]
 
 
 class NatGroup(MvGroup):
@@ -84,7 +89,8 @@ class OrbitGroup(MvGroup):
     choice is a tested property, not an assumption.  Classes compare and
     hash as tuples, so they sort in the canonical order of their least
     members; a representative is rendered only when printed.  Subclasses
-    call _twist_by, set n, unit and _classes, and define project and carrier.
+    call _twist_by, set n, unit and _classes, and define project and carrier;
+    a subclass whose G may be infinite also sets _moves (see project_all).
     """
 
     backend: GroupBackend
@@ -122,16 +128,45 @@ class OrbitGroup(MvGroup):
     def inv(self, x):
         return self.project(self.backend.inv(x[1]))
 
+    def project_all(self, gs: List[Any]) -> List[Tuple[Any, Any]]:
+        """[project(g) for g in gs], as one batch.
+
+        One class-table pass; the misses are deduplicated, and the orbit
+        minimum of all of them is folded one twist at a time, starting from
+        the misses themselves (the identity twist), over `_moves`, the other
+        twists.  Each new class is filed under its least member only, as
+        project files it.  A table that covers all of a finite G never
+        misses, so only a coset group of an infinite G needs `_moves`.
+        """
+        classes = self._classes
+        found = list(map(classes.get, gs))
+        if None not in found:
+            return found
+        misses = list(dict.fromkeys(itertools.compress(gs, map(operator.not_, found))))
+        key = self.backend.canonical_key
+        least = zip(map(key, misses), misses)
+        for t in self._moves:
+            images, keyed = itertools.tee(map(t, misses))
+            least = map(min, least, zip(map(key, keyed), images))
+        fill = dict(zip(misses, least))
+        least = fill.values()
+        classes.update(zip(map(operator.itemgetter(1), least), least))
+        # a hit is no miss, so it keeps the class it found
+        return list(map(fill.get, gs, found))
+
     def step(self, gens):
-        """u -> project(u_rep * t) over the distinct twisted generators t.
+        """layer -> project(u_rep * t) over u in the layer, then the distinct
+        twisted generators t.
 
         By the definition of mul this yields the union of the supports of
         u*s over s in gens, each twist applied once per generator instead
-        of once per product.
+        of once per product; the layer's backend products are projected in
+        one ``project_all`` batch.
         """
-        backend, project = self.backend, self.project
+        mul, project_all = self.backend.mul, self.project_all
         steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in self.twists))
-        return lambda u: (project(backend.mul(u[1], t)) for t in steps)
+        return lambda layer: project_all(list(itertools.starmap(
+            mul, itertools.product(map(operator.itemgetter(1), layer), steps))))
 
     def render(self, x) -> str:
         return self.backend.render(x[1])
@@ -153,6 +188,7 @@ class CosetGroup(OrbitGroup):
         self.auts = auts
         self.n = auts.order
         self._twist_by([a.apply for a in auts])
+        self._moves = [a.apply for i, a in enumerate(auts) if i != auts.identity_index]
         key = backend.canonical_key
         self._keyed = lambda h: (key(h), h)
         self._classes = (self._partition(lambda g: (a.apply(g) for a in auts), budget)

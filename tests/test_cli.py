@@ -347,6 +347,25 @@ def test_budget_exceeded_exit_code(config_dir, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv, budget, radius", [
+    (["growth", "-c", "free2_swap", "--radius", "40"], 1000, 10),
+    (["growth", "-c", "z2_swap", "--radius", "40"], 1000, 31),
+    (["growth", "-c", "heis_swap", "--radius", "40"], 1000, 9),
+    (["growth", "-c", "z3xF2_example46", "--radius", "40"], 1000, 9),
+    (["dynamics", "-c", "free2_swap", "--z", "g1", "--steps", "30"], 5000, 13),
+], ids=["growth-free2_swap", "growth-z2_swap", "growth-heis_swap",
+        "growth-z3xF2_example46", "dynamics-free2_swap"])
+def test_budget_exit_names_the_radius_a_whole_layer_expansion_reached(
+        config_dir, capsys, argv, budget, radius):
+    """Expanding a layer in one batch raises at the radius, and with the
+    message, that expanding it element by element did."""
+    argv = [*argv[:2], cfg(config_dir, argv[2]), *argv[3:], "--budget", str(budget)]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (f"budget exceeded: more than {budget} distinct elements "
+                   f"reached by radius {radius}\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_is_a_usage_error(config_dir, capsys, budget):
     code, out, err = invoke(capsys, ["growth", "-c", cfg(config_dir, "nat"),

@@ -661,6 +661,35 @@ def test_edge_walk_accepts_exactly_the_homomorphisms(make):
     assert accepted == 10  # |End(S3)|: 6 automorphisms, 3 onto order 2, the trivial map
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DirectProduct([CyclicGroup(3, ["h"]), FreeGroup(2)]),  # z3xF2_example46
+    lambda: DirectProduct([s3(), CyclicGroup(2, ["z"])]),
+], ids=["z3xF2", "s3xZ2"])
+def test_direct_product_operations_match_the_generator_forms(make):
+    """mul, inv, canonical_key and the factor-by-factor map, each a list
+    display over per-factor bound methods, against the per-call generator
+    expressions they replace."""
+    backend = make()
+    factors = backend.factors
+    elements = sample_elements(backend)
+    rng = random.Random(17)
+    for g in elements:
+        h = rng.choice(elements)
+        assert backend.mul(g, h) == tuple(b.mul(a, c) for b, a, c in zip(factors, g, h))
+        assert backend.inv(g) == tuple(b.inv(a) for b, a in zip(factors, g))
+        assert backend.canonical_key(g) == tuple(
+            b.canonical_key(a) for b, a in zip(factors, g))
+    if backend.relators() is not None:
+        h, g1, g2 = map(backend.gen, range(3))
+        images = [backend.inv(h), g2, g1]
+        maps = [factors[0].homomorphism([images[0][0]]),
+                factors[1].homomorphism([images[1][1], images[2][1]])]
+        apply = backend.homomorphism(images)
+        for g in elements:
+            assert apply(g) == tuple(m(c) for m, c in zip(maps, g))
+            assert apply(g) == backend.evaluate(backend.factor(g), images)
+
+
 def test_edge_walk_matches_oracle_on_a_finite_direct_product():
     backend = DirectProduct([s3(), CyclicGroup(2, ["z"])])
     assert backend.relators() is None  # so verify() walks the product's edges

@@ -1,23 +1,28 @@
 """The breadth-first ``layers`` primitive and the budget rule it defines.
 
 The rule: no enumeration reaches more than `budget` distinct elements.
+``layers`` takes a layer map; ``closure`` wraps a per-element map lazily.
 """
 
 import itertools
+import pathlib
 
 import pytest
 
+from mvgroups import load_instance
 from mvgroups.cayley import ball, length, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
-from mvgroups.groups import FreeGroup, layers, monoid_balls
+from mvgroups.groups import FreeGroup, closure, layers, monoid_balls
 from mvgroups.mvalued import NatGroup
 
 NAT = NatGroup()
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
-def z6_steps(u):
-    return [(u + 3) % 6, (u + 2) % 6]
+def z6_steps(layer):
+    """The layer map of u -> u + 3, u + 2 mod 6: element-major, then step."""
+    return [v for u in layer for v in ((u + 3) % 6, (u + 2) % 6)]
 
 
 def test_layers_discovery_order_and_exhaustion():
@@ -32,6 +37,40 @@ def test_layers_budget_names_budget_and_radius():
         list(itertools.islice(layers([0], z6_steps, budget=5), 7))
     assert (exc.value.budget, exc.value.radius) == (5, 3)
     assert "5" in str(exc.value) and "radius 3" in str(exc.value)
+
+
+def test_closure_expands_lazily_and_stops_at_the_first_element_over_the_budget():
+    expanded = []
+
+    def successors(u):
+        expanded.append(u)
+        return [u + 1, u + 2]
+
+    assert closure([0], lambda u: z6_steps([u])) == [0, 3, 2, 5, 4, 1]
+    with pytest.raises(BudgetExceeded) as exc:
+        closure([0], successors, budget=5)
+    # layers [0], [1, 2], [3, 4]: the sixth element, 5, comes from 3, and 4
+    # is never expanded
+    assert (exc.value.radius, expanded) == (3, [0, 1, 2, 3])
+
+
+def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
+    """A batched layer map forms the candidates of the layer that goes over
+    the budget, and no more: every earlier batch is one sphere times the
+    twisted steps, so at most budget x |steps| elements reach project_all
+    in the last one."""
+    instance = load_instance(CONFIGS / "z2_swap.json")
+    X, gens = instance.X, instance.x_generators
+    steps = {t(s[1]) for s in gens for t in X.twists}
+    spheres = ball(X, gens, X.unit, 30).sphere_sizes()
+    batches = []
+    project_all = X.project_all
+    X.project_all = lambda gs: batches.append(len(gs)) or project_all(gs)
+    with pytest.raises(BudgetExceeded) as exc:
+        ball(X, gens, X.unit, 40, budget=1000)
+    assert exc.value.radius == 31
+    assert batches == [len(steps) * size for size in spheres]
+    assert sum(spheres) <= 1000 and batches[-1] <= 1000 * len(steps)
 
 
 F2 = FreeGroup(2)

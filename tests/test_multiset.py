@@ -23,8 +23,10 @@ def test_support_of_constant():
     # x * 0 = [x, x]: the generic step yields both values, its support is {x}
     X = NatGroup()
     assert X.mul(4, 0) == (4, 4)
-    assert list(X.step([0])(4)) == [4, 4]
-    assert set(X.step([0])(4)) == {4}
+    assert X.step([0])([4]) == [4, 4]
+    assert set(X.step([0])([4])) == {4}
+    # a layer map: element-major, then generator, then value
+    assert X.step([0, 1])([4, 2]) == [4, 4, 3, 5, 2, 2, 1, 3]
 
 
 def test_support_bounded_by_total():

@@ -377,14 +377,14 @@ def test_coset_class_table_files_each_class_under_its_least_member(path):
     instance = load_instance(path)
     X = instance.X
     returned = {X.unit}  # construction projected the identity
-    project = X.project
+    project_all = X.project_all
 
-    def recording(g):
-        cls = project(g)
-        returned.add(cls)
-        return cls
+    def recording(gs):
+        classes = project_all(gs)
+        returned.update(classes)
+        return classes
 
-    X.project = recording
+    X.project_all = recording
     table = ball(X, instance.x_generators, X.unit, 6)
     key = X.backend.canonical_key
     assert all(cls == (key(g), g) for g, cls in X._classes.items())

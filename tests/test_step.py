@@ -1,9 +1,10 @@
 """Twisted-step expansion against the generic expansion it replaces.
 
-Every Cayley-graph walk expands through ``X.step(gens)``.  On an
-OrbitGroup that is one backend product and one projection per
-(element, twisted generator) pair; the base-class ``MvGroup.step``
-builds each product ``X.mul(u, s)`` and is kept as the oracle.  Balls,
+Every Cayley-graph walk expands through ``X.step(gens)``, a layer map.  On
+an OrbitGroup that is one backend product per (element, twisted generator)
+pair and one ``project_all`` batch per layer, which the scalar ``project``
+checks; the base-class ``MvGroup.step`` builds each product ``X.mul(u, s)``
+and is kept as the oracle.  Balls,
 lengths, dynamics supports and set products must agree on every coset and
 double-coset config, from several centres.  The coset balls are also
 checked against the G-side identity
@@ -22,8 +23,9 @@ import pathlib
 
 import pytest
 
+from mvgroups import load_instance
 from mvgroups.cayley import ball, dynamic_supports, lengths, set_product
-from mvgroups.groups import monoid_balls, orbit
+from mvgroups.groups import layers, monoid_balls, orbit
 from mvgroups.mvalued import CosetGroup, MvGroup
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,22 +101,126 @@ def test_z2_swap_ball_projects_once_per_node_and_twisted_step(instances):
     X, gens = instances["z2_swap"].X, instances["z2_swap"].x_generators
     # four X-generators in two pairs of equal classes, two twists each: four
     # distinct steps, where building each product makes eight projections
-    steps = set().union(*(orbit(X.auts, s[1]) for s in gens))
+    steps = list(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
+    assert set(steps) == set().union(*(orbit(X.auts, s[1]) for s in gens))
     assert (len(gens), X.n, len(steps)) == (4, 2, 4)
     Y = copy.copy(X)
-    calls = []
+    batches = []
 
-    def project(g):
-        calls.append(g)
-        return X.project(g)
+    def project_all(gs):
+        batches.append(gs)
+        return X.project_all(gs)
 
-    Y.project = project
+    Y.project_all = project_all
     x = X.project((2, -1))
     for r in (0, 1, 5, 12):
-        calls.clear()
+        batches.clear()
         table = ball(Y, gens, x, r)
         assert table == ball(X, gens, x, r)
+        # one batch per expanded sphere, in discovery order: element-major,
+        # then twisted step
+        assert len(batches) == r
+        calls = list(itertools.chain(*batches))
         expanded = table.ball_sizes[r - 1] if r else 0
         assert len(calls) == len(steps) * expanded, r
         assert set(calls) == {X.backend.mul(u[1], t) for u in itertools.chain(
             *table.sphere_sets[:r]) for t in steps}
+        spheres = itertools.islice(layers([x], X.step(gens)), r)  # discovery order
+        assert batches == [[X.backend.mul(u[1], t) for u in sphere for t in steps]
+                           for sphere in spheres]
+
+
+def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance):
+    """On `growth z2_swap --radius 80` the orbit minimum runs once per
+    distinct G-element that the class table misses at the start of its
+    layer: 6,832 times, where projecting product by product missed 6,715
+    times but computed the orbit of each miss in Python."""
+    instance = load_instance(ROOT / "configs" / "z2_swap.json")  # a fresh class table
+    X, gens = instance.X, instance.x_generators
+    assert len(X._moves) == 1  # the swap; the identity twist is the miss itself
+    moved = []
+    X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in X._moves]
+    filed = set(X._classes)
+    table = ball(X, gens, X.unit, 80)
+    assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
+    assert len(moved) == 6832
+    # replay: a batch misses what is not filed by the end of the layer before
+    steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
+    expected = 0
+    for sphere in table.sphere_sets[:80]:
+        filed.update(cls[1] for cls in sphere)
+        expected += len({X.backend.mul(u[1], t) for u in sphere for t in steps} - filed)
+    assert expected == 6832
+
+
+# ---------------------------------------------------------------------------
+# the batched projection kernel against the scalar project
+
+
+def fresh(instance):
+    """The instance's group with a class table of its own: the whole
+    partition of a finite G, else only the unit's class."""
+    X = copy.copy(instance.X)
+    X._classes = (dict(instance.X._classes) if instance.backend.is_finite()
+                  else {X.unit[1]: X.unit})
+    return X
+
+
+def ball_products(X, gens, radius):
+    """The backend products of a ball's spheres with the twisted steps,
+    repeats and all, in discovery order."""
+    steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
+    spheres = itertools.islice(layers([X.unit], X.step(gens)), radius)
+    return [X.backend.mul(u[1], t) for sphere in spheres for u in sphere for t in steps]
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_project_all_matches_project_on_products_with_repeats(every_instance, name):
+    instance = every_instance[name]
+    products = ball_products(fresh(instance), instance.x_generators, 3)
+    gs = products + products[::-1]  # each product again, in reverse
+    X, Y = fresh(instance), fresh(instance)
+    assert X.project_all(gs) == [Y.project(g) for g in gs]
+    assert X._classes == Y._classes
+    # a second batch hits everywhere and files nothing new
+    filed = dict(X._classes)
+    assert X.project_all(gs) == [Y.project(g) for g in gs]
+    assert X._classes == filed
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_project_all_files_least_and_non_least_members_of_one_class_once(every_instance, name):
+    instance = every_instance[name]
+    X = fresh(instance)
+    gs = ball_products(X, instance.x_generators, 3)
+    # every class of the batch with two members in it, the least last
+    members = {}
+    for g in gs:
+        members.setdefault(X.project(g), set()).add(g)
+    batch = [g for cls, group in members.items() if len(group) > 1
+             for g in sorted(group, key=lambda g: g != cls[1])[::-1]]
+    X, Y = fresh(instance), fresh(instance)
+    assert X.project_all(batch) == [Y.project(g) for g in batch]
+    assert X._classes == Y._classes
+    if not instance.backend.is_finite():
+        assert batch, name
+        assert all(cls == (X.backend.canonical_key(g), g) for g, cls in X._classes.items())
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_project_all_on_an_all_hit_batch_is_the_table_lookup(every_instance, name):
+    instance = every_instance[name]
+    X = fresh(instance)
+    gs = [cls[1] for cls in ball(X, instance.x_generators, X.unit, 3).ball_elements()]
+    filed = dict(X._classes)
+    assert X.project_all(gs) == [X._classes[g] for g in gs] == [X.project(g) for g in gs]
+    assert X._classes == filed
+    assert X.project_all([]) == []
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_layer_step_matches_the_generic_step_on_every_layer(every_instance, name):
+    X, gens = every_instance[name].X, every_instance[name].x_generators
+    step, oracle = X.step(gens), MvGroup.step(X, gens)
+    for layer in itertools.islice(layers([X.unit], step), RADIUS + 1):
+        assert set(step(layer)) == set(oracle(layer)), name
