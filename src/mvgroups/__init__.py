@@ -37,14 +37,6 @@ from .cayley import (
     lengths,
     power_table,
 )
-from .dynamics import (
-    BoundsReport,
-    DynamicsTable,
-    bounds_check,
-    classify_growth,
-    iterate_dynamic,
-    quadratic_bound_check,
-)
 from .wordspec import (
     Instance,
     InstanceConfig,

@@ -22,11 +22,13 @@ relators whose generators map into their own factors to one map per
 factor.  evaluate(factor(g), images) is left only to products that mix
 their factors, and stays the oracle on infinite kinds (permutation and
 table groups have no factor).  A verified automorphism keeps one map;
-its inverse images are checked on a second compiled map that is then
-dropped.
+when its inverse images differ from its images they are checked on a
+second compiled map that is then dropped, and when they are equal the one
+map serves both ways.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
-checked seeds, and ``AutomorphismGroup`` reads its composition and inverse
-tables off the generator images.
+checked seeds, stepping by image lists alone, and compiles each distinct
+automorphism it keeps once; ``AutomorphismGroup`` reads its composition
+and inverse tables off the generator images.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and, through ``closure``, every finite closure (group
@@ -753,8 +755,9 @@ class Automorphism:
 
     verify() checks it and keeps one compiled map, the backend's
     homomorphism for its images; until it has passed there is no map to
-    apply.  The inverse images are input to verify() only.  compose and
-    identity_automorphism return compiled automorphisms."""
+    apply.  The inverse images are input to verify() only.
+    identity_automorphism and every element of close_automorphisms are
+    compiled automorphisms."""
 
     def __init__(self, backend: GroupBackend, name: str,
                  images: Sequence[Any], inverse_images: Optional[Sequence[Any]]):
@@ -784,7 +787,9 @@ class Automorphism:
     def verify(self) -> "Automorphism":
         """Check the homomorphism property, compile both image lists, check
         on the two maps that they are mutually inverse, and only then keep
-        the forward map."""
+        the forward map.  The relators are evaluated on both lists, but
+        inverse images equal to the images are not compiled again: they
+        would give the identical map after the identical walk."""
         backend = self.backend
         if self.inverse_images is None:
             raise InverseMissing(f"automorphism {self.name!r} has no inverse images")
@@ -802,6 +807,9 @@ class Automorphism:
                     raise NotAnAutomorphism(
                         f"{self.name!r}: relator {rel} maps to {backend.render(value)} "
                         f"under {label}, not the identity")
+            if maps and images == self.images:
+                maps.append(maps[0])
+                continue
             try:
                 maps.append(backend.homomorphism(images))
             except NotAnAutomorphism as exc:  # the edge walk of a finite kind
@@ -827,17 +835,6 @@ def identity_automorphism(backend: GroupBackend) -> Automorphism:
     ident = Automorphism(backend, "id", gens, gens)
     ident._forward = _identity
     return ident
-
-
-def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b: (a . b)(g) = a(b(g)), compiled from its generator images."""
-    backend = a.backend
-    if backend is not b.backend:
-        raise BackendMismatch("cannot compose automorphisms of different backends")
-    images = [a.apply(img) for img in b.images]
-    composite = Automorphism(backend, f"{a.name}*{b.name}", images, None)
-    composite._forward = backend.homomorphism(images)
-    return composite
 
 
 class AutomorphismGroup:
@@ -870,9 +867,13 @@ class AutomorphismGroup:
 def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> AutomorphismGroup:
     """Subgroup of Aut(G) generated by the seeds, as a finite closed set.
 
-    The closure steps by the seeds alone: a finite set closed under
-    composition is a group.  Raises BudgetExceeded once the closure reaches
-    more than `bound` elements.
+    The closure steps by left composition with the verified seeds alone: a
+    finite set closed under composition is a group.  s after a has the
+    images s.apply(img) for img in a's images, so a step applies seed maps
+    and compiles nothing, and a duplicate is dropped before it costs a
+    compile.  Each element reached past the identity and the seeds is then
+    compiled once.  Raises BudgetExceeded once the closure reaches more
+    than `bound` elements.
     """
     if not seeds:
         raise ValidationError("need at least one seed automorphism")
@@ -881,9 +882,17 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
         if seed.backend is not backend:
             raise BackendMismatch("all seeds must act on the same backend")
         seed.verify()
-    # the identity and the seeds start the first layer, so they keep their names
-    return AutomorphismGroup(backend, closure([identity_automorphism(backend), *seeds],
-                                              lambda a: (compose(a, s) for s in seeds), bound))
+
+    def successors(a):
+        return (Automorphism(backend, f"{s.name}*{a.name}", [s.apply(img) for img in a.images],
+                             None) for s in seeds)
+
+    # the identity and the seeds start the first layer, so they keep their maps and names
+    start = list(dict.fromkeys([identity_automorphism(backend), *seeds]))
+    elements = closure(start, successors, bound)
+    for a in elements[len(start):]:
+        a._forward = backend.homomorphism(a.images)
+    return AutomorphismGroup(backend, elements)
 
 
 def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:

@@ -112,7 +112,7 @@ def thm43(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Suite
     if not isinstance(X, CosetGroup):
         raise ValidationError("thm43 requires a coset instance")
     if not instance.config.x_generators:
-        raise ValidationError("thm43 needs X_generators or an explicit element")
+        raise ValidationError("thm43 needs X_generators")
     g = instance.config.x_generators[0]
 
     ys = [X.unit]
@@ -138,7 +138,7 @@ def thm48(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Suite
     result = SuiteResult("thm48")
     X = instance.X
     if not instance.x_generators:
-        raise ValidationError("thm48 needs X_generators or explicit elements")
+        raise ValidationError("thm48 needs X_generators")
     for x in instance.x_generators:
         report = quadratic_bound_check(X, x, r_max, budget=budget)
         if report.ok:
@@ -225,7 +225,7 @@ def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
     result = SuiteResult("example46")
     X = instance.X
     if not instance.x_generators:
-        raise ValidationError("example46 needs X_generators or an explicit element")
+        raise ValidationError("example46 needs X_generators")
     table = iterate_dynamic(X, instance.x_generators[0], X.unit, r_max, budget=budget)
     worst = max(table.xi)
     result.add(worst <= _EXAMPLE46_CAP, f"r={r_max} max xi={worst} (cap {_EXAMPLE46_CAP})")

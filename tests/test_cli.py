@@ -264,11 +264,11 @@ def test_verify_radius_below_range_exits_2(config_dir, capsys, suite, config, ra
 
 
 # every suite and compare on a config without X_generators, with the messages
-# of the two that raised a traceback or blamed the radius cap pinned
+# of those that need an X-element pinned
 NO_X_GENERATORS = {
     **{suite: (["verify", "--suite", suite], None) for suite in SUITES},
-    "example46": (["verify", "--suite", "example46"],
-                  "example46 needs X_generators or an explicit element"),
+    **{suite: (["verify", "--suite", suite], f"{suite} needs X_generators")
+       for suite in ("thm43", "thm48", "example46")},
     "compare": (["compare", "--gens2", "g1"], "compare needs X_generators"),
 }
 

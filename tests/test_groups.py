@@ -27,12 +27,12 @@ from mvgroups.groups import (
     PermutationGroup,
     SemidirectProduct,
     close_automorphisms,
-    compose,
     identity_automorphism,
     monoid_balls,
     orbit,
 )
 from mvgroups.keys import int_key
+from mvgroups.wordspec import build_instance, parse_config
 
 
 def random_element(backend, rng, steps=6):
@@ -896,6 +896,15 @@ def test_direct_product_automorphisms_compile_factor_by_factor():
 # automorphism groups: tables read off generator images, closure by the seeds
 
 
+def compose(a, b):
+    """a after b, compiled from its generator images: the oracle for the
+    composition tables and the closure."""
+    images = [a.apply(img) for img in b.images]
+    composite = Automorphism(a.backend, f"{a.name}*{b.name}", images, None)
+    composite._forward = a.backend.homomorphism(images)
+    return composite
+
+
 def inverse_seed(a):
     """The verified automorphism whose images are a's inverse images."""
     return Automorphism(a.backend, f"{a.name}^-1", a.inverse_images, a.images).verify()
@@ -961,6 +970,66 @@ def test_closure_by_seeds_matches_closure_by_seeds_and_inverses(every_instance, 
     signatures = [a.signature for a in auts]
     assert len(set(signatures)) == auts.order
     assert set(signatures) == oracle_closure(seeds)
+
+
+def test_shear_closure_stops_at_the_same_radius():
+    # words in the seeds of length r are the same set stepped from either side
+    z2 = FreeAbelianGroup(2)
+    shear = Automorphism(z2, "shear", [(1, 0), (1, 1)], [(1, 0), (-1, 1)]).verify()
+    with pytest.raises(BudgetExceeded) as exc:
+        close_automorphisms([shear], bound=10)
+    assert (exc.value.budget, exc.value.radius) == (10, 9)
+
+
+def compiles_while_building(config):
+    """The instance `config` builds, and the image lists its backend
+    compiles meanwhile.  Only calls on the backend itself count: the maps a
+    direct product builds per factor are part of its one compile."""
+    backend = config.backend
+    compiled = []
+    homomorphism = backend.homomorphism
+
+    def counted(images):
+        compiled.append(tuple(images))
+        return homomorphism(images)
+
+    backend.homomorphism = counted
+    try:
+        return build_instance(config), compiled
+    finally:
+        del backend.homomorphism
+
+
+def coset_document(name, monkeypatch):
+    """The config document of a coset instance: a shipped config, an n >= 3
+    test instance, or the bench's generated coset of Sym(5)."""
+    if name == "s5_coset":
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        return workloads.coset_config(5, tuple(range(5)))
+    shipped = ROOT / "configs" / f"{name}.json"
+    return shipped if shipped.is_file() else ROOT / "tests" / "instances" / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", SHIPPED_COSETS + N3_INSTANCES + ["s5_coset"])
+def test_each_distinct_automorphism_is_compiled_once(every_instance, monkeypatch, name):
+    assert {n for n, i in every_instance.items() if i.auts is not None} == {
+        *SHIPPED_COSETS, *N3_INSTANCES}
+    config = parse_config(coset_document(name, monkeypatch))
+    instance, compiled = compiles_while_building(config)
+    auts, seeds = instance.auts, config.automorphisms
+    if name in every_instance:
+        assert [a.signature for a in auts] == [a.signature for a in every_instance[name].auts]
+    # a seed compiles its images, and its inverse images only when they differ
+    seed_maps = sum(1 if a.inverse_images == a.images else 2 for a in seeds)
+    # every other element but the identity once; a discarded duplicate never
+    ident = identity_automorphism(auts.backend)
+    others = [a.images for a in auts if a != ident and a not in seeds]
+    assert len(compiled) == seed_maps + len(others)
+    assert Counter(compiled[seed_maps:]) == Counter(others)
+    if name in ("z2_swap", "s5_coset"):
+        assert len(compiled) == 1
 
 
 def guarded_products():

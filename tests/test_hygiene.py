@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every import is a top-level statement of its module, every function or
 method the package defines is referenced outside its own definition,
-importing the CLI loads neither `dataclasses` nor `inspect`, and every
+importing the CLI loads neither `dataclasses` nor `inspect`, building an
+instance loads no analysis or CLI module, and every
 verification suite takes only (instance, r_max, budget)."""
 
 import ast
@@ -105,6 +106,23 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # a fresh interpreter: pytest itself has imported both modules here
     probe = ("import sys, mvgroups.cli; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+# analysis and front-end modules that building an instance never runs
+NOT_FOR_SETUP = ["argparse", "decimal", "fractions", "mvgroups.cli", "mvgroups.dynamics",
+                 "mvgroups.verify", "numbers", "random"]
+
+
+def test_setup_path_loads_no_analysis_or_cli_modules():
+    # a fresh interpreter; only what the set-up path adds counts, since
+    # `site` may load some of these first (a .pth file can import random)
+    probe = ("import sys; before = set(sys.modules); import mvgroups.wordspec; "
+             f"mvgroups.wordspec.load_instance({str(ROOT / 'configs' / 'z2_swap.json')!r}); "
+             f"print(sorted(set({NOT_FOR_SETUP!r}) & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
