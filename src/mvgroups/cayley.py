@@ -9,11 +9,12 @@ right at small radii).
 
 Every walk here (balls, lengths, dynamics supports, set products)
 expands through ``X.step(gens)``, a whole layer at a time.  A coset or
-double-coset group twists its generators once per walk, makes one backend
-product per (element, twisted generator) pair, without building the sorted
-product, and projects each layer's products in one batch that takes one
-orbit minimum per distinct G-element its class table misses; the budget
-still counts classes.
+double-coset group twists its generators once per walk and forms a
+layer's (element, twisted generator) products in one ``products`` batch,
+without building the sorted product.  It projects them in one batch that
+takes one orbit minimum per distinct G-element its class table misses,
+keyed in one ``keys`` batch per twist; Z^k computes both batches
+column-wise.  The budget still counts classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.

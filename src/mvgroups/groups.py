@@ -3,10 +3,12 @@
 A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples); the backend object
-carries the operations.  A canonical key is an int or a tuple whose native
-order is the canonical order: integers rank 0 < 1 < -1 < 2 < -2 < ...,
-vectors compare componentwise in that rank, and free words compare shorter
-first, then letter by letter.
+carries the operations, and ``products`` and ``keys`` batch ``mul`` and
+``canonical_key`` over a layer: the scalar loops by default, column by
+column on Z^k, and for keys on the Heisenberg group.  A canonical key is
+an int or a tuple whose native order is the canonical order: integers rank
+0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
+free words compare shorter first, then letter by letter.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -118,10 +120,7 @@ class GrowthTable(NamedTuple):
         return [len(s) for s in self.sphere_sets]
 
     def ball_elements(self) -> List[Any]:
-        out = []
-        for sphere in self.sphere_sets:
-            out.extend(sphere)
-        return sorted(out)
+        return sorted(itertools.chain.from_iterable(self.sphere_sets))
 
 
 class GroupBackend:
@@ -146,6 +145,14 @@ class GroupBackend:
         """The element itself: non-negative ints and equal-length tuples of
         them already sort canonically."""
         return g
+
+    def products(self, gs: Sequence[Any], hs: Sequence[Any]) -> List[Any]:
+        """[mul(g, h) for g in gs for h in hs], element-major, as one batch."""
+        return list(itertools.starmap(self.mul, itertools.product(gs, hs)))
+
+    def keys(self, gs: Sequence[Any]) -> List[Any]:
+        """[canonical_key(g) for g in gs], as one batch."""
+        return list(map(self.canonical_key, gs))
 
     def render(self, g) -> str:
         raise NotImplementedError
@@ -332,7 +339,22 @@ class FreeGroup(GroupBackend):
         return []
 
 
-class FreeAbelianGroup(GroupBackend):
+class _IntVectors(GroupBackend):
+    """Elements are integer tuples, keyed by their coordinates' ranks, each
+    interned per backend; a batch maps the ranks over each coordinate's
+    column and zips them back into one key per element."""
+
+    def __init__(self):
+        self._rank = _Memo(int_key).__getitem__
+
+    def canonical_key(self, g):
+        return tuple(map(self._rank, g))
+
+    def keys(self, gs):
+        return list(zip(*[map(self._rank, column) for column in zip(*gs)]))
+
+
+class FreeAbelianGroup(_IntVectors):
     """Z^k; elements are integer vectors."""
 
     kind = "free_abelian"
@@ -344,7 +366,7 @@ class FreeAbelianGroup(GroupBackend):
         self.gen_names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
         if len(self.gen_names) != rank:
             raise ValidationError("generator name count must equal the rank")
-        self._rank = _Memo(int_key).__getitem__
+        super().__init__()
 
     @property
     def identity(self):
@@ -355,6 +377,13 @@ class FreeAbelianGroup(GroupBackend):
 
     def mul(self, g, h):
         return tuple(map(operator.add, g, h))
+
+    def products(self, gs, hs):
+        """Per step, one `map` of `add` per column, zipped back element-major."""
+        columns = list(zip(*gs))
+        by_step = [zip(*[map(operator.add, column, itertools.repeat(a))
+                         for column, a in zip(columns, h)]) for h in hs]
+        return list(itertools.chain.from_iterable(zip(*by_step)))
 
     def inv(self, g):
         return tuple(map(operator.neg, g))
@@ -376,10 +405,6 @@ class FreeAbelianGroup(GroupBackend):
                 return pick
             return lambda g: tuple(map(operator.mul, signs, pick(g)))
         return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
-
-    def canonical_key(self, g):
-        """The coordinates' ranks, each interned per backend."""
-        return tuple(map(self._rank, g))
 
     def render(self, g):
         if self.rank == 1:
@@ -447,7 +472,7 @@ class CyclicGroup(GroupBackend):
         return range(self.order)
 
 
-class HeisenbergGroup(GroupBackend):
+class HeisenbergGroup(_IntVectors):
     """Discrete Heisenberg group as integer triples (p, q, r).
 
     Upper unitriangular 3x3 convention: (p,q,r)(p',q',r') =
@@ -457,9 +482,6 @@ class HeisenbergGroup(GroupBackend):
 
     kind = "heisenberg"
     gen_names = ("a", "b", "c")
-
-    def __init__(self):
-        self._rank = _Memo(int_key).__getitem__
 
     @property
     def identity(self):
@@ -488,10 +510,6 @@ class HeisenbergGroup(GroupBackend):
                     p * a3 + p * (p - 1) // 2 * a1 * a2 + q * b3 + q * (q - 1) // 2 * b1 * b2
                     + p * a1 * q * b2 + s * c3 + s * (s - 1) // 2 * c1 * c2 + x * s * c2)
         return apply
-
-    def canonical_key(self, g):
-        """The coordinates' ranks, each interned per backend."""
-        return tuple(map(self._rank, g))
 
     def render(self, g):
         return "(" + ",".join(str(a) for a in g) + ")"

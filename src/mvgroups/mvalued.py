@@ -11,9 +11,10 @@ their least members.
 ``step(gens)`` is the one expansion every Cayley-graph walk takes: a
 layer map, sending a layer to the values of u*s over its elements u, then
 s in gens.  The base class builds each product; an OrbitGroup twists the
-generators once, forms the backend products of the whole layer, and
-projects them in one ``project_all`` batch: one class-table pass, and one
-orbit minimum per distinct G-element the table misses.
+generators once, forms a layer's backend products in one ``products``
+batch and projects them in one ``project_all`` batch: one class-table
+pass, and one orbit minimum per distinct G-element the table misses, keyed
+in one ``keys`` batch per twist.  Z^k computes both batches column-wise.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class OrbitGroup(MvGroup):
         One class-table pass; the misses are deduplicated, and the orbit
         minimum of all of them is folded one twist at a time, starting from
         the misses themselves (the identity twist), over `_moves`, the other
-        twists.  Each new class is filed under its least member only, as
+        twists, keying the misses and each twist's images in one ``keys``
+        batch each.  Each new class is filed under its least member only, as
         project files it.  A table that covers all of a finite G never
         misses, so only a coset group of an infinite G needs `_moves`.
         """
@@ -143,11 +145,11 @@ class OrbitGroup(MvGroup):
         if None not in found:
             return found
         misses = list(dict.fromkeys(itertools.compress(gs, map(operator.not_, found))))
-        key = self.backend.canonical_key
-        least = zip(map(key, misses), misses)
+        keys = self.backend.keys
+        least = zip(keys(misses), misses)
         for t in self._moves:
-            images, keyed = itertools.tee(map(t, misses))
-            least = map(min, least, zip(map(key, keyed), images))
+            images = list(map(t, misses))
+            least = map(min, least, zip(keys(images), images))
         fill = dict(zip(misses, least))
         least = fill.values()
         classes.update(zip(map(operator.itemgetter(1), least), least))
@@ -160,13 +162,12 @@ class OrbitGroup(MvGroup):
 
         By the definition of mul this yields the union of the supports of
         u*s over s in gens, each twist applied once per generator instead
-        of once per product; the layer's backend products are projected in
-        one ``project_all`` batch.
+        of once per product.  A layer is one backend ``products`` batch
+        (column-wise on Z^k), projected in one ``project_all`` batch.
         """
-        mul, project_all = self.backend.mul, self.project_all
+        products, project_all = self.backend.products, self.project_all
         steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in self.twists))
-        return lambda layer: project_all(list(itertools.starmap(
-            mul, itertools.product(map(operator.itemgetter(1), layer), steps))))
+        return lambda layer: project_all(products(list(map(operator.itemgetter(1), layer)), steps))
 
     def render(self, x) -> str:
         return self.backend.render(x[1])

@@ -89,6 +89,39 @@ def test_canonical_key_injective_and_consistent(backend):
         assert backend.canonical_key(g) == key  # stable
 
 
+def batch_backends():
+    return [*all_backends(), FreeAbelianGroup(3)]
+
+
+def huge_element(backend, rng):
+    """An integer vector of the backend's length with every coordinate
+    beyond +-2**64."""
+    return tuple(rng.choice((1, -1)) * rng.randrange(2**64, 2**80) for _ in backend.identity)
+
+
+@pytest.mark.parametrize("backend", batch_backends(), ids=lambda b: f"{b.kind}-{len(b.gen_names)}")
+def test_batch_hooks_match_the_scalar_loops(backend):
+    rng = random.Random(4321)
+    gs = [random_element(backend, rng) for _ in range(40)]
+    hs = [random_element(backend, rng) for _ in range(5)]
+    if isinstance(backend, (FreeAbelianGroup, HeisenbergGroup)):
+        gs += [huge_element(backend, rng) for _ in range(10)]
+        hs.append(huge_element(backend, rng))
+    for left, right in ((gs, hs), (gs, []), ([], hs), ([], []), (gs[:1], hs[:1])):
+        products = backend.products(left, right)
+        assert products == [backend.mul(g, h) for g in left for h in right]
+    products = backend.products(gs, hs)
+    for batch in (gs, hs, [], gs[:1], products):
+        assert backend.keys(batch) == [backend.canonical_key(g) for g in batch]
+
+
+def test_rank_one_batches_keep_their_one_tuples():
+    z = FreeAbelianGroup(1)
+    assert z.products([(2,), (-3,)], [(1,), (-1,)]) == [(3,), (1,), (-2,), (-4,)]
+    assert z.keys([(2,), (-3,), (0,)]) == [(3,), (6,), (0,)]
+    assert z.products([(2,)], [(2**70,)]) == [(2**70 + 2,)]
+
+
 def test_identity_key_is_minimal_in_samples():
     for backend in all_backends():
         rng = random.Random(7)

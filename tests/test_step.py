@@ -1,10 +1,10 @@
 """Twisted-step expansion against the generic expansion it replaces.
 
 Every Cayley-graph walk expands through ``X.step(gens)``, a layer map.  On
-an OrbitGroup that is one backend product per (element, twisted generator)
-pair and one ``project_all`` batch per layer, which the scalar ``project``
-checks; the base-class ``MvGroup.step`` builds each product ``X.mul(u, s)``
-and is kept as the oracle.  Balls,
+an OrbitGroup that is one backend ``products`` batch of (element, twisted
+generator) pairs and one ``project_all`` batch per layer, which the scalar
+``project`` checks; the base-class ``MvGroup.step`` builds each product
+``X.mul(u, s)`` and is kept as the oracle.  Balls,
 lengths, dynamics supports and set products must agree on every coset and
 double-coset config, from several centres.  The coset balls are also
 checked against the G-side identity
@@ -151,6 +151,37 @@ def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance
         filed.update(cls[1] for cls in sphere)
         expected += len({X.backend.mul(u[1], t) for u in sphere for t in steps} - filed)
     assert expected == 6832
+
+
+def test_z2_swap_growth_is_one_products_batch_and_one_keys_batch_per_twist(every_instance):
+    """`growth z2_swap --radius 80` forms its 25,440 backend products in one
+    `products` batch per layer, and keys each layer's misses and their swap
+    images in one `keys` batch each, with no scalar `mul` or
+    `canonical_key` call."""
+    instance = load_instance(ROOT / "configs" / "z2_swap.json")  # a fresh class table
+    X, gens, backend = instance.X, instance.x_generators, instance.X.backend
+    calls = {name: [] for name in ("products", "keys", "mul", "canonical_key")}
+
+    def counting(name, size):
+        fn = getattr(backend, name)
+
+        def wrapper(*args):
+            calls[name].append(size(*args))
+            return fn(*args)
+        return wrapper
+
+    backend.products = counting("products", lambda gs, hs: len(gs) * len(hs))
+    backend.keys = counting("keys", len)
+    backend.mul = counting("mul", lambda g, h: 1)
+    backend.canonical_key = counting("canonical_key", lambda g: 1)
+    table = ball(X, gens, X.unit, 80)
+    assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
+    assert (len(calls["products"]), sum(calls["products"])) == (80, 25440)
+    assert (len(calls["keys"]), sum(calls["keys"])) == (160, 13664)
+    # per layer the misses, then as many swap images
+    misses, images = calls["keys"][0::2], calls["keys"][1::2]
+    assert misses == images and sum(misses) == 6832
+    assert calls["mul"] == calls["canonical_key"] == []
 
 
 # ---------------------------------------------------------------------------
