@@ -42,7 +42,8 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def _axioms_args(p: argparse.ArgumentParser):
     p.add_argument("--sample", type=_int_at_least(0), default=10,
-                   help="sample size / range bound for infinite carriers")
+                   help="the unit and up to SAMPLE more elements of an infinite "
+                        "carrier (a finite one is checked whole)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -147,11 +148,7 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
 
 def _cmd_axioms(args, instance: Instance, budget: int) -> int:
     X = instance.X
-    if instance.backend is None:
-        sample = list(range(args.sample + 1))
-    else:
-        sample = sample_elements(instance, limit=args.sample, budget=budget)
-    report = check_axioms(X, sample)
+    report = check_axioms(X, sample_elements(instance, limit=args.sample + 1, budget=budget))
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))
     else:

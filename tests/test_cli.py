@@ -99,6 +99,24 @@ def test_axioms_sample_zero_on_nat(config_dir, capsys):
     ]
 
 
+# --sample N checks the unit and up to N more elements of an infinite
+# carrier; B(e, 2) has 7 classes on z2_pm1 and 9 on heis_swap, and the finite
+# s3_conj carrier (4 classes) is checked whole
+SAMPLE_COUNTS = {"nat": (1, 2, 11), "z2_pm1": (1, 2, 7), "heis_swap": (1, 2, 9),
+                 "s3_conj": (4, 4, 4)}
+
+
+@pytest.mark.parametrize("config", SAMPLE_COUNTS)
+def test_axioms_sample_is_the_unit_and_up_to_n_more(config_dir, capsys, config):
+    for sample, count in zip(("0", "1", "10"), SAMPLE_COUNTS[config]):
+        code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, config),
+                                         "--sample", sample])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"PASS associativity triples={count ** 3}",
+                                    f"PASS unit elements={count}",
+                                    f"PASS inverse elements={count}"]
+
+
 @pytest.mark.parametrize("sample", ["-1", "-3"])
 def test_axioms_negative_sample_is_a_usage_error(config_dir, capsys, sample):
     code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "z2_pm1"),
@@ -254,13 +272,50 @@ def test_verify_sandwich_suite(config_dir, capsys):
     ("lemma47", "s3_conj", "-1", "r_max must be >= 1"),
     ("lemma47", "s3_conj", "0", "r_max must be >= 1"),
     ("example46", "z3xF2_example46", "-1", "radius must be >= 0"),
-    *(("example46", "z3xF2_example46", str(r), "r_max must be >= 5") for r in range(5)),
     ("proof34", "z_pm1", "-1", "radius must be >= 0")])
 def test_verify_radius_below_range_exits_2(config_dir, capsys, suite, config, radius,
                                            message):
     code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, config),
                                      "--suite", suite, "--radius", radius])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# example46 passes once a support repeats within rows 0..r, which on
+# z3xF2_example46 (xi = 1, 1, 2, 2, ...) first happens at r = 3
+@pytest.mark.parametrize("radius", ["0", "1", "2", "3", "4", "5", "20"])
+def test_example46_verdict_reads_its_xi_table(config_dir, capsys, radius):
+    code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, "z3xF2_example46"),
+                                     "--suite", "example46", "--radius", radius])
+    bounded = int(radius) >= 3
+    assert (code, err) == (0 if bounded else 1, "")
+    assert out.splitlines() == [
+        f"PASS example46 r={radius} max xi={1 if radius in ('0', '1') else 2} (cap 2)",
+        f"{'PASS' if bounded else 'FAIL'} example46 r={radius} classified "
+        f"{'bounded' if bounded else 'unresolved'}"]
+
+
+def test_example46_without_a_repeated_support_is_unresolved(tmp_path, capsys):
+    # Z under the identity: xi = 1 at every r, but the supports {g1^r} never
+    # repeat, so the cap on the rows computed proves nothing
+    path = tmp_path / "z_identity.json"
+    path.write_text(json.dumps({
+        "schema": 1, "group": {"kind": "free_abelian", "rank": 1, "gens": ["g1"]},
+        "automorphisms": [{"name": "id", "images": {"g1": "g1"},
+                           "inverse_images": {"g1": "g1"}}],
+        "mv": {"kind": "coset"}, "X_generators": ["g1"]}))
+    code, out, err = invoke(capsys, ["verify", "-c", str(path), "--suite", "example46",
+                                     "--radius", "10"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["PASS example46 r=10 max xi=1 (cap 2)",
+                                "FAIL example46 r=10 classified unresolved"]
+
+
+def test_lemma47_checks_sphere_addition_to_its_radius(config_dir, capsys):
+    code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, "s3_conj"),
+                                     "--suite", "lemma47", "--radius", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["PASS lemma47 r=3 vanishing persists for 4 base points",
+                                "PASS lemma47 r=3 sphere addition holds on 50 decompositions"]
 
 
 # every suite and compare on a config without X_generators, with the messages
@@ -604,6 +659,16 @@ def test_product_partition_does_not_list_the_carrier(tmp_path):
                {"kind": "cyclic", "order": 1000, "gens": ["b"]}]
     assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
                                  {"a": "a^-1", "b": "b^-1"})
+
+
+@NEEDS_PROC
+def test_product_partition_does_not_list_a_factor(tmp_path):
+    # itertools.product lists each factor first: 2,000,000 ints took the
+    # peak RSS to 94 MiB; the product walks the factors' ranges instead
+    factors = [{"kind": "cyclic", "order": 2_000_000, "gens": ["a"]},
+               {"kind": "cyclic", "order": 2, "gens": ["b"]}]
+    assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
+                                 {"a": "a^-1", "b": "b"})
 
 
 S3_TU = {"kind": "permutation", "degree": 3, "gens": ["t", "u"],

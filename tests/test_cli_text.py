@@ -36,7 +36,8 @@ options:
   -c CONFIG, --config CONFIG
                         instance config JSON file
   --budget BUDGET       node budget override (default from config, else 10^6)
-  --sample SAMPLE       sample size / range bound for infinite carriers
+  --sample SAMPLE       the unit and up to SAMPLE more elements of an infinite
+                        carrier (a finite one is checked whole)
   --format {text,json}
 """,
      ""),

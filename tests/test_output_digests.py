@@ -13,9 +13,15 @@ order or to how classes are represented shows there.  They also pin the
 growth tables of the n >= 3 coset instances in `tests/instances/`; a `-c`
 argument ending in `.json` is a path from the repository root, any other
 names a shipped config.
+
+The bench guard runs every op of every benchmark workload, for two seeds,
+and compares its exit code and stdout digest with `bench/oracle.json`, so a
+change that the benchmark would count as a failed op fails here first.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -118,7 +124,7 @@ REPRESENTATIVE_DIGESTS = {
         0, "b00b0599d5f9d663f66053b40b0f17fd1f609500ff5fc1575dd53f86ac8ef846"),
     "verify-lemma47/s3_conj": (
         ["verify", "-c", "s3_conj", "--suite", "lemma47", "--radius", "3"],
-        0, "1c802d94e7609dc7ee764a8aba0cb693d2443d91edfc9a8d4ae29f4b15e57176"),
+        0, "443fd774ef1f9ca2c9648281638b712b165384d6adda759cf16aac3635cb711c"),
     "axioms-json/nat_mutated": (
         ["axioms", "-c", "nat_mutated", "--format", "json"],
         1, "344241703665db02042c2ce471339b57bf81a685961c5fb9c3ba4e8f3c9bf527"),
@@ -141,7 +147,7 @@ REPRESENTATIVE_DIGESTS = {
         0, "17e6e89c21ccbd8f183c72ab67e2dafffc1e57779b547e8bede3c99028f24b6b"),
     "verify-lemma47/free2_swap": (
         ["verify", "-c", "free2_swap", "--suite", "lemma47", "--radius", "3"],
-        0, "1c802d94e7609dc7ee764a8aba0cb693d2443d91edfc9a8d4ae29f4b15e57176"),
+        0, "443fd774ef1f9ca2c9648281638b712b165384d6adda759cf16aac3635cb711c"),
     "growth-elements/z3_shift": (
         ["growth", "-c", "tests/instances/z3_shift.json", "--radius", "3", "--format", "json",
          "--emit-elements"],
@@ -213,3 +219,28 @@ def test_script_stdout_digest(name):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert digest(proc.stdout) == expected
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+BENCH_ORACLE = json.loads((ROOT / "bench" / "oracle.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_ORACLE))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bench_ops_match_the_oracle(workload, seed, tmp_path, capsys):
+    ops = _bench_workloads().build(workload, seed, tmp_path)["ops"]
+    assert {op["label"] for op in ops} == set(BENCH_ORACLE[workload])
+    for op in ops:
+        # generated configs are written under tmp_path, shipped ones are read in place
+        argv = [str((tmp_path if a.startswith("bench") else ROOT) / a) if prev == "-c" else a
+                for prev, a in zip([None, *op["argv"]], op["argv"])]
+        code = run(argv)
+        want = BENCH_ORACLE[workload][op["label"]]
+        assert (code, digest(capsys.readouterr().out)) == (want["exit"], want["sha256"]), \
+            op["label"]
