@@ -5,7 +5,10 @@ inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples); the backend object
 carries the operations, and ``products`` and ``keys`` batch ``mul`` and
 ``canonical_key`` over a layer: the scalar loops by default, column by
-column on Z^k, and for keys on the Heisenberg group.  A canonical key is
+column on Z^k, and for keys on the Heisenberg group.  A free group
+concatenates words whose seam letters differ and merges a one-syllable
+step's exponent at the seam; a direct product splits a layer into factor
+columns and runs each factor's own batch on its column.  A canonical key is
 an int or a tuple whose native order is the canonical order: integers rank
 0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
 free words compare shorter first, then letter by letter.
@@ -40,8 +43,8 @@ wraps a per-element expansion lazily.
 
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
 (g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
-right multiplication by a fixed generator set, producing the monoid
-spheres S+(e, r) and balls B+(e, r).
+right multiplication by a fixed generator set, one ``products`` batch per
+layer, producing the monoid spheres S+(e, r) and balls B+(e, r).
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     The budget rule of every enumeration: BudgetExceeded is raised as soon
     as more than `budget` distinct elements have been reached.  Candidates
     are drawn one at a time, so a lazy `expand` is stopped at the first
-    element over the budget; a batched one has formed one layer's
-    candidates by then.
+    element over the budget; a batched one, which balls, lengths and
+    monoid balls all take, has formed one layer's candidates by then.
     """
     layer = list(dict.fromkeys(start))
     seen = set(layer)
@@ -296,7 +299,35 @@ class FreeGroup(GroupBackend):
         return ((index, 1),)
 
     def mul(self, g, h):
+        """Reduced words whose seam letters differ concatenate to a reduced
+        word; only a seam on one letter is reduced."""
+        if not g or not h or g[-1][0] != h[0][0]:
+            return g + h
         return _reduce(list(g), h)
+
+    def products(self, gs, hs):
+        """mul's concatenation, and for a one-syllable h on g's last letter
+        the exponent merged at the seam, or g's last syllable dropped when
+        it cancels; any other seam on one letter goes through _reduce."""
+        # per step: its first letter (-1, no letter, for the empty word),
+        # its exponent when it is one syllable (else False), the word
+        seams = [(h[0][0] if h else -1, len(h) == 1 and h[0][1], h) for h in hs]
+        out = []
+        append = out.append
+        for g in gs:
+            if not g:
+                out += hs
+                continue
+            last, exp = g[-1]
+            for letter, e, h in seams:
+                if letter != last:
+                    append(g + h)
+                elif e:
+                    merged = exp + e
+                    append(g[:-1] + ((last, merged),) if merged else g[:-1])
+                else:
+                    append(_reduce(list(g), h))
+        return out
 
     def inv(self, g):
         return tuple((letter, -exp) for letter, exp in reversed(g))
@@ -322,6 +353,10 @@ class FreeGroup(GroupBackend):
         """(length, (letter, exponent rank), ...): each pair is interned
         per backend, and pairs compare as the flat sequence would."""
         return (len(g), *map(self._ranked, g))
+
+    def keys(self, gs):
+        ranked = self._ranked
+        return [(len(g), *map(ranked, g)) for g in gs]
 
     def render(self, g):
         if not g:
@@ -697,6 +732,16 @@ class DirectProduct(GroupBackend):
     def canonical_key(self, g):
         return tuple([key(a) for key, a in zip(self._keys, g)])
 
+    def products(self, gs, hs):
+        """Each factor's own batch on its column of gs and hs, zipped back
+        element-major; empty gs or hs has no columns, so gives []."""
+        return list(zip(*[b.products(a, c)
+                          for b, a, c in zip(self.factors, zip(*gs), zip(*hs))]))
+
+    def keys(self, gs):
+        """Each factor's own key batch on its column, zipped back."""
+        return list(zip(*[b.keys(a) for b, a in zip(self.factors, zip(*gs))]))
+
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
 
@@ -971,16 +1016,17 @@ class SemidirectProduct(GroupBackend):
 
 def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
                  budget: int = DEFAULT_BUDGET) -> GrowthTable:
-    """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball.
+    """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball,
+    each layer's products formed in one ``products`` batch.
 
-    The table is centred at the identity; each sphere is in discovery order.
+    The table is centred at the identity; each sphere is in discovery order
+    (element-major, then generator).
     """
     if not gens:
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    spheres = layers([backend.identity], lambda layer: itertools.starmap(
-        backend.mul, itertools.product(layer, gens)), budget)
+    spheres = layers([backend.identity], lambda layer: backend.products(layer, gens), budget)
     sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(backend.identity, radius, sphere_sets, ball_sizes)

@@ -14,7 +14,9 @@ s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: one class-table
 pass, and one orbit minimum per distinct G-element the table misses, keyed
-in one ``keys`` batch per twist.  Z^k computes both batches column-wise.
+in one ``keys`` batch per twist.  Z^k computes both batches column-wise,
+a free group concatenates at the seam, and a direct product runs each
+factor's batch on its column.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ class OrbitGroup(MvGroup):
         By the definition of mul this yields the union of the supports of
         u*s over s in gens, each twist applied once per generator instead
         of once per product.  A layer is one backend ``products`` batch
-        (column-wise on Z^k), projected in one ``project_all`` batch.
+        (column-wise on Z^k, seam by seam on a free group), projected in one
+        ``project_all`` batch.
         """
         products, project_all = self.backend.products, self.project_all
         steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in self.twists))

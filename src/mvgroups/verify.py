@@ -56,10 +56,12 @@ def sample_elements(instance: Instance, limit: int = 32,
     unit and the next limit-1 elements nearest it: 0..limit-1 for
     builtin-nat, the first `limit` elements of B(e, 2) for a coset instance.
 
-    Raises BudgetExceeded when the carrier or the ball has more than
-    `budget` elements."""
+    Raises BudgetExceeded when the builtin-nat sample, the carrier or the
+    ball has more than `budget` elements."""
     X = instance.X
     if instance.backend is None:
+        if limit > budget:
+            raise BudgetExceeded(budget)
         return list(range(limit))
     if instance.backend.is_finite():
         carrier = X.carrier()

@@ -117,6 +117,20 @@ def test_axioms_sample_is_the_unit_and_up_to_n_more(config_dir, capsys, config):
                                     f"PASS inverse elements={count}"]
 
 
+def test_axioms_nat_sample_is_capped_by_the_budget(config_dir, capsys):
+    # the unit and N more: --sample 9 is 10 elements, --sample 10 is 11
+    for sample in ("20", "10"):
+        code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
+                                         "--sample", sample, "--budget", "10"])
+        assert (code, out, err) == (3, "", "budget exceeded: more than 10 distinct elements\n")
+    code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
+                                     "--sample", "9", "--budget", "10"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["PASS associativity triples=1000",
+                                "PASS unit elements=10",
+                                "PASS inverse elements=10"]
+
+
 @pytest.mark.parametrize("sample", ["-1", "-3"])
 def test_axioms_negative_sample_is_a_usage_error(config_dir, capsys, sample):
     code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "z2_pm1"),

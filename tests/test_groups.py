@@ -90,7 +90,9 @@ def test_canonical_key_injective_and_consistent(backend):
 
 
 def batch_backends():
-    return [*all_backends(), FreeAbelianGroup(3)]
+    return [*all_backends(), FreeAbelianGroup(3),
+            DirectProduct([FreeAbelianGroup(2), HeisenbergGroup()]),
+            DirectProduct([FreeGroup(2), s3()])]
 
 
 def huge_element(backend, rng):
@@ -110,9 +112,55 @@ def test_batch_hooks_match_the_scalar_loops(backend):
     for left, right in ((gs, hs), (gs, []), ([], hs), ([], []), (gs[:1], hs[:1])):
         products = backend.products(left, right)
         assert products == [backend.mul(g, h) for g in left for h in right]
+    for g, h in itertools.product(gs, hs):
+        assert backend.products([g], [h]) == [backend.mul(g, h)]
     products = backend.products(gs, hs)
     for batch in (gs, hs, [], gs[:1], products):
         assert backend.keys(batch) == [backend.canonical_key(g) for g in batch]
+
+
+def free_reduced(g, h):
+    """The reduced word of g then h, cancelled one letter at a time on a
+    stack: an oracle that shares no code with the backend."""
+    stack = []
+    for letter, exp in (*g, *h):
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if stack and stack[-1] == (letter, -sign):
+                stack.pop()
+            else:
+                stack.append((letter, sign))
+    return tuple((letter, sum(sign for _, sign in run))
+                 for letter, run in itertools.groupby(stack, key=operator.itemgetter(0)))
+
+
+LONG_WORD = ((0, 1), (1, -2), (2, 3), (0, -1), (1, 1))
+LONG_INVERSE = FreeGroup(3).inv(LONG_WORD)
+
+# name -> (gs, hs) in F3 on the letters 0, 1, 2, each meeting at its seam
+FREE_SEAMS = {
+    "exponent-merge": ([((0, 2), (1, 3)), ((1, -1),)], [((1, 2),), ((1, -4),)]),
+    "full-cancellation": ([((0, 2), (1, 3)), ((1, 3),)], [((1, -3),)]),
+    "cascade": ([LONG_WORD], [LONG_INVERSE, LONG_INVERSE[:3], LONG_INVERSE + ((2, 1),)]),
+    "multi-syllable-h": ([((0, 1), (1, 1))], [((1, -1), (2, 1)), ((1, 2), (0, 1)),
+                                              ((1, -1), (0, -1))]),
+    "empty-words": ([(), ((0, 1),)], [(), ((0, -1),), ((1, 1),)]),
+}
+
+
+@pytest.mark.parametrize("case", FREE_SEAMS)
+def test_free_group_seams_match_the_scalar_loops_and_free_reduction(case):
+    f = FreeGroup(3)
+    gs, hs = FREE_SEAMS[case]
+    expected = [free_reduced(g, h) for g in gs for h in hs]
+    assert [f.mul(g, h) for g in gs for h in hs] == expected
+    assert GroupBackend.products(f, gs, hs) == expected
+    assert f.products(gs, hs) == expected
+    assert f.products(gs, []) == f.products([], hs) == f.products([], []) == []
+    for g, h in itertools.product(gs, hs):
+        assert f.products([g], [h]) == [free_reduced(g, h)]
+    for batch in (gs, hs, expected, []):
+        assert f.keys(batch) == [f.canonical_key(g) for g in batch]
 
 
 def test_rank_one_batches_keep_their_one_tuples():

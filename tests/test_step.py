@@ -25,7 +25,8 @@ import pytest
 
 from mvgroups import load_instance
 from mvgroups.cayley import ball, dynamic_supports, lengths, set_product
-from mvgroups.groups import layers, monoid_balls, orbit
+from mvgroups.errors import BudgetExceeded
+from mvgroups.groups import DEFAULT_BUDGET, SemidirectProduct, layers, monoid_balls, orbit
 from mvgroups.mvalued import CosetGroup, MvGroup
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -153,27 +154,31 @@ def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance
     assert expected == 6832
 
 
+def counted_hooks(backend):
+    """Count calls of the backend's two batch hooks, with their sizes, and
+    of its scalar `mul` and `canonical_key`; the counters wrap the instance
+    attributes, so a default hook's own scalar calls count too."""
+    calls = {name: [] for name in ("products", "keys", "mul", "canonical_key")}
+    sizes = {"products": lambda gs, hs: len(gs) * len(hs), "keys": len,
+             "mul": lambda g, h: 1, "canonical_key": lambda g: 1}
+    for name, size in sizes.items():
+        fn = getattr(backend, name)
+
+        def wrapper(*args, name=name, fn=fn, size=size):
+            calls[name].append(size(*args))
+            return fn(*args)
+        setattr(backend, name, wrapper)
+    return calls
+
+
 def test_z2_swap_growth_is_one_products_batch_and_one_keys_batch_per_twist(every_instance):
     """`growth z2_swap --radius 80` forms its 25,440 backend products in one
     `products` batch per layer, and keys each layer's misses and their swap
     images in one `keys` batch each, with no scalar `mul` or
     `canonical_key` call."""
     instance = load_instance(ROOT / "configs" / "z2_swap.json")  # a fresh class table
-    X, gens, backend = instance.X, instance.x_generators, instance.X.backend
-    calls = {name: [] for name in ("products", "keys", "mul", "canonical_key")}
-
-    def counting(name, size):
-        fn = getattr(backend, name)
-
-        def wrapper(*args):
-            calls[name].append(size(*args))
-            return fn(*args)
-        return wrapper
-
-    backend.products = counting("products", lambda gs, hs: len(gs) * len(hs))
-    backend.keys = counting("keys", len)
-    backend.mul = counting("mul", lambda g, h: 1)
-    backend.canonical_key = counting("canonical_key", lambda g: 1)
+    X, gens = instance.X, instance.x_generators
+    calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 80)
     assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
     assert (len(calls["products"]), sum(calls["products"])) == (80, 25440)
@@ -182,6 +187,81 @@ def test_z2_swap_growth_is_one_products_batch_and_one_keys_batch_per_twist(every
     misses, images = calls["keys"][0::2], calls["keys"][1::2]
     assert misses == images and sum(misses) == 6832
     assert calls["mul"] == calls["canonical_key"] == []
+
+
+def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(every_instance):
+    """`growth free2_swap --radius 12` forms its 4,096 backend products in
+    one `products` batch per layer, two steps per class, and keys each
+    layer's misses and their swap images in one `keys` batch each, with no
+    scalar `mul` or `canonical_key` call (the default hooks made 4,096 and
+    8,190)."""
+    instance = load_instance(ROOT / "configs" / "free2_swap.json")  # a fresh class table
+    X, gens = instance.X, instance.x_generators
+    calls = counted_hooks(X.backend)
+    table = ball(X, gens, X.unit, 12)
+    assert table == ball(every_instance["free2_swap"].X, gens, X.unit, 12)
+    assert calls["products"] == [2 * size for size in table.sphere_sizes()[:12]]
+    assert sum(calls["products"]) == 4096
+    assert (len(calls["keys"]), sum(calls["keys"])) == (24, 8190)
+    misses, images = calls["keys"][0::2], calls["keys"][1::2]
+    assert misses == images and sum(misses) == 4095
+    assert calls["mul"] == calls["canonical_key"] == []
+
+
+def test_free2_swap_monoid_balls_are_one_products_batch_per_layer():
+    """The monoid ball over the swap orbit {g1, g2} to r = 11 doubles each
+    sphere: 11 `products` batches of 2 x (2^11 - 1) products in all."""
+    instance = load_instance(ROOT / "configs" / "free2_swap.json")
+    X = instance.X
+    gens = orbit(X.auts, instance.x_generators[0][1])
+    calls = counted_hooks(X.backend)
+    table = monoid_balls(X.backend, gens, 11)
+    assert table.sphere_sizes() == [2 ** r for r in range(12)]
+    assert calls["products"] == [2 * 2 ** r for r in range(11)]
+    assert sum(calls["products"]) == 2 * (2 ** 11 - 1)
+    assert calls["mul"] == calls["canonical_key"] == calls["keys"] == []
+
+
+# ---------------------------------------------------------------------------
+# monoid balls: one products batch per layer against the product-by-product walk
+
+
+def starmap_spheres(backend, gens, radius, budget=DEFAULT_BUDGET):
+    """The spheres of monoid_balls as it formed them before the products
+    batch, one scalar `mul` at a time: the oracle for the batch."""
+    spheres = layers([backend.identity], lambda layer: itertools.starmap(
+        backend.mul, itertools.product(layer, gens)), budget)
+    return [tuple(sphere) for sphere in itertools.islice(spheres, radius + 1)]
+
+
+def monoid_case(every_instance, name):
+    """(backend, generators): a coset config's first X-generator orbit, or
+    for "heis_swap-semidirect" proof34's GA with the generators (s, a)
+    over s in S, a in A."""
+    if name == "heis_swap-semidirect":
+        instance = every_instance["heis_swap"]
+        auts = instance.X.auts
+        return (SemidirectProduct(instance.backend, auts),
+                [(s, i) for s in instance.config.x_generators for i in range(auts.order)])
+    X = every_instance[name].X
+    return X.backend, orbit(X.auts, every_instance[name].x_generators[0][1])
+
+
+@pytest.mark.parametrize("name", [*COSET_CONFIGS, "heis_swap-semidirect"])
+def test_monoid_balls_match_the_scalar_walk(every_instance, name):
+    backend, gens = monoid_case(every_instance, name)
+    table = monoid_balls(backend, gens, RADIUS)
+    assert table.sphere_sets == starmap_spheres(backend, gens, RADIUS)
+    # a budget that runs out inside the first sphere of two or more elements
+    r = next((r for r, size in enumerate(table.sphere_sizes()) if size > 1), None)
+    if r is None:
+        return
+    budget = table.ball_sizes[r - 1] + 1
+    with pytest.raises(BudgetExceeded) as batched:
+        monoid_balls(backend, gens, RADIUS, budget=budget)
+    with pytest.raises(BudgetExceeded) as scalar:
+        starmap_spheres(backend, gens, RADIUS, budget=budget)
+    assert batched.value.radius == scalar.value.radius == r
 
 
 # ---------------------------------------------------------------------------
