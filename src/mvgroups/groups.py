@@ -11,7 +11,9 @@ step's exponent at the seam; a direct product splits a layer into factor
 columns and runs each factor's own batch on its column.  A canonical key is
 an int or a tuple whose native order is the canonical order: integers rank
 0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
-free words compare shorter first, then letter by letter.
+free words compare shorter first, then letter by letter.  Z^k and the
+Heisenberg group share one integer-vector constructor: the rank and name
+checks (the free group's too), identity, generators, rendering and keys.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -239,10 +241,9 @@ class GroupBackend:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
     def _close(self, gens: Sequence[Any]) -> List[Any]:
-        """Every element of the subgroup `gens` generate, by BFS over them
-        and their inverses."""
-        steps = [*gens, *map(self.inv, gens)]
-        return closure([self.identity], lambda g: (self.mul(g, t) for t in steps))
+        """Every element of the subgroup `gens` generate in a finite group, by
+        BFS over them alone: there positive words reach the whole subgroup."""
+        return closure([self.identity], lambda g: (self.mul(g, t) for t in gens))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,16 @@ class _Memo(dict):
         return value
 
 
+def _rank_and_names(label: str, rank: int, gen_names: Optional[Sequence[str]]):
+    """A checked rank and its generator names, g1..gk unless given."""
+    if rank < 1:
+        raise ValidationError(f"{label} rank must be >= 1, got {rank}")
+    names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
+    if len(names) != rank:
+        raise ValidationError("generator name count must equal the rank")
+    return rank, names
+
+
 def _reduce(out: List[Tuple[int, int]], syllables: Iterable[Tuple[int, int]]) -> Any:
     """Append syllables to the reduced word `out`, merging equal letters."""
     for letter, exp in syllables:
@@ -283,12 +294,7 @@ class FreeGroup(GroupBackend):
     kind = "free"
 
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
-        if rank < 1:
-            raise ValidationError(f"free group rank must be >= 1, got {rank}")
-        self.rank = rank
-        self.gen_names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
-        if len(self.gen_names) != rank:
-            raise ValidationError("generator name count must equal the rank")
+        self.rank, self.gen_names = _rank_and_names("free group", rank, gen_names)
         self._ranked = _Memo(lambda s: (s[0], int_key(s[1]))).__getitem__
 
     @property
@@ -375,18 +381,32 @@ class FreeGroup(GroupBackend):
 
 
 class _IntVectors(GroupBackend):
-    """Elements are integer tuples, keyed by their coordinates' ranks, each
-    interned per backend; a batch maps the ranks over each coordinate's
-    column and zips them back into one key per element."""
+    """Integer vectors of one rank, the generators the unit vectors; a kind
+    adds its product, inverse, maps, factor and relators.  Keys are the
+    coordinates' ranks, each interned per backend; a batch maps the ranks
+    over each coordinate's column and zips them back into one key each."""
 
-    def __init__(self):
+    def __init__(self, label: str, rank: int, gen_names: Optional[Sequence[str]]):
+        self.rank, self.gen_names = _rank_and_names(label, rank, gen_names)
         self._rank = _Memo(int_key).__getitem__
+
+    @property
+    def identity(self):
+        return (0,) * self.rank
+
+    def gen(self, index):
+        return tuple(1 if i == index else 0 for i in range(self.rank))
 
     def canonical_key(self, g):
         return tuple(map(self._rank, g))
 
     def keys(self, gs):
         return list(zip(*[map(self._rank, column) for column in zip(*gs)]))
+
+    def render(self, g):
+        if self.rank == 1:
+            return str(g[0])
+        return "(" + ",".join(str(a) for a in g) + ")"
 
 
 class FreeAbelianGroup(_IntVectors):
@@ -395,20 +415,7 @@ class FreeAbelianGroup(_IntVectors):
     kind = "free_abelian"
 
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
-        if rank < 1:
-            raise ValidationError(f"free abelian rank must be >= 1, got {rank}")
-        self.rank = rank
-        self.gen_names = tuple(gen_names or (f"g{i+1}" for i in range(rank)))
-        if len(self.gen_names) != rank:
-            raise ValidationError("generator name count must equal the rank")
-        super().__init__()
-
-    @property
-    def identity(self):
-        return (0,) * self.rank
-
-    def gen(self, index):
-        return tuple(1 if i == index else 0 for i in range(self.rank))
+        super().__init__("free abelian", rank, gen_names)
 
     def mul(self, g, h):
         return tuple(map(operator.add, g, h))
@@ -440,11 +447,6 @@ class FreeAbelianGroup(_IntVectors):
                 return pick
             return lambda g: tuple(map(operator.mul, signs, pick(g)))
         return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
-
-    def render(self, g):
-        if self.rank == 1:
-            return str(g[0])
-        return "(" + ",".join(str(a) for a in g) + ")"
 
     def factor(self, g):
         return tuple((i, a) for i, a in enumerate(g) if a)
@@ -508,7 +510,7 @@ class CyclicGroup(GroupBackend):
 
 
 class HeisenbergGroup(_IntVectors):
-    """Discrete Heisenberg group as integer triples (p, q, r).
+    """Discrete Heisenberg group as integer vectors of rank 3, (p, q, r).
 
     Upper unitriangular 3x3 convention: (p,q,r)(p',q',r') =
     (p+p', q+q', r+r'+p*q').  Generators a=(1,0,0), b=(0,1,0) and the
@@ -516,14 +518,9 @@ class HeisenbergGroup(_IntVectors):
     """
 
     kind = "heisenberg"
-    gen_names = ("a", "b", "c")
 
-    @property
-    def identity(self):
-        return (0, 0, 0)
-
-    def gen(self, index):
-        return tuple(1 if i == index else 0 for i in range(3))
+    def __init__(self):
+        super().__init__("heisenberg", 3, ("a", "b", "c"))
 
     def mul(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
@@ -545,9 +542,6 @@ class HeisenbergGroup(_IntVectors):
                     p * a3 + p * (p - 1) // 2 * a1 * a2 + q * b3 + q * (q - 1) // 2 * b1 * b2
                     + p * a1 * q * b2 + s * c3 + s * (s - 1) // 2 * c1 * c2 + x * s * c2)
         return apply
-
-    def render(self, g):
-        return "(" + ",".join(str(a) for a in g) + ")"
 
     def factor(self, g):
         p, q, r = g

@@ -4,7 +4,8 @@
 An MvGroup has a unit, an involution-style inverse map, and mul(x, y)
 returning its n values as a sorted n-tuple, the canonical form of an
 n-multiset.  Elements are orderable and hashable.  Coset and double-coset
-groups share one OrbitGroup product; a class there is the plain tuple
+groups share one OrbitGroup constructor and product, and bring their class
+rule (A-orbit or HgH), project and carrier; a class is the plain tuple
 (canonical key, least member), so classes sort in the canonical order of
 their least members.
 
@@ -26,7 +27,7 @@ import itertools
 import operator
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
+from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
 from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
 from .multiset import flatten
 
@@ -91,23 +92,25 @@ class OrbitGroup(MvGroup):
     even on classes with stabilizers; independence of the representative
     choice is a tested property, not an assumption.  Classes compare and
     hash as tuples, so they sort in the canonical order of their least
-    members; a representative is rendered only when printed.  Subclasses
-    call _twist_by, set n, unit and _classes, and define project and carrier;
-    a subclass whose G may be infinite also sets _moves (see project_all).
+    members; a representative is rendered only when printed.
+
+    The one constructor sets the backend, n = len(twists), the twists, a memo
+    of each right factor's twisted images, the class table (a finite G
+    partitioned by the class rule `members`, g -> g's class; else empty) and
+    the unit.  A subclass checks its arguments, sets its own state and
+    defines project and carrier; if G may be infinite, also _moves.
     """
 
-    backend: GroupBackend
-    twists: List[Callable[[Any], Any]]
-    _classes: Dict[Any, Tuple[Any, Any]]
-
-    def _twist_by(self, twists: List[Callable[[Any], Any]]) -> None:
-        """Set the twists and memoize each right factor's twisted images; the
-        lambda holds the list, not self, so no instance is a reference cycle."""
+    def __init__(self, backend: GroupBackend, twists: List[Callable[[Any], Any]],
+                 members: Callable[[Any], Iterable[Any]], budget: int):
+        self.backend = backend
+        self.n = len(twists)
         self.twists = twists
+        # the lambda holds the list, not self, so no instance is a reference cycle
         self._twisted = _Memo(lambda h: [t(h) for t in twists])
-
-    def project(self, g) -> Tuple[Any, Any]:
-        raise NotImplementedError
+        self._classes: Dict[Any, Tuple[Any, Any]] = (
+            self._partition(members, budget) if backend.is_finite() else {})
+        self.unit = self.project(backend.identity)
 
     def _partition(self, members: Callable[[Any], Iterable[Any]],
                    budget: int) -> Dict[Any, Tuple[Any, Any]]:
@@ -139,8 +142,9 @@ class OrbitGroup(MvGroup):
         the misses themselves (the identity twist), over `_moves`, the other
         twists, keying the misses and each twist's images in one ``keys``
         batch each.  Each new class is filed under its least member only, as
-        project files it.  A table that covers all of a finite G never
-        misses, so only a coset group of an infinite G needs `_moves`.
+        project files it.  The constructor's table covers all of a finite G
+        and never misses, so only a coset group, whose G may be infinite,
+        sets `_moves`: its non-identity automorphisms.
         """
         classes = self._classes
         found = list(map(classes.get, gs))
@@ -187,17 +191,13 @@ class CosetGroup(OrbitGroup):
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
                  budget: int = DEFAULT_BUDGET):
         if auts.backend is not backend:
-            raise ValidationError("automorphism group does not act on this backend")
-        self.backend = backend
+            raise BackendMismatch("automorphism group does not act on this backend")
         self.auts = auts
-        self.n = auts.order
-        self._twist_by([a.apply for a in auts])
         self._moves = [a.apply for i, a in enumerate(auts) if i != auts.identity_index]
         key = backend.canonical_key
         self._keyed = lambda h: (key(h), h)
-        self._classes = (self._partition(lambda g: (a.apply(g) for a in auts), budget)
-                         if backend.is_finite() else {})
-        self.unit = self.project(backend.identity)
+        super().__init__(backend, [a.apply for a in auts],
+                         lambda g: (a.apply(g) for a in auts), budget)
 
     def project(self, g) -> Tuple[Any, Any]:
         least = self._classes.get(g)
@@ -225,18 +225,15 @@ class DoubleCosetGroup(OrbitGroup):
         if not backend.is_finite():
             raise InfiniteBackendUnsupported(
                 "double coset groups are implemented for finite backends only")
-        self.backend = backend
-        self.subgroup = sorted(backend._close(subgroup), key=backend.canonical_key)
-        self.n = len(self.subgroup)
-        self._twist_by([functools.partial(backend.mul, h) for h in self.subgroup])
-        self._classes = self._partition(self._double_coset, budget)
-        self.unit = self.project(backend.identity)
+        mul = backend.mul
+        self.subgroup = H = sorted(backend._close(subgroup), key=backend.canonical_key)
 
-    def _double_coset(self, g):
-        """HgH: |H| + |H|^2 products."""
-        backend, subgroup = self.backend, self.subgroup
-        lefts = [backend.mul(h1, g) for h1 in subgroup]
-        return (backend.mul(left, h2) for left in lefts for h2 in subgroup)
+        def double_coset(g):
+            """HgH: |H| + |H|^2 products, the |H| left ones shared."""
+            lefts = [mul(h1, g) for h1 in H]
+            return (mul(left, h2) for left in lefts for h2 in H)
+
+        super().__init__(backend, [functools.partial(mul, h) for h in H], double_coset, budget)
 
     def project(self, g) -> Tuple[Any, Any]:
         return self._classes[g]

@@ -10,6 +10,7 @@ import pytest
 
 from mvgroups import groups
 from mvgroups.errors import (
+    BackendMismatch,
     BudgetExceeded,
     InverseMissing,
     NotAnAutomorphism,
@@ -32,6 +33,7 @@ from mvgroups.groups import (
     orbit,
 )
 from mvgroups.keys import int_key
+from mvgroups.mvalued import CosetGroup
 from mvgroups.wordspec import build_instance, parse_config
 
 
@@ -199,6 +201,25 @@ def test_distinct_vectors_distinct_keys():
     assert z2.canonical_key((1, 0)) != z2.canonical_key((0, 1))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: FreeGroup(0), "free group rank must be >= 1, got 0"),
+    (lambda: FreeAbelianGroup(0), "free abelian rank must be >= 1, got 0"),
+    (lambda: FreeGroup(2, ["a"]), "generator name count must equal the rank"),
+    (lambda: FreeAbelianGroup(2, ["a", "b", "c"]), "generator name count must equal the rank"),
+], ids=["free-rank", "free-abelian-rank", "free-names", "free-abelian-names"])
+def test_rank_and_name_checks_keep_their_texts(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_heisenberg_is_a_rank_three_vector_backend():
+    h = HeisenbergGroup()
+    assert (h.rank, h.gen_names, h.identity) == (3, ("a", "b", "c"), (0, 0, 0))
+    assert [h.gen(i) for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert h.render((1, -2, 30)) == "(1,-2,30)"
+
+
 def test_heisenberg_convention():
     h = HeisenbergGroup()
     assert h.mul((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
@@ -345,6 +366,26 @@ def z_pm1_semidirect():
     ga = SemidirectProduct(z, auts)
     i_neg = next(i for i, a in enumerate(auts.elements) if a.apply((1,)) == (-1,))
     return ga, auts.identity_index, i_neg
+
+
+def swap_group(z2):
+    return close_automorphisms([swap_automorphism(z2)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CosetGroup(FreeAbelianGroup(2), swap_group(FreeAbelianGroup(2))),
+     "automorphism group does not act on this backend"),
+    (lambda: SemidirectProduct(FreeAbelianGroup(2), swap_group(FreeAbelianGroup(2))),
+     "automorphism group does not act on the given backend"),
+    (lambda: close_automorphisms([swap_automorphism(FreeAbelianGroup(2)),
+                                  swap_automorphism(FreeAbelianGroup(2))]),
+     "all seeds must act on the same backend"),
+], ids=["coset", "semidirect", "close"])
+def test_automorphisms_of_another_backend_raise_backend_mismatch(build, message):
+    with pytest.raises(BackendMismatch) as exc:
+        build()
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, ValidationError)
 
 
 def test_semidirect_left_unit_and_embedding():
@@ -536,7 +577,10 @@ def test_finite_table_accepts_cyclic_group():
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED_COSETS = sorted(p.stem for p in (ROOT / "configs").glob("*.json")
                         if json.loads(p.read_text())["mv"]["kind"] == "coset")
-N3_INSTANCES = ["f3_shift", "z2_dihedral", "z3_shift"]
+# the n >= 3 coset instances in tests/instances/, with |A|
+N3_ORDERS = {"f3_shift": 3, "z2_dihedral": 8, "z3_shift": 3,
+             "fibonacci5_z11": 5, "fibonacci4_z5": 4, "fibonacci3_q8": 3}
+N3_INSTANCES = list(N3_ORDERS)
 
 
 def sym_table(degree, cls=FiniteTableGroup):
@@ -612,7 +656,7 @@ def assert_compiled_matches_oracle(backend, auts):
 def test_compiled_automorphisms_match_oracle(every_instance, name):
     auts = every_instance[name].auts
     if name in N3_INSTANCES:
-        assert auts.order == (8 if name == "z2_dihedral" else 3)
+        assert auts.order == N3_ORDERS[name]
     assert_compiled_matches_oracle(auts.backend, auts)
 
 
@@ -833,6 +877,56 @@ def test_edge_walk_makes_two_products_per_edge(make):
         backend.muls = 0
         backend.homomorphism(images)
         assert backend.muls == 2 * edges, label
+
+
+def two_sided_closure(backend, gens):
+    """The subgroup `gens` generate, by BFS over them and their inverses:
+    the oracle for the finite closure, which steps by `gens` alone."""
+    steps = [*gens, *map(backend.inv, gens)]
+    seen, frontier = {backend.identity}, [backend.identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for t in steps:
+                h = backend.mul(g, t)
+                if h not in seen:
+                    seen.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return seen
+
+
+def s5(cls=PermutationGroup):
+    """Sym(5) with t = (1 2) and c = (1 2 3 4 5), as the bench builds it."""
+    return cls(5, ["t", "c"], [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+
+
+CLOSURE_BACKENDS = {"cyclic": lambda: CyclicGroup(6), "permutation": s3, "s5": s5,
+                    "finite_table": s4_table,
+                    "direct_product": FINITE_BACKENDS["s3_x_z2"]}
+
+
+@pytest.mark.parametrize("name", CLOSURE_BACKENDS)
+def test_finite_closure_matches_the_two_sided_closure(name):
+    backend = CLOSURE_BACKENDS[name]()
+    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    # every set of generators, and the cyclic subgroup of a product of two
+    cases = [list(c) for r in range(len(gens) + 1) for c in itertools.combinations(gens, r)]
+    cases.append([backend.mul(gens[0], gens[-1])])
+    for case in cases:
+        closed = backend._close(case)
+        assert len(closed) == len(set(closed)), case
+        assert set(closed) == two_sided_closure(backend, case), case
+    elements = list(backend.elements())
+    assert set(elements) == two_sided_closure(backend, gens)
+    assert elements == sorted(elements)
+
+
+def test_s5_elements_take_one_product_per_element_and_generator():
+    backend = s5(counting_mul(PermutationGroup))
+    elements = backend.elements()
+    assert len(elements) == 120
+    assert backend.muls == 120 * 2  # stepping by t, c, t^-1 = t and c^-1 made 480
 
 
 def counting(cls):

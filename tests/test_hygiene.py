@@ -2,11 +2,14 @@
 every import is a top-level statement of its module, every function or
 method the package defines is referenced outside its own definition,
 importing the CLI loads neither `dataclasses` nor `inspect`, building an
-instance loads no analysis or CLI module, and every
-verification suite takes only (instance, r_max, budget)."""
+instance loads no analysis or CLI module, every
+verification suite takes only (instance, r_max, budget), and no subclass of
+a base with one constructor (`OrbitGroup`, `_IntVectors`) sets what that
+constructor sets."""
 
 import ast
 import inspect
+import itertools
 import os
 import pathlib
 import subprocess
@@ -133,3 +136,74 @@ def test_setup_path_loads_no_analysis_or_cli_modules():
 def test_suites_take_only_instance_radius_and_budget(name):
     suite, _ = verify._SUITE_TABLE[name]
     assert list(inspect.signature(suite).parameters) == ["instance", "r_max", "budget"]
+
+
+# base class -> the attributes its one constructor sets
+BASE_STATE = {"OrbitGroup": {"backend", "n", "twists", "_twisted", "_classes", "unit"},
+              "_IntVectors": {"rank", "gen_names", "_rank"}}
+
+
+def flat_targets(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from flat_targets(element)
+    elif isinstance(target, ast.Starred):
+        yield from flat_targets(target.value)
+    else:
+        yield target
+
+
+def assigned_attributes(node):
+    """The names a class body binds and the `self.` attributes its methods
+    assign."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
+            targets = [child.target]
+        else:
+            continue
+        for target in itertools.chain.from_iterable(map(flat_targets, targets)):
+            if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                names.add(target.attr)
+            elif isinstance(target, ast.Name) and child in node.body:
+                names.add(target.id)
+    return names
+
+
+def base_state_overrides(sources):
+    """(class, attribute) for each subclass of a BASE_STATE base, direct or
+    not, that sets an attribute its base's constructor sets."""
+    classes = {node.name: node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)}
+
+    def bases(name):
+        for base in classes[name].bases if name in classes else ():
+            if isinstance(base, ast.Name):
+                yield base.id
+                yield from bases(base.id)
+
+    return sorted((name, attribute) for name, node in classes.items()
+                  for base in set(bases(name)) & set(BASE_STATE)
+                  for attribute in assigned_attributes(node) & BASE_STATE[base])
+
+
+def test_detector_flags_a_subclass_that_sets_base_state():
+    source = ("class OrbitGroup:\n    def __init__(self):\n        self.n = 1\n\n"
+              "class A(OrbitGroup):\n    unit = 0\n\n"
+              "    def __init__(self):\n        self.n, (self.auts, self.twists) = 2, (0, 1)\n\n"
+              "class B(A):\n    def f(self):\n        self._classes: dict = {}\n"
+              "        rank = self.gen_names = 3\n")
+    assert base_state_overrides([source]) == [
+        ("A", "n"), ("A", "twists"), ("A", "unit"), ("B", "_classes")]
+
+
+def test_no_subclass_sets_what_its_base_constructor_sets():
+    sources = [(SRC / name).read_text(encoding="utf-8") for name in ("groups.py", "mvalued.py")]
+    assert base_state_overrides(sources) == []
+    heisenberg = next(node for node in ast.walk(ast.parse(sources[0]))
+                      if isinstance(node, ast.ClassDef) and node.name == "HeisenbergGroup")
+    defined = {node.name for node in heisenberg.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"identity", "gen", "render"}

@@ -425,6 +425,32 @@ def test_finite_coset_project_is_a_lookup(monkeypatch):
     assert carrier == sorted({coset_project_oracle(X, g) for g in backend.elements()})
 
 
+# Fibonacci groups F(2, m) = <x_0, ..., x_{m-1} | x_i x_{i+1} = x_{i+2}>, by
+# their coset groups under the shift x_i -> x_{i+1} (tests/instances/):
+# name -> (m, |G|, number of classes)
+FIBONACCI = {"fibonacci5_z11": (5, 11, 3), "fibonacci4_z5": (4, 5, 2),
+             "fibonacci3_q8": (3, 8, 4)}
+
+
+@pytest.mark.parametrize("name", FIBONACCI)
+def test_fibonacci_instances_satisfy_their_cyclic_presentations(every_instance, name):
+    m, order, classes = FIBONACCI[name]
+    instance = every_instance[name]
+    backend, (shift,) = instance.backend, instance.config.automorphisms
+    # x_0 is the first generator and x_{i+1} the shift's image of x_i
+    xs = [backend.gen(0)]
+    for _ in range(m):
+        xs.append(shift.apply(xs[-1]))
+    assert xs[m] == xs[0] and len(set(xs[:m])) == m
+    for i in range(m):
+        assert backend.mul(xs[i], xs[(i + 1) % m]) == xs[(i + 2) % m], i
+    assert len(list(backend.elements())) == len(backend._close(xs[:m])) == order
+    X = instance.X
+    assert (X.n, len(X.carrier())) == (m, classes)
+    report = check_axioms(X, X.carrier())
+    assert report.all_ok and report.triples_checked == classes ** 3
+
+
 def test_double_coset_rejects_infinite_backend():
     f = FreeGroup(2)
     with pytest.raises(InfiniteBackendUnsupported):

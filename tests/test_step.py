@@ -53,8 +53,9 @@ def centres(X, gens):
 
 
 def test_every_orbit_config_is_covered():
-    assert len(ORBIT_CONFIGS) == 11
-    assert {"f3_shift", "z2_dihedral", "z3_shift", "s3_doublecoset"} <= set(ORBIT_CONFIGS)
+    assert len(ORBIT_CONFIGS) == 14
+    assert {"f3_shift", "z2_dihedral", "z3_shift", "s3_doublecoset", "fibonacci5_z11",
+            "fibonacci4_z5", "fibonacci3_q8"} <= set(ORBIT_CONFIGS)
     assert "s3_doublecoset" not in COSET_CONFIGS
 
 
