@@ -21,6 +21,10 @@ Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
 Every enumeration here raises BudgetExceeded once more than `budget`
 distinct elements have been reached.
+
+No walk compares elements: spheres keep discovery order, and supports and
+set products are unordered tuples, since the growth functions count them.
+The CLI sorts a set into the canonical order only where it prints it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class PowerTable(NamedTuple):
     """Cumulative power supports B*(x, r) and their spheres S*(x, r).
 
     Row 0 is empty by convention; ``set_powers[r]`` is Set(x^{*r}) for
-    r >= 1 (index 0 unused, kept as an empty tuple).
+    r >= 1 (index 0 unused, kept as an empty tuple).  Rows are unordered.
     """
 
     base: Any
@@ -49,13 +53,14 @@ class PowerTable(NamedTuple):
 
 def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
          budget: int = DEFAULT_BUDGET) -> GrowthTable:
-    """B(x, 0..radius) via support BFS; S(x, 0) = {x}."""
+    """B(x, 0..radius) via support BFS; S(x, 0) = {x}, and each sphere in
+    the order ``layers`` discovers it."""
     if not gens:
         raise ValidationError("ball BFS needs a nonempty generating set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    sphere_sets = [tuple(sorted(layer))
-                   for layer in itertools.islice(layers([x], X.step(gens), budget), radius + 1)]
+    spheres = layers([x], X.step(gens), budget)
+    sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(x, radius, sphere_sets, ball_sizes)
 
@@ -89,7 +94,8 @@ def length(X: MvGroup, gens: Sequence[Any], x, cap: int = 64,
 
 
 def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[Any, ...]]:
-    """Set(T_z^r(y)) for r = 0, 1, ..., each sorted: T_z sends u to u * z.
+    """Set(T_z^r(y)) for r = 0, 1, ..., each an unordered tuple: T_z sends
+    u to u * z.
 
     Unlike ``layers`` nothing is pruned, because xi counts elements that
     recur.  Raises BudgetExceeded once more than `budget` distinct elements
@@ -102,12 +108,13 @@ def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator
         if len(reached) > budget:
             raise BudgetExceeded(budget, r)
         yield support
-        support = tuple(sorted(set(step(support))))
+        support = tuple(set(step(support)))
         r += 1
 
 
 def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> PowerTable:
-    """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x."""
+    """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x,
+    unordered; each sphere S*(x, r) keeps the order of its support."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget), radius))
@@ -121,8 +128,8 @@ def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> Pow
 
 
 def set_product(X: MvGroup, left: Sequence[Any], right: Sequence[Any]) -> Tuple[Any, ...]:
-    """Support of the product of two subsets viewed as multisets."""
-    return tuple(sorted(set(X.step(right)(left))))
+    """Support of the product of two subsets viewed as multisets, unordered."""
+    return tuple(set(X.step(right)(left)))
 
 
 # ---------------------------------------------------------------------------

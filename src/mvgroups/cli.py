@@ -142,8 +142,9 @@ def growth_rows(table: GrowthTable) -> List[dict]:
 
 
 def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict:
-    """The rendered element sets under `key` when --emit-elements is given."""
-    return {key: [[X.render(e) for e in s] for s in sets]} if args.emit_elements else {}
+    """The rendered element sets under `key` when --emit-elements is given,
+    each sorted into the canonical order: the walks leave them unordered."""
+    return {key: [[X.render(e) for e in sorted(s)] for s in sets]} if args.emit_elements else {}
 
 
 def _cmd_axioms(args, instance: Instance, budget: int) -> int:

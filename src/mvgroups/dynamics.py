@@ -23,7 +23,8 @@ from .mvalued import CosetGroup, MvGroup
 
 
 class DynamicsTable(NamedTuple):
-    """Supports of T_z^r(y) and their sizes xi_y(r), rows 0..radius."""
+    """Supports of T_z^r(y), each unordered, and their sizes xi_y(r), rows
+    0..radius."""
 
     z: Any
     y: Any

@@ -228,7 +228,7 @@ def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
     table = iterate_dynamic(X, instance.x_generators[0], X.unit, r_max, budget=budget)
     worst = max(table.xi)
     result.add(worst <= _EXAMPLE46_CAP, f"r={r_max} max xi={worst} (cap {_EXAMPLE46_CAP})")
-    periodic = len(set(table.supports)) < len(table.supports)
+    periodic = len(set(map(frozenset, table.supports))) < len(table.supports)
     result.add(periodic, f"r={r_max} classified {'bounded' if periodic else 'unresolved'}")
     return result
 

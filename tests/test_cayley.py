@@ -140,10 +140,10 @@ def test_lengths_names_the_first_unreached_target():
 def test_power_table_of_one():
     # Set(1^{*r}) alternates parity: {1}, {0,2}, {1,3}, {0,2,4}, ...
     table = power_table(NAT, 1, 5)
-    assert table.set_powers[1] == (1,)
-    assert table.set_powers[2] == (0, 2)
-    assert table.set_powers[3] == (1, 3)
-    assert table.set_powers[4] == (0, 2, 4)
+    assert sorted(table.set_powers[1]) == [1]
+    assert sorted(table.set_powers[2]) == [0, 2]
+    assert sorted(table.set_powers[3]) == [1, 3]
+    assert sorted(table.set_powers[4]) == [0, 2, 4]
     assert table.bstar_sizes == [0, 1, 3, 4, 5, 6]
     assert [len(s) for s in table.sstar_sets] == [0, 1, 2, 1, 1, 1]
 
@@ -182,9 +182,9 @@ def test_power_budget_enforced():
 
 
 def test_set_product():
-    assert set_product(NAT, [1], [1]) == (0, 2)
-    assert set_product(NAT, [0, 2], [1]) == (1, 3)
-    assert set_product(NAT, [3], [5, 7]) == (2, 4, 8, 10)
+    assert sorted(set_product(NAT, [1], [1])) == [0, 2]
+    assert sorted(set_product(NAT, [0, 2], [1])) == [1, 3]
+    assert sorted(set_product(NAT, [3], [5, 7])) == [2, 4, 8, 10]
 
 
 # ---------------------------------------------------------------------------

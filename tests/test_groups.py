@@ -570,6 +570,69 @@ def test_finite_table_accepts_cyclic_group():
     assert z3.inv(1) == 2
 
 
+def normalized_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and first column are
+    0..n-1 in order, so that 0 is a two-sided identity."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [tuple(row) for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in rows[i] and all(row[j] != v for row in rows):
+                rows[i][j] = v
+                yield from fill(cell + 1)
+                rows[i][j] = None
+    return list(fill(0))
+
+
+def brute_force_associative(table):
+    n = range(len(table))
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x, y, z in itertools.product(n, n, n))
+
+
+def positive_closure(table, gens):
+    """Every index that a positive word in `gens` reaches from 0."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [v for g in frontier for v in {table[g][a] for a in gens} - reached]
+        reached.update(frontier)
+    return reached
+
+
+def test_normalized_latin_squares_are_counted_right():
+    assert [len(normalized_latin_squares(n)) for n in range(1, 6)] == [1, 1, 1, 4, 56]
+    assert [tuple(row) for row in LOOP5] in normalized_latin_squares(5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, "loop5"])
+def test_lights_test_on_the_generators_agrees_with_brute_force(order):
+    """Under every generator pair that generates it by positive words, a
+    normalized Latin square is accepted exactly when it is associative."""
+    tables = [LOOP5] if order == "loop5" else normalized_latin_squares(order)
+    verdicts = set()
+    for table in tables:
+        associative = brute_force_associative(table)
+        verdicts.add(associative)
+        indices = range(len(table))
+        for gens in itertools.product(indices, indices):
+            if len(positive_closure(table, gens)) != len(table):
+                continue
+            if associative:
+                assert FiniteTableGroup(table, 0, ["a", "b"], gens).elements() == list(indices)
+            else:
+                with pytest.raises(ValidationError, match="not associative"):
+                    FiniteTableGroup(table, 0, ["a", "b"], gens)
+    # every square of order <= 4 is a group; order 5 has both kinds
+    assert verdicts == {"loop5": {False}, 5: {True, False}}.get(order, {True})
+
+
 # ---------------------------------------------------------------------------
 # compiled automorphisms against evaluating the images along a word: the
 # backend's factor on infinite kinds, BFS words on finite ones

@@ -169,6 +169,18 @@ REPRESENTATIVE_DIGESTS = {
     "growth/z2_dihedral": (
         ["growth", "-c", "tests/instances/z2_dihedral.json", "--radius", "5"],
         0, "ed7f3c093c1448018f569e7b95d279c7a0c6b34b4accf8a279d8f95ab3dcff0b"),
+    "dynamics-elements/free2_swap": (
+        ["dynamics", "-c", "free2_swap", "--z", "g1", "--y", "g1*g1*g2", "--steps", "5",
+         "--format", "json", "--emit-elements"],
+        0, "300933b29007f41ecfd6357d9230fba21b3747b5f13602aa999a07025ebf17d2"),
+    "powers-elements/z2_pm1": (
+        ["powers", "-c", "z2_pm1", "--x", "g1*g1*g2", "--radius", "5", "--format", "json",
+         "--emit-elements"],
+        0, "ca91fb3daf9ad7e36505995f3842c69bd6466a03564e5f36f2bea6b4566891e7"),
+    "powers-elements/z3xF2_example46": (
+        ["powers", "-c", "z3xF2_example46", "--x", "h*g1", "--radius", "4", "--format", "json",
+         "--emit-elements"],
+        0, "35c0d878d3a69a7d5025b838604028e6c8d70bf02b4f7bd22ff838547fa2246f"),
 }
 
 SCRIPT_DIGESTS = {

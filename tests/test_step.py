@@ -6,8 +6,11 @@ generator) pairs and one ``project_all`` batch per layer, which the scalar
 ``project`` checks; the base-class ``MvGroup.step`` builds each product
 ``X.mul(u, s)`` and is kept as the oracle.  Balls,
 lengths, dynamics supports and set products must agree on every coset and
-double-coset config, from several centres.  The coset balls are also
-checked against the G-side identity
+double-coset config, from several centres.  Spheres and supports are
+unordered: they are compared row by row, sorted, with the sorted ball and
+supports of the canonical-order walk, kept here as the oracle; a group
+whose elements cannot be ordered at all runs every walk.  The coset balls
+are also checked against the G-side identity
 
     B_X(x, r) = pi(x_rep * B+_G(e, r; A.S)),
 
@@ -24,10 +27,12 @@ import pathlib
 import pytest
 
 from mvgroups import load_instance
-from mvgroups.cayley import ball, dynamic_supports, lengths, set_product
+from mvgroups.cayley import ball, dynamic_supports, lengths, power_table, set_product
+from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
-from mvgroups.groups import DEFAULT_BUDGET, SemidirectProduct, layers, monoid_balls, orbit
-from mvgroups.mvalued import CosetGroup, MvGroup
+from mvgroups.groups import (DEFAULT_BUDGET, GrowthTable, SemidirectProduct, layers,
+                             monoid_balls, orbit)
+from mvgroups.mvalued import CosetGroup, MvGroup, NatGroup
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MV_KINDS = {p.stem: json.loads(p.read_text())["mv"]["kind"]
@@ -47,9 +52,36 @@ def generic(X):
 
 
 def centres(X, gens):
-    """The unit, each generator, and the last class of each sphere of radius 1-3."""
+    """The unit, each generator, and the greatest class of each sphere of radius 1-3."""
     spheres = ball(generic(X), gens, X.unit, 3).sphere_sets
-    return list(dict.fromkeys([X.unit, *gens, *(sphere[-1] for sphere in spheres if sphere)]))
+    return list(dict.fromkeys([X.unit, *gens, *(max(sphere) for sphere in spheres if sphere)]))
+
+
+def sorted_ball(X, gens, x, radius, budget=DEFAULT_BUDGET):
+    """B(x, 0..radius) with each sphere sorted, as ``ball`` built it in
+    canonical order: the oracle of the unordered spheres."""
+    spheres = layers([x], X.step(gens), budget)
+    sphere_sets = [tuple(sorted(layer)) for layer in itertools.islice(spheres, radius + 1)]
+    return GrowthTable(x, radius, sphere_sets, list(itertools.accumulate(map(len, sphere_sets))))
+
+
+def sorted_dynamic_supports(X, z, y, budget=DEFAULT_BUDGET):
+    """Set(T_z^r(y)) for r = 0, 1, ..., each sorted, as ``dynamic_supports``
+    built them in canonical order: the oracle of the unordered supports."""
+    support, reached, r = (y,), set(), 0
+    step = X.step([z])
+    while True:
+        reached.update(support)
+        if len(reached) > budget:
+            raise BudgetExceeded(budget, r)
+        yield support
+        support = tuple(sorted(set(step(support))))
+        r += 1
+
+
+def in_order(rows):
+    """Each row sorted into the canonical order."""
+    return [tuple(sorted(row)) for row in rows]
 
 
 def test_every_orbit_config_is_covered():
@@ -65,7 +97,8 @@ def test_balls_and_lengths_match_the_generic_step(every_instance, name):
     Y = generic(X)
     for x in centres(X, gens):
         table = ball(X, gens, x, RADIUS)
-        assert table == ball(Y, gens, x, RADIUS), (name, X.render(x))
+        in_canonical_order = table._replace(sphere_sets=in_order(table.sphere_sets))
+        assert in_canonical_order == sorted_ball(Y, gens, x, RADIUS), (name, X.render(x))
     targets = ball(X, gens, X.unit, RADIUS).ball_elements()
     assert lengths(X, gens, targets, RADIUS) == lengths(Y, gens, targets, RADIUS)
 
@@ -77,11 +110,115 @@ def test_dynamics_and_set_products_match_the_generic_step(every_instance, name):
     starts = centres(X, gens)
     for z, y in itertools.product(gens[:2], starts):
         fast = list(itertools.islice(dynamic_supports(X, z, y), RADIUS + 1))
-        assert fast == list(itertools.islice(dynamic_supports(Y, z, y), RADIUS + 1))
+        assert in_order(fast) == list(
+            itertools.islice(sorted_dynamic_supports(Y, z, y), RADIUS + 1))
     left = ball(X, gens, X.unit, 2).ball_elements()
     for right in (starts, gens, [X.unit]):
-        assert set_product(X, left, right) == set_product(Y, left, right)
+        assert sorted(set_product(X, left, right)) == sorted(set_product(Y, left, right))
     assert set_product(X, left, []) == set_product(Y, left, []) == ()
+
+
+class Unordered:
+    """An element that hashes and compares equal by value, and has no order."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Unordered) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __lt__(self, other):
+        raise TypeError("the walks must not order their elements")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class UnorderedNat(MvGroup):
+    """The builtin 2-valued group x*y = [x+y, |x-y|] on elements with no order."""
+
+    n = 2
+    unit = Unordered(0)
+
+    def mul(self, x, y):
+        return (Unordered(x.value + y.value), Unordered(abs(x.value - y.value)))
+
+    def inv(self, x):
+        return x
+
+
+def values(rows):
+    """Each row of Unordered elements as the sorted list of their values."""
+    return [sorted(e.value for e in row) for row in rows]
+
+
+def test_walks_never_compare_elements():
+    U, NAT, u = UnorderedNat(), NatGroup(), Unordered
+    table = ball(U, [u(1), u(2)], u(3), 5)
+    oracle = sorted_ball(NAT, [1, 2], 3, 5)
+    assert values(table.sphere_sets) == list(map(list, oracle.sphere_sets))
+    assert table.ball_sizes == oracle.ball_sizes
+    assert lengths(U, [u(2)], [u(6), u(0), u(2)]) == lengths(NAT, [2], [6, 0, 2]) == [3, 0, 1]
+    supports = list(itertools.islice(dynamic_supports(U, u(1), u(0)), 6))
+    assert values(supports) == list(map(list, itertools.islice(
+        sorted_dynamic_supports(NAT, 1, 0), 6)))
+    powers, nat_powers = power_table(U, u(2), 6), power_table(NAT, 2, 6)
+    assert values(powers.sstar_sets) == [sorted(s) for s in nat_powers.sstar_sets]
+    assert powers.bstar_sizes == nat_powers.bstar_sizes
+    dynamics = iterate_dynamic(U, u(2), u(1), 6)
+    assert dynamics.xi == iterate_dynamic(NAT, 2, 1, 6).xi
+    assert sorted(e.value for e in set_product(U, [u(3)], [u(5), u(7)])) == [2, 4, 8, 10]
+
+
+def budget_radius(walk, budget):
+    """The radius at which `walk(budget)` raises BudgetExceeded."""
+    with pytest.raises(BudgetExceeded) as exc:
+        walk(budget)
+    return exc.value.radius
+
+
+def first_budget_inside_a_row_of_two(rows):
+    """A budget that runs out inside the first row that adds two or more
+    elements to the union of the rows before it, or None; with that row."""
+    reached = set()
+    for r, row in enumerate(rows):
+        if len(reached.union(row)) - len(reached) > 1:
+            return len(reached) + 1, r
+        reached.update(row)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(MV_KINDS))
+def test_unordered_walks_match_the_sorted_oracle(every_instance, name):
+    """Every config: the same sets row by row, the same sizes and xi, and
+    the same budget radius as the canonical-order walks."""
+    X, gens = every_instance[name].X, every_instance[name].x_generators
+    for x in dict.fromkeys([X.unit, gens[-1]]):
+        table, oracle = ball(X, gens, x, RADIUS), sorted_ball(X, gens, x, RADIUS)
+        assert in_order(table.sphere_sets) == oracle.sphere_sets, (name, X.render(x))
+        assert table.ball_sizes == oracle.ball_sizes
+        dynamics = iterate_dynamic(X, gens[0], x, RADIUS)
+        supports = list(itertools.islice(sorted_dynamic_supports(X, gens[0], x), RADIUS + 1))
+        assert in_order(dynamics.supports) == supports
+        assert dynamics.xi == list(map(len, supports))
+        for walk, oracle_rows in (
+                (lambda budget: ball(X, gens, x, RADIUS, budget), oracle.sphere_sets),
+                (lambda budget: iterate_dynamic(X, gens[0], x, RADIUS, budget), supports)):
+            inside = first_budget_inside_a_row_of_two(oracle_rows)
+            if inside is not None:
+                budget, r = inside
+                assert budget_radius(walk, budget) == r, name
+    powers = power_table(X, gens[0], RADIUS)
+    set_powers = [()] + list(itertools.islice(sorted_dynamic_supports(X, gens[0], gens[0]),
+                                              RADIUS))
+    assert in_order(powers.set_powers) == set_powers
+    assert [set(s) for s in powers.sstar_sets] == [
+        set(p).difference(*set_powers[:r]) for r, p in enumerate(set_powers)]
+    assert powers.bstar_sizes == list(itertools.accumulate(map(len, powers.sstar_sets)))
 
 
 @pytest.mark.parametrize("name", COSET_CONFIGS)
@@ -207,6 +344,20 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     misses, images = calls["keys"][0::2], calls["keys"][1::2]
     assert misses == images and sum(misses) == 4095
     assert calls["mul"] == calls["canonical_key"] == []
+
+
+def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
+    """`growth z3xF2_example46 --radius 9 --center h*g1` forms the Z/3
+    column of each layer in one `products` batch of the cyclic factor, with
+    no scalar `mul` call (the default hook made 3,064)."""
+    instance = load_instance(ROOT / "configs" / "z3xF2_example46.json")
+    X, gens = instance.X, instance.x_generators
+    calls = counted_hooks(X.backend.factors[0])
+    table = ball(X, gens, instance.element("h*g1"), 9)
+    assert table.ball_sizes[-1] == 1534
+    steps = len(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
+    assert calls["products"] == [steps * size for size in table.sphere_sizes()[:9]]
+    assert calls["mul"] == []
 
 
 def test_free2_swap_monoid_balls_are_one_products_batch_per_layer():
