@@ -13,9 +13,10 @@ double-coset group twists its generators once per walk and forms a
 layer's (element, twisted generator) products in one ``products`` batch,
 without building the sorted product.  It projects them in one batch that
 takes one orbit minimum per distinct G-element its class table misses,
-keyed in one ``keys`` batch per twist; Z^k computes both batches
-column-wise, a free group concatenates at the seam, and a direct product
-runs each factor's batch on its column.  The budget still counts classes.
+keyed in one ``keys`` batch per twist, and files each miss under its
+class; Z^k computes both batches column-wise, a free group concatenates at
+the seam, and a direct product runs each factor's batch on its column.
+The budget still counts classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.

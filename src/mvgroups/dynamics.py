@@ -61,15 +61,9 @@ def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
     `monoid`, if given, is that monoid's table to radius r_max, which no y changes."""
     mb = monoid or monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
     dt = iterate_dynamic(X, X.project(g), y, r_max, budget=budget)
-    rows = []
-    verdicts = []
-    sphere_sizes = mb.sphere_sizes()
-    for r in range(r_max + 1):
-        lower = Fraction(sphere_sizes[r], X.n)
-        upper = mb.ball_sizes[r]
-        xi = dt.xi[r]
-        rows.append((r, lower, xi, upper))
-        verdicts.append(lower <= xi <= upper)
+    rows = [(r, Fraction(sphere, X.n), xi, upper) for r, (sphere, xi, upper)
+            in enumerate(zip(mb.sphere_sizes(), dt.xi, mb.ball_sizes))]
+    verdicts = [lower <= xi <= upper for _, lower, xi, upper in rows]
     return BoundsReport(X.n, rows, verdicts, mb, dt)
 
 
@@ -97,10 +91,7 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
     if X.n != 2:
         raise PreconditionViolated(f"need a 2-valued group, got n = {X.n}")
     pt = power_table(X, x, r_max, budget=budget)
-    visited = {x}
-    for support in pt.set_powers:
-        visited.update(support)
-    for a in sorted(visited):
+    for a in sorted({x}.union(*pt.set_powers)):
         if X.inv(a) != a:
             raise PreconditionViolated(
                 f"inv({X.render(a)}) != {X.render(a)}: group is not involutive")

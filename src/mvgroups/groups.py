@@ -487,6 +487,9 @@ class CyclicGroup(GroupBackend):
         m = self.order
         return [(g + h) % m for g in gs for h in hs]
 
+    def keys(self, gs):
+        return list(gs)  # an element is its own key
+
     def inv(self, g):
         return (-g) % self.order
 
@@ -816,9 +819,9 @@ class DirectProduct(GroupBackend):
 class Automorphism:
     """An automorphism of a backend, given by generator images.
 
-    verify() checks it and keeps one compiled map, the backend's
-    homomorphism for its images; until it has passed there is no map to
-    apply.  The inverse images are input to verify() only.
+    verify() checks it and keeps one compiled map, `forward`, the backend's
+    homomorphism for its images, which apply calls; until it has passed
+    there is no map.  The inverse images are input to verify() only.
     identity_automorphism and every element of close_automorphisms are
     compiled automorphisms."""
 
@@ -845,7 +848,7 @@ class Automorphism:
         return hash((id(self.backend), self._signature))
 
     def apply(self, g):
-        return self._forward(g)
+        return self.forward(g)
 
     def verify(self) -> "Automorphism":
         """Check the homomorphism property, compile both image lists, check
@@ -889,14 +892,14 @@ class Automorphism:
                 raise NotAnAutomorphism(
                     f"{self.name!r}: inverse images do not invert on generator {name}")
         # the shortcut comes after the walk, which also checks the generators reach G
-        self._forward = _identity if self.images == gens else forward
+        self.forward = _identity if self.images == gens else forward
         return self
 
 
 def identity_automorphism(backend: GroupBackend) -> Automorphism:
     gens = [backend.gen(i) for i in range(len(backend.gen_names))]
     ident = Automorphism(backend, "id", gens, gens)
-    ident._forward = _identity
+    ident.forward = _identity
     return ident
 
 
@@ -954,7 +957,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
     start = list(dict.fromkeys([identity_automorphism(backend), *seeds]))
     elements = closure(start, successors, bound)
     for a in elements[len(start):]:
-        a._forward = backend.homomorphism(a.images)
+        a.forward = backend.homomorphism(a.images)
     return AutomorphismGroup(backend, elements)
 
 

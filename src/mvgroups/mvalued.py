@@ -15,8 +15,9 @@ s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: one class-table
 pass, and one orbit minimum per distinct G-element the table misses, keyed
-in one ``keys`` batch per twist.  Z^k computes both batches column-wise,
-a free group concatenates at the seam, and a direct product runs each
+in one ``keys`` batch per twist and filed under that G-element.  A coset
+group twists by compiled maps.  Z^k computes both batches column-wise, a
+free group concatenates at the seam, and a direct product runs each
 factor's batch on its column.
 """
 
@@ -141,10 +142,10 @@ class OrbitGroup(MvGroup):
         minimum of all of them is folded one twist at a time, starting from
         the misses themselves (the identity twist), over `_moves`, the other
         twists, keying the misses and each twist's images in one ``keys``
-        batch each.  Each new class is filed under its least member only, as
-        project files it.  The constructor's table covers all of a finite G
-        and never misses, so only a coset group, whose G may be infinite,
-        sets `_moves`: its non-identity automorphisms.
+        batch each.  Each miss is filed under its class, as project files
+        it.  The constructor's table covers all of a finite G and never
+        misses, so only a coset group, whose G may be infinite, sets
+        `_moves`: its non-identity automorphisms' compiled maps.
         """
         classes = self._classes
         found = list(map(classes.get, gs))
@@ -156,11 +157,8 @@ class OrbitGroup(MvGroup):
         for t in self._moves:
             images = list(map(t, misses))
             least = map(min, least, zip(keys(images), images))
-        fill = dict(zip(misses, least))
-        least = fill.values()
-        classes.update(zip(map(operator.itemgetter(1), least), least))
-        # a hit is no miss, so it keeps the class it found
-        return list(map(fill.get, gs, found))
+        classes.update(zip(misses, least))
+        return list(map(classes.__getitem__, gs))
 
     def step(self, gens):
         """layer -> project(u_rep * t) over u in the layer, then the distinct
@@ -183,27 +181,26 @@ class OrbitGroup(MvGroup):
 class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
-    A finite G is partitioned into A-orbits at construction, within the
-    budget.  On an infinite G a missed class is the orbit minimum, filed
-    under its least member only: BFS mostly lands on that member, and the
-    table holds no other G-element."""
+    The twists are A's compiled maps.  A finite G is partitioned into
+    A-orbits at construction, within the budget; on an infinite G each
+    G-element looked up is filed with its class, the orbit minimum, on
+    its first miss."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
                  budget: int = DEFAULT_BUDGET):
         if auts.backend is not backend:
             raise BackendMismatch("automorphism group does not act on this backend")
         self.auts = auts
-        self._moves = [a.apply for i, a in enumerate(auts) if i != auts.identity_index]
+        twists = [a.forward for a in auts]
+        self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
         key = backend.canonical_key
         self._keyed = lambda h: (key(h), h)
-        super().__init__(backend, [a.apply for a in auts],
-                         lambda g: (a.apply(g) for a in auts), budget)
+        super().__init__(backend, twists, lambda g: (t(g) for t in twists), budget)
 
     def project(self, g) -> Tuple[Any, Any]:
         least = self._classes.get(g)
         if least is None:
-            least = min(map(self._keyed, {t(g) for t in self.twists}))
-            self._classes[least[1]] = least
+            least = self._classes[g] = min(map(self._keyed, {t(g) for t in self.twists}))
         return least
 
     def carrier(self) -> List[Tuple[Any, Any]]:

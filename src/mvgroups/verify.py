@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from typing import Any, List, Optional, Tuple
 
-from .cayley import ball, power_table, set_product
-from .dynamics import bounds_check, iterate_dynamic, quadratic_bound_check
+from .cayley import ball, dynamic_supports, power_table, set_product
+from .dynamics import bounds_check, quadratic_bound_check
 from .errors import BudgetExceeded, ValidationError
 from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls, orbit
 from .mvalued import CosetGroup, NatGroup
@@ -220,16 +220,23 @@ def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
     The support at r+1 is a fixed map of the support at r, so a support
     that repeats within rows 0..r_max makes the rows periodic, and the cap
     checked on those rows holds for every r.  Without a repeat the verdict
-    is unresolved; a negative radius is left to iterate_dynamic's check."""
+    is unresolved.  Rows are drawn one at a time, and the first row r over
+    the cap ends the suite with the verdict of rows 0..r."""
     result = SuiteResult("example46")
     X = instance.X
     if not instance.x_generators:
         raise ValidationError("example46 needs X_generators")
-    table = iterate_dynamic(X, instance.x_generators[0], X.unit, r_max, budget=budget)
-    worst = max(table.xi)
-    result.add(worst <= _EXAMPLE46_CAP, f"r={r_max} max xi={worst} (cap {_EXAMPLE46_CAP})")
-    periodic = len(set(map(frozenset, table.supports))) < len(table.supports)
-    result.add(periodic, f"r={r_max} classified {'bounded' if periodic else 'unresolved'}")
+    if r_max < 0:
+        raise ValidationError("radius must be >= 0")
+    z, supports = instance.x_generators[0], []
+    for r, support in zip(range(r_max + 1), dynamic_supports(X, z, X.unit, budget)):
+        supports.append(support)
+        if len(support) > _EXAMPLE46_CAP:
+            break
+    worst = max(map(len, supports))
+    result.add(worst <= _EXAMPLE46_CAP, f"r={r} max xi={worst} (cap {_EXAMPLE46_CAP})")
+    periodic = len(set(map(frozenset, supports))) < len(supports)
+    result.add(periodic, f"r={r} classified {'bounded' if periodic else 'unresolved'}")
     return result
 
 

@@ -324,6 +324,19 @@ def test_example46_without_a_repeated_support_is_unresolved(tmp_path, capsys):
                                 "FAIL example46 r=10 classified unresolved"]
 
 
+# on free2_swap xi = 1, 1, 2, 4, ...: row 3 is the first over the cap, and the
+# suite stops there with the verdict `--radius 3` gives, before any budget
+# runs out (rows 0..20 take 15 s and exceed the default budget)
+@pytest.mark.parametrize("flags", [[], ["--budget", "100"], ["--radius", "3"]],
+                         ids=["default", "budget100", "radius3"])
+def test_example46_stops_at_the_first_row_over_the_cap(config_dir, capsys, flags):
+    code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, "free2_swap"),
+                                     "--suite", "example46", *flags])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["FAIL example46 r=3 max xi=4 (cap 2)",
+                                "FAIL example46 r=3 classified unresolved"]
+
+
 def test_lemma47_checks_sphere_addition_to_its_radius(config_dir, capsys):
     code, out, err = invoke(capsys, ["verify", "-c", cfg(config_dir, "s3_conj"),
                                      "--suite", "lemma47", "--radius", "3"])

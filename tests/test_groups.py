@@ -760,14 +760,14 @@ def shift3():
 def test_oracle_catches_a_mutated_table_entry():
     s4 = s4_table()
     conj = conjugation(s4, s4.gen(0)).verify()
-    conj._forward = swap_two_entries({g: conj.apply(g) for g in s4.elements()}).__getitem__
+    conj.forward = swap_two_entries({g: conj.apply(g) for g in s4.elements()}).__getitem__
     with pytest.raises(AssertionError):
         assert_compiled_matches_oracle(s4, [conj])
 
 
 def test_oracle_catches_a_wrong_substitution_letter():
     shift = shift3().verify()
-    shift._forward = wrong_letter(shift.backend, shift.images)
+    shift.forward = wrong_letter(shift.backend, shift.images)
     with pytest.raises(AssertionError):
         assert_compiled_matches_oracle(shift.backend, [shift])
 
@@ -1139,7 +1139,7 @@ def compose(a, b):
     composition tables and the closure."""
     images = [a.apply(img) for img in b.images]
     composite = Automorphism(a.backend, f"{a.name}*{b.name}", images, None)
-    composite._forward = a.backend.homomorphism(images)
+    composite.forward = a.backend.homomorphism(images)
     return composite
 
 

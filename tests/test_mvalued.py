@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvgroups import load_instance, mvalued
-from mvgroups.cayley import ball
+from mvgroups.cayley import ball, power_table
+from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
 from mvgroups.groups import (
     Automorphism,
@@ -365,43 +366,91 @@ def test_coset_project_matches_orbit_min_oracle(path):
     for g in elements:
         expected = coset_project_oracle(X, g)
         assert X.project(g) == expected, g  # a miss on infinite G unless seen before
-        assert expected[1] in X._classes
-        # g again, then the least member, which is filed by now and hits
+        assert X._classes[g] == expected, g  # filed under g itself
+        # g again hits; the least member is filed once it is looked up
         assert X.project(g) == X.project(expected[1]) == expected, g
+        assert X._classes[expected[1]] == expected, g
     if backend.is_finite():
         assert X.carrier() == sorted({coset_project_oracle(X, g) for g in elements})
 
 
 @pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
 def test_coset_class_table_files_each_class_under_its_least_member(path):
+    """Each class is the pair (key, least member), filed under every
+    G-element a lookup missed and under no other: after a ball the table
+    holds exactly the G-elements the walk looked up."""
     instance = load_instance(path)
     X = instance.X
-    returned = {X.unit}  # construction projected the identity
+    looked_up = set(X._classes)  # construction projected the identity and the generators
+    returned = set(X._classes.values())
     project_all = X.project_all
 
     def recording(gs):
+        looked_up.update(gs)
         classes = project_all(gs)
         returned.update(classes)
         return classes
 
     X.project_all = recording
     table = ball(X, instance.x_generators, X.unit, 6)
-    key = X.backend.canonical_key
-    assert all(cls == (key(g), g) for g, cls in X._classes.items())
-    assert len(X._classes) == len(returned) == table.ball_sizes[-1]
+    assert set(X._classes) == looked_up
+    assert all(cls == coset_project_oracle(X, g) for g, cls in X._classes.items())
+    assert set(X._classes.values()) == returned
+    assert len(returned) == table.ball_sizes[-1]
 
 
-def s4_transposition_coset(cls=PermutationGroup):
-    """The coset group of S4 under conjugation by the transposition t."""
+@pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
+def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(path):
+    instance = load_instance(path)
+    X, gens = instance.X, instance.x_generators
+    ball(X, gens, X.unit, 4)
+    iterate_dynamic(X, gens[0], gens[-1], 6)
+    power_table(X, gens[-1], 6)
+    assert len(X._classes) > len(gens)
+    for g, cls in X._classes.items():
+        assert cls == coset_project_oracle(X, g), g
+
+
+def test_coset_balls_make_no_automorphism_apply_call(monkeypatch):
+    """The twists are the compiled maps themselves, so no walk pays the
+    Automorphism.apply frame."""
+    applies = []
+    apply = Automorphism.apply
+    # patched before loading, so a twist bound to `apply` there would count
+    monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
+    for path in COSET_PATHS:
+        instance = load_instance(path)
+        applies.clear()  # building the automorphism group applies the seeds
+        table = ball(instance.X, instance.x_generators, instance.X.unit, 4)
+        assert table.ball_sizes[-1] > 1, path.stem
+        assert applies == [], path.stem
+
+
+def s4_transposition_auts(cls=PermutationGroup):
+    """The automorphisms of S4 that conjugation by the transposition t generates."""
     backend = s4_backend(cls)
     gens = [backend.gen(i) for i in range(2)]
     t = gens[0]
     images = [backend.mul(backend.mul(t, g), t) for g in gens]
-    return CosetGroup(backend, close_automorphisms(
-        [Automorphism(backend, "conj", images, images).verify()]))
+    return close_automorphisms([Automorphism(backend, "conj", images, images).verify()])
 
 
-def test_finite_coset_project_is_a_lookup(monkeypatch):
+def s4_transposition_coset(cls=PermutationGroup):
+    """The coset group of S4 under conjugation by the transposition t."""
+    auts = s4_transposition_auts(cls)
+    return CosetGroup(auts.backend, auts)
+
+
+def record_forwards(auts, calls):
+    """Make each compiled map of auts append (automorphism, argument) to
+    calls, through `apply` or not; a coset group built afterwards twists
+    through them."""
+    for a in auts:
+        a.forward = lambda g, a=a, forward=a.forward: calls.append((a, g)) or forward(g)
+    return auts
+
+
+def test_finite_coset_project_is_a_lookup():
     class Counting(PermutationGroup):
         keys = 0
 
@@ -409,16 +458,15 @@ def test_finite_coset_project_is_a_lookup(monkeypatch):
             self.keys += 1
             return super().canonical_key(g)
 
-    X = s4_transposition_coset(Counting)
+    twists = []
+    auts = record_forwards(s4_transposition_auts(Counting), twists)
+    X = CosetGroup(auts.backend, auts)
     backend = X.backend
-    applies = []
-    apply = Automorphism.apply
-    monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
     backend.keys = 0
+    twists.clear()
     for g in backend.elements():
         X.project(g)
-    assert (backend.keys, len(applies)) == (0, 0)
-    monkeypatch.undo()
+    assert (backend.keys, len(twists)) == (0, 0)
     carrier = X.carrier()
     # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
     assert len(carrier) == 14
@@ -583,16 +631,15 @@ def test_check_axioms_witness_is_the_first_failing_triple(pair, product, witness
     assert set(counting.calls.values()) == {1}
 
 
-def test_check_axioms_twists_each_right_factor_once(monkeypatch):
-    applies = []
-    apply = Automorphism.apply
-    monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append((a, g)) or apply(a, g))
-    X = s4_transposition_coset()
-    applies.clear()
+def test_check_axioms_twists_each_right_factor_once():
+    twists = []
+    auts = record_forwards(s4_transposition_auts(), twists)
+    X = CosetGroup(auts.backend, auts)
+    twists.clear()
     counting = CountingMv(X)
     assert check_axioms(counting, X.carrier()).all_ok
     rights = {y[1] for _, y in counting.calls}
-    assert Counter(applies) == Counter(itertools.product(X.auts, rights))
+    assert Counter(twists) == Counter(itertools.product(X.auts, rights))
 
 
 @pytest.mark.parametrize("path", sorted((TESTS.parent / "configs").glob("*.json"))

@@ -1,9 +1,9 @@
-"""Stdout of the table subcommands and the report scripts, pinned by SHA-256.
+"""Stdout of the table subcommands, pinned by SHA-256.
 
 Every case runs `growth`, `powers` or `dynamics` (plain, `--bounds`,
 `--classify`) in CSV, JSON and JSON with `--emit-elements` on three shipped
-configs, plus the two survey scripts over `configs/`, and compares the exit
-code and the digest of stdout with the recorded ones.  A change to anything
+configs, and compares the exit code and the digest of stdout with the
+recorded ones.  A change to anything
 these commands print shows here first.
 
 The representative cases print the chosen class representatives of free,
@@ -22,10 +22,7 @@ change that the benchmark would count as a failed op fails here first.
 import hashlib
 import importlib.util
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -183,13 +180,6 @@ REPRESENTATIVE_DIGESTS = {
         0, "35c0d878d3a69a7d5025b838604028e6c8d70bf02b4f7bd22ff838547fa2246f"),
 }
 
-SCRIPT_DIGESTS = {
-    "growth_report": (["scripts/growth_report.py", "configs/", "--radius", "4"],
-                      "1bba4d0e99813a7b93962e6b28c7ae09350a7f745fb0271500118be37487953e"),
-    "dynamics_report": (["scripts/dynamics_report.py", "configs/", "--steps", "6"],
-                        "35ccd5ba733f197c1ccab7c3e2bfcd9f6e4fff9acebc0529f89ea86845b5eba7"),
-}
-
 
 def cli_cases():
     for command, template in COMMANDS.items():
@@ -219,18 +209,6 @@ def test_representative_stdout_digest(case, capsys):
             if prev == "-c" else a for prev, a in zip([None, *argv], argv)]
     assert run(argv) == code
     assert digest(capsys.readouterr().out) == expected
-
-
-@pytest.mark.parametrize("name", sorted(SCRIPT_DIGESTS))
-def test_script_stdout_digest(name):
-    argv, expected = SCRIPT_DIGESTS[name]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert digest(proc.stdout) == expected
 
 
 def _bench_workloads():

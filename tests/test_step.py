@@ -272,8 +272,9 @@ def test_z2_swap_ball_projects_once_per_node_and_twisted_step(instances):
 def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance):
     """On `growth z2_swap --radius 80` the orbit minimum runs once per
     distinct G-element that the class table misses at the start of its
-    layer: 6,832 times, where projecting product by product missed 6,715
-    times but computed the orbit of each miss in Python."""
+    layer: 6,675 times.  Every miss is filed, so a G-element is minimized
+    at most once in the walk (filing only each class's least member took
+    6,832)."""
     instance = load_instance(ROOT / "configs" / "z2_swap.json")  # a fresh class table
     X, gens = instance.X, instance.x_generators
     assert len(X._moves) == 1  # the swap; the identity twist is the miss itself
@@ -282,14 +283,16 @@ def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance
     filed = set(X._classes)
     table = ball(X, gens, X.unit, 80)
     assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
-    assert len(moved) == 6832
-    # replay: a batch misses what is not filed by the end of the layer before
+    assert len(moved) == len(set(moved)) == 6675
+    # replay: a batch misses what no earlier layer looked up, and files it
     steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
     expected = 0
     for sphere in table.sphere_sets[:80]:
-        filed.update(cls[1] for cls in sphere)
-        expected += len({X.backend.mul(u[1], t) for u in sphere for t in steps} - filed)
-    assert expected == 6832
+        products = {X.backend.mul(u[1], t) for u in sphere for t in steps}
+        expected += len(products - filed)
+        filed |= products
+    assert expected == 6675
+    assert set(X._classes) == filed
 
 
 def counted_hooks(backend):
@@ -313,17 +316,19 @@ def test_z2_swap_growth_is_one_products_batch_and_one_keys_batch_per_twist(every
     """`growth z2_swap --radius 80` forms its 25,440 backend products in one
     `products` batch per layer, and keys each layer's misses and their swap
     images in one `keys` batch each, with no scalar `mul` or
-    `canonical_key` call."""
+    `canonical_key` call.  The first layer's products are the four
+    generators, which loading the config filed, so it makes no `keys`
+    batch."""
     instance = load_instance(ROOT / "configs" / "z2_swap.json")  # a fresh class table
     X, gens = instance.X, instance.x_generators
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 80)
     assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
     assert (len(calls["products"]), sum(calls["products"])) == (80, 25440)
-    assert (len(calls["keys"]), sum(calls["keys"])) == (160, 13664)
+    assert (len(calls["keys"]), sum(calls["keys"])) == (158, 13350)
     # per layer the misses, then as many swap images
     misses, images = calls["keys"][0::2], calls["keys"][1::2]
-    assert misses == images and sum(misses) == 6832
+    assert misses == images and sum(misses) == 6675
     assert calls["mul"] == calls["canonical_key"] == []
 
 
@@ -332,7 +337,9 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     one `products` batch per layer, two steps per class, and keys each
     layer's misses and their swap images in one `keys` batch each, with no
     scalar `mul` or `canonical_key` call (the default hooks made 4,096 and
-    8,190)."""
+    8,190).  Loading the config filed both generators, so the first
+    layer, {g1, g2}, makes no `keys` batch, and the 4,094 later products
+    are all misses."""
     instance = load_instance(ROOT / "configs" / "free2_swap.json")  # a fresh class table
     X, gens = instance.X, instance.x_generators
     calls = counted_hooks(X.backend)
@@ -340,16 +347,17 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     assert table == ball(every_instance["free2_swap"].X, gens, X.unit, 12)
     assert calls["products"] == [2 * size for size in table.sphere_sizes()[:12]]
     assert sum(calls["products"]) == 4096
-    assert (len(calls["keys"]), sum(calls["keys"])) == (24, 8190)
+    assert (len(calls["keys"]), sum(calls["keys"])) == (22, 8188)
     misses, images = calls["keys"][0::2], calls["keys"][1::2]
-    assert misses == images and sum(misses) == 4095
+    assert misses == images and sum(misses) == 4094
     assert calls["mul"] == calls["canonical_key"] == []
 
 
 def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
     """`growth z3xF2_example46 --radius 9 --center h*g1` forms the Z/3
-    column of each layer in one `products` batch of the cyclic factor, with
-    no scalar `mul` call (the default hook made 3,064)."""
+    column of each layer in one `products` batch of the cyclic factor, and
+    keys it in one `keys` batch per layer and twist, with no scalar `mul`
+    or `canonical_key` call (the default hooks made 3,064 and 4,596)."""
     instance = load_instance(ROOT / "configs" / "z3xF2_example46.json")
     X, gens = instance.X, instance.x_generators
     calls = counted_hooks(X.backend.factors[0])
@@ -357,7 +365,8 @@ def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
     assert table.ball_sizes[-1] == 1534
     steps = len(dict.fromkeys(t(s[1]) for s in gens for t in X.twists))
     assert calls["products"] == [steps * size for size in table.sphere_sizes()[:9]]
-    assert calls["mul"] == []
+    assert (len(calls["keys"]), sum(calls["keys"])) == (18, 4086)
+    assert calls["mul"] == calls["canonical_key"] == []
 
 
 def test_free2_swap_monoid_balls_are_one_products_batch_per_layer():
@@ -453,6 +462,8 @@ def test_project_all_matches_project_on_products_with_repeats(every_instance, na
 
 @pytest.mark.parametrize("name", ORBIT_CONFIGS)
 def test_project_all_files_least_and_non_least_members_of_one_class_once(every_instance, name):
+    """A batch holding several members of one class takes one orbit
+    minimum per member and files each member under the class."""
     instance = every_instance[name]
     X = fresh(instance)
     gs = ball_products(X, instance.x_generators, 3)
@@ -463,19 +474,26 @@ def test_project_all_files_least_and_non_least_members_of_one_class_once(every_i
     batch = [g for cls, group in members.items() if len(group) > 1
              for g in sorted(group, key=lambda g: g != cls[1])[::-1]]
     X, Y = fresh(instance), fresh(instance)
+    moved = []
+    X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in getattr(X, "_moves", ())]
     assert X.project_all(batch) == [Y.project(g) for g in batch]
     assert X._classes == Y._classes
     if not instance.backend.is_finite():
         assert batch, name
-        assert all(cls == (X.backend.canonical_key(g), g) for g, cls in X._classes.items())
+        assert set(X._classes) == {X.unit[1], *batch}
+        key = X.backend.canonical_key
+        assert all(cls == min((key(h), h) for h in orbit(X.auts, g))
+                   for g, cls in X._classes.items())
+        assert sorted(moved) == sorted([*(set(batch) - {X.unit[1]})] * len(X._moves))
 
 
 @pytest.mark.parametrize("name", ORBIT_CONFIGS)
 def test_project_all_on_an_all_hit_batch_is_the_table_lookup(every_instance, name):
     instance = every_instance[name]
     X = fresh(instance)
-    gs = [cls[1] for cls in ball(X, instance.x_generators, X.unit, 3).ball_elements()]
+    ball(X, instance.x_generators, X.unit, 3)
     filed = dict(X._classes)
+    gs = [*filed, *reversed(filed)]  # each filed G-element twice
     assert X.project_all(gs) == [X._classes[g] for g in gs] == [X.project(g) for g in gs]
     assert X._classes == filed
     assert X.project_all([]) == []
