@@ -12,11 +12,11 @@ expands through ``X.step(gens)``, a whole layer at a time.  A coset or
 double-coset group twists its generators once per walk and forms a
 layer's (element, twisted generator) products in one ``products`` batch,
 without building the sorted product.  It projects them in one batch that
-takes one orbit minimum per distinct G-element its class table misses,
-keyed in one ``keys`` batch per twist, and files each miss under its
-class; Z^k computes both batches column-wise, a free group concatenates at
-the seam, and a direct product runs each factor's batch on its column.
-The budget still counts classes.
+takes one native orbit minimum per distinct G-element its class table
+misses, and files each miss under its class, itself a G-element; Z^k
+forms the products column-wise, a free group concatenates at the seam, and
+a direct product runs each factor's batch on its column.  The budget
+still counts classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
@@ -25,13 +25,14 @@ distinct elements have been reached.
 
 No walk compares elements: spheres keep discovery order, and supports and
 set products are unordered tuples, since the growth functions count them.
-The CLI sorts a set into the canonical order only where it prints it.
+The CLI sorts a set into the canonical order, by ``X.canonical``, only
+where it prints it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, layers
@@ -52,15 +53,16 @@ class PowerTable(NamedTuple):
     set_powers: List[Tuple[Any, ...]]
 
 
-def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
-         budget: int = DEFAULT_BUDGET) -> GrowthTable:
+def ball(X: MvGroup, gens: Sequence[Any], x, radius: int, budget: int = DEFAULT_BUDGET,
+         on_layer: Optional[Callable[[int, int, float], Any]] = None) -> GrowthTable:
     """B(x, 0..radius) via support BFS; S(x, 0) = {x}, and each sphere in
-    the order ``layers`` discovers it."""
+    the order ``layers`` discovers it, which calls `on_layer` as each
+    sphere is completed."""
     if not gens:
         raise ValidationError("ball BFS needs a nonempty generating set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    spheres = layers([x], X.step(gens), budget)
+    spheres = layers([x], X.step(gens), budget, on_layer)
     sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
     ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
     return GrowthTable(x, radius, sphere_sets, ball_sizes)

@@ -52,6 +52,8 @@ def _growth_args(p: argparse.ArgumentParser):
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-elements", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="one JSON line on stderr: the radius reached, and per layer its size")
 
 
 def _dynamics_args(p: argparse.ArgumentParser):
@@ -144,7 +146,8 @@ def growth_rows(table: GrowthTable) -> List[dict]:
 def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict:
     """The rendered element sets under `key` when --emit-elements is given,
     each sorted into the canonical order: the walks leave them unordered."""
-    return {key: [[X.render(e) for e in sorted(s)] for s in sets]} if args.emit_elements else {}
+    return ({key: [[X.render(e) for e in sorted(s, key=X.canonical)] for s in sets]}
+            if args.emit_elements else {})
 
 
 def _cmd_axioms(args, instance: Instance, budget: int) -> int:
@@ -160,8 +163,15 @@ def _cmd_axioms(args, instance: Instance, budget: int) -> int:
 def _cmd_growth(args, instance: Instance, budget: int) -> int:
     X = instance.X
     center = instance.element(args.center) if args.center is not None else X.unit
-    table = ball(X, instance.x_generators, center, _radius(instance, args.radius),
-                 budget=budget)
+    done: List[tuple] = []  # (r, size, seconds) per completed layer
+    try:
+        table = ball(X, instance.x_generators, center, _radius(instance, args.radius), budget,
+                     (lambda *layer: done.append(layer)) if args.stats else None)
+    finally:  # also when the budget stops the walk
+        if args.stats:
+            layers = [{"r": r, "size": size, "seconds": s} for r, size, s in done]
+            print(json.dumps({"command": "growth", "radius": len(done) - 1, "layers": layers}),
+                  file=sys.stderr)
     emit_table(args.format, growth_rows(table), {"center": X.render(table.center)},
                _elements(args, X, "spheres", table.sphere_sets))
     return 0

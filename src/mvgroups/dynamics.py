@@ -91,7 +91,7 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
     if X.n != 2:
         raise PreconditionViolated(f"need a 2-valued group, got n = {X.n}")
     pt = power_table(X, x, r_max, budget=budget)
-    for a in sorted({x}.union(*pt.set_powers)):
+    for a in sorted({x}.union(*pt.set_powers), key=X.canonical):
         if X.inv(a) != a:
             raise PreconditionViolated(
                 f"inv({X.render(a)}) != {X.render(a)}: group is not involutive")

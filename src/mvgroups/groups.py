@@ -3,15 +3,16 @@
 A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples); the backend object
-carries the operations, and ``products`` and ``keys`` batch ``mul`` and
-``canonical_key`` over a layer: the scalar loops by default, column by
-column on Z^k, and for keys on the Heisenberg group.  A free group
+carries the operations, and ``products`` batches ``mul`` over a layer: the
+scalar loop by default, column by column on Z^k.  A free group
 concatenates words whose seam letters differ and merges a one-syllable
 step's exponent at the seam; a direct product splits a layer into factor
-columns and runs each factor's own batch on its column.  A canonical key is
+columns and runs each factor's own batch on its column; a semidirect
+product twists each step once per automorphism index.  A canonical key is
 an int or a tuple whose native order is the canonical order: integers rank
 0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
-free words compare shorter first, then letter by letter.  Z^k and the
+free words compare shorter first, then letter by letter.  Keys give the
+order elements print in, so only output paths form them.  Z^k and the
 Heisenberg group share one integer-vector constructor: the rank and name
 checks (the free group's too), identity, generators, rendering and keys.
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import time
 from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -70,12 +72,15 @@ DEFAULT_BUDGET = 10**6
 
 
 def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
-           budget: int = DEFAULT_BUDGET) -> Iterator[List[Any]]:
+           budget: int = DEFAULT_BUDGET,
+           on_layer: Optional[Callable[[int, int, float], Any]] = None) -> Iterator[List[Any]]:
     """Breadth-first layers: layer 0 is `start`, layer i+1 holds, in the
     order they are discovered, the elements of expand(layer i) that no
     earlier layer holds.  `expand` is a layer map: it returns every
     candidate of the next layer, repeats allowed, element by element of the
     layer it is given.  Once a layer is empty every later one is.
+    `on_layer`, if given, gets (radius, size, seconds forming it) of each
+    layer as it is completed.
 
     The budget rule of every enumeration: BudgetExceeded is raised as soon
     as more than `budget` distinct elements have been reached.  Candidates
@@ -83,13 +88,17 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     element over the budget; a batched one, which balls, lengths and
     monoid balls all take, has formed one layer's candidates by then.
     """
+    began = time.perf_counter()
     layer = list(dict.fromkeys(start))
     seen = set(layer)
     if len(seen) > budget:
         raise BudgetExceeded(budget, 0)
     radius = 0
     while True:
+        if on_layer is not None:
+            on_layer(radius, len(layer), time.perf_counter() - began)
         yield layer
+        began = time.perf_counter()
         radius += 1
         fresh = []
         for v in expand(layer):
@@ -124,9 +133,6 @@ class GrowthTable(NamedTuple):
     def sphere_sizes(self) -> List[int]:
         return [len(s) for s in self.sphere_sets]
 
-    def ball_elements(self) -> List[Any]:
-        return sorted(itertools.chain.from_iterable(self.sphere_sets))
-
 
 class GroupBackend:
     """Base class for group backends.  Subclasses set `kind` and `gen_names`."""
@@ -154,10 +160,6 @@ class GroupBackend:
     def products(self, gs: Sequence[Any], hs: Sequence[Any]) -> List[Any]:
         """[mul(g, h) for g in gs for h in hs], element-major, as one batch."""
         return list(itertools.starmap(self.mul, itertools.product(gs, hs)))
-
-    def keys(self, gs: Sequence[Any]) -> List[Any]:
-        """[canonical_key(g) for g in gs], as one batch."""
-        return list(map(self.canonical_key, gs))
 
     def render(self, g) -> str:
         raise NotImplementedError
@@ -360,10 +362,6 @@ class FreeGroup(GroupBackend):
         per backend, and pairs compare as the flat sequence would."""
         return (len(g), *map(self._ranked, g))
 
-    def keys(self, gs):
-        ranked = self._ranked
-        return [(len(g), *map(ranked, g)) for g in gs]
-
     def render(self, g):
         if not g:
             return "e"
@@ -383,8 +381,7 @@ class FreeGroup(GroupBackend):
 class _IntVectors(GroupBackend):
     """Integer vectors of one rank, the generators the unit vectors; a kind
     adds its product, inverse, maps, factor and relators.  Keys are the
-    coordinates' ranks, each interned per backend; a batch maps the ranks
-    over each coordinate's column and zips them back into one key each."""
+    coordinates' ranks, each interned per backend."""
 
     def __init__(self, label: str, rank: int, gen_names: Optional[Sequence[str]]):
         self.rank, self.gen_names = _rank_and_names(label, rank, gen_names)
@@ -399,9 +396,6 @@ class _IntVectors(GroupBackend):
 
     def canonical_key(self, g):
         return tuple(map(self._rank, g))
-
-    def keys(self, gs):
-        return list(zip(*[map(self._rank, column) for column in zip(*gs)]))
 
     def render(self, g):
         if self.rank == 1:
@@ -452,11 +446,8 @@ class FreeAbelianGroup(_IntVectors):
         return tuple((i, a) for i, a in enumerate(g) if a)
 
     def relators(self):
-        rels = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                rels.append(((i, -1), (j, -1), (i, 1), (j, 1)))
-        return rels
+        return [((i, -1), (j, -1), (i, 1), (j, 1))
+                for i, j in itertools.combinations(range(self.rank), 2)]
 
 
 class CyclicGroup(GroupBackend):
@@ -486,9 +477,6 @@ class CyclicGroup(GroupBackend):
         """The sums mod m, element-major, in one list display."""
         m = self.order
         return [(g + h) % m for g in gs for h in hs]
-
-    def keys(self, gs):
-        return list(gs)  # an element is its own key
 
     def inv(self, g):
         return (-g) % self.order
@@ -715,7 +703,6 @@ class DirectProduct(GroupBackend):
         # per-factor bound methods, so each operation is one list display
         self._muls = [b.mul for b in self.factors]
         self._invs = [b.inv for b in self.factors]
-        self._keys = [b.canonical_key for b in self.factors]
 
     @property
     def identity(self):
@@ -733,17 +720,13 @@ class DirectProduct(GroupBackend):
         return tuple([inv(a) for inv, a in zip(self._invs, g)])
 
     def canonical_key(self, g):
-        return tuple([key(a) for key, a in zip(self._keys, g)])
+        return tuple([b.canonical_key(a) for b, a in zip(self.factors, g)])
 
     def products(self, gs, hs):
         """Each factor's own batch on its column of gs and hs, zipped back
         element-major; empty gs or hs has no columns, so gives []."""
         return list(zip(*[b.products(a, c)
                           for b, a, c in zip(self.factors, zip(*gs), zip(*hs))]))
-
-    def keys(self, gs):
-        """Each factor's own key batch on its column, zipped back."""
-        return list(zip(*[b.keys(a) for b, a in zip(self.factors, zip(*gs))]))
 
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
@@ -787,13 +770,10 @@ class DirectProduct(GroupBackend):
             off = self._offset(fi)
             rels.extend(tuple((off + i, e) for i, e in rel) for rel in sub)
         # generators of distinct factors commute
-        for fi in range(len(self.factors)):
-            for fj in range(fi + 1, len(self.factors)):
-                for i in range(len(self.factors[fi].gen_names)):
-                    for j in range(len(self.factors[fj].gen_names)):
-                        gi = self._offset(fi) + i
-                        gj = self._offset(fj) + j
-                        rels.append(((gi, -1), (gj, -1), (gi, 1), (gj, 1)))
+        gens = [range(self._offset(fi), self._offset(fi + 1)) for fi in range(len(self.factors))]
+        for left, right in itertools.combinations(gens, 2):
+            rels += [((gi, -1), (gj, -1), (gi, 1), (gj, 1))
+                     for gi, gj in itertools.product(left, right)]
         return rels
 
     def is_finite(self):
@@ -833,19 +813,15 @@ class Automorphism:
         self.name = name
         self.images = tuple(images)
         self.inverse_images = tuple(inverse_images) if inverse_images is not None else None
-        self._signature = tuple(map(backend.canonical_key, self.images))
-
-    @property
-    def signature(self) -> Tuple[Any, ...]:
-        return self._signature
+        self.signature = tuple(map(backend.canonical_key, self.images))
 
     def __eq__(self, other):
         return (isinstance(other, Automorphism)
                 and self.backend is other.backend
-                and self._signature == other._signature)
+                and self.signature == other.signature)
 
     def __hash__(self):
-        return hash((id(self.backend), self._signature))
+        return hash((id(self.backend), self.signature))
 
     def apply(self, g):
         return self.forward(g)
@@ -1002,6 +978,14 @@ class SemidirectProduct(GroupBackend):
         h, j = q
         twisted = self.auts.elements[self.auts.inverse_index[i]].apply(h)
         return (self.group.mul(g, twisted), self.auts.compose_index(i, j))
+
+    def products(self, gs, hs):
+        """mul's products, each h twisted by a_i^{-1}'s compiled map once
+        per automorphism index i instead of once per product."""
+        auts, mul = self.auts, self.group.mul
+        twisted = [[(auts.elements[k].forward(h), j) for h, j in hs] for k in auts.inverse_index]
+        compose = auts._compose_table
+        return [(mul(g, h), compose[i][j]) for g, i in gs for h, j in twisted[i]]
 
     def inv(self, p):
         g, i = p

@@ -2,9 +2,9 @@
 
 An n-valued product ``mul(x, y)`` is an n-multiset.  Elements are hashable
 and mutually orderable (plain ints, or coset and double-coset classes,
-which are (canonical key, least member) tuples), so the canonical form of
-a multiset is the sorted tuple of its members, repeats kept: two products
-are equal exactly when their tuples are, and ``len`` is the total size.
+which are G-elements), so the canonical form of a multiset is the sorted
+tuple of its members, repeats kept: two products are equal exactly when
+their tuples are, and ``len`` is the total size.
 """
 
 from __future__ import annotations

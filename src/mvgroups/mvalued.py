@@ -3,22 +3,21 @@
 
 An MvGroup has a unit, an involution-style inverse map, and mul(x, y)
 returning its n values as a sorted n-tuple, the canonical form of an
-n-multiset.  Elements are orderable and hashable.  Coset and double-coset
-groups share one OrbitGroup constructor and product, and bring their class
-rule (A-orbit or HgH), project and carrier; a class is the plain tuple
-(canonical key, least member), so classes sort in the canonical order of
-their least members.
+n-multiset.  Elements are hashable, with ``canonical`` giving the order
+they print in.  Coset and double-coset groups share one OrbitGroup
+constructor and product, and bring their class rule (A-orbit or HgH),
+project and carrier; a class is the G-element least in it under native
+``<``, and its canonical key is formed only where it is printed or sorted.
 
 ``step(gens)`` is the one expansion every Cayley-graph walk takes: a
 layer map, sending a layer to the values of u*s over its elements u, then
 s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: one class-table
-pass, and one orbit minimum per distinct G-element the table misses, keyed
-in one ``keys`` batch per twist and filed under that G-element.  A coset
-group twists by compiled maps.  Z^k computes both batches column-wise, a
-free group concatenates at the seam, and a direct product runs each
-factor's batch on its column.
+pass, and one orbit minimum per distinct G-element the table misses, filed
+under that G-element.  A coset group twists by compiled maps.  Z^k forms
+the products column-wise, a free group concatenates at the seam, and a
+direct product runs each factor's batch on its column.
 """
 
 from __future__ import annotations
@@ -47,6 +46,10 @@ class MvGroup:
 
     def render(self, x) -> str:
         return str(x)
+
+    def canonical(self, x):
+        """The sort key of the order elements print in: x itself."""
+        return x
 
     def step(self, gens: Sequence[Any]) -> Callable[[Iterable[Any]], List[Any]]:
         """layer -> the values of u*s over u in the layer, then s in gens,
@@ -86,20 +89,20 @@ class MutatedNatGroup(MvGroup):
 
 
 class OrbitGroup(MvGroup):
-    """Classes of G, each the plain pair (canonical key, least member).
+    """Classes of G, each the G-element least in its class under native `<`.
 
     mul(x, y) is the fixed-representative n-family
-    [project(x_rep * t(y_rep)) for t in twists], so it has exactly n values
-    even on classes with stabilizers; independence of the representative
-    choice is a tested property, not an assumption.  Classes compare and
-    hash as tuples, so they sort in the canonical order of their least
-    members; a representative is rendered only when printed.
+    [project(x * t(y)) for t in twists], so it has exactly n values even on
+    classes with stabilizers; independence of the representative choice is
+    a tested property, not an assumption, and it lets any fixed member name
+    a class: the native minimum needs no key.  `canonical` keys a class
+    only where it is printed or sorted.
 
     The one constructor sets the backend, n = len(twists), the twists, a memo
-    of each right factor's twisted images, the class table (a finite G
-    partitioned by the class rule `members`, g -> g's class; else empty) and
-    the unit.  A subclass checks its arguments, sets its own state and
-    defines project and carrier; if G may be infinite, also _moves.
+    of each right factor's twisted images, the class rule `members`, the
+    class table (a finite G partitioned by `members`, g -> g's class; else
+    empty) and the unit.  A subclass checks its arguments, sets its own
+    state and defines project and carrier; if G may be infinite, also _moves.
     """
 
     def __init__(self, backend: GroupBackend, twists: List[Callable[[Any], Any]],
@@ -107,75 +110,74 @@ class OrbitGroup(MvGroup):
         self.backend = backend
         self.n = len(twists)
         self.twists = twists
-        # the lambda holds the list, not self, so no instance is a reference cycle
+        # the lambda and `members` hold no self, so no instance is a reference cycle
         self._twisted = _Memo(lambda h: [t(h) for t in twists])
-        self._classes: Dict[Any, Tuple[Any, Any]] = (
-            self._partition(members, budget) if backend.is_finite() else {})
+        self._members = members
+        self._classes: Dict[Any, Any] = (
+            self._partition(budget) if backend.is_finite() else {})
         self.unit = self.project(backend.identity)
 
-    def _partition(self, members: Callable[[Any], Iterable[Any]],
-                   budget: int) -> Dict[Any, Tuple[Any, Any]]:
+    def _partition(self, budget: int) -> Dict[Any, Any]:
         """Every element of finite G -> its class; members(g) is formed once
         per class.  Raises BudgetExceeded once more than `budget` elements
         of G are filed."""
-        key, classes = self.backend.canonical_key, {}
+        classes = {}
         for g in self.backend.elements():
             if g not in classes:
-                group = set(members(g))
-                classes.update(dict.fromkeys(group, min((key(p), p) for p in group)))
+                group = set(self._members(g))
+                classes.update(dict.fromkeys(group, min(group)))
                 if len(classes) > budget:
                     raise BudgetExceeded(budget)
         return classes
 
+    def canonical(self, x) -> Tuple[Any, Any]:
+        """(key, member) for x's member least by key: it prints, and classes sort so."""
+        key = self.backend.canonical_key
+        return min((key(p), p) for p in self._members(x))
+
     def mul(self, x, y):
         """The n values; y's twisted images are formed once per right factor."""
-        backend, project, g = self.backend, self.project, x[1]
-        return tuple(sorted(project(backend.mul(g, h)) for h in self._twisted[y[1]]))
+        mul, project = self.backend.mul, self.project
+        return tuple(sorted(project(mul(x, h)) for h in self._twisted[y]))
 
     def inv(self, x):
-        return self.project(self.backend.inv(x[1]))
+        return self.project(self.backend.inv(x))
 
-    def project_all(self, gs: List[Any]) -> List[Tuple[Any, Any]]:
+    def project_all(self, gs: List[Any]) -> List[Any]:
         """[project(g) for g in gs], as one batch.
 
-        One class-table pass; the misses are deduplicated, and the orbit
-        minimum of all of them is folded one twist at a time, starting from
-        the misses themselves (the identity twist), over `_moves`, the other
-        twists, keying the misses and each twist's images in one ``keys``
-        batch each.  Each miss is filed under its class, as project files
-        it.  The constructor's table covers all of a finite G and never
-        misses, so only a coset group, whose G may be infinite, sets
-        `_moves`: its non-identity automorphisms' compiled maps.
-        """
+        One class-table pass; the orbit minima of the distinct misses are
+        folded one twist at a time, from the misses themselves (the identity
+        twist) over `_moves`, the others, and each miss is filed under its
+        class.  Only a coset group, whose G may be infinite, misses and sets
+        `_moves`.  A class may be falsy (0, the empty word): a miss is a None."""
         classes = self._classes
         found = list(map(classes.get, gs))
         if None not in found:
             return found
-        misses = list(dict.fromkeys(itertools.compress(gs, map(operator.not_, found))))
-        keys = self.backend.keys
-        least = zip(keys(misses), misses)
+        misses = list(dict.fromkeys(itertools.compress(
+            gs, map(operator.is_, found, itertools.repeat(None)))))
+        least = misses
         for t in self._moves:
-            images = list(map(t, misses))
-            least = map(min, least, zip(keys(images), images))
+            least = map(min, least, map(t, misses))
         classes.update(zip(misses, least))
         return list(map(classes.__getitem__, gs))
 
     def step(self, gens):
-        """layer -> project(u_rep * t) over u in the layer, then the distinct
+        """layer -> project(u * t) over u in the layer, then the distinct
         twisted generators t.
 
         By the definition of mul this yields the union of the supports of
         u*s over s in gens, each twist applied once per generator instead
-        of once per product.  A layer is one backend ``products`` batch
-        (column-wise on Z^k, seam by seam on a free group), projected in one
-        ``project_all`` batch.
+        of once per product.  A layer is one backend ``products`` batch,
+        projected in one ``project_all`` batch.
         """
         products, project_all = self.backend.products, self.project_all
-        steps = tuple(dict.fromkeys(t(s[1]) for s in gens for t in self.twists))
-        return lambda layer: project_all(products(list(map(operator.itemgetter(1), layer)), steps))
+        steps = tuple(dict.fromkeys(t(s) for s in gens for t in self.twists))
+        return lambda layer: project_all(products(layer, steps))
 
     def render(self, x) -> str:
-        return self.backend.render(x[1])
+        return self.backend.render(self.canonical(x)[1])
 
 
 class CosetGroup(OrbitGroup):
@@ -193,21 +195,19 @@ class CosetGroup(OrbitGroup):
         self.auts = auts
         twists = [a.forward for a in auts]
         self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
-        key = backend.canonical_key
-        self._keyed = lambda h: (key(h), h)
         super().__init__(backend, twists, lambda g: (t(g) for t in twists), budget)
 
-    def project(self, g) -> Tuple[Any, Any]:
+    def project(self, g):
         least = self._classes.get(g)
         if least is None:
-            least = self._classes[g] = min(map(self._keyed, {t(g) for t in self.twists}))
+            least = self._classes[g] = min(t(g) for t in self.twists)
         return least
 
-    def carrier(self) -> List[Tuple[Any, Any]]:
-        """All classes; finite backends only."""
+    def carrier(self) -> List[Any]:
+        """All classes, in the canonical order; finite backends only."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        return sorted(set(self._classes.values()))
+        return sorted(set(self._classes.values()), key=self.canonical)
 
 
 class DoubleCosetGroup(OrbitGroup):
@@ -223,20 +223,23 @@ class DoubleCosetGroup(OrbitGroup):
             raise InfiniteBackendUnsupported(
                 "double coset groups are implemented for finite backends only")
         mul = backend.mul
-        self.subgroup = H = sorted(backend._close(subgroup), key=backend.canonical_key)
+        self.subgroup = H = backend._close(subgroup)
 
         def double_coset(g):
-            """HgH: |H| + |H|^2 products, the |H| left ones shared."""
-            lefts = [mul(h1, g) for h1 in H]
-            return (mul(left, h2) for left in lefts for h2 in H)
+            """HgH as its distinct left cosets (h g)H: |H| + |HgH| products."""
+            members = set()
+            for left in [mul(h1, g) for h1 in H]:
+                if left not in members:
+                    members.update([mul(left, h2) for h2 in H])
+            return members
 
         super().__init__(backend, [functools.partial(mul, h) for h in H], double_coset, budget)
 
-    def project(self, g) -> Tuple[Any, Any]:
+    def project(self, g):
         return self._classes[g]
 
-    def carrier(self) -> List[Tuple[Any, Any]]:
-        return sorted(set(self._classes.values()))
+    def carrier(self) -> List[Any]:
+        return sorted(set(self._classes.values()), key=self.canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class SuiteResult:
 def sample_elements(instance: Instance, limit: int = 32,
                     budget: int = DEFAULT_BUDGET) -> List[Any]:
     """Deterministic element sample: the full carrier if finite, else the
-    unit and the next limit-1 elements nearest it: 0..limit-1 for
-    builtin-nat, the first `limit` elements of B(e, 2) for a coset instance.
+    unit and the next limit-1 elements nearest it: 0..limit-1 on builtin
+    nat, the first `limit` of B(e, 2) in the canonical order on a coset.
 
     Raises BudgetExceeded when the builtin-nat sample, the carrier or the
     ball has more than `budget` elements."""
@@ -72,7 +72,7 @@ def sample_elements(instance: Instance, limit: int = 32,
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")
     table = ball(X, gens, X.unit, 2, budget=budget)
-    return table.ball_elements()[:limit]
+    return sorted(set().union(*table.sphere_sets), key=X.canonical)[:limit]
 
 
 # ---------------------------------------------------------------------------

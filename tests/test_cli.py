@@ -52,6 +52,34 @@ def test_growth_json_with_elements(config_dir, capsys):
     assert record["spheres"] == [["3"], ["2", "4"]]
 
 
+def test_growth_stats_reports_every_layer_and_leaves_stdout_alone(config_dir, capsys):
+    argv = ["growth", "-c", cfg(config_dir, "z2_swap"), "--radius", "80"]
+    code, plain, err = invoke(capsys, argv)
+    assert (code, err) == (0, "")  # no stats unless asked
+    code, out, err = invoke(capsys, argv + ["--stats"])
+    assert code == 0 and out == plain
+    assert err.endswith("\n") and err.count("\n") == 1  # one JSON line
+    stats = json.loads(err)
+    spheres = [int(row.split(",")[2]) for row in out.splitlines()[1:]]
+    assert (stats["command"], stats["radius"], len(spheres)) == ("growth", 80, 81)
+    assert [layer["r"] for layer in stats["layers"]] == list(range(81))
+    assert [layer["size"] for layer in stats["layers"]] == spheres
+    assert all(layer["seconds"] >= 0 for layer in stats["layers"])
+
+
+def test_growth_stats_on_budget_exit_names_the_completed_layers(config_dir, capsys):
+    # free2_swap spheres are 1, 1, 2, 4, ...: 64 classes fill radius 0..6,
+    # and the 64 of radius 7 overrun a budget of 100
+    code, out, err = invoke(capsys, ["growth", "-c", cfg(config_dir, "free2_swap"),
+                                     "--radius", "30", "--budget", "100", "--stats"])
+    assert (code, out) == (3, "")
+    line, message = err.splitlines()
+    stats = json.loads(line)
+    assert stats["radius"] == 6
+    assert [layer["size"] for layer in stats["layers"]] == [1, 1, 2, 4, 8, 16, 32]
+    assert message == "budget exceeded: more than 100 distinct elements reached by radius 7"
+
+
 def test_growth_default_radius_z3xF2(config_dir, capsys):
     code, out, _ = invoke(capsys, ["growth", "-c", cfg(config_dir, "z3xF2_example46")])
     assert code == 0

@@ -45,7 +45,7 @@ options:
      """\
 usage: mvgroups growth [-h] -c CONFIG [--budget BUDGET] [--center CENTER]
                        [--radius RADIUS] [--format {csv,json}]
-                       [--emit-elements]
+                       [--emit-elements] [--stats]
 
 options:
   -h, --help            show this help message and exit
@@ -56,6 +56,8 @@ options:
   --radius RADIUS
   --format {csv,json}
   --emit-elements
+  --stats               one JSON line on stderr: the radius reached, and per
+                        layer its size
 """,
      ""),
     (('dynamics', '--help'), 0,
@@ -142,7 +144,7 @@ mvgroups: error: argument command: invalid choice: 'bogus' (choose from 'axioms'
      """\
 usage: mvgroups growth [-h] -c CONFIG [--budget BUDGET] [--center CENTER]
                        [--radius RADIUS] [--format {csv,json}]
-                       [--emit-elements]
+                       [--emit-elements] [--stats]
 mvgroups growth: error: the following arguments are required: -c/--config
 """),
     (('axioms', '-c', 'x', '--sample', '-1'), 2,

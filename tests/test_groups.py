@@ -116,9 +116,6 @@ def test_batch_hooks_match_the_scalar_loops(backend):
         assert products == [backend.mul(g, h) for g in left for h in right]
     for g, h in itertools.product(gs, hs):
         assert backend.products([g], [h]) == [backend.mul(g, h)]
-    products = backend.products(gs, hs)
-    for batch in (gs, hs, [], gs[:1], products):
-        assert backend.keys(batch) == [backend.canonical_key(g) for g in batch]
 
 
 def free_reduced(g, h):
@@ -161,14 +158,12 @@ def test_free_group_seams_match_the_scalar_loops_and_free_reduction(case):
     assert f.products(gs, []) == f.products([], hs) == f.products([], []) == []
     for g, h in itertools.product(gs, hs):
         assert f.products([g], [h]) == [free_reduced(g, h)]
-    for batch in (gs, hs, expected, []):
-        assert f.keys(batch) == [f.canonical_key(g) for g in batch]
 
 
 def test_rank_one_batches_keep_their_one_tuples():
     z = FreeAbelianGroup(1)
     assert z.products([(2,), (-3,)], [(1,), (-1,)]) == [(3,), (1,), (-2,), (-4,)]
-    assert z.keys([(2,), (-3,), (0,)]) == [(3,), (6,), (0,)]
+    assert list(map(z.canonical_key, [(2,), (-3,), (0,)])) == [(3,), (6,), (0,)]
     assert z.products([(2,)], [(2**70,)]) == [(2**70 + 2,)]
 
 

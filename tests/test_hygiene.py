@@ -3,9 +3,9 @@ every import is a top-level statement of its module, every function or
 method the package defines is referenced outside its own definition,
 importing the CLI loads neither `dataclasses` nor `inspect`, building an
 instance loads no analysis or CLI module, every
-verification suite takes only (instance, r_max, budget), and no subclass of
+verification suite takes only (instance, r_max, budget), no subclass of
 a base with one constructor (`OrbitGroup`, `_IntVectors`) sets what that
-constructor sets."""
+constructor sets, and only the output edge forms canonical keys."""
 
 import ast
 import inspect
@@ -138,7 +138,8 @@ def test_suites_take_only_instance_radius_and_budget(name):
 
 
 # base class -> the attributes its one constructor sets
-BASE_STATE = {"OrbitGroup": {"backend", "n", "twists", "_twisted", "_classes", "unit"},
+BASE_STATE = {"OrbitGroup": {"backend", "n", "twists", "_twisted", "_members", "_classes",
+                             "unit"},
               "_IntVectors": {"rank", "gen_names", "_rank"}}
 
 
@@ -206,3 +207,46 @@ def test_no_subclass_sets_what_its_base_constructor_sets():
                       if isinstance(node, ast.ClassDef) and node.name == "HeisenbergGroup")
     defined = {node.name for node in heisenberg.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"identity", "gen", "render"}
+
+
+# the functions that may form a canonical key: those that print or sort for
+# printing, the keys' own definitions, and automorphism signatures
+KEY_USERS = {"render", "carrier", "sample_elements", "_elements", "quadratic_bound_check",
+             "orbit", "canonical", "canonical_key",
+             "Automorphism.__init__", "AutomorphismGroup.__init__"}
+KEY_NAMES = {"canonical_key", "canonical"}
+
+
+def key_uses(source):
+    """(line, function) for each use of `canonical_key` or `canonical`
+    inside a top-level function or method that KEY_USERS does not name, by
+    its own name or as Class.method; a nested function counts as the one it
+    is defined in."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{child.name}", child) for child in node.body
+                          if isinstance(child, ast.FunctionDef)]
+    return sorted((use.lineno, qualified) for qualified, function in functions
+                  if not {qualified, qualified.split(".")[-1]} & KEY_USERS
+                  for use in ast.walk(function)
+                  if isinstance(use, ast.Attribute) and use.attr in KEY_NAMES
+                  or isinstance(use, ast.Name) and use.id in KEY_NAMES)
+
+
+def test_detector_flags_a_key_formed_off_the_output_edge():
+    source = ("def render(X, x):\n    return X.canonical(x)\n\n"
+              "def walk(X, layer):\n    return sorted(layer, key=X.canonical)\n\n"
+              "class Automorphism:\n    def __init__(self, b):\n"
+              "        self.signature = b.canonical_key(1)\n\n"
+              "class OrbitGroup:\n    def __init__(self, b):\n"
+              "        def keyed(g):\n            return (b.canonical_key(g), g)\n"
+              "        self.keyed = keyed\n")
+    assert key_uses(source) == [(5, "walk"), (14, "OrbitGroup.__init__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_output_edge_forms_canonical_keys(path):
+    assert key_uses(path.read_text(encoding="utf-8")) == []

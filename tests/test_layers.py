@@ -54,6 +54,16 @@ def test_closure_expands_lazily_and_stops_at_the_first_element_over_the_budget()
     assert (exc.value.radius, expanded) == (3, [0, 1, 2, 3])
 
 
+def test_on_layer_reports_each_completed_layer_before_it_is_yielded():
+    reports = []
+    walk = layers([0], z6_steps, 4, lambda r, size, seconds: reports.append((r, size)))
+    assert next(walk) == [0] and reports == [(0, 1)]
+    assert next(walk) == [3, 2] and reports == [(0, 1), (1, 2)]
+    with pytest.raises(BudgetExceeded):  # the fifth element, 4, overruns the budget
+        next(walk)
+    assert reports == [(0, 1), (1, 2)]
+
+
 def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
     """A batched layer map forms the candidates of the layer that goes over
     the budget, and no more: every earlier batch is one sphere times the
@@ -61,7 +71,7 @@ def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
     in the last one."""
     instance = load_instance(CONFIGS / "z2_swap.json")
     X, gens = instance.X, instance.x_generators
-    steps = {t(s[1]) for s in gens for t in X.twists}
+    steps = {t(s) for s in gens for t in X.twists}
     spheres = ball(X, gens, X.unit, 30).sphere_sizes()
     batches = []
     project_all = X.project_all

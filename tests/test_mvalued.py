@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -140,17 +141,19 @@ def z_pm1():
 
 
 def test_coset_projection_picks_nonnegative_rep():
+    """The class is the member least under native order; the member that
+    prints is the one least by canonical key, the non-negative one."""
     X = z_pm1()
-    assert X.project((-5,))[1] == (5,)
-    assert X.project((5,)) == X.project((-5,))
-    assert X.unit[1] == (0,)
+    assert X.project((5,)) == X.project((-5,)) == (-5,)
+    assert X.canonical(X.project((-5,)))[1] == (5,)
+    assert X.unit == (0,) and X.canonical(X.unit)[1] == (0,)
 
 
 def test_coset_product_matches_nat():
     X = z_pm1()
     out = X.mul(X.project((3,)), X.project((5,)))
-    assert [e[1] for e in out] == [(2,), (8,)]
-    assert X.inv(X.project((7,)))[1] == (7,)
+    assert [c[1] for c in sorted(map(X.canonical, out))] == [(2,), (8,)]
+    assert X.canonical(X.inv(X.project((7,))))[1] == (7,)
 
 
 def test_coset_transports_builtin_nat():
@@ -158,7 +161,7 @@ def test_coset_transports_builtin_nat():
     nat = NatGroup()
     for x in range(20):
         for y in range(20):
-            lhs = sorted(e[1][0] for e in X.mul(X.project((x,)), X.project((y,))))
+            lhs = sorted(X.canonical(e)[1][0] for e in X.mul(X.project((x,)), X.project((y,))))
             assert lhs == list(nat.mul(x, y))
 
 
@@ -242,9 +245,9 @@ def test_double_coset_s3_transposition_subgroup(instances):
     carrier = X.carrier()
     oracle = brute_double_cosets([(0, 1, 2), (1, 0, 2)])
     assert len(carrier) == len(oracle) == 2
-    reps = {x[1] for x in carrier}
-    for cls in oracle:
-        assert len(reps & cls) == 1  # exactly one representative per class
+    for reps in (set(carrier), {X.canonical(x)[1] for x in carrier}):
+        for cls in oracle:
+            assert len(reps & cls) == 1  # exactly one representative per class
 
 
 def test_double_coset_products_match_oracle(instances):
@@ -253,11 +256,11 @@ def test_double_coset_products_match_oracle(instances):
     for x in X.carrier():
         for y in X.carrier():
             expected = sorted(
-                double_coset_project_oracle(X, backend.mul(backend.mul(x[1], h), y[1]))
+                double_coset_project_oracle(X, backend.mul(backend.mul(x, h), y))
                 for h in X.subgroup)
             product = X.mul(x, y)
             assert_canonical(X, product)
-            assert list(product) == expected
+            assert sorted(map(X.canonical, product)) == expected
 
 
 @pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap",
@@ -284,7 +287,7 @@ def test_coset_products_match_oracle(every_instance, name):
                           key=backend.canonical_key)
         product = X.mul(X.project(x), X.project(y))
         assert_canonical(X, product)
-        assert [e[1] for e in product] == expected
+        assert [X.canonical(e)[1] for e in sorted(product, key=X.canonical)] == expected
 
 
 def test_double_coset_axioms_full_carrier(instances):
@@ -322,8 +325,10 @@ def test_double_coset_partition_matches_project_oracle(name):
     X = DOUBLE_COSETS[name]()
     elements = list(X.backend.elements())
     for g in elements:
-        assert X.project(g) == double_coset_project_oracle(X, g), g
-    assert X.carrier() == sorted({double_coset_project_oracle(X, g) for g in elements})
+        assert X.canonical(X.project(g)) == double_coset_project_oracle(X, g), g
+    # one class per oracle class: the canonical forms of the carrier repeat nothing
+    assert list(map(X.canonical, X.carrier())) == sorted(
+        {double_coset_project_oracle(X, g) for g in elements})
 
 
 def test_double_coset_project_makes_no_backend_mul_calls():
@@ -339,8 +344,8 @@ def test_double_coset_project_makes_no_backend_mul_calls():
     backend.muls = 0
     for g in backend.elements():
         X.project(g)
-    assert len(X.carrier()) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix the point 3 or not
     assert backend.muls == 0
+    assert len(X.carrier()) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix the point 3 or not
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +367,27 @@ def test_coset_project_matches_orbit_min_oracle(path):
     else:
         gens = [backend.gen(i) for i in range(len(backend.gen_names))]
         monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
-        elements = [a.apply(g) for g in monoid.ball_elements() for a in X.auts]
+        elements = [a.apply(g) for g in itertools.chain.from_iterable(monoid.sphere_sets)
+                    for a in X.auts]
     for g in elements:
         expected = coset_project_oracle(X, g)
-        assert X.project(g) == expected, g  # a miss on infinite G unless seen before
-        assert X._classes[g] == expected, g  # filed under g itself
-        # g again hits; the least member is filed once it is looked up
-        assert X.project(g) == X.project(expected[1]) == expected, g
-        assert X._classes[expected[1]] == expected, g
+        cls = X.project(g)  # a miss on infinite G unless seen before
+        assert cls == min(a.apply(g) for a in X.auts), g  # the native orbit minimum
+        assert X.canonical(cls) == expected, g
+        assert X._classes[g] == cls, g  # filed under g itself
+        # g again hits; the least member by key is filed once it is looked up
+        assert X.project(g) == X.project(expected[1]) == cls, g
+        assert X._classes[expected[1]] == cls, g
     if backend.is_finite():
-        assert X.carrier() == sorted({coset_project_oracle(X, g) for g in elements})
+        assert list(map(X.canonical, X.carrier())) == sorted(
+            {coset_project_oracle(X, g) for g in elements})
 
 
 @pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
 def test_coset_class_table_files_each_class_under_its_least_member(path):
-    """Each class is the pair (key, least member), filed under every
-    G-element a lookup missed and under no other: after a ball the table
-    holds exactly the G-elements the walk looked up."""
+    """Each class is its least member under native order, filed under
+    every G-element a lookup missed and under no other: after a ball the
+    table holds exactly the G-elements the walk looked up."""
     instance = load_instance(path)
     X = instance.X
     looked_up = set(X._classes)  # construction projected the identity and the generators
@@ -394,7 +403,8 @@ def test_coset_class_table_files_each_class_under_its_least_member(path):
     X.project_all = recording
     table = ball(X, instance.x_generators, X.unit, 6)
     assert set(X._classes) == looked_up
-    assert all(cls == coset_project_oracle(X, g) for g, cls in X._classes.items())
+    assert all(X.canonical(cls) == coset_project_oracle(X, g) for g, cls in X._classes.items())
+    assert all(cls == min(a.apply(g) for a in X.auts) for g, cls in X._classes.items())
     assert set(X._classes.values()) == returned
     assert len(returned) == table.ball_sizes[-1]
 
@@ -408,7 +418,46 @@ def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(path):
     power_table(X, gens[-1], 6)
     assert len(X._classes) > len(gens)
     for g, cls in X._classes.items():
-        assert cls == coset_project_oracle(X, g), g
+        assert cls == min(a.apply(g) for a in X.auts), g
+        assert X.canonical(cls) == coset_project_oracle(X, g), g
+
+
+EVERY_INSTANCE = sorted(p.stem for p in [*(ROOT / "configs").glob("*.json"),
+                                         *(ROOT / "tests" / "instances").glob("*.json")])
+
+
+def key_oracle(X):
+    """g -> its class as the pair (canonical key, least member by key): the
+    orbit-minimum-by-key projection, kept as the oracle of the native
+    classes.  On a builtin group an element is its own class."""
+    if isinstance(X, CosetGroup):
+        return functools.partial(coset_project_oracle, X)
+    if isinstance(X, DoubleCosetGroup):
+        return functools.partial(double_coset_project_oracle, X)
+    return lambda x: x
+
+
+@pytest.mark.parametrize("name", EVERY_INSTANCE)
+def test_walks_agree_with_the_key_oracle_on_every_class_met(every_instance, name):
+    """Every class a ball, a dynamic or a power table meets has the oracle's
+    canonical form, and two G-elements share a class exactly when they
+    share an oracle class."""
+    instance = every_instance[name]
+    X, gens = instance.X, instance.x_generators
+    oracle = key_oracle(X)
+    met = set(itertools.chain.from_iterable(ball(X, gens, X.unit, 4).sphere_sets))
+    for z in dict.fromkeys([gens[0], gens[-1]]):
+        met.update(itertools.chain.from_iterable(iterate_dynamic(X, z, gens[-1], 6).supports))
+        met.update(itertools.chain.from_iterable(power_table(X, z, 6).set_powers))
+    assert len(met) > 1
+    for c in met:
+        assert X.canonical(c) == oracle(c), (name, c)
+    if isinstance(X, mvalued.OrbitGroup):
+        pairs = {(cls, oracle(g)) for g, cls in X._classes.items()}
+        classes, oracle_classes = zip(*pairs)
+        # the pairs are a bijection: no class spans two oracle classes, nor the converse
+        assert len(pairs) == len(set(classes)) == len(set(oracle_classes)), name
+        assert met <= set(classes)
 
 
 def test_coset_balls_make_no_automorphism_apply_call(monkeypatch):
@@ -470,7 +519,8 @@ def test_finite_coset_project_is_a_lookup():
     carrier = X.carrier()
     # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
     assert len(carrier) == 14
-    assert carrier == sorted({coset_project_oracle(X, g) for g in backend.elements()})
+    assert list(map(X.canonical, carrier)) == sorted(
+        {coset_project_oracle(X, g) for g in backend.elements()})
 
 
 # Fibonacci groups F(2, m) = <x_0, ..., x_{m-1} | x_i x_{i+1} = x_{i+2}>, by
@@ -508,9 +558,10 @@ def test_double_coset_rejects_infinite_backend():
 def test_class_elements_order_and_hash():
     X = z_pm1()
     a, b = X.project((2,)), X.project((-2,))
-    assert a == b and hash(a) == hash(b)
-    assert a == (X.backend.canonical_key((2,)), (2,))  # (key, least member)
-    assert X.project((1,)) < X.project((2,))  # key order: 1 before 2
+    assert a == b == (-2,) and hash(a) == hash(b)  # the native least member
+    assert X.canonical(a) == (X.backend.canonical_key((2,)), (2,))  # (key, least by key)
+    assert X.canonical(X.project((1,))) < X.canonical(X.project((2,)))  # key order: 1 before 2
+    assert X.project((2,)) < X.project((1,))  # native order: (-2,) before (-1,)
     assert len({X.project((k,)) for k in (-3, 3, -3)}) == 1
 
 
@@ -635,10 +686,11 @@ def test_check_axioms_twists_each_right_factor_once():
     twists = []
     auts = record_forwards(s4_transposition_auts(), twists)
     X = CosetGroup(auts.backend, auts)
+    carrier = X.carrier()  # sorting it forms each class's orbit for its key
     twists.clear()
     counting = CountingMv(X)
-    assert check_axioms(counting, X.carrier()).all_ok
-    rights = {y[1] for _, y in counting.calls}
+    assert check_axioms(counting, carrier).all_ok
+    rights = {y for _, y in counting.calls}
     assert Counter(twists) == Counter(itertools.product(X.auts, rights))
 
 
