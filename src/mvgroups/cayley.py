@@ -35,7 +35,7 @@ import itertools
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
-from .groups import DEFAULT_BUDGET, GrowthTable, layers
+from .groups import DEFAULT_BUDGET, GrowthTable, growth_table, layers
 from .mvalued import MvGroup
 
 
@@ -62,10 +62,7 @@ def ball(X: MvGroup, gens: Sequence[Any], x, radius: int, budget: int = DEFAULT_
         raise ValidationError("ball BFS needs a nonempty generating set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    spheres = layers([x], X.step(gens), budget, on_layer)
-    sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
-    ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
-    return GrowthTable(x, radius, sphere_sets, ball_sizes)
+    return growth_table(x, radius, layers([x], X.step(gens), budget, on_layer))
 
 
 def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 64,

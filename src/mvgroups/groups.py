@@ -134,6 +134,12 @@ class GrowthTable(NamedTuple):
         return [len(s) for s in self.sphere_sets]
 
 
+def growth_table(center, radius: int, spheres: Iterable[Iterable[Any]]) -> GrowthTable:
+    """The first radius + 1 of a walk's spheres from `center`, with the ball sizes."""
+    sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
+    return GrowthTable(center, radius, sphere_sets, [*itertools.accumulate(map(len, sphere_sets))])
+
+
 class GroupBackend:
     """Base class for group backends.  Subclasses set `kind` and `gen_names`."""
 
@@ -1013,7 +1019,5 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    spheres = layers([backend.identity], lambda layer: backend.products(layer, gens), budget)
-    sphere_sets = list(map(tuple, itertools.islice(spheres, radius + 1)))
-    ball_sizes = list(itertools.accumulate(len(s) for s in sphere_sets))
-    return GrowthTable(backend.identity, radius, sphere_sets, ball_sizes)
+    return growth_table(backend.identity, radius, layers(
+        [backend.identity], lambda layer: backend.products(layer, gens), budget))

@@ -124,7 +124,7 @@ class InstanceConfig(NamedTuple):
 
     `backend` is None for the builtin-nat kinds, whose elements are ints.
     The automorphisms are not yet verified; `subgroup` and `x_generators`
-    hold the elements of the config words, `x_words` the words themselves.
+    hold the elements of the config words.
     """
 
     schema: int
@@ -132,7 +132,6 @@ class InstanceConfig(NamedTuple):
     backend: Optional[GroupBackend]
     automorphisms: List[Automorphism]
     subgroup: List[Any]
-    x_words: List[Word]
     x_generators: List[Any]
     default_radius: int
     default_budget: int
@@ -232,9 +231,8 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     if mv_kind == "coset" and not automorphisms:
         raise SchemaError("coset requires at least one automorphism seed", "automorphisms")
 
-    x_words = [_word(w, f"X_generators[{i}]")
-               for i, w in enumerate(_list(document.get("X_generators", []), "X_generators"))]
-    x_generators = [_value(backend, w, f"X_generators[{i}]") for i, w in enumerate(x_words)]
+    x_generators = [_value(backend, _word(w, f"X_generators[{i}]"), f"X_generators[{i}]")
+                    for i, w in enumerate(_list(document.get("X_generators", []), "X_generators"))]
 
     defaults = document.get("defaults", {})
     if not isinstance(defaults, dict):
@@ -243,8 +241,8 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
     radius = _int(defaults.get("radius", 8), "defaults.radius")
     budget = _int(defaults.get("budget", 10**6), "defaults.budget", 1)
 
-    return InstanceConfig(1, mv_kind, backend, automorphisms, subgroup, x_words,
-                          x_generators, radius, budget)
+    return InstanceConfig(1, mv_kind, backend, automorphisms, subgroup, x_generators,
+                          radius, budget)
 
 
 def _int(value: Any, path: str, low: int = 0, high: Optional[int] = None) -> int:

@@ -8,19 +8,13 @@ so they survive pytest's capture in the logged output.
 import itertools
 import time
 
-import pytest
-
-from mvgroups.cayley import ball, compare_generating_sets, power_table
-from mvgroups.dynamics import (
-    bounds_check,
-    classify_growth,
-    iterate_dynamic,
-    quadratic_bound_check,
-)
+from mvgroups.cayley import ball, compare_generating_sets
+from mvgroups.dynamics import bounds_check, iterate_dynamic, quadratic_bound_check
 from mvgroups.groups import monoid_balls, orbit
-from mvgroups.multiset import flatten
 from mvgroups.mvalued import NatGroup, check_axioms
 from mvgroups.verify import example32, example46, lemma47, proof34, thm43
+
+from oracles import word_ball, word_product
 
 
 def verdict(capsys, num, ok, started, limit, detail):
@@ -154,14 +148,6 @@ def test_criterion_10_growth_equivalence(instances, capsys):
             "|B(0, r//6)| <= |B'(5, r)| <= |B(0, 6r)| for r <= 30 with l = 6")
 
 
-def multiset_word_product(X, x, word):
-    """Fully expanded multiset of x * s1 * ... * sk (n^k entries)."""
-    out = (x,)
-    for s in word:
-        out = flatten(X.mul(u, s) for u in out)
-    return out
-
-
 def test_criterion_11_bfs_vs_multiset_oracle(instances, capsys):
     t0 = time.perf_counter()
     ok = True
@@ -174,17 +160,13 @@ def test_criterion_11_bfs_vs_multiset_oracle(instances, capsys):
         for x in starts:
             # balls: BFS union equals the union of expanded word products
             table = ball(X, gens, x, 4)
-            expanded = {x}
-            for r in range(1, 5):
-                for word in itertools.product(gens, repeat=r):
-                    expanded |= set(multiset_word_product(X, x, word))
-            if set(itertools.chain.from_iterable(table.sphere_sets)) != expanded:
+            if set(itertools.chain.from_iterable(table.sphere_sets)) != word_ball(X, gens, x, 4):
                 ok = False
             # dynamics: per-step supports equal expanded power supports
             for z in gens:
                 dyn = iterate_dynamic(X, z, x, 4)
                 for r in range(5):
-                    full = multiset_word_product(X, x, [z] * r)
+                    full = word_product(X, x, [z] * r)
                     if set(dyn.supports[r]) != set(full):
                         ok = False
     verdict(capsys, 11, ok, t0, 10,

@@ -13,8 +13,9 @@ from mvgroups.cayley import (
     power_table,
     set_product,
 )
-from mvgroups.multiset import flatten
 from mvgroups.mvalued import NatGroup
+
+from oracles import word_ball, word_product
 
 
 NAT = NatGroup()
@@ -77,24 +78,11 @@ def test_ball_rejects_empty_generating_set():
         ball(NAT, [], 0, 3)
 
 
-def multiset_ball_oracle(X, gens, x, radius):
-    """Independent oracle: union of supports of all products of <= r
-    generators applied on the right of x, expanded word by word."""
-    reached = {x}
-    for r in range(1, radius + 1):
-        for word in itertools.product(gens, repeat=r):
-            supports = {x}
-            for s in word:
-                supports = {v for u in supports for v in X.mul(u, s)}
-            reached |= supports
-    return reached
-
-
 def test_ball_matches_word_expansion_oracle():
     for gens in ([1], [1, 2], [2]):
         for x in (0, 1, 3):
             table = ball(NAT, gens, x, 4)
-            assert ball_elements(table) == multiset_ball_oracle(NAT, gens, x, 4)
+            assert ball_elements(table) == word_ball(NAT, gens, x, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +154,11 @@ def test_power_table_of_unit():
 
 
 def test_power_table_matches_full_multiset_expansion():
-    # oracle: expand x^{*r} as a genuine multiset by repeated flattening
-    def multiset_power(X, x, r):
-        out = (x,)
-        for _ in range(r - 1):
-            out = flatten(X.mul(u, x) for u in out)
-        return out
-
+    # x^{*r} = x * x * ... * x, expanded as a genuine multiset
     for x in (1, 2, 3):
         table = power_table(NAT, x, 5)
         for r in range(1, 6):
-            full = multiset_power(NAT, x, r)
+            full = word_product(NAT, x, [x] * (r - 1))
             assert len(full) == NAT.n ** (r - 1)
             assert set(table.set_powers[r]) == set(full)
 

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from mvgroups.cli import run
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
-CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+from oracles import PATHS, SHIPPED
+
+CONFIGS = {name: json.loads(PATHS[name].read_text()) for name in SHIPPED}
 COMMANDS = (["axioms", "--sample", "3", "--budget", "2000"],
             ["growth", "--radius", "2", "--budget", "2000"],
             ["verify", "--suite", "example46", "--radius", "5", "--budget", "2000"])

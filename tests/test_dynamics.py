@@ -18,6 +18,8 @@ from mvgroups.dynamics import (
 from mvgroups.groups import PermutationGroup, monoid_balls
 from mvgroups.mvalued import DoubleCosetGroup, NatGroup
 
+from oracles import in_order, sorted_supports
+
 
 NAT = NatGroup()
 
@@ -49,12 +51,8 @@ def test_iterate_budget():
 
 
 def test_iterate_matches_stepwise_set_recursion():
-    z, y = 2, 3
-    table = iterate_dynamic(NAT, z, y, 8)
-    current = {y}
-    for r in range(1, 9):
-        current = {v for u in current for v in NAT.mul(u, z)}
-        assert set(table.supports[r]) == current
+    table = iterate_dynamic(NAT, 2, 3, 8)
+    assert in_order(table.supports) == sorted_supports(NAT, 2, 3, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,6 @@
 import itertools
-import json
 import operator
-import pathlib
 import random
-import struct
 from collections import Counter
 
 import pytest
@@ -35,6 +32,10 @@ from mvgroups.groups import (
 from mvgroups.keys import int_key
 from mvgroups.mvalued import CosetGroup
 from mvgroups.wordspec import build_instance, parse_config
+
+from oracles import (COSET, PATHS, ROOT, byte_int_key, byte_key, byte_seq_key, compose,
+                     flat_key, inverse_seed, linear_map, oracle_closure, scalar_products,
+                     two_sided_closure)
 
 
 def random_element(backend, rng, steps=6):
@@ -112,8 +113,7 @@ def test_batch_hooks_match_the_scalar_loops(backend):
         gs += [huge_element(backend, rng) for _ in range(10)]
         hs.append(huge_element(backend, rng))
     for left, right in ((gs, hs), (gs, []), ([], hs), ([], []), (gs[:1], hs[:1])):
-        products = backend.products(left, right)
-        assert products == [backend.mul(g, h) for g in left for h in right]
+        assert backend.products(left, right) == scalar_products(backend, left, right)
     for g, h in itertools.product(gs, hs):
         assert backend.products([g], [h]) == [backend.mul(g, h)]
 
@@ -152,8 +152,7 @@ def test_free_group_seams_match_the_scalar_loops_and_free_reduction(case):
     f = FreeGroup(3)
     gs, hs = FREE_SEAMS[case]
     expected = [free_reduced(g, h) for g in gs for h in hs]
-    assert [f.mul(g, h) for g in gs for h in hs] == expected
-    assert GroupBackend.products(f, gs, hs) == expected
+    assert scalar_products(f, gs, hs) == GroupBackend.products(f, gs, hs) == expected
     assert f.products(gs, hs) == expected
     assert f.products(gs, []) == f.products([], hs) == f.products([], []) == []
     for g, h in itertools.product(gs, hs):
@@ -421,28 +420,6 @@ def test_semidirect_embeds_base_group():
 # canonical order: the byte keys the order was first defined by are the oracle
 
 
-def byte_int_key(x):
-    n = (abs(x).bit_length() + 7) // 8
-    return struct.pack(">I", n) + abs(x).to_bytes(n, "big") + (b"\x01" if x < 0 else b"\x00")
-
-
-def byte_seq_key(parts):
-    parts = list(parts)
-    return struct.pack(">I", len(parts)) + b"".join(parts)
-
-
-def byte_key(backend, g):
-    if backend.kind == "free":
-        return byte_seq_key(byte_seq_key((byte_int_key(i), byte_int_key(e))) for i, e in g)
-    if backend.kind in ("cyclic", "finite_table"):
-        return byte_int_key(g)
-    if backend.kind == "direct_product":
-        return byte_seq_key(byte_key(b, a) for b, a in zip(backend.factors, g))
-    if backend.kind == "semidirect":
-        return byte_seq_key((byte_key(backend.group, g[0]), byte_int_key(g[1])))
-    return byte_seq_key(map(byte_int_key, g))
-
-
 def assert_same_order(items, key, oracle):
     """key orders `items` exactly as the oracle does, equal keys included."""
     for a in items:
@@ -632,9 +609,6 @@ def test_lights_test_on_the_generators_agrees_with_brute_force(order):
 # compiled automorphisms against evaluating the images along a word: the
 # backend's factor on infinite kinds, BFS words on finite ones
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-SHIPPED_COSETS = sorted(p.stem for p in (ROOT / "configs").glob("*.json")
-                        if json.loads(p.read_text())["mv"]["kind"] == "coset")
 # the n >= 3 coset instances in tests/instances/, with |A|
 N3_ORDERS = {"f3_shift": 3, "z2_dihedral": 8, "z3_shift": 3,
              "fibonacci5_z11": 5, "fibonacci4_z5": 4, "fibonacci3_q8": 3}
@@ -710,7 +684,7 @@ def assert_compiled_matches_oracle(backend, auts):
             assert a.apply(g) == backend.evaluate(word, a.images), (a.name, g)
 
 
-@pytest.mark.parametrize("name", SHIPPED_COSETS + N3_INSTANCES)
+@pytest.mark.parametrize("name", COSET)
 def test_compiled_automorphisms_match_oracle(every_instance, name):
     auts = every_instance[name].auts
     if name in N3_INSTANCES:
@@ -937,23 +911,6 @@ def test_edge_walk_makes_two_products_per_edge(make):
         assert backend.muls == 2 * edges, label
 
 
-def two_sided_closure(backend, gens):
-    """The subgroup `gens` generate, by BFS over them and their inverses:
-    the oracle for the finite closure, which steps by `gens` alone."""
-    steps = [*gens, *map(backend.inv, gens)]
-    seen, frontier = {backend.identity}, [backend.identity]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for t in steps:
-                h = backend.mul(g, t)
-                if h not in seen:
-                    seen.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    return seen
-
-
 def s5(cls=PermutationGroup):
     """Sym(5) with t = (1 2) and c = (1 2 3 4 5), as the bench builds it."""
     return cls(5, ["t", "c"], [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
@@ -1129,21 +1086,7 @@ def test_direct_product_automorphisms_compile_factor_by_factor():
 # automorphism groups: tables read off generator images, closure by the seeds
 
 
-def compose(a, b):
-    """a after b, compiled from its generator images: the oracle for the
-    composition tables and the closure."""
-    images = [a.apply(img) for img in b.images]
-    composite = Automorphism(a.backend, f"{a.name}*{b.name}", images, None)
-    composite.forward = a.backend.homomorphism(images)
-    return composite
-
-
-def inverse_seed(a):
-    """The verified automorphism whose images are a's inverse images."""
-    return Automorphism(a.backend, f"{a.name}^-1", a.inverse_images, a.images).verify()
-
-
-TABLE_CASES = SHIPPED_COSETS + N3_INSTANCES + [f"compiled{i}" for i in range(6)]
+TABLE_CASES = COSET + [f"compiled{i}" for i in range(6)]
 COMPILED_SEED_SLICES = [slice(0, 1), slice(1, 2), slice(2, 4), slice(4, 5), slice(5, 6),
                         slice(6, 7)]
 
@@ -1156,19 +1099,6 @@ def table_case(every_instance, name):
         return close_automorphisms(seeds), seeds
     instance = every_instance[name]
     return instance.auts, instance.config.automorphisms
-
-
-def oracle_closure(seeds):
-    """Signatures of the closure stepping by the seeds and their verified
-    inverse seeds, by composing compiled automorphisms."""
-    steps = [*seeds, *map(inverse_seed, seeds)]
-    found = {identity_automorphism(seeds[0].backend), *steps}
-    frontier = list(found)
-    while frontier:
-        fresh = {compose(a, s) for a in frontier for s in steps} - found
-        found |= fresh
-        frontier = list(fresh)
-    return {a.signature for a in found}
 
 
 @pytest.mark.parametrize("name", TABLE_CASES)
@@ -1241,14 +1171,12 @@ def coset_document(name, monkeypatch):
         import workloads
 
         return workloads.coset_config(5, tuple(range(5)))
-    shipped = ROOT / "configs" / f"{name}.json"
-    return shipped if shipped.is_file() else ROOT / "tests" / "instances" / f"{name}.json"
+    return PATHS[name]
 
 
-@pytest.mark.parametrize("name", SHIPPED_COSETS + N3_INSTANCES + ["s5_coset"])
+@pytest.mark.parametrize("name", COSET + ["s5_coset"])
 def test_each_distinct_automorphism_is_compiled_once(every_instance, monkeypatch, name):
-    assert {n for n, i in every_instance.items() if i.auts is not None} == {
-        *SHIPPED_COSETS, *N3_INSTANCES}
+    assert {n for n, i in every_instance.items() if i.auts is not None} == set(COSET)
     config = parse_config(coset_document(name, monkeypatch))
     instance, compiled = compiles_while_building(config)
     auts, seeds = instance.auts, config.automorphisms
@@ -1381,14 +1309,6 @@ def test_other_images_take_the_reduction_path(images, generator):
     assert str(exc.value) == f"'a': inverse images do not invert on generator {generator}"
 
 
-def flat_key(g):
-    """The free-word key as first written: (length, letter, exponent rank, ...)."""
-    key = [len(g)]
-    for letter, exp in g:
-        key += (letter, int_key(exp))
-    return tuple(key)
-
-
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_free_key_matches_the_flat_key(rank):
     f = FreeGroup(rank)
@@ -1420,11 +1340,6 @@ def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # free abelian groups: signed permutations of the basis compile to index maps
-
-
-def linear_map(images, g):
-    """sum_i g[i] * images[i]: the image of g under the linear map."""
-    return tuple(sum(c * image[j] for c, image in zip(g, images)) for j in range(len(g)))
 
 
 def random_vectors(rank, rng, count=200):

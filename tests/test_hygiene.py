@@ -1,26 +1,34 @@
 """Source hygiene: every name a module imports is used in that module,
 every import is a top-level statement of its module, every function or
-method the package defines is referenced outside its own definition,
-importing the CLI loads neither `dataclasses` nor `inspect`, building an
-instance loads no analysis or CLI module, every
-verification suite takes only (instance, r_max, budget), no subclass of
-a base with one constructor (`OrbitGroup`, `_IntVectors`) sets what that
-constructor sets, and only the output edge forms canonical keys."""
+method the package or ``tests/oracles.py`` defines is referenced outside
+its own definition, every row of the oracle table is bound to one test,
+every class that defines a kernel is run by a row, importing the CLI loads
+neither `dataclasses` nor `inspect`, building an instance loads no
+analysis or CLI module, every verification suite takes only (instance,
+r_max, budget), no subclass of a base with one constructor (`OrbitGroup`,
+`_IntVectors`) sets what that constructor sets, and only the output edge
+forms canonical keys."""
 
 import ast
+import importlib
 import inspect
 import itertools
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import mvgroups
 from mvgroups import verify
+
+import oracles
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mvgroups"
+TESTS = ROOT / "tests"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -97,11 +105,43 @@ def test_detector_flags_an_unreferenced_function():
 
 
 def test_every_function_is_referenced():
-    used = {name for path in SRC.glob("*.py")
-            for name in references(ast.parse(path.read_text(encoding="utf-8")))}
-    defined = {name for path in SRC.glob("*.py")
-               for name in defined_functions(ast.parse(path.read_text(encoding="utf-8")))}
-    assert sorted(defined - used) == []
+    """In the package, and in the oracle module, whose functions the test
+    modules may use."""
+    for defining, using in ((SRC.glob("*.py"), SRC.glob("*.py")),
+                            ([TESTS / "oracles.py"], TESTS.glob("*.py"))):
+        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in using}
+        used = {name for tree in trees.values() for name in references(tree)}
+        defined = {name for path in defining for name in defined_functions(
+            trees.get(path) or ast.parse(path.read_text(encoding="utf-8")))}
+        assert sorted(defined - used) == []
+
+
+def test_every_table_row_is_bound_to_one_test():
+    """Each walk is named by one `table_test(...)` call in the test modules."""
+    bound = [arg.value for path in TESTS.glob("test_*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "table_test"
+             for arg in node.args]
+    assert sorted(bound) == sorted(oracles.ROW)
+
+
+KERNELS = ("products", "step", "project_all")
+
+
+def test_every_kernel_runs_in_a_table_row(every_instance):
+    """Each class of the package that defines a kernel in its own body is
+    the class a row's group (or a direct product's factor) takes it from."""
+    modules = [importlib.import_module(f"mvgroups.{m.name}")
+               for m in pkgutil.iter_modules(mvgroups.__path__)]
+    kernels = {(cls, kernel) for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               for kernel in KERNELS if kernel in vars(cls)}
+    run = {(next(c for c in type(part).__mro__ if kernel in vars(c)), kernel)
+           for row in oracles.ROWS for name in filter(row.applies, oracles.EVERY_INSTANCE)
+           for case in row.cases(every_instance[name])
+           for part in (case[0], *getattr(case[0], "factors", ()))
+           for kernel in KERNELS if hasattr(part, kernel)}
+    assert sorted(f"{cls.__name__}.{kernel}" for cls, kernel in kernels - run) == []
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

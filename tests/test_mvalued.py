@@ -1,8 +1,5 @@
-import functools
 import gc
 import itertools
-import json
-import pathlib
 import random
 import weakref
 from collections import Counter
@@ -24,7 +21,6 @@ from mvgroups.groups import (
     monoid_balls,
 )
 from mvgroups.mvalued import (
-    AxiomReport,
     CosetGroup,
     DoubleCosetGroup,
     MutatedNatGroup,
@@ -33,19 +29,11 @@ from mvgroups.mvalued import (
     check_axioms,
 )
 from mvgroups.multiset import flatten
-from mvgroups.verify import sample_elements
 
-
-def triple_product_left(X, x, y, z):
-    """The n^2-multiset [x*(y*z)_1, ..., x*(y*z)_n], flattened, every
-    product recomputed: the slow-path oracle of check_axioms."""
-    return flatten(X.mul(x, w) for w in X.mul(y, z))
-
-
-def triple_product_right(X, x, y, z):
-    """The n^2-multiset [(x*y)_1*z, ..., (x*y)_n*z], flattened, every
-    product recomputed: the slow-path oracle of check_axioms."""
-    return flatten(X.mul(w, z) for w in X.mul(x, y))
+from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, PATHS, brute_double_cosets,
+                     class_forms, cli_sample, key_class, oracle_class_forms,
+                     reference_check_axioms, table_test, triple_product_left,
+                     triple_product_right)
 
 
 def assert_canonical(X, product):
@@ -84,13 +72,14 @@ def test_nat_axioms_hold_on_initial_segment():
 
 def test_mutated_nat_fails_unit_and_inverse():
     X = MutatedNatGroup()
-    report = check_axioms(X, range(5))
-    # the mutation keeps associativity (both triple products are
-    # {s:1, s+1:2, s+2:1} for s = x+y+z) but destroys the unit and inverse
-    assert report.associativity_ok
-    assert not report.unit_ok and report.unit_witness == 0
-    assert not report.inverse_ok and report.inverse_witness == 1
-    assert not report.all_ok
+    # range(11) is the sample `mvgroups axioms` checks by default
+    for report in (check_axioms(X, range(5)), check_axioms(X, range(11))):
+        # the mutation keeps associativity (both triple products are
+        # {s:1, s+1:2, s+2:1} for s = x+y+z) but destroys the unit and inverse
+        assert report.associativity_ok
+        assert not report.unit_ok and report.unit_witness == 0
+        assert not report.inverse_ok and report.inverse_witness == 1
+        assert not report.all_ok
 
 
 class _BrokenAt(NatGroup):
@@ -214,31 +203,6 @@ def s3_backend():
     return PermutationGroup(3, ["t", "c"], [[1, 0, 2], [1, 2, 0]])
 
 
-def brute_double_cosets(subgroup):
-    """Independent oracle: partition S3 tuples into H g H classes."""
-    def mul(g, h):
-        return tuple(h[g[i]] for i in range(3))
-
-    classes = {}
-    for g in itertools.permutations(range(3)):
-        cls = frozenset(mul(mul(h1, g), h2) for h1 in subgroup for h2 in subgroup)
-        classes[cls] = None
-    return set(classes)
-
-
-def double_coset_project_oracle(X, g):
-    """The class of g from its |H|^2 products h1*g*h2."""
-    backend = X.backend
-    return min((backend.canonical_key(p), p) for p in
-               (backend.mul(backend.mul(h1, g), h2) for h1 in X.subgroup for h2 in X.subgroup))
-
-
-def coset_project_oracle(X, g):
-    """The class of g as the least (key, member) over its A-orbit."""
-    key = X.backend.canonical_key
-    return min((key(h), h) for h in (a.apply(g) for a in X.auts))
-
-
 def test_double_coset_s3_transposition_subgroup(instances):
     X = instances["s3_doublecoset"].X
     assert X.n == 2
@@ -250,44 +214,7 @@ def test_double_coset_s3_transposition_subgroup(instances):
             assert len(reps & cls) == 1  # exactly one representative per class
 
 
-def test_double_coset_products_match_oracle(instances):
-    X = instances["s3_doublecoset"].X
-    backend = X.backend
-    for x in X.carrier():
-        for y in X.carrier():
-            expected = sorted(
-                double_coset_project_oracle(X, backend.mul(backend.mul(x, h), y))
-                for h in X.subgroup)
-            product = X.mul(x, y)
-            assert_canonical(X, product)
-            assert sorted(map(X.canonical, product)) == expected
-
-
-@pytest.mark.parametrize("name", ["free2_swap", "heis_swap", "z2_swap",
-                                  "f3_shift", "z2_dihedral", "z3_shift"])
-def test_coset_products_match_oracle(every_instance, name):
-    X = every_instance[name].X
-    backend = X.backend
-    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
-    steps = gens + [backend.inv(g) for g in gens]
-
-    def project_oracle(g):
-        return sorted({a.apply(g) for a in X.auts}, key=backend.canonical_key)[0]
-
-    def random_element():
-        g = backend.identity
-        for _ in range(rng.randint(0, 6)):
-            g = backend.mul(g, rng.choice(steps))
-        return g
-
-    rng = random.Random(7)
-    for _ in range(100):
-        x, y = project_oracle(random_element()), project_oracle(random_element())
-        expected = sorted((project_oracle(backend.mul(x, a.apply(y))) for a in X.auts),
-                          key=backend.canonical_key)
-        product = X.mul(X.project(x), X.project(y))
-        assert_canonical(X, product)
-        assert [X.canonical(e)[1] for e in sorted(product, key=X.canonical)] == expected
+test_coset_products_match_oracle = table_test("mul")
 
 
 def test_double_coset_axioms_full_carrier(instances):
@@ -325,10 +252,13 @@ def test_double_coset_partition_matches_project_oracle(name):
     X = DOUBLE_COSETS[name]()
     elements = list(X.backend.elements())
     for g in elements:
-        assert X.canonical(X.project(g)) == double_coset_project_oracle(X, g), g
+        assert X.canonical(X.project(g)) == key_class(X, g), g
     # one class per oracle class: the canonical forms of the carrier repeat nothing
     assert list(map(X.canonical, X.carrier())) == sorted(
-        {double_coset_project_oracle(X, g) for g in elements})
+        {key_class(X, g) for g in elements})
+    assert check_axioms(X, X.carrier()) == reference_check_axioms(X, X.carrier())
+    if name == "s5_by_s3":
+        assert (X.n, len(X.carrier())) == (6, 7)
 
 
 def test_double_coset_project_makes_no_backend_mul_calls():
@@ -351,16 +281,9 @@ def test_double_coset_project_makes_no_backend_mul_calls():
 # ---------------------------------------------------------------------------
 # the coset class table against the orbit-min oracle
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-COSET_PATHS = sorted(p for p in [*(ROOT / "configs").glob("*.json"),
-                                 *(ROOT / "tests" / "instances").glob("*.json")]
-                     if json.loads(p.read_text())["mv"]["kind"] == "coset")
-INFINITE_COSET_PATHS = [p for p in COSET_PATHS if not load_instance(p).backend.is_finite()]
-
-
-@pytest.mark.parametrize("path", COSET_PATHS, ids=lambda p: p.stem)
-def test_coset_project_matches_orbit_min_oracle(path):
-    X = load_instance(path).X  # fresh, so its class table is this test's own
+@pytest.mark.parametrize("name", COSET)
+def test_coset_project_matches_orbit_min_oracle(name):
+    X = load_instance(PATHS[name]).X  # fresh, so its class table is this test's own
     backend = X.backend
     if backend.is_finite():
         elements = list(backend.elements())
@@ -370,7 +293,7 @@ def test_coset_project_matches_orbit_min_oracle(path):
         elements = [a.apply(g) for g in itertools.chain.from_iterable(monoid.sphere_sets)
                     for a in X.auts]
     for g in elements:
-        expected = coset_project_oracle(X, g)
+        expected = key_class(X, g)
         cls = X.project(g)  # a miss on infinite G unless seen before
         assert cls == min(a.apply(g) for a in X.auts), g  # the native orbit minimum
         assert X.canonical(cls) == expected, g
@@ -380,15 +303,15 @@ def test_coset_project_matches_orbit_min_oracle(path):
         assert X._classes[expected[1]] == cls, g
     if backend.is_finite():
         assert list(map(X.canonical, X.carrier())) == sorted(
-            {coset_project_oracle(X, g) for g in elements})
+            {key_class(X, g) for g in elements})
 
 
-@pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
-def test_coset_class_table_files_each_class_under_its_least_member(path):
+@pytest.mark.parametrize("name", INFINITE_COSET)
+def test_coset_class_table_files_each_class_under_its_least_member(name):
     """Each class is its least member under native order, filed under
     every G-element a lookup missed and under no other: after a ball the
     table holds exactly the G-elements the walk looked up."""
-    instance = load_instance(path)
+    instance = load_instance(PATHS[name])
     X = instance.X
     looked_up = set(X._classes)  # construction projected the identity and the generators
     returned = set(X._classes.values())
@@ -403,61 +326,23 @@ def test_coset_class_table_files_each_class_under_its_least_member(path):
     X.project_all = recording
     table = ball(X, instance.x_generators, X.unit, 6)
     assert set(X._classes) == looked_up
-    assert all(X.canonical(cls) == coset_project_oracle(X, g) for g, cls in X._classes.items())
-    assert all(cls == min(a.apply(g) for a in X.auts) for g, cls in X._classes.items())
+    assert class_forms(X, ()) == oracle_class_forms(X, ())
     assert set(X._classes.values()) == returned
     assert len(returned) == table.ball_sizes[-1]
 
 
-@pytest.mark.parametrize("path", INFINITE_COSET_PATHS, ids=lambda p: p.stem)
-def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(path):
-    instance = load_instance(path)
+@pytest.mark.parametrize("name", INFINITE_COSET)
+def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(name):
+    instance = load_instance(PATHS[name])
     X, gens = instance.X, instance.x_generators
     ball(X, gens, X.unit, 4)
     iterate_dynamic(X, gens[0], gens[-1], 6)
     power_table(X, gens[-1], 6)
     assert len(X._classes) > len(gens)
-    for g, cls in X._classes.items():
-        assert cls == min(a.apply(g) for a in X.auts), g
-        assert X.canonical(cls) == coset_project_oracle(X, g), g
+    assert class_forms(X, ()) == oracle_class_forms(X, ())
 
 
-EVERY_INSTANCE = sorted(p.stem for p in [*(ROOT / "configs").glob("*.json"),
-                                         *(ROOT / "tests" / "instances").glob("*.json")])
-
-
-def key_oracle(X):
-    """g -> its class as the pair (canonical key, least member by key): the
-    orbit-minimum-by-key projection, kept as the oracle of the native
-    classes.  On a builtin group an element is its own class."""
-    if isinstance(X, CosetGroup):
-        return functools.partial(coset_project_oracle, X)
-    if isinstance(X, DoubleCosetGroup):
-        return functools.partial(double_coset_project_oracle, X)
-    return lambda x: x
-
-
-@pytest.mark.parametrize("name", EVERY_INSTANCE)
-def test_walks_agree_with_the_key_oracle_on_every_class_met(every_instance, name):
-    """Every class a ball, a dynamic or a power table meets has the oracle's
-    canonical form, and two G-elements share a class exactly when they
-    share an oracle class."""
-    instance = every_instance[name]
-    X, gens = instance.X, instance.x_generators
-    oracle = key_oracle(X)
-    met = set(itertools.chain.from_iterable(ball(X, gens, X.unit, 4).sphere_sets))
-    for z in dict.fromkeys([gens[0], gens[-1]]):
-        met.update(itertools.chain.from_iterable(iterate_dynamic(X, z, gens[-1], 6).supports))
-        met.update(itertools.chain.from_iterable(power_table(X, z, 6).set_powers))
-    assert len(met) > 1
-    for c in met:
-        assert X.canonical(c) == oracle(c), (name, c)
-    if isinstance(X, mvalued.OrbitGroup):
-        pairs = {(cls, oracle(g)) for g, cls in X._classes.items()}
-        classes, oracle_classes = zip(*pairs)
-        # the pairs are a bijection: no class spans two oracle classes, nor the converse
-        assert len(pairs) == len(set(classes)) == len(set(oracle_classes)), name
-        assert met <= set(classes)
+test_walks_agree_with_the_key_oracle_on_every_class_met = table_test("classes")
 
 
 def test_coset_balls_make_no_automorphism_apply_call(monkeypatch):
@@ -467,12 +352,12 @@ def test_coset_balls_make_no_automorphism_apply_call(monkeypatch):
     apply = Automorphism.apply
     # patched before loading, so a twist bound to `apply` there would count
     monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
-    for path in COSET_PATHS:
-        instance = load_instance(path)
+    for name in COSET:
+        instance = load_instance(PATHS[name])
         applies.clear()  # building the automorphism group applies the seeds
         table = ball(instance.X, instance.x_generators, instance.X.unit, 4)
-        assert table.ball_sizes[-1] > 1, path.stem
-        assert applies == [], path.stem
+        assert table.ball_sizes[-1] > 1, name
+        assert applies == [], name
 
 
 def s4_transposition_auts(cls=PermutationGroup):
@@ -520,7 +405,7 @@ def test_finite_coset_project_is_a_lookup():
     # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
     assert len(carrier) == 14
     assert list(map(X.canonical, carrier)) == sorted(
-        {coset_project_oracle(X, g) for g in backend.elements()})
+        {key_class(X, g) for g in backend.elements()})
 
 
 # Fibonacci groups F(2, m) = <x_0, ..., x_{m-1} | x_i x_{i+1} = x_{i+2}>, by
@@ -568,10 +453,6 @@ def test_class_elements_order_and_hash():
 # ---------------------------------------------------------------------------
 # memoized axiom check against the unmemoized reference loop
 
-TESTS = pathlib.Path(__file__).resolve().parent
-SHIPPED = sorted(p.stem for p in (TESTS.parent / "configs").glob("*.json"))
-
-
 class CountingMv(MvGroup):
     """Wraps an n-valued group and counts mul calls per ordered pair."""
 
@@ -587,39 +468,6 @@ class CountingMv(MvGroup):
         return self.X.inv(x)
 
 
-def reference_check_axioms(X, sample):
-    """The axiom check with every product recomputed through X.mul."""
-    sample = list(sample)
-    if X.unit not in sample:
-        sample = [X.unit] + sample
-    unit_witness = inverse_witness = associativity_witness = None
-    for x in sample:
-        expected = (x,) * X.n
-        if unit_witness is None and (X.mul(X.unit, x) != expected
-                                     or X.mul(x, X.unit) != expected):
-            unit_witness = x
-        xb = X.inv(x)
-        if inverse_witness is None and (X.unit not in X.mul(xb, x)
-                                        or X.unit not in X.mul(x, xb)):
-            inverse_witness = x
-    triples = 0
-    for x, y, z in itertools.product(sample, repeat=3):
-        triples += 1
-        if triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z):
-            associativity_witness = (x, y, z)
-            break
-    return AxiomReport(associativity_witness is None, unit_witness is None,
-                       inverse_witness is None, associativity_witness, unit_witness,
-                       inverse_witness, triples, len(sample))
-
-
-def cli_sample(instance):
-    """The sample `mvgroups axioms` checks by default."""
-    if instance.backend is None:
-        return list(range(11))
-    return sample_elements(instance, limit=10)
-
-
 def test_check_axioms_multiplies_each_pair_once(instances):
     X = instances["s3_conj"].X
     counting = CountingMv(X)
@@ -630,18 +478,7 @@ def test_check_axioms_multiplies_each_pair_once(instances):
     assert report == check_axioms(X, X.carrier())
 
 
-@pytest.mark.parametrize("name", SHIPPED + ["f3_shift", "z2_dihedral", "z3_shift", "s5_by_s3"])
-def test_check_axioms_matches_unmemoized_reference(every_instance, name):
-    if name in DOUBLE_COSETS:
-        X = DOUBLE_COSETS[name]()
-        sample = X.carrier()
-        assert (X.n, len(sample)) == (6, 7)
-    else:
-        X, sample = every_instance[name].X, cli_sample(every_instance[name])
-    report = check_axioms(X, sample)
-    assert report == reference_check_axioms(X, sample)
-    if name == "nat_mutated":
-        assert (report.unit_witness, report.inverse_witness) == (0, 1)
+test_check_axioms_matches_unmemoized_reference = table_test("check_axioms")
 
 
 @pytest.mark.parametrize("name,distinct", [("s3_conj", 24), ("s4_transposition", 560)])
@@ -694,15 +531,14 @@ def test_check_axioms_twists_each_right_factor_once():
     assert Counter(twists) == Counter(itertools.product(X.auts, rights))
 
 
-@pytest.mark.parametrize("path", sorted((TESTS.parent / "configs").glob("*.json"))
-                         + sorted((TESTS / "instances").glob("*.json")), ids=lambda p: p.stem)
-def test_instances_are_freed_without_the_cycle_collector(path):
+@pytest.mark.parametrize("name", EVERY_INSTANCE)
+def test_instances_are_freed_without_the_cycle_collector(name):
     """An instance and its backend die with their last reference: no memo
     or closure may tie either into a reference cycle."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        instance = load_instance(path)
+        instance = load_instance(PATHS[name])
         ball(instance.X, instance.x_generators, instance.X.unit, 3)
         check_axioms(instance.X, cli_sample(instance))
         refs = [weakref.ref(instance.X)]

@@ -1,8 +1,6 @@
 import importlib.util
 import itertools
 import json
-import pathlib
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,8 @@ from mvgroups.wordspec import (
     parse_word,
     render_word,
 )
+
+from oracles import PATHS, ROOT, scanner_parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -84,66 +84,6 @@ def test_render_word():
     max_size=8))
 def test_parse_render_round_trip(word):
     assert parse_word(render_word(tuple(word))) == tuple(word)
-
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def scanner_parse_word(text):
-    """The character scanner parse_word replaced, kept as its oracle."""
-    pos = 0
-    n = len(text)
-    terms = []
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_term():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise WordSyntaxError("expected a term", pos)
-        m = _NAME_RE.match(text, pos)
-        if m:
-            name = m.group()
-            pos = m.end()
-            skip_ws()
-            if name == "e":
-                if pos < n and text[pos] == "^":
-                    raise WordSyntaxError("the identity 'e' takes no exponent", pos)
-                return
-            exp = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                mi = _INT_RE.match(text, pos)
-                if not mi:
-                    raise WordSyntaxError("expected an integer exponent", pos)
-                exp = int(mi.group())
-                pos = mi.end()
-                if exp == 0:
-                    return
-            terms.append((name, exp))
-            return
-        mi = _INT_RE.match(text, pos)
-        if mi and not mi.group().startswith("-"):
-            terms.append((mi.group(), 1))
-            pos = mi.end()
-            return
-        raise WordSyntaxError("expected a term", pos)
-
-    parse_term()
-    skip_ws()
-    while pos < n:
-        if text[pos] != "*":
-            raise WordSyntaxError("expected '*' between terms", pos)
-        pos += 1
-        parse_term()
-        skip_ws()
-    return tuple(terms)
 
 
 def parse_outcome(parse, text):
@@ -462,11 +402,6 @@ def test_instance_element_lookup(instances):
 # ---------------------------------------------------------------------------
 # unknown and unused fields
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-SHIPPED = sorted([*(ROOT / "configs").glob("*.json"),
-                  *(ROOT / "tests" / "instances").glob("*.json")])
-
-
 def objects(doc):
     """(path, object) for the document and every object a config may nest."""
     yield "", doc
@@ -483,14 +418,14 @@ def objects(doc):
                      for i, sub in enumerate(group.get("factors", [])))
 
 
-MISSPELLED = [(p.stem, path) for p in SHIPPED for path, _ in objects(json.loads(p.read_text()))]
+MISSPELLED = [(name, level) for name, path in PATHS.items()
+              for level, _ in objects(json.loads(path.read_text()))]
 
 
 @pytest.mark.parametrize("name,level", MISSPELLED,
                          ids=[f"{name}:{level or 'top'}" for name, level in MISSPELLED])
 def test_misspelled_key_at_every_level_names_its_path(name, level):
-    path = next(p for p in SHIPPED if p.stem == name)
-    doc = json.loads(path.read_text())
+    doc = json.loads(PATHS[name].read_text())
     target = dict(objects(doc))[level]
     target["radus"] = 3
     with pytest.raises(SchemaError) as exc:
@@ -508,5 +443,5 @@ def test_shipped_and_bench_configs_build(tmp_path):
         configs = workloads.build(workload, seed, tmp_path)["configs"]
         generated += [tmp_path / c for c in configs if c.startswith("bench")]
     assert len(generated) == 8
-    for path in [*SHIPPED, *generated]:
+    for path in [*PATHS.values(), *generated]:
         assert load_instance(path).X.n >= 2, path
