@@ -8,7 +8,9 @@ agreement.  A budgeted row's oracle returns the walk's rows, and both paths
 must stop at the same radius at a budget inside the first row that adds two
 or more elements.  ``table_test(*walks)`` is the test of the table: a test
 module binds it to the names of the checks the rows took over, each row
-under one name.  A new kernel adds a row; ``tests/test_hygiene.py`` fails
+under one name, and ``extra`` runs the rows on cases of ids of their own
+(a group built in the test module, proof34's GA of a coset instance).  A
+new kernel adds a row; ``tests/test_hygiene.py`` fails
 on a row bound to no test and on a class defining ``products``, ``step``
 or ``project_all`` that no row runs.
 """
@@ -451,6 +453,12 @@ def semidirect(instance):
             [(s, i) for s in instance.config.x_generators for i in range(auts.order)])
 
 
+def semidirect_balls(name):
+    """The monoid_balls case of proof34's GA of the coset instance `name`,
+    as a function of the instances."""
+    return lambda instances: [(*semidirect(instances[name]), RADIUS)]
+
+
 def product_batches(instance):
     """(backend, gs, hs) on G, and on GA for a coset instance: gs is the
     monoid ball of radius 2 over the generators and their inverses, hs
@@ -565,8 +573,7 @@ ROWS = [
         lambda X, gens, layer: set(X.step(gens)(layer)),
         lambda X, gens, layer: set(generic(X).step(gens)(layer)), equal),
     Row("monoid_balls", coset_group,
-        lambda i: [(i.backend, orbit(i.auts, i.x_generators[0]), RADIUS),
-                   (*semidirect(i), RADIUS)],
+        lambda i: [(i.backend, orbit(i.auts, i.x_generators[0]), RADIUS)],
         monoid_balls, starmap_spheres, same_monoid_spheres, True),
     Row("products", orbit_group, product_batches,
         lambda backend, gs, hs: backend.products(gs, hs), scalar_products, equal),
@@ -594,7 +601,12 @@ def run_row(row, instance):
     """Every case of the row, on a class table of the row's own, at full
     radius and, if it is budgeted, at a budget inside its first row of two
     or more elements."""
-    for case in row.cases(instance._replace(X=fresh(instance.X))):
+    run_cases(row, row.cases(instance._replace(X=fresh(instance.X))))
+
+
+def run_cases(row, cases):
+    """compare(fast, oracle) on each case, and the budget check of run_row."""
+    for case in cases:
         expected = row.oracle(*case)
         row.compare(row.fast(*case), expected)
         inside = row.budgeted and first_budget_inside_a_row_of_two(expected)
@@ -604,14 +616,19 @@ def run_row(row, instance):
             assert exc.value.radius == inside[1]
 
 
-def table_test(*walks):
-    """The test of the named rows, each on every instance it applies to."""
+def table_test(*walks, extra=None):
+    """The test of the named rows, each on every instance it applies to;
+    `extra` maps further case ids to the cases, a function of the
+    instances, that each named row runs under that id."""
     rows = [ROW[walk] for walk in walks]
+    extra = extra or {}
 
     @pytest.mark.parametrize("name", [name for name in EVERY_INSTANCE
-                                      if any(row.applies(name) for row in rows)])
+                                      if any(row.applies(name) for row in rows)] + list(extra))
     def test(every_instance, name):
         for row in rows:
-            if row.applies(name):
+            if name in extra:
+                run_cases(row, extra[name](every_instance))
+            elif row.applies(name):
                 run_row(row, every_instance[name])
     return test

@@ -256,7 +256,6 @@ def test_double_coset_partition_matches_project_oracle(name):
     # one class per oracle class: the canonical forms of the carrier repeat nothing
     assert list(map(X.canonical, X.carrier())) == sorted(
         {key_class(X, g) for g in elements})
-    assert check_axioms(X, X.carrier()) == reference_check_axioms(X, X.carrier())
     if name == "s5_by_s3":
         assert (X.n, len(X.carrier())) == (6, 7)
 
@@ -478,7 +477,9 @@ def test_check_axioms_multiplies_each_pair_once(instances):
     assert report == check_axioms(X, X.carrier())
 
 
-test_check_axioms_matches_unmemoized_reference = table_test("check_axioms")
+test_check_axioms_matches_unmemoized_reference = table_test("check_axioms", extra={
+    name: lambda instances, make=make: [(X, X.carrier()) for X in [make()]]
+    for name, make in DOUBLE_COSETS.items()})
 
 
 @pytest.mark.parametrize("name,distinct", [("s3_conj", 24), ("s4_transposition", 560)])

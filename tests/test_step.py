@@ -25,7 +25,8 @@ from mvgroups.verify import run_suite
 
 import pytest
 from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, class_forms, fresh,
-                     oracle_class_forms, sorted_spheres, sorted_supports, table_test)
+                     oracle_class_forms, semidirect_balls, sorted_spheres, sorted_supports,
+                     table_test)
 
 
 def test_every_orbit_config_is_covered():
@@ -42,7 +43,8 @@ test_balls_and_lengths_match_the_generic_step = table_test("lengths")
 test_dynamics_and_set_products_match_the_generic_step = table_test("set_product")
 test_layer_step_matches_the_generic_step_on_every_layer = table_test("step")
 test_coset_ball_is_the_projected_monoid_ball = table_test("coset_ball")
-test_monoid_balls_match_the_scalar_walk = table_test("monoid_balls")
+test_monoid_balls_match_the_scalar_walk = table_test("monoid_balls", extra={
+    f"{name}-semidirect": semidirect_balls(name) for name in COSET})
 test_semidirect_products_match_the_default_hook = table_test("products")
 test_project_all_matches_project_on_products_with_repeats = table_test("project_all")
 
