@@ -11,9 +11,9 @@ Every walk here (balls, lengths, dynamics supports, set products)
 expands through ``X.step(gens)``, a whole layer at a time.  A coset or
 double-coset group twists its generators once per walk and forms a
 layer's (element, twisted generator) products in one ``products`` batch,
-without building the sorted product.  It projects them in one batch that
-takes one native orbit minimum per distinct G-element its class table
-misses, and files each miss under its class, itself a G-element; Z^k
+without building the sorted product, and projects them in one batch: a
+coset group folds each product's orbit minimum, itself a G-element, and
+files none, a double coset group looks each up in its partition.  Z^k
 forms the products column-wise, a free group concatenates at the seam, and
 a direct product runs each factor's batch on its column.  The budget
 still counts classes.

@@ -145,8 +145,8 @@ def growth_rows(table: GrowthTable) -> List[dict]:
 
 def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict:
     """The rendered element sets under `key` when --emit-elements is given,
-    each sorted into the canonical order: the walks leave them unordered."""
-    return ({key: [[X.render(e) for e in sorted(s, key=X.canonical)] for s in sets]}
+    each sorted by its canonical forms, which then print: walks leave them unordered."""
+    return ({key: [list(map(X.render_form, sorted(map(X.canonical, s)))) for s in sets]}
             if args.emit_elements else {})
 
 

@@ -80,7 +80,7 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     candidate of the next layer, repeats allowed, element by element of the
     layer it is given.  Once a layer is empty every later one is.
     `on_layer`, if given, gets (radius, size, seconds forming it) of each
-    layer as it is completed.
+    layer as it is completed; the clock is read only then.
 
     The budget rule of every enumeration: BudgetExceeded is raised as soon
     as more than `budget` distinct elements have been reached.  Candidates
@@ -88,17 +88,17 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     element over the budget; a batched one, which balls, lengths and
     monoid balls all take, has formed one layer's candidates by then.
     """
-    began = time.perf_counter()
+    began = on_layer and time.perf_counter()
     layer = list(dict.fromkeys(start))
     seen = set(layer)
     if len(seen) > budget:
         raise BudgetExceeded(budget, 0)
     radius = 0
     while True:
-        if on_layer is not None:
+        if on_layer:
             on_layer(radius, len(layer), time.perf_counter() - began)
         yield layer
-        began = time.perf_counter()
+        began = on_layer and time.perf_counter()
         radius += 1
         fresh = []
         for v in expand(layer):

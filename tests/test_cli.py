@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from mvgroups.cli import run
+from mvgroups.mvalued import OrbitGroup
 from mvgroups.verify import SUITES
 
 
@@ -50,6 +52,24 @@ def test_growth_json_with_elements(config_dir, capsys):
     assert record["rows"] == [{"r": 0, "ball": 1, "sphere": 1},
                               {"r": 1, "ball": 3, "sphere": 2}]
     assert record["spheres"] == [["3"], ["2", "4"]]
+
+
+def test_emit_elements_forms_each_printed_canonical_pair_once(config_dir, capsys, monkeypatch):
+    """`growth z2_swap --radius 80 --emit-elements` forms one canonical pair
+    per printed class, 6,521, and one for the centre: the sort's pair is
+    the one printed (the sort and the render each formed one, 13,043 in
+    all, for the same bytes)."""
+    calls = []
+    canonical = OrbitGroup.canonical
+    monkeypatch.setattr(OrbitGroup, "canonical", lambda X, x: calls.append(x) or canonical(X, x))
+    code, out, _ = invoke(capsys, ["growth", "-c", cfg(config_dir, "z2_swap"), "--radius", "80",
+                                   "--format", "json", "--emit-elements"])
+    assert code == 0
+    record = json.loads(out)
+    assert sum(map(len, record["spheres"])) == record["rows"][-1]["ball"] == 6521
+    assert len(calls) == 6521 + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b119da961f065ff217d6db4f9c8c572114ab5efeb9ca00d8723328542c1fb558")
 
 
 def test_growth_stats_reports_every_layer_and_leaves_stdout_alone(config_dir, capsys):

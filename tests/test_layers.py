@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from mvgroups import load_instance
+from mvgroups import groups, load_instance
 from mvgroups.cayley import ball, length, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
@@ -62,6 +62,18 @@ def test_on_layer_reports_each_completed_layer_before_it_is_yielded():
     with pytest.raises(BudgetExceeded):  # the fifth element, 4, overruns the budget
         next(walk)
     assert reports == [(0, 1), (1, 2)]
+
+
+def test_layers_read_the_clock_only_for_on_layer(monkeypatch):
+    reads = []
+    perf_counter = groups.time.perf_counter
+    monkeypatch.setattr(groups.time, "perf_counter", lambda: reads.append(1) or perf_counter())
+    assert list(itertools.islice(layers([0], z6_steps), 7))[-1] == []
+    assert reads == []
+    seconds = []
+    list(itertools.islice(layers([0], z6_steps, on_layer=lambda *report: seconds.append(
+        report[2])), 7))
+    assert len(reads) == 2 * 7 and min(seconds) >= 0  # each layer's start and end
 
 
 def test_budget_raise_comes_after_at_most_one_layer_of_candidates():

@@ -307,37 +307,35 @@ def test_coset_project_matches_orbit_min_oracle(name):
 
 @pytest.mark.parametrize("name", INFINITE_COSET)
 def test_coset_class_table_files_each_class_under_its_least_member(name):
-    """Each class is its least member under native order, filed under
-    every G-element a lookup missed and under no other: after a ball the
-    table holds exactly the G-elements the walk looked up."""
-    instance = load_instance(PATHS[name])
+    """The scalar project files each class, its least member under native
+    order, under every G-element it missed and under no other; the
+    project_all batches of a ball file nothing."""
+    instance = load_instance(PATHS[name])  # a class table of its own
     X = instance.X
-    looked_up = set(X._classes)  # construction projected the identity and the generators
-    returned = set(X._classes.values())
+    filed = dict(X._classes)  # construction projected the identity and the generators
+    looked_up = list(filed)
     project_all = X.project_all
-
-    def recording(gs):
-        looked_up.update(gs)
-        classes = project_all(gs)
-        returned.update(classes)
-        return classes
-
-    X.project_all = recording
+    X.project_all = lambda gs: looked_up.extend(gs) or project_all(gs)
     table = ball(X, instance.x_generators, X.unit, 6)
-    assert set(X._classes) == looked_up
+    assert X._classes == filed
+    classes = set(map(X.project, looked_up))
+    assert set(X._classes) == set(looked_up)
     assert class_forms(X, ()) == oracle_class_forms(X, ())
-    assert set(X._classes.values()) == returned
-    assert len(returned) == table.ball_sizes[-1]
+    assert classes == set(X._classes.values()) == set(itertools.chain(*table.sphere_sets))
+    assert len(classes) == table.ball_sizes[-1]
 
 
 @pytest.mark.parametrize("name", INFINITE_COSET)
 def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(name):
+    """Loading files the identity and the generators, each under its orbit
+    minimum, and no walk files more."""
     instance = load_instance(PATHS[name])
     X, gens = instance.X, instance.x_generators
+    filed = dict(X._classes)
     ball(X, gens, X.unit, 4)
     iterate_dynamic(X, gens[0], gens[-1], 6)
     power_table(X, gens[-1], 6)
-    assert len(X._classes) > len(gens)
+    assert X._classes == filed
     assert class_forms(X, ()) == oracle_class_forms(X, ())
 
 

@@ -24,9 +24,8 @@ from mvgroups.mvalued import MvGroup, NatGroup
 from mvgroups.verify import run_suite
 
 import pytest
-from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, class_forms, fresh,
-                     oracle_class_forms, semidirect_balls, sorted_spheres, sorted_supports,
-                     table_test)
+from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, class_members, fresh, in_order,
+                     semidirect_balls, sorted_spheres, sorted_supports, table_test)
 
 
 def test_every_orbit_config_is_covered():
@@ -137,31 +136,33 @@ def test_z2_swap_ball_projects_once_per_node_and_twisted_step(instances):
                            for sphere in spheres]
 
 
-def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss(every_instance):
-    """On `growth z2_swap --radius 80` the orbit minimum runs once per
-    distinct G-element that the class table misses at the start of its
-    layer: 6,596 times.  Every miss is filed, so a G-element is minimized
-    at most once in the walk.  (With each class the pair (key, least member
-    by key) it ran 6,675 times: other representatives form other
-    products.)"""
-    instance = load_instance(PATHS["z2_swap"])  # a fresh class table
-    X, gens = instance.X, instance.x_generators
-    assert len(X._moves) == 1  # the swap; the identity twist is the miss itself
-    moved = []
+def counted_projection(X):
+    """Count X's `project_all` batches, with their sizes, and the G-elements
+    its twists other than the identity, `_moves`, are applied to."""
+    batches, moved = [], []
+    project_all = X.project_all
+    X.project_all = lambda gs: batches.append(len(gs)) or project_all(gs)
     X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in X._moves]
-    filed = set(X._classes)
+    return batches, moved
+
+
+def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss():
+    """`growth z2_swap --radius 80` projects its 25,440 backend products in
+    one `project_all` batch per layer, which applies the swap, the one twist
+    besides the identity, once per product and files nothing: the class
+    table keeps the 5 entries loading filed.  (When each batch filed its
+    misses, the swap ran once per distinct miss, 6,596 times, and every
+    product paid the table's probes.)"""
+    instance = load_instance(PATHS["z2_swap"])  # a class table of its own
+    X, gens = instance.X, instance.x_generators
+    expected = sorted_spheres(X, gens, X.unit, 80)
+    filed = dict(X._classes)
+    assert (len(X._moves), len(filed)) == (1, 5)
+    batches, moved = counted_projection(X)
     table = ball(X, gens, X.unit, 80)
-    assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
-    assert len(moved) == len(set(moved)) == 6596
-    # replay: a batch misses what no earlier layer looked up, and files it
-    steps = tuple(dict.fromkeys(t(s) for s in gens for t in X.twists))
-    expected = 0
-    for sphere in table.sphere_sets[:80]:
-        products = {X.backend.mul(u, t) for u in sphere for t in steps}
-        expected += len(products - filed)
-        filed |= products
-    assert expected == 6596
-    assert set(X._classes) == filed
+    assert in_order(table.sphere_sets) == expected
+    assert (len(batches), sum(batches), len(moved)) == (80, 25440, 25440)
+    assert X._classes == filed
 
 
 def counted_hooks(backend):
@@ -183,36 +184,41 @@ def counted_hooks(backend):
     return calls
 
 
-def test_z2_swap_growth_is_one_products_batch_per_layer_without_keys(every_instance):
+def test_z2_swap_growth_is_one_products_batch_per_layer_without_keys():
     """`growth z2_swap --radius 80` forms its 25,440 backend products in one
     `products` batch per layer, with no scalar `mul` and no `canonical_key`
     call: a class is its native orbit minimum."""
-    instance = load_instance(PATHS["z2_swap"])  # a fresh class table
+    instance = load_instance(PATHS["z2_swap"])  # a class table of its own
     X, gens = instance.X, instance.x_generators
+    expected = sorted_spheres(X, gens, X.unit, 80)
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 80)
-    assert table == ball(every_instance["z2_swap"].X, gens, X.unit, 80)
+    assert in_order(table.sphere_sets) == expected
     assert (len(calls["products"]), sum(calls["products"])) == (80, 25440)
     assert calls["mul"] == calls["canonical_key"] == []
 
 
-def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(every_instance):
+def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls():
     """`growth free2_swap --radius 12` forms its 4,096 backend products in
     one `products` batch per layer, two steps per class, with no scalar
     `mul` and no `canonical_key` call (the default hooks made 4,096 and,
-    when classes were keyed, 8,190).  Loading the config filed both
-    generators, so the 4,094 later products are the orbit minima taken."""
-    instance = load_instance(PATHS["free2_swap"])  # a fresh class table
+    when classes were keyed, 8,190).  Its 12 `project_all` batches swap
+    each product once and file nothing: the class table keeps the 3
+    entries loading filed."""
+    instance = load_instance(PATHS["free2_swap"])  # a class table of its own
     X, gens = instance.X, instance.x_generators
-    moved = []
-    X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in X._moves]
+    expected = sorted_spheres(X, gens, X.unit, 12)
+    filed = dict(X._classes)
+    assert len(filed) == 3
+    batches, moved = counted_projection(X)
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 12)
-    assert table == ball(every_instance["free2_swap"].X, gens, X.unit, 12)
+    assert in_order(table.sphere_sets) == expected
     assert calls["products"] == [2 * size for size in table.sphere_sizes()[:12]]
-    assert sum(calls["products"]) == 4096
-    assert len(moved) == len(set(moved)) == 4094
+    assert (sum(calls["products"]), len(batches), sum(batches), len(moved)) == (
+        4096, 12, 4096, 4096)
     assert calls["mul"] == calls["canonical_key"] == []
+    assert X._classes == filed
 
 
 def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
@@ -263,8 +269,9 @@ def test_proof34_makes_no_automorphism_apply_call(monkeypatch):
 
 @pytest.mark.parametrize("name", ORBIT)
 def test_project_all_files_least_and_non_least_members_of_one_class_once(every_instance, name):
-    """A batch holding several members of one class takes one orbit
-    minimum per member and files each member under the class."""
+    """A batch holding several members of one class, the least last, gives
+    each member the class the scalar project gives it, applies each twist
+    besides the identity once per member, and files no member."""
     instance = every_instance[name]
     X = fresh(instance.X)
     gs = ball_products(X, instance.x_generators, 3)
@@ -274,25 +281,29 @@ def test_project_all_files_least_and_non_least_members_of_one_class_once(every_i
         members.setdefault(X.project(g), set()).add(g)
     batch = [g for cls, group in members.items() if len(group) > 1
              for g in sorted(group, key=lambda g: g != cls)[::-1]]
+    assert batch, name
     X, Y = fresh(instance.X), fresh(instance.X)
+    filed = dict(X._classes)
     moved = []
     X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in getattr(X, "_moves", ())]
     assert X.project_all(batch) == [Y.project(g) for g in batch]
-    assert X._classes == Y._classes
-    if not instance.backend.is_finite():
-        assert batch, name
-        assert set(X._classes) == {X.unit, *batch}
-        assert class_forms(X, ()) == oracle_class_forms(X, ())
-        assert sorted(moved) == sorted([*(set(batch) - {X.unit})] * len(X._moves))
+    assert X._classes == filed
+    assert sorted(moved) == sorted(batch * len(X._moves))
 
 
 @pytest.mark.parametrize("name", ORBIT)
 def test_project_all_on_an_all_hit_batch_is_the_table_lookup(every_instance, name):
+    """On a batch that repeats every element, a coset group's fold and a
+    double coset group's partition lookup give each element its least
+    member, repeats and all, and file nothing."""
     instance = every_instance[name]
     X = fresh(instance.X)
-    ball(X, instance.x_generators, X.unit, 3)
+    gs = list(dict.fromkeys(ball_products(X, instance.x_generators, 3)))
+    gs += gs[::-1]  # each G-element twice
     filed = dict(X._classes)
-    gs = [*filed, *reversed(filed)]  # each filed G-element twice
-    assert X.project_all(gs) == [X._classes[g] for g in gs] == [X.project(g) for g in gs]
+    classes = X.project_all(gs)
+    assert classes == [min(class_members(X, g)) for g in gs]
+    if X.backend.is_finite():
+        assert classes == [filed[g] for g in gs]  # the partition
     assert X._classes == filed
     assert X.project_all([]) == []
