@@ -32,6 +32,7 @@ where it prints it.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
@@ -93,31 +94,41 @@ def length(X: MvGroup, gens: Sequence[Any], x, cap: int = 64,
     return lengths(X, gens, [x], cap, budget)[0]
 
 
-def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[Any, ...]]:
+def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET,
+                     on_layer: Optional[Callable[[int, int, float], Any]] = None
+                     ) -> Iterator[Tuple[Any, ...]]:
     """Set(T_z^r(y)) for r = 0, 1, ..., each an unordered tuple: T_z sends
     u to u * z.
 
     Unlike ``layers`` nothing is pruned, because xi counts elements that
     recur.  Raises BudgetExceeded once more than `budget` distinct elements
-    have been reached.
+    have been reached.  `on_layer` is ``layers``' callback: it gets (r,
+    size, seconds forming it) of each support within the budget.
     """
     support, reached, r = (y,), set(), 0
     step = X.step([z])
+    began = on_layer and time.perf_counter()
     while True:
         reached.update(support)
         if len(reached) > budget:
             raise BudgetExceeded(budget, r)
+        if on_layer:
+            on_layer(r, len(support), time.perf_counter() - began)
         yield support
+        began = on_layer and time.perf_counter()
         support = tuple(set(step(support)))
         r += 1
 
 
-def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET) -> PowerTable:
+def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET,
+                on_layer: Optional[Callable[[int, int, float], Any]] = None) -> PowerTable:
     """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x,
-    unordered; each sphere S*(x, r) keeps the order of its support."""
+    unordered; each sphere S*(x, r) keeps the order of its support.
+    `on_layer` gets (r, |Set(x^{*r})|, seconds) for r = 1, 2, ..."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget), radius))
+    shifted = on_layer and (lambda r, size, seconds: on_layer(r + 1, size, seconds))
+    set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget, shifted), radius))
     sstar_sets: List[Tuple[Any, ...]] = []
     cumulative = set()
     for support in set_powers:

@@ -8,6 +8,7 @@ deterministic for fixed config and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -51,6 +52,11 @@ def _growth_args(p: argparse.ArgumentParser):
     p.add_argument("--center", default=None, help="center element word (default: unit)")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _table_args(p)
+
+
+def _table_args(p: argparse.ArgumentParser):
+    """The element and stats flags of every per-radius table."""
     p.add_argument("--emit-elements", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="one JSON line on stderr: the radius reached, and per layer its size")
@@ -64,14 +70,14 @@ def _dynamics_args(p: argparse.ArgumentParser):
                    help="check the monoid-ball sandwich (coset instances)")
     p.add_argument("--classify", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--emit-elements", action="store_true")
+    _table_args(p)
 
 
 def _powers_args(p: argparse.ArgumentParser):
     p.add_argument("--x", required=True, help="base element word")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--emit-elements", action="store_true")
+    _table_args(p)
 
 
 def _compare_args(p: argparse.ArgumentParser):
@@ -150,6 +156,23 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
             if args.emit_elements else {})
 
 
+@contextlib.contextmanager
+def _stats(args):
+    """The layer callback of --stats, None without it; on the way out, also
+    when the budget stops the walk, its one JSON line goes to stderr: the
+    last radius completed, and each completed layer's size and seconds."""
+    if not args.stats:
+        yield None
+        return
+    done: List[tuple] = []  # (r, size, seconds) per completed layer
+    try:
+        yield lambda *layer: done.append(layer)
+    finally:
+        layers = [{"r": r, "size": size, "seconds": s} for r, size, s in done]
+        print(json.dumps({"command": args.command, "radius": done[-1][0] if done else -1,
+                          "layers": layers}), file=sys.stderr)
+
+
 def _cmd_axioms(args, instance: Instance, budget: int) -> int:
     X = instance.X
     report = check_axioms(X, sample_elements(instance, limit=args.sample + 1, budget=budget))
@@ -163,15 +186,9 @@ def _cmd_axioms(args, instance: Instance, budget: int) -> int:
 def _cmd_growth(args, instance: Instance, budget: int) -> int:
     X = instance.X
     center = instance.element(args.center) if args.center is not None else X.unit
-    done: List[tuple] = []  # (r, size, seconds) per completed layer
-    try:
+    with _stats(args) as on_layer:
         table = ball(X, instance.x_generators, center, _radius(instance, args.radius), budget,
-                     (lambda *layer: done.append(layer)) if args.stats else None)
-    finally:  # also when the budget stops the walk
-        if args.stats:
-            layers = [{"r": r, "size": size, "seconds": s} for r, size, s in done]
-            print(json.dumps({"command": "growth", "radius": len(done) - 1, "layers": layers}),
-                  file=sys.stderr)
+                     on_layer)
     emit_table(args.format, growth_rows(table), {"center": X.render(table.center)},
                _elements(args, X, "spheres", table.sphere_sets))
     return 0
@@ -187,14 +204,15 @@ def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
     y = instance.element(args.y) if args.y is not None else X.unit
 
     bounds = None
-    if args.bounds:
-        if not isinstance(X, CosetGroup):
-            raise MvGroupsError("--bounds requires a coset instance")
-        g = instance.backend_element(args.z)
-        bounds = bounds_check(X, g, y, steps, budget=budget)
-        table = bounds.dynamics_table
-    else:
-        table = iterate_dynamic(X, z, y, steps, budget=budget)
+    if args.bounds and not isinstance(X, CosetGroup):
+        raise MvGroupsError("--bounds requires a coset instance")
+    with _stats(args) as on_layer:
+        if args.bounds:
+            bounds = bounds_check(X, instance.backend_element(args.z), y, steps, budget,
+                                  on_layer=on_layer)
+            table = bounds.dynamics_table
+        else:
+            table = iterate_dynamic(X, z, y, steps, budget, on_layer)
 
     if bounds is None:
         rows = [{"r": r, "xi": xi} for r, xi in enumerate(table.xi)]
@@ -221,7 +239,8 @@ def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
 def _cmd_powers(args, instance: Instance, budget: int) -> int:
     X = instance.X
     x = instance.element(args.x)
-    table = power_table(X, x, _radius(instance, args.radius), budget=budget)
+    with _stats(args) as on_layer:
+        table = power_table(X, x, _radius(instance, args.radius), budget, on_layer)
     rows = [{"r": r, "bstar": size, "sstar_size": len(sphere)}
             for r, (size, sphere) in enumerate(zip(table.bstar_sizes, table.sstar_sets))]
     emit_table(args.format, rows, {"base": X.render(table.base)},

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientData, PreconditionViolated, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, monoid_balls, orbit
@@ -33,11 +33,12 @@ class DynamicsTable(NamedTuple):
     xi: List[int]
 
 
-def iterate_dynamic(X: MvGroup, z, y, radius: int,
-                    budget: int = DEFAULT_BUDGET) -> DynamicsTable:
+def iterate_dynamic(X: MvGroup, z, y, radius: int, budget: int = DEFAULT_BUDGET,
+                    on_layer: Optional[Callable[[int, int, float], Any]] = None) -> DynamicsTable:
+    """Rows 0..radius of ``dynamic_supports``, which calls `on_layer` per row."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    supports = list(itertools.islice(dynamic_supports(X, z, y, budget), radius + 1))
+    supports = list(itertools.islice(dynamic_supports(X, z, y, budget, on_layer), radius + 1))
     return DynamicsTable(z, y, radius, supports, [len(s) for s in supports])
 
 
@@ -56,11 +57,13 @@ class BoundsReport(NamedTuple):
 
 
 def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
-                 monoid: Optional[GrowthTable] = None) -> BoundsReport:
+                 monoid: Optional[GrowthTable] = None,
+                 on_layer: Optional[Callable[[int, int, float], Any]] = None) -> BoundsReport:
     """Monoid-ball sandwich for z = pi(g): monoid of the A-orbit of g vs xi_y.
-    `monoid`, if given, is that monoid's table to radius r_max, which no y changes."""
+    `monoid`, if given, is that monoid's table to radius r_max, which no y
+    changes; `on_layer` is iterate_dynamic's."""
     mb = monoid or monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
-    dt = iterate_dynamic(X, X.project(g), y, r_max, budget=budget)
+    dt = iterate_dynamic(X, X.project(g), y, r_max, budget, on_layer)
     rows = [(r, Fraction(sphere, X.n), xi, upper) for r, (sphere, xi, upper)
             in enumerate(zip(mb.sphere_sizes(), dt.xi, mb.ball_sizes))]
     verdicts = [lower <= xi <= upper for _, lower, xi, upper in rows]

@@ -2,19 +2,20 @@
 
 A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
-values are plain immutable Python data (ints, tuples); the backend object
-carries the operations, and ``products`` batches ``mul`` over a layer: the
-scalar loop by default, column by column on Z^k.  A free group
-concatenates words whose seam letters differ and merges a one-syllable
-step's exponent at the seam; a direct product splits a layer into factor
-columns and runs each factor's own batch on its column; a semidirect
-product twists each step once per automorphism index.  A canonical key is
-an int or a tuple whose native order is the canonical order: integers rank
+values are plain immutable Python data (ints, tuples, strings); the
+backend object carries the operations, and ``products`` batches ``mul``
+over a layer: the scalar loop by default, column by column on Z^k.  A
+free-group word is a string of letters, so a product concatenates and
+cancels at the seam; a direct product splits a layer into factor columns
+and runs each factor's own batch on its column; a semidirect product
+twists each step once per automorphism index.  A canonical key is an int
+or a tuple whose native order is the canonical order: integers rank
 0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
-free words compare shorter first, then letter by letter.  Keys give the
-order elements print in, so only output paths form them.  Z^k and the
-Heisenberg group share one integer-vector constructor: the rank and name
-checks (the free group's too), identity, generators, rendering and keys.
+free words compare fewer syllables first, then syllable by syllable.  Keys
+give the order elements print in, so only output paths form them.  Z^k
+and the Heisenberg group share one integer-vector constructor: the rank
+and name checks (the free group's too), identity, generators, rendering
+and keys.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -24,8 +25,8 @@ one place an image list becomes a map: finite kinds without relators walk
 their Cayley graph, checking the homomorphism property on every edge, and
 keep the image table; Z^k compiles to a linear map, Z/m to multiplication
 by the generator's image, the Heisenberg group to one polynomial in
-(p, q, r), free groups to letter substitution or, for a signed
-permutation of the letters, syllable renaming, and a direct product with
+(p, q, r), free groups to one ``str.translate`` for a signed permutation
+of the letters, else letter substitution, and a direct product with
 relators whose generators map into their own factors to one map per
 factor.  evaluate(factor(g), images) is left only to products that mix
 their factors, and stays the oracle on infinite kinds (permutation and
@@ -283,102 +284,95 @@ def _rank_and_names(label: str, rank: int, gen_names: Optional[Sequence[str]]):
     return rank, names
 
 
-def _reduce(out: List[Tuple[int, int]], syllables: Iterable[Tuple[int, int]]) -> Any:
-    """Append syllables to the reduced word `out`, merging equal letters."""
-    for letter, exp in syllables:
-        if out and out[-1][0] == letter:
-            merged = out[-1][1] + exp
+def _syllables(g: str) -> Iterator[Tuple[int, int]]:
+    """(letter, exp) per run of one letter in g: its code halved, and the
+    run's length, negated where bit 0 marks an inverse letter."""
+    return ((c >> 1, (1 - 2 * (c & 1)) * len(list(run)))
+            for c, run in itertools.groupby(map(ord, g)))
+
+
+def _cancel(g: str, h: str) -> str:
+    """g then h, reduced: h's letters pushed on reduced g, each cancelling an inverse top."""
+    out = list(g)
+    for c in h:
+        if out and ord(out[-1]) ^ ord(c) == 1:
             out.pop()
-            if merged:
-                out.append((letter, merged))
         else:
-            out.append((letter, exp))
-    return tuple(out)
+            out.append(c)
+    return "".join(out)
 
 
 class FreeGroup(GroupBackend):
-    """Free group of rank k; elements are reduced words ((letter, exp), ...)."""
+    """Free group of rank k; an element is a reduced word as a string of
+    letters, chr(2i) for g_i and chr(2i+1) for g_i^-1, which differ in bit 0
+    alone.  Only factor, render and canonical_key read (letter, exp) syllables."""
 
     kind = "free"
 
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
         self.rank, self.gen_names = _rank_and_names("free group", rank, gen_names)
+        self._flip = {c: c ^ 1 for c in range(2 * rank)}
         self._ranked = _Memo(lambda s: (s[0], int_key(s[1]))).__getitem__
 
     @property
     def identity(self):
-        return ()
+        return ""
 
     def gen(self, index):
-        return ((index, 1),)
+        return chr(2 * index)
 
     def mul(self, g, h):
-        """Reduced words whose seam letters differ concatenate to a reduced
-        word; only a seam on one letter is reduced."""
-        if not g or not h or g[-1][0] != h[0][0]:
-            return g + h
-        return _reduce(list(g), h)
+        """Concatenation, with _cancel only where the seam letters are inverses."""
+        return _cancel(g, h) if g and h and ord(g[-1]) ^ ord(h[0]) == 1 else g + h
 
     def products(self, gs, hs):
-        """mul's concatenation, and for a one-syllable h on g's last letter
-        the exponent merged at the seam, or g's last syllable dropped when
-        it cancels; any other seam on one letter goes through _reduce."""
-        # per step: its first letter (-1, no letter, for the empty word),
-        # its exponent when it is one syllable (else False), the word
-        seams = [(h[0][0] if h else -1, len(h) == 1 and h[0][1], h) for h in hs]
+        """mul's products; a one-letter h that cancels g's last letter drops it."""
+        seams = [(h[:1].translate(self._flip), len(h) == 1, h) for h in hs]
         out = []
         append = out.append
         for g in gs:
-            if not g:
-                out += hs
-                continue
-            last, exp = g[-1]
-            for letter, e, h in seams:
-                if letter != last:
-                    append(g + h)
-                elif e:
-                    merged = exp + e
-                    append(g[:-1] + ((last, merged),) if merged else g[:-1])
-                else:
-                    append(_reduce(list(g), h))
+            last = g[-1:]
+            for cancels, one, h in seams:
+                append(g + h if cancels != last else g[:-1] if one else _cancel(g, h))
         return out
 
     def inv(self, g):
-        return tuple((letter, -exp) for letter, exp in reversed(g))
+        return g[::-1].translate(self._flip)
+
+    def power(self, g, k):
+        """g = u c u^-1 with c cyclically reduced, so g^k is u c^k u^-1; a
+        power of more than DEFAULT_BUDGET letters raises ValidationError."""
+        if k < 0:
+            g, k = self.inv(g), -k
+        t = next((t for t in range(len(g)) if ord(g[t]) ^ ord(g[-1 - t]) != 1), 0)  # |u|
+        letters = 2 * t + k * (len(g) - 2 * t)
+        if k and letters > DEFAULT_BUDGET:
+            raise ValidationError(f"a power of {letters} letters; the limit is {DEFAULT_BUDGET}")
+        return g[:t] + g[t:len(g) - t] * k + g[len(g) - t:] if k else ""
 
     def homomorphism(self, images):
-        """The identity on the generators' own images; syllable renaming
-        when the images are a signed permutation of the letters, each image
-        one letter to the power +-1 and no letter twice, since a renaming
-        injective on letters keeps reduced words reduced; else letter
-        substitution, then one free-reduction pass."""
+        """The identity on the generators' own images; one ``translate`` for
+        a signed permutation of the letters, which keeps reduced words
+        reduced; else each letter translated to its image, then _cancel."""
         images = tuple(images)
         if images == tuple(map(self.gen, range(self.rank))):
             return _identity
-        letters = {image[0][0] for image in images if len(image) == 1 and abs(image[0][1]) == 1}
-        if len(letters) == len(images):
-            rename = _Memo(lambda s: (images[s[0]][0][0], images[s[0]][0][1] * s[1])).__getitem__
-            return lambda g: tuple(map(rename, g))
-        powers = [(image, self.inv(image)) for image in images]
-        return lambda g: _reduce([], itertools.chain.from_iterable(
-            powers[letter][exp < 0] * abs(exp) for letter, exp in g))
+        table = {2 * i + s: self.inv(x) if s else x for i, x in enumerate(images) for s in (0, 1)}
+        if len({ord(image) >> 1 for image in images if len(image) == 1}) == len(images):
+            return operator.methodcaller("translate", table)
+        return lambda g: _cancel("", g.translate(table))
 
     def canonical_key(self, g):
-        """(length, (letter, exponent rank), ...): each pair is interned
-        per backend, and pairs compare as the flat sequence would."""
-        return (len(g), *map(self._ranked, g))
+        """(syllable count, (letter, exponent rank), ...), each pair interned."""
+        syllables = tuple(_syllables(g))
+        return (len(syllables), *map(self._ranked, syllables))
 
     def render(self, g):
-        if not g:
-            return "e"
-        parts = []
-        for letter, exp in g:
-            name = self.gen_names[letter]
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(parts)
+        return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in
+                        ((self.gen_names[i], exp) for i, exp in _syllables(g))) or "e"
 
     def factor(self, g):
-        return tuple(g)
+        return tuple(_syllables(g))
 
     def relators(self):
         return []
@@ -486,6 +480,9 @@ class CyclicGroup(GroupBackend):
 
     def inv(self, g):
         return (-g) % self.order
+
+    def power(self, g, k):
+        return g * k % self.order
 
     def render(self, g):
         name = self.gen_names[0]
@@ -724,6 +721,9 @@ class DirectProduct(GroupBackend):
 
     def inv(self, g):
         return tuple([inv(a) for inv, a in zip(self._invs, g)])
+
+    def power(self, g, k):  # each factor's own, so a free factor checks its length
+        return tuple([b.power(a, k) for b, a in zip(self.factors, g)])
 
     def canonical_key(self, g):
         return tuple([b.canonical_key(a) for b, a in zip(self.factors, g)])

@@ -312,7 +312,8 @@ def byte_seq_key(parts):
 
 def byte_key(backend, g):
     if backend.kind == "free":
-        return byte_seq_key(byte_seq_key((byte_int_key(i), byte_int_key(e))) for i, e in g)
+        return byte_seq_key(byte_seq_key((byte_int_key(i), byte_int_key(e)))
+                            for i, e in backend.factor(g))
     if backend.kind in ("cyclic", "finite_table"):
         return byte_int_key(g)
     if backend.kind == "direct_product":

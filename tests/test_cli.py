@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from mvgroups import load_instance
+from mvgroups.cayley import power_table
 from mvgroups.cli import run
 from mvgroups.mvalued import OrbitGroup
 from mvgroups.verify import SUITES
@@ -98,6 +100,60 @@ def test_growth_stats_on_budget_exit_names_the_completed_layers(config_dir, caps
     assert stats["radius"] == 6
     assert [layer["size"] for layer in stats["layers"]] == [1, 1, 2, 4, 8, 16, 32]
     assert message == "budget exceeded: more than 100 distinct elements reached by radius 7"
+
+
+TABLE_STATS = {
+    "dynamics-bounds": ["dynamics", "-c", "free2_swap", "--z", "g1", "--y", "g1*g2",
+                        "--steps", "11", "--bounds"],
+    "dynamics": ["dynamics", "-c", "z3xF2_example46", "--z", "h*g1", "--steps", "9",
+                 "--format", "json", "--emit-elements"],
+    "powers": ["powers", "-c", "z2_pm1", "--x", "g1*g2", "--radius", "30"],
+}
+
+
+@pytest.mark.parametrize("case", TABLE_STATS)
+def test_dynamics_and_powers_stats_report_each_row_and_leave_stdout_alone(
+        config_dir, capsys, case):
+    """One JSON line on stderr whose sizes are the xi column the run prints,
+    or for powers |Set(x^{*r})| of rows 1..radius; stdout is unchanged."""
+    argv = TABLE_STATS[case]
+    argv = [*argv[:2], cfg(config_dir, argv[2]), *argv[3:]]
+    code, plain, err = invoke(capsys, argv)
+    assert (code, err) == (0, "")
+    code, out, err = invoke(capsys, argv + ["--stats"])
+    assert code == 0 and out == plain
+    assert err.endswith("\n") and err.count("\n") == 1
+    stats = json.loads(err)
+    sizes = [layer["size"] for layer in stats["layers"]]
+    if argv[0] == "powers":
+        instance = load_instance(argv[2])
+        table = power_table(instance.X, instance.element(argv[4]), 30)
+        expected, first = list(map(len, table.set_powers[1:])), 1
+    elif "--format" in argv:
+        expected, first = [row["xi"] for row in json.loads(out)["rows"]], 0
+    else:
+        expected, first = [int(row.split(",")[1]) for row in out.splitlines()[1:]], 0
+    assert sizes == expected
+    assert [layer["r"] for layer in stats["layers"]] == list(range(first, first + len(sizes)))
+    assert (stats["command"], stats["radius"]) == (argv[0], first + len(sizes) - 1)
+    assert all(layer["seconds"] >= 0 for layer in stats["layers"])
+
+
+@pytest.mark.parametrize("command, flag", [("dynamics", "--z"), ("powers", "--x")])
+def test_dynamics_and_powers_stats_on_budget_exit_name_the_completed_rows(
+        config_dir, capsys, command, flag):
+    # free2_swap supports under g1 are 1, 1, 2, 4, ... distinct classes (1, 2,
+    # 4, ... as powers of g1): 64 fill the rows before the budget of 100 is passed
+    code, out, err = invoke(capsys, [command, "-c", cfg(config_dir, "free2_swap"), flag, "g1",
+                                     "--radius" if command == "powers" else "--steps", "30",
+                                     "--budget", "100", "--stats"])
+    assert (code, out) == (3, "")
+    line, message = err.splitlines()
+    stats = json.loads(line)
+    sizes = [1, 1, 2, 4, 8, 16, 32] if command == "dynamics" else [1, 2, 4, 8, 16, 32]
+    assert [layer["size"] for layer in stats["layers"]] == sizes
+    assert stats["radius"] == 6
+    assert message.startswith("budget exceeded: more than 100 distinct elements")
 
 
 def test_growth_default_radius_z3xF2(config_dir, capsys):
@@ -670,12 +726,13 @@ sys.exit(code)
 """
 
 
-def run_in_subprocess(argv, peak_rss=False):
+def run_in_subprocess(argv, peak_rss=False, **variables):
     """`mvgroups.cli` with argv in a fresh interpreter, so a run that ignores
     the budget fails at the timeout instead of hanging the suite.  With
     peak_rss the child appends its own peak RSS to stderr: RUSAGE_CHILDREN
-    here would be the maximum over the whole session."""
-    env = dict(os.environ)
+    here would be the maximum over the whole session.  `variables` are set
+    in the child's environment."""
+    env = {**os.environ, **variables}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(pathlib.Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p)
@@ -744,6 +801,74 @@ def test_product_partition_does_not_list_a_factor(tmp_path):
                {"kind": "cyclic", "order": 2, "gens": ["b"]}]
     assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
                                  {"a": "a^-1", "b": "b"})
+
+
+def too_long(limit):
+    return f"a power of {limit} letters; the limit is 1000000"
+
+
+LONG_WORDS = {
+    # a free-group word is stored letter by letter, so one of 10^12 letters
+    # ran out of memory where the syllable form held two ints
+    "center": (["growth", "-c", "free2_swap", "--center", "g1^1000000000000", "--radius", "2"],
+               too_long(10**12)),
+    "center-direct-product": (["growth", "-c", "z3xF2_example46", "--center",
+                               "h*g1^-1000000000000", "--radius", "2"], too_long(10**12)),
+    "x": (["powers", "-c", "free2_swap", "--x", "g2*g1^1000001"], too_long(1000001)),
+    "y": (["dynamics", "-c", "free2_swap", "--z", "g1", "--y", "g2^-1000001"],
+          too_long(1000001)),
+    "config": (["axioms", "-c", None], "X_generators[0]: " + too_long(10**12)),
+}
+
+
+@NEEDS_PROC
+@pytest.mark.parametrize("case", LONG_WORDS)
+def test_a_word_over_the_letter_limit_exits_2_quickly(config_dir, tmp_path, case):
+    argv, message = LONG_WORDS[case]
+    if argv[2] is None:
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps(one_automorphism(
+            FREE2, {"g1": "g2", "g2": "g1"}, X_generators=["g1^1000000000000"])))
+    else:
+        config = config_dir / f"{argv[2]}.json"
+    start = time.perf_counter()
+    proc = run_in_subprocess([*argv[:2], str(config), *argv[3:]], peak_rss=True)
+    assert time.perf_counter() - start < 5
+    error, peak_kib = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout, error) == (2, "", f"error: {message}")
+    assert int(peak_kib) < 50 * 1024
+
+
+HASH_SEED_RUNS = {
+    "growth-free2_swap": ["growth", "-c", "configs/free2_swap.json", "--emit-elements"],
+    "dynamics-free2_swap": ["dynamics", "-c", "configs/free2_swap.json", "--z", "g1",
+                            "--y", "g1*g2", "--bounds", "--emit-elements"],
+    "lemma47-z3xF2": ["verify", "-c", "configs/z3xF2_example46.json", "--suite", "lemma47"],
+    "example46-z3xF2": ["verify", "-c", "configs/z3xF2_example46.json", "--suite", "example46"],
+    "growth-f3_shift": ["growth", "-c", "tests/instances/f3_shift.json", "--radius", "5",
+                        "--emit-elements"],
+}
+
+
+@pytest.mark.parametrize("case", HASH_SEED_RUNS)
+def test_output_does_not_depend_on_the_hash_seed(case):
+    """Free-group words are strings, whose hashes are salted per process:
+    no set or dict order may reach stdout or the exit code."""
+    argv = HASH_SEED_RUNS[case]
+    argv = [*argv[:2], str(pathlib.Path(__file__).resolve().parent.parent / argv[2]), *argv[3:]]
+    runs = [run_in_subprocess(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")]
+    assert runs[0].stdout and runs[0].returncode in (0, 1)
+    assert [(run.returncode, run.stdout) for run in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout)] * 2
+
+
+def test_a_long_center_within_the_letter_limit_prints_as_before(config_dir, capsys):
+    code, out, err = invoke(capsys, ["growth", "-c", cfg(config_dir, "free2_swap"),
+                                     "--center", "g1^100000", "--radius", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "3,15,8"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "379d916de2bfdc7b5efe04738dc86d31162c5abd8b1b871513149c5075633dc7")
 
 
 S3_TU = {"kind": "permutation", "degree": 3, "gens": ["t", "u"],

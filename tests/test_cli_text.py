@@ -64,7 +64,7 @@ options:
      """\
 usage: mvgroups dynamics [-h] -c CONFIG [--budget BUDGET] --z Z [--y Y]
                          [--steps STEPS] [--bounds] [--classify]
-                         [--format {csv,json}] [--emit-elements]
+                         [--format {csv,json}] [--emit-elements] [--stats]
 
 options:
   -h, --help            show this help message and exit
@@ -78,13 +78,15 @@ options:
   --classify
   --format {csv,json}
   --emit-elements
+  --stats               one JSON line on stderr: the radius reached, and per
+                        layer its size
 """,
      ""),
     (('powers', '--help'), 0,
      """\
 usage: mvgroups powers [-h] -c CONFIG [--budget BUDGET] --x X
                        [--radius RADIUS] [--format {csv,json}]
-                       [--emit-elements]
+                       [--emit-elements] [--stats]
 
 options:
   -h, --help            show this help message and exit
@@ -95,6 +97,8 @@ options:
   --radius RADIUS
   --format {csv,json}
   --emit-elements
+  --stats               one JSON line on stderr: the radius reached, and per
+                        layer its size
 """,
      ""),
     (('compare', '--help'), 0,

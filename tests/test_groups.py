@@ -1,3 +1,4 @@
+import functools
 import itertools
 import operator
 import random
@@ -133,8 +134,12 @@ def free_reduced(g, h):
                  for letter, run in itertools.groupby(stack, key=operator.itemgetter(0)))
 
 
+def syllable_inverse(word):
+    return tuple((letter, -exp) for letter, exp in reversed(word))
+
+
 LONG_WORD = ((0, 1), (1, -2), (2, 3), (0, -1), (1, 1))
-LONG_INVERSE = FreeGroup(3).inv(LONG_WORD)
+LONG_INVERSE = syllable_inverse(LONG_WORD)
 
 # name -> (gs, hs) in F3 on the letters 0, 1, 2, each meeting at its seam
 FREE_SEAMS = {
@@ -150,13 +155,17 @@ FREE_SEAMS = {
 @pytest.mark.parametrize("case", FREE_SEAMS)
 def test_free_group_seams_match_the_scalar_loops_and_free_reduction(case):
     f = FreeGroup(3)
-    gs, hs = FREE_SEAMS[case]
-    expected = [free_reduced(g, h) for g in gs for h in hs]
-    assert scalar_products(f, gs, hs) == GroupBackend.products(f, gs, hs) == expected
-    assert f.products(gs, hs) == expected
+    words = FREE_SEAMS[case]
+    expected = [free_reduced(g, h) for g, h in itertools.product(*words)]
+    gs, hs = [list(map(f.evaluate, side)) for side in words]
+
+    def factored(elements):
+        return list(map(f.factor, elements))
+    assert factored(scalar_products(f, gs, hs)) == factored(
+        GroupBackend.products(f, gs, hs)) == factored(f.products(gs, hs)) == expected
     assert f.products(gs, []) == f.products([], hs) == f.products([], []) == []
-    for g, h in itertools.product(gs, hs):
-        assert f.products([g], [h]) == [free_reduced(g, h)]
+    for (g, h), reduced in zip(itertools.product(gs, hs), expected):
+        assert factored(f.products([g], [h])) == [reduced]
 
 
 def test_rank_one_batches_keep_their_one_tuples():
@@ -1242,10 +1251,10 @@ def signed_permutations(f):
     k = f.rank
     for perm in itertools.permutations(range(k)):
         for signs in itertools.product((1, -1), repeat=k):
-            images = [((perm[i], signs[i]),) for i in range(k)]
+            images = [f.evaluate(((perm[i], signs[i]),)) for i in range(k)]
             inverse = [None] * k
             for i in range(k):
-                inverse[perm[i]] = ((i, signs[i]),)
+                inverse[perm[i]] = f.evaluate(((i, signs[i]),))
             yield Automorphism(f, f"p{perm}s{signs}", images, inverse)
 
 
@@ -1298,11 +1307,12 @@ def test_generator_images_compile_to_the_identity():
 ], ids=["letters-repeat", "letters-repeat-signed", "power", "transvection"])
 def test_other_images_take_the_reduction_path(images, generator):
     f = FreeGroup(2)
+    images = list(map(f.evaluate, images))
     # g2*g1^-1*g2^-1*g1 folds to a word that only reduction can cancel
-    words = random_words(f, random.Random(5)) + [((1, 1), (0, -1), (1, -1), (0, 1))]
+    words = random_words(f, random.Random(5)) + [f.evaluate(((1, 1), (0, -1), (1, -1), (0, 1)))]
     assert_map_matches_oracle(f, images, words)
     if generator is None:  # an automorphism that is no signed permutation
-        Automorphism(f, "a", images, [((1, -1), (0, 1)), ((1, 1),)]).verify()
+        Automorphism(f, "a", images, [f.evaluate(((1, -1), (0, 1))), f.gen(1)]).verify()
         return
     with pytest.raises(NotAnAutomorphism) as exc:
         Automorphism(f, "a", images, [f.gen(0), f.gen(1)]).verify()
@@ -1313,8 +1323,77 @@ def test_other_images_take_the_reduction_path(images, generator):
 def test_free_key_matches_the_flat_key(rank):
     f = FreeGroup(rank)
     words = random_words(f, random.Random(rank), count=60)
-    assert_same_order(words, f.canonical_key, flat_key)
+    assert_same_order(words, f.canonical_key, lambda g: flat_key(f.factor(g)))
     assert len(set(map(f.canonical_key, words))) == len(words)
+
+
+def syllable_power(word, k):
+    """word^k as a syllable sequence, reduced by the oracle."""
+    return free_reduced((word if k >= 0 else syllable_inverse(word)) * abs(k), ())
+
+
+def substituted(word, images):
+    """The word with each letter replaced by its image word (syllables)."""
+    return free_reduced(tuple(itertools.chain.from_iterable(
+        syllable_power(images[letter], exp) for letter, exp in word)), ())
+
+
+def random_syllables(rng, rank, most=6):
+    """Up to `most` (letter, exp) pairs, equal letters side by side allowed."""
+    return tuple((rng.randrange(rank), rng.choice((1, 2, 5, -1, -2, -5)))
+                 for _ in range(rng.randint(0, most)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_letter_strings_match_the_syllable_oracle(rank):
+    """Every letter-string operation of F_rank, read back through `factor`,
+    against free reduction on syllables and against repeated `mul`."""
+    f, rng = FreeGroup(rank), random.Random(100 + rank)
+    words = [random_syllables(rng, rank) for _ in range(40)]
+    # conjugates u c u^-1, whose powers keep u and u^-1 once: g2*g1^5*g2^-1 first
+    words += [((1 % rank, 1), (0, 5), (1 % rank, -1))] + [
+        (*u, *c, *syllable_inverse(u)) for u, c in
+        ((random_syllables(rng, rank, 3), random_syllables(rng, rank, 2)) for _ in range(10))]
+    elements = [f.evaluate(w) for w in words]
+    for word, g in zip(words, elements):
+        assert f.factor(g) == free_reduced(word, ())
+        assert f.factor(f.inv(g)) == free_reduced(syllable_inverse(word), ())
+        for k in range(-3, 4):
+            repeated = functools.reduce(f.mul, [g if k > 0 else f.inv(g)] * abs(k), f.identity)
+            assert f.factor(f.power(g, k)) == f.factor(repeated) == syllable_power(word, k)
+    steps = [f.gen(i) for i in range(rank)] + [f.inv(f.gen(i)) for i in range(rank)] + [
+        f.identity, *elements[:6]]
+    step_words = [f.factor(h) for h in steps]
+    expected = [free_reduced(f.factor(g), h) for g in elements for h in step_words]
+    assert list(map(f.factor, f.products(elements, steps))) == expected
+    assert [f.factor(f.mul(g, h)) for g in elements for h in steps] == expected
+    # the three homomorphism paths: the identity, one translate, substitution
+    letters = list(range(rank))
+    rng.shuffle(letters)
+    flips = [((letters[i], -1 if i == 0 else rng.choice((1, -1))),) for i in range(rank)]
+    substitution = [((0, 1), (rank - 1, 2)), *flips[1:]]  # g1 -> g1^3 when rank is 1
+    for images, path in (([((i, 1),) for i in range(rank)], "identity"),
+                         (flips, "translate"), (substitution, "substitution")):
+        image = f.homomorphism([f.evaluate(w) for w in images])
+        assert image is groups._identity if path == "identity" else (
+            isinstance(image, operator.methodcaller) == (path == "translate"))
+        for word, g in zip(words, elements):
+            assert f.factor(image(g)) == substituted(free_reduced(word, ()), images), path
+
+
+def test_power_refuses_a_word_over_the_letter_limit():
+    """A power is formed only when its reduced word has at most
+    DEFAULT_BUDGET letters: k|c| + 2|u| for g = u c u^-1."""
+    f = FreeGroup(2)
+    g1, conjugate = f.gen(0), f.evaluate(((1, 1), (0, 1), (1, -1)))
+    assert len(f.power(g1, -groups.DEFAULT_BUDGET)) == groups.DEFAULT_BUDGET
+    assert len(f.power(conjugate, groups.DEFAULT_BUDGET - 2)) == groups.DEFAULT_BUDGET
+    zf = DirectProduct([CyclicGroup(3, ["h"]), f])
+    for power in (lambda: f.power(g1, groups.DEFAULT_BUDGET + 1),
+                  lambda: f.power(conjugate, 1 - groups.DEFAULT_BUDGET),
+                  lambda: zf.power((1, g1), 10**12)):
+        with pytest.raises(ValidationError, match="letters; the limit is 1000000$"):
+            power()
 
 
 def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
@@ -1328,7 +1407,7 @@ def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
     words = random_words(f, rng)
     for _ in range(3):
         keys = list(map(f.canonical_key, words))
-    syllables = {s for g in words for s in g}
+    syllables = {s for g in words for s in f.factor(g)}
     # one call per distinct syllable: an exponent is ranked once per letter it comes with
     assert sum(calls.values()) == len(syllables)
     assert calls == Counter(exp for _, exp in syllables)

@@ -76,6 +76,23 @@ def test_layers_read_the_clock_only_for_on_layer(monkeypatch):
     assert len(reads) == 2 * 7 and min(seconds) >= 0  # each layer's start and end
 
 
+def test_dynamic_supports_read_the_clock_only_for_on_layer(monkeypatch):
+    """iterate_dynamic and power_table pass `on_layer` through: each row is
+    reported with its support's size, power rows from r = 1."""
+    reads = []
+    perf_counter = groups.time.perf_counter
+    monkeypatch.setattr(groups.time, "perf_counter", lambda: reads.append(1) or perf_counter())
+    table, powers = iterate_dynamic(NAT, 2, 1, 6), power_table(NAT, 2, 6)
+    assert reads == []
+    rows = []
+    assert iterate_dynamic(NAT, 2, 1, 6, on_layer=lambda *row: rows.append(row)) == table
+    assert len(reads) == 2 * 7 and min(seconds for _, _, seconds in rows) >= 0
+    assert [row[:2] for row in rows] == list(enumerate(table.xi))
+    rows.clear()
+    assert power_table(NAT, 2, 6, on_layer=lambda *row: rows.append(row)) == powers
+    assert [row[:2] for row in rows] == [(r, len(powers.set_powers[r])) for r in range(1, 7)]
+
+
 def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
     """A batched layer map forms the candidates of the layer that goes over
     the budget, and no more: every earlier batch is one sphere times the
