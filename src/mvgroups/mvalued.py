@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Se
 
 from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
 from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
-from .multiset import flatten
 
 
 class MvGroup:
@@ -54,15 +53,16 @@ class MvGroup:
         """The printed element whose canonical form is `form`."""
         return str(form)
 
+    def products(self, xs: Sequence[Any], ys: Sequence[Any]) -> List[Any]:
+        """The n values of x*y, x in xs then y in ys, n at a time: the scalar oracle."""
+        mul = self.mul
+        return [v for x in xs for y in ys for v in mul(x, y)]
+
     def step(self, gens: Sequence[Any]) -> Callable[[Iterable[Any]], List[Any]]:
         """layer -> the values of u*s over u in the layer, then s in gens,
-        repeats allowed.
-
-        This generic expansion builds every product; it is the oracle for
-        the overrides.
-        """
-        mul = self.mul
-        return lambda layer: [v for u in layer for s in gens for v in mul(u, s)]
+        repeats allowed: the scalar ``products`` loop, the oracle for the
+        overrides."""
+        return lambda layer: MvGroup.products(self, layer, gens)
 
 
 class NatGroup(MvGroup):
@@ -79,7 +79,7 @@ class NatGroup(MvGroup):
 
 
 class MutatedNatGroup(MvGroup):
-    """Negative control: x*y = [x+y, x+y+1] is not associative."""
+    """Negative control: x*y = [x+y, x+y+1] is associative; unit and inverse fail."""
 
     n = 2
     unit = 0
@@ -150,6 +150,11 @@ class OrbitGroup(MvGroup):
         """[project(g) for g in gs], as one lookup in the partition of finite G."""
         return list(map(self._classes.__getitem__, gs))
 
+    def products(self, xs, ys):
+        """One backend batch of x * t(y), t(y) memoized per y, then one project_all."""
+        twisted = list(itertools.chain.from_iterable(map(self._twisted.__getitem__, ys)))
+        return self.project_all(self.backend.products(xs, twisted))
+
     def step(self, gens):
         """layer -> project(u * t) over u in the layer, then the distinct
         twisted generators t.
@@ -172,10 +177,8 @@ class CosetGroup(OrbitGroup):
 
     The twists are A's compiled maps.  A finite G is partitioned into
     A-orbits at construction, within the budget.  On an infinite G the
-    scalar project files each miss under its orbit minimum, as its traffic
-    recurs (check_axioms on heis_swap: 436 G-elements, 2,331 projections);
-    a walk's project_all files none, as its products rarely recur (11,421
-    of the 13,481 the bfs-exp walks form are met for the first time)."""
+    scalar project files each miss under its orbit minimum; project_all,
+    which every batch takes, files none."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
                  budget: int = DEFAULT_BUDGET):
@@ -289,37 +292,47 @@ class AxiomReport(NamedTuple):
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     """Verify associativity / unit / inverse on the sample; failures carry witnesses.
 
-    Each class met gets a small int id; X.mul runs once per ordered id pair,
-    kept as the sorted tuple of value ids, and the N x N table of sample
-    products is built once.  As a multiset x*(y*z) is the union of x*w over
-    w in y*z, so it is flattened once per (x, P = y*z), in x's memo; (x*y)*z
-    is flattened for all z at once, one row per Q = x*y.  Each (x, y)
-    compares the two rows as lists, and only a row that differs is scanned
-    for its first z: witness and triples_checked are the plain loop's.
+    Each pair read is formed once, one ``X.products`` batch per sample row
+    or column, as sorted value ids: the table of the sample classes, then
+    x*w and w*z (at w's id) for the classes w it adds.  x*(y*z) is sorted
+    once per (x, y*z), (x*y)*z once per (x*y, z), and only a row over z
+    where they differ is scanned: witness and triples are the plain loop's.
     """
     sample = list(sample)
     if not sample:
         raise ValidationError("axiom check needs a nonempty sample")
     if X.unit not in sample:
         sample = [X.unit] + sample
-    classes: List[Any] = []
-    ids = _Memo(lambda c: classes.append(c) or len(classes) - 1).__getitem__
-    mul = _Memo(lambda ij: tuple(sorted(map(ids, X.mul(classes[ij[0]], classes[ij[1]])))))
-    row = list(map(ids, sample))
-    unit = ids(X.unit)
+    ids = _Memo(lambda c, count=itertools.count(): next(count))  # sample classes first
+    n, row = X.n, list(map(ids.__getitem__, sample))
+    classes, unit = list(ids), ids[X.unit]
+
+    def sorted_ids(values):  # each n values as the sorted tuple of their ids
+        return list(map(tuple, map(sorted, zip(*[map(ids.__getitem__, values)] * n))))
+
+    def unions(line):  # per distinct table entry P, the sorted union of line[w] over w in P
+        return list(map(sorted, map(itertools.chain, *[map(line.__getitem__, flat)] * n)))
+
+    table = [sorted_ids(X.products([x], classes)) for x in classes]
+    added = list(ids)[len(classes):]
+    bars = [(xb, ids.get(xb)) for xb in map(X.inv, classes)]  # no id: x*inv(x) is formed alone
+    lefts = [line + sorted_ids(X.products([x], added)) for x, line in zip(classes, table)]
+    rights = [[*col, *sorted_ids(X.products(added, [z]))] for z, col in zip(classes, zip(*table))]
+    entries = dict(zip(dict.fromkeys(itertools.chain(*table)), itertools.count()))
+    flat, cells = list(itertools.chain(*entries)), [[entries[t[i]] for i in row] for t in table]
+    left, by_z = list(map(unions, lefts)), list(map(unions, rights))  # x*P, and P*z
+    right = list(map(list, zip(*map(by_z.__getitem__, row))))  # Q -> its row over z
+    inverses = [unit in lefts[i][k] and unit in rights[i][k] if k is not None else
+                X.unit in X.products([x], [xb]) and X.unit in X.products([xb], [x])
+                for i, (x, (xb, k)) in enumerate(zip(classes, bars))]
     unit_witness = next((x for x, i in zip(sample, row)
-                         if not mul[unit, i] == mul[i, unit] == (i,) * X.n), None)
-    inverse_witness = next((x for x, i, ib in zip(sample, row, map(ids, map(X.inv, sample)))
-                            if unit not in mul[ib, i] or unit not in mul[i, ib]), None)
-    table = [[mul[i, j] for j in row] for i in row]
-    lefts = _Memo(lambda i: _Memo(lambda p: flatten([mul[i, w] for w in p])).__getitem__)
-    rights = _Memo(lambda q: [flatten([mul[w, k] for w in q]) for k in row])
-    size = len(row)
-    witness, triples = None, size ** 3
+                         if not table[unit][i] == table[i][unit] == (i,) * n), None)
+    inverse_witness = next((x for x, i in zip(sample, row) if not inverses[i]), None)
+    size, witness, triples = len(sample), None, len(sample) ** 3
     for a, b in itertools.product(range(size), repeat=2):
-        left, right = list(map(lefts[row[a]], table[b])), rights[table[a][b]]
-        if left != right:
-            c = next(c for c in range(size) if left[c] != right[c])
+        lhs, rhs = list(map(left[row[a]].__getitem__, cells[row[b]])), right[cells[row[a]][b]]
+        if lhs != rhs:
+            c = next(c for c in range(size) if lhs[c] != rhs[c])
             witness, triples = (sample[a], sample[b], sample[c]), (a * size + b) * size + c + 1
             break
     return AxiomReport(witness is None, unit_witness is None, inverse_witness is None,

@@ -128,6 +128,17 @@ def scalar_products(backend, gs, hs):
     return [backend.mul(g, h) for g in gs for h in hs]
 
 
+def scalar_mv_products(X, xs, ys):
+    """x*y for x in xs, then y in ys, one scalar `X.mul` each: the oracle of
+    `MvGroup.products` batches."""
+    return [X.mul(x, y) for x in xs for y in ys]
+
+
+def sorted_groups(X, values):
+    """A batch of n values per pair, cut into its pairs, each a sorted n-tuple."""
+    return [tuple(sorted(values[k:k + X.n])) for k in range(0, len(values), X.n)]
+
+
 def starmap_spheres(backend, gens, radius, budget=DEFAULT_BUDGET):
     """The spheres of monoid_balls one scalar `mul` at a time, as it formed
     them before the products batch."""
@@ -476,6 +487,14 @@ def product_batches(instance):
     return cases
 
 
+def pair_batches(instance):
+    """(X, xs, ys): the classes of B(e, 2) against the centres, the centres
+    against them, and each side alone."""
+    X, near = instance.X, near_unit(instance)[:10]
+    middle = centres(X, instance.x_generators)
+    return [(X, xs, ys) for xs, ys in ((near, middle), (middle, near), (near, []), ([], middle))]
+
+
 def classes_met(instance):
     """(X, every class a ball, a dynamic or a power table meets)."""
     X, gens = instance.X, instance.x_generators
@@ -580,6 +599,8 @@ ROWS = [
         monoid_balls, starmap_spheres, same_monoid_spheres, True),
     Row("products", orbit_group, product_batches,
         lambda backend, gs, hs: backend.products(gs, hs), scalar_products, equal),
+    Row("mv_products", every, pair_batches,
+        lambda X, xs, ys: sorted_groups(X, X.products(xs, ys)), scalar_mv_products, equal),
     Row("project_all", orbit_group, products_with_repeats, project_all_batch, project_each,
         equal),
     Row("classes", every, classes_met, class_forms, oracle_class_forms, equal),

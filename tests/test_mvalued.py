@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvgroups import load_instance, mvalued
+from mvgroups import load_instance
 from mvgroups.cayley import ball, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
@@ -26,12 +26,12 @@ from mvgroups.mvalued import (
     MutatedNatGroup,
     MvGroup,
     NatGroup,
+    OrbitGroup,
     check_axioms,
 )
-from mvgroups.multiset import flatten
 
 from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, PATHS, brute_double_cosets,
-                     class_forms, cli_sample, key_class, oracle_class_forms,
+                     class_forms, cli_sample, fresh, key_class, oracle_class_forms,
                      reference_check_axioms, table_test, triple_product_left,
                      triple_product_right)
 
@@ -215,6 +215,7 @@ def test_double_coset_s3_transposition_subgroup(instances):
 
 
 test_coset_products_match_oracle = table_test("mul")
+test_products_match_scalar_mul = table_test("mv_products")
 
 
 def test_double_coset_axioms_full_carrier(instances):
@@ -477,23 +478,41 @@ def test_check_axioms_multiplies_each_pair_once(instances):
 
 test_check_axioms_matches_unmemoized_reference = table_test("check_axioms", extra={
     name: lambda instances, make=make: [(X, X.carrier()) for X in [make()]]
-    for name, make in DOUBLE_COSETS.items()})
+    for name, make in {**DOUBLE_COSETS, "s4_transposition": s4_transposition_coset}.items()})
 
 
-@pytest.mark.parametrize("name,distinct", [("s3_conj", 24), ("s4_transposition", 560)])
-def test_check_axioms_flattens_once_per_distinct_product(instances, monkeypatch, name, distinct):
-    X = instances[name].X if name in instances else s4_transposition_coset()
-    sample = X.carrier()
-    triples = list(itertools.product(sample, repeat=3))
-    lefts = {(x, X.mul(y, z)) for x, y, z in triples}
-    rights = {(X.mul(x, y), z) for x, y, z in triples}
-    assert (len(lefts), len(rights)) == (distinct, distinct)
-    calls = []
-    monkeypatch.setattr(mvalued, "flatten", lambda products: calls.append(1) or flatten(products))
+@pytest.mark.parametrize("name,pairs", [("s3_conj", 16), ("z2_pm1", 245), ("nat", 341),
+                                        ("heis_swap", 1161), ("free2_swap", 118)])
+def test_check_axioms_forms_each_pair_once(instances, name, pairs):
+    """The ordered pairs the check forms on the CLI sample, each once and
+    all in `X.products` batches: N^2 + 2Nm for the N sample classes and the
+    m classes their table adds (heis_swap: 81 + 540 + 540), and on
+    free2_swap two more for each of the 3 classes whose inverse no table
+    holds.  An orbit group's batches make no scalar `X.mul` call."""
+    instance = instances[name]
+    X, sample = fresh(instance.X), cli_sample(instance)
+    formed, scalar = Counter(), []
+    products, mul = X.products, X.mul
+    X.products = lambda xs, ys: formed.update(itertools.product(xs, ys)) or products(xs, ys)
+    X.mul = lambda x, y: scalar.append((x, y)) or mul(x, y)
     report = check_axioms(X, sample)
-    assert report.all_ok and report.triples_checked == len(triples)
-    assert len(calls) == len(lefts) + len(rights)
+    assert report.all_ok and report.triples_checked == len(sample) ** 3
+    assert sum(formed.values()) == pairs and set(formed.values()) == {1}
+    assert len(scalar) == (0 if isinstance(X, OrbitGroup) else pairs)
+
+
+def test_check_axioms_on_a_sample_with_repeats(instances):
+    """The 25 projections of (i, j), |i|, |j| <= 2, on z2_pm1 are 13 classes:
+    witness and counts are the plain loop's over the 25, and each ordered
+    pair of classes is formed once."""
+    X = instances["z2_pm1"].X
+    sample = [X.project((i, j)) for i in range(-2, 3) for j in range(-2, 3)]
+    assert len(set(sample)) == 13
+    counting = CountingMv(X)
+    report = check_axioms(counting, sample)
     assert report == reference_check_axioms(X, sample)
+    assert report.all_ok and report.triples_checked == 25 ** 3
+    assert set(counting.calls.values()) == {1}
 
 
 def test_check_axioms_matches_reference_on_associativity_failure():
@@ -516,6 +535,40 @@ def test_check_axioms_witness_is_the_first_failing_triple(pair, product, witness
     assert (report.associativity_witness, report.triples_checked) == (witness, triples)
     assert report == reference_check_axioms(X, range(5))
     assert set(counting.calls.values()) == {1}
+
+
+class _TableMv(MvGroup):
+    """An arbitrary n-valued product on range(size) read from a table, with
+    unit 0 and an arbitrary inverse map: rarely an n-valued group, so each
+    axiom fails at any triple or element, and an inverse may lie outside
+    every table the check forms."""
+
+    unit = 0
+
+    def __init__(self, n, table, inverse):
+        self.n, self.table, self.inverse = n, table, inverse
+
+    def mul(self, x, y):
+        return self.table[x][y]
+
+    def inv(self, x):
+        return self.inverse[x]
+
+
+@given(st.data())
+def test_check_axioms_matches_reference_on_arbitrary_tables(data):
+    """Witnesses, counts and verdicts are the plain loop's on samples with
+    repeats, and each ordered pair is formed at most once."""
+    n, size = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    value = st.integers(0, size - 1)
+    product = st.lists(value, min_size=n, max_size=n).map(lambda v: tuple(sorted(v)))
+    table = data.draw(st.lists(st.lists(product, min_size=size, max_size=size),
+                               min_size=size, max_size=size))
+    X = _TableMv(n, table, data.draw(st.lists(value, min_size=size, max_size=size)))
+    sample = data.draw(st.lists(value, min_size=1, max_size=7))
+    counting = CountingMv(X)
+    assert check_axioms(counting, sample) == reference_check_axioms(X, sample)
+    assert set(counting.calls.values()) <= {1}
 
 
 def test_check_axioms_twists_each_right_factor_once():
