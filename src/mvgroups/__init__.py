@@ -33,7 +33,6 @@ from .cayley import (
     PowerTable,
     ball,
     compare_generating_sets,
-    length,
     lengths,
     power_table,
 )

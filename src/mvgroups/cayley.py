@@ -88,12 +88,6 @@ def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 
     return [found[x] for x in targets]
 
 
-def length(X: MvGroup, gens: Sequence[Any], x, cap: int = 64,
-           budget: int = DEFAULT_BUDGET) -> int:
-    """The length of one element; see ``lengths``."""
-    return lengths(X, gens, [x], cap, budget)[0]
-
-
 def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET,
                      on_layer: Optional[Callable[[int, int, float], Any]] = None
                      ) -> Iterator[Tuple[Any, ...]]:

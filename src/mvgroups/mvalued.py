@@ -5,8 +5,8 @@ An MvGroup has a unit, an involution-style inverse map, and mul(x, y)
 returning its n values as a sorted n-tuple, the canonical form of an
 n-multiset.  Elements are hashable, with ``canonical`` giving the order
 they print in.  Coset and double-coset groups share one OrbitGroup
-constructor and product, and bring their class rule (A-orbit or HgH),
-project and carrier; a class is the G-element least in it under native
+constructor, product, projection and carrier, and bring only their class
+rule (A-orbit or HgH); a class is the G-element least in it under native
 ``<``, and its canonical key is formed only where it is printed or sorted.
 
 ``step(gens)`` is the one expansion every Cayley-graph walk takes: a
@@ -14,10 +14,10 @@ layer map, sending a layer to the values of u*s over its elements u, then
 s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: a coset group folds
-``min`` over its compiled twists and files nothing, a double coset group
-looks the batch up in its partition.  Z^k forms the products column-wise,
-a free group concatenates at the seam, and a direct product runs each
-factor's batch on its column.
+``min`` over its compiled twists, a double coset group looks the batch up
+in its partition.  The scalar ``mul`` and ``project`` are batches of one.
+Z^k forms the products column-wise, a free group concatenates at the
+seam, and a direct product runs each factor's batch on its column.
 """
 
 from __future__ import annotations
@@ -94,18 +94,20 @@ class MutatedNatGroup(MvGroup):
 class OrbitGroup(MvGroup):
     """Classes of G, each the G-element least in its class under native `<`.
 
-    mul(x, y) is the fixed-representative n-family
-    [project(x * t(y)) for t in twists], so it has exactly n values even on
-    classes with stabilizers; independence of the representative choice is
-    a tested property, not an assumption, and it lets any fixed member name
-    a class: the native minimum needs no key.  `canonical` keys a class
-    only where it is printed or sorted.
+    x*y is the fixed-representative n-family [project(x * t(y)) for t in
+    twists], so it has exactly n values even on classes with stabilizers;
+    independence of the representative choice is a tested property, not an
+    assumption, and it lets any fixed member name a class: the native
+    minimum needs no key.  `canonical` keys a class only where it is
+    printed or sorted.
 
     The one constructor sets the backend, n = len(twists), the twists, a memo
     of each right factor's twisted images, the class rule `members`, the
     class table (a finite G partitioned by `members`, g -> g's class; else
-    empty) and the unit.  A subclass checks its arguments, sets its own
-    state and defines project and carrier; if G may be infinite, project_all.
+    empty, and never written after) and the unit.  The scalar `mul`,
+    `project` and `carrier` are defined here once, on the batches: a
+    subclass checks its arguments, sets its own state and, if G may be
+    infinite, defines the class rule's `project_all`.
     """
 
     def __init__(self, backend: GroupBackend, twists: List[Callable[[Any], Any]],
@@ -139,16 +141,25 @@ class OrbitGroup(MvGroup):
         return min((key(p), p) for p in self._members(x))
 
     def mul(self, x, y):
-        """The n values; y's twisted images are formed once per right factor."""
-        mul, project = self.backend.mul, self.project
-        return tuple(sorted(project(mul(x, h)) for h in self._twisted[y]))
+        """The n values: the ``products`` batch of the one pair, sorted."""
+        return tuple(sorted(self.products((x,), (y,))))
 
     def inv(self, x):
         return self.project(self.backend.inv(x))
 
-    def project_all(self, gs: List[Any]) -> List[Any]:
+    def project(self, g):
+        """g's class: a ``project_all`` batch of one."""
+        return self.project_all((g,))[0]
+
+    def project_all(self, gs: Sequence[Any]) -> List[Any]:
         """[project(g) for g in gs], as one lookup in the partition of finite G."""
         return list(map(self._classes.__getitem__, gs))
+
+    def carrier(self) -> List[Any]:
+        """All classes, in the canonical order; finite backends only."""
+        if not self.backend.is_finite():
+            raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
+        return sorted(set(self._classes.values()), key=self.canonical)
 
     def products(self, xs, ys):
         """One backend batch of x * t(y), t(y) memoized per y, then one project_all."""
@@ -176,9 +187,8 @@ class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
     The twists are A's compiled maps.  A finite G is partitioned into
-    A-orbits at construction, within the budget.  On an infinite G the
-    scalar project files each miss under its orbit minimum; project_all,
-    which every batch takes, files none."""
+    A-orbits at construction, within the budget, for the carrier; on any G
+    a class is the orbit minimum, folded over the batch."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
                  budget: int = DEFAULT_BUDGET):
@@ -189,33 +199,20 @@ class CosetGroup(OrbitGroup):
         self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
         super().__init__(backend, twists, lambda g: (t(g) for t in twists), budget)
 
-    def project_all(self, gs: List[Any]) -> List[Any]:
-        """[project(g) for g in gs], reading and filing no class: min folded
+    def project_all(self, gs: Sequence[Any]) -> List[Any]:
+        """[project(g) for g in gs], reading no class table: min folded
         one twist at a time, from gs (the identity twist) over `_moves`."""
         least = gs
         for t in self._moves:
             least = map(min, least, map(t, gs))
         return list(least)
 
-    def project(self, g):
-        least = self._classes.get(g)
-        if least is None:
-            least = self._classes[g] = min(t(g) for t in self.twists)
-        return least
-
-    def carrier(self) -> List[Any]:
-        """All classes, in the canonical order; finite backends only."""
-        if not self.backend.is_finite():
-            raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        return sorted(set(self._classes.values()), key=self.canonical)
-
 
 class DoubleCosetGroup(OrbitGroup):
     """Double coset group of (G, H) for finite G, with n = |H|.
 
     G is partitioned into double cosets once, at construction and within
-    the budget, so project is a lookup and the carrier is the set of
-    classes."""
+    the budget, so a projection is a lookup in the partition."""
 
     def __init__(self, backend: GroupBackend, subgroup: Sequence[Any],
                  budget: int = DEFAULT_BUDGET):
@@ -234,12 +231,6 @@ class DoubleCosetGroup(OrbitGroup):
             return members
 
         super().__init__(backend, [functools.partial(mul, h) for h in H], double_coset, budget)
-
-    def project(self, g):
-        return self._classes[g]
-
-    def carrier(self) -> List[Any]:
-        return sorted(set(self._classes.values()), key=self.canonical)
 
 
 # ---------------------------------------------------------------------------

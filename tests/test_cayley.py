@@ -8,7 +8,6 @@ from mvgroups.errors import BudgetExceeded, NotReachedWithinCap, ValidationError
 from mvgroups.cayley import (
     ball,
     compare_generating_sets,
-    length,
     lengths,
     power_table,
     set_product,
@@ -90,33 +89,33 @@ def test_ball_matches_word_expansion_oracle():
 
 
 def test_length_examples():
-    assert length(NAT, GENS, 0) == 0
-    assert length(NAT, GENS, 5) == 5
-    assert length(NAT, [5], 10) == 2  # 5*5 = [10, 0]
-    assert length(NAT, [2, 5], 3) == 2  # 5*2 hits |5-2| = 3
+    assert lengths(NAT, GENS, [0])[0] == 0
+    assert lengths(NAT, GENS, [5])[0] == 5
+    assert lengths(NAT, [5], [10])[0] == 2  # 5*5 = [10, 0]
+    assert lengths(NAT, [2, 5], [3])[0] == 2  # 5*2 hits |5-2| = 3
 
 
 def test_length_unreachable_raises():
     # products of 2s stay even, so 1 is never reached
     with pytest.raises(NotReachedWithinCap):
-        length(NAT, [2], 1, cap=20)
+        lengths(NAT, [2], [1], cap=20)
 
 
 def test_length_cap_too_small():
     with pytest.raises(NotReachedWithinCap):
-        length(NAT, GENS, 30, cap=5)
+        lengths(NAT, GENS, [30], cap=5)
 
 
 def test_length_consistent_with_ball_spheres():
     table = ball(NAT, [1, 4], NAT.unit, 6)
     for r, sphere in enumerate(table.sphere_sets):
         for v in sphere:
-            assert length(NAT, [1, 4], v) == r
+            assert lengths(NAT, [1, 4], [v])[0] == r
 
 
 def test_lengths_one_search_matches_length():
     targets = [7, 0, 3, 12, 3]
-    assert lengths(NAT, [2, 5], targets) == [length(NAT, [2, 5], v) for v in targets]
+    assert lengths(NAT, [2, 5], targets) == [lengths(NAT, [2, 5], [v])[0] for v in targets]
     # the search stops at the last target: B(0, 3) has 4 elements, B(0, 4) has 5
     assert lengths(NAT, [1], [3, 2], budget=4) == [3, 2]
 

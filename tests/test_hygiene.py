@@ -6,8 +6,9 @@ every class that defines a kernel is run by a row, importing the CLI loads
 neither `dataclasses` nor `inspect`, building an instance loads no
 analysis or CLI module, every verification suite takes only (instance,
 r_max, budget), no subclass of a base with one constructor (`OrbitGroup`,
-`_IntVectors`) sets what that constructor sets, and only the output edge
-forms canonical keys."""
+`_IntVectors`) sets what that constructor sets, an orbit group's subclass
+brings only its class rule, and only the output edge forms canonical
+keys."""
 
 import ast
 import importlib
@@ -22,7 +23,7 @@ import sys
 import pytest
 
 import mvgroups
-from mvgroups import verify
+from mvgroups import mvalued, verify
 
 import oracles
 
@@ -247,6 +248,18 @@ def test_no_subclass_sets_what_its_base_constructor_sets():
                       if isinstance(node, ast.ClassDef) and node.name == "HeisenbergGroup")
     defined = {node.name for node in heisenberg.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"identity", "gen", "render"}
+
+
+# what OrbitGroup defines once, on its batches, for every class rule
+ORBIT_SHARED = {"mul", "project", "carrier", "products", "step"}
+
+
+def test_orbit_subclasses_bring_only_their_class_rule():
+    subclasses = [cls for cls in vars(mvalued).values() if isinstance(cls, type)
+                  and issubclass(cls, mvalued.OrbitGroup) and cls is not mvalued.OrbitGroup]
+    assert subclasses
+    assert sorted(f"{cls.__name__}.{name}" for cls in subclasses
+                  for name in ORBIT_SHARED & set(vars(cls))) == []
 
 
 # the functions that may form a canonical key: those that print or sort for

@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from mvgroups import groups, load_instance
-from mvgroups.cayley import ball, length, power_table
+from mvgroups.cayley import ball, lengths, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
 from mvgroups.groups import FreeGroup, closure, layers, monoid_balls
@@ -118,8 +118,8 @@ F2 = FreeGroup(2)
 ENUMERATIONS = {
     "ball": (lambda budget: ball(NAT, [1, 2], 3, 6, budget=budget),
              lambda table: table.ball_sizes[-1]),
-    "length": (lambda budget: length(NAT, [2, 3], 9, budget=budget),
-               lambda r: ball(NAT, [2, 3], NAT.unit, r).ball_sizes[-1]),
+    "lengths": (lambda budget: lengths(NAT, [2, 3], [9], budget=budget),
+                lambda found: ball(NAT, [2, 3], NAT.unit, found[0]).ball_sizes[-1]),
     "monoid_balls": (lambda budget: monoid_balls(F2, [F2.gen(0), F2.gen(1)], 4, budget=budget),
                      lambda table: table.ball_sizes[-1]),
     "power_table": (lambda budget: power_table(NAT, 1, 6, budget=budget),

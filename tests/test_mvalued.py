@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -30,8 +31,8 @@ from mvgroups.mvalued import (
     check_axioms,
 )
 
-from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, PATHS, brute_double_cosets,
-                     class_forms, cli_sample, fresh, key_class, oracle_class_forms,
+from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, ORBIT, PATHS, brute_double_cosets,
+                     class_forms, cli_sample, key_class, least_members, oracle_class_forms,
                      reference_check_axioms, table_test, triple_product_left,
                      triple_product_right)
 
@@ -282,8 +283,8 @@ def test_double_coset_project_makes_no_backend_mul_calls():
 # the coset class table against the orbit-min oracle
 
 @pytest.mark.parametrize("name", COSET)
-def test_coset_project_matches_orbit_min_oracle(name):
-    X = load_instance(PATHS[name]).X  # fresh, so its class table is this test's own
+def test_coset_project_matches_orbit_min_oracle(every_instance, name):
+    X = every_instance[name].X
     backend = X.backend
     if backend.is_finite():
         elements = list(backend.elements())
@@ -292,50 +293,51 @@ def test_coset_project_matches_orbit_min_oracle(name):
         monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
         elements = [a.apply(g) for g in itertools.chain.from_iterable(monoid.sphere_sets)
                     for a in X.auts]
+    filed = dict(X._classes)
     for g in elements:
         expected = key_class(X, g)
-        cls = X.project(g)  # a miss on infinite G unless seen before
+        cls = X.project(g)
         assert cls == min(a.apply(g) for a in X.auts), g  # the native orbit minimum
         assert X.canonical(cls) == expected, g
-        assert X._classes[g] == cls, g  # filed under g itself
-        # g again hits; the least member by key is filed once it is looked up
-        assert X.project(g) == X.project(expected[1]) == cls, g
-        assert X._classes[expected[1]] == cls, g
+        assert X.project(expected[1]) == cls, g  # the least member by key names it too
+        assert filed.get(g, cls) == cls, g  # the partition of a finite G agrees
+    assert X._classes == filed
     if backend.is_finite():
         assert list(map(X.canonical, X.carrier())) == sorted(
             {key_class(X, g) for g in elements})
 
 
 @pytest.mark.parametrize("name", INFINITE_COSET)
-def test_coset_class_table_files_each_class_under_its_least_member(name):
-    """The scalar project files each class, its least member under native
-    order, under every G-element it missed and under no other; the
-    project_all batches of a ball file nothing."""
-    instance = load_instance(PATHS[name])  # a class table of its own
-    X = instance.X
-    filed = dict(X._classes)  # construction projected the identity and the generators
-    looked_up = list(filed)
-    project_all = X.project_all
-    X.project_all = lambda gs: looked_up.extend(gs) or project_all(gs)
+def test_coset_class_table_files_each_class_under_its_least_member(every_instance, name):
+    """Each G-element a ball's batches look up goes, by the scalar project
+    as by the batch, to the least member of its class under native order,
+    and those classes are the ball's; an infinite G has no class table."""
+    instance = every_instance[name]
+    X = copy.copy(instance.X)
+    looked_up = []
+    X.project_all = lambda gs: looked_up.extend(gs) or instance.X.project_all(gs)
     table = ball(X, instance.x_generators, X.unit, 6)
-    assert X._classes == filed
-    classes = set(map(X.project, looked_up))
-    assert set(X._classes) == set(looked_up)
-    assert class_forms(X, ()) == oracle_class_forms(X, ())
-    assert classes == set(X._classes.values()) == set(itertools.chain(*table.sphere_sets))
-    assert len(classes) == table.ball_sizes[-1]
+    classes = list(map(instance.X.project, looked_up))
+    assert classes == least_members(X, looked_up)
+    assert {X.unit, *classes} == set(itertools.chain(*table.sphere_sets))
+    assert X._classes == {}
 
 
-@pytest.mark.parametrize("name", INFINITE_COSET)
+@pytest.mark.parametrize("name", ORBIT)
 def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(name):
-    """Loading files the identity and the generators, each under its orbit
-    minimum, and no walk files more."""
+    """The class table is written once, by the constructor: a finite G's
+    partition, each G-element filed under the least member of its orbit
+    under A (or H x H), and empty on an infinite G.  No walk, axiom check
+    or parsed element writes to it."""
     instance = load_instance(PATHS[name])
     X, gens = instance.X, instance.x_generators
     filed = dict(X._classes)
+    assert bool(filed) == X.backend.is_finite()
     ball(X, gens, X.unit, 4)
     iterate_dynamic(X, gens[0], gens[-1], 6)
     power_table(X, gens[-1], 6)
+    check_axioms(X, cli_sample(instance))
+    instance.element(f"{X.backend.gen_names[0]}^-1")
     assert X._classes == filed
     assert class_forms(X, ()) == oracle_class_forms(X, ())
 
@@ -382,7 +384,7 @@ def record_forwards(auts, calls):
     return auts
 
 
-def test_finite_coset_project_is_a_lookup():
+def test_finite_coset_project_folds_its_twists_without_keys():
     class Counting(PermutationGroup):
         keys = 0
 
@@ -396,9 +398,11 @@ def test_finite_coset_project_is_a_lookup():
     backend = X.backend
     backend.keys = 0
     twists.clear()
-    for g in backend.elements():
+    elements = list(backend.elements())
+    for g in elements:
         X.project(g)
-    assert (backend.keys, len(twists)) == (0, 0)
+    # a batch of one: each twist besides the identity once, and no key
+    assert (backend.keys, len(twists)) == (0, (X.auts.order - 1) * len(elements))
     carrier = X.carrier()
     # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
     assert len(carrier) == 14
@@ -490,7 +494,7 @@ def test_check_axioms_forms_each_pair_once(instances, name, pairs):
     free2_swap two more for each of the 3 classes whose inverse no table
     holds.  An orbit group's batches make no scalar `X.mul` call."""
     instance = instances[name]
-    X, sample = fresh(instance.X), cli_sample(instance)
+    X, sample = copy.copy(instance.X), cli_sample(instance)
     formed, scalar = Counter(), []
     products, mul = X.products, X.mul
     X.products = lambda xs, ys: formed.update(itertools.product(xs, ys)) or products(xs, ys)
@@ -572,6 +576,9 @@ def test_check_axioms_matches_reference_on_arbitrary_tables(data):
 
 
 def test_check_axioms_twists_each_right_factor_once():
+    """The memo forms each right factor's twisted images once; besides it,
+    only the projections twist: each G-product of a pair, and each class's
+    inverse, once by each twist but the identity."""
     twists = []
     auts = record_forwards(s4_transposition_auts(), twists)
     X = CosetGroup(auts.backend, auts)
@@ -579,8 +586,13 @@ def test_check_axioms_twists_each_right_factor_once():
     twists.clear()
     counting = CountingMv(X)
     assert check_axioms(counting, carrier).all_ok
+    formed = Counter(twists)
     rights = {y for _, y in counting.calls}
-    assert Counter(twists) == Counter(itertools.product(X.auts, rights))
+    moves = [a for i, a in enumerate(X.auts) if i != X.auts.identity_index]
+    projected = [*map(X.backend.inv, carrier),
+                 *(X.backend.mul(x, a.apply(y)) for x, y in counting.calls for a in X.auts)]
+    assert formed == Counter(itertools.product(X.auts, rights)) + Counter(
+        itertools.product(moves, projected))
 
 
 @pytest.mark.parametrize("name", EVERY_INSTANCE)
