@@ -12,11 +12,12 @@ expands through ``X.step(gens)``, a whole layer at a time.  A coset or
 double-coset group twists its generators once per walk and forms a
 layer's (element, twisted generator) products in one ``products`` batch,
 without building the sorted product, and projects them in one batch: a
-coset group folds each product's orbit minimum, itself a G-element, and
-files none, a double coset group looks each up in its partition.  Z^k
-forms the products column-wise, a free group concatenates at the seam, and
-a direct product runs each factor's batch on its column.  The budget
-still counts classes.
+coset group folds each product's orbit minimum, itself a G-element, by
+compare-select and files none, a double coset group looks each up in its
+partition.  Z^k forms the products column-wise, the Heisenberg group in
+one list display, a free group concatenates at the seam, and a direct
+product runs each factor's batch on its column.  The budget still counts
+classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.

@@ -4,18 +4,18 @@ A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples, strings); the
 backend object carries the operations, and ``products`` batches ``mul``
-over a layer: the scalar loop by default, column by column on Z^k.  A
-free-group word is a string of letters, so a product concatenates and
-cancels at the seam; a direct product splits a layer into factor columns
-and runs each factor's own batch on its column; a semidirect product
-twists each step once per automorphism index.  A canonical key is an int
-or a tuple whose native order is the canonical order: integers rank
-0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank, and
-free words compare fewer syllables first, then syllable by syllable.  Keys
-give the order elements print in, so only output paths form them.  Z^k
-and the Heisenberg group share one integer-vector constructor: the rank
-and name checks (the free group's too), identity, generators, rendering
-and keys.
+over a layer: the scalar loop by default, column by column on Z^k, one
+list display on the Heisenberg group.  A free-group word is a string of
+letters, so a product concatenates and cancels at the seam; a direct
+product splits a layer into factor columns and runs each factor's own
+batch on its column; a semidirect product twists each step once per
+automorphism index.  A canonical key is an int or a tuple whose native
+order is the canonical order: integers rank 0 < 1 < -1 < 2 < -2 < ...,
+vectors compare componentwise in that rank, and free words compare fewer
+syllables first, then syllable by syllable.  Keys give the order elements
+print in, so only output paths form them.  Z^k and the Heisenberg group
+share one integer-vector constructor: the rank and name checks (the free
+group's too), identity, generators, rendering and keys.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -25,15 +25,16 @@ one place an image list becomes a map: finite kinds without relators walk
 their Cayley graph, checking the homomorphism property on every edge, and
 keep the image table; Z^k compiles to a linear map, Z/m to multiplication
 by the generator's image, the Heisenberg group to one polynomial in
-(p, q, r), free groups to one ``str.translate`` for a signed permutation
-of the letters, else letter substitution, and a direct product with
-relators whose generators map into their own factors to one map per
-factor.  evaluate(factor(g), images) is left only to products that mix
-their factors, and stays the oracle on infinite kinds (permutation and
-table groups have no factor).  A verified automorphism keeps one map;
-when its inverse images differ from its images they are checked on a
-second compiled map that is then dropped, and when they are equal the one
-map serves both ways.
+(p, q, r), or to its nonzero terms when the images of a and b act on
+(p, q) by a signed permutation and C is central, free groups to one
+``str.translate`` for a signed permutation of the letters, else letter
+substitution, and a direct product with relators whose generators map
+into their own factors to one map per factor.  evaluate(factor(g),
+images) is left only to products that mix their factors, and stays the
+oracle on infinite kinds (permutation and table groups have no factor).
+A verified automorphism keeps one map; when its inverse images differ
+from its images they are checked on a second compiled map that is then
+dropped, and when they are equal the one map serves both ways.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
 checked seeds, stepping by image lists alone, and compiles each distinct
 automorphism it keeps once; ``AutomorphismGroup`` reads its composition
@@ -524,11 +525,30 @@ class HeisenbergGroup(_IntVectors):
     def mul(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
 
+    def products(self, gs, hs):
+        """The products, element-major, in one list display."""
+        return [(p + x, q + y, r + z + p * y) for p, q, r in gs for x, y, z in hs]
+
     def inv(self, g):
         p, q, r = g
         return (-p, -q, p * q - r)
 
     def homomorphism(self, images):
+        """The general `polynomial`, unless C is central (c1 = c2 = 0) and
+        the matrix [[a1, b1], [a2, b2]] acting on (p, q) is a signed
+        permutation: then a1*a2 = b1*b2 = 0, every term of the polynomial
+        with a factor c1, c2, a1*a2 or b1*b2 vanishes, and what is left is
+        (u*g[i], v*g[j], c3*r + p*(a3 + (a1*b2 - c3)*q) + b3*q), each of
+        the first two coordinates one signed coordinate of (p, q)."""
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
+        if c1 == c2 == a1 * a2 == b1 * b2 == 0 and abs(a1 * b2 - a2 * b1) == 1:
+            u, v, i, j = (a1, b2, 0, 1) if a1 else (b1, a2, 1, 0)
+            e = a1 * b2 - c3
+            return lambda g: (u * g[i], v * g[j], c3 * g[2] + g[0] * (a3 + e * g[1]) + b3 * g[1])
+        return self.polynomial(images)
+
+    @staticmethod
+    def polynomial(images):
         """g = a^p b^q c^s, s = r - pq, maps to A^p B^q C^s: the closed-form
         powers multiplied out into one polynomial in (p, q, r)."""
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images

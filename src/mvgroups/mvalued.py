@@ -14,9 +14,10 @@ layer map, sending a layer to the values of u*s over its elements u, then
 s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: a coset group folds
-``min`` over its compiled twists, a double coset group looks the batch up
-in its partition.  The scalar ``mul`` and ``project`` are batches of one.
-Z^k forms the products column-wise, a free group concatenates at the
+the minimum over its compiled twists by compare-select, a double coset
+group looks the batch up in its partition.  The scalar ``mul`` and
+``project`` are batches of one.  Z^k forms the products column-wise, the
+Heisenberg group in one list display, a free group concatenates at the
 seam, and a direct product runs each factor's batch on its column.
 """
 
@@ -200,12 +201,16 @@ class CosetGroup(OrbitGroup):
         super().__init__(backend, twists, lambda g: (t(g) for t in twists), budget)
 
     def project_all(self, gs: Sequence[Any]) -> List[Any]:
-        """[project(g) for g in gs], reading no class table: min folded
-        one twist at a time, from gs (the identity twist) over `_moves`."""
+        """[project(g) for g in gs], reading no class table: the minimum
+        folded one twist at a time, from gs (the identity twist) over
+        `_moves`, by compare-select, which keeps a unless b < a as `min`
+        does."""
+        if not self._moves:
+            return list(gs)
         least = gs
         for t in self._moves:
-            least = map(min, least, map(t, gs))
-        return list(least)
+            least = [b if b < a else a for a, b in zip(least, map(t, gs))]
+        return least
 
 
 class DoubleCosetGroup(OrbitGroup):

@@ -1054,6 +1054,42 @@ def test_heisenberg_closed_form_map_matches_the_generic_map():
             assert closed(g) == generic(g), (images, g)
 
 
+SIGNED_PERMUTATIONS_2 = [((u, 0), (0, v)) for u in (1, -1) for v in (1, -1)] + [
+    ((0, u), (v, 0)) for u in (1, -1) for v in (1, -1)]  # rows (a1, b1), (a2, b2)
+HEISENBERG_GRID = list(itertools.product(range(-4, 5), range(-4, 5), range(-6, 7)))
+
+
+@pytest.mark.parametrize("matrix", SIGNED_PERMUTATIONS_2, ids=str)
+def test_heisenberg_signed_permutation_maps_match_the_polynomial(matrix):
+    """A signed permutation of (p, q) with c -> c^det takes the short map,
+    whatever a3 and b3 are, and it agrees with the general polynomial and
+    with evaluate(factor(g), images) on the whole grid."""
+    h = HeisenbergGroup()
+    (a1, b1), (a2, b2) = matrix
+    for a3, b3 in itertools.product((-1, 0, 2), repeat=2):
+        images = [(a1, a2, a3), (b1, b2, b3), (0, 0, a1 * b2 - a2 * b1)]  # C = c^det
+        fast, general = h.homomorphism(images), h.polynomial(images)
+        assert fast.__code__ is not general.__code__, images
+        generic = GroupBackend.homomorphism(h, images)
+        for g in HEISENBERG_GRID:
+            assert fast(g) == general(g) == generic(g), (images, g)
+
+
+@pytest.mark.parametrize("images", [
+    [(0, 1, 0), (-1, -1, 1), (0, 0, 1)],  # a -> b, b -> a^-1 b^-1, c -> their commutator
+    [(1, 0, 0), (1, 0, 0), (0, 0, 0)],    # a, b -> a, c -> e
+], ids=["order-3", "endomorphism"])
+def test_heisenberg_maps_off_the_signed_permutations_take_the_polynomial(images):
+    h = HeisenbergGroup()
+    A, B, C = images
+    assert h.mul(h.mul(h.inv(A), h.inv(B)), h.mul(A, B)) == C  # [A, B] = C: a homomorphism
+    image, general = h.homomorphism(images), h.polynomial(images)
+    assert image.__code__ is general.__code__
+    generic = GroupBackend.homomorphism(h, images)
+    assert [image(g) for g in HEISENBERG_GRID] == [general(g) for g in HEISENBERG_GRID] \
+        == [generic(g) for g in HEISENBERG_GRID]
+
+
 def product_automorphisms():
     """Automorphisms of direct products: factor-preserving ones, then ones
     that mix factors and so take the generic map."""

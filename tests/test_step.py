@@ -19,8 +19,10 @@ import itertools
 from mvgroups import load_instance
 from mvgroups.cayley import ball, dynamic_supports, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
-from mvgroups.groups import Automorphism, layers, monoid_balls, orbit
-from mvgroups.mvalued import MvGroup, NatGroup
+from mvgroups.groups import (Automorphism, FreeAbelianGroup, FreeGroup, HeisenbergGroup,
+                             close_automorphisms, identity_automorphism, layers, monoid_balls,
+                             orbit)
+from mvgroups.mvalued import CosetGroup, MvGroup, NatGroup
 from mvgroups.verify import run_suite
 
 import pytest
@@ -220,6 +222,24 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     assert X._classes == {}
 
 
+def test_heis_swap_growth_is_one_products_batch_per_layer_without_scalar_calls():
+    """`growth heis_swap --radius 9` forms its 3,596 backend products in one
+    `products` batch per layer, the Heisenberg list display, with no scalar
+    `mul` and no `canonical_key` call (the default hook made 3,596 `mul`
+    calls), and swaps each product once in its `project_all` batch."""
+    instance = load_instance(PATHS["heis_swap"])  # patched below, so not the shared instance
+    X, gens = instance.X, instance.x_generators
+    expected = sorted_spheres(X, gens, X.unit, 9)
+    batches, moved = counted_projection(X)
+    calls = counted_hooks(X.backend)
+    table = ball(X, gens, X.unit, 9)
+    assert in_order(table.sphere_sets) == expected
+    assert table.ball_sizes[-1] == 1425
+    assert (len(calls["products"]), sum(calls["products"])) == (9, 3596)
+    assert (len(batches), sum(batches), len(moved)) == (9, 3596, 3596)
+    assert calls["mul"] == calls["canonical_key"] == []
+
+
 def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
     """`growth z3xF2_example46 --radius 9 --center h*g1` forms the Z/3
     column of each layer in one `products` batch of the cyclic factor, with
@@ -305,3 +325,18 @@ def test_project_all_on_an_all_hit_batch_is_the_table_lookup(every_instance, nam
         assert classes == [filed[g] for g in gs]  # the partition
     assert X._classes == filed
     assert X.project_all([]) == []
+
+
+@pytest.mark.parametrize("backend", [HeisenbergGroup(), FreeAbelianGroup(2), FreeGroup(2)],
+                         ids=lambda b: b.kind)
+def test_coset_group_of_the_trivial_automorphism_group_is_g(backend):
+    """With A = {id}, n = 1 and no twist besides the identity: `project_all`
+    returns its batch as a list, and a ball is the Cayley ball of G."""
+    X = CosetGroup(backend, close_automorphisms([identity_automorphism(backend)]))
+    assert (X.n, X._moves) == (1, [])
+    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    gens += list(map(backend.inv, gens))
+    gs = tuple(backend.products(gens, gens))
+    assert X.project_all(gs) == list(gs)
+    assert X.project_all(()) == []
+    assert ball(X, gens, X.unit, 6) == monoid_balls(backend, gens, 6)
