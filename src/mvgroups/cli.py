@@ -124,8 +124,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_table(fmt: str, rows: List[dict], head: Optional[dict] = None,
-               extra: Optional[dict] = None):
+def emit_table(fmt: str, rows: List[dict], head: dict, extra: dict):
     """Print a per-radius table: the one output path of growth, powers and dynamics.
 
     csv: a header made of the row keys, then one line per row; a bool prints
@@ -136,8 +135,7 @@ def emit_table(fmt: str, rows: List[dict], head: Optional[dict] = None,
     if fmt == "json":
         json_rows = [{k: float(v) if isinstance(v, Fraction) else v for k, v in row.items()}
                      for row in rows]
-        _emit(json.dumps({"schema": 1, **(head or {}), "rows": json_rows, **(extra or {})},
-                         indent=2))
+        _emit(json.dumps({"schema": 1, **head, "rows": json_rows, **extra}, indent=2))
     else:
         _emit("\n".join([",".join(rows[0]),
                          *(",".join(map(_csv_cell, row.values())) for row in rows)]))

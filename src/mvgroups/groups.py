@@ -264,17 +264,6 @@ def _identity(g):
     return g
 
 
-class _Memo(dict):
-    """x -> fn(x), each value formed on first use and shared after."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __missing__(self, x):
-        value = self[x] = self.fn(x)
-        return value
-
-
 def _rank_and_names(label: str, rank: int, gen_names: Optional[Sequence[str]]):
     """A checked rank and its generator names, g1..gk unless given."""
     if rank < 1:
@@ -313,7 +302,6 @@ class FreeGroup(GroupBackend):
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
         self.rank, self.gen_names = _rank_and_names("free group", rank, gen_names)
         self._flip = {c: c ^ 1 for c in range(2 * rank)}
-        self._ranked = _Memo(lambda s: (s[0], int_key(s[1]))).__getitem__
 
     @property
     def identity(self):
@@ -364,9 +352,9 @@ class FreeGroup(GroupBackend):
         return lambda g: _cancel("", g.translate(table))
 
     def canonical_key(self, g):
-        """(syllable count, (letter, exponent rank), ...), each pair interned."""
+        """(syllable count, (letter, exponent rank), ...)."""
         syllables = tuple(_syllables(g))
-        return (len(syllables), *map(self._ranked, syllables))
+        return (len(syllables), *[(i, int_key(exp)) for i, exp in syllables])
 
     def render(self, g):
         return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in
@@ -382,11 +370,10 @@ class FreeGroup(GroupBackend):
 class _IntVectors(GroupBackend):
     """Integer vectors of one rank, the generators the unit vectors; a kind
     adds its product, inverse, maps, factor and relators.  Keys are the
-    coordinates' ranks, each interned per backend."""
+    coordinates' ranks."""
 
     def __init__(self, label: str, rank: int, gen_names: Optional[Sequence[str]]):
         self.rank, self.gen_names = _rank_and_names(label, rank, gen_names)
-        self._rank = _Memo(int_key).__getitem__
 
     @property
     def identity(self):
@@ -396,7 +383,7 @@ class _IntVectors(GroupBackend):
         return tuple(1 if i == index else 0 for i in range(self.rank))
 
     def canonical_key(self, g):
-        return tuple(map(self._rank, g))
+        return tuple(map(int_key, g))
 
     def render(self, g):
         if self.rank == 1:

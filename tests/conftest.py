@@ -1,6 +1,6 @@
 import pytest
 
-from mvgroups import load_instance
+from mvgroups.wordspec import load_instance
 
 from oracles import PATHS, ROOT, SHIPPED
 

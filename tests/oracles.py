@@ -26,17 +26,16 @@ import struct
 
 import pytest
 
-from mvgroups import load_instance
 from mvgroups.cayley import ball, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded, WordSyntaxError
 from mvgroups.groups import (DEFAULT_BUDGET, Automorphism, SemidirectProduct,
                              identity_automorphism, layers, monoid_balls, orbit)
 from mvgroups.keys import int_key
-from mvgroups.multiset import flatten
 from mvgroups.mvalued import (AxiomReport, CosetGroup, DoubleCosetGroup, MvGroup, OrbitGroup,
                               check_axioms)
 from mvgroups.verify import sample_elements
+from mvgroups.wordspec import load_instance
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RADIUS = 4
@@ -94,6 +93,13 @@ def sorted_supports(X, z, y, radius, budget=DEFAULT_BUDGET):
 def support_product(X, left, right):
     """The support of left * right, sorted, every product built by oracle_mul."""
     return sorted({v for u in left for s in right for v in oracle_mul(X, u, s)})
+
+
+def flatten(products):
+    """The sorted concatenation of the products, a multiset of their summed
+    size: the n^2-multiset of the associativity axiom, x*(y*z) being
+    flatten(mul(x, w) for w in mul(y, z))."""
+    return tuple(sorted(itertools.chain.from_iterable(products)))
 
 
 def word_product(X, x, word):

@@ -5,7 +5,7 @@ retired ones may be."""
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-RETIRED = {"keys.seq_key", "multiset.MultiSet.of",
+RETIRED = {"keys.seq_key", "multiset.MultiSet.of", "multiset.flatten",
            "mvalued.CosetGroup.project", "mvalued.DoubleCosetGroup.project",
            "mvalued.CosetGroup.carrier", "mvalued.DoubleCosetGroup.carrier", "cayley.length"}
 

@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from mvgroups import load_instance
 from mvgroups.cayley import power_table
 from mvgroups.cli import run
+from mvgroups.errors import BudgetExceeded
 from mvgroups.mvalued import OrbitGroup
-from mvgroups.verify import SUITES
+from mvgroups.verify import SUITES, sample_elements
+from mvgroups.wordspec import load_instance
 
 
 def cfg(config_dir, name):
@@ -351,6 +352,11 @@ def test_compare_unreachable_generator_fails_fast(config_dir, capsys):
     assert err == "error: element (0,-1,0) not reached within radius cap 4\n"
 
 
+def test_compare_gens2_without_a_word_exits_2(config_dir, capsys):
+    code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "nat"), "--gens2", ","])
+    assert (code, out, err) == (2, "", "error: --gens2 must list at least one word\n")
+
+
 def test_compare_negative_radius_is_a_usage_error(config_dir, capsys):
     code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "nat"),
                                      "--gens2", "1,2", "--radius", "-1"])
@@ -512,6 +518,13 @@ def test_invalid_json_config(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    code, out, err = invoke(capsys, ["axioms", "-c", str(bad)])
+    assert (code, out, err) == (2, "", "error: config document must be a JSON object\n")
+
+
 def test_schema_error_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": 1, "mv": {"kind": "mystery"}}))
@@ -559,6 +572,13 @@ def test_budget_below_one_is_a_usage_error(config_dir, capsys, budget):
     assert code == 2
     assert out == ""
     assert "--budget" in err
+
+
+def test_budget_that_is_not_an_int_is_a_usage_error(config_dir, capsys):
+    code, out, err = invoke(capsys, ["growth", "-c", cfg(config_dir, "nat"), "--budget", "abc"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --budget: invalid int value: 'abc'\n")
+    assert "Traceback" not in err
 
 
 def test_missing_required_argument(config_dir, capsys):
@@ -668,6 +688,12 @@ CONFIG_PATH_CASES = [
       "mv": {"kind": "double_coset", "subgroup": ["t"]}}, "group.gens[1]"),
     (one_automorphism({**FREE2, "gens": ["g1", "g2", "g1"], "rank": 3}, {"g1": "g2", "g2": "g1"}),
      "group.gens[2]"),
+    # a required list or map that is absent
+    ({"schema": 1, "group": {"kind": "direct_product"}, "mv": {"kind": "double_coset"}},
+     "group.factors"),
+    ({**one_automorphism(FREE2, {"g1": "g2", "g2": "g1"}),
+      "automorphisms": [{"name": "s", "inverse_images": {"g1": "g2", "g2": "g1"}}]},
+     "automorphisms[0].images"),
 ]
 
 
@@ -712,6 +738,26 @@ def test_axioms_on_a_finite_carrier_obeys_the_budget(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: more than 100 distinct elements\n"
+
+
+@pytest.mark.parametrize("name, budget", [("s3_conj", 3), ("s3_doublecoset", 2)])
+def test_finite_partition_of_a_shipped_config_obeys_the_budget(config_dir, capsys, name,
+                                                               budget):
+    # S3 has 6 elements, so the partition stops before its last class
+    code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, name),
+                                     "--budget", str(budget)])
+    assert (code, out, err) == (3, "", f"budget exceeded: more than {budget} distinct elements\n")
+
+
+@pytest.mark.parametrize("name", ["s3_conj", "s3_doublecoset"])
+def test_finite_sample_obeys_its_own_budget(instances, name):
+    """The carrier, built under the instance's budget, is checked again
+    against the sample's."""
+    instance = instances[name]
+    carrier = instance.X.carrier()
+    assert sample_elements(instance, budget=len(carrier)) == carrier
+    with pytest.raises(BudgetExceeded, match=f"^more than {len(carrier) - 1} distinct elements$"):
+        sample_elements(instance, budget=len(carrier) - 1)
 
 
 # cli.run, then the peak RSS of the process's own memory (Linux VmHWM, KiB)

@@ -1279,7 +1279,7 @@ def test_finite_product_without_relators_walks_every_factor():
 
 
 # ---------------------------------------------------------------------------
-# free groups: signed-permutation maps and interned syllable keys
+# free groups: signed-permutation maps and syllable keys
 
 
 def signed_permutations(f):
@@ -1430,27 +1430,6 @@ def test_power_refuses_a_word_over_the_letter_limit():
                   lambda: zf.power((1, g1), 10**12)):
         with pytest.raises(ValidationError, match="letters; the limit is 1000000$"):
             power()
-
-
-def test_int_key_runs_once_per_syllable_per_backend(monkeypatch):
-    calls = Counter()
-
-    def counted(x):
-        calls[x] += 1
-        return int_key(x)
-    monkeypatch.setattr(groups, "int_key", counted)
-    f, rng = FreeGroup(3), random.Random(11)
-    words = random_words(f, rng)
-    for _ in range(3):
-        keys = list(map(f.canonical_key, words))
-    syllables = {s for g in words for s in f.factor(g)}
-    # one call per distinct syllable: an exponent is ranked once per letter it comes with
-    assert sum(calls.values()) == len(syllables)
-    assert calls == Counter(exp for _, exp in syllables)
-    # the cache is the backend's own
-    g = FreeGroup(3)
-    assert list(map(g.canonical_key, words)) == keys
-    assert sum(calls.values()) == 2 * len(syllables)
 
 
 # ---------------------------------------------------------------------------

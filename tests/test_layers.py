@@ -9,12 +9,13 @@ import pathlib
 
 import pytest
 
-from mvgroups import groups, load_instance
+from mvgroups import groups
 from mvgroups.cayley import ball, lengths, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
 from mvgroups.groups import FreeGroup, closure, layers, monoid_balls
 from mvgroups.mvalued import NatGroup
+from mvgroups.wordspec import load_instance
 
 NAT = NatGroup()
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -1,8 +1,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvgroups.multiset import flatten
 from mvgroups.mvalued import NatGroup
+
+from oracles import flatten
 
 
 def test_idempotent_input():

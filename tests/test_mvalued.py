@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvgroups import load_instance
 from mvgroups.cayley import ball, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
@@ -30,6 +29,7 @@ from mvgroups.mvalued import (
     OrbitGroup,
     check_axioms,
 )
+from mvgroups.wordspec import load_instance
 
 from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, ORBIT, PATHS, brute_double_cosets,
                      class_forms, cli_sample, key_class, least_members, oracle_class_forms,

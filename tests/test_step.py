@@ -16,7 +16,6 @@ and the batch and projection counts of particular configs.
 import copy
 import itertools
 
-from mvgroups import load_instance
 from mvgroups.cayley import ball, dynamic_supports, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.groups import (Automorphism, FreeAbelianGroup, FreeGroup, HeisenbergGroup,
@@ -24,6 +23,7 @@ from mvgroups.groups import (Automorphism, FreeAbelianGroup, FreeGroup, Heisenbe
                              orbit)
 from mvgroups.mvalued import CosetGroup, MvGroup, NatGroup
 from mvgroups.verify import run_suite
+from mvgroups.wordspec import load_instance
 
 import pytest
 from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order,
