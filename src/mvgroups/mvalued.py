@@ -15,17 +15,19 @@ s in gens.  The base class builds each product; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: a coset group folds
 the minimum over its compiled twists by compare-select, a double coset
-group looks the batch up in its partition.  The scalar ``mul`` and
-``project`` are batches of one.  Z^k forms the products column-wise, the
-Heisenberg group in one list display, a free group concatenates at the
-seam, and a direct product runs each factor's batch on its column.
+group looks the batch up in the partition of G it alone builds, at
+construction.  A carrier draws G lazily, at most budget + 1 elements.
+The scalar ``mul`` and ``project`` are batches of one.  Z^k forms the
+products column-wise, the Heisenberg group in one list display, a free
+group concatenates at the seam, and a direct product runs each factor's
+batch on its column.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
 from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend
@@ -114,38 +116,22 @@ class OrbitGroup(MvGroup):
     printed or sorted.
 
     The one constructor sets the backend, n = len(twists), the twists, a memo
-    of each right factor's twisted images, the class rule `members`, the
-    class table (a finite G partitioned by `members`, g -> g's class; else
-    empty, and never written after) and the unit.  The scalar `mul`,
-    `project` and `carrier` are defined here once, on the batches: a
-    subclass checks its arguments, sets its own state and, if G may be
-    infinite, defines the class rule's `project_all`.
+    of each right factor's twisted images, the class rule `members` (a
+    class -> its members) and the unit.  The scalar `mul`, `project` and
+    `carrier` are defined here once, on the batches: a subclass checks its
+    arguments, sets its own state and defines its class rule's
+    `project_all`.
     """
 
     def __init__(self, backend: GroupBackend, twists: List[Callable[[Any], Any]],
-                 members: Callable[[Any], Iterable[Any]], budget: int):
+                 members: Callable[[Any], Iterable[Any]]):
         self.backend = backend
         self.n = len(twists)
         self.twists = twists
         # the lambda and `members` hold no self, so no instance is a reference cycle
         self._twisted = _Memo(lambda h: [t(h) for t in twists])
         self._members = members
-        self._classes: Dict[Any, Any] = (
-            self._partition(budget) if backend.is_finite() else {})
         self.unit = self.project(backend.identity)
-
-    def _partition(self, budget: int) -> Dict[Any, Any]:
-        """Every element of finite G -> its class; members(g) is formed once
-        per class.  Raises BudgetExceeded once more than `budget` elements
-        of G are filed."""
-        classes = {}
-        for g in self.backend.elements():
-            if g not in classes:
-                group = set(self._members(g))
-                classes.update(dict.fromkeys(group, min(group)))
-                if len(classes) > budget:
-                    raise BudgetExceeded(budget)
-        return classes
 
     def canonical(self, x) -> Tuple[Any, Any]:
         """(key, member) for x's member least by key: it prints, and classes sort so."""
@@ -163,15 +149,15 @@ class OrbitGroup(MvGroup):
         """g's class: a ``project_all`` batch of one."""
         return self.project_all((g,))[0]
 
-    def project_all(self, gs: Sequence[Any]) -> List[Any]:
-        """[project(g) for g in gs], as one lookup in the partition of finite G."""
-        return list(map(self._classes.__getitem__, gs))
-
-    def carrier(self) -> List[Any]:
-        """All classes, in the canonical order; finite backends only."""
+    def carrier(self, budget: int = DEFAULT_BUDGET) -> List[Any]:
+        """All classes, in the canonical order; finite backends only.  G is
+        drawn lazily: BudgetExceeded on element budget + 1, so iff |G| > budget."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        return sorted(set(self._classes.values()), key=self.canonical)
+        gs = list(itertools.islice(self.backend.elements(), budget + 1))
+        if len(gs) > budget:
+            raise BudgetExceeded(budget)
+        return sorted(set(self.project_all(gs)), key=self.canonical)
 
     def products(self, xs, ys):
         """One backend batch of x * t(y), t(y) memoized per y, then one project_all."""
@@ -198,18 +184,17 @@ class OrbitGroup(MvGroup):
 class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
-    The twists are A's compiled maps.  A finite G is partitioned into
-    A-orbits at construction, within the budget, for the carrier; on any G
-    a class is the orbit minimum, folded over the batch."""
+    The twists are A's compiled maps.  On a finite G as on an infinite one,
+    a class is the orbit minimum, folded over the batch: nothing partitions
+    G, and no G-element is drawn until a carrier is asked for."""
 
-    def __init__(self, backend: GroupBackend, auts: AutomorphismGroup,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
         if auts.backend is not backend:
             raise BackendMismatch("automorphism group does not act on this backend")
         self.auts = auts
         twists = [a.forward for a in auts]
         self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
-        super().__init__(backend, twists, lambda g: (t(g) for t in twists), budget)
+        super().__init__(backend, twists, lambda g: (t(g) for t in twists))
 
     def project_all(self, gs: Sequence[Any]) -> List[Any]:
         """[project(g) for g in gs], reading no class table: the minimum
@@ -228,7 +213,8 @@ class DoubleCosetGroup(OrbitGroup):
     """Double coset group of (G, H) for finite G, with n = |H|.
 
     G is partitioned into double cosets once, at construction and within
-    the budget, so a projection is a lookup in the partition."""
+    the budget, so a projection is a lookup in `_classes`; the members each
+    class was formed with are kept for its canonical form."""
 
     def __init__(self, backend: GroupBackend, subgroup: Sequence[Any],
                  budget: int = DEFAULT_BUDGET):
@@ -237,16 +223,26 @@ class DoubleCosetGroup(OrbitGroup):
                 "double coset groups are implemented for finite backends only")
         mul = backend.mul
         self.subgroup = H = backend._close(subgroup)
+        # g -> its class, and class -> HgH, formed as its distinct left cosets
+        # (h g)H: |H| + |HgH| products; raises once > `budget` G-elements are filed
+        classes, members = {}, {}
+        for g in backend.elements():
+            if g not in classes:
+                group = set()
+                for left in [mul(h1, g) for h1 in H]:
+                    if left not in group:
+                        group.update([mul(left, h2) for h2 in H])
+                least = min(group)
+                members[least] = group
+                classes.update(dict.fromkeys(group, least))
+                if len(classes) > budget:
+                    raise BudgetExceeded(budget)
+        self._classes = classes
+        super().__init__(backend, [functools.partial(mul, h) for h in H], members.__getitem__)
 
-        def double_coset(g):
-            """HgH as its distinct left cosets (h g)H: |H| + |HgH| products."""
-            members = set()
-            for left in [mul(h1, g) for h1 in H]:
-                if left not in members:
-                    members.update([mul(left, h2) for h2 in H])
-            return members
-
-        super().__init__(backend, [functools.partial(mul, h) for h in H], double_coset, budget)
+    def project_all(self, gs: Sequence[Any]) -> List[Any]:
+        """[project(g) for g in gs], as one lookup in the partition."""
+        return list(map(self._classes.__getitem__, gs))
 
 
 # ---------------------------------------------------------------------------

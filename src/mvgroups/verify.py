@@ -56,7 +56,7 @@ def sample_elements(instance: Instance, limit: int = 32,
     unit and the next limit-1 elements nearest it: 0..limit-1 on builtin
     nat, the first `limit` of B(e, 2) in the canonical order on a coset.
 
-    Raises BudgetExceeded when the builtin-nat sample, the carrier or the
+    Raises BudgetExceeded when the builtin-nat sample, a finite G or the
     ball has more than `budget` elements."""
     X = instance.X
     if instance.backend is None:
@@ -64,10 +64,7 @@ def sample_elements(instance: Instance, limit: int = 32,
             raise BudgetExceeded(budget)
         return list(range(limit))
     if instance.backend.is_finite():
-        carrier = X.carrier()
-        if len(carrier) > budget:
-            raise BudgetExceeded(budget)
-        return carrier
+        return X.carrier(budget)
     gens = instance.x_generators
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")

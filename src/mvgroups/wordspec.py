@@ -379,19 +379,20 @@ class Instance(NamedTuple):
 
 def build_instance(config: InstanceConfig, budget: Optional[int] = None) -> Instance:
     """Close the automorphisms (coset) or the subgroup (double coset) and
-    construct the n-valued group over the config's built parts.  A finite G
-    is partitioned within `budget` elements, by default `defaults.budget`."""
+    construct the n-valued group over the config's built parts.  Only a
+    double coset group partitions G, within `budget` elements, by default
+    `defaults.budget`; a coset group draws no G-element here."""
     backend = config.backend
     if backend is None:
         X = NatGroup() if config.mv_kind == "builtin_nat" else MutatedNatGroup()
         return Instance(config, X, None, None, list(config.x_generators or [1]))
-    budget = config.default_budget if budget is None else budget
     auts = None
     if config.mv_kind == "coset":
         auts = close_automorphisms(config.automorphisms)
-        X = CosetGroup(backend, auts, budget)
+        X = CosetGroup(backend, auts)
     else:
-        X = DoubleCosetGroup(backend, config.subgroup, budget)
+        X = DoubleCosetGroup(backend, config.subgroup,
+                             config.default_budget if budget is None else budget)
     return Instance(config, X, backend, auts, [X.project(g) for g in config.x_generators])
 
 

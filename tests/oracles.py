@@ -218,19 +218,24 @@ def brute_double_cosets(subgroup):
             for g in itertools.permutations(range(3))}
 
 
+def partition(X):
+    """X's class table, G-element -> class: a double coset group's partition
+    of G; no other kind has one."""
+    return X._classes if isinstance(X, DoubleCosetGroup) else {}
+
+
 def class_forms(X, met):
-    """Each G-element X's class table files, and each met class (its own
-    class where the table lacks it), with its class and that class's
+    """Each G-element X's partition files, and each met class (its own
+    class where the partition lacks it), with its class and that class's
     canonical form."""
-    table = getattr(X, "_classes", {})
+    table = partition(X)
     return {g: (c, X.canonical(c)) for g, c in ((g, table.get(g, g)) for g in [*table, *met])}
 
 
 def oracle_class_forms(X, met):
     """class_forms by the oracles: the least member under native `<`, and
     key_class."""
-    return {g: (min(class_members(X, g)), key_class(X, g))
-            for g in [*getattr(X, "_classes", {}), *met]}
+    return {g: (min(class_members(X, g)), key_class(X, g)) for g in [*partition(X), *met]}
 
 
 def triple_product_left(X, x, y, z):

@@ -751,13 +751,14 @@ def test_finite_partition_of_a_shipped_config_obeys_the_budget(config_dir, capsy
 
 @pytest.mark.parametrize("name", ["s3_conj", "s3_doublecoset"])
 def test_finite_sample_obeys_its_own_budget(instances, name):
-    """The carrier, built under the instance's budget, is checked again
-    against the sample's."""
+    """The carrier is drawn under the sample's budget, which counts the
+    elements of G it draws, not the classes they fall in."""
     instance = instances[name]
-    carrier = instance.X.carrier()
-    assert sample_elements(instance, budget=len(carrier)) == carrier
-    with pytest.raises(BudgetExceeded, match=f"^more than {len(carrier) - 1} distinct elements$"):
-        sample_elements(instance, budget=len(carrier) - 1)
+    carrier, order = instance.X.carrier(), len(instance.backend.elements())
+    assert len(carrier) < order == 6
+    assert sample_elements(instance, budget=order) == carrier
+    with pytest.raises(BudgetExceeded, match=f"^more than {order - 1} distinct elements$"):
+        sample_elements(instance, budget=order - 1)
 
 
 # cli.run, then the peak RSS of the process's own memory (Linux VmHWM, KiB)
@@ -788,15 +789,17 @@ def run_in_subprocess(argv, peak_rss=False, **variables):
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
-@pytest.mark.parametrize("command", ["growth", "axioms"])
+@pytest.mark.parametrize("command", [["axioms"], ["verify", "--suite", "lemma47"]],
+                         ids=["axioms", "lemma47"])
 def test_finite_partition_obeys_the_budget(tmp_path, command, source):
-    # partitioning all 2,000,000 elements took 3-5 s and 280 MiB
+    # partitioning all 2,000,000 elements took 3-5 s and 280 MiB; the
+    # carrier, read by both commands, draws 1,001 of them and stops
     config = one_automorphism({"kind": "cyclic", "order": 2_000_000}, {"g": "g^-1"},
                               X_generators=["g"],
                               defaults={"budget": 1000 if source == "config" else 10**6})
     path = tmp_path / "c2000000.json"
     path.write_text(json.dumps(config))
-    argv = [command, "-c", str(path)] + (["--budget", "1000"] if source == "flag" else [])
+    argv = [*command, "-c", str(path)] + (["--budget", "1000"] if source == "flag" else [])
     start = time.perf_counter()
     proc = run_in_subprocess(argv)
     assert time.perf_counter() - start < 2
@@ -805,12 +808,12 @@ def test_finite_partition_obeys_the_budget(tmp_path, command, source):
     assert proc.stderr == "budget exceeded: more than 1000 distinct elements\n"
 
 
-def assert_partition_stops_small(tmp_path, group, images):
-    """`growth` on the coset config exits 3 at budget 1000, peaking under 50 MiB."""
+def assert_carrier_stops_small(tmp_path, group, images):
+    """`axioms` on the coset config exits 3 at budget 1000, peaking under 50 MiB."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(one_automorphism(
         group, images, X_generators=list(images), defaults={"budget": 1000})))
-    proc = run_in_subprocess(["growth", "-c", str(path)], peak_rss=True)
+    proc = run_in_subprocess(["axioms", "-c", str(path)], peak_rss=True)
     message, peak_kib = proc.stderr.splitlines()
     assert (proc.returncode, proc.stdout) == (3, "")
     assert message == "budget exceeded: more than 1000 distinct elements"
@@ -824,9 +827,9 @@ NEEDS_PROC = pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
 @NEEDS_PROC
 def test_cyclic_partition_does_not_list_the_carrier(tmp_path):
     # a list of all 2,000,000 elements, built before the first class was
-    # filed, took the peak RSS to 92 MiB; the partition walks a range instead
-    assert_partition_stops_small(tmp_path, {"kind": "cyclic", "order": 2_000_000},
-                                 {"g": "g^-1"})
+    # filed, took the peak RSS to 92 MiB; the carrier draws from a range instead
+    assert_carrier_stops_small(tmp_path, {"kind": "cyclic", "order": 2_000_000},
+                               {"g": "g^-1"})
 
 
 @NEEDS_PROC
@@ -835,8 +838,8 @@ def test_product_partition_does_not_list_the_carrier(tmp_path):
     # product's elements are now formed one at a time
     factors = [{"kind": "cyclic", "order": 2000, "gens": ["a"]},
                {"kind": "cyclic", "order": 1000, "gens": ["b"]}]
-    assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
-                                 {"a": "a^-1", "b": "b^-1"})
+    assert_carrier_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
+                               {"a": "a^-1", "b": "b^-1"})
 
 
 @NEEDS_PROC
@@ -845,8 +848,23 @@ def test_product_partition_does_not_list_a_factor(tmp_path):
     # peak RSS to 94 MiB; the product walks the factors' ranges instead
     factors = [{"kind": "cyclic", "order": 2_000_000, "gens": ["a"]},
                {"kind": "cyclic", "order": 2, "gens": ["b"]}]
-    assert_partition_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
-                                 {"a": "a^-1", "b": "b"})
+    assert_carrier_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
+                               {"a": "a^-1", "b": "b"})
+
+
+@NEEDS_PROC
+def test_growth_on_a_finite_coset_over_the_budget_reads_no_carrier(tmp_path):
+    # a ball reads no carrier, so |G| = 2,000,000 > budget 1000 no longer
+    # stops the load: partitioning G there exited 3
+    path = tmp_path / "c2000000.json"
+    path.write_text(json.dumps(one_automorphism(
+        {"kind": "cyclic", "order": 2_000_000}, {"g": "g^-1"}, X_generators=["g"],
+        defaults={"radius": 3, "budget": 1000})))
+    start = time.perf_counter()
+    proc = run_in_subprocess(["growth", "-c", str(path)], peak_rss=True)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (0, "r,ball,sphere\n0,1,1\n1,2,1\n2,3,1\n3,4,1\n")
+    assert int(proc.stderr) < 50 * 1024
 
 
 def too_long(limit):

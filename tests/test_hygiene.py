@@ -180,8 +180,7 @@ def test_suites_take_only_instance_radius_and_budget(name):
 
 
 # base class -> the attributes its one constructor sets
-BASE_STATE = {"OrbitGroup": {"backend", "n", "twists", "_twisted", "_members", "_classes",
-                             "unit"},
+BASE_STATE = {"OrbitGroup": {"backend", "n", "twists", "_twisted", "_members", "unit"},
               "_IntVectors": {"rank", "gen_names"}}
 
 
@@ -236,10 +235,10 @@ def test_detector_flags_a_subclass_that_sets_base_state():
     source = ("class OrbitGroup:\n    def __init__(self):\n        self.n = 1\n\n"
               "class A(OrbitGroup):\n    unit = 0\n\n"
               "    def __init__(self):\n        self.n, (self.auts, self.twists) = 2, (0, 1)\n\n"
-              "class B(A):\n    def f(self):\n        self._classes: dict = {}\n"
+              "class B(A):\n    def f(self):\n        self._twisted: dict = {}\n"
               "        rank = self.gen_names = 3\n")
     assert base_state_overrides([source]) == [
-        ("A", "n"), ("A", "twists"), ("A", "unit"), ("B", "_classes")]
+        ("A", "n"), ("A", "twists"), ("A", "unit"), ("B", "_twisted")]
 
 
 def test_no_subclass_sets_what_its_base_constructor_sets():
@@ -261,6 +260,9 @@ def test_orbit_subclasses_bring_only_their_class_rule():
     assert subclasses
     assert sorted(f"{cls.__name__}.{name}" for cls in subclasses
                   for name in ORBIT_SHARED & set(vars(cls))) == []
+    # the class rule is each subclass's own, so the base has none to fall back on
+    assert all("project_all" in vars(cls) for cls in subclasses)
+    assert "project_all" not in vars(mvalued.OrbitGroup)
 
 
 # the functions that may form a canonical key: those that print or sort for

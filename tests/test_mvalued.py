@@ -29,12 +29,12 @@ from mvgroups.mvalued import (
     OrbitGroup,
     check_axioms,
 )
-from mvgroups.wordspec import load_instance
+from mvgroups.wordspec import build_instance, load_instance, parse_config
 
-from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, ORBIT, PATHS, brute_double_cosets,
-                     class_forms, cli_sample, key_class, least_members, oracle_class_forms,
-                     reference_check_axioms, table_test, triple_product_left,
-                     triple_product_right)
+from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, KINDS, ORBIT, PATHS,
+                     brute_double_cosets, class_forms, cli_sample, key_class, least_members,
+                     oracle_class_forms, partition, reference_check_axioms, table_test,
+                     triple_product_left, triple_product_right)
 
 
 def assert_canonical(X, product):
@@ -196,6 +196,29 @@ def test_coset_carrier_needs_finite_backend():
         z_pm1().carrier()
 
 
+class Drawn(Exception):
+    """Raised by a backend's `elements` to show that something drew G."""
+
+
+@pytest.mark.parametrize("name", sorted(set(COSET) - set(INFINITE_COSET)))
+def test_finite_coset_group_draws_no_element_until_its_carrier(name):
+    """Building a coset instance over a finite G calls `elements` 0 times,
+    and neither does a walk: a class is the orbit fold, so the carrier is
+    the first to draw G."""
+    config = parse_config(PATHS[name])
+
+    def elements():
+        raise Drawn
+
+    config.backend.elements = elements
+    instance = build_instance(config)
+    X = instance.X
+    assert ball(X, instance.x_generators, X.unit, 3) == ball(
+        load_instance(PATHS[name]).X, instance.x_generators, X.unit, 3)
+    with pytest.raises(Drawn):
+        X.carrier()
+
+
 # ---------------------------------------------------------------------------
 # double coset groups
 
@@ -275,8 +298,10 @@ def test_double_coset_project_makes_no_backend_mul_calls():
     backend.muls = 0
     for g in backend.elements():
         X.project(g)
+    carrier = X.carrier()
+    rendered = list(map(X.render, carrier))  # canonical reads the members the partition kept
     assert backend.muls == 0
-    assert len(X.carrier()) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix the point 3 or not
+    assert len(carrier) == len(set(rendered)) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix 3 or not
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +318,13 @@ def test_coset_project_matches_orbit_min_oracle(every_instance, name):
         monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
         elements = [a.apply(g) for g in itertools.chain.from_iterable(monoid.sphere_sets)
                     for a in X.auts]
-    filed = dict(X._classes)
     for g in elements:
         expected = key_class(X, g)
         cls = X.project(g)
         assert cls == min(a.apply(g) for a in X.auts), g  # the native orbit minimum
         assert X.canonical(cls) == expected, g
         assert X.project(expected[1]) == cls, g  # the least member by key names it too
-        assert filed.get(g, cls) == cls, g  # the partition of a finite G agrees
-    assert X._classes == filed
+    assert not hasattr(X, "_classes")  # finite or not, G is not partitioned
     if backend.is_finite():
         assert list(map(X.canonical, X.carrier())) == sorted(
             {key_class(X, g) for g in elements})
@@ -311,7 +334,7 @@ def test_coset_project_matches_orbit_min_oracle(every_instance, name):
 def test_coset_class_table_files_each_class_under_its_least_member(every_instance, name):
     """Each G-element a ball's batches look up goes, by the scalar project
     as by the batch, to the least member of its class under native order,
-    and those classes are the ball's; an infinite G has no class table."""
+    and those classes are the ball's; a coset group has no class table."""
     instance = every_instance[name]
     X = copy.copy(instance.X)
     looked_up = []
@@ -320,25 +343,26 @@ def test_coset_class_table_files_each_class_under_its_least_member(every_instanc
     classes = list(map(instance.X.project, looked_up))
     assert classes == least_members(X, looked_up)
     assert {X.unit, *classes} == set(itertools.chain(*table.sphere_sets))
-    assert X._classes == {}
+    assert not hasattr(X, "_classes")
 
 
 @pytest.mark.parametrize("name", ORBIT)
 def test_every_filed_g_element_holds_its_orbit_minimum_after_every_walk(name):
-    """The class table is written once, by the constructor: a finite G's
-    partition, each G-element filed under the least member of its orbit
-    under A (or H x H), and empty on an infinite G.  No walk, axiom check
-    or parsed element writes to it."""
+    """The class table is written once, by a double coset group's
+    constructor: G's partition, each G-element filed under the least member
+    of its orbit under H x H.  A coset group has none.  No walk, axiom
+    check or parsed element writes to it."""
     instance = load_instance(PATHS[name])
     X, gens = instance.X, instance.x_generators
-    filed = dict(X._classes)
-    assert bool(filed) == X.backend.is_finite()
+    filed = dict(partition(X))
+    assert bool(filed) == (KINDS[name] == "double_coset") == hasattr(X, "_classes")
     ball(X, gens, X.unit, 4)
     iterate_dynamic(X, gens[0], gens[-1], 6)
     power_table(X, gens[-1], 6)
     check_axioms(X, cli_sample(instance))
     instance.element(f"{X.backend.gen_names[0]}^-1")
-    assert X._classes == filed
+    assert partition(X) == filed
+    assert hasattr(X, "_classes") == (KINDS[name] == "double_coset")
     assert class_forms(X, ()) == oracle_class_forms(X, ())
 
 

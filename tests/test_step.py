@@ -27,8 +27,8 @@ from mvgroups.wordspec import load_instance
 
 import pytest
 from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order,
-                     least_members, semidirect_balls, sorted_spheres, sorted_supports,
-                     table_test)
+                     least_members, partition, semidirect_balls, sorted_spheres,
+                     sorted_supports, table_test)
 
 
 def test_every_orbit_config_is_covered():
@@ -152,19 +152,19 @@ def counted_projection(X):
 def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss():
     """`growth z2_swap --radius 80` projects its 25,440 backend products in
     one `project_all` batch per layer, which applies the swap, the one twist
-    besides the identity, once per product and files nothing: Z^2 is
-    infinite, so the class table is empty before and after.  (When each
+    besides the identity, once per product and files nothing: a coset
+    group has no class table, before or after.  (When each
     batch filed its misses, the swap ran once per distinct miss, 6,596
     times, and every product paid the table's probes.)"""
     instance = load_instance(PATHS["z2_swap"])  # patched below, so not the shared instance
     X, gens = instance.X, instance.x_generators
     expected = sorted_spheres(X, gens, X.unit, 80)
-    assert (len(X._moves), X._classes) == (1, {})
+    assert (len(X._moves), hasattr(X, "_classes")) == (1, False)
     batches, moved = counted_projection(X)
     table = ball(X, gens, X.unit, 80)
     assert in_order(table.sphere_sets) == expected
     assert (len(batches), sum(batches), len(moved)) == (80, 25440, 25440)
-    assert X._classes == {}
+    assert not hasattr(X, "_classes")
 
 
 def counted_hooks(backend):
@@ -205,12 +205,12 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     one `products` batch per layer, two steps per class, with no scalar
     `mul` and no `canonical_key` call (the default hooks made 4,096 and,
     when classes were keyed, 8,190).  Its 12 `project_all` batches swap
-    each product once and file nothing: the class table of the infinite
-    F2 is empty before and after."""
+    each product once and file nothing: a coset group has no class table,
+    before or after."""
     instance = load_instance(PATHS["free2_swap"])  # patched below, so not the shared instance
     X, gens = instance.X, instance.x_generators
     expected = sorted_spheres(X, gens, X.unit, 12)
-    assert X._classes == {}
+    assert not hasattr(X, "_classes")
     batches, moved = counted_projection(X)
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 12)
@@ -219,7 +219,7 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     assert (sum(calls["products"]), len(batches), sum(batches), len(moved)) == (
         4096, 12, 4096, 4096)
     assert calls["mul"] == calls["canonical_key"] == []
-    assert X._classes == {}
+    assert not hasattr(X, "_classes")
 
 
 def test_heis_swap_growth_is_one_products_batch_per_layer_without_scalar_calls():
@@ -301,11 +301,11 @@ def test_project_all_files_least_and_non_least_members_of_one_class_once(every_i
              for g in sorted(group, key=lambda g: g != cls)[::-1]]
     assert batch, name
     X = copy.copy(instance.X)
-    filed = dict(X._classes)
+    filed = dict(partition(X))
     moved = []
     X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in getattr(X, "_moves", ())]
     assert X.project_all(batch) == least_members(X, batch)
-    assert X._classes == filed
+    assert partition(X) == filed
     assert sorted(moved) == sorted(batch * len(X._moves))
 
 
@@ -318,12 +318,12 @@ def test_project_all_on_an_all_hit_batch_is_the_table_lookup(every_instance, nam
     X = instance.X
     gs = list(dict.fromkeys(ball_products(X, instance.x_generators, 3)))
     gs += gs[::-1]  # each G-element twice
-    filed = dict(X._classes)
+    filed = dict(partition(X))
     classes = X.project_all(gs)
     assert classes == least_members(X, gs)
-    if X.backend.is_finite():
+    if KINDS[name] == "double_coset":
         assert classes == [filed[g] for g in gs]  # the partition
-    assert X._classes == filed
+    assert partition(X) == filed
     assert X.project_all([]) == []
 
 
