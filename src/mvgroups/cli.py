@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -91,10 +92,15 @@ def _verify_args(p: argparse.ArgumentParser):
     p.add_argument("--radius", type=int, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The parser with only the subparser of `command` when that names a
     command, else with all of them.  Either way the usage line lists every
-    command, so top-level help and errors read the same."""
+    command, so top-level help and errors read the same.  Built once per
+    key and process: `run` keys it by the command, or None for anything
+    else, so a process holds at most one parser per command and one more.
+    Every call shares the parser: `parse_args` leaves it as it found it,
+    and no caller may add to it."""
     parser = argparse.ArgumentParser(prog="mvgroups",
                                      description="Exact computation with n-valued groups")
     names = [command] if command in _COMMANDS else list(_COMMANDS)
@@ -286,7 +292,7 @@ _COMMANDS = {
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -21,11 +21,15 @@ Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
 every defining relator maps to the identity, and a backend with neither
 relators nor finiteness is refused.  ``GroupBackend.homomorphism`` is the
-one place an image list becomes a map: finite kinds without relators walk
-their Cayley graph, checking the homomorphism property on every edge, and
-keep the image table; Z^k compiles to a linear map, Z/m to multiplication
-by the generator's image, the Heisenberg group to one polynomial in
-(p, q, r), or to its nonzero terms when the images of a and b act on
+one place an image list becomes a map: a permutation group first seeks a
+point map c that conjugates each generator to its image and, when every
+image lies in G by its stabilizer chain, compiles g -> c g c^-1 as a memo
+without walking G; other finite kinds without relators, and a permutation
+group with no such c, walk their Cayley graph, checking the homomorphism
+property on every edge, and keep the image table; Z^k compiles to a
+linear map, Z/m to multiplication by the generator's image, the
+Heisenberg group to one polynomial in (p, q, r), or to its nonzero
+terms when the images of a and b act on
 (p, q) by a signed permutation and C is central, free groups to one
 ``str.translate`` for a signed permutation of the letters, else letter
 substitution, and a direct product with relators whose generators map
@@ -71,6 +75,17 @@ from .keys import int_key
 Word = Tuple[Tuple[int, int], ...]  # ((generator index, nonzero exponent), ...)
 
 DEFAULT_BUDGET = 10**6
+
+
+class _Memo(dict):
+    """x -> fn(x), each value formed on first use and shared after."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
 
 
 def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
@@ -221,7 +236,8 @@ class GroupBackend:
         The table covers G, as a finite kind without relators is generated
         by its declared generators (a table group checks that it is).
         Any other kind gets g -> evaluate(factor(g), images), which checks
-        nothing; kinds with more structure override it.
+        nothing; kinds with more structure override it, and a permutation
+        group tries a point conjugation before this walk.
         """
         if self.relators() is not None or not self.is_finite():
             return lambda g: self.evaluate(self.factor(g), images)
@@ -561,6 +577,25 @@ class HeisenbergGroup(_IntVectors):
         ]
 
 
+def _orbit_map(edges, start: int, target: int, free) -> Optional[dict]:
+    """The point map on start's orbit that sends start to target and has
+    c[s[x]] = w[c[x]] on every edge (s, w), or None when that is
+    inconsistent, or not injective into the points in `free`."""
+    c = {start: target}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for s, w in edges:
+            y, cy = s[x], w[c[x]]
+            if y not in c:
+                c[y] = cy
+                stack.append(y)
+            elif c[y] != cy:
+                return None
+    targets = set(c.values())
+    return c if len(targets) == len(c) and targets <= free else None
+
+
 class PermutationGroup(GroupBackend):
     """Subgroup of Sym(degree) generated by explicit permutations.
 
@@ -584,6 +619,7 @@ class PermutationGroup(GroupBackend):
                 raise ValidationError(f"not a permutation of 0..{degree-1}: {perm}")
             self._gens.append(perm)
         self._elements: Optional[List[Tuple[int, ...]]] = None
+        self._chain: Optional[List[Tuple[int, List[Any], dict]]] = None
 
     @property
     def identity(self):
@@ -616,6 +652,88 @@ class PermutationGroup(GroupBackend):
                 point = g[point]
             cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
         return "".join(cycles) if cycles else "e"
+
+    def homomorphism(self, images):
+        """Conjugation by a point map c with c[s[x]] = w[c[x]] for every
+        generator s and its image w, when there is one and every w lies in
+        G (it sifts to the identity); else the base edge walk.
+
+        g -> c g c^-1 is an injective homomorphism of Sym(n) that sends
+        each s to its w; with every w in G it maps G into G, so onto the
+        finite G: an automorphism, proved without walking G.  A c alone is
+        not enough: c = (1 3)(2 4) conjugates <(1 2)> onto <(3 4)>.
+        The map is a memo, c g c^-1 formed only for the elements a walk
+        touches.  Non-homomorphisms, non-injective maps, images outside G
+        and an outer automorphism of S6 take the walk, which raises as
+        before."""
+        c = self._conjugator(images)
+        if c is None or any(self._sift(w) != self.identity for w in images):
+            return super().homomorphism(images)
+        c_inv = self.inv(c)
+        return _Memo(lambda g: tuple([c[g[y]] for y in c_inv])).__getitem__
+
+    def _conjugator(self, images) -> Optional[Tuple[int, ...]]:
+        """A point map c with c[s[x]] = w[c[x]] for every generator s and
+        its image w, or None: orbit by orbit, the orbit's first point is
+        tried on each free target, at most n^2 |S| steps.  The greedy choice
+        misses no c: a c maps each orbit of G onto one orbit of the images,
+        and two orbits that fit one target orbit are isomorphic G-sets, so
+        any free target orbit that fits one of them fits the other."""
+        edges = list(zip(self._gens, images))
+        c: dict = {}
+        for start in range(self.degree):
+            if start not in c:
+                free = set(range(self.degree)).difference(c.values())
+                orbit = next(filter(None, (_orbit_map(edges, start, target, free)
+                                           for target in sorted(free))), None)
+                if orbit is None:
+                    return None
+                c.update(orbit)
+        return tuple(map(c.__getitem__, range(self.degree)))
+
+    def _sift(self, g):
+        """g stripped down the stabilizer chain: the identity iff g lies in G."""
+        if self._chain is None:
+            self._chain = []
+            for s in self._gens:
+                if self._strip(s, 0) != self.identity:
+                    self._extend(s, 0)
+        return self._strip(g, 0)
+
+    def _strip(self, g, level: int):
+        """g times the inverse transversal element of each level from
+        `level` on, until a level's orbit misses the image of its base point."""
+        for base, _, transversal in self._chain[level:]:
+            pair = transversal.get(g[base])
+            if pair is None:
+                break
+            g = self.mul(g, pair[1])
+        return g
+
+    def _extend(self, g, level: int):
+        """Schreier-Sims (Holt, Eick and O'Brien, ch. 4): add g, which fixes
+        the base points above `level` and lies outside the group of the
+        chain from `level` on, to that level's generators.  The level's
+        orbit grows under them, and each Schreier generator u_p s u_q^-1
+        that does not strip to the identity below is added one level down,
+        so each level's stabilizer is the group of the levels below it."""
+        if level == len(self._chain):
+            base = next(x for x, y in enumerate(g) if x != y)
+            self._chain.append((base, [], {base: (self.identity, self.identity)}))
+        base, gens, transversal = self._chain[level]
+        gens.append(g)
+        todo = [(p, g) for p in transversal]
+        while todo:
+            p, s = todo.pop()
+            u = self.mul(transversal[p][0], s)
+            q = u[base]
+            if q not in transversal:
+                transversal[q] = (u, self.inv(u))
+                todo += [(q, t) for t in gens]
+                continue
+            h = self._strip(self.mul(u, transversal[q][1]), level + 1)
+            if h != self.identity:
+                self._extend(h, level + 1)
 
     def is_finite(self):
         return True

@@ -30,18 +30,7 @@ import itertools
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
-from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend
-
-
-class _Memo(dict):
-    """x -> fn(x), each value formed on first use and shared after."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __missing__(self, x):
-        value = self[x] = self.fn(x)
-        return value
+from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
 
 
 class MvGroup:

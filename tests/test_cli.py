@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,11 +10,13 @@ import time
 import pytest
 
 from mvgroups.cayley import power_table
-from mvgroups.cli import run
+from mvgroups.cli import build_parser, run
 from mvgroups.errors import BudgetExceeded
 from mvgroups.mvalued import OrbitGroup
 from mvgroups.verify import SUITES, sample_elements
 from mvgroups.wordspec import load_instance
+
+from test_cli_text import CASES
 
 
 def cfg(config_dir, name):
@@ -867,6 +870,24 @@ def test_growth_on_a_finite_coset_over_the_budget_reads_no_carrier(tmp_path):
     assert int(proc.stderr) < 50 * 1024
 
 
+@NEEDS_PROC
+def test_a_symmetric_group_conjugation_loads_without_walking_g(tmp_path):
+    # the edge walk of all 362,880 elements of S9 took 2.8 s and 140 MiB at
+    # load; the point conjugation by t is found without it
+    points = list(range(9))
+    group = {"kind": "permutation", "degree": 9, "gens": ["t", "c"],
+             "gen_images": [[1, 0, *points[2:]], points[1:] + [0]]}
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps(one_automorphism(group, {"t": "t", "c": "t*c*t"},
+                                                X_generators=["t", "c"])))
+    start = time.perf_counter()
+    proc = run_in_subprocess(["growth", "-c", str(path), "--radius", "2", "--budget", "10"],
+                             peak_rss=True)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (0, "r,ball,sphere\n0,1,1\n1,3,2\n2,6,3\n")
+    assert int(proc.stderr) < 50 * 1024
+
+
 def too_long(limit):
     return f"a power of {limit} letters; the limit is 1000000"
 
@@ -966,3 +987,28 @@ def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
     code, _, err = invoke(capsys, ["axioms", "-c", str(shear)])
     assert code == 3
     assert "more than 10000 distinct elements" in err
+
+
+def test_one_parser_per_command_serves_every_run(config_dir, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    build_parser.cache_clear()
+    argv = ["growth", "-c", cfg(config_dir, "nat"), "--radius", "2"]
+    counts = []
+    for _ in range(2):
+        assert invoke(capsys, argv) == (0, "r,ball,sphere\n0,1,1\n1,2,1\n2,3,1\n", "")
+        counts.append(len(built))
+    assert counts == [2, 2]  # the parser and its one subparser, in the first run only
+
+
+@pytest.mark.parametrize("argv", [("axioms", "-c", "x", "--sample", "-1"), ("axioms", "--help"),
+                                  ("bogus",)], ids=["usage-error", "help", "bogus"])
+def test_a_reused_parser_prints_the_pinned_text(config_dir, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in ("axioms", "growth"):
+        assert invoke(capsys, [command, "-c", cfg(config_dir, "nat")])[0] == 0
+    code, out, err = next(case[1:] for case in CASES if case[0] == argv)
+    assert invoke(capsys, list(argv)) == (code, out, err)
+    assert invoke(capsys, list(argv)) == (code, out, err)

@@ -895,23 +895,207 @@ def counting_mul(cls):
     return Counting
 
 
-@pytest.mark.parametrize("make", [
-    lambda: counting_mul(PermutationGroup)(4, ["t", "c"], [[1, 0, 2, 3], [1, 2, 3, 0]]),
-    lambda: s4_table(counting_mul(FiniteTableGroup))], ids=["permutation", "finite_table"])
-def test_edge_walk_makes_two_products_per_edge(make):
-    backend = make()
+def sym(degree, cls=PermutationGroup):
+    """Sym(degree) with t = (1 2) and c = (1 2 ... degree)."""
+    points = list(range(degree))
+    return cls(degree, ["t", "c"], [[1, 0, *points[2:]], points[1:] + [0]])
+
+
+@functools.lru_cache(maxsize=None)
+def s6_outer():
+    """Images and inverse images of t and c under an automorphism of S6
+    that is no conjugation, found by search: t goes to a product of three
+    transpositions, and the pair satisfies the Coxeter-Moser relators of
+    S6, t^2 = c^6 = (tc)^5 = (t c^-1 t c)^3 = (t c^-j t c^j)^2 = e for
+    j = 2, 3.  The base edge walk then checks the images and inverts them."""
+    backend = sym(6)
+    elements, e = backend.elements(), backend.identity
+    mul, power = backend.mul, backend.power
+
+    def relators(t, c):
+        def commutator(j):
+            return mul(mul(mul(t, power(c, -j)), t), power(c, j))
+        return [power(t, 2), power(c, 6), power(mul(t, c), 5), power(commutator(1), 3),
+                power(commutator(2), 2), power(commutator(3), 2)]
+
+    images = next([t, c] for t in elements if all(map(operator.ne, t, e))
+                  for c in elements if c != t and relators(t, c) == [e] * 6)
+    walk = GroupBackend.homomorphism(backend, images)
+    preimage = {walk(g): g for g in elements}
+    assert len(preimage) == 720  # the endomorphism is injective
+    return images, [preimage[backend.gen(0)], preimage[backend.gen(1)]]
+
+
+def walked_map(name):
+    """A backend that counts its mul calls, and the images and inverse
+    images of an automorphism of it that only the edge walk compiles."""
+    if name == "permutation":
+        return (sym(6, counting_mul(PermutationGroup)), *s6_outer())
+    backend = s4_table(counting_mul(FiniteTableGroup))
     conj = conjugation(backend, backend.gen(0))
-    edges = len(backend.elements()) * len(backend.gen_names)
-    assert edges == 48
-    for images, label in ((conj.images, "images"), (conj.inverse_images, "inverse images")):
+    return backend, conj.images, conj.inverse_images
+
+
+@pytest.mark.parametrize("name,edges", [("permutation", 1440), ("finite_table", 48)],
+                         ids=["permutation", "finite_table"])
+def test_edge_walk_makes_two_products_per_edge(name, edges):
+    backend, *image_lists = walked_map(name)
+    assert len(backend.elements()) * len(backend.gen_names) == edges
+    for images, label in zip(image_lists, ("images", "inverse images")):
         backend.muls = 0
         backend.homomorphism(images)
         assert backend.muls == 2 * edges, label
 
 
+def test_a_permutation_conjugation_walks_no_edge():
+    backend = sym(4, counting_mul(PermutationGroup))
+    conj = conjugation(backend, backend.gen(0))
+    elements = backend.elements()
+    counts = []
+    for images in (conj.images, conj.inverse_images):
+        backend.muls = 0
+        image = backend.homomorphism(images)
+        counts.append(backend.muls)
+    # the stabilizer chain, built once per backend, then each of the two
+    # images sifted down its three levels: no walk, where the walk took 96
+    assert counts == [34 + 6, 6]
+    backend.muls = 0
+    assert sorted(map(image, elements)) == elements
+    assert backend.muls == 0  # the compiled map forms no product
+
+
+def assert_matches_the_walk(backend, images):
+    """backend.homomorphism(images) and the base edge walk, the oracle, agree
+    on every element of G, or both reject the images."""
+    maps = []
+    for homomorphism in (type(backend).homomorphism, GroupBackend.homomorphism):
+        try:
+            maps.append(list(map(homomorphism(backend, images), backend.elements())))
+        except NotAnAutomorphism as exc:
+            maps.append(str(exc))
+    assert maps[0] == maps[1], images
+
+
+def translations(m):
+    """Z/m as the group of its translations of 0..m-1, and k -> translation by k."""
+    return (PermutationGroup(m, ["x"], [[(i + 1) % m for i in range(m)]]),
+            lambda k: tuple((i + k) % m for i in range(m)))
+
+
+@pytest.mark.parametrize("name", ["s3_conj", "fibonacci3_q8", "fibonacci4_z5", "fibonacci5_z11"])
+def test_instance_automorphisms_are_conjugations_that_match_the_walk(every_instance, name):
+    """Every element of each instance's A, on its permutation group, or on
+    the regular representation of its cyclic group."""
+    auts = every_instance[name].X.auts
+    backend, element = auts.backend, tuple
+    if backend.kind == "cyclic":
+        backend, element = translations(backend.order)
+    assert backend.kind == "permutation"
+    for a in auts:
+        images = list(map(element, a.images))
+        assert backend._conjugator(images) is not None, a.name
+        assert_matches_the_walk(backend, images)
+
+
+@pytest.mark.parametrize("degree", range(2, 6))
+def test_every_conjugation_of_a_small_symmetric_group_matches_the_walk(degree):
+    backend = sym(degree)
+    for x in backend.elements():
+        images = conjugation(backend, x).images
+        assert backend._conjugator(images) is not None
+        assert_matches_the_walk(backend, images)
+
+
+def test_the_outer_automorphism_of_s6_takes_the_walk():
+    backend = sym(6)
+    images, inverse_images = s6_outer()
+    for image_list in (images, inverse_images):
+        assert backend._conjugator(image_list) is None
+        assert_matches_the_walk(backend, image_list)
+    outer = Automorphism(backend, "outer", images, inverse_images).verify()
+    assert outer.apply(backend.gen(0)) == images[0]
+
+
+def test_a_consistent_point_map_that_is_not_injective_is_no_conjugation():
+    # s -> s^2 on C4 = <(1 2 3 4)>: c(x + 1) = c(x) + 2 holds for c = (0, 2,
+    # 0, 2), which is not injective; the walk compiles the endomorphism
+    backend = PermutationGroup(4, ["s"], [[1, 2, 3, 0]])
+    s = backend.gen(0)
+    images = [backend.mul(s, s)]
+    assert groups._orbit_map([(s, images[0])], 0, 0, set(range(4))) is None
+    assert backend._conjugator(images) is None
+    assert_matches_the_walk(backend, images)
+    with pytest.raises(NotAnAutomorphism, match="inverse images do not invert on generator s$"):
+        Automorphism(backend, "square", images, images).verify()
+
+
+def test_a_conjugation_onto_another_subgroup_is_no_automorphism():
+    # c = (1 3)(2 4) conjugates <(1 2)> onto <(3 4)>, and back: the point
+    # map exists and inverts itself, so only the image's membership in G
+    # stops the verification from accepting it
+    backend = PermutationGroup(4, ["s"], [[1, 0, 2, 3]])
+    images = [(0, 1, 3, 2)]
+    assert backend._conjugator(images) == (2, 3, 0, 1)
+    assert backend._sift(images[0]) != backend.identity
+    assert_matches_the_walk(backend, images)
+    with pytest.raises(NotAnAutomorphism, match="inverse images do not invert on generator s$"):
+        Automorphism(backend, "outside", images, images).verify()
+
+
+def seeded_permutation_group(rng, degree):
+    """A group on `degree` points generated by one to three permutations,
+    each a product of at most two transpositions, so often intransitive,
+    or any permutation."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(degree))
+        if rng.random() < 0.25:
+            rng.shuffle(perm)
+        for _ in range(rng.randint(0, 2) if degree > 1 else 0):
+            p, q = rng.sample(range(degree), 2)
+            perm[p], perm[q] = perm[q], perm[p]
+        gens.append(perm)
+    return PermutationGroup(degree, [f"g{i}" for i in range(len(gens))], gens)
+
+
+def test_the_point_map_search_finds_a_conjugator_whenever_one_exists():
+    """Against every permutation of up to 5 points, with images that are
+    conjugates of the generators or random elements of G."""
+    rng = random.Random(36)
+    found = 0
+    for _ in range(300):
+        degree = rng.randint(1, 5)
+        backend = seeded_permutation_group(rng, degree)
+        gens = backend._gens
+        c = tuple(rng.sample(range(degree), degree))
+        c_inv = backend.inv(c)
+        images = ([tuple([c[s[y]] for y in c_inv]) for s in gens] if rng.random() < 0.5
+                  else [rng.choice(backend.elements()) for _ in gens])
+
+        def conjugates(c):
+            return all(backend.mul(s, c) == backend.mul(c, w) for s, w in zip(gens, images))
+        exists = any(map(conjugates, itertools.permutations(range(degree))))
+        found_c = backend._conjugator(images)
+        assert (found_c is not None) == exists, (gens, images)
+        assert found_c is None or conjugates(found_c)
+        found += exists
+    assert found > 150
+
+
+def test_the_stabilizer_chain_decides_membership():
+    """Against the closure of G, on every permutation of up to 5 points."""
+    rng = random.Random(7)
+    for degree in range(1, 6):
+        for _ in range(20):
+            backend = seeded_permutation_group(rng, degree)
+            members = set(backend._close(backend._gens))
+            assert {g for g in itertools.permutations(range(degree))
+                    if backend._sift(g) == backend.identity} == members, backend._gens
+
+
 def s5(cls=PermutationGroup):
     """Sym(5) with t = (1 2) and c = (1 2 3 4 5), as the bench builds it."""
-    return cls(5, ["t", "c"], [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    return sym(5, cls)
 
 
 CLOSURE_BACKENDS = {"cyclic": lambda: CyclicGroup(6), "permutation": s3, "s5": s5,
