@@ -13,8 +13,10 @@ double-coset group twists its generators once per walk and forms a
 layer's (element, twisted generator) products in one ``products`` batch,
 without building the sorted product, and projects them in one batch: a
 coset group folds each product's orbit minimum, itself a G-element, by
-compare-select and files none, a double coset group looks each up in its
-partition.  Z^k forms the products column-wise, the Heisenberg group in
+compare-select and files none, calling each automorphism's compiled
+batch map once on the whole batch (``Automorphism.apply`` is that map's
+batch of one, for scalar callers), and a double coset group looks each
+up in its partition.  Z^k forms the products column-wise, the Heisenberg group in
 one list display, a free group concatenates at the seam, and a direct
 product runs each factor's batch on its column.  The budget still counts
 classes.

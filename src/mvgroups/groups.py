@@ -21,24 +21,30 @@ Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
 every defining relator maps to the identity, and a backend with neither
 relators nor finiteness is refused.  ``GroupBackend.homomorphism`` is the
-one place an image list becomes a map: a permutation group first seeks a
-point map c that conjugates each generator to its image and, when every
-image lies in G by its stabilizer chain, compiles g -> c g c^-1 as a memo
-without walking G; other finite kinds without relators, and a permutation
-group with no such c, walk their Cayley graph, checking the homomorphism
-property on every edge, and keep the image table; Z^k compiles to a
-linear map, Z/m to multiplication by the generator's image, the
-Heisenberg group to one polynomial in (p, q, r), or to its nonzero
-terms when the images of a and b act on
-(p, q) by a signed permutation and C is central, free groups to one
-``str.translate`` for a signed permutation of the letters, else letter
-substitution, and a direct product with relators whose generators map
-into their own factors to one map per factor.  evaluate(factor(g),
-images) is left only to products that mix their factors, and stays the
-oracle on infinite kinds (permutation and table groups have no factor).
-A verified automorphism keeps one map; when its inverse images differ
-from its images they are checked on a second compiled map that is then
-dropped, and when they are equal the one map serves both ways.
+one place an image list becomes a map, and the map it compiles is a batch
+map: a sequence of G-elements -> the list of their images, so a walk
+twists a whole layer per automorphism in one call.  A permutation group
+first seeks a point map c that conjugates each generator to its image
+and, when every image lies in G by its stabilizer chain, compiles
+g -> c g c^-1 as a memo without walking G; other finite kinds without
+relators, and a permutation group with no such c, walk their Cayley
+graph, checking the homomorphism property on every edge, and keep the
+image table; a memo or a table maps a batch by one ``map`` of its lookup.
+Z^k compiles to a linear map, Z/m to multiplication by the generator's
+image, the Heisenberg group to one polynomial in (p, q, r), or to its
+nonzero terms when the images of a and b act on (p, q) by a signed
+permutation and C is central, each one list display or ``map`` over the
+batch; a free group joins the batch on a separator outside its alphabet
+and runs one ``str.translate`` for a signed permutation of the letters,
+else letter substitution and a reduction per word; and a direct product
+with relators whose generators map into their own factors runs one map
+per factor on its column, passing a column its factor fixes untouched.
+evaluate(factor(g), images) is left only to products that mix their
+factors, and stays the oracle on infinite kinds (permutation and table
+groups have no factor).  A verified automorphism keeps one map, and
+``apply`` is its batch of one; when its inverse images differ from its
+images they are checked on a second compiled map that is then dropped,
+and when they are equal the one map serves both ways.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
 checked seeds, stepping by image lists alone, and compiles each distinct
 automorphism it keeps once; ``AutomorphismGroup`` reads its composition
@@ -58,6 +64,7 @@ layer, producing the monoid spheres S+(e, r) and balls B+(e, r).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -222,8 +229,9 @@ class GroupBackend:
         """Defining relators, or None when the kind is checked edge by edge."""
         return None
 
-    def homomorphism(self, images: Sequence[Any]) -> Callable[[Any], Any]:
-        """The map with the given generator images: the only place an image
+    def homomorphism(self, images: Sequence[Any]) -> Callable[[Sequence[Any]], List[Any]]:
+        """The batch map with the given generator images, a sequence of
+        G-elements -> the list of their images: the only place an image
         list becomes a map.
 
         A finite kind without relators gets its image table, checked along
@@ -235,12 +243,12 @@ class GroupBackend:
         is multiplicative; NotAnAutomorphism names the first broken edge.
         The table covers G, as a finite kind without relators is generated
         by its declared generators (a table group checks that it is).
-        Any other kind gets g -> evaluate(factor(g), images), which checks
-        nothing; kinds with more structure override it, and a permutation
-        group tries a point conjugation before this walk.
+        Any other kind gets g -> evaluate(factor(g), images) per element,
+        which checks nothing; kinds with more structure override it, and a
+        permutation group tries a point conjugation before this walk.
         """
         if self.relators() is not None or not self.is_finite():
-            return lambda g: self.evaluate(self.factor(g), images)
+            return lambda gs: [self.evaluate(self.factor(g), images) for g in gs]
         edges = list(zip(map(self.gen, range(len(images))), images, self.gen_names))
         table = {self.identity: self.identity}
 
@@ -254,7 +262,7 @@ class GroupBackend:
                 yield h
 
         closure([self.identity], expand)
-        return table.__getitem__
+        return functools.partial(_each, table.__getitem__)
 
     # -- finiteness -------------------------------------------------------
 
@@ -274,8 +282,13 @@ class GroupBackend:
 # backends
 
 
-def _identity(g):
-    return g
+_identity = list  # the batch map of the identity automorphism
+
+
+def _each(f: Callable[[Any], Any], gs: Sequence[Any]) -> List[Any]:
+    """[f(g) for g in gs]: the batch map of a per-element map f, compiled
+    as ``functools.partial(_each, f)``."""
+    return list(map(f, gs))
 
 
 def _rank_and_names(label: str, rank: int, gen_names: Optional[Sequence[str]]):
@@ -354,16 +367,26 @@ class FreeGroup(GroupBackend):
         return g[:t] + g[t:len(g) - t] * k + g[len(g) - t:] if k else ""
 
     def homomorphism(self, images):
-        """The identity on the generators' own images; one ``translate`` for
-        a signed permutation of the letters, which keeps reduced words
-        reduced; else each letter translated to its image, then _cancel."""
+        """The identity on the generators' own images; else the batch joined
+        on chr(2 * rank), which is no letter (and ASCII below rank 64, so
+        CPython translates it on its ASCII path), translated letter by
+        letter to the images in one ``translate`` and split back: for a
+        signed permutation of the letters, which keeps reduced words
+        reduced, that is the map, and otherwise each word is reduced by
+        _cancel.  An empty batch joins to the empty word, so it is kept
+        apart."""
         images = tuple(images)
         if images == tuple(map(self.gen, range(self.rank))):
             return _identity
         table = {2 * i + s: self.inv(x) if s else x for i, x in enumerate(images) for s in (0, 1)}
+        sep = chr(2 * self.rank)
+
+        def translated(gs):
+            return sep.join(gs).translate(table).split(sep) if gs else []
+
         if len({ord(image) >> 1 for image in images if len(image) == 1}) == len(images):
-            return operator.methodcaller("translate", table)
-        return lambda g: _cancel("", g.translate(table))
+            return translated
+        return lambda gs: [_cancel("", g) for g in translated(gs)]
 
     def canonical_key(self, g):
         """(syllable count, (letter, exponent rank), ...)."""
@@ -427,11 +450,12 @@ class FreeAbelianGroup(_IntVectors):
         return tuple(map(operator.neg, g))
 
     def homomorphism(self, images):
-        """The linear map whose columns are the images, unless they are a
-        signed permutation of the basis: then each row of the matrix holds
-        one entry +-1, in a column of its own, so each coordinate of the
-        image is one coordinate of g, picked by `itemgetter` and multiplied
-        by its sign unless every sign is +1."""
+        """The linear map whose columns are the images, one list display
+        over the batch, unless they are a signed permutation of the basis:
+        then each row of the matrix holds one entry +-1, in a column of its
+        own, so each coordinate of the image is one coordinate of g, picked
+        by `itemgetter` and multiplied by its sign unless every sign is +1;
+        with no sign the batch is one ``map`` of the `itemgetter`."""
         rows = tuple(zip(*images))
         entries = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
         if sorted(e[0][0] for e in entries
@@ -440,9 +464,9 @@ class FreeAbelianGroup(_IntVectors):
             # itemgetter of one index returns the coordinate, not a tuple
             pick = operator.itemgetter(*index) if self.rank > 1 else tuple
             if -1 not in signs:
-                return pick
-            return lambda g: tuple(map(operator.mul, signs, pick(g)))
-        return lambda g: tuple(sum(map(operator.mul, row, g)) for row in rows)
+                return functools.partial(_each, pick)
+            return lambda gs: [tuple(map(operator.mul, signs, pick(g))) for g in gs]
+        return lambda gs: [tuple([sum(map(operator.mul, row, g)) for row in rows]) for g in gs]
 
     def factor(self, g):
         return tuple((i, a) for i, a in enumerate(g) if a)
@@ -496,9 +520,9 @@ class CyclicGroup(GroupBackend):
         return ((0, g),) if g else ()
 
     def homomorphism(self, images):
-        """g -> g*k mod m, for k the generator's image."""
+        """g -> g*k mod m, for k the generator's image, in one list display."""
         k, m = images[0], self.order
-        return lambda g: g * k % m
+        return lambda gs: [g * k % m for g in gs]
 
     def relators(self):
         return [((0, self.order),)]
@@ -540,18 +564,21 @@ class HeisenbergGroup(_IntVectors):
         permutation: then a1*a2 = b1*b2 = 0, every term of the polynomial
         with a factor c1, c2, a1*a2 or b1*b2 vanishes, and what is left is
         (u*g[i], v*g[j], c3*r + p*(a3 + (a1*b2 - c3)*q) + b3*q), each of
-        the first two coordinates one signed coordinate of (p, q)."""
+        the first two coordinates one signed coordinate of (p, q): one list
+        display over the batch.  The polynomial maps a batch by one `map`."""
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
         if c1 == c2 == a1 * a2 == b1 * b2 == 0 and abs(a1 * b2 - a2 * b1) == 1:
             u, v, i, j = (a1, b2, 0, 1) if a1 else (b1, a2, 1, 0)
             e = a1 * b2 - c3
-            return lambda g: (u * g[i], v * g[j], c3 * g[2] + g[0] * (a3 + e * g[1]) + b3 * g[1])
-        return self.polynomial(images)
+            return lambda gs: [(u * g[i], v * g[j], c3 * g[2] + g[0] * (a3 + e * g[1]) + b3 * g[1])
+                               for g in gs]
+        return functools.partial(_each, self.polynomial(images))
 
     @staticmethod
     def polynomial(images):
-        """g = a^p b^q c^s, s = r - pq, maps to A^p B^q C^s: the closed-form
-        powers multiplied out into one polynomial in (p, q, r)."""
+        """The per-element map g = a^p b^q c^s, s = r - pq, -> A^p B^q C^s:
+        the closed-form powers multiplied out into one polynomial in
+        (p, q, r)."""
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
 
         def apply(g):
@@ -662,15 +689,16 @@ class PermutationGroup(GroupBackend):
         each s to its w; with every w in G it maps G into G, so onto the
         finite G: an automorphism, proved without walking G.  A c alone is
         not enough: c = (1 3)(2 4) conjugates <(1 2)> onto <(3 4)>.
-        The map is a memo, c g c^-1 formed only for the elements a walk
-        touches.  Non-homomorphisms, non-injective maps, images outside G
-        and an outer automorphism of S6 take the walk, which raises as
-        before."""
+        The map is one ``map`` of a memo over the batch, c g c^-1 formed
+        only for the elements a walk touches.  Non-homomorphisms,
+        non-injective maps, images outside G and an outer automorphism of
+        S6 take the walk, which raises as before."""
         c = self._conjugator(images)
         if c is None or any(self._sift(w) != self.identity for w in images):
             return super().homomorphism(images)
         c_inv = self.inv(c)
-        return _Memo(lambda g: tuple([c[g[y]] for y in c_inv])).__getitem__
+        conjugate = _Memo(lambda g: tuple([c[g[y]] for y in c_inv]))
+        return functools.partial(_each, conjugate.__getitem__)
 
     def _conjugator(self, images) -> Optional[Tuple[int, ...]]:
         """A point map c with c[s[x]] = w[c[x]] for every generator s and
@@ -867,7 +895,11 @@ class DirectProduct(GroupBackend):
         """Factor by factor when the product has relators and every
         generator's image lies in its own factor, else the base map: the
         walked table on a finite product without relators, which a factor's
-        own map would leave unchecked, and the generic map otherwise."""
+        own map would leave unchecked, and the generic map otherwise.
+        Factor by factor, the batch is cut into its factor columns, each
+        column mapped by its factor's batch map, or passed on untouched
+        where the images are the factor's own generators, and zipped back;
+        an empty batch has no columns, so gives []."""
         if self.relators() is None:
             return super().homomorphism(images)
         maps = []
@@ -878,8 +910,9 @@ class DirectProduct(GroupBackend):
                        if i != fi):
                     return super().homomorphism(images)
                 local.append(image[fi])
-            maps.append(backend.homomorphism(local))
-        return lambda g: tuple([m(c) for m, c in zip(maps, g)])
+            fixed = local == list(map(backend.gen, range(len(local))))
+            maps.append(None if fixed else backend.homomorphism(local))
+        return lambda gs: list(zip(*[c if m is None else m(c) for m, c in zip(maps, zip(*gs))]))
 
     def factor(self, g):
         word: List[Tuple[int, int]] = []
@@ -929,8 +962,9 @@ class Automorphism:
     """An automorphism of a backend, given by generator images.
 
     verify() checks it and keeps one compiled map, `forward`, the backend's
-    homomorphism for its images, which apply calls; until it has passed
-    there is no map.  The inverse images are input to verify() only.
+    homomorphism for its images: a batch map, which walks call on whole
+    layers and `apply` calls on a batch of one; until it has passed there
+    is no map.  The inverse images are input to verify() only.
     identity_automorphism and every element of close_automorphisms are
     compiled automorphisms."""
 
@@ -953,7 +987,8 @@ class Automorphism:
         return hash((id(self.backend), self.signature))
 
     def apply(self, g):
-        return self.forward(g)
+        """g's image: the batch map on the batch of one."""
+        return self.forward((g,))[0]
 
     def verify(self) -> "Automorphism":
         """Check the homomorphism property, compile both image lists, check
@@ -990,7 +1025,8 @@ class Automorphism:
         gens = tuple(map(backend.gen, range(len(backend.gen_names))))
         for i, name in enumerate(backend.gen_names):
             try:
-                inverts = forward(self.inverse_images[i]) == gens[i] == backward(self.images[i])
+                inverts = (forward(self.inverse_images[i:i + 1]) == [gens[i]]
+                           == backward(self.images[i:i + 1]))
             except KeyError:  # an image outside the group a table covers
                 inverts = False
             if not inverts:
@@ -1013,8 +1049,8 @@ class AutomorphismGroup:
     holds the identity.
 
     Its tables come from generator images alone: x after y has the images
-    x(y(s)) = x.apply(y's image of s), so compose_index costs |A|^2 |S|
-    applications and compiles nothing, and the inverse of x is the y with
+    x(y(s)), x's batch map on y's images, so compose_index costs |A|^2
+    batches of |S| and compiles nothing, and the inverse of x is the y with
     x after y the identity."""
 
     def __init__(self, backend: GroupBackend, elements: Sequence[Automorphism]):
@@ -1024,7 +1060,7 @@ class AutomorphismGroup:
         index = {a.signature: i for i, a in enumerate(self.elements)}
         key = backend.canonical_key
         self.identity_index = index[identity_automorphism(backend).signature]
-        self._compose_table = [[index[tuple(key(x.apply(img)) for img in y.images)]
+        self._compose_table = [[index[tuple(map(key, x.forward(y.images)))]
                                 for y in self.elements] for x in self.elements]
         self.inverse_index = tuple(row.index(self.identity_index) for row in self._compose_table)
 
@@ -1040,7 +1076,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
 
     The closure steps by left composition with the verified seeds alone: a
     finite set closed under composition is a group.  s after a has the
-    images s.apply(img) for img in a's images, so a step applies seed maps
+    images s's batch map gives a's images, so a step applies seed maps
     and compiles nothing, and a duplicate is dropped before it costs a
     compile.  Each element reached past the identity and the seeds is then
     compiled once.  Raises BudgetExceeded once the closure reaches more
@@ -1055,8 +1091,8 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
         seed.verify()
 
     def successors(a):
-        return (Automorphism(backend, f"{s.name}*{a.name}", [s.apply(img) for img in a.images],
-                             None) for s in seeds)
+        return (Automorphism(backend, f"{s.name}*{a.name}", s.forward(a.images), None)
+                for s in seeds)
 
     # the identity and the seeds start the first layer, so they keep their maps and names
     start = list(dict.fromkeys([identity_automorphism(backend), *seeds]))
@@ -1109,10 +1145,12 @@ class SemidirectProduct(GroupBackend):
         return (self.group.mul(g, twisted), self.auts.compose_index(i, j))
 
     def products(self, gs, hs):
-        """mul's products, each h twisted by a_i^{-1}'s compiled map once
-        per automorphism index i instead of once per product."""
+        """mul's products, hs twisted by a_i^{-1}'s compiled map in one
+        batch per automorphism index i instead of once per product."""
         auts, mul = self.auts, self.group.mul
-        twisted = [[(auts.elements[k].forward(h), j) for h, j in hs] for k in auts.inverse_index]
+        g_parts, indices = [h for h, _ in hs], [j for _, j in hs]
+        twisted = [list(zip(auts.elements[k].forward(g_parts), indices))
+                   for k in auts.inverse_index]
         compose = auts._compose_table
         return [(mul(g, h), compose[i][j]) for g, i in gs for h, j in twisted[i]]
 

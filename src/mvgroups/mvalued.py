@@ -11,16 +11,17 @@ rule (A-orbit or HgH); a class is the G-element least in it under native
 
 ``step(gens)`` is the one expansion every Cayley-graph walk takes: a
 layer map, sending a layer to the values of u*s over its elements u, then
-s in gens.  The base class builds each product; an OrbitGroup twists the
+s in gens.  The base class builds each product, and the builtin 2-valued
+group lists a layer's values in one display; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: a coset group folds
-the minimum over its compiled twists by compare-select, a double coset
-group looks the batch up in the partition of G it alone builds, at
-construction.  A carrier draws G lazily, at most budget + 1 elements.
-The scalar ``mul`` and ``project`` are batches of one.  Z^k forms the
-products column-wise, the Heisenberg group in one list display, a free
-group concatenates at the seam, and a direct product runs each factor's
-batch on its column.
+the minimum over its compiled twists by compare-select, each twist a
+batch map called once on the whole batch, and a double coset group looks
+the batch up in the partition of G it alone builds, at construction.  A
+carrier draws G lazily, at most budget + 1 elements.  The scalar ``mul``
+and ``project`` are batches of one.  Z^k forms the products column-wise,
+the Heisenberg group in one list display, a free group concatenates at
+the seam, and a direct product runs each factor's batch on its column.
 """
 
 from __future__ import annotations
@@ -75,10 +76,15 @@ class NatGroup(MvGroup):
     unit = 0
 
     def mul(self, x, y):
-        return tuple(sorted((x + y, abs(x - y))))
+        """(|x-y|, x+y), already in order on N u {0}."""
+        return (abs(x - y), x + y)
 
     def inv(self, x):
         return x
+
+    def step(self, gens):
+        """The scalar loop's values of u*s, in its order, in one list display."""
+        return lambda layer: [v for u in layer for s in gens for v in (abs(u - s), u + s)]
 
 
 class MutatedNatGroup(MvGroup):
@@ -99,27 +105,28 @@ class OrbitGroup(MvGroup):
 
     x*y is the fixed-representative n-family [project(x * t(y)) for t in
     twists], so it has exactly n values even on classes with stabilizers;
+    each twist is a batch map, a sequence of G-elements -> their images;
     independence of the representative choice is a tested property, not an
     assumption, and it lets any fixed member name a class: the native
     minimum needs no key.  `canonical` keys a class only where it is
     printed or sorted.
 
-    The one constructor sets the backend, n = len(twists), the twists, a memo
-    of each right factor's twisted images, the class rule `members` (a
-    class -> its members) and the unit.  The scalar `mul`, `project` and
-    `carrier` are defined here once, on the batches: a subclass checks its
-    arguments, sets its own state and defines its class rule's
-    `project_all`.
+    The one constructor sets the backend, n = len(twists), the twists, the
+    memo of each right factor's twisted images, filled a batch at a time,
+    the class rule `members` (a class -> its members) and the unit.  The
+    scalar `mul`, `project` and `carrier` are defined here once, on the
+    batches: a subclass checks its arguments, sets its own state and
+    defines its class rule's `project_all`.
     """
 
-    def __init__(self, backend: GroupBackend, twists: List[Callable[[Any], Any]],
+    def __init__(self, backend: GroupBackend,
+                 twists: List[Callable[[Sequence[Any]], List[Any]]],
                  members: Callable[[Any], Iterable[Any]]):
         self.backend = backend
         self.n = len(twists)
         self.twists = twists
-        # the lambda and `members` hold no self, so no instance is a reference cycle
-        self._twisted = _Memo(lambda h: [t(h) for t in twists])
-        self._members = members
+        self._twisted: dict = {}  # y -> its n twisted images
+        self._members = members  # holds no self, so no instance is a reference cycle
         self.unit = self.project(backend.identity)
 
     def canonical(self, x) -> Tuple[Any, Any]:
@@ -149,8 +156,16 @@ class OrbitGroup(MvGroup):
         return sorted(set(self.project_all(gs)), key=self.canonical)
 
     def products(self, xs, ys):
-        """One backend batch of x * t(y), t(y) memoized per y, then one project_all."""
-        twisted = list(itertools.chain.from_iterable(map(self._twisted.__getitem__, ys)))
+        """One backend batch of x * t(y), t(y) memoized per y, then one
+        project_all.  A batch with ys the memo lacks twists them, each
+        twist in one batch call, and starts again."""
+        memo = self._twisted
+        try:
+            twisted = list(itertools.chain.from_iterable(map(memo.__getitem__, ys)))
+        except KeyError:
+            fresh = list(dict.fromkeys(y for y in ys if y not in memo))
+            memo.update(zip(fresh, zip(*[t(fresh) for t in self.twists])))
+            return self.products(xs, ys)
         return self.project_all(self.backend.products(xs, twisted))
 
     def step(self, gens):
@@ -158,12 +173,13 @@ class OrbitGroup(MvGroup):
         twisted generators t.
 
         By the definition of mul this yields the union of the supports of
-        u*s over s in gens, each twist applied once per generator instead
-        of once per product.  A layer is one backend ``products`` batch,
-        projected in one ``project_all`` batch.
+        u*s over s in gens, each twist applied once, to the batch of
+        generators, instead of once per product.  A layer is one backend
+        ``products`` batch, projected in one ``project_all`` batch.
         """
         products, project_all = self.backend.products, self.project_all
-        steps = tuple(dict.fromkeys(t(s) for s in gens for t in self.twists))
+        steps = tuple(dict.fromkeys(itertools.chain.from_iterable(
+            zip(*[t(gens) for t in self.twists]))))
         return lambda layer: project_all(products(layer, steps))
 
     def render_form(self, form) -> str:
@@ -173,9 +189,10 @@ class OrbitGroup(MvGroup):
 class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
-    The twists are A's compiled maps.  On a finite G as on an infinite one,
-    a class is the orbit minimum, folded over the batch: nothing partitions
-    G, and no G-element is drawn until a carrier is asked for."""
+    The twists are A's compiled batch maps.  On a finite G as on an
+    infinite one, a class is the orbit minimum, folded over the batch:
+    nothing partitions G, and no G-element is drawn until a carrier is
+    asked for."""
 
     def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
         if auts.backend is not backend:
@@ -183,18 +200,18 @@ class CosetGroup(OrbitGroup):
         self.auts = auts
         twists = [a.forward for a in auts]
         self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
-        super().__init__(backend, twists, lambda g: (t(g) for t in twists))
+        super().__init__(backend, twists, lambda g: [t((g,))[0] for t in twists])
 
     def project_all(self, gs: Sequence[Any]) -> List[Any]:
         """[project(g) for g in gs], reading no class table: the minimum
         folded one twist at a time, from gs (the identity twist) over
-        `_moves`, by compare-select, which keeps a unless b < a as `min`
-        does."""
+        `_moves`, each move one batch call on gs, by compare-select, which
+        keeps a unless b < a as `min` does."""
         if not self._moves:
             return list(gs)
         least = gs
         for t in self._moves:
-            least = [b if b < a else a for a, b in zip(least, map(t, gs))]
+            least = [b if b < a else a for a, b in zip(least, t(gs))]
         return least
 
 
@@ -227,7 +244,8 @@ class DoubleCosetGroup(OrbitGroup):
                 if len(classes) > budget:
                     raise BudgetExceeded(budget)
         self._classes = classes
-        super().__init__(backend, [functools.partial(mul, h) for h in H], members.__getitem__)
+        super().__init__(backend, [functools.partial(backend.products, [h]) for h in H],
+                         members.__getitem__)
 
     def project_all(self, gs: Sequence[Any]) -> List[Any]:
         """[project(g) for g in gs], as one lookup in the partition."""

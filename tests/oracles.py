@@ -11,8 +11,9 @@ module binds it to the names of the checks the rows took over, each row
 under one name, and ``extra`` runs the rows on cases of ids of their own
 (a group built in the test module, proof34's GA of a coset instance).  A
 new kernel adds a row; ``tests/test_hygiene.py`` fails
-on a row bound to no test and on a class defining ``products``, ``step``
-or ``project_all`` that no row runs.
+on a row bound to no test and on a class defining ``products``, ``step``,
+``project_all`` or ``homomorphism`` (a compiled batch map) that no row
+runs.
 """
 
 import collections
@@ -132,6 +133,34 @@ def scalar_mv_products(X, xs, ys):
 def sorted_groups(X, values):
     """A batch of n values per pair, cut into its pairs, each a sorted n-tuple."""
     return [tuple(sorted(values[k:k + X.n])) for k in range(0, len(values), X.n)]
+
+
+def bfs_words(backend):
+    """Each element of a finite backend with the word that first reaches it,
+    by BFS over the generators and their inverses."""
+    steps = [((i, e), backend.power(backend.gen(i), e))
+             for i in range(len(backend.gen_names)) for e in (1, -1)]
+    words = {backend.identity: ()}
+    frontier = [backend.identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for step, s in steps:
+                h = backend.mul(g, s)
+                if h not in words:
+                    words[h] = words[g] + (step,)
+                    fresh.append(h)
+        frontier = fresh
+    return words
+
+
+def scalar_images(backend, images, gs):
+    """Each g's image, one at a time, as the product of the images along a
+    word for g: its `factor` on an infinite kind, its BFS word on a finite
+    one (permutation and table groups have no factor).  The oracle of every
+    compiled batch map."""
+    word = bfs_words(backend).__getitem__ if backend.is_finite() else backend.factor
+    return [backend.evaluate(word(g), images) for g in gs]
 
 
 def starmap_spheres(backend, gens, radius, budget=DEFAULT_BUDGET):
@@ -449,10 +478,17 @@ def centred(instance):
     return [(X, gens, x, RADIUS) for x in centres(X, gens)]
 
 
+def twisted_steps(X, gens):
+    """The distinct twisted generators t(s), s in gens, then t in X.twists,
+    each twist mapping the batch of one s: the steps of ``X.step``, in its
+    order."""
+    return list(dict.fromkeys(v for s in gens for t in X.twists for v in t((s,))))
+
+
 def ball_products(X, gens, radius):
     """The backend products of a ball's spheres with the twisted steps,
     repeats and all, in discovery order."""
-    steps = tuple(dict.fromkeys(t(s) for s in gens for t in X.twists))
+    steps = twisted_steps(X, gens)
     spheres = itertools.islice(layers([X.unit], X.step(gens)), radius)
     return [X.backend.mul(u, t) for sphere in spheres for u in sphere for t in steps]
 
@@ -489,6 +525,17 @@ def product_batches(instance):
         cases += [(backend, gs, hs) for gs, hs in ((elements, steps), (steps, elements[:40]),
                                                    (elements, []), ([], steps))]
     return cases
+
+
+def map_batches(backend, image_lists):
+    """(backend, images, gs) for each image list and each batch gs: none,
+    the identity alone, and the monoid ball of radius 2 over the generators
+    and their inverses, which holds the identity first."""
+    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
+    elements = list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)))
+    return [(backend, images, gs) for images in image_lists
+            for gs in ([], elements[:1], elements)]
 
 
 def pair_batches(instance):
@@ -603,6 +650,9 @@ ROWS = [
         monoid_balls, starmap_spheres, same_monoid_spheres, True),
     Row("products", orbit_group, product_batches,
         lambda backend, gs, hs: backend.products(gs, hs), scalar_products, equal),
+    Row("homomorphism", coset_group,
+        lambda i: map_batches(i.backend, [a.images for a in i.auts]),
+        lambda backend, images, gs: backend.homomorphism(images)(gs), scalar_images, equal),
     Row("mv_products", every, pair_batches,
         lambda X, xs, ys: sorted_groups(X, X.products(xs, ys)), scalar_mv_products, equal),
     Row("project_all", orbit_group, products_with_repeats,

@@ -2,13 +2,13 @@
 every import is a top-level statement of its module, every function or
 method the package or ``tests/oracles.py`` defines is referenced outside
 its own definition, every row of the oracle table is bound to one test,
-every class that defines a kernel is run by a row, importing the CLI loads
-neither `dataclasses` nor `inspect`, building an instance loads no
-analysis or CLI module, every verification suite takes only (instance,
-r_max, budget), no subclass of a base with one constructor (`OrbitGroup`,
-`_IntVectors`) sets what that constructor sets, an orbit group's subclass
-brings only its class rule, and only the output edge forms canonical
-keys."""
+every class that defines a kernel (a batch hook or a compiled map) is run
+by a row, importing the CLI loads neither `dataclasses` nor `inspect`,
+building an instance loads no analysis or CLI module, every verification
+suite takes only (instance, r_max, budget), no subclass of a base with one
+constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
+an orbit group's subclass brings only its class rule, and only the output
+edge forms canonical keys."""
 
 import ast
 import importlib
@@ -126,7 +126,7 @@ def test_every_table_row_is_bound_to_one_test():
     assert sorted(bound) == sorted(oracles.ROW)
 
 
-KERNELS = ("products", "step", "project_all")
+KERNELS = ("products", "step", "project_all", "homomorphism")
 
 
 def test_every_kernel_runs_in_a_table_row(every_instance):

@@ -16,6 +16,7 @@ from mvgroups.errors import BudgetExceeded
 from mvgroups.groups import FreeGroup, closure, layers, monoid_balls
 from mvgroups.mvalued import NatGroup
 from mvgroups.wordspec import load_instance
+from oracles import twisted_steps
 
 NAT = NatGroup()
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -101,7 +102,7 @@ def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
     in the last one."""
     instance = load_instance(CONFIGS / "z2_swap.json")
     X, gens = instance.X, instance.x_generators
-    steps = {t(s) for s in gens for t in X.twists}
+    steps = set(twisted_steps(X, gens))
     spheres = ball(X, gens, X.unit, 30).sphere_sizes()
     batches = []
     project_all = X.project_all

@@ -400,11 +400,12 @@ def s4_transposition_coset(cls=PermutationGroup):
 
 
 def record_forwards(auts, calls):
-    """Make each compiled map of auts append (automorphism, argument) to
-    calls, through `apply` or not; a coset group built afterwards twists
-    through them."""
+    """Make each compiled batch map of auts append (automorphism, argument)
+    to calls for each element of a batch, through `apply` or not; a coset
+    group built afterwards twists through them."""
     for a in auts:
-        a.forward = lambda g, a=a, forward=a.forward: calls.append((a, g)) or forward(g)
+        a.forward = lambda gs, a=a, forward=a.forward: (
+            calls.extend((a, g) for g in gs) or forward(gs))
     return auts
 
 

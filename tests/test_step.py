@@ -26,9 +26,9 @@ from mvgroups.verify import run_suite
 from mvgroups.wordspec import load_instance
 
 import pytest
-from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order,
-                     least_members, partition, semidirect_balls, sorted_spheres,
-                     sorted_supports, table_test)
+from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order, least_members,
+                     partition, semidirect_balls, sorted_spheres, sorted_supports,
+                     table_test, twisted_steps)
 
 
 def test_every_orbit_config_is_covered():
@@ -110,7 +110,7 @@ def test_z2_swap_ball_projects_once_per_node_and_twisted_step(instances):
     X, gens = instances["z2_swap"].X, instances["z2_swap"].x_generators
     # four X-generators in two pairs of equal classes, two twists each: four
     # distinct steps, where building each product makes eight projections
-    steps = list(dict.fromkeys(t(s) for s in gens for t in X.twists))
+    steps = twisted_steps(X, gens)
     assert set(steps) == set().union(*(orbit(X.auts, s) for s in gens))
     assert (len(gens), X.n, len(steps)) == (4, 2, 4)
     Y = copy.copy(X)
@@ -139,31 +139,43 @@ def test_z2_swap_ball_projects_once_per_node_and_twisted_step(instances):
                            for sphere in spheres]
 
 
+def counted_moves(X):
+    """Wrap X's twists other than the identity, `_moves`, each a batch map,
+    to record the G-elements they are applied to and the size of each
+    batch call."""
+    moved, calls = [], []
+    X._moves = [lambda gs, t=t: calls.append(len(gs)) or moved.extend(gs) or t(gs)
+                for t in getattr(X, "_moves", ())]
+    return moved, calls
+
+
 def counted_projection(X):
-    """Count X's `project_all` batches, with their sizes, and the G-elements
-    its twists other than the identity, `_moves`, are applied to."""
-    batches, moved = [], []
+    """Count X's `project_all` batches, with their sizes, the G-elements
+    its `_moves` are applied to, and the sizes of their batch calls."""
+    batches = []
     project_all = X.project_all
     X.project_all = lambda gs: batches.append(len(gs)) or project_all(gs)
-    X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in X._moves]
-    return batches, moved
+    return (batches, *counted_moves(X))
 
 
 def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss():
     """`growth z2_swap --radius 80` projects its 25,440 backend products in
     one `project_all` batch per layer, which applies the swap, the one twist
-    besides the identity, once per product and files nothing: a coset
-    group has no class table, before or after.  (When each
-    batch filed its misses, the swap ran once per distinct miss, 6,596
-    times, and every product paid the table's probes.)"""
+    besides the identity, once per product, in one batch call per layer,
+    and files nothing: a coset group has no class table, before or after.
+    (When each batch filed its misses, the swap ran once per distinct miss,
+    6,596 times, and every product paid the table's probes.)"""
     instance = load_instance(PATHS["z2_swap"])  # patched below, so not the shared instance
     X, gens = instance.X, instance.x_generators
     expected = sorted_spheres(X, gens, X.unit, 80)
     assert (len(X._moves), hasattr(X, "_classes")) == (1, False)
-    batches, moved = counted_projection(X)
+    batches, moved, calls = counted_projection(X)
     table = ball(X, gens, X.unit, 80)
     assert in_order(table.sphere_sets) == expected
     assert (len(batches), sum(batches), len(moved)) == (80, 25440, 25440)
+    assert (calls, moved) == (batches, list(itertools.chain.from_iterable(
+        [X.backend.mul(u, t) for u in sphere for t in twisted_steps(X, gens)]
+        for sphere in table.sphere_sets[:80])))
     assert not hasattr(X, "_classes")
 
 
@@ -205,19 +217,20 @@ def test_free2_swap_growth_is_one_products_batch_per_layer_without_scalar_calls(
     one `products` batch per layer, two steps per class, with no scalar
     `mul` and no `canonical_key` call (the default hooks made 4,096 and,
     when classes were keyed, 8,190).  Its 12 `project_all` batches swap
-    each product once and file nothing: a coset group has no class table,
-    before or after."""
+    each product once, in one batch call each, and file nothing: a coset
+    group has no class table, before or after."""
     instance = load_instance(PATHS["free2_swap"])  # patched below, so not the shared instance
     X, gens = instance.X, instance.x_generators
     expected = sorted_spheres(X, gens, X.unit, 12)
     assert not hasattr(X, "_classes")
-    batches, moved = counted_projection(X)
+    batches, moved, moves = counted_projection(X)
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 12)
     assert in_order(table.sphere_sets) == expected
     assert calls["products"] == [2 * size for size in table.sphere_sizes()[:12]]
     assert (sum(calls["products"]), len(batches), sum(batches), len(moved)) == (
         4096, 12, 4096, 4096)
+    assert moves == batches  # one swap call per batch, on the whole batch
     assert calls["mul"] == calls["canonical_key"] == []
     assert not hasattr(X, "_classes")
 
@@ -226,17 +239,19 @@ def test_heis_swap_growth_is_one_products_batch_per_layer_without_scalar_calls()
     """`growth heis_swap --radius 9` forms its 3,596 backend products in one
     `products` batch per layer, the Heisenberg list display, with no scalar
     `mul` and no `canonical_key` call (the default hook made 3,596 `mul`
-    calls), and swaps each product once in its `project_all` batch."""
+    calls), and swaps each product once in its `project_all` batch, in one
+    batch call of the swap."""
     instance = load_instance(PATHS["heis_swap"])  # patched below, so not the shared instance
     X, gens = instance.X, instance.x_generators
     expected = sorted_spheres(X, gens, X.unit, 9)
-    batches, moved = counted_projection(X)
+    batches, moved, moves = counted_projection(X)
     calls = counted_hooks(X.backend)
     table = ball(X, gens, X.unit, 9)
     assert in_order(table.sphere_sets) == expected
     assert table.ball_sizes[-1] == 1425
     assert (len(calls["products"]), sum(calls["products"])) == (9, 3596)
     assert (len(batches), sum(batches), len(moved)) == (9, 3596, 3596)
+    assert moves == batches  # one swap call per batch, on the whole batch
     assert calls["mul"] == calls["canonical_key"] == []
 
 
@@ -250,7 +265,7 @@ def test_z3xF2_growth_forms_the_cyclic_column_in_one_batch_per_layer():
     calls = counted_hooks(X.backend.factors[0])
     table = ball(X, gens, instance.element("h*g1"), 9)
     assert table.ball_sizes[-1] == 1534
-    steps = len(dict.fromkeys(t(s) for s in gens for t in X.twists))
+    steps = len(twisted_steps(X, gens))
     assert calls["products"] == [steps * size for size in table.sphere_sizes()[:9]]
     assert calls["mul"] == calls["canonical_key"] == []
 
@@ -290,7 +305,8 @@ def test_proof34_makes_no_automorphism_apply_call(monkeypatch):
 def test_project_all_files_least_and_non_least_members_of_one_class_once(every_instance, name):
     """A batch holding several members of one class, the least last, gives
     each member the least member of its class, applies each twist
-    besides the identity once per member, and files no member."""
+    besides the identity once per member, in one batch call on the whole
+    batch, and files no member."""
     instance = every_instance[name]
     gs = ball_products(instance.X, instance.x_generators, 3)
     # every class of the batch with two members in it, the least last
@@ -302,11 +318,11 @@ def test_project_all_files_least_and_non_least_members_of_one_class_once(every_i
     assert batch, name
     X = copy.copy(instance.X)
     filed = dict(partition(X))
-    moved = []
-    X._moves = [lambda g, t=t: moved.append(g) or t(g) for t in getattr(X, "_moves", ())]
+    moved, calls = counted_moves(X)
     assert X.project_all(batch) == least_members(X, batch)
     assert partition(X) == filed
     assert sorted(moved) == sorted(batch * len(X._moves))
+    assert calls == [len(batch)] * len(X._moves)
 
 
 @pytest.mark.parametrize("name", ORBIT)
