@@ -24,7 +24,9 @@ classes.
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
 Every enumeration here raises BudgetExceeded once more than `budget`
-distinct elements have been reached.
+distinct elements have been reached.  A walk reports each layer through an
+optional ``on_layer(r, size)`` and reads no clock: ``--stats`` in the CLI
+stamps the reports.
 
 No walk compares elements: spheres keep discovery order, and supports and
 set products are unordered tuples, since the growth functions count them.
@@ -35,7 +37,6 @@ where it prints it.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
@@ -58,7 +59,7 @@ class PowerTable(NamedTuple):
 
 
 def ball(X: MvGroup, gens: Sequence[Any], x, radius: int, budget: int = DEFAULT_BUDGET,
-         on_layer: Optional[Callable[[int, int, float], Any]] = None) -> GrowthTable:
+         on_layer: Optional[Callable[[int, int], Any]] = None) -> GrowthTable:
     """B(x, 0..radius) via support BFS; S(x, 0) = {x}, and each sphere in
     the order ``layers`` discovers it, which calls `on_layer` as each
     sphere is completed."""
@@ -92,7 +93,7 @@ def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 
 
 
 def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET,
-                     on_layer: Optional[Callable[[int, int, float], Any]] = None
+                     on_layer: Optional[Callable[[int, int], Any]] = None
                      ) -> Iterator[Tuple[Any, ...]]:
     """Set(T_z^r(y)) for r = 0, 1, ..., each an unordered tuple: T_z sends
     u to u * z.
@@ -100,31 +101,31 @@ def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET,
     Unlike ``layers`` nothing is pruned, because xi counts elements that
     recur.  Raises BudgetExceeded once more than `budget` distinct elements
     have been reached.  `on_layer` is ``layers``' callback: it gets (r,
-    size, seconds forming it) of each support within the budget.
+    size) of each support within the budget, before it is yielded.  Like
+    ``layers``, the walk reads no clock.
     """
     support, reached, r = (y,), set(), 0
     step = X.step([z])
-    began = on_layer and time.perf_counter()
     while True:
         reached.update(support)
         if len(reached) > budget:
             raise BudgetExceeded(budget, r)
         if on_layer:
-            on_layer(r, len(support), time.perf_counter() - began)
+            on_layer(r, len(support))
         yield support
-        began = on_layer and time.perf_counter()
         support = tuple(set(step(support)))
         r += 1
 
 
 def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET,
-                on_layer: Optional[Callable[[int, int, float], Any]] = None) -> PowerTable:
+                on_layer: Optional[Callable[[int, int], Any]] = None) -> PowerTable:
     """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x,
     unordered; each sphere S*(x, r) keeps the order of its support.
-    `on_layer` gets (r, |Set(x^{*r})|, seconds) for r = 1, 2, ..."""
+    `on_layer` gets (r, |Set(x^{*r})|) for r = 1, 2, ..., the walk's r
+    shifted by one."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    shifted = on_layer and (lambda r, size, seconds: on_layer(r + 1, size, seconds))
+    shifted = on_layer and (lambda r, size: on_layer(r + 1, size))
     set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget, shifted), radius))
     sstar_sets: List[Tuple[Any, ...]] = []
     cumulative = set()

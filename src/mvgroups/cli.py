@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import sys
+import time
 from fractions import Fraction
 from typing import Any, List, Optional, Sequence
 
@@ -164,15 +165,22 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
 def _stats(args):
     """The layer callback of --stats, None without it; on the way out, also
     when the budget stops the walk, its one JSON line goes to stderr: the
-    last radius completed, and each completed layer's size and seconds."""
+    last radius completed, and each completed layer's size and seconds.
+
+    This is the one place a walk is timed: each report (r, size) is stamped
+    as it arrives, and a layer's seconds are those since the report before
+    it.  The first layer is the walk's start set, which no step forms, so
+    it reads 0."""
     if not args.stats:
         yield None
         return
-    done: List[tuple] = []  # (r, size, seconds) per completed layer
+    done: List[tuple] = []  # (r, size, clock at its report) per completed layer
     try:
-        yield lambda *layer: done.append(layer)
+        yield lambda r, size: done.append((r, size, time.perf_counter()))
     finally:
-        layers = [{"r": r, "size": size, "seconds": s} for r, size, s in done]
+        stamps = [stamp for _, _, stamp in done]
+        layers = [{"r": r, "size": size, "seconds": stamp - before}
+                  for (r, size, stamp), before in zip(done, stamps[:1] + stamps)]
         print(json.dumps({"command": args.command, "radius": done[-1][0] if done else -1,
                           "layers": layers}), file=sys.stderr)
 

@@ -34,7 +34,7 @@ class DynamicsTable(NamedTuple):
 
 
 def iterate_dynamic(X: MvGroup, z, y, radius: int, budget: int = DEFAULT_BUDGET,
-                    on_layer: Optional[Callable[[int, int, float], Any]] = None) -> DynamicsTable:
+                    on_layer: Optional[Callable[[int, int], Any]] = None) -> DynamicsTable:
     """Rows 0..radius of ``dynamic_supports``, which calls `on_layer` per row."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
@@ -58,7 +58,7 @@ class BoundsReport(NamedTuple):
 
 def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
                  monoid: Optional[GrowthTable] = None,
-                 on_layer: Optional[Callable[[int, int, float], Any]] = None) -> BoundsReport:
+                 on_layer: Optional[Callable[[int, int], Any]] = None) -> BoundsReport:
     """Monoid-ball sandwich for z = pi(g): monoid of the A-orbit of g vs xi_y.
     `monoid`, if given, is that monoid's table to radius r_max, which no y
     changes; `on_layer` is iterate_dynamic's."""

@@ -53,8 +53,13 @@ and inverse tables off the generator images.
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and, through ``closure``, every finite closure (group
 elements, subgroups, automorphism groups) are layers of it, and all of them
-share its budget rule.  It expands a whole layer at a time; ``closure``
-wraps a per-element expansion lazily.
+share its budget rule.  It expands a whole layer at a time and holds only
+its frontier and its seen set: it reads no clock, and reports each layer
+through an optional ``on_layer(r, size)``, which the CLI's ``--stats``
+times.  ``closure`` wraps a per-element expansion and yields its elements
+lazily, so a permutation group's ``elements()`` is the closure of its
+generators in discovery order, neither sorted nor cached, and a draw that
+stops early stops the walk.
 
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
 (g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
@@ -67,7 +72,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -97,14 +101,16 @@ class _Memo(dict):
 
 def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
            budget: int = DEFAULT_BUDGET,
-           on_layer: Optional[Callable[[int, int, float], Any]] = None) -> Iterator[List[Any]]:
+           on_layer: Optional[Callable[[int, int], Any]] = None) -> Iterator[List[Any]]:
     """Breadth-first layers: layer 0 is `start`, layer i+1 holds, in the
     order they are discovered, the elements of expand(layer i) that no
     earlier layer holds.  `expand` is a layer map: it returns every
     candidate of the next layer, repeats allowed, element by element of the
     layer it is given.  Once a layer is empty every later one is.
-    `on_layer`, if given, gets (radius, size, seconds forming it) of each
-    layer as it is completed; the clock is read only then.
+    `on_layer`, if given, gets (radius, size) of each layer as it is
+    completed, before it is yielded.  The walk holds only its frontier and
+    its seen set, and reads no clock: a caller that times layers does so
+    in its callback.
 
     The budget rule of every enumeration: BudgetExceeded is raised as soon
     as more than `budget` distinct elements have been reached.  Candidates
@@ -112,7 +118,6 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     element over the budget; a batched one, which balls, lengths and
     monoid balls all take, has formed one layer's candidates by then.
     """
-    began = on_layer and time.perf_counter()
     layer = list(dict.fromkeys(start))
     seen = set(layer)
     if len(seen) > budget:
@@ -120,9 +125,8 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
     radius = 0
     while True:
         if on_layer:
-            on_layer(radius, len(layer), time.perf_counter() - began)
+            on_layer(radius, len(layer))
         yield layer
-        began = on_layer and time.perf_counter()
         radius += 1
         fresh = []
         for v in expand(layer):
@@ -135,15 +139,17 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
 
 
 def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
-            budget: int = DEFAULT_BUDGET) -> List[Any]:
-    """Every element the nonempty `layers` hold, in discovery order, for a
-    per-element `expand`: each layer is expanded lazily, element by element,
-    so an `expand` that raises does so on the first bad element in discovery
-    order, and the budget stops the walk at its first element over."""
+            budget: int = DEFAULT_BUDGET) -> Iterator[Any]:
+    """Every element the nonempty `layers` hold, drawn lazily in discovery
+    order, for a per-element `expand`: each layer is expanded element by
+    element, so an `expand` that raises does so on the first bad element in
+    discovery order, the budget stops the walk at its first element over,
+    and a caller that stops drawing stops the walk.  It keeps no list of
+    what it yielded; a caller that needs one makes it."""
     def expand_layer(layer):
         return itertools.chain.from_iterable(map(expand, layer))
-    return [x for layer in itertools.takewhile(len, layers(start, expand_layer, budget))
-            for x in layer]
+    return itertools.chain.from_iterable(
+        itertools.takewhile(len, layers(start, expand_layer, budget)))
 
 
 class GrowthTable(NamedTuple):
@@ -261,7 +267,8 @@ class GroupBackend:
                         f"break multiplicativity at ({self.render(g)}, {name})")
                 yield h
 
-        closure([self.identity], expand)
+        for _ in closure([self.identity], expand):  # check every edge
+            pass
         return functools.partial(_each, table.__getitem__)
 
     # -- finiteness -------------------------------------------------------
@@ -272,9 +279,10 @@ class GroupBackend:
     def elements(self) -> Iterable[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
-    def _close(self, gens: Sequence[Any]) -> List[Any]:
-        """Every element of the subgroup `gens` generate in a finite group, by
-        BFS over them alone: there positive words reach the whole subgroup."""
+    def _close(self, gens: Sequence[Any]) -> Iterator[Any]:
+        """Every element of the subgroup `gens` generate in a finite group,
+        drawn lazily in discovery order by ``closure`` over them alone: there
+        positive words reach the whole subgroup."""
         return closure([self.identity], lambda g: (self.mul(g, t) for t in gens))
 
 
@@ -645,7 +653,6 @@ class PermutationGroup(GroupBackend):
             if sorted(perm) != list(range(degree)):
                 raise ValidationError(f"not a permutation of 0..{degree-1}: {perm}")
             self._gens.append(perm)
-        self._elements: Optional[List[Tuple[int, ...]]] = None
         self._chain: Optional[List[Tuple[int, List[Any], dict]]] = None
 
     @property
@@ -767,9 +774,10 @@ class PermutationGroup(GroupBackend):
         return True
 
     def elements(self):
-        if self._elements is None:
-            self._elements = sorted(self._close(self._gens))
-        return list(self._elements)
+        """G drawn lazily, the closure of its generators in discovery order:
+        nothing is cached or sorted, so a draw that stops early, as a carrier
+        over its budget does, stops the walk there."""
+        return self._close(self._gens)
 
 
 class FiniteTableGroup(GroupBackend):
@@ -810,7 +818,7 @@ class FiniteTableGroup(GroupBackend):
                 if t[t[x][a]][y] != t[x][t[a][y]]:
                     raise ValidationError(f"table is not associative: "
                                           f"(#{x} #{a}) #{y} != #{x} (#{a} #{y})")
-        if len(self._close(self._gen_indices)) != n:
+        if len(list(self._close(self._gen_indices))) != n:
             raise ValidationError("declared generators do not generate the table group")
 
     @property
@@ -943,7 +951,9 @@ class DirectProduct(GroupBackend):
 
     def elements(self):
         """Every element, the first factor varying slowest, formed one at a
-        time, so a partition's budget and not |G| bounds the memory."""
+        time, so a partition's budget and not |G| bounds the memory.  A
+        later factor is drawn afresh for each element of those before it,
+        so a permutation factor there is walked again each time."""
         def tails(i):
             if i == len(self.factors):
                 yield ()
@@ -1096,7 +1106,7 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
 
     # the identity and the seeds start the first layer, so they keep their maps and names
     start = list(dict.fromkeys([identity_automorphism(backend), *seeds]))
-    elements = closure(start, successors, bound)
+    elements = list(closure(start, successors, bound))
     for a in elements[len(start):]:
         a.forward = backend.homomorphism(a.images)
     return AutomorphismGroup(backend, elements)

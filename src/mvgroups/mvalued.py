@@ -147,7 +147,11 @@ class OrbitGroup(MvGroup):
 
     def carrier(self, budget: int = DEFAULT_BUDGET) -> List[Any]:
         """All classes, in the canonical order; finite backends only.  G is
-        drawn lazily: BudgetExceeded on element budget + 1, so iff |G| > budget."""
+        drawn lazily, in whatever order the backend draws it (a range, the
+        factors' draws nested, a permutation group's closure in discovery
+        order), and the draw stops at element budget + 1: BudgetExceeded
+        iff |G| > budget.  The classes are sorted by `canonical`, so the
+        draw's order does not show."""
         if not self.backend.is_finite():
             raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
         gs = list(itertools.islice(self.backend.elements(), budget + 1))
@@ -228,7 +232,7 @@ class DoubleCosetGroup(OrbitGroup):
             raise InfiniteBackendUnsupported(
                 "double coset groups are implemented for finite backends only")
         mul = backend.mul
-        self.subgroup = H = backend._close(subgroup)
+        self.subgroup = H = list(backend._close(subgroup))
         # g -> its class, and class -> HgH, formed as its distinct left cosets
         # (h g)H: |H| + |HgH| products; raises once > `budget` G-elements are filed
         classes, members = {}, {}

@@ -33,6 +33,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .groups import (
+    DEFAULT_BUDGET,
     Automorphism,
     AutomorphismGroup,
     CyclicGroup,
@@ -239,7 +240,7 @@ def parse_config(document: Union[dict, str, Path]) -> InstanceConfig:
         raise SchemaError("defaults must be an object", "defaults")
     _known(defaults, {"radius", "budget"}, "defaults")
     radius = _int(defaults.get("radius", 8), "defaults.radius")
-    budget = _int(defaults.get("budget", 10**6), "defaults.budget", 1)
+    budget = _int(defaults.get("budget", DEFAULT_BUDGET), "defaults.budget", 1)
 
     return InstanceConfig(1, mv_kind, backend, automorphisms, subgroup, x_generators,
                           radius, budget)

@@ -12,8 +12,8 @@ under one name, and ``extra`` runs the rows on cases of ids of their own
 (a group built in the test module, proof34's GA of a coset instance).  A
 new kernel adds a row; ``tests/test_hygiene.py`` fails
 on a row bound to no test and on a class defining ``products``, ``step``,
-``project_all`` or ``homomorphism`` (a compiled batch map) that no row
-runs.
+``project_all`` or ``homomorphism`` (a compiled batch map) that no row's
+fast path calls.
 """
 
 import collections
@@ -41,7 +41,8 @@ from mvgroups.wordspec import load_instance
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RADIUS = 4
 
-# the shipped configs, and the n >= 3 coset instances kept out of configs/
+# the shipped configs, and the coset instances kept out of configs/: the
+# n >= 3 ones, and S4 as a table group, whose automorphism the edge walk compiles
 PATHS = {p.stem: p for p in sorted([*(ROOT / "configs").glob("*.json"),
                                     *(ROOT / "tests" / "instances").glob("*.json")])}
 KINDS = {name: json.loads(path.read_text())["mv"]["kind"] for name, path in PATHS.items()}

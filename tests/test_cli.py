@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -158,6 +159,26 @@ def test_dynamics_and_powers_stats_on_budget_exit_name_the_completed_rows(
     assert [layer["size"] for layer in stats["layers"]] == sizes
     assert stats["radius"] == 6
     assert message.startswith("budget exceeded: more than 100 distinct elements")
+
+
+STATS_RUNS = {"growth": ["growth", "-c", "z2_swap", "--radius", "12"], **TABLE_STATS}
+
+
+@pytest.mark.parametrize("case", STATS_RUNS)
+def test_stats_time_each_layer_since_the_report_before(config_dir, capsys, monkeypatch, case):
+    """The first layer is the walk's start set, which no step forms: it
+    reads 0 seconds, and every later layer >= 0.  With a clock that reads
+    0, 1, 4, 9, ... a layer reads its report's clock less the one before,
+    so the CLI reads the clock once per report and nothing else reads it."""
+    argv = STATS_RUNS[case]
+    argv = [*argv[:2], cfg(config_dir, argv[2]), *argv[3:], "--stats"]
+    seconds = [layer["seconds"] for layer in json.loads(invoke(capsys, argv)[2])["layers"]]
+    assert len(seconds) > 2 and seconds[0] == 0 and min(seconds) >= 0
+    reads = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(reads) ** 2)
+    stats = json.loads(invoke(capsys, argv)[2])
+    odd = range(1, 2 * len(seconds) - 1, 2)
+    assert [layer["seconds"] for layer in stats["layers"]] == [0, *odd]
 
 
 def test_growth_default_radius_z3xF2(config_dir, capsys):
@@ -757,7 +778,7 @@ def test_finite_sample_obeys_its_own_budget(instances, name):
     """The carrier is drawn under the sample's budget, which counts the
     elements of G it draws, not the classes they fall in."""
     instance = instances[name]
-    carrier, order = instance.X.carrier(), len(instance.backend.elements())
+    carrier, order = instance.X.carrier(), len(list(instance.backend.elements()))
     assert len(carrier) < order == 6
     assert sample_elements(instance, budget=order) == carrier
     with pytest.raises(BudgetExceeded, match=f"^more than {order - 1} distinct elements$"):
@@ -813,13 +834,22 @@ def test_finite_partition_obeys_the_budget(tmp_path, command, source):
 
 def assert_carrier_stops_small(tmp_path, group, images):
     """`axioms` on the coset config exits 3 at budget 1000, peaking under 50 MiB."""
+    assert_axioms_stop_small(tmp_path, one_automorphism(
+        group, images, X_generators=list(images), defaults={"budget": 1000}), 1000)
+
+
+def assert_axioms_stop_small(tmp_path, config, budget, *flags):
+    """`axioms` on the config, with `flags`, exits 3 at `budget` with
+    nothing on stdout, in under 1 s with the interpreter's start, peaking
+    under 50 MiB."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(one_automorphism(
-        group, images, X_generators=list(images), defaults={"budget": 1000})))
-    proc = run_in_subprocess(["axioms", "-c", str(path)], peak_rss=True)
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    proc = run_in_subprocess(["axioms", "-c", str(path), *flags], peak_rss=True)
+    assert time.perf_counter() - start < 1
     message, peak_kib = proc.stderr.splitlines()
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert message == "budget exceeded: more than 1000 distinct elements"
+    assert message == f"budget exceeded: more than {budget} distinct elements"
     assert int(peak_kib) < 50 * 1024
 
 
@@ -870,16 +900,30 @@ def test_growth_on_a_finite_coset_over_the_budget_reads_no_carrier(tmp_path):
     assert int(proc.stderr) < 50 * 1024
 
 
+# S9 with t = (1 2) and c = (1 2 ... 9)
+S9 = {"kind": "permutation", "degree": 9, "gens": ["t", "c"],
+      "gen_images": [[1, 0, *range(2, 9)], [*range(1, 9), 0]]}
+S9_CARRIERS = {
+    "coset": one_automorphism(S9, {"t": "t", "c": "t*c*t"}, X_generators=["t", "c"]),
+    "double_coset": {"schema": 1, "group": S9, "X_generators": ["t", "c"],
+                     "mv": {"kind": "double_coset", "subgroup": ["t"]}},
+}
+
+
+@NEEDS_PROC
+@pytest.mark.parametrize("kind", S9_CARRIERS)
+def test_the_budget_stops_a_permutation_draw(tmp_path, kind):
+    # closing and sorting all 362,880 elements of S9 before the first was
+    # drawn took 1.5 s and 78 MiB; the lazy draw stops at the eleventh
+    assert_axioms_stop_small(tmp_path, S9_CARRIERS[kind], 10, "--budget", "10")
+
+
 @NEEDS_PROC
 def test_a_symmetric_group_conjugation_loads_without_walking_g(tmp_path):
     # the edge walk of all 362,880 elements of S9 took 2.8 s and 140 MiB at
     # load; the point conjugation by t is found without it
-    points = list(range(9))
-    group = {"kind": "permutation", "degree": 9, "gens": ["t", "c"],
-             "gen_images": [[1, 0, *points[2:]], points[1:] + [0]]}
     path = tmp_path / "s9.json"
-    path.write_text(json.dumps(one_automorphism(group, {"t": "t", "c": "t*c*t"},
-                                                X_generators=["t", "c"])))
+    path.write_text(json.dumps(S9_CARRIERS["coset"]))
     start = time.perf_counter()
     proc = run_in_subprocess(["growth", "-c", str(path), "--radius", "2", "--budget", "10"],
                              peak_rss=True)

@@ -938,7 +938,7 @@ def s6_outer():
     S6, t^2 = c^6 = (tc)^5 = (t c^-1 t c)^3 = (t c^-j t c^j)^2 = e for
     j = 2, 3.  The base edge walk then checks the images and inverts them."""
     backend = sym(6)
-    elements, e = backend.elements(), backend.identity
+    elements, e = sorted(backend.elements()), backend.identity
     mul, power = backend.mul, backend.power
 
     def relators(t, c):
@@ -969,7 +969,7 @@ def walked_map(name):
                          ids=["permutation", "finite_table"])
 def test_edge_walk_makes_two_products_per_edge(name, edges):
     backend, *image_lists = walked_map(name)
-    assert len(backend.elements()) * len(backend.gen_names) == edges
+    assert len(list(backend.elements())) * len(backend.gen_names) == edges
     for images, label in zip(image_lists, ("images", "inverse images")):
         backend.muls = 0
         backend.homomorphism(images)
@@ -979,7 +979,7 @@ def test_edge_walk_makes_two_products_per_edge(name, edges):
 def test_a_permutation_conjugation_walks_no_edge():
     backend = sym(4, counting_mul(PermutationGroup))
     conj = conjugation(backend, backend.gen(0))
-    elements = backend.elements()
+    elements = sorted(backend.elements())
     counts = []
     for images in (conj.images, conj.inverse_images):
         backend.muls = 0
@@ -1099,7 +1099,7 @@ def test_the_point_map_search_finds_a_conjugator_whenever_one_exists():
         c = tuple(rng.sample(range(degree), degree))
         c_inv = backend.inv(c)
         images = ([tuple([c[s[y]] for y in c_inv]) for s in gens] if rng.random() < 0.5
-                  else [rng.choice(backend.elements()) for _ in gens])
+                  else [rng.choice(sorted(backend.elements())) for _ in gens])
 
         def conjugates(c):
             return all(backend.mul(s, c) == backend.mul(c, w) for s, w in zip(gens, images))
@@ -1140,19 +1140,37 @@ def test_finite_closure_matches_the_two_sided_closure(name):
     cases = [list(c) for r in range(len(gens) + 1) for c in itertools.combinations(gens, r)]
     cases.append([backend.mul(gens[0], gens[-1])])
     for case in cases:
-        closed = backend._close(case)
+        closed = list(backend._close(case))
         assert len(closed) == len(set(closed)), case
         assert set(closed) == two_sided_closure(backend, case), case
     elements = list(backend.elements())
+    assert len(elements) == len(set(elements))
     assert set(elements) == two_sided_closure(backend, gens)
-    assert elements == sorted(elements)
+    if isinstance(backend, PermutationGroup):  # its closure, in discovery order
+        expected = list(backend._close(gens))
+    elif isinstance(backend, DirectProduct):  # the factors' draws, the first varying slowest
+        expected = list(itertools.product(*(list(f.elements()) for f in backend.factors)))
+    else:  # a range
+        expected = sorted(elements)
+    assert elements == expected
 
 
 def test_s5_elements_take_one_product_per_element_and_generator():
     backend = s5(counting_mul(PermutationGroup))
-    elements = backend.elements()
-    assert len(elements) == 120
+    elements = list(backend.elements())
+    assert len(elements) == len(set(elements)) == 120
     assert backend.muls == 120 * 2  # stepping by t, c, t^-1 = t and c^-1 made 480
+    # nothing is cached: a second draw walks G again
+    assert list(backend.elements()) == elements and backend.muls == 2 * 120 * 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 60, 119, 120])
+def test_a_partial_draw_of_s5_walks_only_as_far_as_it_reads(k):
+    # the sorted, cached draw closed all of S5 first, 240 products for any k
+    backend = s5(counting_mul(PermutationGroup))
+    drawn = list(itertools.islice(backend.elements(), k))
+    assert len(set(drawn)) == k
+    assert backend.muls <= k * len(backend.gen_names)
 
 
 def counting(cls):

@@ -2,8 +2,9 @@
 every import is a top-level statement of its module, every function or
 method the package or ``tests/oracles.py`` defines is referenced outside
 its own definition, every row of the oracle table is bound to one test,
-every class that defines a kernel (a batch hook or a compiled map) is run
-by a row, importing the CLI loads neither `dataclasses` nor `inspect`,
+every class that defines a kernel (a batch hook or a compiled map) has it
+called by a row's fast path, only the CLI imports `time`, importing the
+CLI loads neither `dataclasses` nor `inspect`,
 building an instance loads no analysis or CLI module, every verification
 suite takes only (instance, r_max, budget), no subclass of a base with one
 constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
@@ -129,20 +130,57 @@ def test_every_table_row_is_bound_to_one_test():
 KERNELS = ("products", "step", "project_all", "homomorphism")
 
 
-def test_every_kernel_runs_in_a_table_row(every_instance):
-    """Each class of the package that defines a kernel in its own body is
-    the class a row's group (or a direct product's factor) takes it from."""
+def test_every_kernel_runs_in_a_table_row(every_instance, monkeypatch):
+    """Each class of the package that defines a kernel in its own body has
+    that kernel called by a row's fast path on one of the row's cases.
+    Each kernel is wrapped while the rows run, so a kernel is credited only
+    when it is called (through `super()` as well), not when the case merely
+    holds an instance of its class."""
     modules = [importlib.import_module(f"mvgroups.{m.name}")
                for m in pkgutil.iter_modules(mvgroups.__path__)]
     kernels = {(cls, kernel) for module in modules for cls in vars(module).values()
                if isinstance(cls, type) and cls.__module__ == module.__name__
                for kernel in KERNELS if kernel in vars(cls)}
-    run = {(next(c for c in type(part).__mro__ if kernel in vars(c)), kernel)
-           for row in oracles.ROWS for name in filter(row.applies, oracles.EVERY_INSTANCE)
-           for case in row.cases(every_instance[name])
-           for part in (case[0], *getattr(case[0], "factors", ()))
-           for kernel in KERNELS if hasattr(part, kernel)}
-    assert sorted(f"{cls.__name__}.{kernel}" for cls, kernel in kernels - run) == []
+    called, running = set(), []  # running holds the row whose fast path runs
+
+    def wrap(cls, kernel):
+        method = vars(cls)[kernel]
+
+        def counted(*args, **kwargs):
+            if running:
+                called.add((cls, kernel))
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, kernel, counted)
+
+    for cls, kernel in kernels:
+        wrap(cls, kernel)
+    for row in oracles.ROWS:
+        for name in filter(row.applies, oracles.EVERY_INSTANCE):
+            for case in row.cases(every_instance[name]):
+                running.append(row.walk)
+                row.fast(*case)
+                running.pop()
+    assert sorted(f"{cls.__name__}.{kernel}" for cls, kernel in kernels - called) == []
+
+
+def clock_imports(source):
+    """The line of each import of `time`, or from it, in `source`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and "time" in (a.name for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "time")
+
+
+def test_detector_flags_a_clock_import():
+    source = "import json, time\nfrom time import perf_counter\nimport timeit\n"
+    assert clock_imports(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_reads_a_clock(path):
+    """A walk holds its frontier and seen set and reads no clock: `--stats`
+    in the CLI stamps each layer it is told of."""
+    assert clock_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

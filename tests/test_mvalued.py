@@ -295,10 +295,15 @@ def test_double_coset_project_makes_no_backend_mul_calls():
 
     backend = s4_backend(Counting)
     X = DoubleCosetGroup(backend, [(1, 0, 2, 3), (0, 2, 1, 3)])
+    elements = list(backend.elements())
     backend.muls = 0
-    for g in backend.elements():
+    for g in elements:
         X.project(g)
+    assert backend.muls == 0
     carrier = X.carrier()
+    # the carrier's own lazy draw of G, one product per element and generator, and no more
+    assert backend.muls == len(elements) * len(backend.gen_names) == 48
+    backend.muls = 0
     rendered = list(map(X.render, carrier))  # canonical reads the members the partition kept
     assert backend.muls == 0
     assert len(carrier) == len(set(rendered)) == 2  # Sym(3)\Sym(4)/Sym(3): does g fix 3 or not
@@ -454,7 +459,7 @@ def test_fibonacci_instances_satisfy_their_cyclic_presentations(every_instance, 
     assert xs[m] == xs[0] and len(set(xs[:m])) == m
     for i in range(m):
         assert backend.mul(xs[i], xs[(i + 1) % m]) == xs[(i + 2) % m], i
-    assert len(list(backend.elements())) == len(backend._close(xs[:m])) == order
+    assert len(list(backend.elements())) == len(list(backend._close(xs[:m]))) == order
     X = instance.X
     assert (X.n, len(X.carrier())) == (m, classes)
     report = check_axioms(X, X.carrier())

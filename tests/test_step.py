@@ -32,9 +32,9 @@ from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order, least_
 
 
 def test_every_orbit_config_is_covered():
-    assert len(ORBIT) == 14
+    assert len(ORBIT) == 15
     assert {"f3_shift", "z2_dihedral", "z3_shift", "s3_doublecoset", "fibonacci5_z11",
-            "fibonacci4_z5", "fibonacci3_q8"} <= set(ORBIT)
+            "fibonacci4_z5", "fibonacci3_q8", "s4_table_conj"} <= set(ORBIT)
     assert "s3_doublecoset" not in COSET
     assert set(KINDS) - set(ORBIT) == {"nat", "nat_mutated"}
 
