@@ -3,17 +3,21 @@
 Exit codes: 0 = success / all verdicts pass, 1 = a verdict failed,
 2 = usage or config error, 3 = a BFS budget was exceeded.  Output is
 deterministic for fixed config and flags.
+
+A well-formed command line is parsed straight from the option table in
+`_COMMANDS`; argparse, built from the same table, parses only the rest.
 """
 
 from __future__ import annotations
 
-import argparse
+import collections
 import contextlib
 import functools
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, List, Optional, Sequence
 
 from .cayley import GrowthTable, ball, compare_generating_sets, power_table
@@ -25,94 +29,92 @@ from .wordspec import Instance, load_instance
 
 
 def _int_at_least(low: int):
-    """An argparse type: an int that is at least `low`."""
+    """An option type: an int that is at least `low`.  Named int, so that
+    argparse reports a non-int as an int type does; only the check of
+    `low` imports argparse, for its message."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if value < low:
+            import argparse
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
+    parse.__name__ = "int"
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("-c", "--config", required=True, help="instance config JSON file")
-    parser.add_argument("--budget", type=_int_at_least(1), default=None,
-                        help="node budget override (default from config, else 10^6)")
+# A row of the option table: what `add_argument` is given, and all the
+# direct parse reads; a `type` of None keeps the text as it is.
+_Option = collections.namedtuple(
+    "_Option", "flags dest type default choices required store_true help",
+    defaults=(None, None, None, False, False, None))
 
 
-def _axioms_args(p: argparse.ArgumentParser):
-    p.add_argument("--sample", type=_int_at_least(0), default=10,
-                   help="the unit and up to SAMPLE more elements of an infinite "
-                        "carrier (a finite one is checked whole)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _growth_args(p: argparse.ArgumentParser):
-    p.add_argument("--center", default=None, help="center element word (default: unit)")
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _table_args(p)
-
-
-def _table_args(p: argparse.ArgumentParser):
-    """The element and stats flags of every per-radius table."""
-    p.add_argument("--emit-elements", action="store_true")
-    p.add_argument("--stats", action="store_true",
-                   help="one JSON line on stderr: the radius reached, and per layer its size")
-
-
-def _dynamics_args(p: argparse.ArgumentParser):
-    p.add_argument("--z", required=True, help="word defining z")
-    p.add_argument("--y", default=None, help="starting point word (default: unit)")
-    p.add_argument("--steps", type=_int_at_least(0), default=None)
-    p.add_argument("--bounds", action="store_true",
-                   help="check the monoid-ball sandwich (coset instances)")
-    p.add_argument("--classify", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _table_args(p)
-
-
-def _powers_args(p: argparse.ArgumentParser):
-    p.add_argument("--x", required=True, help="base element word")
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _table_args(p)
-
-
-def _compare_args(p: argparse.ArgumentParser):
-    p.add_argument("--gens2", required=True, help="comma-separated words for S'")
-    p.add_argument("--center2", default=None, help="second center word (default: unit)")
-    p.add_argument("--radius", type=int, default=None)
-
-
-def _verify_args(p: argparse.ArgumentParser):
-    p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--radius", type=int, default=None)
+_COMMON = (_Option(("-c", "--config"), "config", required=True, help="instance config JSON file"),
+           _Option(("--budget",), "budget", _int_at_least(1),
+                   help="node budget override (default from config, else 10^6)"))
+_RADIUS = _Option(("--radius",), "radius", int)
+_CSV_OR_JSON = _Option(("--format",), "format", default="csv", choices=("csv", "json"))
+# the element and stats flags of every per-radius table
+_TABLE = (_Option(("--emit-elements",), "emit_elements", default=False, store_true=True),
+          _Option(("--stats",), "stats", default=False, store_true=True,
+                  help="one JSON line on stderr: the radius reached, and per layer its size"))
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser with only the subparser of `command` when that names a
-    command, else with all of them.  Either way the usage line lists every
-    command, so top-level help and errors read the same.  Built once per
-    key and process: `run` keys it by the command, or None for anything
-    else, so a process holds at most one parser per command and one more.
-    Every call shares the parser: `parse_args` leaves it as it found it,
-    and no caller may add to it."""
+def build_parser(command: Optional[str]):
+    """The parser, from the option table, with only the subparser of
+    `command` when that names a command, else with all of them.  Either way
+    the usage line lists every command, so top-level help and errors read
+    the same.  `run` builds it only for a command line the direct parse
+    refuses, keyed by the command or None, once per key and process.  Every
+    call shares the parser: `parse_args` leaves it as it found it, and no
+    caller may add to it."""
+    import argparse
     parser = argparse.ArgumentParser(prog="mvgroups",
                                      description="Exact computation with n-valued groups")
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+        help_text, options, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        add_arguments(p)
+        for o in options:
+            kwargs = ({"action": "store_true"} if o.store_true
+                      else {"type": o.type, "choices": o.choices})
+            p.add_argument(*o.flags, dest=o.dest, default=o.default, required=o.required,
+                           help=o.help, **kwargs)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """argv parsed straight from the option table when it is well formed:
+    the command, then options by their exact strings, each value one token
+    not led by '-' that passes the option's type and choices, a repeat
+    keeping the last, every required option given.  Else None, and argparse
+    parses it: help, abbreviations, '=' forms and usage errors are its alone."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    by_flag = {flag: o for o in options for flag in o.flags}
+    values = {o.dest: o.default for o in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = by_flag.get(token)
+        if o is None:
+            return None
+        if o.store_true:
+            values[o.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as dash-led
+        try:
+            value = None if text.startswith("-") else (o.type or str)(text)
+        except Exception:  # argparse words the refusal
+            return None
+        if value is None or o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    missing = any(o.required and values[o.dest] is None for o in options)  # None until given
+    return None if missing else SimpleNamespace(command=argv[0], **values)
 
 
 def _radius(instance: Instance, value: Optional[int]) -> int:
@@ -286,21 +288,43 @@ def _cmd_verify(args, instance: Instance, budget: int) -> int:
     return 0 if result.ok else 1
 
 
-# command -> (help, its argument adder, its handler)
+# command -> (help, its option table, its handler)
 _COMMANDS = {
-    "axioms": ("check the n-valued group axioms", _axioms_args, _cmd_axioms),
-    "growth": ("growth table of balls and spheres", _growth_args, _cmd_growth),
-    "dynamics": ("iterate the dynamic T_z and report xi", _dynamics_args, _cmd_dynamics),
-    "powers": ("power supports B*/S* of an element", _powers_args, _cmd_powers),
-    "compare": ("generating-set growth equivalence sandwich", _compare_args, _cmd_compare),
-    "verify": ("run a named verification suite", _verify_args, _cmd_verify),
+    "axioms": ("check the n-valued group axioms", (
+        *_COMMON, _Option(("--sample",), "sample", _int_at_least(0), 10,
+                          help="the unit and up to SAMPLE more elements of an infinite "
+                               "carrier (a finite one is checked whole)"),
+        _Option(("--format",), "format", default="text", choices=("text", "json"))), _cmd_axioms),
+    "growth": ("growth table of balls and spheres", (
+        *_COMMON, _Option(("--center",), "center", help="center element word (default: unit)"),
+        _RADIUS, _CSV_OR_JSON, *_TABLE), _cmd_growth),
+    "dynamics": ("iterate the dynamic T_z and report xi", (
+        *_COMMON, _Option(("--z",), "z", required=True, help="word defining z"),
+        _Option(("--y",), "y", help="starting point word (default: unit)"),
+        _Option(("--steps",), "steps", _int_at_least(0)),
+        _Option(("--bounds",), "bounds", default=False, store_true=True,
+                help="check the monoid-ball sandwich (coset instances)"),
+        _Option(("--classify",), "classify", default=False, store_true=True),
+        _CSV_OR_JSON, *_TABLE), _cmd_dynamics),
+    "powers": ("power supports B*/S* of an element", (
+        *_COMMON, _Option(("--x",), "x", required=True, help="base element word"),
+        _RADIUS, _CSV_OR_JSON, *_TABLE), _cmd_powers),
+    "compare": ("generating-set growth equivalence sandwich", (
+        *_COMMON, _Option(("--gens2",), "gens2", required=True,
+                          help="comma-separated words for S'"),
+        _Option(("--center2",), "center2", help="second center word (default: unit)"),
+        _RADIUS), _cmd_compare),
+    "verify": ("run a named verification suite", (
+        *_COMMON, _Option(("--suite",), "suite", choices=SUITES, required=True), _RADIUS),
+        _cmd_verify),
 }
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    try:  # argparse only for what the direct parse refuses
+        args = _parse(argv) or build_parser(
+            argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -951,17 +951,20 @@ class DirectProduct(GroupBackend):
 
     def elements(self):
         """Every element, the first factor varying slowest, formed one at a
-        time, so a partition's budget and not |G| bounds the memory.  A
-        later factor is drawn afresh for each element of those before it,
-        so a permutation factor there is walked again each time."""
-        def tails(i):
+        time.  Each later factor is drawn once, its elements kept as the draw
+        gives them and replayed for each element of the factors before it,
+        so what the reader takes, and not |G|, bounds the memory."""
+        kept = [[] for _ in self.factors]
+        def tails(i, first):  # first: each factor before i is at its first element
             if i == len(self.factors):
                 yield ()
                 return
-            for a in self.factors[i].elements():
-                for rest in tails(i + 1):
+            for k, a in enumerate(self.factors[i].elements() if first else kept[i]):
+                if first and i:
+                    kept[i].append(a)
+                for rest in tails(i + 1, first and k == 0):
                     yield (a, *rest)
-        return tails(0)
+        return tails(0, True)
 
 
 # ---------------------------------------------------------------------------

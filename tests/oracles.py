@@ -45,12 +45,23 @@ RADIUS = 4
 # n >= 3 ones, and S4 as a table group, whose automorphism the edge walk compiles
 PATHS = {p.stem: p for p in sorted([*(ROOT / "configs").glob("*.json"),
                                     *(ROOT / "tests" / "instances").glob("*.json")])}
-KINDS = {name: json.loads(path.read_text())["mv"]["kind"] for name, path in PATHS.items()}
+DOCUMENTS = {name: json.loads(path.read_text()) for name, path in PATHS.items()}
+KINDS = {name: document["mv"]["kind"] for name, document in DOCUMENTS.items()}
 EVERY_INSTANCE = sorted(PATHS)
 SHIPPED = [name for name in EVERY_INSTANCE if PATHS[name].parent.name == "configs"]
 ORBIT = [name for name in EVERY_INSTANCE if KINDS[name] in ("coset", "double_coset")]
 COSET = [name for name in ORBIT if KINDS[name] == "coset"]
-INFINITE_COSET = [name for name in COSET if not load_instance(PATHS[name]).backend.is_finite()]
+
+
+def is_finite(group):
+    """Whether a group descriptor of a config describes a finite group, read
+    from its JSON alone, so that listing the instances builds none of them."""
+    if group["kind"] == "direct_product":
+        return all(map(is_finite, group["factors"]))
+    return group["kind"] in ("cyclic", "permutation", "finite_table")
+
+
+INFINITE_COSET = [name for name in COSET if not is_finite(DOCUMENTS[name]["group"])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -9,10 +10,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvgroups import cli
 from mvgroups.cayley import power_table
 from mvgroups.cli import build_parser, run
-from mvgroups.errors import BudgetExceeded
+from mvgroups.errors import BudgetExceeded, MvGroupsError
 from mvgroups.mvalued import OrbitGroup
 from mvgroups.verify import SUITES, sample_elements
 from mvgroups.wordspec import load_instance
@@ -886,6 +890,16 @@ def test_product_partition_does_not_list_a_factor(tmp_path):
 
 
 @NEEDS_PROC
+def test_product_partition_does_not_list_a_later_factor(tmp_path):
+    # the mirror of the test above: a later factor's draw is kept as it is
+    # read, so the budget, not its 2,000,000 elements, bounds what is kept
+    factors = [{"kind": "cyclic", "order": 2, "gens": ["b"]},
+               {"kind": "cyclic", "order": 2_000_000, "gens": ["a"]}]
+    assert_carrier_stops_small(tmp_path, {"kind": "direct_product", "factors": factors},
+                               {"b": "b", "a": "a^-1"})
+
+
+@NEEDS_PROC
 def test_growth_on_a_finite_coset_over_the_budget_reads_no_carrier(tmp_path):
     # a ball reads no carrier, so |G| = 2,000,000 > budget 1000 no longer
     # stops the load: partitioning G there exited 3
@@ -1034,17 +1048,93 @@ def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
 
 
 def test_one_parser_per_command_serves_every_run(config_dir, capsys, monkeypatch):
+    # a well-formed command line builds no parser; the first usage error
+    # builds the parser and its one subparser, which the second reuses
+    monkeypatch.setenv("COLUMNS", "80")
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: built.append(self) or init(self, *a, **k))
     build_parser.cache_clear()
     argv = ["growth", "-c", cfg(config_dir, "nat"), "--radius", "2"]
+    usage_error = ("axioms", "-c", "x", "--sample", "-1")
+    pinned = next(case[1:] for case in CASES if case[0] == usage_error)
     counts = []
     for _ in range(2):
         assert invoke(capsys, argv) == (0, "r,ball,sphere\n0,1,1\n1,2,1\n2,3,1\n", "")
         counts.append(len(built))
-    assert counts == [2, 2]  # the parser and its one subparser, in the first run only
+    for _ in range(2):
+        assert invoke(capsys, list(usage_error)) == pinned
+        counts.append(len(built))
+    assert counts == [0, 0, 2, 2]
+
+
+# option values: words and paths, and the texts int() reads
+WORDS = ("a", "g1*g2", "1,2", "growth", "x.json", "", " 3")
+INTS = ("0", "1", "2", "12", "1_0", "+2", " 3")
+# how an option is written: mostly as the direct parse reads it
+FORMS = (("plain",) * 24 + ("abbreviated", "equals", "attached") * 2
+         + ("dash-led", "no value", "bad int", "bad choice"))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv from the option table: a command, its required options and
+    some others in any order, some repeated, each written in one of FORMS;
+    now and then a misspelt command or a stray token."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[name][1]
+    picked = [o for o in options
+              if draw(st.sampled_from((True,) * 19 + (False,) if o.required else (True, False)))]
+    picked += draw(st.lists(st.sampled_from(options), max_size=2))
+    argv = [draw(st.sampled_from([name] * 29 + [name[:-1]]))]
+    for o in draw(st.permutations(picked)):
+        flag = draw(st.sampled_from(o.flags))
+        if o.store_true:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(o.choices or (INTS if o.type else WORDS)))
+        form = draw(st.sampled_from(FORMS))
+        if form == "abbreviated" and len(flag) > 3:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        value = {"dash-led": "-" + value, "bad int": "1.5", "bad choice": "bogus"}.get(form, value)
+        argv += {"equals": [f"{flag}={value}"], "attached": [flag + value],
+                 "no value": [flag]}.get(form, [flag, value])
+    stray = draw(st.sampled_from([None] * 30 + ["-h", "extra", "--", "--bogus"]))
+    if stray is not None:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+def test_the_direct_parse_agrees_with_argparse(capsys, monkeypatch):
+    # whenever the direct parse accepts, argparse gives the same values;
+    # whenever it refuses, `run` does what argparse does: prints its text
+    # and exits with its code, or hands its values on
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def load_instance(config, budget):
+        raise MvGroupsError(f"load {config!r} {budget!r}")
+    monkeypatch.setattr(cli, "load_instance", load_instance)
+    outcomes = collections.Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(command_lines())
+    def check(argv):
+        direct = cli._parse(argv)
+        parser = build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None)
+        try:
+            parsed, code = vars(parser.parse_args(argv)), 2
+        except SystemExit as exc:
+            parsed, code = None, 2 if exc.code else 0
+        out, err = capsys.readouterr()
+        if parsed is not None:
+            out, err = "", f"error: load {parsed['config']!r} {parsed['budget']!r}\n"
+        if direct is not None:
+            assert vars(direct) == parsed
+        assert (run(argv), *capsys.readouterr()) == (code, out, err)
+        outcomes["direct" if direct else "argparse" if parsed else "usage error"] += 1
+    check()
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
 
 
 @pytest.mark.parametrize("argv", [("axioms", "-c", "x", "--sample", "-1"), ("axioms", "--help"),

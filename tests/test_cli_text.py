@@ -1,11 +1,19 @@
 """The CLI's help, usage and argparse error text, pinned byte for byte with
-its exit code, so that a change to how the parser is built shows here."""
+its exit code, so that a change to how the parser is built shows here; and
+command lines that only argparse parses (abbreviations, '=' and attached
+values, dash-led values), pinned with the output of the run they start."""
+
+import pathlib
 
 import pytest
 
 from mvgroups.cli import run
 
-# (argv, exit code, stdout, stderr), at a terminal width of 80 columns
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+NAT_BALLS = "r,ball,sphere\n0,1,1\n1,2,1\n2,3,1\n"
+
+# (argv, exit code, stdout, stderr), at a terminal width of 80 columns and
+# with config paths relative to the root of the repository
 CASES = [
     (('--help',), 0,
      """\
@@ -164,6 +172,22 @@ mvgroups axioms: error: argument --sample: must be >= 0, got -1
 usage: mvgroups [-h] {axioms,growth,dynamics,powers,compare,verify} ...
 mvgroups: error: unrecognized arguments: --bogus
 """),
+    (('axioms', '-c', 'x', '--sample', 'x'), 2,
+     "",
+     """\
+usage: mvgroups axioms [-h] -c CONFIG [--budget BUDGET] [--sample SAMPLE]
+                       [--format {text,json}]
+mvgroups axioms: error: argument --sample: invalid int value: 'x'
+"""),
+    (('growth', '-c', 'configs/nat.json', '--rad', '2'), 0, NAT_BALLS, ""),
+    (('growth', '-c', 'configs/nat.json', '--radius=2'), 0, NAT_BALLS, ""),
+    (('growth', '-cconfigs/nat.json', '--radius', '2'), 0, NAT_BALLS, ""),
+    (('compare', '-c', 'configs/nat.json', '--gens2', '1,2', '--radius', '-1'), 2,
+     "",
+     "error: radius must be >= 0\n"),
+    (('growth', '-c', 'configs/nat.json', '--center', '-'), 2,
+     "",
+     "error: expected a term (at offset 0)\n"),
 ]
 
 
@@ -171,5 +195,6 @@ mvgroups: error: unrecognized arguments: --bogus
                          ids=[" ".join(case[0]) or "no-arguments" for case in CASES])
 def test_cli_text_is_pinned(capsys, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
     assert run(list(argv)) == code
     assert capsys.readouterr() == (out, err)

@@ -1164,6 +1164,22 @@ def test_s5_elements_take_one_product_per_element_and_generator():
     assert list(backend.elements()) == elements and backend.muls == 2 * 120 * 2
 
 
+def test_a_later_factor_is_drawn_once_and_replayed():
+    # drawing S5 afresh for each element of Z/200 walked it 200 times
+    sym5 = s5()
+    draws, draw = [], sym5.elements
+    sym5.elements = lambda: draws.append(1) or draw()
+    product = DirectProduct([CyclicGroup(200, ["z"]), sym5])
+    elements = list(product.elements())
+    assert len(draws) == 1
+    assert elements == list(itertools.product(range(200), draw()))
+    # a partial read of a three-factor product: still one draw per factor
+    later = DirectProduct([CyclicGroup(3, ["a"]), sym5, CyclicGroup(2, ["b"])])
+    head = list(itertools.islice(later.elements(), 250))
+    assert head == list(itertools.islice(itertools.product(range(3), draw(), range(2)), 250))
+    assert len(draws) == 2
+
+
 @pytest.mark.parametrize("k", [1, 2, 10, 60, 119, 120])
 def test_a_partial_draw_of_s5_walks_only_as_far_as_it_reads(k):
     # the sorted, cached draw closed all of S5 first, 240 products for any k

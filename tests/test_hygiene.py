@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
-every import is a top-level statement of its module, every function or
+every import is a top-level statement of its module but the CLI's
+`argparse`, imported only to build a parser, every function or
 method the package or ``tests/oracles.py`` defines is referenced outside
 its own definition, every row of the oracle table is bound to one test,
 every class that defines a kernel (a batch hook or a compiled map) has it
 called by a row's fast path, only the CLI imports `time`, importing the
-CLI loads neither `dataclasses` nor `inspect`,
+CLI loads neither `dataclasses` nor `inspect`, a well-formed CLI run loads
+no `argparse`, importing ``tests/oracles.py`` builds no instance,
 building an instance loads no analysis or CLI module, every verification
 suite takes only (instance, r_max, budget), no subclass of a base with one
 constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
@@ -25,6 +27,7 @@ import pytest
 
 import mvgroups
 from mvgroups import mvalued, verify
+from mvgroups.wordspec import load_instance
 
 import oracles
 
@@ -59,21 +62,32 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def nested_imports(source: str):
+def nested_imports(source: str, allowed=()):
+    """The lines of imports below module level, except `import m` of a
+    module m in `allowed`."""
     tree = ast.parse(source)
     top = set(map(id, tree.body))
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+                  and not (isinstance(node, ast.Import)
+                           and {alias.name for alias in node.names} <= set(allowed)))
 
 
 def test_detector_flags_a_nested_import():
-    source = "import json\n\ndef f():\n    from typing import List\n    return json\n"
-    assert nested_imports(source) == [4]
+    source = ("import json\n\ndef f():\n    from typing import List\n    import argparse\n"
+              "    import argparse, json\n    return json\n")
+    assert nested_imports(source) == [4, 5, 6]
+    assert nested_imports(source, ["argparse"]) == [4, 6]
+
+
+# module -> the modules it may import below module level: the CLI imports
+# argparse only to build a parser, which a well-formed command line never needs
+LAZY_IMPORTS = {"cli.py": ["argparse"]}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_at_module_level(path):
-    assert nested_imports(path.read_text(encoding="utf-8")) == []
+    assert nested_imports(path.read_text(encoding="utf-8"), LAZY_IMPORTS.get(path.name, ())) == []
 
 
 def defined_functions(tree):
@@ -191,6 +205,37 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_a_well_formed_run_loads_no_argparse():
+    # a fresh interpreter: the direct parse reads a well-formed command line,
+    # so neither argparse nor the gettext it imports is loaded
+    probe = ("import sys, mvgroups.cli; "
+             f"code = mvgroups.cli.run(['growth', '-c', {str(ROOT / 'configs' / 'nat.json')!r}, "
+             "'--radius', '2']); "
+             "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_importing_the_oracles_builds_no_instance():
+    # a fresh interpreter; conftest imports oracles, so an instance built
+    # there and broken would stop the whole suite instead of its own tests
+    probe = ("import mvgroups.wordspec as w; calls = []; real = w.load_instance; "
+             "w.load_instance = lambda *a, **k: calls.append(a) or real(*a, **k); "
+             "import oracles; print(len(calls))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(TESTS)])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize("name", oracles.ORBIT)
+def test_the_json_tells_finite_groups_as_their_backends_do(name):
+    assert (oracles.is_finite(oracles.DOCUMENTS[name]["group"])
+            == load_instance(oracles.PATHS[name]).backend.is_finite())
 
 
 # analysis and front-end modules that building an instance never runs
