@@ -156,15 +156,16 @@ class CompareReport(NamedTuple):
 
 
 def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any],
-                            y, y2, r_max: int, budget: int = DEFAULT_BUDGET) -> CompareReport:
-    """Check the growth-equivalence sandwich between (S, y) and (S', y') data.
+                            y2, r_max: int, budget: int = DEFAULT_BUDGET) -> CompareReport:
+    """Check the growth-equivalence sandwich between (S, e) and (S', y') data.
 
     The constant is l = 1 + max of the four cross-lengths (y' and inv(y')
     with respect to S, the S'-elements with respect to S, and the
-    S-elements with respect to S'); the check asserts
-    |B(y, floor(r/l))| <= |B'(y', r)| <= |B(y, l*r)| for every r <= r_max.
+    S-elements with respect to S'), each measured from the unit e, which
+    is why the wide balls are centred there; the check asserts
+    |B(e, floor(r/l))| <= |B'(y', r)| <= |B(e, l*r)| for every r <= r_max.
     The cross-lengths are searched to radius r_max: a longer one would
-    leave only y in every lower ball.  At r_max = 0 the one row is
+    leave only e in every lower ball.  At r_max = 0 the one row is
     1 <= 1 <= 1 for any l, so none is searched and l = 1.
     """
     if r_max < 0:
@@ -174,7 +175,7 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
         cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], r_max, budget)
                  + lengths(X, gens2, gens, r_max, budget))
         l += max(cross)
-    wide = ball(X, gens, y, l * r_max, budget=budget)
+    wide = ball(X, gens, X.unit, l * r_max, budget=budget)
     other = ball(X, gens2, y2, r_max, budget=budget)
     rows = []
     violations = []

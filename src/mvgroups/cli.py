@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import json
 import sys
 import time
@@ -60,23 +59,15 @@ _TABLE = (_Option(("--emit-elements",), "emit_elements", default=False, store_tr
                   help="one JSON line on stderr: the radius reached, and per layer its size"))
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser(command: Optional[str]):
-    """The parser, from the option table, with only the subparser of
-    `command` when that names a command, else with all of them.  Either way
-    the usage line lists every command, so top-level help and errors read
-    the same.  `run` builds it only for a command line the direct parse
-    refuses, keyed by the command or None, once per key and process.  Every
-    call shares the parser: `parse_args` leaves it as it found it, and no
-    caller may add to it."""
+def build_parser():
+    """The argparse parser, from the option table.  `run` builds it only
+    for a command line the direct parse refuses, to print help or a usage
+    error, or to parse the forms only argparse reads."""
     import argparse
     parser = argparse.ArgumentParser(prog="mvgroups",
                                      description="Exact computation with n-valued groups")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, options, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for o in options:
             kwargs = ({"action": "store_true"} if o.store_true
@@ -271,7 +262,7 @@ def _cmd_compare(args, instance: Instance, budget: int) -> int:
         raise MvGroupsError("--gens2 must list at least one word")
     y2 = instance.element(args.center2) if args.center2 is not None else X.unit
     report = compare_generating_sets(
-        X, instance.x_generators, gens2, X.unit, y2,
+        X, instance.x_generators, gens2, y2,
         _radius(instance, args.radius), budget=budget)
     _emit(f"constant l={report.constant}")
     for r, lower, middle, upper in report.rows:
@@ -323,8 +314,7 @@ _COMMANDS = {
 def run(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:  # argparse only for what the direct parse refuses
-        args = _parse(argv) or build_parser(
-            argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -18,7 +18,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientData, PreconditionViolated, ValidationError
 from .groups import DEFAULT_BUDGET, GrowthTable, monoid_balls, orbit
-from .cayley import PowerTable, dynamic_supports, power_table
+from .cayley import dynamic_supports, power_table
 from .mvalued import CosetGroup, MvGroup
 
 
@@ -73,9 +73,7 @@ def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
 class QuadraticBoundReport(NamedTuple):
     """xi_x(r) <= r(r+1) for an involutive 2-valued group, with margins."""
 
-    x: Any
     rows: List[Tuple[int, int, int]]  # (r, xi, bound)
-    power: PowerTable
 
     @property
     def ok(self) -> bool:
@@ -99,7 +97,7 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
             raise PreconditionViolated(
                 f"inv({X.render(a)}) != {X.render(a)}: group is not involutive")
     rows = [(r, len(pt.set_powers[r]), r * (r + 1)) for r in range(1, r_max + 1)]
-    return QuadraticBoundReport(x, rows, pt)
+    return QuadraticBoundReport(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples, strings); the
-backend object carries the operations, and ``products`` batches ``mul``
+backend object carries the operations and ``gens``, the tuple of its
+declared generators, set once at construction; ``products`` batches ``mul``
 over a layer: the scalar loop by default, column by column on Z^k, one
 list display on the Heisenberg group.  A free-group word is a string of
 letters, so a product concatenates and cancels at the seam; a direct
@@ -46,9 +47,10 @@ groups have no factor).  A verified automorphism keeps one map, and
 images they are checked on a second compiled map that is then dropped,
 and when they are equal the one map serves both ways.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
-checked seeds, stepping by image lists alone, and compiles each distinct
-automorphism it keeps once; ``AutomorphismGroup`` reads its composition
-and inverse tables off the generator images.
+checked seeds, stepping by image lists alone, compiles each distinct
+automorphism it keeps once and returns them as a tuple sorted by
+signature.  Only the semidirect product composes them: it reads its
+composition and inverse tables off the generator images.
 
 ``layers`` is the one breadth-first enumeration of the package: balls,
 lengths, monoid balls and, through ``closure``, every finite closure (group
@@ -171,10 +173,12 @@ def growth_table(center, radius: int, spheres: Iterable[Iterable[Any]]) -> Growt
 
 
 class GroupBackend:
-    """Base class for group backends.  Subclasses set `kind` and `gen_names`."""
+    """Base class for group backends.  Subclasses set `kind`, and their
+    constructors `gen_names` and `gens`, the declared generators' elements."""
 
     kind: str = "abstract"
     gen_names: Tuple[str, ...] = ()
+    gens: Tuple[Any, ...] = ()
 
     # -- group structure -------------------------------------------------
 
@@ -200,11 +204,7 @@ class GroupBackend:
     def render(self, g) -> str:
         raise NotImplementedError
 
-    # -- generators and words --------------------------------------------
-
-    def gen(self, index: int):
-        """The element of the `index`-th declared generator."""
-        raise NotImplementedError
+    # -- words ------------------------------------------------------------
 
     def power(self, g, k: int):
         if k < 0:
@@ -220,10 +220,10 @@ class GroupBackend:
 
     def evaluate(self, word: Word, images: Optional[Sequence[Any]] = None):
         """Product of images[i]^e over the word; images default to the gens."""
+        images = self.gens if images is None else images
         result = self.identity
         for index, exp in word:
-            base = self.gen(index) if images is None else images[index]
-            result = self.mul(result, self.power(base, exp))
+            result = self.mul(result, self.power(images[index], exp))
         return result
 
     def factor(self, g) -> Word:
@@ -255,7 +255,7 @@ class GroupBackend:
         """
         if self.relators() is not None or not self.is_finite():
             return lambda gs: [self.evaluate(self.factor(g), images) for g in gs]
-        edges = list(zip(map(self.gen, range(len(images))), images, self.gen_names))
+        edges = list(zip(self.gens, images, self.gen_names))
         table = {self.identity: self.identity}
 
         def expand(g):
@@ -336,14 +336,12 @@ class FreeGroup(GroupBackend):
 
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
         self.rank, self.gen_names = _rank_and_names("free group", rank, gen_names)
+        self.gens = tuple(map(chr, range(0, 2 * rank, 2)))
         self._flip = {c: c ^ 1 for c in range(2 * rank)}
 
     @property
     def identity(self):
         return ""
-
-    def gen(self, index):
-        return chr(2 * index)
 
     def mul(self, g, h):
         """Concatenation, with _cancel only where the seam letters are inverses."""
@@ -375,17 +373,13 @@ class FreeGroup(GroupBackend):
         return g[:t] + g[t:len(g) - t] * k + g[len(g) - t:] if k else ""
 
     def homomorphism(self, images):
-        """The identity on the generators' own images; else the batch joined
-        on chr(2 * rank), which is no letter (and ASCII below rank 64, so
-        CPython translates it on its ASCII path), translated letter by
-        letter to the images in one ``translate`` and split back: for a
-        signed permutation of the letters, which keeps reduced words
-        reduced, that is the map, and otherwise each word is reduced by
-        _cancel.  An empty batch joins to the empty word, so it is kept
-        apart."""
-        images = tuple(images)
-        if images == tuple(map(self.gen, range(self.rank))):
-            return _identity
+        """The batch joined on chr(2 * rank), which is no letter (and ASCII
+        below rank 64, so CPython translates it on its ASCII path),
+        translated letter by letter to the images in one ``translate`` and
+        split back: for a signed permutation of the letters, which keeps
+        reduced words reduced, that is the map, and otherwise each word is
+        reduced by _cancel.  An empty batch joins to the empty word, so it
+        is kept apart."""
         table = {2 * i + s: self.inv(x) if s else x for i, x in enumerate(images) for s in (0, 1)}
         sep = chr(2 * self.rank)
 
@@ -419,13 +413,11 @@ class _IntVectors(GroupBackend):
 
     def __init__(self, label: str, rank: int, gen_names: Optional[Sequence[str]]):
         self.rank, self.gen_names = _rank_and_names(label, rank, gen_names)
+        self.gens = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
     @property
     def identity(self):
         return (0,) * self.rank
-
-    def gen(self, index):
-        return tuple(1 if i == index else 0 for i in range(self.rank))
 
     def canonical_key(self, g):
         return tuple(map(int_key, g))
@@ -496,13 +488,11 @@ class CyclicGroup(GroupBackend):
         self.gen_names = tuple(gen_names or ("g",))
         if len(self.gen_names) != 1:
             raise ValidationError("cyclic groups have exactly one generator")
+        self.gens = (1 % order,)
 
     @property
     def identity(self):
         return 0
-
-    def gen(self, index):
-        return 1 % self.order
 
     def mul(self, g, h):
         return (g + h) % self.order
@@ -647,20 +637,15 @@ class PermutationGroup(GroupBackend):
             raise ValidationError("one image tuple per generator name required")
         self.degree = degree
         self.gen_names = tuple(gen_names)
-        self._gens = []
-        for images in gen_images:
-            perm = tuple(images)
+        self.gens = tuple(map(tuple, gen_images))
+        for perm in self.gens:
             if sorted(perm) != list(range(degree)):
                 raise ValidationError(f"not a permutation of 0..{degree-1}: {perm}")
-            self._gens.append(perm)
         self._chain: Optional[List[Tuple[int, List[Any], dict]]] = None
 
     @property
     def identity(self):
         return tuple(range(self.degree))
-
-    def gen(self, index):
-        return self._gens[index]
 
     def mul(self, g, h):
         return tuple([h[i] for i in g])
@@ -714,7 +699,7 @@ class PermutationGroup(GroupBackend):
         misses no c: a c maps each orbit of G onto one orbit of the images,
         and two orbits that fit one target orbit are isomorphic G-sets, so
         any free target orbit that fits one of them fits the other."""
-        edges = list(zip(self._gens, images))
+        edges = list(zip(self.gens, images))
         c: dict = {}
         for start in range(self.degree):
             if start not in c:
@@ -730,7 +715,7 @@ class PermutationGroup(GroupBackend):
         """g stripped down the stabilizer chain: the identity iff g lies in G."""
         if self._chain is None:
             self._chain = []
-            for s in self._gens:
+            for s in self.gens:
                 if self._strip(s, 0) != self.identity:
                     self._extend(s, 0)
         return self._strip(g, 0)
@@ -777,7 +762,7 @@ class PermutationGroup(GroupBackend):
         """G drawn lazily, the closure of its generators in discovery order:
         nothing is cached or sorted, so a draw that stops early, as a carrier
         over its budget does, stops the walk there."""
-        return self._close(self._gens)
+        return self._close(self.gens)
 
 
 class FiniteTableGroup(GroupBackend):
@@ -807,26 +792,23 @@ class FiniteTableGroup(GroupBackend):
             raise ValidationError(f"#{identity_index} is not a two-sided identity of the table")
         self.identity_index = identity_index
         self.gen_names = tuple(gen_names)
-        self._gen_indices = tuple(gen_indices)
-        if len(self.gen_names) != len(self._gen_indices):
+        self.gens = tuple(gen_indices)
+        if len(self.gen_names) != len(self.gens):
             raise ValidationError("one index per generator name required")
-        if any(g not in indices for g in self._gen_indices):
+        if any(g not in indices for g in self.gens):
             raise ValidationError(f"generator indices must lie in 0..{n - 1}")
         t = self.table
-        for a in sorted(set(self._gen_indices)):
+        for a in sorted(set(self.gens)):
             for x, y in itertools.product(indices, indices):
                 if t[t[x][a]][y] != t[x][t[a][y]]:
                     raise ValidationError(f"table is not associative: "
                                           f"(#{x} #{a}) #{y} != #{x} (#{a} #{y})")
-        if len(list(self._close(self._gen_indices))) != n:
+        if len(list(self._close(self.gens))) != n:
             raise ValidationError("declared generators do not generate the table group")
 
     @property
     def identity(self):
         return self.identity_index
-
-    def gen(self, index):
-        return self._gen_indices[index]
 
     def mul(self, g, h):
         return self.table[g][h]
@@ -853,15 +835,15 @@ class DirectProduct(GroupBackend):
         if not factors:
             raise ValidationError("direct product needs at least one factor")
         self.factors = tuple(factors)
-        names: List[str] = []
-        self._owner: List[Tuple[int, int]] = []  # gen index -> (factor, local index)
-        for fi, backend in enumerate(self.factors):
-            for li, name in enumerate(backend.gen_names):
-                if name in names:
-                    raise ValidationError(f"duplicate generator name across factors: {name}")
-                names.append(name)
-                self._owner.append((fi, li))
-        self.gen_names = tuple(names)
+        self.gen_names = tuple(itertools.chain.from_iterable(b.gen_names for b in self.factors))
+        for i, name in enumerate(self.gen_names):
+            if name in self.gen_names[:i]:
+                raise ValidationError(f"duplicate generator name across factors: {name}")
+        # factor i's generators are gens[_offsets[i]:_offsets[i + 1]]
+        self._offsets = [0, *itertools.accumulate(len(b.gen_names) for b in self.factors)]
+        e = self.identity
+        self.gens = tuple(e[:i] + (g,) + e[i + 1:]
+                          for i, b in enumerate(self.factors) for g in b.gens)
         # per-factor bound methods, so each operation is one list display
         self._muls = [b.mul for b in self.factors]
         self._invs = [b.inv for b in self.factors]
@@ -869,11 +851,6 @@ class DirectProduct(GroupBackend):
     @property
     def identity(self):
         return tuple(b.identity for b in self.factors)
-
-    def gen(self, index):
-        fi, li = self._owner[index]
-        return tuple(b.gen(li) if i == fi else b.identity
-                     for i, b in enumerate(self.factors))
 
     def mul(self, g, h):
         return tuple([mul(a, c) for mul, a, c in zip(self._muls, g, h)])
@@ -896,9 +873,6 @@ class DirectProduct(GroupBackend):
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
 
-    def _offset(self, fi: int) -> int:
-        return sum(len(b.gen_names) for b in self.factors[:fi])
-
     def homomorphism(self, images):
         """Factor by factor when the product has relators and every
         generator's image lies in its own factor, else the base map: the
@@ -913,34 +887,32 @@ class DirectProduct(GroupBackend):
         maps = []
         for fi, backend in enumerate(self.factors):
             local = []
-            for image in images[self._offset(fi):self._offset(fi + 1)]:
+            for image in images[self._offsets[fi]:self._offsets[fi + 1]]:
                 if any(c != b.identity for i, (b, c) in enumerate(zip(self.factors, image))
                        if i != fi):
                     return super().homomorphism(images)
                 local.append(image[fi])
-            fixed = local == list(map(backend.gen, range(len(local))))
+            fixed = tuple(local) == backend.gens
             maps.append(None if fixed else backend.homomorphism(local))
         return lambda gs: list(zip(*[c if m is None else m(c) for m, c in zip(maps, zip(*gs))]))
 
     def factor(self, g):
         word: List[Tuple[int, int]] = []
-        for fi, (backend, comp) in enumerate(zip(self.factors, g)):
-            off = self._offset(fi)
+        for off, backend, comp in zip(self._offsets, self.factors, g):
             word.extend((off + i, e) for i, e in backend.factor(comp))
         return tuple(word)
 
     def relators(self):
         rels: List[Word] = []
-        for fi, backend in enumerate(self.factors):
+        for off, backend in zip(self._offsets, self.factors):
             sub = backend.relators()
             if sub is None:
                 # finite factor without declared relators: check the whole
                 # product along its Cayley-graph edges instead
                 return None
-            off = self._offset(fi)
             rels.extend(tuple((off + i, e) for i, e in rel) for rel in sub)
         # generators of distinct factors commute
-        gens = [range(self._offset(fi), self._offset(fi + 1)) for fi in range(len(self.factors))]
+        gens = list(itertools.starmap(range, zip(self._offsets, self._offsets[1:])))
         for left, right in itertools.combinations(gens, 2):
             rels += [((gi, -1), (gj, -1), (gi, 1), (gj, 1))
                      for gi, gj in itertools.product(left, right)]
@@ -978,8 +950,8 @@ class Automorphism:
     homomorphism for its images: a batch map, which walks call on whole
     layers and `apply` calls on a batch of one; until it has passed there
     is no map.  The inverse images are input to verify() only.
-    identity_automorphism and every element of close_automorphisms are
-    compiled automorphisms."""
+    identity_automorphism and every automorphism close_automorphisms
+    returns are compiled."""
 
     def __init__(self, backend: GroupBackend, name: str,
                  images: Sequence[Any], inverse_images: Optional[Sequence[Any]]):
@@ -1035,7 +1007,7 @@ class Automorphism:
                 raise NotAnAutomorphism(f"{self.name!r}: {label} {exc}") from None
         forward, backward = maps
         # both are homomorphisms, so inverting on every generator inverts everywhere
-        gens = tuple(map(backend.gen, range(len(backend.gen_names))))
+        gens = backend.gens
         for i, name in enumerate(backend.gen_names):
             try:
                 inverts = (forward(self.inverse_images[i:i + 1]) == [gens[i]]
@@ -1051,41 +1023,15 @@ class Automorphism:
 
 
 def identity_automorphism(backend: GroupBackend) -> Automorphism:
-    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
-    ident = Automorphism(backend, "id", gens, gens)
+    ident = Automorphism(backend, "id", backend.gens, backend.gens)
     ident.forward = _identity
     return ident
 
 
-class AutomorphismGroup:
-    """A finite, composition-closed set of compiled automorphisms that
-    holds the identity.
-
-    Its tables come from generator images alone: x after y has the images
-    x(y(s)), x's batch map on y's images, so compose_index costs |A|^2
-    batches of |S| and compiles nothing, and the inverse of x is the y with
-    x after y the identity."""
-
-    def __init__(self, backend: GroupBackend, elements: Sequence[Automorphism]):
-        self.backend = backend
-        self.elements = tuple(sorted(elements, key=lambda a: a.signature))
-        self.order = len(self.elements)
-        index = {a.signature: i for i, a in enumerate(self.elements)}
-        key = backend.canonical_key
-        self.identity_index = index[identity_automorphism(backend).signature]
-        self._compose_table = [[index[tuple(map(key, x.forward(y.images)))]
-                                for y in self.elements] for x in self.elements]
-        self.inverse_index = tuple(row.index(self.identity_index) for row in self._compose_table)
-
-    def compose_index(self, i: int, j: int) -> int:
-        return self._compose_table[i][j]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> AutomorphismGroup:
-    """Subgroup of Aut(G) generated by the seeds, as a finite closed set.
+def close_automorphisms(seeds: Sequence[Automorphism],
+                        bound: int = 10_000) -> Tuple[Automorphism, ...]:
+    """Subgroup of Aut(G) generated by the seeds, as a finite closed set:
+    a tuple of compiled automorphisms sorted by signature.
 
     The closure steps by left composition with the verified seeds alone: a
     finite set closed under composition is a group.  s after a has the
@@ -1112,12 +1058,12 @@ def close_automorphisms(seeds: Sequence[Automorphism], bound: int = 10_000) -> A
     elements = list(closure(start, successors, bound))
     for a in elements[len(start):]:
         a.forward = backend.homomorphism(a.images)
-    return AutomorphismGroup(backend, elements)
+    return tuple(sorted(elements, key=lambda a: a.signature))
 
 
-def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:
+def orbit(A: Sequence[Automorphism], g) -> Tuple[Any, ...]:
     """The A-orbit of g, deduplicated and sorted by canonical key."""
-    return tuple(sorted({a.apply(g) for a in A}, key=A.backend.canonical_key))
+    return tuple(sorted({a.apply(g) for a in A}, key=A[0].backend.canonical_key))
 
 
 # ---------------------------------------------------------------------------
@@ -1127,50 +1073,52 @@ def orbit(A: AutomorphismGroup, g) -> Tuple[Any, ...]:
 class SemidirectProduct(GroupBackend):
     """Pairs (g, a) in G x A with (g, a)(h, b) = (g * a^{-1}(h), a b).
 
-    Elements are (g_element, automorphism_index) with indices into the
-    canonical ordering of A.
+    Elements are (g_element, automorphism_index) with indices into `auts`,
+    a finite, composition-closed tuple of compiled automorphisms that holds
+    the identity, as close_automorphisms returns it.  The tables come from
+    generator images alone: auts[compose[i][j]] is auts[i] after auts[j],
+    looked up by its images, auts[i]'s batch map on auts[j]'s (|A|^2
+    batches of |S| that compile nothing), and auts[inverse_index[i]] is the
+    j with auts[i] after auts[j] the identity.
     """
 
     kind = "semidirect"
 
-    def __init__(self, group: GroupBackend, auts: AutomorphismGroup):
-        if auts.backend is not group:
+    def __init__(self, group: GroupBackend, auts: Sequence[Automorphism]):
+        if any(a.backend is not group for a in auts):
             raise BackendMismatch("automorphism group does not act on the given backend")
         self.group = group
-        self.auts = auts
-        self.gen_names = tuple(group.gen_names) + tuple(
-            f"aut_{i}" for i in range(auts.order))
+        self.auts = tuple(auts)
+        index = {a.images: i for i, a in enumerate(self.auts)}
+        self.compose = [[index[tuple(x.forward(y.images))] for y in self.auts]
+                        for x in self.auts]
+        self.identity_index = index[group.gens]
+        self.inverse_index = tuple(row.index(self.identity_index) for row in self.compose)
+        self.gen_names = tuple(group.gen_names) + tuple(f"aut_{i}" for i in range(len(auts)))
+        self.gens = (*[(g, self.identity_index) for g in group.gens],
+                     *[(group.identity, i) for i in range(len(auts))])
 
     @property
     def identity(self):
-        return (self.group.identity, self.auts.identity_index)
-
-    def gen(self, index):
-        ngens = len(self.group.gen_names)
-        if index < ngens:
-            return (self.group.gen(index), self.auts.identity_index)
-        return (self.group.identity, index - ngens)
+        return (self.group.identity, self.identity_index)
 
     def mul(self, p, q):
         g, i = p
         h, j = q
-        twisted = self.auts.elements[self.auts.inverse_index[i]].apply(h)
-        return (self.group.mul(g, twisted), self.auts.compose_index(i, j))
+        twisted = self.auts[self.inverse_index[i]].apply(h)
+        return (self.group.mul(g, twisted), self.compose[i][j])
 
     def products(self, gs, hs):
         """mul's products, hs twisted by a_i^{-1}'s compiled map in one
         batch per automorphism index i instead of once per product."""
-        auts, mul = self.auts, self.group.mul
+        auts, mul, compose = self.auts, self.group.mul, self.compose
         g_parts, indices = [h for h, _ in hs], [j for _, j in hs]
-        twisted = [list(zip(auts.elements[k].forward(g_parts), indices))
-                   for k in auts.inverse_index]
-        compose = auts._compose_table
+        twisted = [list(zip(auts[k].forward(g_parts), indices)) for k in self.inverse_index]
         return [(mul(g, h), compose[i][j]) for g, i in gs for h, j in twisted[i]]
 
     def inv(self, p):
         g, i = p
-        return (self.auts.elements[i].apply(self.group.inv(g)),
-                self.auts.inverse_index[i])
+        return (self.auts[i].apply(self.group.inv(g)), self.inverse_index[i])
 
     def canonical_key(self, p):
         g, i = p

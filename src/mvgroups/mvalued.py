@@ -16,7 +16,9 @@ group lists a layer's values in one display; an OrbitGroup twists the
 generators once, forms a layer's backend products in one ``products``
 batch and projects them in one ``project_all`` batch: a coset group folds
 the minimum over its compiled twists by compare-select, each twist a
-batch map called once on the whole batch, and a double coset group looks
+batch map called once on the whole batch (A is the tuple of compiled
+automorphisms ``close_automorphisms`` returns, and no two of them are
+composed), and a double coset group looks
 the batch up in the partition of G it alone builds, at construction.  A
 carrier draws G lazily, at most budget + 1 elements.  The scalar ``mul``
 and ``project`` are batches of one.  Z^k forms the products column-wise,
@@ -31,7 +33,7 @@ import itertools
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
-from .groups import DEFAULT_BUDGET, AutomorphismGroup, GroupBackend, _Memo
+from .groups import DEFAULT_BUDGET, Automorphism, GroupBackend, _Memo
 
 
 class MvGroup:
@@ -193,17 +195,18 @@ class OrbitGroup(MvGroup):
 class CosetGroup(OrbitGroup):
     """Coset group of (G, A): orbits of G under a finite A <= Aut(G), n = |A|.
 
-    The twists are A's compiled batch maps.  On a finite G as on an
-    infinite one, a class is the orbit minimum, folded over the batch:
-    nothing partitions G, and no G-element is drawn until a carrier is
-    asked for."""
+    A is the tuple close_automorphisms returns, and the twists are its
+    compiled batch maps.  On a finite G as on an infinite one, a class is
+    the orbit minimum, folded over the batch: nothing partitions G, no
+    G-element is drawn until a carrier is asked for, and no two
+    automorphisms are composed."""
 
-    def __init__(self, backend: GroupBackend, auts: AutomorphismGroup):
-        if auts.backend is not backend:
+    def __init__(self, backend: GroupBackend, auts: Sequence[Automorphism]):
+        if any(a.backend is not backend for a in auts):
             raise BackendMismatch("automorphism group does not act on this backend")
         self.auts = auts
         twists = [a.forward for a in auts]
-        self._moves = [t for i, t in enumerate(twists) if i != auts.identity_index]
+        self._moves = [a.forward for a in auts if a.images != backend.gens]
         super().__init__(backend, twists, lambda g: [t((g,))[0] for t in twists])
 
     def project_all(self, gs: Sequence[Any]) -> List[Any]:

@@ -249,7 +249,7 @@ def proof34(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Sui
         raise ValidationError("proof34 needs X_generators")
 
     ga = SemidirectProduct(backend, auts)
-    ga_gens = [(s, i) for s in S for i in range(auts.order)]
+    ga_gens = [(s, i) for s in S for i in range(len(auts))]
     ga_table = monoid_balls(ga, ga_gens, r_max, budget=budget)
 
     x_table = ball(X, instance.x_generators, X.unit, r_max, budget=budget)

@@ -35,7 +35,6 @@ from .errors import (
 from .groups import (
     DEFAULT_BUDGET,
     Automorphism,
-    AutomorphismGroup,
     CyclicGroup,
     DirectProduct,
     FiniteTableGroup,
@@ -364,7 +363,7 @@ class Instance(NamedTuple):
     config: InstanceConfig
     X: MvGroup
     backend: Optional[GroupBackend]
-    auts: Optional[AutomorphismGroup]
+    auts: Optional[Tuple[Automorphism, ...]]
     x_generators: List[Any]
 
     def element(self, text: str):

@@ -150,7 +150,7 @@ def sorted_groups(X, values):
 def bfs_words(backend):
     """Each element of a finite backend with the word that first reaches it,
     by BFS over the generators and their inverses."""
-    steps = [((i, e), backend.power(backend.gen(i), e))
+    steps = [((i, e), backend.power(backend.gens[i], e))
              for i in range(len(backend.gen_names)) for e in (1, -1)]
     words = {backend.identity: ()}
     frontier = [backend.identity]
@@ -516,7 +516,7 @@ def semidirect(instance):
     in S, a in A."""
     auts = instance.auts
     return (SemidirectProduct(instance.backend, auts),
-            [(s, i) for s in instance.config.x_generators for i in range(auts.order)])
+            [(s, i) for s in instance.config.x_generators for i in range(len(auts))])
 
 
 def semidirect_balls(name):
@@ -531,7 +531,7 @@ def product_batches(instance):
     those steps, and each side also alone or cut short."""
     cases = []
     for backend in [instance.backend] + ([semidirect(instance)[0]] if instance.auts else []):
-        gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+        gens = list(backend.gens)
         steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
         elements = list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)))
         cases += [(backend, gs, hs) for gs, hs in ((elements, steps), (steps, elements[:40]),
@@ -543,7 +543,7 @@ def map_batches(backend, image_lists):
     """(backend, images, gs) for each image list and each batch gs: none,
     the identity alone, and the monoid ball of radius 2 over the generators
     and their inverses, which holds the identity first."""
-    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    gens = list(backend.gens)
     steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
     elements = list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)))
     return [(backend, images, gs) for images in image_lists

@@ -111,10 +111,10 @@ def test_criterion_07_exponential_side(instances, capsys):
     t0 = time.perf_counter()
     inst = instances["free2_swap"]
     X, backend = inst.X, inst.backend
-    gens = orbit(X.auts, backend.gen(0))  # {g1, g2}
+    gens = orbit(X.auts, backend.gens[0])  # {g1, g2}
     mb = monoid_balls(backend, gens, 10)
     spheres_ok = mb.sphere_sizes() == [2 ** r for r in range(11)]
-    table = iterate_dynamic(X, X.project(backend.gen(0)), X.unit, 10)
+    table = iterate_dynamic(X, X.project(backend.gens[0]), X.unit, 10)
     xi_ok = all(table.xi[r] >= 2 ** (r - 1) for r in range(1, 11))
     verdict(capsys, 7, spheres_ok and xi_ok, t0, 30,
             "|S+(e,r)| = 2^r and xi_e(r) >= 2^(r-1) for r <= 10")
@@ -143,7 +143,7 @@ def test_criterion_09_semidirect_comparison(instances, capsys):
 def test_criterion_10_growth_equivalence(instances, capsys):
     t0 = time.perf_counter()
     nat = NatGroup()
-    report = compare_generating_sets(nat, [1], [1, 2], 0, 5, 30)
+    report = compare_generating_sets(nat, [1], [1, 2], 5, 30)
     verdict(capsys, 10, report.ok and report.constant == 6, t0, 10,
             "|B(0, r//6)| <= |B'(5, r)| <= |B(0, 6r)| for r <= 30 with l = 6")
 

@@ -178,29 +178,31 @@ def test_set_product():
 
 
 def test_compare_identical_sets():
-    report = compare_generating_sets(NAT, GENS, GENS, 0, 0, 10)
+    report = compare_generating_sets(NAT, GENS, GENS, 0, 10)
     assert report.constant == 2  # 1 + l_S(1) with both directions length 1
     assert report.ok
 
 
 def test_compare_spec_example():
     # S = {1}, S' = {1, 2}, y = 0, y' = 5: l = 1 + l_S(5) = 6
-    report = compare_generating_sets(NAT, [1], [1, 2], 0, 5, 10)
+    report = compare_generating_sets(NAT, [1], [1, 2], 5, 10)
     assert report.constant == 6
     assert report.ok
     for r, lower, middle, upper in report.rows:
         assert lower <= middle <= upper
+        # the wide balls are centred at the unit, where |B(0, r)| = 1 + r
+        assert (lower, upper) == (1 + r // 6, 1 + 6 * r)
 
 
 def test_compare_caps_cross_lengths_at_the_radius():
     # l_S(5) = 5: found within r_max = 5, not within r_max = 4
-    assert compare_generating_sets(NAT, [1], [1, 2], 0, 5, 5).constant == 6
+    assert compare_generating_sets(NAT, [1], [1, 2], 5, 5).constant == 6
     with pytest.raises(NotReachedWithinCap, match="element 5 not reached within radius cap 4"):
-        compare_generating_sets(NAT, [1], [1, 2], 0, 5, 4)
+        compare_generating_sets(NAT, [1], [1, 2], 5, 4)
 
 
 def test_compare_rows_cover_all_radii():
-    report = compare_generating_sets(NAT, [1], [2, 3], 0, 0, 8)
+    report = compare_generating_sets(NAT, [1], [2, 3], 0, 8)
     assert [row[0] for row in report.rows] == list(range(9))
     assert report.ok
 

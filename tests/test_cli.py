@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgroups import cli
+from mvgroups import cayley, cli, dynamics, verify
 from mvgroups.cayley import power_table
 from mvgroups.cli import build_parser, run
 from mvgroups.errors import BudgetExceeded, MvGroupsError
@@ -391,6 +391,11 @@ def test_compare_negative_radius_is_a_usage_error(config_dir, capsys):
     assert (code, out, err) == (2, "", "error: radius must be >= 0\n")
 
 
+def test_powers_refuses_a_negative_radius(config_dir, capsys):
+    assert invoke(capsys, ["powers", "-c", cfg(config_dir, "nat"), "--x", "1",
+                           "--radius", "-1"]) == (2, "", "error: radius must be >= 0\n")
+
+
 def test_compare_radius_zero_needs_no_cross_lengths(config_dir, capsys):
     # 2 is not reached within radius 1 of the unit, but at r = 0 any l works
     code, out, err = invoke(capsys, ["compare", "-c", cfg(config_dir, "nat"),
@@ -481,6 +486,67 @@ def test_lemma47_checks_sphere_addition_to_its_radius(config_dir, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines() == ["PASS lemma47 r=3 vanishing persists for 4 base points",
                                 "PASS lemma47 r=3 sphere addition holds on 50 decompositions"]
+
+
+def shifted(walk, change):
+    """`walk` with each table it returns passed through change(table, args)."""
+    return lambda *args, **kwargs: change(walk(*args, **kwargs), args)
+
+
+def first_call_empty(walk):
+    """`walk` returning () on its first call only."""
+    calls = itertools.count()
+    return lambda *args: () if next(calls) == 0 else walk(*args)
+
+
+# a FAIL verdict of each suite and of compare, which correct walks never
+# give: one walk is wrapped to break the property the verdict checks
+FAILING = {
+    "example32": ("nat", ["--radius", "5"], verify, "ball", shifted(
+        verify.ball, lambda t, args: t._replace(
+            ball_sizes=[size + (args[2] == 3) for size in t.ball_sizes])), [
+        "FAIL example32 r=0 x=3 |B|=2 expected=1",
+        "FAIL example32 r=1 x=3 |B|=4 expected=3",
+        "FAIL example32 r=2 x=3 |B|=6 expected=5",
+        "FAIL example32 r=3 x=3 |B|=8 expected=7",
+        "FAIL example32 r=4 x=3 |B|=9 expected=8",
+        "FAIL example32 r=5 6 violations total"]),
+    "thm43": ("z_pm1", ["--radius", "3"], verify, "monoid_balls", shifted(
+        verify.monoid_balls, lambda t, _: t._replace(ball_sizes=[1] * len(t.ball_sizes))), [
+        "FAIL thm43 r=2 y=0 sandwich violated",
+        "FAIL thm43 r=1 y=2 sandwich violated",
+        "FAIL thm43 r=1 y=1 sandwich violated"]),
+    "thm48": ("nat", ["--radius", "3"], dynamics, "power_table", shifted(
+        dynamics.power_table, lambda t, _: t._replace(set_powers=[
+            *t.set_powers[:2], t.set_powers[2] + tuple(range(100, 110)), *t.set_powers[3:]])), [
+        "FAIL thm48 r=2 x=1 xi=12 > 6"]),
+    "lemma47-a": ("nat", ["--radius", "4"], verify, "power_table", shifted(
+        verify.power_table, lambda t, args: t._replace(sstar_sets=[(), (), *t.sstar_sets[2:]])
+        if args[1] == 2 else t), [
+        "FAIL lemma47 r=2 x=2 sphere reappeared",
+        "PASS lemma47 r=4 sphere addition holds on 50 decompositions"]),
+    "lemma47-b": ("nat", ["--radius", "4"], verify, "set_product",
+                  first_call_empty(verify.set_product), [
+        "PASS lemma47 r=4 vanishing persists for 32 base points",
+        "FAIL lemma47 r=4 x=24 decomposition=[1, 3] sphere not inside the product support"]),
+    "proof34": ("heis_swap", ["--radius", "2"], verify, "monoid_balls", shifted(
+        verify.monoid_balls, lambda t, _: t._replace(ball_sizes=[*t.ball_sizes[:-1], 1])), [
+        "FAIL proof34 r=2 |B_X|=9 > |B_GA|=1"]),
+    "compare": ("nat", ["--gens2", "1,2", "--radius", "2"], cayley, "ball", shifted(
+        cayley.ball, lambda t, args: t._replace(ball_sizes=[
+            *t.ball_sizes[:-1], t.ball_sizes[-1] + 100 * (list(args[1]) == [1, 2])])), [
+        "constant l=3", "0,1,1,1,pass", "1,1,3,4,pass", "2,1,105,7,fail",
+        "FAIL compare r=2 l=3"]),
+}
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_a_broken_walk_prints_the_failing_verdict(config_dir, capsys, monkeypatch, name):
+    config, flags, module, walk, wrapped, lines = FAILING[name]
+    monkeypatch.setattr(module, walk, wrapped)
+    command = ["compare"] if name == "compare" else ["verify", "--suite", name.split("-")[0]]
+    assert invoke(capsys, [*command, "-c", cfg(config_dir, config), *flags]) == (
+        1, "\n".join(lines) + "\n", "")
 
 
 # every suite and compare on a config without X_generators, with the messages
@@ -1047,15 +1113,14 @@ def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
     assert "more than 10000 distinct elements" in err
 
 
-def test_one_parser_per_command_serves_every_run(config_dir, capsys, monkeypatch):
-    # a well-formed command line builds no parser; the first usage error
-    # builds the parser and its one subparser, which the second reuses
+def test_only_a_refused_line_builds_a_parser(config_dir, capsys, monkeypatch):
+    # a well-formed command line builds no parser; each usage error builds
+    # the one full parser, itself and a subparser per command
     monkeypatch.setenv("COLUMNS", "80")
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    build_parser.cache_clear()
     argv = ["growth", "-c", cfg(config_dir, "nat"), "--radius", "2"]
     usage_error = ("axioms", "-c", "x", "--sample", "-1")
     pinned = next(case[1:] for case in CASES if case[0] == usage_error)
@@ -1066,7 +1131,8 @@ def test_one_parser_per_command_serves_every_run(config_dir, capsys, monkeypatch
     for _ in range(2):
         assert invoke(capsys, list(usage_error)) == pinned
         counts.append(len(built))
-    assert counts == [0, 0, 2, 2]
+    full = 1 + len(cli._COMMANDS)
+    assert counts == [0, 0, full, 2 * full]
 
 
 # option values: words and paths, and the texts int() reads
@@ -1117,11 +1183,11 @@ def test_the_direct_parse_agrees_with_argparse(capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_instance", load_instance)
     outcomes = collections.Counter()
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(command_lines())
     def check(argv):
         direct = cli._parse(argv)
-        parser = build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None)
+        parser = build_parser()
         try:
             parsed, code = vars(parser.parse_args(argv)), 2
         except SystemExit as exc:

@@ -34,7 +34,7 @@ from mvgroups.keys import int_key
 from mvgroups.mvalued import CosetGroup
 from mvgroups.wordspec import build_instance, parse_config
 
-from oracles import (COSET, PATHS, ROOT, bfs_words, byte_int_key, byte_key, byte_seq_key,
+from oracles import (COSET, DOCUMENTS, PATHS, ROOT, bfs_words, byte_int_key, byte_key, byte_seq_key,
                      compose, flat_key, inverse_seed, linear_map, map_batches, oracle_closure,
                      scalar_images, scalar_products, table_test, two_sided_closure)
 
@@ -43,7 +43,7 @@ def random_element(backend, rng, steps=6):
     g = backend.identity
     k = len(backend.gen_names)
     for _ in range(rng.randint(0, steps)):
-        s = backend.gen(rng.randrange(k))
+        s = backend.gens[rng.randrange(k)]
         if rng.random() < 0.5:
             s = backend.inv(s)
         g = backend.mul(g, s)
@@ -190,7 +190,7 @@ def test_integer_addition():
 
 def test_free_reduction():
     f = FreeGroup(2)
-    g1, g2 = f.gen(0), f.gen(1)
+    g1, g2 = f.gens[0], f.gens[1]
     word = f.mul(g1, f.inv(g2))  # g1*g2^-1
     assert f.mul(word, g2) == g1
     assert f.inv(f.mul(g1, g2)) == f.mul(f.inv(g2), f.inv(g1))
@@ -219,7 +219,7 @@ def test_rank_and_name_checks_keep_their_texts(make, message):
 def test_heisenberg_is_a_rank_three_vector_backend():
     h = HeisenbergGroup()
     assert (h.rank, h.gen_names, h.identity) == (3, ("a", "b", "c"), (0, 0, 0))
-    assert [h.gen(i) for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert [h.gens[i] for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert h.render((1, -2, 30)) == "(1,-2,30)"
 
 
@@ -249,7 +249,7 @@ def test_heisenberg_matches_matrix_oracle():
 
 def test_s3_inverse_of_three_cycle():
     g = s3()
-    c = g.gen(1)  # (1 2 3)
+    c = g.gens[1]  # (1 2 3)
     assert g.inv(c) == (2, 0, 1)  # (1 3 2)
     assert g.render(g.inv(c)) == "(1 3 2)"
 
@@ -259,19 +259,19 @@ def test_s3_inverse_of_three_cycle():
 
 
 def swap_automorphism(f):
-    return Automorphism(f, "swap", [f.gen(1), f.gen(0)], [f.gen(1), f.gen(0)]).verify()
+    return Automorphism(f, "swap", [f.gens[1], f.gens[0]], [f.gens[1], f.gens[0]]).verify()
 
 
 def test_swap_generator_image():
     f = FreeGroup(2)
     swap = swap_automorphism(f)
-    assert swap.apply(f.gen(0)) == f.gen(1)
+    assert swap.apply(f.gens[0]) == f.gens[1]
 
 
 def test_h_inversion_on_product_group():
     g = DirectProduct([CyclicGroup(3, ["h"]), FreeGroup(2)])
-    h, g1 = g.gen(0), g.gen(1)
-    images = [g.inv(h), g.gen(1), g.gen(2)]
+    h, g1 = g.gens[0], g.gens[1]
+    images = [g.inv(h), g.gens[1], g.gens[2]]
     a = Automorphism(g, "a", images, images).verify()
     # (h, g1) -> (h^2, g1)
     assert a.apply(g.mul(h, g1)) == g.mul(g.mul(h, h), g1)
@@ -299,7 +299,7 @@ def test_automorphism_respects_mul_and_inv():
 
 def test_heisenberg_swap_is_automorphism():
     h = HeisenbergGroup()
-    images = [h.gen(1), h.gen(0), h.inv(h.gen(2))]
+    images = [h.gens[1], h.gens[0], h.inv(h.gens[2])]
     a = Automorphism(h, "swap", images, images).verify()
     rng = random.Random(21)
     for _ in range(300):
@@ -311,22 +311,22 @@ def test_heisenberg_swap_is_automorphism():
 def test_close_swap_gives_order_two():
     f = FreeGroup(2)
     auts = close_automorphisms([swap_automorphism(f)])
-    assert auts.order == 2
+    assert len(auts) == 2
 
 
 def test_close_identity_gives_order_one():
     auts = close_automorphisms([identity_automorphism(FreeGroup(2))])
-    assert auts.order == 1
+    assert len(auts) == 1
 
 
 def test_doubling_is_rejected():
     # g1 -> g1^2 on a free group is not surjective; no inverse images exist
     f = FreeGroup(1)
-    square = f.mul(f.gen(0), f.gen(0))
+    square = f.mul(f.gens[0], f.gens[0])
     with pytest.raises(InverseMissing):
         Automorphism(f, "double", [square], None).verify()
     with pytest.raises(NotAnAutomorphism):
-        Automorphism(f, "double", [square], [f.gen(0)]).verify()
+        Automorphism(f, "double", [square], [f.gens[0]]).verify()
 
 
 def test_shear_closure_exceeds_bound():
@@ -338,10 +338,10 @@ def test_shear_closure_exceeds_bound():
 
 def test_unverified_automorphism_cannot_be_applied():
     f = FreeGroup(2)
-    swap = Automorphism(f, "swap", [f.gen(1), f.gen(0)], [f.gen(1), f.gen(0)])
+    swap = Automorphism(f, "swap", [f.gens[1], f.gens[0]], [f.gens[1], f.gens[0]])
     with pytest.raises(AttributeError):
-        swap.apply(f.gen(0))
-    assert swap.verify().apply(f.gen(0)) == f.gen(1)
+        swap.apply(f.gens[0])
+    assert swap.verify().apply(f.gens[0]) == f.gens[1]
 
 
 def test_orbit_examples():
@@ -353,8 +353,8 @@ def test_orbit_examples():
 
     f = FreeGroup(2)
     swap_group = close_automorphisms([swap_automorphism(f)])
-    g1g2 = f.mul(f.gen(0), f.gen(1))
-    g2g1 = f.mul(f.gen(1), f.gen(0))
+    g1g2 = f.mul(f.gens[0], f.gens[1])
+    g2g1 = f.mul(f.gens[1], f.gens[0])
     assert set(orbit(swap_group, g1g2)) == {g1g2, g2g1}
 
 
@@ -367,8 +367,8 @@ def z_pm1_semidirect():
     neg = Automorphism(z, "neg", [(-1,)], [(-1,)]).verify()
     auts = close_automorphisms([neg])
     ga = SemidirectProduct(z, auts)
-    i_neg = next(i for i, a in enumerate(auts.elements) if a.apply((1,)) == (-1,))
-    return ga, auts.identity_index, i_neg
+    i_neg = next(i for i, a in enumerate(auts) if a.apply((1,)) == (-1,))
+    return ga, ga.identity_index, i_neg
 
 
 def swap_group(z2):
@@ -413,6 +413,52 @@ def test_semidirect_group_axioms():
         r = random_element(ga, rng)
         assert ga.mul(ga.mul(p, q), r) == ga.mul(p, ga.mul(q, r))
         assert ga.mul(p, ga.inv(p)) == ga.identity
+
+
+def declared_generators(backend, given=()):
+    """Each declared generator of `backend`, built from its kind's
+    definition without reading `gens`: one-letter words, unit vectors,
+    1 mod m, the permutations or table indices `given` to its constructor,
+    each factor's own padded with the other factors' identities, and a
+    semidirect product's base generators at the identity automorphism,
+    then each automorphism index at the identity of G."""
+    if isinstance(backend, FreeGroup):
+        return [chr(2 * i) for i in range(backend.rank)]
+    if isinstance(backend, (FreeAbelianGroup, HeisenbergGroup)):
+        return [(0,) * i + (1,) + (0,) * (backend.rank - 1 - i) for i in range(backend.rank)]
+    if isinstance(backend, CyclicGroup):
+        return [1 % backend.order]
+    if isinstance(backend, PermutationGroup):
+        return list(map(tuple, given))
+    if isinstance(backend, FiniteTableGroup):
+        return list(given)
+    if isinstance(backend, DirectProduct):
+        e = [f.identity for f in backend.factors]
+        return [tuple(e[:i] + [g] + e[i + 1:]) for i, f in enumerate(backend.factors)
+                for g in declared_generators(f)]
+    group = backend.group
+    base = declared_generators(group, given)
+    unit = next(i for i, a in enumerate(backend.auts) if list(a.images) == base)
+    return [(g, unit) for g in base] + [(group.identity, i) for i in range(len(backend.auts))]
+
+
+def test_gens_are_the_declared_generators(every_instance):
+    cases = [(b, [[1, 0, 2], [1, 2, 0]] if b.kind == "permutation" else ())
+             for b in all_backends()]
+    for name, instance in every_instance.items():
+        if instance.backend is not None:
+            group = DOCUMENTS[name]["group"]
+            cases.append((instance.backend, group.get("gen_images") or group.get("gen_elements")))
+    z2_dihedral = every_instance["z2_dihedral"]
+    cases += [(z_pm1_semidirect()[0], ()),
+              (SemidirectProduct(z2_dihedral.backend, z2_dihedral.auts), ())]
+    kinds = set()
+    for backend, given in cases:
+        assert backend.gens == tuple(declared_generators(backend, given)), backend.kind
+        assert len(backend.gens) == len(backend.gen_names)
+        kinds.add(backend.kind)
+    assert kinds == {"free", "free_abelian", "heisenberg", "cyclic", "permutation",
+                     "finite_table", "direct_product", "semidirect"}
 
 
 def test_semidirect_embeds_base_group():
@@ -467,14 +513,14 @@ def test_signature_matches_byte_order():
               close_automorphisms([Automorphism(s3(), "conj", [(1, 0, 2), (2, 0, 1)],
                                                 [(1, 0, 2), (2, 0, 1)])])]
     for auts in groups:
-        backend = auts.backend
+        backend = auts[0].backend
         assert_same_order(list(auts), lambda a: a.signature,
                           lambda a: byte_seq_key(byte_key(backend, g) for g in a.images))
 
 
 def test_free_words_order_shorter_first_then_letterwise():
     f = FreeGroup(2)
-    g1, g2 = f.gen(0), f.gen(1)
+    g1, g2 = f.gens[0], f.gens[1]
     words = [f.mul(g1, g2), g2, f.identity, f.inv(g1), g1]
     assert sorted(words, key=f.canonical_key) == [f.identity, g1, f.inv(g1), g2,
                                                   f.mul(g1, g2)]
@@ -486,7 +532,7 @@ def test_free_words_order_shorter_first_then_letterwise():
 
 def test_free_monoid_spheres_double():
     f = FreeGroup(2)
-    table = monoid_balls(f, [f.gen(0), f.gen(1)], 3)
+    table = monoid_balls(f, [f.gens[0], f.gens[1]], 3)
     assert table.sphere_sizes() == [1, 2, 4, 8]
 
 
@@ -505,7 +551,7 @@ def test_z_two_sided_ball():
 
 def test_monoid_sphere_invariants():
     f = FreeGroup(2)
-    gens = [f.gen(0), f.gen(1)]
+    gens = [f.gens[0], f.gens[1]]
     table = monoid_balls(f, gens, 5)
     seen = set()
     for r, sphere in enumerate(table.sphere_sets):
@@ -522,7 +568,7 @@ def test_monoid_sphere_invariants():
 def test_monoid_budget_enforced():
     f = FreeGroup(2)
     with pytest.raises(BudgetExceeded):
-        monoid_balls(f, [f.gen(0), f.gen(1)], 10, budget=20)
+        monoid_balls(f, [f.gens[0], f.gens[1]], 10, budget=20)
 
 
 # a Latin square with identity 0 that is not associative: the smallest
@@ -642,7 +688,7 @@ def s4_table(cls=FiniteTableGroup):
 def conjugation(backend, x):
     """g -> x^-1 g x, as generator images and inverse images."""
     def conj(y, z):
-        return [backend.mul(backend.mul(backend.inv(y), backend.gen(i)), z)
+        return [backend.mul(backend.mul(backend.inv(y), backend.gens[i]), z)
                 for i in range(len(backend.gen_names))]
     return Automorphism(backend, "conj", conj(x, x), conj(backend.inv(x), backend.inv(x)))
 
@@ -655,7 +701,7 @@ def conjugations(name):
     """The group of conjugations by the first generator, by every generator for s3_inner."""
     backend = FINITE_BACKENDS[name]()
     count = len(backend.gen_names) if name == "s3_inner" else 1
-    return close_automorphisms([conjugation(backend, backend.gen(i)) for i in range(count)])
+    return close_automorphisms([conjugation(backend, backend.gens[i]) for i in range(count)])
 
 
 def sample_elements(backend, seed=2025, count=200):
@@ -676,21 +722,21 @@ def assert_compiled_matches_oracle(backend, auts):
 def test_compiled_automorphisms_match_oracle(every_instance, name):
     auts = every_instance[name].auts
     if name in N3_INSTANCES:
-        assert auts.order == N3_ORDERS[name]
-    assert_compiled_matches_oracle(auts.backend, auts)
+        assert len(auts) == N3_ORDERS[name]
+    assert_compiled_matches_oracle(auts[0].backend, auts)
 
 
 @pytest.mark.parametrize("name", ["s4_table", "s3_x_z2", "s3_inner"])
 def test_compiled_finite_automorphisms_match_oracle(name):
     auts = conjugations(name)
-    assert auts.order == (6 if name == "s3_inner" else 2)
-    assert_compiled_matches_oracle(auts.backend, auts)
+    assert len(auts) == (6 if name == "s3_inner" else 2)
+    assert_compiled_matches_oracle(auts[0].backend, auts)
 
 
 def test_compiled_cyclic_automorphisms_match_oracle():
     z7 = CyclicGroup(7)
     auts = close_automorphisms([Automorphism(z7, "times3", [3], [5])])
-    assert auts.order == 6  # 3 generates the units mod 7
+    assert len(auts) == 6  # 3 generates the units mod 7
     assert_compiled_matches_oracle(z7, auts)
 
 
@@ -698,7 +744,7 @@ def free64_maps():
     """F_64, whose separator chr(128) is no ASCII, under a signed
     permutation (g1 <-> g64^-1) and a substitution (g64 -> g64 g1)."""
     f = FreeGroup(64)
-    gens = [f.gen(i) for i in range(64)]
+    gens = [f.gens[i] for i in range(64)]
     return map_batches(f, [[f.inv(gens[63]), *gens[1:63], f.inv(gens[0])],
                            [*gens[:63], f.mul(gens[63], gens[0])]])
 
@@ -707,9 +753,9 @@ def product_maps():
     """Z/3 x F_2 and H x Z^2, each with one factor on its own generators
     (passed through) and with every factor moved."""
     zf = DirectProduct([CyclicGroup(3, ["h"]), FreeGroup(2)])
-    h, g1, g2 = map(zf.gen, range(3))
+    h, g1, g2 = zf.gens
     hz = DirectProduct([HeisenbergGroup(), FreeAbelianGroup(2, ["u", "v"])])
-    a, b, c, u, v = map(hz.gen, range(5))
+    a, b, c, u, v = hz.gens
     return (map_batches(zf, [[h, g2, g1], [zf.inv(h), g1, g2], [zf.inv(h), g2, g1]])
             + map_batches(hz, [[a, b, c, v, u], [b, a, hz.inv(c), u, v],
                                [b, a, hz.inv(c), v, u]]))
@@ -728,9 +774,9 @@ def walked_maps():
     edge walk), S3 x Z/2 (a finite product without relators walks too) and
     S4 as permutations (the conjugation memo)."""
     s3z2 = DirectProduct([s3(), CyclicGroup(2, ["z"])])
-    t, c, z = map(s3z2.gen, range(3))
+    t, c, z = s3z2.gens
     return [case for backend in (s4_table(), sym(4))
-            for case in map_batches(backend, [conjugation(backend, backend.gen(0)).images])
+            for case in map_batches(backend, [conjugation(backend, backend.gens[0]).images])
             ] + map_batches(s3z2, [[s3z2.mul(s3z2.mul(c, t), s3z2.inv(c)), c, z]])
 
 
@@ -758,13 +804,13 @@ def wrong_letter(backend, images):
 
 def shift3():
     f = FreeGroup(3)
-    return Automorphism(f, "shift", [f.gen(1), f.gen(2), f.gen(0)],
-                        [f.gen(2), f.gen(0), f.gen(1)])
+    return Automorphism(f, "shift", [f.gens[1], f.gens[2], f.gens[0]],
+                        [f.gens[2], f.gens[0], f.gens[1]])
 
 
 def test_oracle_catches_a_mutated_table_entry():
     s4 = s4_table()
-    conj = conjugation(s4, s4.gen(0)).verify()
+    conj = conjugation(s4, s4.gens[0]).verify()
     swapped = swap_two_entries({g: conj.apply(g) for g in s4.elements()})
     conj.forward = lambda gs: list(map(swapped.__getitem__, gs))
     with pytest.raises(AssertionError):
@@ -789,7 +835,7 @@ def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch)
     monkeypatch.setattr(FiniteTableGroup, "homomorphism", swapped_walk)
     monkeypatch.setattr(FreeGroup, "homomorphism", wrong_letter)
     s4 = s4_table()
-    for a, generator in ((conjugation(s4, s4.gen(0)), "t"), (shift3(), "g1")):
+    for a, generator in ((conjugation(s4, s4.gens[0]), "t"), (shift3(), "g1")):
         with pytest.raises(NotAnAutomorphism,
                            match=f"inverse images do not invert on generator {generator}$"):
             a.verify()
@@ -801,10 +847,10 @@ def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch)
 def failing_inverse_checks():
     f = FreeGroup(1)
     s = s3()
-    t, c = s.gen(0), s.gen(1)
+    t, c = s.gens[0], s.gens[1]
     z2 = PermutationGroup(3, ["t"], [[1, 0, 2]])  # <(1 2)>, so (2 3) lies outside it
     return [
-        Automorphism(f, "double", [f.mul(f.gen(0), f.gen(0))], [f.gen(0)]),
+        Automorphism(f, "double", [f.mul(f.gens[0], f.gens[0])], [f.gens[0]]),
         Automorphism(s, "half", [t, c], [t, s.inv(c)]),
         Automorphism(z2, "outside", [(0, 2, 1)], [(0, 2, 1)]),
     ]
@@ -876,7 +922,7 @@ def test_direct_product_operations_match_the_generator_forms(make):
         assert backend.canonical_key(g) == tuple(
             b.canonical_key(a) for b, a in zip(factors, g))
     if backend.relators() is not None:
-        h, g1, g2 = map(backend.gen, range(3))
+        h, g1, g2 = backend.gens
         images = [backend.inv(h), g2, g1]
         maps = [factors[0].homomorphism([images[0][0]]),
                 factors[1].homomorphism([images[1][1], images[2][1]])]
@@ -888,7 +934,7 @@ def test_direct_product_operations_match_the_generator_forms(make):
 def test_edge_walk_matches_oracle_on_a_finite_direct_product():
     backend = DirectProduct([s3(), CyclicGroup(2, ["z"])])
     assert backend.relators() is None  # so verify() walks the product's edges
-    t, c, z = map(backend.gen, range(3))
+    t, c, z = backend.gens
     rng = random.Random(46)
     elements = list(backend.elements())
     candidates = [(t, c, z), (c, c, z), (t, c, t), (z, c, t)] + [
@@ -905,7 +951,7 @@ def test_edge_walk_matches_oracle_on_a_finite_direct_product():
 
 def test_edge_walk_names_the_element_and_generator():
     backend = s3()
-    c = backend.gen(1)
+    c = backend.gens[1]
     # t -> c breaks t*t = e first: image(e) = e but image(t)*c = c^2
     with pytest.raises(NotAnAutomorphism,
                        match=r"^'f': images break multiplicativity at \(\(1 2\), t\)$"):
@@ -952,7 +998,7 @@ def s6_outer():
     walk = GroupBackend.homomorphism(backend, images)
     preimage = dict(zip(walk(elements), elements))
     assert len(preimage) == 720  # the endomorphism is injective
-    return images, [preimage[backend.gen(0)], preimage[backend.gen(1)]]
+    return images, [preimage[backend.gens[0]], preimage[backend.gens[1]]]
 
 
 def walked_map(name):
@@ -961,7 +1007,7 @@ def walked_map(name):
     if name == "permutation":
         return (sym(6, counting_mul(PermutationGroup)), *s6_outer())
     backend = s4_table(counting_mul(FiniteTableGroup))
-    conj = conjugation(backend, backend.gen(0))
+    conj = conjugation(backend, backend.gens[0])
     return backend, conj.images, conj.inverse_images
 
 
@@ -978,7 +1024,7 @@ def test_edge_walk_makes_two_products_per_edge(name, edges):
 
 def test_a_permutation_conjugation_walks_no_edge():
     backend = sym(4, counting_mul(PermutationGroup))
-    conj = conjugation(backend, backend.gen(0))
+    conj = conjugation(backend, backend.gens[0])
     elements = sorted(backend.elements())
     counts = []
     for images in (conj.images, conj.inverse_images):
@@ -1016,7 +1062,7 @@ def test_instance_automorphisms_are_conjugations_that_match_the_walk(every_insta
     """Every element of each instance's A, on its permutation group, or on
     the regular representation of its cyclic group."""
     auts = every_instance[name].X.auts
-    backend, element = auts.backend, tuple
+    backend, element = auts[0].backend, tuple
     if backend.kind == "cyclic":
         backend, element = translations(backend.order)
     assert backend.kind == "permutation"
@@ -1042,14 +1088,14 @@ def test_the_outer_automorphism_of_s6_takes_the_walk():
         assert backend._conjugator(image_list) is None
         assert_matches_the_walk(backend, image_list)
     outer = Automorphism(backend, "outer", images, inverse_images).verify()
-    assert outer.apply(backend.gen(0)) == images[0]
+    assert outer.apply(backend.gens[0]) == images[0]
 
 
 def test_a_consistent_point_map_that_is_not_injective_is_no_conjugation():
     # s -> s^2 on C4 = <(1 2 3 4)>: c(x + 1) = c(x) + 2 holds for c = (0, 2,
     # 0, 2), which is not injective; the walk compiles the endomorphism
     backend = PermutationGroup(4, ["s"], [[1, 2, 3, 0]])
-    s = backend.gen(0)
+    s = backend.gens[0]
     images = [backend.mul(s, s)]
     assert groups._orbit_map([(s, images[0])], 0, 0, set(range(4))) is None
     assert backend._conjugator(images) is None
@@ -1095,7 +1141,7 @@ def test_the_point_map_search_finds_a_conjugator_whenever_one_exists():
     for _ in range(300):
         degree = rng.randint(1, 5)
         backend = seeded_permutation_group(rng, degree)
-        gens = backend._gens
+        gens = backend.gens
         c = tuple(rng.sample(range(degree), degree))
         c_inv = backend.inv(c)
         images = ([tuple([c[s[y]] for y in c_inv]) for s in gens] if rng.random() < 0.5
@@ -1117,9 +1163,9 @@ def test_the_stabilizer_chain_decides_membership():
     for degree in range(1, 6):
         for _ in range(20):
             backend = seeded_permutation_group(rng, degree)
-            members = set(backend._close(backend._gens))
+            members = set(backend._close(backend.gens))
             assert {g for g in itertools.permutations(range(degree))
-                    if backend._sift(g) == backend.identity} == members, backend._gens
+                    if backend._sift(g) == backend.identity} == members, backend.gens
 
 
 def s5(cls=PermutationGroup):
@@ -1135,7 +1181,7 @@ CLOSURE_BACKENDS = {"cyclic": lambda: CyclicGroup(6), "permutation": s3, "s5": s
 @pytest.mark.parametrize("name", CLOSURE_BACKENDS)
 def test_finite_closure_matches_the_two_sided_closure(name):
     backend = CLOSURE_BACKENDS[name]()
-    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    gens = list(backend.gens)
     # every set of generators, and the cyclic subgroup of a product of two
     cases = [list(c) for r in range(len(gens) + 1) for c in itertools.combinations(gens, r)]
     cases.append([backend.mul(gens[0], gens[-1])])
@@ -1215,16 +1261,16 @@ def compiled_seeds():
     z7 = counting(CyclicGroup)(7)
     # the group of z3xF2_example46, with every factor counted
     zf = counting(DirectProduct)([counting(CyclicGroup)(3, ["h"]), counting(FreeGroup)(2)])
-    h, g1, g2 = map(zf.gen, range(3))
+    h, g1, g2 = zf.gens
     heis = counting(HeisenbergGroup)()
-    a, b, c = map(heis.gen, range(3))
+    a, b, c = heis.gens
     return [
-        conjugation(perm, perm.gen(0)),
-        conjugation(table, table.gen(0)),
+        conjugation(perm, perm.gens[0]),
+        conjugation(table, table.gens[0]),
         Automorphism(z2, "quarter_turn", [(0, 1), (-1, 0)], [(0, -1), (1, 0)]),
         Automorphism(z2, "swap", [(0, 1), (1, 0)], [(0, 1), (1, 0)]),
-        Automorphism(f3, "shift", [f3.gen(1), f3.gen(2), f3.gen(0)],
-                     [f3.gen(2), f3.gen(0), f3.gen(1)]),
+        Automorphism(f3, "shift", [f3.gens[1], f3.gens[2], f3.gens[0]],
+                     [f3.gens[2], f3.gens[0], f3.gens[1]]),
         Automorphism(z7, "times3", [3], [5]),
         Automorphism(zf, "a", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
         Automorphism(heis, "swap", [b, a, heis.inv(c)], [b, a, heis.inv(c)]),
@@ -1254,15 +1300,16 @@ def test_compiled_apply_makes_no_evaluate_or_factor_calls():
               close_automorphisms(seeds[2:4]), close_automorphisms([seeds[4]]),
               close_automorphisms([seeds[5]]), close_automorphisms([seeds[6]]),
               close_automorphisms([seeds[7]])]
-    assert [auts.order for auts in groups] == [2, 2, 8, 3, 6, 2, 2]
+    assert [len(auts) for auts in groups] == [2, 2, 8, 3, 6, 2, 2]
     for auts in groups:
-        backend = auts.backend
+        backend = auts[0].backend
         counted = [backend, *getattr(backend, "factors", ())]
         elements = sample_elements(backend)
         for b in counted:
             b.counts = Counter()
+        inverse_index = SemidirectProduct(backend, auts).inverse_index
         for i, a in enumerate(auts):
-            inverse = auts.elements[auts.inverse_index[i]]
+            inverse = auts[inverse_index[i]]
             for g in elements:
                 inverse.apply(a.apply(g))
         for b in counted:
@@ -1331,9 +1378,9 @@ def product_automorphisms():
     zf = counting(DirectProduct)([CyclicGroup(3, ["h"]), FreeGroup(2)])
     zz = counting(DirectProduct)([FreeAbelianGroup(1, ["x"]), FreeAbelianGroup(1, ["y"])])
     hz = counting(DirectProduct)([HeisenbergGroup(), FreeAbelianGroup(2, ["u", "v"])])
-    h, g1, g2 = map(zf.gen, range(3))
-    x, y = zz.gen(0), zz.gen(1)
-    a, b, c, u, v = map(hz.gen, range(5))
+    h, g1, g2 = zf.gens
+    x, y = zz.gens[0], zz.gens[1]
+    a, b, c, u, v = hz.gens
     preserving = [
         Automorphism(zf, "invert_h", [zf.inv(h), g1, g2], [zf.inv(h), g1, g2]),
         Automorphism(zf, "swap_g", [h, g2, g1], [h, g2, g1]),
@@ -1384,23 +1431,25 @@ def table_case(every_instance, name):
 @pytest.mark.parametrize("name", TABLE_CASES)
 def test_compose_index_matches_compose(every_instance, name):
     auts, _ = table_case(every_instance, name)
+    ga = SemidirectProduct(auts[0].backend, auts)
     index = {a.signature: i for i, a in enumerate(auts)}
     for i, x in enumerate(auts):
         for j, y in enumerate(auts):
-            assert auts.compose_index(i, j) == index[compose(x, y).signature], (x.name, y.name)
+            assert ga.compose[i][j] == index[compose(x, y).signature], (x.name, y.name)
 
 
 @pytest.mark.parametrize("name", TABLE_CASES)
 def test_inverse_index_inverts_on_both_sides(every_instance, name):
     auts, seeds = table_case(every_instance, name)
-    ident = auts.identity_index
-    assert auts.elements[ident].signature == identity_automorphism(auts.backend).signature
-    elements = sample_elements(auts.backend)
+    ga = SemidirectProduct(auts[0].backend, auts)
+    ident = ga.identity_index
+    assert auts[ident].signature == identity_automorphism(auts[0].backend).signature
+    elements = sample_elements(auts[0].backend)
     for i, a in enumerate(auts):
-        inverse = auts.inverse_index[i]
-        assert auts.compose_index(i, inverse) == ident == auts.compose_index(inverse, i)
+        inverse = ga.inverse_index[i]
+        assert ga.compose[i][inverse] == ident == ga.compose[inverse][i]
         for g in elements:
-            assert auts.elements[inverse].apply(a.apply(g)) == g, (a.name, g)
+            assert auts[inverse].apply(a.apply(g)) == g, (a.name, g)
     for a in seeds:
         inverse = inverse_seed(a)
         for g in elements:
@@ -1411,7 +1460,7 @@ def test_inverse_index_inverts_on_both_sides(every_instance, name):
 def test_closure_by_seeds_matches_closure_by_seeds_and_inverses(every_instance, name):
     auts, seeds = table_case(every_instance, name)
     signatures = [a.signature for a in auts]
-    assert len(set(signatures)) == auts.order
+    assert len(set(signatures)) == len(auts)
     assert set(signatures) == oracle_closure(seeds)
 
 
@@ -1465,7 +1514,7 @@ def test_each_distinct_automorphism_is_compiled_once(every_instance, monkeypatch
     # a seed compiles its images, and its inverse images only when they differ
     seed_maps = sum(1 if a.inverse_images == a.images else 2 for a in seeds)
     # every other element but the identity once; a discarded duplicate never
-    ident = identity_automorphism(auts.backend)
+    ident = identity_automorphism(auts[0].backend)
     others = [a.images for a in auts if a != ident and a not in seeds]
     assert len(compiled) == seed_maps + len(others)
     assert Counter(compiled[seed_maps:]) == Counter(others)
@@ -1478,9 +1527,9 @@ def guarded_products():
     relators, each with an automorphism of every factor."""
     s3_tu = PermutationGroup(3, ["t", "u"], [[1, 0, 2], [1, 2, 0]])
     heis = DirectProduct([s3_tu, HeisenbergGroup()])
-    t, u, a, b, c = map(heis.gen, range(5))
+    t, u, a, b, c = heis.gens
     sz = DirectProduct([s3_tu, FreeAbelianGroup(1, ["x"])])
-    t, u, x = map(sz.gen, range(3))
+    t, u, x = sz.gens
     return [
         # breaks [a, b] = c, so a factor-by-factor compilation would be wrong
         Automorphism(heis, "f", [t, u, a, b, heis.inv(c)], [t, u, a, b, heis.inv(c)]),
@@ -1506,7 +1555,7 @@ def test_finite_product_without_relators_walks_every_factor():
     s3_tu = PermutationGroup(3, ["t", "u"], [[1, 0, 2], [1, 2, 0]])
     backend = DirectProduct([s3_tu, DirectProduct([CyclicGroup(4, ["x"]),
                                                    CyclicGroup(2, ["y"])])])
-    t, u, x, y = map(backend.gen, range(4))
+    t, u, x, y = backend.gens
     a = Automorphism(backend, "f", [t, u, x, backend.mul(x, y)],
                      [t, u, x, backend.mul(backend.inv(x), y)])
     with pytest.raises(NotAnAutomorphism, match="^'f': images break multiplicativity at "):
@@ -1535,7 +1584,7 @@ def random_words(f, rng, count=150):
     for _ in range(count):
         g = f.identity
         for _ in range(rng.randint(0, 8)):
-            g = f.mul(g, f.power(f.gen(rng.randrange(f.rank)), rng.choice((1, 2, 4, -1, -3))))
+            g = f.mul(g, f.power(f.gens[rng.randrange(f.rank)], rng.choice((1, 2, 4, -1, -3))))
         words.update(g[:i] for i in range(len(g) + 1))
     return sorted(words)
 
@@ -1559,14 +1608,18 @@ def test_signed_permutation_maps_match_oracle(rank, count):
         ab = compose(a, b)
         assert [ab.apply(g) for g in words] == [a.apply(b.apply(g)) for g in words]
     closed = close_automorphisms(auts)
-    assert closed.order == count
+    assert len(closed) == count
     assert_compiled_matches_oracle(f, closed)
 
 
 def test_generator_images_compile_to_the_identity():
+    """verify installs the identity map for generator images on every kind."""
     f = FreeGroup(2)
-    word = f.mul(f.gen(0), f.inv(f.gen(1)))
-    assert f.homomorphism([f.gen(0), f.gen(1)])([word])[0] is word
+    word = f.mul(f.gens[0], f.inv(f.gens[1]))
+    assert Automorphism(f, "id", f.gens, f.gens).verify().apply(word) is word
+    for backend in all_backends():
+        ident = Automorphism(backend, "id", backend.gens, backend.gens).verify()
+        assert ident.forward is groups._identity, backend.kind
 
 
 @pytest.mark.parametrize("images,generator", [
@@ -1582,10 +1635,10 @@ def test_other_images_take_the_reduction_path(images, generator):
     words = random_words(f, random.Random(5)) + [f.evaluate(((1, 1), (0, -1), (1, -1), (0, 1)))]
     assert_map_matches_oracle(f, images, words)
     if generator is None:  # an automorphism that is no signed permutation
-        Automorphism(f, "a", images, [f.evaluate(((1, -1), (0, 1))), f.gen(1)]).verify()
+        Automorphism(f, "a", images, [f.evaluate(((1, -1), (0, 1))), f.gens[1]]).verify()
         return
     with pytest.raises(NotAnAutomorphism) as exc:
-        Automorphism(f, "a", images, [f.gen(0), f.gen(1)]).verify()
+        Automorphism(f, "a", images, [f.gens[0], f.gens[1]]).verify()
     assert str(exc.value) == f"'a': inverse images do not invert on generator {generator}"
 
 
@@ -1631,13 +1684,13 @@ def test_letter_strings_match_the_syllable_oracle(rank):
         for k in range(-3, 4):
             repeated = functools.reduce(f.mul, [g if k > 0 else f.inv(g)] * abs(k), f.identity)
             assert f.factor(f.power(g, k)) == f.factor(repeated) == syllable_power(word, k)
-    steps = [f.gen(i) for i in range(rank)] + [f.inv(f.gen(i)) for i in range(rank)] + [
+    steps = [f.gens[i] for i in range(rank)] + [f.inv(f.gens[i]) for i in range(rank)] + [
         f.identity, *elements[:6]]
     step_words = [f.factor(h) for h in steps]
     expected = [free_reduced(f.factor(g), h) for g in elements for h in step_words]
     assert list(map(f.factor, f.products(elements, steps))) == expected
     assert [f.factor(f.mul(g, h)) for g in elements for h in steps] == expected
-    # the three homomorphism paths: the identity, one translate, substitution
+    # the two homomorphism paths: one translate, for the identity too, and substitution
     letters = list(range(rank))
     rng.shuffle(letters)
     flips = [((letters[i], -1 if i == 0 else rng.choice((1, -1))),) for i in range(rank)]
@@ -1645,8 +1698,7 @@ def test_letter_strings_match_the_syllable_oracle(rank):
     for images, path in (([((i, 1),) for i in range(rank)], "identity"),
                          (flips, "translate"), (substitution, "substitution")):
         image = f.homomorphism([f.evaluate(w) for w in images])
-        assert image is groups._identity if path == "identity" else (
-            (image.__name__ == "translated") == (path == "translate"))
+        assert (image.__name__ == "translated") == (path != "substitution")
         assert list(map(f.factor, image(elements))) == [
             substituted(free_reduced(word, ()), images) for word in words], path
 
@@ -1655,7 +1707,7 @@ def test_power_refuses_a_word_over_the_letter_limit():
     """A power is formed only when its reduced word has at most
     DEFAULT_BUDGET letters: k|c| + 2|u| for g = u c u^-1."""
     f = FreeGroup(2)
-    g1, conjugate = f.gen(0), f.evaluate(((1, 1), (0, 1), (1, -1)))
+    g1, conjugate = f.gens[0], f.evaluate(((1, 1), (0, 1), (1, -1)))
     assert len(f.power(g1, -groups.DEFAULT_BUDGET)) == groups.DEFAULT_BUDGET
     assert len(f.power(conjugate, groups.DEFAULT_BUDGET - 2)) == groups.DEFAULT_BUDGET
     zf = DirectProduct([CyclicGroup(3, ["h"]), f])
@@ -1679,7 +1731,7 @@ def signed_permutation_images(z):
     k = z.rank
     for perm in itertools.permutations(range(k)):
         for signs in itertools.product((1, -1), repeat=k):
-            yield [z.power(z.gen(perm[i]), signs[i]) for i in range(k)]
+            yield [z.power(z.gens[perm[i]], signs[i]) for i in range(k)]
 
 
 # matrices that are no signed permutation, so they keep the linear map
@@ -1702,7 +1754,7 @@ def test_free_abelian_maps_match_the_linear_map(rank):
 @pytest.mark.parametrize("name", ["z_pm1", "z2_swap", "z2_pm1", "z3_shift", "z2_dihedral"])
 def test_free_abelian_instances_apply_index_maps(every_instance, name):
     auts = every_instance[name].auts
-    z = auts.backend
+    z = auts[0].backend
     vectors = random_vectors(z.rank, random.Random(name))
     for a in auts:
         assert [a.apply(g) for g in vectors] == [linear_map(a.images, g) for g in vectors]

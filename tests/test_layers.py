@@ -134,7 +134,7 @@ ENUMERATIONS = {
              lambda table: table.ball_sizes[-1]),
     "lengths": (lambda budget: lengths(NAT, [2, 3], [9], budget=budget),
                 lambda found: ball(NAT, [2, 3], NAT.unit, found[0]).ball_sizes[-1]),
-    "monoid_balls": (lambda budget: monoid_balls(F2, [F2.gen(0), F2.gen(1)], 4, budget=budget),
+    "monoid_balls": (lambda budget: monoid_balls(F2, [F2.gens[0], F2.gens[1]], 4, budget=budget),
                      lambda table: table.ball_sizes[-1]),
     "power_table": (lambda budget: power_table(NAT, 1, 6, budget=budget),
                     lambda table: table.bstar_sizes[-1]),

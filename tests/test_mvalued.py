@@ -17,6 +17,7 @@ from mvgroups.groups import (
     FreeAbelianGroup,
     FreeGroup,
     PermutationGroup,
+    SemidirectProduct,
     close_automorphisms,
     monoid_balls,
 )
@@ -29,6 +30,7 @@ from mvgroups.mvalued import (
     OrbitGroup,
     check_axioms,
 )
+from mvgroups import groups, wordspec
 from mvgroups.wordspec import build_instance, load_instance, parse_config
 
 from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, KINDS, ORBIT, PATHS,
@@ -100,6 +102,10 @@ def test_associativity_failure_produces_witness():
     x, y, z = report.associativity_witness
     X = _BrokenAt()
     assert triple_product_left(X, x, y, z) != triple_product_right(X, x, y, z)
+    assert report.to_text(render=lambda x: f"<{x}>").splitlines() == [
+        "FAIL associativity triples=23 witness=(<1>, <1>, <2>)",
+        "PASS unit elements=4",
+        "FAIL inverse elements=4 witness=<2>"]
 
 
 def test_check_axioms_inserts_unit():
@@ -319,7 +325,7 @@ def test_coset_project_matches_orbit_min_oracle(every_instance, name):
     if backend.is_finite():
         elements = list(backend.elements())
     else:
-        gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+        gens = list(backend.gens)
         monoid = monoid_balls(backend, gens + [backend.inv(g) for g in gens], 4)
         elements = [a.apply(g) for g in itertools.chain.from_iterable(monoid.sphere_sets)
                     for a in X.auts]
@@ -392,7 +398,7 @@ def test_coset_balls_make_no_automorphism_apply_call(monkeypatch):
 def s4_transposition_auts(cls=PermutationGroup):
     """The automorphisms of S4 that conjugation by the transposition t generates."""
     backend = s4_backend(cls)
-    gens = [backend.gen(i) for i in range(2)]
+    gens = list(backend.gens[:2])
     t = gens[0]
     images = [backend.mul(backend.mul(t, g), t) for g in gens]
     return close_automorphisms([Automorphism(backend, "conj", images, images).verify()])
@@ -401,7 +407,7 @@ def s4_transposition_auts(cls=PermutationGroup):
 def s4_transposition_coset(cls=PermutationGroup):
     """The coset group of S4 under conjugation by the transposition t."""
     auts = s4_transposition_auts(cls)
-    return CosetGroup(auts.backend, auts)
+    return CosetGroup(auts[0].backend, auts)
 
 
 def record_forwards(auts, calls):
@@ -414,6 +420,35 @@ def record_forwards(auts, calls):
     return auts
 
 
+def test_building_a_coset_instance_composes_no_automorphisms(monkeypatch):
+    """A composition batch is an automorphism's compiled map called on
+    another's image tuple.  Loading z2_dihedral (|A| = 8) makes only the
+    closure's, each automorphism stepped once by each seed; its semidirect
+    product, which alone reads a composition table, makes |A|^2 more."""
+    batches = []
+
+    class Recorded(Automorphism):
+        @property
+        def forward(self):
+            return self._forward
+
+        @forward.setter
+        def forward(self, batch_map):
+            self._forward = lambda gs: batches.append(gs) or batch_map(gs)
+
+    for module in (groups, wordspec):
+        monkeypatch.setattr(module, "Automorphism", Recorded)
+    instance = load_instance(PATHS["z2_dihedral"])
+    auts, seeds = instance.auts, instance.config.automorphisms
+    images = {id(a.images) for a in auts}
+    composing = [gs for gs in batches if id(gs) in images]
+    assert (len(auts), len(seeds)) == (8, 2)
+    assert len(composing) == len(auts) * len(seeds)
+    batches.clear()
+    SemidirectProduct(instance.backend, auts)
+    assert len([gs for gs in batches if id(gs) in images]) == len(auts) ** 2
+
+
 def test_finite_coset_project_folds_its_twists_without_keys():
     class Counting(PermutationGroup):
         keys = 0
@@ -424,7 +459,7 @@ def test_finite_coset_project_folds_its_twists_without_keys():
 
     twists = []
     auts = record_forwards(s4_transposition_auts(Counting), twists)
-    X = CosetGroup(auts.backend, auts)
+    X = CosetGroup(auts[0].backend, auts)
     backend = X.backend
     backend.keys = 0
     twists.clear()
@@ -432,7 +467,7 @@ def test_finite_coset_project_folds_its_twists_without_keys():
     for g in elements:
         X.project(g)
     # a batch of one: each twist besides the identity once, and no key
-    assert (backend.keys, len(twists)) == (0, (X.auts.order - 1) * len(elements))
+    assert (backend.keys, len(twists)) == (0, (len(X.auts) - 1) * len(elements))
     carrier = X.carrier()
     # conjugation by t fixes the 4 elements of its centralizer and pairs the other 20
     assert len(carrier) == 14
@@ -453,7 +488,7 @@ def test_fibonacci_instances_satisfy_their_cyclic_presentations(every_instance, 
     instance = every_instance[name]
     backend, (shift,) = instance.backend, instance.config.automorphisms
     # x_0 is the first generator and x_{i+1} the shift's image of x_i
-    xs = [backend.gen(0)]
+    xs = [backend.gens[0]]
     for _ in range(m):
         xs.append(shift.apply(xs[-1]))
     assert xs[m] == xs[0] and len(set(xs[:m])) == m
@@ -469,7 +504,7 @@ def test_fibonacci_instances_satisfy_their_cyclic_presentations(every_instance, 
 def test_double_coset_rejects_infinite_backend():
     f = FreeGroup(2)
     with pytest.raises(InfiniteBackendUnsupported):
-        DoubleCosetGroup(f, [f.gen(0)])
+        DoubleCosetGroup(f, [f.gens[0]])
 
 
 def test_class_elements_order_and_hash():
@@ -611,14 +646,14 @@ def test_check_axioms_twists_each_right_factor_once():
     inverse, once by each twist but the identity."""
     twists = []
     auts = record_forwards(s4_transposition_auts(), twists)
-    X = CosetGroup(auts.backend, auts)
+    X = CosetGroup(auts[0].backend, auts)
     carrier = X.carrier()  # sorting it forms each class's orbit for its key
     twists.clear()
     counting = CountingMv(X)
     assert check_axioms(counting, carrier).all_ok
     formed = Counter(twists)
     rights = {y for _, y in counting.calls}
-    moves = [a for i, a in enumerate(X.auts) if i != X.auts.identity_index]
+    moves = [a for a in X.auts if a.images != X.backend.gens]
     projected = [*map(X.backend.inv, carrier),
                  *(X.backend.mul(x, a.apply(y)) for x, y in counting.calls for a in X.auts)]
     assert formed == Counter(itertools.product(X.auts, rights)) + Counter(

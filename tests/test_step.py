@@ -350,7 +350,7 @@ def test_coset_group_of_the_trivial_automorphism_group_is_g(backend):
     returns its batch as a list, and a ball is the Cayley ball of G."""
     X = CosetGroup(backend, close_automorphisms([identity_automorphism(backend)]))
     assert (X.n, X._moves) == (1, [])
-    gens = [backend.gen(i) for i in range(len(backend.gen_names))]
+    gens = list(backend.gens)
     gens += list(map(backend.inv, gens))
     gs = tuple(backend.products(gens, gens))
     assert X.project_all(gs) == list(gs)

@@ -110,7 +110,7 @@ def test_parse_word_matches_the_scanner(texts):
 def test_evaluate_word():
     f = FreeGroup(2)
     g = evaluate_word(f, parse_word("g1*g2^-1"))
-    assert g == f.mul(f.gen(0), f.inv(f.gen(1)))
+    assert g == f.mul(f.gens[0], f.inv(f.gens[1]))
     with pytest.raises(UnknownGenerator):
         evaluate_word(f, parse_word("g3"))
 
