@@ -18,11 +18,12 @@ class InverseMissing(MvGroupsError):
 
 
 class BudgetExceeded(MvGroupsError):
-    """An enumeration reached more than `budget` distinct elements."""
+    """An enumeration reached, or a table would hold, more than `budget`
+    of what it counts: distinct elements unless `what` names them."""
 
-    def __init__(self, budget, radius=None):
+    def __init__(self, budget, radius=None, what="distinct elements"):
         where = "" if radius is None else f" reached by radius {radius}"
-        super().__init__(f"more than {budget} distinct elements{where}")
+        super().__init__(f"more than {budget} {what}{where}")
         self.budget = budget
         self.radius = radius
 

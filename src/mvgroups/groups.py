@@ -4,19 +4,21 @@ A backend is a finitely generated group with computable multiplication,
 inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples, strings); the
 backend object carries the operations and ``gens``, the tuple of its
-declared generators, set once at construction; ``products`` batches ``mul``
-over a layer: the scalar loop by default, column by column on Z^k, one
-list display on the Heisenberg group.  A free-group word is a string of
-letters, so a product concatenates and cancels at the seam; a direct
-product splits a layer into factor columns and runs each factor's own
-batch on its column; a semidirect product twists each step once per
-automorphism index.  A canonical key is an int or a tuple whose native
-order is the canonical order: integers rank 0 < 1 < -1 < 2 < -2 < ...,
-vectors compare componentwise in that rank, and free words compare fewer
-syllables first, then syllable by syllable.  Keys give the order elements
-print in, so only output paths form them.  Z^k and the Heisenberg group
-share one integer-vector constructor: the rank and name checks (the free
-group's too), identity, generators, rendering and keys.
+declared generators, set once at construction; each backend's own
+``products`` batches ``mul`` over a layer: column by column on Z^k, one
+list display on the Heisenberg group, one ``itemgetter`` per left factor
+on a permutation group, a table row read by ``map`` on a table group.  A
+free-group word is a string of letters, so a product concatenates and
+cancels at the seam; a direct product splits a layer into factor columns
+and runs each factor's own batch on its column; a semidirect product
+twists each step once per automorphism index.  A canonical key is an
+int or a tuple whose native order is the canonical order: integers rank
+0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank,
+and free words compare fewer syllables first, then syllable by syllable.
+Keys give the order elements print in, so only output paths form them.
+Z^k and the Heisenberg group share one integer-vector constructor: the
+rank and name checks (the free group's too), identity, generators,
+rendering and keys.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -196,10 +198,6 @@ class GroupBackend:
         """The element itself: non-negative ints and equal-length tuples of
         them already sort canonically."""
         return g
-
-    def products(self, gs: Sequence[Any], hs: Sequence[Any]) -> List[Any]:
-        """[mul(g, h) for g in gs for h in hs], element-major, as one batch."""
-        return list(itertools.starmap(self.mul, itertools.product(gs, hs)))
 
     def render(self, g) -> str:
         raise NotImplementedError
@@ -650,6 +648,12 @@ class PermutationGroup(GroupBackend):
     def mul(self, g, h):
         return tuple([h[i] for i in g])
 
+    def products(self, gs, hs):
+        """[mul(g, h) for g in gs for h in hs], g-major: each h read through
+        one ``itemgetter`` per g.  A getter of one point returns the point,
+        not a tuple; on Sym(1), whose one element is (0,), g*h is h."""
+        return [p for g in gs for p in map(operator.itemgetter(*g) if len(g) > 1 else tuple, hs)]
+
     def inv(self, g):
         out = [0] * self.degree
         for i, image in enumerate(g):
@@ -812,6 +816,10 @@ class FiniteTableGroup(GroupBackend):
 
     def mul(self, g, h):
         return self.table[g][h]
+
+    def products(self, gs, hs):
+        """[mul(g, h) for g in gs for h in hs], g-major: g's row read by ``map``."""
+        return [p for g in gs for p in map(self.table[g].__getitem__, hs)]
 
     def inv(self, g):
         return self.table[g].index(self.identity_index)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
@@ -234,17 +235,17 @@ class DoubleCosetGroup(OrbitGroup):
         if not backend.is_finite():
             raise InfiniteBackendUnsupported(
                 "double coset groups are implemented for finite backends only")
-        mul = backend.mul
         self.subgroup = H = list(backend._close(subgroup))
         # g -> its class, and class -> HgH, formed as its distinct left cosets
-        # (h g)H: |H| + |HgH| products; raises once > `budget` G-elements are filed
+        # (h g)H in ``products`` batches: |H| + |HgH| products; raises once
+        # > `budget` G-elements are filed
         classes, members = {}, {}
         for g in backend.elements():
             if g not in classes:
                 group = set()
-                for left in [mul(h1, g) for h1 in H]:
+                for left in backend.products(H, [g]):
                     if left not in group:
-                        group.update([mul(left, h2) for h2 in H])
+                        group.update(backend.products([left], H))
                 least = min(group)
                 members[least] = group
                 classes.update(dict.fromkeys(group, least))
@@ -306,14 +307,34 @@ class AxiomReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _primes(count: int) -> List[int]:
+    """The first `count` primes, by an all-integer sieve of Eratosthenes,
+    its length doubled until it holds them."""
+    sieve = bytearray(2)
+    while sum(sieve) < count:
+        sieve = bytearray([0, 0]) + bytearray([1]) * (2 * len(sieve) - 2)
+        for p in filter(sieve.__getitem__, range(math.isqrt(len(sieve)) + 1)):
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    return list(itertools.compress(range(len(sieve)), sieve))[:count]
+
+
 def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     """Verify associativity / unit / inverse on the sample; failures carry witnesses.
 
-    Each pair read is formed once, one ``X.products`` batch per sample row
-    or column, as sorted value ids: the table of the sample classes, then
-    x*w and w*z (at w's id) for the classes w it adds.  x*(y*z) is sorted
-    once per (x, y*z), (x*y)*z once per (x*y, z), and only a row over z
-    where they differ is scanned: witness and triples are the plain loop's.
+    Each class met gets an id, each id its own prime, and a multiset of
+    ids the product of their primes as its code: by unique factorization
+    two codes are equal exactly when the multisets are.  Each pair read is
+    formed once, as the code of its n values: the table of the sample
+    classes, one ``X.products`` batch per row, then x*w and w*z for the
+    classes w it adds, in one batch each.  The code of x*P, for a distinct
+    table entry P, is the product of the codes of x*w over w in P, and so
+    is that of P*z; associativity compares rows of these ints over z, and
+    only a row where they differ is scanned: witness and triples are the
+    plain loop's.  x passes the unit axiom when x*e and e*x code p_x^n,
+    and the inverse axiom when the unit's prime divides the codes of
+    x*inv(x) and inv(x)*x.  Raises BudgetExceeded before any product is
+    formed when the N sample classes' pair table, N^2 entries, would hold
+    more than DEFAULT_BUDGET.
     """
     sample = list(sample)
     if not sample:
@@ -323,27 +344,31 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     ids = _Memo(lambda c, count=itertools.count(): next(count))  # sample classes first
     n, row = X.n, list(map(ids.__getitem__, sample))
     classes, unit = list(ids), ids[X.unit]
+    if len(classes) ** 2 > DEFAULT_BUDGET:
+        raise BudgetExceeded(DEFAULT_BUDGET, what="entries in the axiom pair table")
 
-    def sorted_ids(values):  # each n values as the sorted tuple of their ids
-        return list(map(tuple, map(sorted, zip(*[map(ids.__getitem__, values)] * n))))
+    def prods(values, keys):  # the product of values[k] over each n keys k in turn
+        return list(map(math.prod, zip(*[map(values.__getitem__, keys)] * n)))
 
-    def unions(line):  # per distinct table entry P, the sorted union of line[w] over w in P
-        return list(map(sorted, map(itertools.chain, *[map(line.__getitem__, flat)] * n)))
-
-    table = [sorted_ids(X.products([x], classes)) for x in classes]
-    added = list(ids)[len(classes):]
+    table = [list(map(ids.__getitem__, X.products([x], classes))) for x in classes]
     bars = [(xb, ids.get(xb)) for xb in map(X.inv, classes)]  # no id: x*inv(x) is formed alone
-    lefts = [line + sorted_ids(X.products([x], added)) for x, line in zip(classes, table)]
-    rights = [[*col, *sorted_ids(X.products(added, [z]))] for z, col in zip(classes, zip(*table))]
-    entries = dict(zip(dict.fromkeys(itertools.chain(*table)), itertools.count()))
-    flat, cells = list(itertools.chain(*entries)), [[entries[t[i]] for i in row] for t in table]
-    left, by_z = list(map(unions, lefts)), list(map(unions, rights))  # x*P, and P*z
+    added = list(ids)[len(classes):]
+    xw, wz = [list(map(ids.__getitem__, X.products(*p)))
+              for p in [(classes, added), (added, classes)]]
+    primes = _primes(len(ids))
+    *codes, xw, wz = [prods(primes, line) for line in (*table, xw, wz)]  # a code per pair
+    lefts = [line + xw[i * len(added):(i + 1) * len(added)] for i, line in enumerate(codes)]
+    rights = [[*col, *wz[i::len(classes)]] for i, col in enumerate(zip(*codes))]
+    members = {c: line[j * n:j * n + n] for t, line in zip(codes, table) for j, c in enumerate(t)}
+    entries, flat = dict(zip(members, itertools.count())), list(itertools.chain(*members.values()))
+    cells = [[entries[t[i]] for i in row] for t in codes]
+    left, by_z = [prods(line, flat) for line in lefts], [prods(line, flat) for line in rights]
     right = list(map(list, zip(*map(by_z.__getitem__, row))))  # Q -> its row over z
-    inverses = [unit in lefts[i][k] and unit in rights[i][k] if k is not None else
-                X.unit in X.products([x], [xb]) and X.unit in X.products([xb], [x])
+    inverses = [lefts[i][k] % primes[unit] == 0 == rights[i][k] % primes[unit] if k is not None
+                else X.unit in X.products([x], [xb]) and X.unit in X.products([xb], [x])
                 for i, (x, (xb, k)) in enumerate(zip(classes, bars))]
     unit_witness = next((x for x, i in zip(sample, row)
-                         if not table[unit][i] == table[i][unit] == (i,) * n), None)
+                         if not codes[unit][i] == codes[i][unit] == primes[i] ** n), None)
     inverse_witness = next((x for x, i in zip(sample, row) if not inverses[i]), None)
     size, witness, triples = len(sample), None, len(sample) ** 3
     for a, b in itertools.product(range(size), repeat=2):

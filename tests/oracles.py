@@ -316,10 +316,11 @@ def reference_check_axioms(X, sample):
 
 
 def cli_sample(instance):
-    """The sample `mvgroups axioms` checks by default."""
+    """The sample `mvgroups axioms` checks by default: the unit and
+    --sample 10 more."""
     if instance.backend is None:
         return list(range(11))
-    return sample_elements(instance, limit=10)
+    return sample_elements(instance, limit=11)
 
 
 def compose(a, b):

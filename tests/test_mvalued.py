@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mvgroups.cayley import ball, power_table
 from mvgroups.dynamics import iterate_dynamic
-from mvgroups.errors import InfiniteBackendUnsupported, ValidationError
+from mvgroups.errors import BudgetExceeded, InfiniteBackendUnsupported, ValidationError
 from mvgroups.groups import (
     Automorphism,
     FreeAbelianGroup,
@@ -28,9 +28,10 @@ from mvgroups.mvalued import (
     MvGroup,
     NatGroup,
     OrbitGroup,
+    _primes,
     check_axioms,
 )
-from mvgroups import groups, wordspec
+from mvgroups import groups, mvalued, wordspec
 from mvgroups.wordspec import build_instance, load_instance, parse_config
 
 from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, KINDS, ORBIT, PATHS,
@@ -638,6 +639,41 @@ def test_check_axioms_matches_reference_on_arbitrary_tables(data):
     counting = CountingMv(X)
     assert check_axioms(counting, sample) == reference_check_axioms(X, sample)
     assert set(counting.calls.values()) <= {1}
+
+
+def trial_division_primes(count):
+    """The first `count` primes, each k tried against the primes up to sqrt(k)."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in itertools.takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_primes_match_trial_division():
+    """The sieve's first k primes, for k <= 3,000: every k up to 100, and
+    on each side of every count at which the sieve doubles its length."""
+    expected = trial_division_primes(3000)
+    assert expected[-1] == 27449
+    fills = [sum(p < 2**j for p in expected) for j in range(2, 15)]  # primes under 2^j
+    for k in sorted({*range(101), *fills, *(c + 1 for c in fills), 3000}):
+        assert _primes(k) == expected[:k], k
+
+
+def test_the_axiom_pair_table_is_capped_by_the_budget(monkeypatch):
+    """N sample classes make N^2 pairs: over the default budget, the check
+    refuses before it forms a product; at the cap it runs."""
+    X = CountingMv(NatGroup())
+    with pytest.raises(BudgetExceeded) as exc:
+        check_axioms(X, range(1001))
+    assert str(exc.value) == "more than 1000000 entries in the axiom pair table"
+    assert X.calls == Counter()
+    monkeypatch.setattr(mvalued, "DEFAULT_BUDGET", 16)  # the boundary, on 4 classes
+    with pytest.raises(BudgetExceeded):
+        check_axioms(X, range(5))
+    assert X.calls == Counter()
+    assert check_axioms(X, range(4)) == reference_check_axioms(NatGroup(), range(4))
 
 
 def test_check_axioms_twists_each_right_factor_once():

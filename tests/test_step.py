@@ -182,7 +182,7 @@ def test_z2_swap_growth_takes_one_orbit_minimum_per_distinct_miss():
 def counted_hooks(backend):
     """Count calls of the backend's batch hook `products`, with their sizes,
     and of its scalar `mul` and `canonical_key`; the counters wrap the
-    instance attributes, so a default hook's own scalar calls count too.
+    instance attributes, so a hook's own scalar calls count too.
     No backend has a `keys` batch: walks form no canonical key."""
     assert not hasattr(backend, "keys")
     calls = {name: [] for name in ("products", "mul", "canonical_key")}
