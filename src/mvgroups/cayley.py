@@ -23,10 +23,11 @@ classes.
 
 Power supports are the iterates of T_x from x (``dynamic_supports``), which
 are not pruned: Set(x^{*r}) may contain elements of earlier powers.
-Every enumeration here raises BudgetExceeded once more than `budget`
-distinct elements have been reached.  A walk reports each layer through an
-optional ``on_layer(r, size)`` and reads no clock: ``--stats`` in the CLI
-stamps the reports.
+Every enumeration here takes the command's ``Budget`` and names itself to
+it: it overruns once more than the budget's limit of distinct elements
+have been reached, and reports each layer to the budget's observer under
+its name.  No walk reads a clock: ``--stats`` in the CLI stamps the
+reports of the walk its command prints.
 
 No walk compares elements: spheres keep discovery order, and supports and
 set products are unordered tuples, since the growth functions count them.
@@ -37,11 +38,15 @@ where it prints it.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import BudgetExceeded, NotReachedWithinCap, ValidationError
-from .groups import DEFAULT_BUDGET, GrowthTable, growth_table, layers
+from .errors import ValidationError
+from .groups import Budget, GrowthTable, growth_table, layers
 from .mvalued import MvGroup
+
+# the names the walks here report and overrun under
+BALL, LENGTHS, SUPPORTS, POWERS = ("the ball of X", "the length search of X",
+                                   "the supports of T_z", "the power supports of x")
 
 
 class PowerTable(NamedTuple):
@@ -58,28 +63,27 @@ class PowerTable(NamedTuple):
     set_powers: List[Tuple[Any, ...]]
 
 
-def ball(X: MvGroup, gens: Sequence[Any], x, radius: int, budget: int = DEFAULT_BUDGET,
-         on_layer: Optional[Callable[[int, int], Any]] = None) -> GrowthTable:
+def ball(X: MvGroup, gens: Sequence[Any], x, radius: int,
+         budget: Budget = Budget()) -> GrowthTable:
     """B(x, 0..radius) via support BFS; S(x, 0) = {x}, and each sphere in
-    the order ``layers`` discovers it, which calls `on_layer` as each
-    sphere is completed."""
+    the order ``layers`` discovers it, which reports each sphere as BALL."""
     if not gens:
         raise ValidationError("ball BFS needs a nonempty generating set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    return growth_table(x, radius, layers([x], X.step(gens), budget, on_layer))
+    return growth_table(x, radius, layers([x], X.step(gens), budget, BALL))
 
 
 def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 64,
-            budget: int = DEFAULT_BUDGET) -> List[int]:
+            budget: Budget = Budget()) -> List[int]:
     """The length of each target, from one BFS: the least m with the target
     in the support of some m-fold generator product.
 
-    The unit has length 0 (empty product).  Raises NotReachedWithinCap
+    The unit has length 0 (empty product).  Raises ValidationError
     naming the first target not reached within the radius cap.
     """
     found, wanted = {}, set(targets)
-    spheres = layers([X.unit], X.step(gens), budget)
+    spheres = layers([X.unit], X.step(gens), budget, LENGTHS)
     for r, layer in enumerate(itertools.islice(spheres, cap + 1)):
         found.update(dict.fromkeys(wanted.intersection(layer), r))
         wanted.difference_update(found)
@@ -87,46 +91,42 @@ def lengths(X: MvGroup, gens: Sequence[Any], targets: Sequence[Any], cap: int = 
             break
     for x in targets:
         if x not in found:
-            raise NotReachedWithinCap(
+            raise ValidationError(
                 f"element {X.render(x)} not reached within radius cap {cap}")
     return [found[x] for x in targets]
 
 
-def dynamic_supports(X: MvGroup, z, y, budget: int = DEFAULT_BUDGET,
-                     on_layer: Optional[Callable[[int, int], Any]] = None
-                     ) -> Iterator[Tuple[Any, ...]]:
+def dynamic_supports(X: MvGroup, z, y, budget: Budget = Budget(), name: str = SUPPORTS,
+                     first: int = 0) -> Iterator[Tuple[Any, ...]]:
     """Set(T_z^r(y)) for r = 0, 1, ..., each an unordered tuple: T_z sends
     u to u * z.
 
     Unlike ``layers`` nothing is pruned, because xi counts elements that
-    recur.  Raises BudgetExceeded once more than `budget` distinct elements
-    have been reached.  `on_layer` is ``layers``' callback: it gets (r,
-    size) of each support within the budget, before it is yielded.  Like
+    recur.  The walk `name` overruns at row r once more than the budget's
+    limit of distinct elements have been reached.  Each support within the
+    budget is reported as row r + `first`, before it is yielded.  Like
     ``layers``, the walk reads no clock.
     """
     support, reached, r = (y,), set(), 0
     step = X.step([z])
     while True:
         reached.update(support)
-        if len(reached) > budget:
-            raise BudgetExceeded(budget, r)
-        if on_layer:
-            on_layer(r, len(support))
+        budget.check(name, len(reached), r)
+        budget.layer(name, r + first, len(support))
         yield support
         support = tuple(set(step(support)))
         r += 1
 
 
-def power_table(X: MvGroup, x, radius: int, budget: int = DEFAULT_BUDGET,
-                on_layer: Optional[Callable[[int, int], Any]] = None) -> PowerTable:
+def power_table(X: MvGroup, x, radius: int, budget: Budget = Budget()) -> PowerTable:
     """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x,
-    unordered; each sphere S*(x, r) keeps the order of its support.
-    `on_layer` gets (r, |Set(x^{*r})|) for r = 1, 2, ..., the walk's r
-    shifted by one."""
+    unordered; each sphere S*(x, r) keeps the order of its support.  The
+    walk is POWERS, and it reports (r, |Set(x^{*r})|) for r = 1, 2, ...;
+    an overrun names the walk's own row, r - 1."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    shifted = on_layer and (lambda r, size: on_layer(r + 1, size))
-    set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget, shifted), radius))
+    set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget, POWERS, 1),
+                                              radius))
     sstar_sets: List[Tuple[Any, ...]] = []
     cumulative = set()
     for support in set_powers:
@@ -156,7 +156,7 @@ class CompareReport(NamedTuple):
 
 
 def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any],
-                            y2, r_max: int, budget: int = DEFAULT_BUDGET) -> CompareReport:
+                            y2, r_max: int, budget: Budget = Budget()) -> CompareReport:
     """Check the growth-equivalence sandwich between (S, e) and (S', y') data.
 
     The constant is l = 1 + max of the four cross-lengths (y' and inv(y')
@@ -175,8 +175,8 @@ def compare_generating_sets(X: MvGroup, gens: Sequence[Any], gens2: Sequence[Any
         cross = (lengths(X, gens, [y2, X.inv(y2), *gens2], r_max, budget)
                  + lengths(X, gens2, gens, r_max, budget))
         l += max(cross)
-    wide = ball(X, gens, X.unit, l * r_max, budget=budget)
-    other = ball(X, gens2, y2, r_max, budget=budget)
+    wide = ball(X, gens, X.unit, l * r_max, budget)
+    other = ball(X, gens2, y2, r_max, budget)
     rows = []
     violations = []
     for r in range(r_max + 1):

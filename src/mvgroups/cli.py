@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 = success / all verdicts pass, 1 = a verdict failed,
-2 = usage or config error, 3 = a BFS budget was exceeded.  Output is
-deterministic for fixed config and flags.
+2 = usage or config error, 3 = an enumeration overran the budget, which
+the one line on stderr names.  Output is deterministic for fixed config
+and flags.
 
 A well-formed command line is parsed straight from the option table in
 `_COMMANDS`; argparse, built from the same table, parses only the rest.
@@ -19,9 +20,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, List, Optional, Sequence
 
-from .cayley import GrowthTable, ball, compare_generating_sets, power_table
+from .cayley import BALL, POWERS, SUPPORTS, GrowthTable, ball, compare_generating_sets, power_table
 from .dynamics import CLASSIFY_MIN_ROWS, bounds_check, classify_growth, iterate_dynamic
 from .errors import BudgetExceeded, MvGroupsError
+from .groups import Budget
 from .mvalued import CosetGroup, MvGroup, check_axioms
 from .verify import SUITES, run_suite, sample_elements
 from .wordspec import Instance, load_instance
@@ -155,21 +157,24 @@ def _elements(args, X: MvGroup, key: str, sets: Sequence[Sequence[Any]]) -> dict
 
 
 @contextlib.contextmanager
-def _stats(args):
-    """The layer callback of --stats, None without it; on the way out, also
-    when the budget stops the walk, its one JSON line goes to stderr: the
-    last radius completed, and each completed layer's size and seconds.
+def _stats(args, budget: Budget, walk: str):
+    """With --stats, the budget's layer observer, which keeps the layers of
+    the enumeration named `walk` alone; on the way out, also when the
+    budget stops a walk, its one JSON line goes to stderr: the last radius
+    completed, and each completed layer's size and seconds.
 
-    This is the one place a walk is timed: each report (r, size) is stamped
-    as it arrives, and a layer's seconds are those since the report before
-    it.  The first layer is the walk's start set, which no step forms, so
-    it reads 0."""
+    This is the one place a walk is timed: each report (r, size) of `walk`
+    is stamped as it arrives, and a layer's seconds are those since the
+    report before it.  The first layer is the walk's start set, which no
+    step forms, so it reads 0."""
     if not args.stats:
-        yield None
+        yield
         return
     done: List[tuple] = []  # (r, size, clock at its report) per completed layer
+    budget.observer = lambda name, r, size: name == walk and done.append(
+        (r, size, time.perf_counter()))
     try:
-        yield lambda r, size: done.append((r, size, time.perf_counter()))
+        yield
     finally:
         stamps = [stamp for _, _, stamp in done]
         layers = [{"r": r, "size": size, "seconds": stamp - before}
@@ -178,9 +183,9 @@ def _stats(args):
                           "layers": layers}), file=sys.stderr)
 
 
-def _cmd_axioms(args, instance: Instance, budget: int) -> int:
+def _cmd_axioms(args, instance: Instance) -> int:
     X = instance.X
-    report = check_axioms(X, sample_elements(instance, limit=args.sample + 1, budget=budget))
+    report = check_axioms(X, sample_elements(instance, args.sample + 1, instance.budget))
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))
     else:
@@ -188,18 +193,18 @@ def _cmd_axioms(args, instance: Instance, budget: int) -> int:
     return 0 if report.all_ok else 1
 
 
-def _cmd_growth(args, instance: Instance, budget: int) -> int:
+def _cmd_growth(args, instance: Instance) -> int:
     X = instance.X
     center = instance.element(args.center) if args.center is not None else X.unit
-    with _stats(args) as on_layer:
-        table = ball(X, instance.x_generators, center, _radius(instance, args.radius), budget,
-                     on_layer)
+    with _stats(args, instance.budget, BALL):
+        table = ball(X, instance.x_generators, center, _radius(instance, args.radius),
+                     instance.budget)
     emit_table(args.format, growth_rows(table), {"center": X.render(table.center)},
                _elements(args, X, "spheres", table.sphere_sets))
     return 0
 
 
-def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
+def _cmd_dynamics(args, instance: Instance) -> int:
     X = instance.X
     steps = _radius(instance, args.steps)
     if args.classify and steps < CLASSIFY_MIN_ROWS - 1:
@@ -211,13 +216,12 @@ def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
     bounds = None
     if args.bounds and not isinstance(X, CosetGroup):
         raise MvGroupsError("--bounds requires a coset instance")
-    with _stats(args) as on_layer:
+    with _stats(args, instance.budget, SUPPORTS):
         if args.bounds:
-            bounds = bounds_check(X, instance.backend_element(args.z), y, steps, budget,
-                                  on_layer=on_layer)
+            bounds = bounds_check(X, instance.backend_element(args.z), y, steps, instance.budget)
             table = bounds.dynamics_table
         else:
-            table = iterate_dynamic(X, z, y, steps, budget, on_layer)
+            table = iterate_dynamic(X, z, y, steps, instance.budget)
 
     if bounds is None:
         rows = [{"r": r, "xi": xi} for r, xi in enumerate(table.xi)]
@@ -241,11 +245,11 @@ def _cmd_dynamics(args, instance: Instance, budget: int) -> int:
     return 0 if bounds is None or bounds.ok else 1
 
 
-def _cmd_powers(args, instance: Instance, budget: int) -> int:
+def _cmd_powers(args, instance: Instance) -> int:
     X = instance.X
     x = instance.element(args.x)
-    with _stats(args) as on_layer:
-        table = power_table(X, x, _radius(instance, args.radius), budget, on_layer)
+    with _stats(args, instance.budget, POWERS):
+        table = power_table(X, x, _radius(instance, args.radius), instance.budget)
     rows = [{"r": r, "bstar": size, "sstar_size": len(sphere)}
             for r, (size, sphere) in enumerate(zip(table.bstar_sizes, table.sstar_sets))]
     emit_table(args.format, rows, {"base": X.render(table.base)},
@@ -253,7 +257,7 @@ def _cmd_powers(args, instance: Instance, budget: int) -> int:
     return 0
 
 
-def _cmd_compare(args, instance: Instance, budget: int) -> int:
+def _cmd_compare(args, instance: Instance) -> int:
     X = instance.X
     if not instance.x_generators:
         raise MvGroupsError("compare needs X_generators")
@@ -263,7 +267,7 @@ def _cmd_compare(args, instance: Instance, budget: int) -> int:
     y2 = instance.element(args.center2) if args.center2 is not None else X.unit
     report = compare_generating_sets(
         X, instance.x_generators, gens2, y2,
-        _radius(instance, args.radius), budget=budget)
+        _radius(instance, args.radius), instance.budget)
     _emit(f"constant l={report.constant}")
     for r, lower, middle, upper in report.rows:
         verdict = "pass" if r not in report.violations else "fail"
@@ -273,8 +277,8 @@ def _cmd_compare(args, instance: Instance, budget: int) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_verify(args, instance: Instance, budget: int) -> int:
-    result = run_suite(args.suite, instance, r_max=args.radius, budget=budget)
+def _cmd_verify(args, instance: Instance) -> int:
+    result = run_suite(args.suite, instance, args.radius, instance.budget)
     _emit(result.render())
     return 0 if result.ok else 1
 
@@ -319,8 +323,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code else 0
     try:
         instance = load_instance(args.config, args.budget)
-        budget = instance.config.default_budget if args.budget is None else args.budget
-        return _COMMANDS[args.command][2](args, instance, budget)
+        return _COMMANDS[args.command][2](args, instance)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

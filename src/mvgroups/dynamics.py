@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InsufficientData, PreconditionViolated, ValidationError
-from .groups import DEFAULT_BUDGET, GrowthTable, monoid_balls, orbit
+from .errors import ValidationError
+from .groups import Budget, GrowthTable, monoid_balls, orbit
 from .cayley import dynamic_supports, power_table
 from .mvalued import CosetGroup, MvGroup
 
@@ -33,12 +33,11 @@ class DynamicsTable(NamedTuple):
     xi: List[int]
 
 
-def iterate_dynamic(X: MvGroup, z, y, radius: int, budget: int = DEFAULT_BUDGET,
-                    on_layer: Optional[Callable[[int, int], Any]] = None) -> DynamicsTable:
-    """Rows 0..radius of ``dynamic_supports``, which calls `on_layer` per row."""
+def iterate_dynamic(X: MvGroup, z, y, radius: int, budget: Budget = Budget()) -> DynamicsTable:
+    """Rows 0..radius of ``dynamic_supports``, which reports each row."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    supports = list(itertools.islice(dynamic_supports(X, z, y, budget, on_layer), radius + 1))
+    supports = list(itertools.islice(dynamic_supports(X, z, y, budget), radius + 1))
     return DynamicsTable(z, y, radius, supports, [len(s) for s in supports])
 
 
@@ -56,14 +55,13 @@ class BoundsReport(NamedTuple):
         return all(self.verdicts)
 
 
-def bounds_check(X: CosetGroup, g, y, r_max: int, budget: int = DEFAULT_BUDGET,
-                 monoid: Optional[GrowthTable] = None,
-                 on_layer: Optional[Callable[[int, int], Any]] = None) -> BoundsReport:
+def bounds_check(X: CosetGroup, g, y, r_max: int, budget: Budget = Budget(),
+                 monoid: Optional[GrowthTable] = None) -> BoundsReport:
     """Monoid-ball sandwich for z = pi(g): monoid of the A-orbit of g vs xi_y.
     `monoid`, if given, is that monoid's table to radius r_max, which no y
-    changes; `on_layer` is iterate_dynamic's."""
-    mb = monoid or monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
-    dt = iterate_dynamic(X, X.project(g), y, r_max, budget, on_layer)
+    changes."""
+    mb = monoid or monoid_balls(X.backend, orbit(X.auts, g), r_max, budget)
+    dt = iterate_dynamic(X, X.project(g), y, r_max, budget)
     rows = [(r, Fraction(sphere, X.n), xi, upper) for r, (sphere, xi, upper)
             in enumerate(zip(mb.sphere_sizes(), dt.xi, mb.ball_sizes))]
     verdicts = [lower <= xi <= upper for _, lower, xi, upper in rows]
@@ -81,7 +79,7 @@ class QuadraticBoundReport(NamedTuple):
 
 
 def quadratic_bound_check(X: MvGroup, x, r_max: int,
-                          budget: int = DEFAULT_BUDGET) -> QuadraticBoundReport:
+                          budget: Budget = Budget()) -> QuadraticBoundReport:
     """Check xi_x(r) = |Set(x^{*r})| <= r(r+1) for 1 <= r <= r_max.
 
     Requires n = 2 and inv = id; the involution condition is checked on
@@ -90,11 +88,11 @@ def quadratic_bound_check(X: MvGroup, x, r_max: int,
     if r_max < 1:
         raise ValidationError("r_max must be >= 1")
     if X.n != 2:
-        raise PreconditionViolated(f"need a 2-valued group, got n = {X.n}")
-    pt = power_table(X, x, r_max, budget=budget)
+        raise ValidationError(f"need a 2-valued group, got n = {X.n}")
+    pt = power_table(X, x, r_max, budget)
     for a in sorted({x}.union(*pt.set_powers), key=X.canonical):
         if X.inv(a) != a:
-            raise PreconditionViolated(
+            raise ValidationError(
                 f"inv({X.render(a)}) != {X.render(a)}: group is not involutive")
     rows = [(r, len(pt.set_powers[r]), r * (r + 1)) for r in range(1, r_max + 1)]
     return QuadraticBoundReport(rows)
@@ -126,7 +124,7 @@ def classify_growth(values: Sequence[int]) -> ClassificationRecord:
     """Classify a table of sizes indexed by radius 0..len-1."""
     values = list(values)
     if len(values) < CLASSIFY_MIN_ROWS:
-        raise InsufficientData(f"need at least {CLASSIFY_MIN_ROWS} rows, got {len(values)}")
+        raise ValidationError(f"need at least {CLASSIFY_MIN_ROWS} rows, got {len(values)}")
     if any(v < 1 for v in values):
         raise ValidationError("table sizes must be positive")
 

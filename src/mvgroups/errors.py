@@ -5,43 +5,22 @@ class MvGroupsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BackendMismatch(MvGroupsError):
-    """Operands belong to different group backends."""
-
-
 class NotAnAutomorphism(MvGroupsError):
     """Generator images do not extend to an automorphism."""
 
 
-class InverseMissing(MvGroupsError):
-    """An automorphism was supplied without usable inverse images."""
-
-
 class BudgetExceeded(MvGroupsError):
     """An enumeration reached, or a table would hold, more than `budget`
-    of what it counts: distinct elements unless `what` names them."""
+    of what it counts: distinct elements unless `what` names them; `name`,
+    if given, is the enumeration's own.  The package raises it only from
+    ``groups.Budget.check``."""
 
-    def __init__(self, budget, radius=None, what="distinct elements"):
+    def __init__(self, budget, radius=None, what="distinct elements", name=None):
         where = "" if radius is None else f" reached by radius {radius}"
-        super().__init__(f"more than {budget} {what}{where}")
+        within = "" if name is None else f" in {name}"
+        super().__init__(f"more than {budget} {what}{where}{within}")
         self.budget = budget
         self.radius = radius
-
-
-class NotReachedWithinCap(MvGroupsError):
-    """A length computation did not find the target within the radius cap."""
-
-
-class InfiniteBackendUnsupported(MvGroupsError):
-    """Operation requires a finite backend (e.g. double-coset projection)."""
-
-
-class PreconditionViolated(MvGroupsError):
-    """A check-specific precondition failed (e.g. n != 2, inv != id)."""
-
-
-class InsufficientData(MvGroupsError):
-    """Not enough table rows for growth classification."""
 
 
 class SchemaError(MvGroupsError):

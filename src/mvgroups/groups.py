@@ -54,16 +54,21 @@ automorphism it keeps once and returns them as a tuple sorted by
 signature.  Only the semidirect product composes them: it reads its
 composition and inverse tables off the generator images.
 
-``layers`` is the one breadth-first enumeration of the package: balls,
-lengths, monoid balls and, through ``closure``, every finite closure (group
-elements, subgroups, automorphism groups) are layers of it, and all of them
-share its budget rule.  It expands a whole layer at a time and holds only
-its frontier and its seen set: it reads no clock, and reports each layer
-through an optional ``on_layer(r, size)``, which the CLI's ``--stats``
-times.  ``closure`` wraps a per-element expansion and yields its elements
-lazily, so a permutation group's ``elements()`` is the closure of its
-generators in discovery order, neither sorted nor cached, and a draw that
-stops early stops the walk.
+A ``Budget`` is the one handle every enumeration counts against: its
+limit caps each enumeration on its own, ``check`` is the only code that
+raises ``BudgetExceeded``, naming the enumeration that overran, and
+``layer`` passes each completed layer, with its enumeration's name, to an
+optional observer, which the CLI's ``--stats`` times.  ``layers`` is the
+one breadth-first enumeration of the package: balls, lengths, monoid balls
+and, through ``closure``, every finite closure (the automorphism group, a
+subgroup, the edge walk of a homomorphism, a permutation group's elements)
+are layers of it.  It expands a whole layer at a time and holds only its
+frontier and its seen set, and reads no clock.  ``closure`` wraps a
+per-element expansion and yields its elements lazily, so a permutation
+group's ``elements()`` is the closure of its generators in discovery
+order, neither sorted nor cached nor capped: its reader (a carrier, a
+partition) counts what it draws, and a draw that stops early stops the
+walk.
 
 ``SemidirectProduct`` implements the group GA of pairs (g, a) with
 (g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
@@ -75,21 +80,40 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (
-    BackendMismatch,
-    BudgetExceeded,
-    InverseMissing,
-    NotAnAutomorphism,
-    ValidationError,
-)
+from .errors import BudgetExceeded, NotAnAutomorphism, ValidationError
 from .keys import int_key
 
 Word = Tuple[Tuple[int, int], ...]  # ((generator index, nonzero exponent), ...)
 
 DEFAULT_BUDGET = 10**6
+
+
+class Budget:
+    """The cap of every enumeration of one command, and the one place an
+    overrun is raised.  Each enumeration is capped on its own at `limit`,
+    and names itself, so an exit says which walk overran.  `observer`, if
+    set, gets (name, r, size) of each layer a walk completes: the walks
+    read no clock, and an observer that times layers does so itself."""
+
+    __slots__ = ("limit", "observer")
+
+    def __init__(self, limit: float = DEFAULT_BUDGET, observer: Optional[Callable] = None):
+        self.limit, self.observer = limit, observer
+
+    def check(self, name: str, count: int, r: Optional[int] = None, what="distinct elements"):
+        """Raise BudgetExceeded, naming `name` and the radius `r` if
+        given, when `count` of `what` is more than the limit."""
+        if count > self.limit:
+            raise BudgetExceeded(self.limit, r, what, name)
+
+    def layer(self, name: str, r: int, size: int):
+        """Report a completed layer to the observer, if there is one."""
+        if self.observer:
+            self.observer(name, r, size)
 
 
 class _Memo(dict):
@@ -104,32 +128,30 @@ class _Memo(dict):
 
 
 def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
-           budget: int = DEFAULT_BUDGET,
-           on_layer: Optional[Callable[[int, int], Any]] = None) -> Iterator[List[Any]]:
+           budget: Budget = Budget(), name: str = "the layers") -> Iterator[List[Any]]:
     """Breadth-first layers: layer 0 is `start`, layer i+1 holds, in the
     order they are discovered, the elements of expand(layer i) that no
     earlier layer holds.  `expand` is a layer map: it returns every
     candidate of the next layer, repeats allowed, element by element of the
-    layer it is given.  Once a layer is empty every later one is.
-    `on_layer`, if given, gets (radius, size) of each layer as it is
-    completed, before it is yielded.  The walk holds only its frontier and
-    its seen set, and reads no clock: a caller that times layers does so
-    in its callback.
+    layer it is given.  Once a layer is empty every later one is.  Each
+    layer is reported to `budget` under `name` as it is completed, before
+    it is yielded.  The walk holds only its frontier and its seen set, and
+    reads no clock.
 
-    The budget rule of every enumeration: BudgetExceeded is raised as soon
-    as more than `budget` distinct elements have been reached.  Candidates
-    are drawn one at a time, so a lazy `expand` is stopped at the first
-    element over the budget; a batched one, which balls, lengths and
-    monoid balls all take, has formed one layer's candidates by then.
+    The budget rule of every enumeration: the walk `name` overruns as soon
+    as more than the budget's limit of distinct elements have been
+    reached.  Candidates are drawn one at a time, so a lazy `expand` is
+    stopped at the first element over the limit; a batched one, which
+    balls, lengths and monoid balls all take, has formed one layer's
+    candidates by then.
     """
+    limit = budget.limit
     layer = list(dict.fromkeys(start))
     seen = set(layer)
-    if len(seen) > budget:
-        raise BudgetExceeded(budget, 0)
+    budget.check(name, len(seen), 0)
     radius = 0
     while True:
-        if on_layer:
-            on_layer(radius, len(layer))
+        budget.layer(name, radius, len(layer))
         yield layer
         radius += 1
         fresh = []
@@ -137,13 +159,13 @@ def layers(start: Iterable[Any], expand: Callable[[List[Any]], Iterable[Any]],
             if v not in seen:
                 seen.add(v)
                 fresh.append(v)
-                if len(seen) > budget:
-                    raise BudgetExceeded(budget, radius)
+                if len(seen) > limit:
+                    budget.check(name, len(seen), radius)
         layer = fresh
 
 
 def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
-            budget: int = DEFAULT_BUDGET) -> Iterator[Any]:
+            budget: Budget = Budget(), name: str = "the closure") -> Iterator[Any]:
     """Every element the nonempty `layers` hold, drawn lazily in discovery
     order, for a per-element `expand`: each layer is expanded element by
     element, so an `expand` that raises does so on the first bad element in
@@ -153,7 +175,7 @@ def closure(start: Iterable[Any], expand: Callable[[Any], Iterable[Any]],
     def expand_layer(layer):
         return itertools.chain.from_iterable(map(expand, layer))
     return itertools.chain.from_iterable(
-        itertools.takewhile(len, layers(start, expand_layer, budget)))
+        itertools.takewhile(len, layers(start, expand_layer, budget, name)))
 
 
 class GrowthTable(NamedTuple):
@@ -233,13 +255,15 @@ class GroupBackend:
         """Defining relators, or None when the kind is checked edge by edge."""
         return None
 
-    def homomorphism(self, images: Sequence[Any]) -> Callable[[Sequence[Any]], List[Any]]:
+    def homomorphism(self, images: Sequence[Any],
+                     budget: Budget = Budget()) -> Callable[[Sequence[Any]], List[Any]]:
         """The batch map with the given generator images, a sequence of
         G-elements -> the list of their images: the only place an image
         list becomes a map.
 
         A finite kind without relators gets its image table, checked along
-        every Cayley-graph edge: a walk from the identity over the edges
+        every Cayley-graph edge, under `budget` (kinds that walk nothing
+        ignore it): a walk from the identity over the edges
         g -> g*s sets image(g*s) = image(g)*image(s) and checks each edge
         whose target already has an image, 2|G||S| products.  Agreement on
         every edge gives image(g*w) = image(g)*image(w) for every positive
@@ -265,7 +289,7 @@ class GroupBackend:
                         f"break multiplicativity at ({self.render(g)}, {name})")
                 yield h
 
-        for _ in closure([self.identity], expand):  # check every edge
+        for _ in closure([self.identity], expand, budget, "the edge walk of G"):  # every edge
             pass
         return functools.partial(_each, table.__getitem__)
 
@@ -277,11 +301,14 @@ class GroupBackend:
     def elements(self) -> Iterable[Any]:
         raise NotImplementedError(f"{self.kind} backend is not finite")
 
-    def _close(self, gens: Sequence[Any]) -> Iterator[Any]:
+    def _close(self, gens: Sequence[Any], budget: Budget = Budget(math.inf)) -> Iterator[Any]:
         """Every element of the subgroup `gens` generate in a finite group,
         drawn lazily in discovery order by ``closure`` over them alone: there
-        positive words reach the whole subgroup."""
-        return closure([self.identity], lambda g: (self.mul(g, t) for t in gens))
+        positive words reach the whole subgroup.  Uncapped unless given a
+        budget: a draw of G is capped by its reader, and a table group's
+        generation check by its table."""
+        return closure([self.identity], lambda g: (self.mul(g, t) for t in gens), budget,
+                       "the subgroup closure of H")
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +388,18 @@ class FreeGroup(GroupBackend):
 
     def power(self, g, k):
         """g = u c u^-1 with c cyclically reduced, so g^k is u c^k u^-1; a
-        power of more than DEFAULT_BUDGET letters raises ValidationError."""
+        power of more than the default budget's limit of letters raises
+        ValidationError."""
         if k < 0:
             g, k = self.inv(g), -k
         t = next((t for t in range(len(g)) if ord(g[t]) ^ ord(g[-1 - t]) != 1), 0)  # |u|
         letters = 2 * t + k * (len(g) - 2 * t)
-        if k and letters > DEFAULT_BUDGET:
-            raise ValidationError(f"a power of {letters} letters; the limit is {DEFAULT_BUDGET}")
+        limit = Budget().limit
+        if k and letters > limit:
+            raise ValidationError(f"a power of {letters} letters; the limit is {limit}")
         return g[:t] + g[t:len(g) - t] * k + g[len(g) - t:] if k else ""
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=None):
         """The batch joined on chr(2 * rank), which is no letter (and ASCII
         below rank 64, so CPython translates it on its ASCII path),
         translated letter by letter to the images in one ``translate`` and
@@ -447,7 +476,7 @@ class FreeAbelianGroup(_IntVectors):
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=None):
         """The linear map whose columns are the images, one list display
         over the batch, unless they are a signed permutation of the basis:
         then each row of the matrix holds one entry +-1, in a column of its
@@ -515,7 +544,7 @@ class CyclicGroup(GroupBackend):
     def factor(self, g):
         return ((0, g),) if g else ()
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=None):
         """g -> g*k mod m, for k the generator's image, in one list display."""
         k, m = images[0], self.order
         return lambda gs: [g * k % m for g in gs]
@@ -554,7 +583,7 @@ class HeisenbergGroup(_IntVectors):
         p, q, r = g
         return (-p, -q, p * q - r)
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=None):
         """The general `polynomial`, unless C is central (c1 = c2 = 0) and
         the matrix [[a1, b1], [a2, b2]] acting on (p, q) is a signed
         permutation: then a1*a2 = b1*b2 = 0, every term of the polynomial
@@ -676,7 +705,7 @@ class PermutationGroup(GroupBackend):
             cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
         return "".join(cycles) if cycles else "e"
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=Budget()):
         """Conjugation by a point map c with c[s[x]] = w[c[x]] for every
         generator s and its image w, when there is one and every w lies in
         G (it sifts to the identity); else the base edge walk.
@@ -691,7 +720,7 @@ class PermutationGroup(GroupBackend):
         S6 take the walk, which raises as before."""
         c = self._conjugator(images)
         if c is None or any(self._sift(w) != self.identity for w in images):
-            return super().homomorphism(images)
+            return super().homomorphism(images, budget)
         c_inv = self.inv(c)
         conjugate = _Memo(lambda g: tuple([c[g[y]] for y in c_inv]))
         return functools.partial(_each, conjugate.__getitem__)
@@ -764,8 +793,9 @@ class PermutationGroup(GroupBackend):
 
     def elements(self):
         """G drawn lazily, the closure of its generators in discovery order:
-        nothing is cached or sorted, so a draw that stops early, as a carrier
-        over its budget does, stops the walk there."""
+        nothing is cached, sorted or capped, so the reader's count decides,
+        and a draw that stops early, as a carrier over its budget does,
+        stops the walk there."""
         return self._close(self.gens)
 
 
@@ -881,7 +911,7 @@ class DirectProduct(GroupBackend):
     def render(self, g):
         return "(" + ", ".join(b.render(a) for b, a in zip(self.factors, g)) + ")"
 
-    def homomorphism(self, images):
+    def homomorphism(self, images, budget=Budget()):
         """Factor by factor when the product has relators and every
         generator's image lies in its own factor, else the base map: the
         walked table on a finite product without relators, which a factor's
@@ -891,17 +921,17 @@ class DirectProduct(GroupBackend):
         where the images are the factor's own generators, and zipped back;
         an empty batch has no columns, so gives []."""
         if self.relators() is None:
-            return super().homomorphism(images)
+            return super().homomorphism(images, budget)
         maps = []
         for fi, backend in enumerate(self.factors):
             local = []
             for image in images[self._offsets[fi]:self._offsets[fi + 1]]:
                 if any(c != b.identity for i, (b, c) in enumerate(zip(self.factors, image))
                        if i != fi):
-                    return super().homomorphism(images)
+                    return super().homomorphism(images, budget)
                 local.append(image[fi])
             fixed = tuple(local) == backend.gens
-            maps.append(None if fixed else backend.homomorphism(local))
+            maps.append(None if fixed else backend.homomorphism(local, budget))
         return lambda gs: list(zip(*[c if m is None else m(c) for m, c in zip(maps, zip(*gs))]))
 
     def factor(self, g):
@@ -983,15 +1013,16 @@ class Automorphism:
         """g's image: the batch map on the batch of one."""
         return self.forward((g,))[0]
 
-    def verify(self) -> "Automorphism":
+    def verify(self, budget: Budget = Budget()) -> "Automorphism":
         """Check the homomorphism property, compile both image lists, check
         on the two maps that they are mutually inverse, and only then keep
         the forward map.  The relators are evaluated on both lists, but
         inverse images equal to the images are not compiled again: they
-        would give the identical map after the identical walk."""
+        would give the identical map after the identical walk.  An edge
+        walk runs under `budget`."""
         backend = self.backend
         if self.inverse_images is None:
-            raise InverseMissing(f"automorphism {self.name!r} has no inverse images")
+            raise ValidationError(f"automorphism {self.name!r} has no inverse images")
         rels = backend.relators()
         if rels is None and not backend.is_finite():
             # its homomorphism would be the generic map, which checks nothing
@@ -1010,7 +1041,7 @@ class Automorphism:
                 maps.append(maps[0])
                 continue
             try:
-                maps.append(backend.homomorphism(images))
+                maps.append(backend.homomorphism(images, budget))
             except NotAnAutomorphism as exc:  # the edge walk of a finite kind
                 raise NotAnAutomorphism(f"{self.name!r}: {label} {exc}") from None
         forward, backward = maps
@@ -1037,36 +1068,38 @@ def identity_automorphism(backend: GroupBackend) -> Automorphism:
 
 
 def close_automorphisms(seeds: Sequence[Automorphism],
-                        bound: int = 10_000) -> Tuple[Automorphism, ...]:
+                        budget: Budget = Budget()) -> Tuple[Automorphism, ...]:
     """Subgroup of Aut(G) generated by the seeds, as a finite closed set:
     a tuple of compiled automorphisms sorted by signature.
 
     The closure steps by left composition with the verified seeds alone: a
     finite set closed under composition is a group.  s after a has the
-    images s's batch map gives a's images, so a step applies seed maps
-    and compiles nothing, and a duplicate is dropped before it costs a
-    compile.  Each element reached past the identity and the seeds is then
-    compiled once.  Raises BudgetExceeded once the closure reaches more
-    than `bound` elements.
+    images s's batch map gives a's images, so the walk is on image tuples:
+    a step applies seed maps, and only the images it keeps become
+    automorphisms.  Each one past the identity and the seeds, named by
+    its place in discovery order, is then compiled once.  The seeds'
+    checks, the closure and each compile run under `budget`: the closure
+    overruns once it reaches more than the limit of automorphisms, and an
+    edge walk once it reaches more than the limit of G-elements.
     """
     if not seeds:
         raise ValidationError("need at least one seed automorphism")
     backend = seeds[0].backend
     for seed in seeds:
         if seed.backend is not backend:
-            raise BackendMismatch("all seeds must act on the same backend")
-        seed.verify()
-
-    def successors(a):
-        return (Automorphism(backend, f"{s.name}*{a.name}", s.forward(a.images), None)
-                for s in seeds)
-
+            raise ValidationError("all seeds must act on the same backend")
+        seed.verify(budget)
     # the identity and the seeds start the first layer, so they keep their maps and names
-    start = list(dict.fromkeys([identity_automorphism(backend), *seeds]))
-    elements = list(closure(start, successors, bound))
-    for a in elements[len(start):]:
-        a.forward = backend.homomorphism(a.images)
-    return tuple(sorted(elements, key=lambda a: a.signature))
+    start: dict = {}
+    for a in (identity_automorphism(backend), *seeds):
+        start.setdefault(a.images, a)
+    maps = [s.forward for s in seeds]
+    reached = list(closure(start, lambda images: (tuple(f(images)) for f in maps), budget,
+                           "the automorphism closure of A"))
+    for k, images in enumerate(reached[len(start):], len(start)):
+        a = start[images] = Automorphism(backend, f"#{k}", images, None)
+        a.forward = backend.homomorphism(images, budget)
+    return tuple(sorted(start.values(), key=lambda a: a.signature))
 
 
 def orbit(A: Sequence[Automorphism], g) -> Tuple[Any, ...]:
@@ -1094,7 +1127,7 @@ class SemidirectProduct(GroupBackend):
 
     def __init__(self, group: GroupBackend, auts: Sequence[Automorphism]):
         if any(a.backend is not group for a in auts):
-            raise BackendMismatch("automorphism group does not act on the given backend")
+            raise ValidationError("automorphism group does not act on the given backend")
         self.group = group
         self.auts = tuple(auts)
         index = {a.images: i for i, a in enumerate(self.auts)}
@@ -1138,9 +1171,10 @@ class SemidirectProduct(GroupBackend):
 
 
 def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
-                 budget: int = DEFAULT_BUDGET) -> GrowthTable:
+                 budget: Budget = Budget()) -> GrowthTable:
     """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball,
-    each layer's products formed in one ``products`` batch.
+    each layer's products formed in one ``products`` batch, the walk named
+    the monoid ball of GA on a semidirect product and of G otherwise.
 
     The table is centred at the identity; each sphere is in discovery order
     (element-major, then generator).
@@ -1149,5 +1183,6 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
+    name = f"the monoid ball of {'GA' if isinstance(backend, SemidirectProduct) else 'G'}"
     return growth_table(backend.identity, radius, layers(
-        [backend.identity], lambda layer: backend.products(layer, gens), budget))
+        [backend.identity], lambda layer: backend.products(layer, gens), budget, name))

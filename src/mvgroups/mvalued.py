@@ -20,7 +20,9 @@ batch map called once on the whole batch (A is the tuple of compiled
 automorphisms ``close_automorphisms`` returns, and no two of them are
 composed), and a double coset group looks
 the batch up in the partition of G it alone builds, at construction.  A
-carrier draws G lazily, at most budget + 1 elements.  The scalar ``mul``
+carrier draws G lazily, at most one element more than the budget's limit,
+and the partition, the carrier and the axiom pair table each overrun the
+budget under their own names.  The scalar ``mul``
 and ``project`` are batches of one.  Z^k forms the products column-wise,
 the Heisenberg group in one list display, a free group concatenates at
 the seam, and a direct product runs each factor's batch on its column.
@@ -33,8 +35,8 @@ import itertools
 import math
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BackendMismatch, BudgetExceeded, InfiniteBackendUnsupported, ValidationError
-from .groups import DEFAULT_BUDGET, Automorphism, GroupBackend, _Memo
+from .errors import ValidationError
+from .groups import Automorphism, Budget, GroupBackend, _Memo
 
 
 class MvGroup:
@@ -148,18 +150,18 @@ class OrbitGroup(MvGroup):
         """g's class: a ``project_all`` batch of one."""
         return self.project_all((g,))[0]
 
-    def carrier(self, budget: int = DEFAULT_BUDGET) -> List[Any]:
+    def carrier(self, budget: Budget = Budget()) -> List[Any]:
         """All classes, in the canonical order; finite backends only.  G is
         drawn lazily, in whatever order the backend draws it (a range, the
-        factors' draws nested, a permutation group's closure in discovery
-        order), and the draw stops at element budget + 1: BudgetExceeded
-        iff |G| > budget.  The classes are sorted by `canonical`, so the
-        draw's order does not show."""
+        factors' draws nested, a permutation group's uncapped closure in
+        discovery order), and the draw stops at the element one past the
+        budget's limit: the carrier of X overruns iff |G| is over the
+        limit, whatever the backend.  The classes are sorted by
+        `canonical`, so the draw's order does not show."""
         if not self.backend.is_finite():
-            raise InfiniteBackendUnsupported("carrier enumeration needs a finite backend")
-        gs = list(itertools.islice(self.backend.elements(), budget + 1))
-        if len(gs) > budget:
-            raise BudgetExceeded(budget)
+            raise ValidationError("carrier enumeration needs a finite backend")
+        gs = list(itertools.islice(self.backend.elements(), budget.limit + 1))
+        budget.check("the carrier of X", len(gs))
         return sorted(set(self.project_all(gs)), key=self.canonical)
 
     def products(self, xs, ys):
@@ -204,7 +206,7 @@ class CosetGroup(OrbitGroup):
 
     def __init__(self, backend: GroupBackend, auts: Sequence[Automorphism]):
         if any(a.backend is not backend for a in auts):
-            raise BackendMismatch("automorphism group does not act on this backend")
+            raise ValidationError("automorphism group does not act on this backend")
         self.auts = auts
         twists = [a.forward for a in auts]
         self._moves = [a.forward for a in auts if a.images != backend.gens]
@@ -226,19 +228,19 @@ class CosetGroup(OrbitGroup):
 class DoubleCosetGroup(OrbitGroup):
     """Double coset group of (G, H) for finite G, with n = |H|.
 
-    G is partitioned into double cosets once, at construction and within
-    the budget, so a projection is a lookup in `_classes`; the members each
-    class was formed with are kept for its canonical form."""
+    H is closed, and G partitioned into double cosets, once, at
+    construction and each under the budget, so a projection is a lookup in
+    `_classes`; the members each class was formed with are kept for its
+    canonical form."""
 
     def __init__(self, backend: GroupBackend, subgroup: Sequence[Any],
-                 budget: int = DEFAULT_BUDGET):
+                 budget: Budget = Budget()):
         if not backend.is_finite():
-            raise InfiniteBackendUnsupported(
-                "double coset groups are implemented for finite backends only")
-        self.subgroup = H = list(backend._close(subgroup))
+            raise ValidationError("double coset groups are implemented for finite backends only")
+        self.subgroup = H = list(backend._close(subgroup, budget))
         # g -> its class, and class -> HgH, formed as its distinct left cosets
-        # (h g)H in ``products`` batches: |H| + |HgH| products; raises once
-        # > `budget` G-elements are filed
+        # (h g)H in ``products`` batches: |H| + |HgH| products; overruns once
+        # more G-elements than the limit are filed
         classes, members = {}, {}
         for g in backend.elements():
             if g not in classes:
@@ -249,8 +251,7 @@ class DoubleCosetGroup(OrbitGroup):
                 least = min(group)
                 members[least] = group
                 classes.update(dict.fromkeys(group, least))
-                if len(classes) > budget:
-                    raise BudgetExceeded(budget)
+                budget.check("the double-coset partition of G", len(classes))
         self._classes = classes
         super().__init__(backend, [functools.partial(backend.products, [h]) for h in H],
                          members.__getitem__)
@@ -332,9 +333,9 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     only a row where they differ is scanned: witness and triples are the
     plain loop's.  x passes the unit axiom when x*e and e*x code p_x^n,
     and the inverse axiom when the unit's prime divides the codes of
-    x*inv(x) and inv(x)*x.  Raises BudgetExceeded before any product is
-    formed when the N sample classes' pair table, N^2 entries, would hold
-    more than DEFAULT_BUDGET.
+    x*inv(x) and inv(x)*x.  Before any product is formed, the N sample
+    classes' pair table, N^2 entries, overruns a default ``Budget``, whose
+    limit no flag changes.
     """
     sample = list(sample)
     if not sample:
@@ -344,8 +345,7 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     ids = _Memo(lambda c, count=itertools.count(): next(count))  # sample classes first
     n, row = X.n, list(map(ids.__getitem__, sample))
     classes, unit = list(ids), ids[X.unit]
-    if len(classes) ** 2 > DEFAULT_BUDGET:
-        raise BudgetExceeded(DEFAULT_BUDGET, what="entries in the axiom pair table")
+    Budget().check("the axiom pair table", len(classes) ** 2, what="entries")
 
     def prods(values, keys):  # the product of values[k] over each n keys k in turn
         return list(map(math.prod, zip(*[map(values.__getitem__, keys)] * n)))

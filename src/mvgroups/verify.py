@@ -4,8 +4,9 @@ Each suite runs an exact per-radius check and reports greppable one-line
 verdicts; no verdict rests on a fitted curve.  The CLI `verify` subcommand
 and the acceptance tests both call these functions.  Every suite takes only
 (instance, r_max, budget): it reads its elements from the instance's X
-generators, or samples them with a fixed seed, and caps its enumerations at
-`budget`.  Each suite's default radius is written once, in `_SUITE_TABLE`.
+generators, or samples them with a fixed seed, and caps each of its
+enumerations with the ``Budget`` handle `budget`, under which each names
+itself.  Each suite's default radius is written once, in `_SUITE_TABLE`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Any, List, Optional, Tuple
 
 from .cayley import ball, dynamic_supports, power_table, set_product
 from .dynamics import bounds_check, quadratic_bound_check
-from .errors import BudgetExceeded, ValidationError
-from .groups import DEFAULT_BUDGET, SemidirectProduct, monoid_balls, orbit
+from .errors import ValidationError
+from .groups import Budget, SemidirectProduct, monoid_balls, orbit
 from .mvalued import CosetGroup, NatGroup
 from .wordspec import Instance
 
@@ -51,24 +52,23 @@ class SuiteResult:
 
 
 def sample_elements(instance: Instance, limit: int = 32,
-                    budget: int = DEFAULT_BUDGET) -> List[Any]:
+                    budget: Budget = Budget()) -> List[Any]:
     """Deterministic element sample: the full carrier if finite, else the
     unit and the next limit-1 elements nearest it: 0..limit-1 on builtin
     nat, the first `limit` of B(e, 2) in the canonical order on a coset.
 
-    Raises BudgetExceeded when the builtin-nat sample, a finite G or the
-    ball has more than `budget` elements."""
+    The nat sample, the carrier of a finite G or the ball overruns
+    `budget` when it has more elements than the budget's limit."""
     X = instance.X
     if instance.backend is None:
-        if limit > budget:
-            raise BudgetExceeded(budget)
+        budget.check("the nat sample", limit)
         return list(range(limit))
     if instance.backend.is_finite():
         return X.carrier(budget)
     gens = instance.x_generators
     if not gens:
         raise ValidationError("instance declares no X generators to sample from")
-    table = ball(X, gens, X.unit, 2, budget=budget)
+    table = ball(X, gens, X.unit, 2, budget)
     return sorted(set().union(*table.sphere_sets), key=X.canonical)[:limit]
 
 
@@ -76,7 +76,7 @@ def sample_elements(instance: Instance, limit: int = 32,
 # suites
 
 
-def example32(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def example32(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Closed form |B(x, r)| = 1 + r + min(x, r) on the builtin 2-valued group."""
     result = SuiteResult("example32")
     X = instance.X
@@ -84,7 +84,7 @@ def example32(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
         raise ValidationError("example32 requires a builtin_nat instance")
     failures = 0
     for x in range(_EXAMPLE32_X_MAX + 1):
-        table = ball(X, instance.x_generators, x, r_max, budget=budget)
+        table = ball(X, instance.x_generators, x, r_max, budget)
         for r in range(r_max + 1):
             expected = 1 + r + min(x, r)
             if table.ball_sizes[r] != expected:
@@ -98,7 +98,7 @@ def example32(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
     return result
 
 
-def thm43(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def thm43(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Sandwich (1/n)|S+(e,r)| <= xi_y(r) <= |B+(e,r)| on a coset instance,
     for g the first X generator, at the unit and _THM43_EXTRA_Y sampled y."""
     result = SuiteResult("thm43")
@@ -115,7 +115,7 @@ def thm43(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Suite
     if pool:
         ys.extend(rng.sample(pool, min(_THM43_EXTRA_Y, len(pool))))
 
-    monoid = monoid_balls(X.backend, orbit(X.auts, g), r_max, budget=budget)
+    monoid = monoid_balls(X.backend, orbit(X.auts, g), r_max, budget)
     for y in ys:
         report = bounds_check(X, g, y, r_max, budget=budget, monoid=monoid)
         bad = [r for (r, *_), v in zip(report.rows, report.verdicts) if not v]
@@ -126,7 +126,7 @@ def thm43(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Suite
     return result
 
 
-def thm48(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def thm48(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Quadratic bound xi_x(r) <= r(r+1) for involutive 2-valued groups,
     for every X generator x."""
     result = SuiteResult("thm48")
@@ -134,7 +134,7 @@ def thm48(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Suite
     if not instance.x_generators:
         raise ValidationError("thm48 needs X_generators")
     for x in instance.x_generators:
-        report = quadratic_bound_check(X, x, r_max, budget=budget)
+        report = quadratic_bound_check(X, x, r_max, budget)
         if report.ok:
             margin = min(bound - xi for _, xi, bound in report.rows)
             result.add(True, f"r={r_max} x={X.render(x)} bound holds (min margin {margin})")
@@ -156,7 +156,7 @@ def _sphere_vanishing_ok(pt) -> Optional[int]:
     return None
 
 
-def lemma47(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def lemma47(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Power-sphere lemma: (a) vanishing persists to r_max; (b) sphere
     addition, on _LEMMA47_PAIRS random decompositions of a radius
     <= min(r_max, _LEMMA47_PAIR_R_MAX)."""
@@ -169,7 +169,7 @@ def lemma47(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Sui
     tables = {}
     bad_a = 0
     for x in xs:
-        pt = power_table(X, x, r_max, budget=budget)
+        pt = power_table(X, x, r_max, budget)
         tables[x] = pt
         violation = _sphere_vanishing_ok(pt)
         if violation is not None:
@@ -210,7 +210,7 @@ def lemma47(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Sui
     return result
 
 
-def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def example46(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Bounded dynamics over an exponential-growth backend: xi_e(r) <= 2
     for every r, for z the first X generator.
 
@@ -237,7 +237,7 @@ def example46(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> S
     return result
 
 
-def proof34(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> SuiteResult:
+def proof34(instance: Instance, r_max: int, budget: Budget = Budget()) -> SuiteResult:
     """Coset ball sizes are dominated by the semidirect-product ball sizes."""
     result = SuiteResult("proof34")
     X = instance.X
@@ -250,9 +250,9 @@ def proof34(instance: Instance, r_max: int, budget: int = DEFAULT_BUDGET) -> Sui
 
     ga = SemidirectProduct(backend, auts)
     ga_gens = [(s, i) for s in S for i in range(len(auts))]
-    ga_table = monoid_balls(ga, ga_gens, r_max, budget=budget)
+    ga_table = monoid_balls(ga, ga_gens, r_max, budget)
 
-    x_table = ball(X, instance.x_generators, X.unit, r_max, budget=budget)
+    x_table = ball(X, instance.x_generators, X.unit, r_max, budget)
 
     ok = True
     for r in range(r_max + 1):
@@ -279,7 +279,7 @@ SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(name: str, instance: Instance, r_max: Optional[int] = None,
-              budget: int = DEFAULT_BUDGET) -> SuiteResult:
+              budget: Budget = Budget()) -> SuiteResult:
     """Dispatch by suite name with each criterion's stated default radius."""
     if name not in _SUITE_TABLE:
         raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -15,8 +15,9 @@ Config documents are JSON objects with a versioned "schema": 1 field.
 ``parse_config`` checks a document and builds its parts in one walk: the
 group backend (which names its generators), the unverified automorphisms
 and the element of every config word; each failure names its path.
-``build_instance`` then closes the automorphisms or the subgroup and
-constructs the n-valued group.
+``build_instance`` then builds the one ``Budget`` handle of the run, from
+the --budget flag, else ``defaults.budget``, closes the automorphisms or
+the subgroup under it and constructs the n-valued group.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
 from .groups import (
     DEFAULT_BUDGET,
     Automorphism,
+    Budget,
     CyclicGroup,
     DirectProduct,
     FiniteTableGroup,
@@ -358,13 +360,15 @@ def _automorphism(backend: GroupBackend, entry: Any, path: str, index: int) -> A
 
 
 class Instance(NamedTuple):
-    """A fully built n-valued group plus the config's generating data."""
+    """A fully built n-valued group plus the config's generating data, and
+    the budget handle it was built under, which the commands run under."""
 
     config: InstanceConfig
     X: MvGroup
     backend: Optional[GroupBackend]
     auts: Optional[Tuple[Automorphism, ...]]
     x_generators: List[Any]
+    budget: Budget
 
     def element(self, text: str):
         """An X-element from a word expression (projected for coset kinds)."""
@@ -377,24 +381,26 @@ class Instance(NamedTuple):
         return nat_element(word) if self.backend is None else evaluate_word(self.backend, word)
 
 
-def build_instance(config: InstanceConfig, budget: Optional[int] = None) -> Instance:
-    """Close the automorphisms (coset) or the subgroup (double coset) and
-    construct the n-valued group over the config's built parts.  Only a
-    double coset group partitions G, within `budget` elements, by default
-    `defaults.budget`; a coset group draws no G-element here."""
+def build_instance(config: InstanceConfig, limit: Optional[int] = None) -> Instance:
+    """Build the budget handle, with `limit`, by default `defaults.budget`;
+    under it, close the automorphisms and check each (coset) or close the
+    subgroup and partition G (double coset); and construct the n-valued
+    group over the config's built parts.  A coset group draws no G-element
+    here."""
+    budget = Budget(config.default_budget if limit is None else limit)
     backend = config.backend
     if backend is None:
         X = NatGroup() if config.mv_kind == "builtin_nat" else MutatedNatGroup()
-        return Instance(config, X, None, None, list(config.x_generators or [1]))
+        return Instance(config, X, None, None, list(config.x_generators or [1]), budget)
     auts = None
     if config.mv_kind == "coset":
-        auts = close_automorphisms(config.automorphisms)
+        auts = close_automorphisms(config.automorphisms, budget)
         X = CosetGroup(backend, auts)
     else:
-        X = DoubleCosetGroup(backend, config.subgroup,
-                             config.default_budget if budget is None else budget)
-    return Instance(config, X, backend, auts, [X.project(g) for g in config.x_generators])
+        X = DoubleCosetGroup(backend, config.subgroup, budget)
+    return Instance(config, X, backend, auts, [X.project(g) for g in config.x_generators],
+                    budget)
 
 
-def load_instance(path: Union[str, Path], budget: Optional[int] = None) -> Instance:
-    return build_instance(parse_config(path), budget)
+def load_instance(path: Union[str, Path], limit: Optional[int] = None) -> Instance:
+    return build_instance(parse_config(path), limit)

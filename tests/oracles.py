@@ -30,7 +30,7 @@ import pytest
 from mvgroups.cayley import ball, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded, WordSyntaxError
-from mvgroups.groups import (DEFAULT_BUDGET, Automorphism, SemidirectProduct,
+from mvgroups.groups import (DEFAULT_BUDGET, Automorphism, Budget, SemidirectProduct,
                              identity_automorphism, layers, monoid_balls, orbit)
 from mvgroups.keys import int_key
 from mvgroups.mvalued import (AxiomReport, CosetGroup, DoubleCosetGroup, MvGroup, OrbitGroup,
@@ -87,7 +87,8 @@ def sizes(rows):
 def sorted_spheres(X, gens, x, radius, budget=DEFAULT_BUDGET):
     """S(x, 0..radius) by the generic step, each sphere sorted, as ``ball``
     once built them: the oracle of the unordered spheres."""
-    return in_order(itertools.islice(layers([x], generic(X).step(gens), budget), radius + 1))
+    return in_order(itertools.islice(layers([x], generic(X).step(gens), Budget(budget)),
+                                     radius + 1))
 
 
 def sorted_supports(X, z, y, radius, budget=DEFAULT_BUDGET):
@@ -179,7 +180,7 @@ def starmap_spheres(backend, gens, radius, budget=DEFAULT_BUDGET):
     """The spheres of monoid_balls one scalar `mul` at a time, as it formed
     them before the products batch."""
     spheres = layers([backend.identity], lambda layer: itertools.starmap(
-        backend.mul, itertools.product(layer, gens)), budget)
+        backend.mul, itertools.product(layer, gens)), Budget(budget))
     return [tuple(sphere) for sphere in itertools.islice(spheres, radius + 1)]
 
 
@@ -695,14 +696,16 @@ def run_row(row, instance):
 
 
 def run_cases(row, cases):
-    """compare(fast, oracle) on each case, and the budget check of run_row."""
+    """compare(fast, oracle) on each case, and the budget check of run_row:
+    the fast walk gets a budget handle, the oracle its own int."""
     for case in cases:
         expected = row.oracle(*case)
         row.compare(row.fast(*case), expected)
         inside = row.budgeted and first_budget_inside_a_row_of_two(expected)
-        for walk in (row.fast, row.oracle) if inside else ():
+        walks = ((row.fast, Budget(inside[0])), (row.oracle, inside[0])) if inside else ()
+        for walk, budget in walks:
             with pytest.raises(BudgetExceeded) as exc:
-                walk(*case, budget=inside[0])
+                walk(*case, budget=budget)
             assert exc.value.radius == inside[1]
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvgroups.errors import BudgetExceeded, NotReachedWithinCap, ValidationError
+from mvgroups.errors import BudgetExceeded, ValidationError
+from mvgroups.groups import Budget
 from mvgroups.cayley import (
     ball,
     compare_generating_sets,
@@ -69,7 +70,7 @@ def test_ball_sizes_monotone_and_consistent():
 
 def test_ball_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        ball(NAT, GENS, 0, 50, budget=10)
+        ball(NAT, GENS, 0, 50, budget=Budget(10))
 
 
 def test_ball_rejects_empty_generating_set():
@@ -97,12 +98,12 @@ def test_length_examples():
 
 def test_length_unreachable_raises():
     # products of 2s stay even, so 1 is never reached
-    with pytest.raises(NotReachedWithinCap):
+    with pytest.raises(ValidationError, match="^element 1 not reached within radius cap 20$"):
         lengths(NAT, [2], [1], cap=20)
 
 
 def test_length_cap_too_small():
-    with pytest.raises(NotReachedWithinCap):
+    with pytest.raises(ValidationError, match="^element 30 not reached within radius cap 5$"):
         lengths(NAT, GENS, [30], cap=5)
 
 
@@ -117,11 +118,11 @@ def test_lengths_one_search_matches_length():
     targets = [7, 0, 3, 12, 3]
     assert lengths(NAT, [2, 5], targets) == [lengths(NAT, [2, 5], [v])[0] for v in targets]
     # the search stops at the last target: B(0, 3) has 4 elements, B(0, 4) has 5
-    assert lengths(NAT, [1], [3, 2], budget=4) == [3, 2]
+    assert lengths(NAT, [1], [3, 2], budget=Budget(4)) == [3, 2]
 
 
 def test_lengths_names_the_first_unreached_target():
-    with pytest.raises(NotReachedWithinCap, match="element 3 not reached within radius cap 9"):
+    with pytest.raises(ValidationError, match="^element 3 not reached within radius cap 9$"):
         lengths(NAT, [2], [4, 3, 1], cap=9)
 
 
@@ -164,7 +165,7 @@ def test_power_table_matches_full_multiset_expansion():
 
 def test_power_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        power_table(NAT, 1, 100, budget=5)
+        power_table(NAT, 1, 100, budget=Budget(5))
 
 
 def test_set_product():
@@ -197,7 +198,7 @@ def test_compare_spec_example():
 def test_compare_caps_cross_lengths_at_the_radius():
     # l_S(5) = 5: found within r_max = 5, not within r_max = 4
     assert compare_generating_sets(NAT, [1], [1, 2], 5, 5).constant == 6
-    with pytest.raises(NotReachedWithinCap, match="element 5 not reached within radius cap 4"):
+    with pytest.raises(ValidationError, match="^element 5 not reached within radius cap 4$"):
         compare_generating_sets(NAT, [1], [1, 2], 5, 4)
 
 

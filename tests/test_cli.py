@@ -18,11 +18,14 @@ from mvgroups import cayley, cli, dynamics, verify
 from mvgroups.cayley import power_table
 from mvgroups.cli import build_parser, run
 from mvgroups.errors import BudgetExceeded, MvGroupsError
+from mvgroups.groups import Budget
 from mvgroups.mvalued import OrbitGroup
 from mvgroups.verify import SUITES, sample_elements
 from mvgroups.wordspec import load_instance
 
+from oracles import bfs_words
 from test_cli_text import CASES
+from test_groups import s6_outer, sym
 
 
 def cfg(config_dir, name):
@@ -109,7 +112,8 @@ def test_growth_stats_on_budget_exit_names_the_completed_layers(config_dir, caps
     stats = json.loads(line)
     assert stats["radius"] == 6
     assert [layer["size"] for layer in stats["layers"]] == [1, 1, 2, 4, 8, 16, 32]
-    assert message == "budget exceeded: more than 100 distinct elements reached by radius 7"
+    assert message == ("budget exceeded: more than 100 distinct elements reached by radius 7 "
+                       "in the ball of X")
 
 
 TABLE_STATS = {
@@ -256,7 +260,8 @@ def test_axioms_nat_sample_is_capped_by_the_budget(config_dir, capsys):
     for sample in ("20", "10"):
         code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
                                          "--sample", sample, "--budget", "10"])
-        assert (code, out, err) == (3, "", "budget exceeded: more than 10 distinct elements\n")
+        assert (code, out, err) == (
+            3, "", "budget exceeded: more than 10 distinct elements in the nat sample\n")
     code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
                                      "--sample", "9", "--budget", "10"])
     assert (code, err) == (0, "")
@@ -641,23 +646,25 @@ def test_budget_exceeded_exit_code(config_dir, capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("argv, budget, radius", [
-    (["growth", "-c", "free2_swap", "--radius", "40"], 1000, 10),
-    (["growth", "-c", "z2_swap", "--radius", "40"], 1000, 31),
-    (["growth", "-c", "heis_swap", "--radius", "40"], 1000, 9),
-    (["growth", "-c", "z3xF2_example46", "--radius", "40"], 1000, 9),
-    (["dynamics", "-c", "free2_swap", "--z", "g1", "--steps", "30"], 5000, 13),
+@pytest.mark.parametrize("argv, budget, radius, walk", [
+    (["growth", "-c", "free2_swap", "--radius", "40"], 1000, 10, "the ball of X"),
+    (["growth", "-c", "z2_swap", "--radius", "40"], 1000, 31, "the ball of X"),
+    (["growth", "-c", "heis_swap", "--radius", "40"], 1000, 9, "the ball of X"),
+    (["growth", "-c", "z3xF2_example46", "--radius", "40"], 1000, 9, "the ball of X"),
+    (["dynamics", "-c", "free2_swap", "--z", "g1", "--steps", "30"], 5000, 13,
+     "the supports of T_z"),
 ], ids=["growth-free2_swap", "growth-z2_swap", "growth-heis_swap",
         "growth-z3xF2_example46", "dynamics-free2_swap"])
 def test_budget_exit_names_the_radius_a_whole_layer_expansion_reached(
-        config_dir, capsys, argv, budget, radius):
+        config_dir, capsys, argv, budget, radius, walk):
     """Expanding a layer in one batch raises at the radius, and with the
-    message, that expanding it element by element did."""
+    message, that expanding it element by element did; the message names
+    the walk."""
     argv = [*argv[:2], cfg(config_dir, argv[2]), *argv[3:], "--budget", str(budget)]
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (3, "")
     assert err == (f"budget exceeded: more than {budget} distinct elements "
-                   f"reached by radius {radius}\n")
+                   f"reached by radius {radius} in {walk}\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -832,16 +839,19 @@ def test_axioms_on_a_finite_carrier_obeys_the_budget(tmp_path):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == "budget exceeded: more than 100 distinct elements\n"
+    assert proc.stderr == "budget exceeded: more than 100 distinct elements in the carrier of X\n"
 
 
-@pytest.mark.parametrize("name, budget", [("s3_conj", 3), ("s3_doublecoset", 2)])
+@pytest.mark.parametrize("name, budget, walk", [
+    ("s3_conj", 3, "the carrier of X"), ("s3_doublecoset", 2, "the double-coset partition of G"),
+], ids=["s3_conj-3", "s3_doublecoset-2"])
 def test_finite_partition_of_a_shipped_config_obeys_the_budget(config_dir, capsys, name,
-                                                               budget):
+                                                               budget, walk):
     # S3 has 6 elements, so the partition stops before its last class
     code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, name),
                                      "--budget", str(budget)])
-    assert (code, out, err) == (3, "", f"budget exceeded: more than {budget} distinct elements\n")
+    assert (code, out, err) == (
+        3, "", f"budget exceeded: more than {budget} distinct elements in {walk}\n")
 
 
 @pytest.mark.parametrize("name", ["s3_conj", "s3_doublecoset"])
@@ -851,9 +861,10 @@ def test_finite_sample_obeys_its_own_budget(instances, name):
     instance = instances[name]
     carrier, order = instance.X.carrier(), len(list(instance.backend.elements()))
     assert len(carrier) < order == 6
-    assert sample_elements(instance, budget=order) == carrier
-    with pytest.raises(BudgetExceeded, match=f"^more than {order - 1} distinct elements$"):
-        sample_elements(instance, budget=order - 1)
+    assert sample_elements(instance, budget=Budget(order)) == carrier
+    with pytest.raises(BudgetExceeded,
+                       match=f"^more than {order - 1} distinct elements in the carrier of X$"):
+        sample_elements(instance, budget=Budget(order - 1))
 
 
 # cli.run, then the peak RSS of the process's own memory (Linux VmHWM, KiB)
@@ -904,19 +915,20 @@ def test_finite_partition_obeys_the_budget(tmp_path, command, source):
     assert time.perf_counter() - start < 2
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == "budget exceeded: more than 1000 distinct elements\n"
+    assert proc.stderr == "budget exceeded: more than 1000 distinct elements in the carrier of X\n"
 
 
 def assert_carrier_stops_small(tmp_path, group, images):
     """`axioms` on the coset config exits 3 at budget 1000, peaking under 50 MiB."""
     assert_axioms_stop_small(tmp_path, one_automorphism(
-        group, images, X_generators=list(images), defaults={"budget": 1000}), 1000)
+        group, images, X_generators=list(images), defaults={"budget": 1000}), 1000,
+        "the carrier of X")
 
 
-def assert_axioms_stop_small(tmp_path, config, budget, *flags):
-    """`axioms` on the config, with `flags`, exits 3 at `budget` with
-    nothing on stdout, in under 1 s with the interpreter's start, peaking
-    under 50 MiB."""
+def assert_axioms_stop_small(tmp_path, config, budget, walk, *flags):
+    """`axioms` on the config, with `flags`, exits 3 at `budget` in the
+    enumeration `walk` with nothing on stdout, in under 1 s with the
+    interpreter's start, peaking under 50 MiB."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     start = time.perf_counter()
@@ -924,7 +936,7 @@ def assert_axioms_stop_small(tmp_path, config, budget, *flags):
     assert time.perf_counter() - start < 1
     message, peak_kib = proc.stderr.splitlines()
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert message == f"budget exceeded: more than {budget} distinct elements"
+    assert message == f"budget exceeded: more than {budget} distinct elements in {walk}"
     assert int(peak_kib) < 50 * 1024
 
 
@@ -1000,7 +1012,8 @@ S9_CARRIERS = {
 def test_the_budget_stops_a_permutation_draw(tmp_path, kind):
     # closing and sorting all 362,880 elements of S9 before the first was
     # drawn took 1.5 s and 78 MiB; the lazy draw stops at the eleventh
-    assert_axioms_stop_small(tmp_path, S9_CARRIERS[kind], 10, "--budget", "10")
+    walk = {"coset": "the carrier of X", "double_coset": "the double-coset partition of G"}[kind]
+    assert_axioms_stop_small(tmp_path, S9_CARRIERS[kind], 10, walk, "--budget", "10")
 
 
 @NEEDS_PROC
@@ -1060,6 +1073,88 @@ def test_axioms_on_s6_check_the_whole_carrier_under_200_mib(tmp_path):
                                                  "PASS unit elements=384\n"
                                                  "PASS inverse elements=384\n")
     assert int(proc.stderr) < 200 * 1024
+
+
+@NEEDS_PROC
+def test_a_budget_over_a_million_reaches_the_carrier(tmp_path):
+    # S10 has 3,628,800 elements; its draw, a closure capped at the default
+    # 10^6 whatever --budget said, stopped first: "more than 1000000
+    # distinct elements reached by radius 37" (1.2 s, 182 MiB).  The draw
+    # is now capped by its reader alone, the carrier, under the flag's limit
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps(symmetric_coset(10)))
+    start = time.perf_counter()
+    proc = run_in_subprocess(["axioms", "-c", str(path), "--sample", "3", "--budget", "1000001"],
+                             address_space=1024 * MIB, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("budget exceeded: more than 1000001 distinct elements "
+                           "in the carrier of X\n")
+
+
+def s6_outer_config():
+    """The coset config of S6 under the automorphism of tests/test_groups.py
+    that is no conjugation, its images written as words: only the edge
+    walk compiles it."""
+    config, backend = symmetric_coset(6), sym(6)
+    words = bfs_words(backend)
+
+    def word(g):
+        return "*".join(f"{backend.gen_names[i]}^{e}" for i, e in words[g]) or "e"
+    images, inverse_images = ({name: word(g) for name, g in zip(backend.gen_names, gs)}
+                              for gs in s6_outer())
+    config["automorphisms"] = [{"name": "outer", "images": images,
+                                "inverse_images": inverse_images}]
+    return config
+
+
+S4_SUBGROUP = {"schema": 1, "group": symmetric_coset(4)["group"], "X_generators": ["t"],
+               "mv": {"kind": "double_coset", "subgroup": ["t", "c"]}}
+INSTANCES = pathlib.Path(__file__).resolve().parent / "instances"
+# enumeration -> (config: a shipped name, an instance path, or a document
+# written here; the command; the budget just under what it reaches; the
+# one stderr line, which names the enumeration)
+OVERRUNS = {
+    "ball": ("free2_swap", ["growth", "--radius", "30"], 10,
+             "more than 10 distinct elements reached by radius 4 in the ball of X"),
+    "lengths": ("nat", ["compare", "--gens2", "2", "--center2", "30", "--radius", "40"], 10,
+                "more than 10 distinct elements reached by radius 10 in the length search of X"),
+    "monoid_ball": ("heis_swap", ["verify", "--suite", "proof34"], 300,
+                    "more than 300 distinct elements reached by radius 5 "
+                    "in the monoid ball of GA"),
+    "supports": ("free2_swap", ["dynamics", "--z", "g1", "--steps", "30"], 10,
+                 "more than 10 distinct elements reached by radius 4 in the supports of T_z"),
+    "power_supports": ("free2_swap", ["powers", "--x", "g1", "--radius", "30"], 10,
+                       "more than 10 distinct elements reached by radius 3 "
+                       "in the power supports of x"),
+    "carrier": ("s3_conj", ["axioms"], 5, "more than 5 distinct elements in the carrier of X"),
+    "partition": ("s3_doublecoset", ["axioms"], 5,
+                  "more than 5 distinct elements in the double-coset partition of G"),
+    "nat_sample": ("nat", ["axioms", "--sample", "10"], 10,
+                   "more than 10 distinct elements in the nat sample"),
+    "axiom_pair_table": ("nat", ["axioms", "--sample", "1000"], 10**6,
+                         "more than 1000000 entries in the axiom pair table"),
+    "automorphism_closure": (INSTANCES / "z2_dihedral.json", ["growth"], 5,
+                             "more than 5 distinct elements reached by radius 1 "
+                             "in the automorphism closure of A"),
+    "edge_walk": (s6_outer_config(), ["growth"], 10,
+                  "more than 10 distinct elements reached by radius 3 in the edge walk of G"),
+    "subgroup_closure": (S4_SUBGROUP, ["growth"], 10,
+                         "more than 10 distinct elements reached by radius 3 "
+                         "in the subgroup closure of H"),
+}
+
+
+@pytest.mark.parametrize("walk", OVERRUNS)
+def test_every_enumeration_names_itself_at_its_cap(config_dir, tmp_path, capsys, walk):
+    config, (command, *flags), budget, message = OVERRUNS[walk]
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = config if isinstance(config, pathlib.Path) else config_dir / f"{config}.json"
+    code, out, err = invoke(capsys, [command, "-c", str(path), *flags, "--budget", str(budget)])
+    assert (code, out, err) == (3, "", f"budget exceeded: {message}\n")
 
 
 def too_long(limit):
@@ -1149,7 +1244,12 @@ def test_infinite_product_without_relators_cannot_be_verified(tmp_path, capsys, 
                    "and is not finite; cannot verify\n")
 
 
-def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
+@NEEDS_PROC
+def test_automorphism_closure_over_bound_exits_3(tmp_path):
+    # the shear generates an infinite group, one automorphism per layer: the
+    # closure, once capped at its own 10,000, runs under the default budget
+    # of the run, walking image tuples; each composite named by the seeds it
+    # was composed from took 306 MiB at 10,000
     shear = tmp_path / "shear.json"
     shear.write_text(json.dumps({
         "schema": 1,
@@ -1158,9 +1258,13 @@ def test_automorphism_closure_over_bound_exits_3(tmp_path, capsys):
                            "inverse_images": {"g1": "g1", "g2": "g1^-1*g2"}}],
         "mv": {"kind": "coset"},
     }))
-    code, _, err = invoke(capsys, ["axioms", "-c", str(shear)])
-    assert code == 3
-    assert "more than 10000 distinct elements" in err
+    proc = run_in_subprocess(["axioms", "-c", str(shear)], peak_rss=True,
+                             address_space=1024 * MIB, timeout=30)
+    message, peak_kib = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert message == ("budget exceeded: more than 1000000 distinct elements reached by "
+                       "radius 999999 in the automorphism closure of A")
+    assert int(peak_kib) < 400 * 1024
 
 
 def test_only_a_refused_line_builds_a_parser(config_dir, capsys, monkeypatch):

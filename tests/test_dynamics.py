@@ -5,8 +5,6 @@ import pytest
 from mvgroups import dynamics, verify
 from mvgroups.errors import (
     BudgetExceeded,
-    InsufficientData,
-    PreconditionViolated,
     ValidationError,
 )
 from mvgroups.dynamics import (
@@ -15,7 +13,7 @@ from mvgroups.dynamics import (
     iterate_dynamic,
     quadratic_bound_check,
 )
-from mvgroups.groups import PermutationGroup, monoid_balls
+from mvgroups.groups import Budget, PermutationGroup, monoid_balls
 from mvgroups.mvalued import DoubleCosetGroup, NatGroup
 
 from oracles import in_order, sorted_supports
@@ -47,7 +45,7 @@ def test_iterate_radius_zero():
 
 def test_iterate_budget():
     with pytest.raises(BudgetExceeded):
-        iterate_dynamic(NAT, 1, 0, 30, budget=5)
+        iterate_dynamic(NAT, 1, 0, 30, budget=Budget(5))
 
 
 def test_iterate_matches_stepwise_set_recursion():
@@ -135,7 +133,7 @@ def test_quadratic_bound_nat_various_bases():
 def test_quadratic_bound_needs_n_two():
     s3 = PermutationGroup(3, ["t", "c"], [[1, 0, 2], [1, 2, 0]])
     X = DoubleCosetGroup(s3, [(1, 2, 0)])  # |H| = 3
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValidationError, match="^need a 2-valued group, got n = 3$"):
         quadratic_bound_check(X, X.unit, 4)
 
 
@@ -145,7 +143,8 @@ def test_quadratic_bound_needs_involution(instances):
     X = inst.X
     x = inst.element("g1")
     assert X.inv(x) != x
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ValidationError,
+                       match=r"^inv\(g1\) != g1: group is not involutive$"):
         quadratic_bound_check(X, x, 4)
 
 
@@ -188,7 +187,7 @@ def test_classify_inconclusive_on_decay():
 
 
 def test_classify_needs_six_rows():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValidationError, match="^need at least 6 rows, got 5$"):
         classify_growth([1, 2, 3, 4, 5])
 
 

@@ -8,14 +8,13 @@ import pytest
 
 from mvgroups import groups
 from mvgroups.errors import (
-    BackendMismatch,
     BudgetExceeded,
-    InverseMissing,
     NotAnAutomorphism,
     ValidationError,
 )
 from mvgroups.groups import (
     Automorphism,
+    Budget,
     CyclicGroup,
     DirectProduct,
     FreeAbelianGroup,
@@ -329,7 +328,7 @@ def test_doubling_is_rejected():
     # g1 -> g1^2 on a free group is not surjective; no inverse images exist
     f = FreeGroup(1)
     square = f.mul(f.gens[0], f.gens[0])
-    with pytest.raises(InverseMissing):
+    with pytest.raises(ValidationError, match="^automorphism 'double' has no inverse images$"):
         Automorphism(f, "double", [square], None).verify()
     with pytest.raises(NotAnAutomorphism):
         Automorphism(f, "double", [square], [f.gens[0]]).verify()
@@ -339,7 +338,7 @@ def test_shear_closure_exceeds_bound():
     z2 = FreeAbelianGroup(2)
     shear = Automorphism(z2, "shear", [(1, 0), (1, 1)], [(1, 0), (-1, 1)]).verify()
     with pytest.raises(BudgetExceeded):
-        close_automorphisms([shear], bound=10)
+        close_automorphisms([shear], Budget(10))
 
 
 def test_unverified_automorphism_cannot_be_applied():
@@ -391,10 +390,9 @@ def swap_group(z2):
      "all seeds must act on the same backend"),
 ], ids=["coset", "semidirect", "close"])
 def test_automorphisms_of_another_backend_raise_backend_mismatch(build, message):
-    with pytest.raises(BackendMismatch) as exc:
+    with pytest.raises(ValidationError) as exc:
         build()
     assert str(exc.value) == message
-    assert not isinstance(exc.value, ValidationError)
 
 
 def test_semidirect_left_unit_and_embedding():
@@ -574,7 +572,7 @@ def test_monoid_sphere_invariants():
 def test_monoid_budget_enforced():
     f = FreeGroup(2)
     with pytest.raises(BudgetExceeded):
-        monoid_balls(f, [f.gens[0], f.gens[1]], 10, budget=20)
+        monoid_balls(f, [f.gens[0], f.gens[1]], 10, budget=Budget(20))
 
 
 # a Latin square with identity 0 that is not associative: the smallest
@@ -803,9 +801,9 @@ def swap_two_entries(table):
 SUBSTITUTION = FreeGroup.homomorphism
 
 
-def wrong_letter(backend, images):
+def wrong_letter(backend, images, budget=None):
     """Letter substitution that sends the second letter where the first goes."""
-    return SUBSTITUTION(backend, [images[0], images[0], *images[2:]])
+    return SUBSTITUTION(backend, [images[0], images[0], *images[2:]], budget)
 
 
 def shift3():
@@ -833,9 +831,9 @@ def test_oracle_catches_a_wrong_substitution_letter():
 def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch):
     walk = FiniteTableGroup.homomorphism
 
-    def swapped_walk(self, images):
+    def swapped_walk(self, images, *budget):
         elements = self.elements()
-        swapped = swap_two_entries(dict(zip(elements, walk(self, images)(elements))))
+        swapped = swap_two_entries(dict(zip(elements, walk(self, images, *budget)(elements))))
         return lambda gs: list(map(swapped.__getitem__, gs))
 
     monkeypatch.setattr(FiniteTableGroup, "homomorphism", swapped_walk)
@@ -1475,8 +1473,10 @@ def test_shear_closure_stops_at_the_same_radius():
     z2 = FreeAbelianGroup(2)
     shear = Automorphism(z2, "shear", [(1, 0), (1, 1)], [(1, 0), (-1, 1)]).verify()
     with pytest.raises(BudgetExceeded) as exc:
-        close_automorphisms([shear], bound=10)
+        close_automorphisms([shear], Budget(10))
     assert (exc.value.budget, exc.value.radius) == (10, 9)
+    assert str(exc.value) == ("more than 10 distinct elements reached by radius 9 "
+                              "in the automorphism closure of A")
 
 
 def compiles_while_building(config):
@@ -1487,9 +1487,9 @@ def compiles_while_building(config):
     compiled = []
     homomorphism = backend.homomorphism
 
-    def counted(images):
+    def counted(images, *budget):
         compiled.append(tuple(images))
-        return homomorphism(images)
+        return homomorphism(images, *budget)
 
     backend.homomorphism = counted
     try:

@@ -10,8 +10,9 @@ no `argparse`, importing ``tests/oracles.py`` builds no instance,
 building an instance loads no analysis or CLI module, every verification
 suite takes only (instance, r_max, budget), no subclass of a base with one
 constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
-an orbit group's subclass brings only its class rule, and only the output
-edge forms canonical keys."""
+an orbit group's subclass brings only its class rule, only the output
+edge forms canonical keys, and only the budget handle raises an overrun
+or reads the default budget."""
 
 import ast
 import importlib
@@ -195,6 +196,76 @@ def test_only_the_cli_reads_a_clock(path):
     """A walk holds its frontier and seen set and reads no clock: `--stats`
     in the CLI stamps each layer it is told of."""
     assert clock_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the scopes, as module.function, that may construct BudgetExceeded or read
+# DEFAULT_BUDGET (the handle's default, and the config's defaults.budget)
+BUDGET_RAISERS = {"groups.Budget.check"}
+BUDGET_READERS = {"groups.Budget.__init__", "wordspec.parse_config"}
+
+
+def scopes(tree, module):
+    """(module.qualified name, node) for each top-level function, each
+    method as Class.method, each other statement of a class body under the
+    class's name, and each other top-level statement as <module>."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                method = isinstance(child, ast.FunctionDef)
+                yield f"{module}.{node.name}{'.' + child.name if method else ''}", child
+        else:
+            name = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+            yield f"{module}.{name}", node
+
+
+def budget_breaches(source, module):
+    """(line, scope, breach) for each use of the budget outside its handle:
+    a `BudgetExceeded(` call outside BUDGET_RAISERS, a read of
+    DEFAULT_BUDGET outside BUDGET_READERS, and any function or lambda with
+    an `on_layer` parameter: a walk reports its layers to the handle's
+    observer."""
+    breaches = []
+    for scope, top in scopes(ast.parse(source), module):
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "BudgetExceeded" and scope not in BUDGET_RAISERS):
+                breaches.append((node.lineno, scope, "raises"))
+            elif (isinstance(node, ast.Name) and node.id == "DEFAULT_BUDGET"
+                  and isinstance(node.ctx, ast.Load) and scope not in BUDGET_READERS):
+                breaches.append((node.lineno, scope, "reads"))
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)) and "on_layer" in {
+                    a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                    *node.args.kwonlyargs)}:
+                breaches.append((node.lineno, scope, "on_layer"))
+    return sorted(breaches)
+
+
+def test_detector_flags_a_budget_use_outside_the_handle():
+    source = ("DEFAULT_BUDGET = 10\n\n"
+              "class Budget:\n    def __init__(self, limit=DEFAULT_BUDGET, observer=None):\n"
+              "        self.observer = observer\n\n"
+              "    def check(self, n):\n        raise BudgetExceeded(n)\n\n"
+              "def walk(budget=DEFAULT_BUDGET, on_layer=None):\n"
+              "    raise BudgetExceeded(budget)\n\n"
+              "def parse_config(d):\n    return d.get('budget', DEFAULT_BUDGET)\n\n"
+              "report = lambda r, on_layer: on_layer(r)\n")
+    assert budget_breaches(source, "groups") == [
+        (10, "groups.walk", "on_layer"), (10, "groups.walk", "reads"),
+        (11, "groups.walk", "raises"), (14, "groups.parse_config", "reads"),
+        (16, "groups.<module>", "on_layer")]
+    # in another module the handle's own uses are breaches too
+    assert budget_breaches(source, "wordspec")[:3] == [
+        (4, "wordspec.Budget.__init__", "reads"), (8, "wordspec.Budget.check", "raises"),
+        (10, "wordspec.walk", "on_layer")]
+    assert (14, "wordspec.parse_config", "reads") not in budget_breaches(source, "wordspec")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_budget_handle_raises_an_overrun_or_reads_the_default(path):
+    """Every enumeration counts against the command's `Budget`, whose
+    `check` alone raises BudgetExceeded, naming the enumeration, and whose
+    observer alone hears of its layers."""
+    assert budget_breaches(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -10,10 +10,11 @@ import time
 
 import pytest
 
+from mvgroups import cayley
 from mvgroups.cayley import ball, lengths, power_table
 from mvgroups.dynamics import iterate_dynamic
 from mvgroups.errors import BudgetExceeded
-from mvgroups.groups import FreeGroup, closure, layers, monoid_balls
+from mvgroups.groups import Budget, FreeGroup, closure, layers, monoid_balls
 from mvgroups.mvalued import NatGroup
 from mvgroups.wordspec import load_instance
 from oracles import twisted_steps
@@ -34,9 +35,9 @@ def test_layers_discovery_order_and_exhaustion():
 
 
 def test_layers_budget_names_budget_and_radius():
-    assert sum(map(len, itertools.islice(layers([0], z6_steps, budget=6), 7))) == 6
+    assert sum(map(len, itertools.islice(layers([0], z6_steps, budget=Budget(6)), 7))) == 6
     with pytest.raises(BudgetExceeded) as exc:
-        list(itertools.islice(layers([0], z6_steps, budget=5), 7))
+        list(itertools.islice(layers([0], z6_steps, budget=Budget(5)), 7))
     assert (exc.value.budget, exc.value.radius) == (5, 3)
     assert "5" in str(exc.value) and "radius 3" in str(exc.value)
 
@@ -54,7 +55,7 @@ def test_closure_expands_lazily_and_stops_at_the_first_element_over_the_budget()
     assert expanded == [0]
     expanded.clear()
     with pytest.raises(BudgetExceeded) as exc:
-        list(closure([0], successors, budget=5))
+        list(closure([0], successors, budget=Budget(5)))
     # layers [0], [1, 2], [3, 4]: the sixth element, 5, comes from 3, and 4
     # is never expanded
     assert (exc.value.radius, expanded) == (3, [0, 1, 2, 3])
@@ -62,7 +63,7 @@ def test_closure_expands_lazily_and_stops_at_the_first_element_over_the_budget()
 
 def test_on_layer_reports_each_completed_layer_before_it_is_yielded():
     reports = []
-    walk = layers([0], z6_steps, 4, lambda r, size: reports.append((r, size)))
+    walk = layers([0], z6_steps, Budget(4, lambda name, r, size: reports.append((r, size))))
     assert next(walk) == [0] and reports == [(0, 1)]
     assert next(walk) == [3, 2] and reports == [(0, 1), (1, 2)]
     with pytest.raises(BudgetExceeded):  # the fifth element, 4, overruns the budget
@@ -81,29 +82,31 @@ def count_clock_reads(monkeypatch):
 
 
 def test_layers_read_the_clock_only_for_on_layer(monkeypatch):
-    """The walk reads no clock, with or without `on_layer`, which gets
-    (radius, size) of each layer."""
+    """The walk reads no clock, with or without the budget's observer,
+    which gets (name, radius, size) of each layer."""
     reads = count_clock_reads(monkeypatch)
     assert list(itertools.islice(layers([0], z6_steps), 7))[-1] == []
     reports = []
-    list(itertools.islice(layers([0], z6_steps, on_layer=lambda *report: reports.append(
-        report)), 7))
+    list(itertools.islice(layers([0], z6_steps, Budget(observer=lambda *report: reports.append(
+        report)), "the walk"), 7))
     assert reads == []
-    assert reports == [(0, 1), (1, 2), (2, 2), (3, 1), (4, 0), (5, 0), (6, 0)]
+    assert reports == [("the walk", r, size) for r, size in
+                       enumerate([1, 2, 2, 1, 0, 0, 0])]
 
 
 def test_dynamic_supports_read_the_clock_only_for_on_layer(monkeypatch):
-    """iterate_dynamic and power_table pass `on_layer` through, reading no
+    """iterate_dynamic and power_table report to the budget's observer, reading no
     clock: each row is reported with its support's size, power rows from
     r = 1."""
     reads = count_clock_reads(monkeypatch)
     table, powers = iterate_dynamic(NAT, 2, 1, 6), power_table(NAT, 2, 6)
     rows = []
-    assert iterate_dynamic(NAT, 2, 1, 6, on_layer=lambda *row: rows.append(row)) == table
-    assert rows == list(enumerate(table.xi))
+    budget = Budget(observer=lambda *row: rows.append(row))
+    assert iterate_dynamic(NAT, 2, 1, 6, budget) == table
+    assert rows == [(cayley.SUPPORTS, r, xi) for r, xi in enumerate(table.xi)]
     rows.clear()
-    assert power_table(NAT, 2, 6, on_layer=lambda *row: rows.append(row)) == powers
-    assert rows == [(r, len(powers.set_powers[r])) for r in range(1, 7)]
+    assert power_table(NAT, 2, 6, budget) == powers
+    assert rows == [(cayley.POWERS, r, len(powers.set_powers[r])) for r in range(1, 7)]
     assert reads == []
 
 
@@ -120,7 +123,7 @@ def test_budget_raise_comes_after_at_most_one_layer_of_candidates():
     project_all = X.project_all
     X.project_all = lambda gs: batches.append(len(gs)) or project_all(gs)
     with pytest.raises(BudgetExceeded) as exc:
-        ball(X, gens, X.unit, 40, budget=1000)
+        ball(X, gens, X.unit, 40, budget=Budget(1000))
     assert exc.value.radius == 31
     assert batches == [len(steps) * size for size in spheres]
     assert sum(spheres) <= 1000 and batches[-1] <= 1000 * len(steps)
@@ -146,8 +149,8 @@ ENUMERATIONS = {
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_budget_caps_distinct_elements_reached(name):
     run, reached = ENUMERATIONS[name]
-    n = reached(run(10**6))
+    n = reached(run(Budget()))
     assert n > 1
-    assert reached(run(n)) == n
+    assert reached(run(Budget(n))) == n
     with pytest.raises(BudgetExceeded):
-        run(n - 1)
+        run(Budget(n - 1))

@@ -47,7 +47,7 @@ test_layer_step_matches_the_generic_step_on_every_layer = table_test("step")
 test_coset_ball_is_the_projected_monoid_ball = table_test("coset_ball")
 test_monoid_balls_match_the_scalar_walk = table_test("monoid_balls", extra={
     f"{name}-semidirect": semidirect_balls(name) for name in COSET})
-test_semidirect_products_match_the_default_hook = table_test("products")
+test_products_match_the_scalar_products_on_every_backend_kind = table_test("products")
 test_project_all_matches_project_on_products_with_repeats = table_test("project_all")
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgroups.errors import (
-    InfiniteBackendUnsupported,
     SchemaError,
     UnknownGenerator,
     ValidationError,
@@ -301,7 +300,8 @@ def test_double_coset_on_infinite_backend_fails():
         "group": {"kind": "free", "rank": 2},
         "mv": {"kind": "double_coset", "subgroup": ["g1"]},
     })
-    with pytest.raises(InfiniteBackendUnsupported):
+    with pytest.raises(ValidationError,
+                       match="^double coset groups are implemented for finite backends only$"):
         build_instance(config)
 
 
