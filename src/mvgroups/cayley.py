@@ -16,8 +16,8 @@ coset group folds each product's orbit minimum, itself a G-element, by
 compare-select and files none, calling each automorphism's compiled
 batch map once on the whole batch (``Automorphism.apply`` is that map's
 batch of one, for scalar callers), and a double coset group looks each
-up in its partition.  Z^k forms the products column-wise, the Heisenberg group in
-one list display, a free group concatenates at the seam, and a direct
+up in its partition.  Z^k and the Heisenberg group form the products in
+one list display each, a free group concatenates at the seam, and a direct
 product runs each factor's batch on its column.  The budget still counts
 classes.
 
@@ -102,16 +102,16 @@ def dynamic_supports(X: MvGroup, z, y, budget: Budget = Budget(), name: str = SU
     u to u * z.
 
     Unlike ``layers`` nothing is pruned, because xi counts elements that
-    recur.  The walk `name` overruns at row r once more than the budget's
-    limit of distinct elements have been reached.  Each support within the
-    budget is reported as row r + `first`, before it is yielded.  Like
-    ``layers``, the walk reads no clock.
+    recur.  Row r is numbered r + `first`, both in the report of each
+    support within the budget, made before it is yielded, and in an
+    overrun, at the row where more than the budget's limit of distinct
+    elements have been reached.  Like ``layers``, the walk reads no clock.
     """
     support, reached, r = (y,), set(), 0
     step = X.step([z])
     while True:
         reached.update(support)
-        budget.check(name, len(reached), r)
+        budget.check(name, len(reached), r + first)
         budget.layer(name, r + first, len(support))
         yield support
         support = tuple(set(step(support)))
@@ -122,7 +122,7 @@ def power_table(X: MvGroup, x, radius: int, budget: Budget = Budget()) -> PowerT
     """Supports of powers: Set(x^{*1}) = {x}, Set(x^{*(i+1)}) = Set(x^{*i}) * x,
     unordered; each sphere S*(x, r) keeps the order of its support.  The
     walk is POWERS, and it reports (r, |Set(x^{*r})|) for r = 1, 2, ...;
-    an overrun names the walk's own row, r - 1."""
+    an overrun names the power r that overran."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     set_powers = [()] + list(itertools.islice(dynamic_supports(X, x, x, budget, POWERS, 1),

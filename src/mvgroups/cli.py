@@ -185,7 +185,8 @@ def _stats(args, budget: Budget, walk: str):
 
 def _cmd_axioms(args, instance: Instance) -> int:
     X = instance.X
-    report = check_axioms(X, sample_elements(instance, args.sample + 1, instance.budget))
+    report = check_axioms(X, sample_elements(instance, args.sample + 1, instance.budget),
+                          instance.budget)
     if args.format == "json":
         _emit(json.dumps({"schema": 1, **report.to_record(render=X.render)}, indent=2))
     else:

@@ -5,9 +5,9 @@ inverse, identity and an injective canonical key per element.  Element
 values are plain immutable Python data (ints, tuples, strings); the
 backend object carries the operations and ``gens``, the tuple of its
 declared generators, set once at construction; each backend's own
-``products`` batches ``mul`` over a layer: column by column on Z^k, one
-list display on the Heisenberg group, one ``itemgetter`` per left factor
-on a permutation group, a table row read by ``map`` on a table group.  A
+``products`` batches ``mul`` over a layer: one list display on Z^k and
+on the Heisenberg group, one ``itemgetter`` per left factor on a
+permutation group, a table row read by ``map`` on a table group.  A
 free-group word is a string of letters, so a product concatenates and
 cancels at the seam; a direct product splits a layer into factor columns
 and runs each factor's own batch on its column; a semidirect product
@@ -18,7 +18,7 @@ and free words compare fewer syllables first, then syllable by syllable.
 Keys give the order elements print in, so only output paths form them.
 Z^k and the Heisenberg group share one integer-vector constructor: the
 rank and name checks (the free group's too), identity, generators,
-rendering and keys.
+rendering and keys, and one kernel compiler, the package's only ``eval``.
 
 Automorphisms are given by generator images (plus mandatory inverse
 images) and are checked before use: relator-bearing kinds check that
@@ -33,15 +33,16 @@ g -> c g c^-1 as a memo without walking G; other finite kinds without
 relators, and a permutation group with no such c, walk their Cayley
 graph, checking the homomorphism property on every edge, and keep the
 image table; a memo or a table maps a batch by one ``map`` of its lookup.
-Z^k compiles to a linear map, Z/m to multiplication by the generator's
-image, the Heisenberg group to one polynomial in (p, q, r), or to its
-nonzero terms when the images of a and b act on (p, q) by a signed
-permutation and C is central, each one list display or ``map`` over the
-batch; a free group joins the batch on a separator outside its alphabet
-and runs one ``str.translate`` for a signed permutation of the letters,
-else letter substitution and a reduction per word; and a direct product
-with relators whose generators map into their own factors runs one map
-per factor on its column, passing a column its factor fixes untouched.
+Z^k compiles its linear map, as it does its products, and the Heisenberg
+group its polynomial in (p, q, r) to one list display over unpacked
+coordinates with the nonzero terms alone, +-1 folded into their signs and
+no value but int coefficients in its source; Z/m multiplies by the
+generator's image in one list display; a free group joins the batch on a
+separator outside its alphabet and runs one ``str.translate`` for a
+signed permutation of the letters, else letter substitution and a
+reduction per word; and a direct product with relators whose generators
+map into their own factors runs one map per factor on its column,
+passing a column its factor fixes untouched.
 evaluate(factor(g), images) is left only to products that mix their
 factors, and stays the oracle on infinite kinds (permutation and table
 groups have no factor).  A verified automorphism keeps one map, and
@@ -449,6 +450,36 @@ class _IntVectors(GroupBackend):
     def canonical_key(self, g):
         return tuple(map(int_key, g))
 
+    @staticmethod
+    def _kernel(coordinates: Sequence[Sequence[Tuple[int, str]]],
+                *loops: Tuple[str, Sequence[str]]) -> Callable[..., List[Any]]:
+        """The batch kernel `lambda gs, ...: [(x0, x1, ...) for .. in gs ...]`,
+        compiled once: each loop is a parameter and the names its elements
+        unpack to, and x_i is the sum of c*t over the (c, t) of
+        coordinates[i], each t a fixed expression in the loop names.  A term
+        with c = 0 is dropped and c = +-1 folds into its sign, so an index
+        map reads as bare names.  Only the coefficients, ints by ``repr``,
+        are formatted into the source; anything else is refused first."""
+        bad = [c for row in coordinates for c, _ in row if type(c) is not int]
+        if bad:
+            raise ValidationError(f"a compiled map takes int coefficients, got {bad[0]!r}")
+
+        def items(sources):  # a tuple's items: "a, b", and "a," for one
+            return ", ".join(sources) + ("," if len(sources) == 1 else "")
+
+        def coordinate(row):
+            terms = [(c < 0, t if c in (1, -1) else f"{abs(c)!r}*{t}") for c, t in row if c]
+            if not terms:
+                return "0"
+            (negative, first), *rest = terms
+            return ("-" if negative else "") + first + "".join(
+                f" {'-' if minus else '+'} {t}" for minus, t in rest)
+
+        display = items([coordinate(row) for row in coordinates])
+        heads = " ".join(f"for {items(names)} in {batch}" for batch, names in loops)
+        parameters = ", ".join(batch for batch, _ in loops)
+        return eval(f"lambda {parameters}: [({display}) {heads}]", {"__builtins__": {}})
+
     def render(self, g):
         if self.rank == 1:
             return str(g[0])
@@ -462,38 +493,24 @@ class FreeAbelianGroup(_IntVectors):
 
     def __init__(self, rank: int, gen_names: Optional[Sequence[str]] = None):
         super().__init__("free abelian", rank, gen_names)
+        # mul's products, on Z^2 [(g0 + h0, g1 + h1) for g0, g1 in gs for h0, h1 in hs]
+        g, h = ([f"{x}{i}" for i in range(rank)] for x in "gh")
+        self.products = self._kernel([[(1, a), (1, b)] for a, b in zip(g, h)],
+                                     ("gs", g), ("hs", h))
 
     def mul(self, g, h):
         return tuple(map(operator.add, g, h))
-
-    def products(self, gs, hs):
-        """Per step, one `map` of `add` per column, zipped back element-major."""
-        columns = list(zip(*gs))
-        by_step = [zip(*[map(operator.add, column, itertools.repeat(a))
-                         for column, a in zip(columns, h)]) for h in hs]
-        return list(itertools.chain.from_iterable(zip(*by_step)))
 
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
     def homomorphism(self, images, budget=None):
-        """The linear map whose columns are the images, one list display
-        over the batch, unless they are a signed permutation of the basis:
-        then each row of the matrix holds one entry +-1, in a column of its
-        own, so each coordinate of the image is one coordinate of g, picked
-        by `itemgetter` and multiplied by its sign unless every sign is +1;
-        with no sign the batch is one ``map`` of the `itemgetter`."""
-        rows = tuple(zip(*images))
-        entries = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
-        if sorted(e[0][0] for e in entries
-                  if len(e) == 1 and e[0][1] in (1, -1)) == list(range(self.rank)):
-            index, signs = zip(*(e[0] for e in entries))
-            # itemgetter of one index returns the coordinate, not a tuple
-            pick = operator.itemgetter(*index) if self.rank > 1 else tuple
-            if -1 not in signs:
-                return functools.partial(_each, pick)
-            return lambda gs: [tuple(map(operator.mul, signs, pick(g))) for g in gs]
-        return lambda gs: [tuple([sum(map(operator.mul, row, g)) for row in rows]) for g in gs]
+        """The linear map whose columns are the images: coordinate j of g's
+        image is the sum of images[i][j] * g_i, compiled with its nonzero
+        terms alone, so the swap of z2_swap reads
+        [(g1, g0) for g0, g1 in gs]."""
+        g = [f"g{i}" for i in range(self.rank)]
+        return self._kernel([list(zip(row, g)) for row in zip(*images)], ("gs", g))
 
     def factor(self, g):
         return tuple((i, a) for i, a in enumerate(g) if a)
@@ -584,36 +601,19 @@ class HeisenbergGroup(_IntVectors):
         return (-p, -q, p * q - r)
 
     def homomorphism(self, images, budget=None):
-        """The general `polynomial`, unless C is central (c1 = c2 = 0) and
-        the matrix [[a1, b1], [a2, b2]] acting on (p, q) is a signed
-        permutation: then a1*a2 = b1*b2 = 0, every term of the polynomial
-        with a factor c1, c2, a1*a2 or b1*b2 vanishes, and what is left is
-        (u*g[i], v*g[j], c3*r + p*(a3 + (a1*b2 - c3)*q) + b3*q), each of
-        the first two coordinates one signed coordinate of (p, q): one list
-        display over the batch.  The polynomial maps a batch by one `map`."""
+        """g = a^p b^q c^s, s = r - pq, -> A^p B^q C^s: the closed-form
+        powers (p,q,r)^k = (kp, kq, kr + k(k-1)/2 pq) multiplied out into
+        one polynomial in (p, q, r), compiled with its nonzero terms alone,
+        so the swap of heis_swap reads [(q, p, -(r - p*q)) for p, q, r in gs]."""
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
-        if c1 == c2 == a1 * a2 == b1 * b2 == 0 and abs(a1 * b2 - a2 * b1) == 1:
-            u, v, i, j = (a1, b2, 0, 1) if a1 else (b1, a2, 1, 0)
-            e = a1 * b2 - c3
-            return lambda gs: [(u * g[i], v * g[j], c3 * g[2] + g[0] * (a3 + e * g[1]) + b3 * g[1])
-                               for g in gs]
-        return functools.partial(_each, self.polynomial(images))
-
-    @staticmethod
-    def polynomial(images):
-        """The per-element map g = a^p b^q c^s, s = r - pq, -> A^p B^q C^s:
-        the closed-form powers multiplied out into one polynomial in
-        (p, q, r)."""
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
-
-        def apply(g):
-            p, q, r = g
-            s = r - p * q
-            x = p * a1 + q * b1
-            return (x + s * c1, p * a2 + q * b2 + s * c2,
-                    p * a3 + p * (p - 1) // 2 * a1 * a2 + q * b3 + q * (q - 1) // 2 * b1 * b2
-                    + p * a1 * q * b2 + s * c3 + s * (s - 1) // 2 * c1 * c2 + x * s * c2)
-        return apply
+        s = "(r - p*q)"
+        return self._kernel([
+            [(a1, "p"), (b1, "q"), (c1, s)],
+            [(a2, "p"), (b2, "q"), (c2, s)],
+            [(a3, "p"), (a1 * a2, "(p*(p - 1)//2)"), (b3, "q"), (b1 * b2, "(q*(q - 1)//2)"),
+             (a1 * b2, "p*q"), (c3, s), (c1 * c2, "((r - p*q)*(r - p*q - 1)//2)"),
+             (a1 * c2, f"p*{s}"), (b1 * c2, f"q*{s}")],
+        ], ("gs", "pqr"))
 
     def factor(self, g):
         p, q, r = g

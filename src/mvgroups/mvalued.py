@@ -23,8 +23,8 @@ the batch up in the partition of G it alone builds, at construction.  A
 carrier draws G lazily, at most one element more than the budget's limit,
 and the partition, the carrier and the axiom pair table each overrun the
 budget under their own names.  The scalar ``mul``
-and ``project`` are batches of one.  Z^k forms the products column-wise,
-the Heisenberg group in one list display, a free group concatenates at
+and ``project`` are batches of one.  Z^k and the Heisenberg group form
+the products in one list display each, a free group concatenates at
 the seam, and a direct product runs each factor's batch on its column.
 """
 
@@ -319,7 +319,7 @@ def _primes(count: int) -> List[int]:
     return list(itertools.compress(range(len(sieve)), sieve))[:count]
 
 
-def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
+def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -> AxiomReport:
     """Verify associativity / unit / inverse on the sample; failures carry witnesses.
 
     Each class met gets an id, each id its own prime, and a multiset of
@@ -334,8 +334,8 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     plain loop's.  x passes the unit axiom when x*e and e*x code p_x^n,
     and the inverse axiom when the unit's prime divides the codes of
     x*inv(x) and inv(x)*x.  Before any product is formed, the N sample
-    classes' pair table, N^2 entries, overruns a default ``Budget``, whose
-    limit no flag changes.
+    classes' pair table, N^2 entries, is charged to `budget`, the
+    command's handle, and overruns it past its limit.
     """
     sample = list(sample)
     if not sample:
@@ -345,7 +345,7 @@ def check_axioms(X: MvGroup, sample: Sequence[Any]) -> AxiomReport:
     ids = _Memo(lambda c, count=itertools.count(): next(count))  # sample classes first
     n, row = X.n, list(map(ids.__getitem__, sample))
     classes, unit = list(ids), ids[X.unit]
-    Budget().check("the axiom pair table", len(classes) ** 2, what="entries")
+    budget.check("the axiom pair table", len(classes) ** 2, what="entries")
 
     def prods(values, keys):  # the product of values[k] over each n keys k in turn
         return list(map(math.prod, zip(*[map(values.__getitem__, keys)] * n)))

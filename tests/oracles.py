@@ -91,15 +91,16 @@ def sorted_spheres(X, gens, x, radius, budget=DEFAULT_BUDGET):
                                      radius + 1))
 
 
-def sorted_supports(X, z, y, radius, budget=DEFAULT_BUDGET):
+def sorted_supports(X, z, y, radius, budget=DEFAULT_BUDGET, first=0):
     """Set(T_z^r(y)) for r = 0..radius by the generic step, each sorted, as
-    ``dynamic_supports`` once built them: the oracle of the unordered supports."""
+    ``dynamic_supports`` once built them: the oracle of the unordered
+    supports, which numbers the row r that overruns r + `first`."""
     step, reached, supports = generic(X).step([z]), set(), []
     for r in range(radius + 1):
         support = tuple(sorted(set(step(supports[-1])))) if r else (y,)
         reached.update(support)
         if len(reached) > budget:
-            raise BudgetExceeded(budget, r)
+            raise BudgetExceeded(budget, r + first)
         supports.append(support)
     return supports
 
@@ -394,6 +395,22 @@ def linear_map(images, g):
     return tuple(sum(c * image[j] for c, image in zip(g, images)) for j in range(len(g)))
 
 
+def heisenberg_polynomial(images):
+    """The per-element Heisenberg map g = a^p b^q c^s, s = r - pq, ->
+    A^p B^q C^s: the closed-form powers multiplied out into one polynomial
+    in (p, q, r), the oracle of the compiled map's terms."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = images
+
+    def apply(g):
+        p, q, r = g
+        s = r - p * q
+        x = p * a1 + q * b1
+        return (x + s * c1, p * a2 + q * b2 + s * c2,
+                p * a3 + p * (p - 1) // 2 * a1 * a2 + q * b3 + q * (q - 1) // 2 * b1 * b2
+                + p * a1 * q * b2 + s * c3 + s * (s - 1) // 2 * c1 * c2 + x * s * c2)
+    return apply
+
+
 def two_sided_closure(backend, gens):
     """The subgroup `gens` generate, by BFS over them and their inverses:
     the oracle for the finite closure, which steps by `gens` alone."""
@@ -597,8 +614,7 @@ def same_supports(dynamics, supports):
     assert (in_order(dynamics.supports), dynamics.xi) == (supports, list(map(len, supports)))
 
 
-def same_powers(powers, supports):
-    set_powers = [(), *supports]
+def same_powers(powers, set_powers):
     assert in_order(powers.set_powers) == set_powers
     assert [set(s) for s in powers.sstar_sets] == [
         set(p).difference(*set_powers[:r]) for r, p in enumerate(set_powers)]
@@ -645,8 +661,8 @@ ROWS = [
     Row("power_table", every,
         lambda i: [(i.X, x, RADIUS) for x in dict.fromkeys(
             [i.x_generators[0], i.x_generators[-1]])],
-        power_table, lambda X, x, radius, budget=DEFAULT_BUDGET: sorted_supports(
-            X, x, x, radius - 1, budget), same_powers, True),
+        power_table, lambda X, x, radius, budget=DEFAULT_BUDGET: [(), *sorted_supports(
+            X, x, x, radius - 1, budget, 1)], same_powers, True),
     Row("set_product", every,
         lambda i: [(i.X, near_unit(i), right) for right in (
             centres(i.X, i.x_generators), i.x_generators, [i.X.unit], [])],

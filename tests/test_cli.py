@@ -167,7 +167,10 @@ def test_dynamics_and_powers_stats_on_budget_exit_name_the_completed_rows(
     sizes = [1, 1, 2, 4, 8, 16, 32] if command == "dynamics" else [1, 2, 4, 8, 16, 32]
     assert [layer["size"] for layer in stats["layers"]] == sizes
     assert stats["radius"] == 6
-    assert message.startswith("budget exceeded: more than 100 distinct elements")
+    # both overrun at row 7, the row after the last one completed
+    walk = "the supports of T_z" if command == "dynamics" else "the power supports of x"
+    assert message == ("budget exceeded: more than 100 distinct elements reached by radius 7 "
+                       f"in {walk}")
 
 
 STATS_RUNS = {"growth": ["growth", "-c", "z2_swap", "--radius", "12"], **TABLE_STATS}
@@ -262,8 +265,14 @@ def test_axioms_nat_sample_is_capped_by_the_budget(config_dir, capsys):
                                          "--sample", sample, "--budget", "10"])
         assert (code, out, err) == (
             3, "", "budget exceeded: more than 10 distinct elements in the nat sample\n")
+    # --sample 9 fits the cap, so the next charge overruns: the pair table
+    # of its 10 classes, 100 entries, which a budget of 100 holds
     code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
                                      "--sample", "9", "--budget", "10"])
+    assert (code, out, err) == (
+        3, "", "budget exceeded: more than 10 entries in the axiom pair table\n")
+    code, out, err = invoke(capsys, ["axioms", "-c", cfg(config_dir, "nat"),
+                                     "--sample", "9", "--budget", "100"])
     assert (code, err) == (0, "")
     assert out.splitlines() == ["PASS associativity triples=1000",
                                 "PASS unit elements=10",
@@ -1059,6 +1068,16 @@ def test_an_axiom_pair_table_over_the_budget_exits_3_at_once(tmp_path):
     assert int(peak_kib) < 200 * 1024
 
 
+@pytest.mark.parametrize("budget, code", [(10000, 3), (10201, 0)])
+def test_the_axiom_pair_table_takes_the_command_budget(config_dir, capsys, budget, code):
+    # nat's 100 sampled classes and the unit make 101^2 = 10,201 pairs
+    argv = ["axioms", "-c", cfg(config_dir, "nat"), "--sample", "100", "--budget", str(budget)]
+    done, out, err = invoke(capsys, argv)
+    assert done == code
+    assert err == ("budget exceeded: more than 10000 entries in the axiom pair table\n"
+                   if code else "")
+
+
 @NEEDS_PROC
 def test_axioms_on_s6_check_the_whole_carrier_under_200_mib(tmp_path):
     # 384 classes, a pair table of 147,456 entries and 56,623,104 triples:
@@ -1125,7 +1144,7 @@ OVERRUNS = {
     "supports": ("free2_swap", ["dynamics", "--z", "g1", "--steps", "30"], 10,
                  "more than 10 distinct elements reached by radius 4 in the supports of T_z"),
     "power_supports": ("free2_swap", ["powers", "--x", "g1", "--radius", "30"], 10,
-                       "more than 10 distinct elements reached by radius 3 "
+                       "more than 10 distinct elements reached by radius 4 "
                        "in the power supports of x"),
     "carrier": ("s3_conj", ["axioms"], 5, "more than 5 distinct elements in the carrier of X"),
     "partition": ("s3_doublecoset", ["axioms"], 5,

@@ -1,7 +1,9 @@
+import dis
 import functools
 import itertools
 import operator
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -34,8 +36,9 @@ from mvgroups.mvalued import CosetGroup
 from mvgroups.wordspec import build_instance, parse_config
 
 from oracles import (COSET, DOCUMENTS, PATHS, ROOT, bfs_words, byte_int_key, byte_key, byte_seq_key,
-                     compose, flat_key, inverse_seed, linear_map, map_batches, oracle_closure,
-                     scalar_images, scalar_products, table_test, two_sided_closure)
+                     compose, flat_key, heisenberg_polynomial, inverse_seed, linear_map,
+                     map_batches, oracle_closure, scalar_images, scalar_products, table_test,
+                     two_sided_closure)
 
 
 def random_element(backend, rng, steps=6):
@@ -1328,6 +1331,29 @@ def test_generic_apply_counts_as_factor_and_evaluate():
     assert swap.backend.counts == Counter(evaluate=1, factor=1)
 
 
+# the operators of Python 3.10, before BINARY_OP named them by argument
+BINARY_OPS = {"BINARY_ADD": "+", "BINARY_SUBTRACT": "-", "BINARY_MULTIPLY": "*",
+              "BINARY_FLOOR_DIVIDE": "//"}
+
+
+def arithmetic(kernel):
+    """What a compiled kernel computes: a Counter of its binary operators,
+    of its negations as "neg" and of the ints it loads, over the lambda's
+    code and the comprehension code it holds (before Python 3.12)."""
+    ops, codes = Counter(), [kernel.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for i in dis.get_instructions(code):
+            if i.opname == "BINARY_OP" or i.opname in BINARY_OPS:
+                ops[BINARY_OPS.get(i.opname, i.argrepr)] += 1
+            elif i.opname == "UNARY_NEGATIVE":
+                ops["neg"] += 1
+            elif i.opname in ("LOAD_CONST", "LOAD_SMALL_INT") and type(i.argval) is int:
+                ops[i.argval] += 1
+    return ops
+
+
 def test_heisenberg_closed_form_map_matches_the_generic_map():
     # most random image triples are no homomorphism; the polynomial is
     # A^p B^q C^(r-pq) all the same, as evaluate(factor(g), images) is
@@ -1347,30 +1373,38 @@ HEISENBERG_GRID = list(itertools.product(range(-4, 5), range(-4, 5), range(-6, 7
 
 @pytest.mark.parametrize("matrix", SIGNED_PERMUTATIONS_2, ids=str)
 def test_heisenberg_signed_permutation_maps_match_the_polynomial(matrix):
-    """A signed permutation of (p, q) with c -> c^det takes the short map,
-    whatever a3 and b3 are, and it agrees with the general polynomial and
-    with evaluate(factor(g), images) on the whole grid."""
+    """A signed permutation of (p, q) with c -> c^det compiles to a map
+    with no halving term, whatever a3 and b3 are, and it agrees with the
+    general polynomial and with evaluate(factor(g), images) on the whole
+    grid."""
     h = HeisenbergGroup()
     (a1, b1), (a2, b2) = matrix
     for a3, b3 in itertools.product((-1, 0, 2), repeat=2):
         images = [(a1, a2, a3), (b1, b2, b3), (0, 0, a1 * b2 - a2 * b1)]  # C = c^det
-        fast, general = h.homomorphism(images), h.polynomial(images)
-        assert not isinstance(fast, functools.partial), images  # no map of the polynomial
+        fast, general = h.homomorphism(images), heisenberg_polynomial(images)
+        # a1*a2 = b1*b2 = c1*c2 = 0: no halving term, and no zero term
+        assert arithmetic(fast)["//"] == arithmetic(fast)[0] == 0, images
         generic = GroupBackend.homomorphism(h, images)
         assert fast(HEISENBERG_GRID) == list(map(general, HEISENBERG_GRID)) \
             == generic(HEISENBERG_GRID), images
 
 
-@pytest.mark.parametrize("images", [
-    [(0, 1, 0), (-1, -1, 1), (0, 0, 1)],  # a -> b, b -> a^-1 b^-1, c -> their commutator
-    [(1, 0, 0), (1, 0, 0), (0, 0, 0)],    # a, b -> a, c -> e
+@pytest.mark.parametrize("images, ops", [
+    # a -> b, b -> a^-1 b^-1, c -> their commutator:
+    # [(-q, p - q, q + (q*(q - 1)//2) + (r - p*q)) for p, q, r in gs]
+    ([(0, 1, 0), (-1, -1, 1), (0, 0, 1)],
+     Counter({"neg": 1, "-": 3, "+": 2, "*": 2, "//": 1, 1: 1, 2: 1})),
+    # a, b -> a, c -> e: [(p + q, 0, 0) for p, q, r in gs]
+    ([(1, 0, 0), (1, 0, 0), (0, 0, 0)], Counter({"+": 1, 0: 2})),
 ], ids=["order-3", "endomorphism"])
-def test_heisenberg_maps_off_the_signed_permutations_take_the_polynomial(images):
+def test_heisenberg_maps_off_the_signed_permutations_take_the_polynomial(images, ops):
+    """Off the signed permutations the map is the general polynomial's
+    nonzero terms, each coefficient +-1 folded into its sign."""
     h = HeisenbergGroup()
     A, B, C = images
     assert h.mul(h.mul(h.inv(A), h.inv(B)), h.mul(A, B)) == C  # [A, B] = C: a homomorphism
-    image, general = h.homomorphism(images), h.polynomial(images)
-    assert (image.func, image.args[0].__code__) == (groups._each, general.__code__)
+    image, general = h.homomorphism(images), heisenberg_polynomial(images)
+    assert arithmetic(image) == ops
     generic = GroupBackend.homomorphism(h, images)
     assert image(HEISENBERG_GRID) == [general(g) for g in HEISENBERG_GRID] \
         == generic(HEISENBERG_GRID)
@@ -1725,7 +1759,7 @@ def test_power_refuses_a_word_over_the_letter_limit():
 
 
 # ---------------------------------------------------------------------------
-# free abelian groups: signed permutations of the basis compile to index maps
+# free abelian groups: products and linear maps compiled to one list display
 
 
 def random_vectors(rank, rng, count=200):
@@ -1740,21 +1774,46 @@ def signed_permutation_images(z):
             yield [z.power(z.gens[perm[i]], signs[i]) for i in range(k)]
 
 
-# matrices that are no signed permutation, so they keep the linear map
+# matrices that are no signed permutation
 OTHER_IMAGES = {
     1: [[(2,)], [(0,)]],
-    2: [[(1, 1), (0, 1)], [(0, 1), (0, -1)], [(1, 0), (0, 2)], [(0, 0), (0, 1)]],
+    2: [[(1, 1), (0, 1)], [(0, 1), (0, -1)], [(1, 0), (0, 2)], [(0, 0), (0, 1)],
+        [(0, 1), (-1, -1)]],  # order 3: g1 -> g2, g2 -> g1^-1 g2^-1
     3: [[(0, 1, 0), (0, 0, 1), (1, 1, 0)], [(1, 0, 0), (1, 0, 0), (0, 0, 1)]],
+    4: [],
 }
+BIG = 10**30
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
+def kernel_vectors(rank, rng):
+    """Random vectors, and vectors with coordinates of 10**30, on which
+    the compiled arithmetic has to stay exact."""
+    return [*random_vectors(rank, rng, 50),
+            *[tuple(rng.choice((-BIG, BIG + 1, 3, 0)) for _ in range(rank)) for _ in range(20)]]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_free_abelian_maps_match_the_linear_map(rank):
-    z = FreeAbelianGroup(rank)
-    vectors = random_vectors(rank, random.Random(rank))
-    for images in [*signed_permutation_images(z), *OTHER_IMAGES[rank]]:
+    """Every signed permutation, the matrices above and seeded random ones
+    with entries 0 and +-1, which the compiler drops or folds, other small
+    ones and +-10**30; every map sends an empty batch to []."""
+    z, rng = FreeAbelianGroup(rank), random.Random(rank)
+    vectors = kernel_vectors(rank, rng)
+    matrices = [[tuple(rng.choice(entries) for _ in range(rank)) for _ in range(rank)]
+                for entries in [(0, 1, -1), (0, 1, -1, 2, -3, 7), (0, 1, BIG, -BIG)]
+                for _ in range(10)]
+    for images in [*signed_permutation_images(z), *OTHER_IMAGES[rank], *matrices]:
         image = z.homomorphism(images)
         assert image(vectors) == [linear_map(images, g) for g in vectors], images
+        assert image([]) == []
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_free_abelian_products_match_the_scalar_mul(rank):
+    z = FreeAbelianGroup(rank)
+    vectors = kernel_vectors(rank, random.Random(rank))
+    assert z.products(vectors, vectors) == [z.mul(g, h) for g in vectors for h in vectors]
+    assert z.products([], vectors) == z.products(vectors, []) == []
 
 
 @pytest.mark.parametrize("name", ["z_pm1", "z2_swap", "z2_pm1", "z3_shift", "z2_dihedral"])
@@ -1764,7 +1823,24 @@ def test_free_abelian_instances_apply_index_maps(every_instance, name):
     vectors = random_vectors(z.rank, random.Random(name))
     for a in auts:
         assert [a.apply(g) for g in vectors] == [linear_map(a.images, g) for g in vectors]
-        # these groups permute the basis with no sign change: a map of a bare itemgetter
+        # a signed permutation of the basis compiles to bare and negated
+        # names, with no product, sum or constant; with no sign change to
+        # bare names alone, as z2_swap's swap [(g1, g0) for g0, g1 in gs]
+        ops = arithmetic(z.homomorphism(a.images))
+        assert set(ops) <= {"neg"}, a.name
         if name in ("z2_swap", "z3_shift"):
-            image = z.homomorphism(a.images)
-            assert (image.func, type(image.args[0])) == (groups._each, operator.itemgetter), a.name
+            assert ops == Counter(), a.name
+
+
+@pytest.mark.parametrize("backend, images", [
+    *[(FreeAbelianGroup(2), [(c, 0), (0, 1)]) for c in (True, 1.0, "1")],
+    (HeisenbergGroup(), [(1.0, 0, 0), (0, 1, 0), (0, 0, 1)]),
+], ids=["bool", "float", "str", "heisenberg-float"])
+def test_a_kernel_refuses_a_coefficient_that_is_no_int(monkeypatch, backend, images):
+    """Only ints are formatted into a kernel's source: anything else is
+    refused before the source is built, let alone compiled."""
+    sources = []
+    monkeypatch.setattr(groups, "eval", lambda *args: sources.append(args), raising=False)
+    with pytest.raises(ValidationError, match="a compiled map takes int coefficients, got"):
+        backend.homomorphism(images)
+    assert sources == []

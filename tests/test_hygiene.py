@@ -11,8 +11,9 @@ building an instance loads no analysis or CLI module, every verification
 suite takes only (instance, r_max, budget), no subclass of a base with one
 constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
 an orbit group's subclass brings only its class rule, only the output
-edge forms canonical keys, and only the budget handle raises an overrun
-or reads the default budget."""
+edge forms canonical keys, only the budget handle raises an overrun
+or reads the default budget, and only the kernel compiler evaluates
+source."""
 
 import ast
 import importlib
@@ -460,3 +461,30 @@ def test_detector_flags_a_key_formed_off_the_output_edge():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_output_edge_forms_canonical_keys(path):
     assert key_uses(path.read_text(encoding="utf-8")) == []
+
+
+def source_evaluations(source, module):
+    """(line, scope, name) of each use of the builtins eval, exec and
+    compile in `source`, called or passed on; an attribute such as
+    `re.compile` is none of them."""
+    return sorted((node.lineno, scope, node.id) for scope, top in scopes(ast.parse(source), module)
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id in ("eval", "exec", "compile"))
+
+
+def test_detector_flags_a_source_evaluation():
+    source = ("import re\nPATTERN = re.compile('a')\n\n"
+              "class _IntVectors:\n    @staticmethod\n    def _kernel(rows):\n"
+              "        return eval('lambda gs: gs', {})\n\n"
+              "def run(text):\n    exec(text)\n    f = compile\n    return f(text, '', 'eval')\n")
+    assert source_evaluations(source, "groups") == [
+        (7, "groups._IntVectors._kernel", "eval"), (10, "groups.run", "exec"),
+        (11, "groups.run", "compile")]
+
+
+def test_only_the_kernel_compiler_evaluates_source():
+    """The one `eval` of the package is the kernel compiler's, whose source
+    holds fixed names and int coefficients alone."""
+    assert [use[1:] for path in sorted(SRC.glob("*.py"))
+            for use in source_evaluations(path.read_text(encoding="utf-8"), path.stem)] == [
+        ("groups._IntVectors._kernel", "eval")]

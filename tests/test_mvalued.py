@@ -663,19 +663,20 @@ def test_primes_match_trial_division():
         assert _primes(k) == expected[:k], k
 
 
-def test_the_axiom_pair_table_is_capped_by_the_budget(monkeypatch):
-    """N sample classes make N^2 pairs: over the default budget, the check
-    refuses before it forms a product; at the cap it runs."""
+def test_the_axiom_pair_table_is_capped_by_the_budget():
+    """N sample classes make N^2 pairs: over the budget it is given, the
+    default one unless the command's, the check refuses before it forms a
+    product; at the cap it runs."""
     X = CountingMv(NatGroup())
     with pytest.raises(BudgetExceeded) as exc:
         check_axioms(X, range(1001))
     assert str(exc.value) == "more than 1000000 entries in the axiom pair table"
     assert X.calls == Counter()
-    monkeypatch.setattr(mvalued, "Budget", lambda: Budget(16))  # the boundary, on 4 classes
-    with pytest.raises(BudgetExceeded):
-        check_axioms(X, range(5))
+    with pytest.raises(BudgetExceeded) as exc:  # the boundary, on 4 classes
+        check_axioms(X, range(5), Budget(16))
+    assert str(exc.value) == "more than 16 entries in the axiom pair table"
     assert X.calls == Counter()
-    assert check_axioms(X, range(4)) == reference_check_axioms(NatGroup(), range(4))
+    assert check_axioms(X, range(4), Budget(16)) == reference_check_axioms(NatGroup(), range(4))
 
 
 def test_check_axioms_twists_each_right_factor_once():
