@@ -10,8 +10,7 @@ on the Heisenberg group, one ``itemgetter`` per left factor on a
 permutation group, a table row read by ``map`` on a table group.  A
 free-group word is a string of letters, so a product concatenates and
 cancels at the seam; a direct product splits a layer into factor columns
-and runs each factor's own batch on its column; a semidirect product
-twists each step once per automorphism index.  A canonical key is an
+and runs each factor's own batch on its column.  A canonical key is an
 int or a tuple whose native order is the canonical order: integers rank
 0 < 1 < -1 < 2 < -2 < ..., vectors compare componentwise in that rank,
 and free words compare fewer syllables first, then syllable by syllable.
@@ -52,8 +51,7 @@ and when they are equal the one map serves both ways.
 ``close_automorphisms`` builds the finite subgroup of Aut(G) generated by
 checked seeds, stepping by image lists alone, compiles each distinct
 automorphism it keeps once and returns them as a tuple sorted by
-signature.  Only the semidirect product composes them: it reads its
-composition and inverse tables off the generator images.
+signature.
 
 A ``Budget`` is the one handle every enumeration counts against: its
 limit caps each enumeration on its own, ``check`` is the only code that
@@ -71,10 +69,9 @@ order, neither sorted nor cached nor capped: its reader (a carrier, a
 partition) counts what it draws, and a draw that stops early stops the
 walk.
 
-``SemidirectProduct`` implements the group GA of pairs (g, a) with
-(g, a)(h, b) = (g * a^{-1}(h), a b); ``monoid_balls`` takes the layers of
-right multiplication by a fixed generator set, one ``products`` batch per
-layer, producing the monoid spheres S+(e, r) and balls B+(e, r).
+``monoid_balls`` takes the layers of right multiplication by a fixed
+generator set, one ``products`` batch per layer, producing the monoid
+spheres S+(e, r) and balls B+(e, r).
 """
 
 from __future__ import annotations
@@ -96,7 +93,8 @@ DEFAULT_BUDGET = 10**6
 class Budget:
     """The cap of every enumeration of one command, and the one place an
     overrun is raised.  Each enumeration is capped on its own at `limit`,
-    and names itself, so an exit says which walk overran.  `observer`, if
+    or at a fixed cap of its own that `check` is given, and names itself,
+    so an exit says which walk overran.  `observer`, if
     set, gets (name, r, size) of each layer a walk completes: the walks
     read no clock, and an observer that times layers does so itself."""
 
@@ -105,11 +103,14 @@ class Budget:
     def __init__(self, limit: float = DEFAULT_BUDGET, observer: Optional[Callable] = None):
         self.limit, self.observer = limit, observer
 
-    def check(self, name: str, count: int, r: Optional[int] = None, what="distinct elements"):
+    def check(self, name: str, count: int, r: Optional[int] = None, what="distinct elements",
+              cap: Optional[int] = None):
         """Raise BudgetExceeded, naming `name` and the radius `r` if
-        given, when `count` of `what` is more than the limit."""
-        if count > self.limit:
-            raise BudgetExceeded(self.limit, r, what, name)
+        given, when `count` of `what` is more than `cap`, by default the
+        limit."""
+        cap = self.limit if cap is None else cap
+        if count > cap:
+            raise BudgetExceeded(cap, r, what, name)
 
     def layer(self, name: str, r: int, size: int):
         """Report a completed layer to the observer, if there is one."""
@@ -1108,65 +1109,6 @@ def orbit(A: Sequence[Automorphism], g) -> Tuple[Any, ...]:
 
 
 # ---------------------------------------------------------------------------
-# semidirect product GA
-
-
-class SemidirectProduct(GroupBackend):
-    """Pairs (g, a) in G x A with (g, a)(h, b) = (g * a^{-1}(h), a b).
-
-    Elements are (g_element, automorphism_index) with indices into `auts`,
-    a finite, composition-closed tuple of compiled automorphisms that holds
-    the identity, as close_automorphisms returns it.  The tables come from
-    generator images alone: auts[compose[i][j]] is auts[i] after auts[j],
-    looked up by its images, auts[i]'s batch map on auts[j]'s (|A|^2
-    batches of |S| that compile nothing), and auts[inverse_index[i]] is the
-    j with auts[i] after auts[j] the identity.
-    """
-
-    kind = "semidirect"
-
-    def __init__(self, group: GroupBackend, auts: Sequence[Automorphism]):
-        if any(a.backend is not group for a in auts):
-            raise ValidationError("automorphism group does not act on the given backend")
-        self.group = group
-        self.auts = tuple(auts)
-        index = {a.images: i for i, a in enumerate(self.auts)}
-        self.compose = [[index[tuple(x.forward(y.images))] for y in self.auts]
-                        for x in self.auts]
-        self.identity_index = index[group.gens]
-        self.inverse_index = tuple(row.index(self.identity_index) for row in self.compose)
-        self.gen_names = tuple(group.gen_names) + tuple(f"aut_{i}" for i in range(len(auts)))
-        self.gens = (*[(g, self.identity_index) for g in group.gens],
-                     *[(group.identity, i) for i in range(len(auts))])
-
-    @property
-    def identity(self):
-        return (self.group.identity, self.identity_index)
-
-    def mul(self, p, q):
-        g, i = p
-        h, j = q
-        twisted = self.auts[self.inverse_index[i]].apply(h)
-        return (self.group.mul(g, twisted), self.compose[i][j])
-
-    def products(self, gs, hs):
-        """mul's products, hs twisted by a_i^{-1}'s compiled map in one
-        batch per automorphism index i instead of once per product."""
-        auts, mul, compose = self.auts, self.group.mul, self.compose
-        g_parts, indices = [h for h, _ in hs], [j for _, j in hs]
-        twisted = [list(zip(auts[k].forward(g_parts), indices)) for k in self.inverse_index]
-        return [(mul(g, h), compose[i][j]) for g, i in gs for h, j in twisted[i]]
-
-    def inv(self, p):
-        g, i = p
-        return (self.auts[i].apply(self.group.inv(g)), self.inverse_index[i])
-
-    def canonical_key(self, p):
-        g, i = p
-        return (self.group.canonical_key(g), i)
-
-
-# ---------------------------------------------------------------------------
 # monoid balls
 
 
@@ -1174,7 +1116,7 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
                  budget: Budget = Budget()) -> GrowthTable:
     """Layers of right multiplication: S+(e, i+1) = S+(e, i) * gens \\ ball,
     each layer's products formed in one ``products`` batch, the walk named
-    the monoid ball of GA on a semidirect product and of G otherwise.
+    the monoid ball of G.
 
     The table is centred at the identity; each sphere is in discovery order
     (element-major, then generator).
@@ -1183,6 +1125,6 @@ def monoid_balls(backend: GroupBackend, gens: Sequence[Any], radius: int,
         raise ValidationError("monoid BFS needs a nonempty generator set")
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    name = f"the monoid ball of {'GA' if isinstance(backend, SemidirectProduct) else 'G'}"
     return growth_table(backend.identity, radius, layers(
-        [backend.identity], lambda layer: backend.products(layer, gens), budget, name))
+        [backend.identity], lambda layer: backend.products(layer, gens), budget,
+        "the monoid ball of G"))

@@ -319,6 +319,14 @@ def _primes(count: int) -> List[int]:
     return list(itertools.compress(range(len(sieve)), sieve))[:count]
 
 
+# the union codes, N classes x |entries| big ints in `left` and `by_z`, take
+# about 90 bytes a cell: twice the default limit is about 180 MiB, with room
+# for S6's 1,078,272 cells.  The cap is fixed, as a free word's letter limit
+# is: |entries| can grow like N^2, so no multiple of the command's budget
+# that bounds the pair table's N^2 bounds N x |entries|
+_UNION_CELLS = 2 * Budget().limit
+
+
 def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -> AxiomReport:
     """Verify associativity / unit / inverse on the sample; failures carry witnesses.
 
@@ -335,7 +343,9 @@ def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -
     and the inverse axiom when the unit's prime divides the codes of
     x*inv(x) and inv(x)*x.  Before any product is formed, the N sample
     classes' pair table, N^2 entries, is charged to `budget`, the
-    command's handle, and overruns it past its limit.
+    command's handle, and overruns it past its limit; before the union
+    codes are formed, their N x |entries| cells are charged to it too,
+    against the fixed cap _UNION_CELLS.
     """
     sample = list(sample)
     if not sample:
@@ -361,6 +371,8 @@ def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -
     rights = [[*col, *wz[i::len(classes)]] for i, col in enumerate(zip(*codes))]
     members = {c: line[j * n:j * n + n] for t, line in zip(codes, table) for j, c in enumerate(t)}
     entries, flat = dict(zip(members, itertools.count())), list(itertools.chain(*members.values()))
+    budget.check("the axiom union codes", len(classes) * len(entries), what="cells",
+                 cap=_UNION_CELLS)
     cells = [[entries[t[i]] for i in row] for t in codes]
     left, by_z = [prods(line, flat) for line in lefts], [prods(line, flat) for line in rights]
     right = list(map(list, zip(*map(by_z.__getitem__, row))))  # Q -> its row over z

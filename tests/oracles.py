@@ -24,18 +24,19 @@ import json
 import pathlib
 import re
 import struct
+from typing import Sequence
 
 import pytest
 
 from mvgroups.cayley import ball, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
-from mvgroups.errors import BudgetExceeded, WordSyntaxError
-from mvgroups.groups import (DEFAULT_BUDGET, Automorphism, Budget, SemidirectProduct,
+from mvgroups.errors import BudgetExceeded, ValidationError, WordSyntaxError
+from mvgroups.groups import (DEFAULT_BUDGET, Automorphism, Budget, GroupBackend,
                              identity_automorphism, layers, monoid_balls, orbit)
 from mvgroups.keys import int_key
 from mvgroups.mvalued import (AxiomReport, CosetGroup, DoubleCosetGroup, MvGroup, OrbitGroup,
                               check_axioms)
-from mvgroups.verify import sample_elements
+from mvgroups.verify import sample_elements, semidirect_ball_sizes
 from mvgroups.wordspec import load_instance
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -183,6 +184,61 @@ def starmap_spheres(backend, gens, radius, budget=DEFAULT_BUDGET):
     spheres = layers([backend.identity], lambda layer: itertools.starmap(
         backend.mul, itertools.product(layer, gens)), Budget(budget))
     return [tuple(sphere) for sphere in itertools.islice(spheres, radius + 1)]
+
+
+class SemidirectProduct(GroupBackend):
+    """Pairs (g, a) in G x A with (g, a)(h, b) = (g * a^{-1}(h), a b).
+
+    Elements are (g_element, automorphism_index) with indices into `auts`,
+    a finite, composition-closed tuple of compiled automorphisms that holds
+    the identity, as close_automorphisms returns it.  The tables come from
+    generator images alone: auts[compose[i][j]] is auts[i] after auts[j],
+    looked up by its images, auts[i]'s batch map on auts[j]'s (|A|^2
+    batches of |S| that compile nothing), and auts[inverse_index[i]] is the
+    j with auts[i] after auts[j] the identity.
+    """
+
+    kind = "semidirect"
+
+    def __init__(self, group: GroupBackend, auts: Sequence[Automorphism]):
+        if any(a.backend is not group for a in auts):
+            raise ValidationError("automorphism group does not act on the given backend")
+        self.group = group
+        self.auts = tuple(auts)
+        index = {a.images: i for i, a in enumerate(self.auts)}
+        self.compose = [[index[tuple(x.forward(y.images))] for y in self.auts]
+                        for x in self.auts]
+        self.identity_index = index[group.gens]
+        self.inverse_index = tuple(row.index(self.identity_index) for row in self.compose)
+        self.gen_names = tuple(group.gen_names) + tuple(f"aut_{i}" for i in range(len(auts)))
+        self.gens = (*[(g, self.identity_index) for g in group.gens],
+                     *[(group.identity, i) for i in range(len(auts))])
+
+    @property
+    def identity(self):
+        return (self.group.identity, self.identity_index)
+
+    def mul(self, p, q):
+        g, i = p
+        h, j = q
+        twisted = self.auts[self.inverse_index[i]].apply(h)
+        return (self.group.mul(g, twisted), self.compose[i][j])
+
+    def products(self, gs, hs):
+        """mul's products, hs twisted by a_i^{-1}'s compiled map in one
+        batch per automorphism index i instead of once per product."""
+        auts, mul, compose = self.auts, self.group.mul, self.compose
+        g_parts, indices = [h for h, _ in hs], [j for _, j in hs]
+        twisted = [list(zip(auts[k].forward(g_parts), indices)) for k in self.inverse_index]
+        return [(mul(g, h), compose[i][j]) for g, i in gs for h, j in twisted[i]]
+
+    def inv(self, p):
+        g, i = p
+        return (self.auts[i].apply(self.group.inv(g)), self.inverse_index[i])
+
+    def canonical_key(self, p):
+        g, i = p
+        return (self.group.canonical_key(g), i)
 
 
 def balls_of(spheres):
@@ -538,6 +594,18 @@ def semidirect(instance):
             [(s, i) for s in instance.config.x_generators for i in range(len(auts))])
 
 
+def ga_spheres(ga, gens, radius, budget=DEFAULT_BUDGET):
+    """The spheres of the monoid ball of GA by its own walk: the oracle of
+    proof34's count by a G-walk."""
+    return monoid_balls(ga, gens, radius, Budget(budget)).sphere_sets
+
+
+def ga_sizes_by_g_walk(ga, gens, radius, budget=Budget()):
+    """proof34's count of the same ball, from S, the G-parts of `gens`."""
+    S = list(dict.fromkeys(s for s, _ in gens))
+    return semidirect_ball_sizes(ga.group, ga.auts, S, radius, budget)
+
+
 def semidirect_balls(name):
     """The monoid_balls case of proof34's GA of the coset instance `name`,
     as a function of the instances."""
@@ -631,6 +699,10 @@ def same_support(product, support):
     assert type(product) is tuple and sorted(product) == support
 
 
+def same_sizes(ball_sizes, spheres):
+    assert ball_sizes == sizes(spheres)
+
+
 def same_balls(table, balls):
     assert balls_of(table.sphere_sets) == balls
 
@@ -678,6 +750,8 @@ ROWS = [
     Row("monoid_balls", coset_group,
         lambda i: [(i.backend, orbit(i.auts, i.x_generators[0]), RADIUS)],
         monoid_balls, starmap_spheres, same_monoid_spheres, True),
+    Row("semidirect_ball_sizes", coset_group, lambda i: [(*semidirect(i), RADIUS)],
+        ga_sizes_by_g_walk, ga_spheres, same_sizes, True),
     Row("products", orbit_group, product_batches,
         lambda backend, gs, hs: backend.products(gs, hs), scalar_products, equal),
     Row("homomorphism", coset_group,

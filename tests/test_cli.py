@@ -544,8 +544,8 @@ FAILING = {
                   first_call_empty(verify.set_product), [
         "PASS lemma47 r=4 vanishing persists for 32 base points",
         "FAIL lemma47 r=4 x=24 decomposition=[1, 3] sphere not inside the product support"]),
-    "proof34": ("heis_swap", ["--radius", "2"], verify, "monoid_balls", shifted(
-        verify.monoid_balls, lambda t, _: t._replace(ball_sizes=[*t.ball_sizes[:-1], 1])), [
+    "proof34": ("heis_swap", ["--radius", "2"], verify, "semidirect_ball_sizes", shifted(
+        verify.semidirect_ball_sizes, lambda sizes, _: [*sizes[:-1], 1]), [
         "FAIL proof34 r=2 |B_X|=9 > |B_GA|=1"]),
     "compare": ("nat", ["--gens2", "1,2", "--radius", "2"], cayley, "ball", shifted(
         cayley.ball, lambda t, args: t._replace(ball_sizes=[
@@ -1094,6 +1094,26 @@ def test_axioms_on_s6_check_the_whole_carrier_under_200_mib(tmp_path):
     assert int(proc.stderr) < 200 * 1024
 
 
+def z_inversion(order):
+    """The coset config of Z/order under g -> g^-1."""
+    return one_automorphism({"kind": "cyclic", "order": order}, {"g": "g^-1"}, X_generators=["g"])
+
+
+@NEEDS_PROC
+def test_axioms_on_z800_overrun_the_union_codes_under_200_mib(tmp_path):
+    # 401 classes and 160,801 pairs, far under the pair table's cap, but
+    # 401 x 40,401 = 16,200,801 union-code cells: forming them took 8.6 s
+    # and 1.4 GiB; they are charged before they are formed
+    path = tmp_path / "z800.json"
+    path.write_text(json.dumps(z_inversion(800)))
+    start = time.perf_counter()
+    proc = run_in_subprocess(["axioms", "-c", str(path), "--sample", "6"],
+                             address_space=200 * MIB, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "budget exceeded: more than 2000000 cells in the axiom union codes\n")
+
+
 @NEEDS_PROC
 def test_a_budget_over_a_million_reaches_the_carrier(tmp_path):
     # S10 has 3,628,800 elements; its draw, a closure capped at the default
@@ -1153,6 +1173,10 @@ OVERRUNS = {
                    "more than 10 distinct elements in the nat sample"),
     "axiom_pair_table": ("nat", ["axioms", "--sample", "1000"], 10**6,
                          "more than 1000000 entries in the axiom pair table"),
+    # Z/800 under inversion: its pair table at the budget, 401^2 entries, and
+    # 401 x 40,401 union-code cells over their fixed cap, whatever the budget
+    "axiom_union_codes": (z_inversion(800), ["axioms"], 401 ** 2,
+                          "more than 2000000 cells in the axiom union codes"),
     "automorphism_closure": (INSTANCES / "z2_dihedral.json", ["growth"], 5,
                              "more than 5 distinct elements reached by radius 1 "
                              "in the automorphism closure of A"),

@@ -25,7 +25,6 @@ from mvgroups.groups import (
     GroupBackend,
     HeisenbergGroup,
     PermutationGroup,
-    SemidirectProduct,
     close_automorphisms,
     identity_automorphism,
     monoid_balls,
@@ -35,10 +34,10 @@ from mvgroups.keys import int_key
 from mvgroups.mvalued import CosetGroup
 from mvgroups.wordspec import build_instance, parse_config
 
-from oracles import (COSET, DOCUMENTS, PATHS, ROOT, bfs_words, byte_int_key, byte_key, byte_seq_key,
-                     compose, flat_key, heisenberg_polynomial, inverse_seed, linear_map,
-                     map_batches, oracle_closure, scalar_images, scalar_products, table_test,
-                     two_sided_closure)
+from oracles import (COSET, DOCUMENTS, PATHS, ROOT, SemidirectProduct, bfs_words, byte_int_key,
+                     byte_key, byte_seq_key, compose, flat_key, heisenberg_polynomial,
+                     inverse_seed, linear_map, map_batches, oracle_closure, scalar_images,
+                     scalar_products, table_test, two_sided_closure)
 
 
 def random_element(backend, rng, steps=6):

@@ -8,7 +8,8 @@ called by a row's fast path, only the CLI imports `time`, importing the
 CLI loads neither `dataclasses` nor `inspect`, a well-formed CLI run loads
 no `argparse`, importing ``tests/oracles.py`` builds no instance,
 building an instance loads no analysis or CLI module, every verification
-suite takes only (instance, r_max, budget), no subclass of a base with one
+suite takes only (instance, r_max, budget), every backend kind is one a
+config can build, no subclass of a base with one
 constructor (`OrbitGroup`, `_IntVectors`) sets what that constructor sets,
 an orbit group's subclass brings only its class rule, only the output
 edge forms canonical keys, only the budget handle raises an overrun
@@ -28,7 +29,7 @@ import sys
 import pytest
 
 import mvgroups
-from mvgroups import mvalued, verify
+from mvgroups import groups, mvalued, verify, wordspec
 from mvgroups.wordspec import load_instance
 
 import oracles
@@ -332,6 +333,15 @@ def test_setup_path_loads_no_analysis_or_cli_modules():
 def test_suites_take_only_instance_radius_and_budget(name):
     suite, _ = verify._SUITE_TABLE[name]
     assert list(inspect.signature(suite).parameters) == ["instance", "r_max", "budget"]
+
+
+def test_every_backend_kind_is_one_a_config_can_build():
+    """A group backend of the package that no config can name is surface
+    no command reaches: the backends' kinds are the config's group kinds."""
+    kinds = {cls.kind for cls in vars(groups).values() if isinstance(cls, type)
+             and issubclass(cls, groups.GroupBackend) and cls is not groups.GroupBackend
+             and "kind" in vars(cls)}
+    assert kinds == set(wordspec._GROUP_KEYS)
 
 
 # base class -> the attributes its one constructor sets

@@ -18,7 +18,6 @@ from mvgroups.groups import (
     FreeAbelianGroup,
     FreeGroup,
     PermutationGroup,
-    SemidirectProduct,
     close_automorphisms,
     monoid_balls,
 )
@@ -36,9 +35,9 @@ from mvgroups import groups, mvalued, wordspec
 from mvgroups.wordspec import build_instance, load_instance, parse_config
 
 from oracles import (COSET, EVERY_INSTANCE, INFINITE_COSET, KINDS, ORBIT, PATHS,
-                     brute_double_cosets, class_forms, cli_sample, key_class, least_members,
-                     oracle_class_forms, partition, reference_check_axioms, table_test,
-                     triple_product_left, triple_product_right)
+                     SemidirectProduct, brute_double_cosets, class_forms, cli_sample, key_class,
+                     least_members, oracle_class_forms, partition, reference_check_axioms,
+                     table_test, triple_product_left, triple_product_right)
 
 
 def assert_canonical(X, product):

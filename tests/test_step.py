@@ -47,6 +47,7 @@ test_layer_step_matches_the_generic_step_on_every_layer = table_test("step")
 test_coset_ball_is_the_projected_monoid_ball = table_test("coset_ball")
 test_monoid_balls_match_the_scalar_walk = table_test("monoid_balls", extra={
     f"{name}-semidirect": semidirect_balls(name) for name in COSET})
+test_proof34_counts_the_ga_ball_by_a_g_walk = table_test("semidirect_ball_sizes")
 test_products_match_the_scalar_products_on_every_backend_kind = table_test("products")
 test_project_all_matches_project_on_products_with_repeats = table_test("project_all")
 
@@ -285,9 +286,10 @@ def test_free2_swap_monoid_balls_are_one_products_batch_per_layer():
 
 
 def test_proof34_makes_no_automorphism_apply_call(monkeypatch):
-    """The GA ball twists each generator once per automorphism index by a
-    compiled map: `verify --suite proof34` on heis_swap made 2,160 `apply`
-    calls when each product twisted its right factor."""
+    """proof34 forms its steps A.S with each automorphism's compiled batch
+    map, once, and walks G: `verify --suite proof34` on heis_swap made 2,160
+    `apply` calls when each product of its GA walk twisted its right
+    factor, and a scalar `orbit` per generator would make them again."""
     applies = []
     apply = Automorphism.apply
     monkeypatch.setattr(Automorphism, "apply", lambda a, g: applies.append(g) or apply(a, g))
