@@ -319,8 +319,9 @@ def _primes(count: int) -> List[int]:
     return list(itertools.compress(range(len(sieve)), sieve))[:count]
 
 
-# the union codes, N classes x |entries| big ints in `left` and `by_z`, take
-# about 90 bytes a cell: twice the default limit is about 180 MiB, with room
+# the union codes, N classes x |entries| big ints in `by_z` (the codes of
+# x*P are formed one sample row at a time, as the scan reaches x), take
+# about 45 bytes a cell: twice the default limit is about 90 MiB, with room
 # for S6's 1,078,272 cells.  The cap is fixed, as a free word's letter limit
 # is: |entries| can grow like N^2, so no multiple of the command's budget
 # that bounds the pair table's N^2 bounds N x |entries|
@@ -374,7 +375,7 @@ def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -
     budget.check("the axiom union codes", len(classes) * len(entries), what="cells",
                  cap=_UNION_CELLS)
     cells = [[entries[t[i]] for i in row] for t in codes]
-    left, by_z = [prods(line, flat) for line in lefts], [prods(line, flat) for line in rights]
+    by_z = [prods(line, flat) for line in rights]
     right = list(map(list, zip(*map(by_z.__getitem__, row))))  # Q -> its row over z
     inverses = [lefts[i][k] % primes[unit] == 0 == rights[i][k] % primes[unit] if k is not None
                 else X.unit in X.products([x], [xb]) and X.unit in X.products([xb], [x])
@@ -384,7 +385,9 @@ def check_axioms(X: MvGroup, sample: Sequence[Any], budget: Budget = Budget()) -
     inverse_witness = next((x for x, i in zip(sample, row) if not inverses[i]), None)
     size, witness, triples = len(sample), None, len(sample) ** 3
     for a, b in itertools.product(range(size), repeat=2):
-        lhs, rhs = list(map(left[row[a]].__getitem__, cells[row[b]])), right[cells[row[a]][b]]
+        if not b:  # x*P over the entries P, for x the a-th sample class, one row held at a time
+            left = prods(lefts[row[a]], flat)
+        lhs, rhs = list(map(left.__getitem__, cells[row[b]])), right[cells[row[a]][b]]
         if lhs != rhs:
             c = next(c for c in range(size) if lhs[c] != rhs[c])
             witness, triples = (sample[a], sample[b], sample[c]), (a * size + b) * size + c + 1

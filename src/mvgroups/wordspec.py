@@ -51,9 +51,10 @@ from .mvalued import CosetGroup, DoubleCosetGroup, MutatedNatGroup, MvGroup, Nat
 
 Word = Tuple[Tuple[str, int], ...]
 
+_NAME = "[A-Za-z][A-Za-z0-9_]*"  # the grammar's NAME
 # one term and the whitespace around it; every part is optional, so the
 # match always succeeds and the groups that took part say what was found
-_TERM_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)\s*"
+_TERM_RE = re.compile(rf"\s*(?:(?P<name>{_NAME})\s*"
                       r"(?P<caret>\^\s*(?P<exp>-?[0-9]+)?)?|(?P<num>[0-9]+))?\s*")
 
 
@@ -271,9 +272,14 @@ def _int_rows(value: Any, path: str, high: Optional[int] = None) -> list:
 
 
 def _names(value: Any, path: str) -> List[str]:
+    """`value` itself if it lists distinct names that a word can spell: a
+    NAME of the grammar, and not 'e', which a word reads as the identity."""
     for i, name in enumerate(_list(value, path)):
         if not isinstance(name, str):
             raise SchemaError(f"generator name must be a string, got {name!r}", f"{path}[{i}]")
+        if name == "e" or not re.fullmatch(_NAME, name):
+            raise SchemaError(f"generator name must be a word name other than 'e', got {name!r}",
+                              f"{path}[{i}]")
         if name in value[:i]:
             raise SchemaError(f"repeated generator name {name!r}", f"{path}[{i}]")
     return value

@@ -1,5 +1,6 @@
-"""The kept slow paths, the instance lists, and the table that runs every
-fast path against its slow path.
+"""The kept slow paths, the instance lists, the config documents the test
+modules share, and the table that runs every fast path against its slow
+path.
 
 A row of ``ROWS`` is (walk, applies, cases, fast, oracle, compare): on each
 instance named `applies`, for each case of `cases(instance)` (first the
@@ -13,7 +14,9 @@ under one name, and ``extra`` runs the rows on cases of ids of their own
 new kernel adds a row; ``tests/test_hygiene.py`` fails
 on a row bound to no test and on a class defining ``products``, ``step``,
 ``project_all`` or ``homomorphism`` (a compiled batch map) that no row's
-fast path calls.
+fast path calls.  A test that checks a special case of a row moves its
+inputs into the row's cases or ``extra`` and goes, once the mutants it
+killed are rows of ``tests/mutants.py`` that a remaining test kills.
 """
 
 import collections
@@ -545,6 +548,21 @@ def scanner_parse_word(text):
 
 
 # ---------------------------------------------------------------------------
+# config documents the test modules share
+
+
+def one_automorphism(group, images, **fields):
+    """A coset config whose one automorphism is `images` both ways."""
+    return {"schema": 1, "group": group,
+            "automorphisms": [{"name": "s", "images": images, "inverse_images": images}],
+            "mv": {"kind": "coset"}, **fields}
+
+
+FREE2 = {"kind": "free", "rank": 2}
+PERMUTATION = {"kind": "permutation", "degree": 3, "gens": ["t"], "gen_images": [[1, 0, 2]]}
+
+
+# ---------------------------------------------------------------------------
 # the cases the rows run on
 
 
@@ -581,9 +599,12 @@ def ball_products(X, gens, radius):
 
 
 def products_with_repeats(instance):
-    """(X, the products of B(e, 3)'s spheres, then each again in reverse)."""
-    products = ball_products(instance.X, instance.x_generators, 3)
-    return [(instance.X, products + products[::-1])]
+    """(X, the products of B(e, 3)'s spheres, each twist of them, then the
+    products again in reverse), and (X, an empty batch)."""
+    X = instance.X
+    products = ball_products(X, instance.x_generators, 3)
+    twisted = [g for t in X.twists for g in t(products)]
+    return [(X, products + twisted + products[::-1]), (X, [])]
 
 
 def semidirect(instance):
@@ -613,26 +634,30 @@ def semidirect_balls(name):
 
 
 def product_batches(instance):
-    """(backend, gs, hs) on G, and on GA for a coset instance: gs is the
-    monoid ball of radius 2 over the generators and their inverses, hs
-    those steps, and each side also alone or cut short."""
-    cases = []
-    for backend in [instance.backend] + ([semidirect(instance)[0]] if instance.auts else []):
-        gens = list(backend.gens)
-        steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
-        elements = list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)))
-        cases += [(backend, gs, hs) for gs, hs in ((elements, steps), (steps, elements[:40]),
-                                                   (elements, []), ([], steps))]
-    return cases
+    """backend_batches on G, and on GA for a coset instance."""
+    backends = [instance.backend] + ([semidirect(instance)[0]] if instance.auts else [])
+    return [case for backend in backends for case in backend_batches(backend)]
+
+
+def backend_batches(backend, more=()):
+    """(backend, gs, hs): gs is the monoid ball of radius 2 over the
+    generators and their inverses, then the elements `more`, hs those
+    steps, and each side also alone or cut short."""
+    gens = list(backend.gens)
+    steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
+    elements = [*itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)), *more]
+    return [(backend, gs, hs) for gs, hs in ((elements, steps), (steps, elements[:40]),
+                                             (elements, []), ([], steps))]
 
 
 def map_batches(backend, image_lists):
     """(backend, images, gs) for each image list and each batch gs: none,
-    the identity alone, and the monoid ball of radius 2 over the generators
-    and their inverses, which holds the identity first."""
+    the first element alone, and every element of a finite backend, else
+    the monoid ball of radius 2 over the generators and their inverses."""
     gens = list(backend.gens)
     steps = list(dict.fromkeys([*gens, *map(backend.inv, gens)]))
-    elements = list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2)))
+    elements = (list(backend.elements()) if backend.is_finite() else
+                list(itertools.chain.from_iterable(starmap_spheres(backend, steps, 2))))
     return [(backend, images, gs) for images in image_lists
             for gs in ([], elements[:1], elements)]
 

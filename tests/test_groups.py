@@ -269,21 +269,6 @@ def swap_automorphism(f):
     return Automorphism(f, "swap", [f.gens[1], f.gens[0]], [f.gens[1], f.gens[0]]).verify()
 
 
-def test_swap_generator_image():
-    f = FreeGroup(2)
-    swap = swap_automorphism(f)
-    assert swap.apply(f.gens[0]) == f.gens[1]
-
-
-def test_h_inversion_on_product_group():
-    g = DirectProduct([CyclicGroup(3, ["h"]), FreeGroup(2)])
-    h, g1 = g.gens[0], g.gens[1]
-    images = [g.inv(h), g.gens[1], g.gens[2]]
-    a = Automorphism(g, "a", images, images).verify()
-    # (h, g1) -> (h^2, g1)
-    assert a.apply(g.mul(h, g1)) == g.mul(g.mul(h, h), g1)
-
-
 def test_identity_automorphism_fixes_everything():
     f = HeisenbergGroup()
     ident = identity_automorphism(f)
@@ -291,28 +276,6 @@ def test_identity_automorphism_fixes_everything():
     for _ in range(50):
         g = random_element(f, rng)
         assert ident.apply(g) == g
-
-
-def test_automorphism_respects_mul_and_inv():
-    f = FreeGroup(2)
-    a = swap_automorphism(f)
-    rng = random.Random(11)
-    for _ in range(1000):
-        g = random_element(f, rng)
-        h = random_element(f, rng)
-        assert a.apply(f.mul(g, h)) == f.mul(a.apply(g), a.apply(h))
-        assert a.apply(f.inv(g)) == f.inv(a.apply(g))
-
-
-def test_heisenberg_swap_is_automorphism():
-    h = HeisenbergGroup()
-    images = [h.gens[1], h.gens[0], h.inv(h.gens[2])]
-    a = Automorphism(h, "swap", images, images).verify()
-    rng = random.Random(21)
-    for _ in range(300):
-        g1 = random_element(h, rng)
-        g2 = random_element(h, rng)
-        assert a.apply(h.mul(g1, g2)) == h.mul(a.apply(g1), a.apply(g2))
 
 
 def test_close_swap_gives_order_two():
@@ -482,11 +445,12 @@ def test_semidirect_embeds_base_group():
 
 
 def assert_same_order(items, key, oracle):
-    """key orders `items` exactly as the oracle does, equal keys included."""
-    for a in items:
-        for b in items:
-            assert (key(a) < key(b), key(a) == key(b)) == (oracle(a) < oracle(b),
-                                                           oracle(a) == oracle(b))
+    """key orders `items` exactly as the oracle does, equal keys included;
+    each item's key and oracle key are formed once, not once per pair."""
+    pairs = [(key(a), oracle(a)) for a in items]
+    for ka, oa in pairs:
+        for kb, ob in pairs:
+            assert (ka < kb, ka == kb) == (oa < ob, oa == ob)
     assert sorted(items, key=key) == sorted(items, key=oracle)
 
 
@@ -739,13 +703,6 @@ def test_compiled_finite_automorphisms_match_oracle(name):
     assert_compiled_matches_oracle(auts[0].backend, auts)
 
 
-def test_compiled_cyclic_automorphisms_match_oracle():
-    z7 = CyclicGroup(7)
-    auts = close_automorphisms([Automorphism(z7, "times3", [3], [5])])
-    assert len(auts) == 6  # 3 generates the units mod 7
-    assert_compiled_matches_oracle(z7, auts)
-
-
 def free64_maps():
     """F_64, whose separator chr(128) is no ASCII, under a signed
     permutation (g1 <-> g64^-1) and a substitution (g64 -> g64 g1)."""
@@ -768,30 +725,45 @@ def product_maps():
 
 
 def heisenberg_maps():
-    """The short form of a signed permutation, and two maps off the signed
-    permutations, which take the polynomial."""
+    """The short form of a signed permutation, two maps off the signed
+    permutations, which take the polynomial, and seeded random image
+    triples: most are no homomorphism, yet the polynomial is A^p B^q
+    C^(r-pq) all the same, as evaluate(factor(g), images) is."""
+    rng = random.Random(15)
     return map_batches(HeisenbergGroup(), [[(0, 1, 0), (1, 0, 0), (0, 0, -1)],
                                            [(0, 1, 0), (-1, -1, 1), (0, 0, 1)],
-                                           [(1, 0, 0), (1, 0, 0), (0, 0, 0)]])
+                                           [(1, 0, 0), (1, 0, 0), (0, 0, 0)],
+                                           *[[tuple(rng.randint(-9, 9) for _ in range(3))
+                                              for _ in range(3)] for _ in range(30)]])
 
 
 def walked_maps():
     """The maps a finite kind walks or conjugates: S4 as a table (the base
-    edge walk), S3 x Z/2 (a finite product without relators walks too) and
-    S4 as permutations (the conjugation memo)."""
+    edge walk), S3 x Z/2 (a finite product without relators walks too), S4
+    as permutations and every inner automorphism of S3 (the conjugation
+    memo), and Z/7 under its six units."""
     s3z2 = DirectProduct([s3(), CyclicGroup(2, ["z"])])
     t, c, z = s3z2.gens
-    return [case for backend in (s4_table(), sym(4))
-            for case in map_batches(backend, [conjugation(backend, backend.gens[0]).images])
-            ] + map_batches(s3z2, [[s3z2.mul(s3z2.mul(c, t), s3z2.inv(c)), c, z]])
+    inner = conjugations("s3_inner")
+    walked = [case for backend in (s4_table(), sym(4))
+              for case in map_batches(backend, [conjugation(backend, backend.gens[0]).images])]
+    return (walked + map_batches(s3z2, [[s3z2.mul(s3z2.mul(c, t), s3z2.inv(c)), c, z]])
+            + map_batches(inner[0].backend, [a.images for a in inner])
+            + map_batches(CyclicGroup(7), [[k] for k in range(1, 7)]))
+
+
+def free_signed_maps():
+    """The 48 signed permutations of the letters of F_3."""
+    f = FreeGroup(3)
+    return map_batches(f, [a.images for a in signed_permutations(f)])
 
 
 # every compiled batch map against the scalar oracle, on batches of 0, 1
 # and many elements: each coset instance's A, and the cases above
 test_compiled_maps_match_the_scalar_oracle = table_test("homomorphism", extra={
     name: lambda instances, make=make: make() for name, make in {
-        "free64": free64_maps, "products": product_maps, "heisenberg": heisenberg_maps,
-        "walked": walked_maps}.items()})
+        "free64": free64_maps, "free-signed": free_signed_maps, "products": product_maps,
+        "heisenberg": heisenberg_maps, "walked": walked_maps}.items()})
 
 
 def swap_two_entries(table):
@@ -812,22 +784,6 @@ def shift3():
     f = FreeGroup(3)
     return Automorphism(f, "shift", [f.gens[1], f.gens[2], f.gens[0]],
                         [f.gens[2], f.gens[0], f.gens[1]])
-
-
-def test_oracle_catches_a_mutated_table_entry():
-    s4 = s4_table()
-    conj = conjugation(s4, s4.gens[0]).verify()
-    swapped = swap_two_entries({g: conj.apply(g) for g in s4.elements()})
-    conj.forward = lambda gs: list(map(swapped.__getitem__, gs))
-    with pytest.raises(AssertionError):
-        assert_compiled_matches_oracle(s4, [conj])
-
-
-def test_oracle_catches_a_wrong_substitution_letter():
-    shift = shift3().verify()
-    shift.forward = wrong_letter(shift.backend, shift.images)
-    with pytest.raises(AssertionError):
-        assert_compiled_matches_oracle(shift.backend, [shift])
 
 
 def test_verify_rejects_the_same_mutants_planted_before_compilation(monkeypatch):
@@ -914,9 +870,9 @@ def test_edge_walk_accepts_exactly_the_homomorphisms(make):
     lambda: DirectProduct([s3(), CyclicGroup(2, ["z"])]),
 ], ids=["z3xF2", "s3xZ2"])
 def test_direct_product_operations_match_the_generator_forms(make):
-    """mul, inv, canonical_key and the factor-by-factor map, each a list
-    display over per-factor bound methods, against the per-call generator
-    expressions they replace."""
+    """mul, inv and canonical_key, each a list display over per-factor
+    bound methods, against the per-call generator expressions they replace
+    (the factor-by-factor map is a case of the `homomorphism` row)."""
     backend = make()
     factors = backend.factors
     elements = sample_elements(backend)
@@ -927,14 +883,6 @@ def test_direct_product_operations_match_the_generator_forms(make):
         assert backend.inv(g) == tuple(b.inv(a) for b, a in zip(factors, g))
         assert backend.canonical_key(g) == tuple(
             b.canonical_key(a) for b, a in zip(factors, g))
-    if backend.relators() is not None:
-        h, g1, g2 = backend.gens
-        images = [backend.inv(h), g2, g1]
-        maps = [factors[0].homomorphism([images[0][0]]),
-                factors[1].homomorphism([images[1][1], images[2][1]])]
-        apply = backend.homomorphism(images)
-        assert apply(elements) == [tuple(m([c])[0] for m, c in zip(maps, g)) for g in elements]
-        assert apply(elements) == [backend.evaluate(backend.factor(g), images) for g in elements]
 
 
 def test_edge_walk_matches_oracle_on_a_finite_direct_product():
@@ -1353,18 +1301,6 @@ def arithmetic(kernel):
     return ops
 
 
-def test_heisenberg_closed_form_map_matches_the_generic_map():
-    # most random image triples are no homomorphism; the polynomial is
-    # A^p B^q C^(r-pq) all the same, as evaluate(factor(g), images) is
-    h = HeisenbergGroup()
-    rng = random.Random(15)
-    for _ in range(300):
-        images = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)]
-        closed, generic = h.homomorphism(images), GroupBackend.homomorphism(h, images)
-        gs = [tuple(rng.randint(-30, 30) for _ in range(3)) for _ in range(10)]
-        assert closed(gs) == generic(gs), images
-
-
 SIGNED_PERMUTATIONS_2 = [((u, 0), (0, v)) for u in (1, -1) for v in (1, -1)] + [
     ((0, u), (v, 0)) for u in (1, -1) for v in (1, -1)]  # rows (a1, b1), (a2, b2)
 HEISENBERG_GRID = list(itertools.product(range(-4, 5), range(-4, 5), range(-6, 7)))
@@ -1631,24 +1567,6 @@ def random_words(f, rng, count=150):
 def assert_map_matches_oracle(f, images, words):
     image = f.homomorphism(images)
     assert image(words) == [f.evaluate(f.factor(g), images) for g in words], images
-
-
-@pytest.mark.parametrize("rank,count", [(2, 8), (3, 48)])
-def test_signed_permutation_maps_match_oracle(rank, count):
-    f = FreeGroup(rank)
-    words = random_words(f, random.Random(rank))
-    auts = [a.verify() for a in signed_permutations(f)]
-    assert len(set(auts)) == count
-    for a in auts:
-        assert_map_matches_oracle(f, a.images, words)
-    # the maps compose() compiles, and the group all of them make
-    rng = random.Random(7)
-    for a, b in (rng.sample(auts, 2) for _ in range(20)):
-        ab = compose(a, b)
-        assert [ab.apply(g) for g in words] == [a.apply(b.apply(g)) for g in words]
-    closed = close_automorphisms(auts)
-    assert len(closed) == count
-    assert_compiled_matches_oracle(f, closed)
 
 
 def test_generator_images_compile_to_the_identity():

@@ -56,6 +56,8 @@ def test_nat_product_examples():
     assert X.mul(4, 4) == (0, 8)
     assert X.mul(0, 7) == (7, 7)
     assert X.inv(9) == 9
+    # a layer map: element-major, then generator, then value, repeats kept
+    assert X.step([0, 1])([4, 2]) == [4, 4, 3, 5, 2, 2, 1, 3]
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))

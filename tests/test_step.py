@@ -18,17 +18,35 @@ import itertools
 
 from mvgroups.cayley import ball, dynamic_supports, lengths, power_table, set_product
 from mvgroups.dynamics import iterate_dynamic
-from mvgroups.groups import (Automorphism, FreeAbelianGroup, FreeGroup, HeisenbergGroup,
-                             close_automorphisms, identity_automorphism, layers, monoid_balls,
-                             orbit)
+from mvgroups.groups import (Automorphism, CyclicGroup, DirectProduct, FreeAbelianGroup,
+                             FreeGroup, HeisenbergGroup, PermutationGroup, close_automorphisms,
+                             identity_automorphism, layers, monoid_balls, orbit)
 from mvgroups.mvalued import CosetGroup, MvGroup, NatGroup
 from mvgroups.verify import run_suite
 from mvgroups.wordspec import load_instance
 
 import pytest
-from oracles import (COSET, KINDS, ORBIT, PATHS, ball_products, in_order, least_members,
-                     partition, semidirect_balls, sorted_spheres, sorted_supports,
-                     table_test, twisted_steps)
+from oracles import (COSET, KINDS, ORBIT, PATHS, backend_batches, ball_products, in_order,
+                     least_members, partition, semidirect_balls, sorted_spheres,
+                     sorted_supports, table_test, twisted_steps)
+
+
+def huge(rank):
+    """A vector of `rank` coordinates beyond +-2**64."""
+    return tuple((-1) ** i * (2**64 + 3**i) for i in range(rank))
+
+
+S3 = PermutationGroup(3, ["t", "c"], [[1, 0, 2], [1, 2, 0]])
+# a backend of each kind and each shape of direct product, with the further
+# elements its batches take: an integer-vector kind takes one beyond
+# +-2**64, on which its compiled arithmetic has to stay exact
+KIND_BATCHES = [
+    (FreeGroup(2), []), (FreeAbelianGroup(1), [huge(1)]), (FreeAbelianGroup(2), [huge(2)]),
+    (FreeAbelianGroup(3), [huge(3)]), (CyclicGroup(6), []), (HeisenbergGroup(), [huge(3)]),
+    (S3, []), (DirectProduct([CyclicGroup(3, ["h"]), FreeGroup(2)]), []),
+    (DirectProduct([FreeGroup(2), S3]), []),
+    (DirectProduct([FreeAbelianGroup(2), HeisenbergGroup()]), [(huge(2), huge(3))]),
+]
 
 
 def test_every_orbit_config_is_covered():
@@ -48,7 +66,9 @@ test_coset_ball_is_the_projected_monoid_ball = table_test("coset_ball")
 test_monoid_balls_match_the_scalar_walk = table_test("monoid_balls", extra={
     f"{name}-semidirect": semidirect_balls(name) for name in COSET})
 test_proof34_counts_the_ga_ball_by_a_g_walk = table_test("semidirect_ball_sizes")
-test_products_match_the_scalar_products_on_every_backend_kind = table_test("products")
+test_products_match_the_scalar_products_on_every_backend_kind = table_test("products", extra={
+    "kinds": lambda instances: [case for backend, more in KIND_BATCHES for case in
+                                backend_batches(backend, more)]})
 test_project_all_matches_project_on_products_with_repeats = table_test("project_all")
 
 

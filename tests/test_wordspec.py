@@ -24,7 +24,7 @@ from mvgroups.wordspec import (
     render_word,
 )
 
-from oracles import PATHS, ROOT, scanner_parse_word
+from oracles import FREE2, PATHS, PERMUTATION, ROOT, one_automorphism, scanner_parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,6 @@ def test_double_coset_requires_subgroup():
                       "mv": {"kind": "double_coset"}})
 
 
-PERMUTATION = {"kind": "permutation", "degree": 3, "gens": ["t"], "gen_images": [[1, 0, 2]]}
 TABLE = {"kind": "finite_table", "table": [[0, 1], [1, 0]], "gens": ["t"], "gen_elements": [1]}
 
 
@@ -341,14 +340,6 @@ def test_bad_word_in_config_names_path():
     assert "images.g2" in (exc.value.path or "")
 
 
-def one_automorphism(group, images, **fields):
-    """A coset document whose one automorphism is `images` both ways."""
-    return {"schema": 1, "group": group,
-            "automorphisms": [{"name": "s", "images": images, "inverse_images": images}],
-            "mv": {"kind": "coset"}, **fields}
-
-
-FREE2 = {"kind": "free", "rank": 2}
 # an image map that misses a generator of the backend, or a word naming an unknown one
 CONFIG_PATH_CASES = [
     (one_automorphism({**FREE2, "gens": []}, {}), "automorphisms[0].images"),
